@@ -1,15 +1,11 @@
-//! Serial vs parallel timing of the full paper regeneration, under both
-//! simulation engines.
+//! Serial vs parallel timing of the full paper regeneration.
 //!
 //! Measures `all_tables()` (every figure/table generator) with the worker
-//! pool pinned to one thread and with the hardware default, and with
-//! `HARMONIA_ENGINE` at its cycle-stepped default and at `event`, so the
-//! committed `BENCH_paper.json` records what the execution layer and the
-//! skip-ahead scheduler buy on the build machine.
-//! `TESTKIT_BENCH_SMOKE=1` trims sampling for CI.
+//! pool pinned to one thread and with the hardware default, so the
+//! committed `BENCH_paper.json` records what the execution layer buys on
+//! the build machine. `TESTKIT_BENCH_SMOKE=1` trims sampling for CI.
 
 use harmonia::sim::exec::THREADS_ENV;
-use harmonia::sim::ENGINE_ENV;
 use harmonia_testkit::bench::{black_box, Criterion};
 use harmonia_testkit::{bench_group, bench_main};
 
@@ -27,14 +23,10 @@ fn with_env<R>(key: &str, value: Option<&str>, f: impl FnOnce() -> R) -> R {
     out
 }
 
-fn with_knobs<R>(threads: Option<&str>, engine: Option<&str>, f: impl FnOnce() -> R) -> R {
-    with_env(THREADS_ENV, threads, || with_env(ENGINE_ENV, engine, f))
-}
-
-/// One untimed sweep before sampling: the first sweep under a fresh knob
-/// configuration pays pool spin-up and cold caches, which used to land
-/// in the timed window and skew the committed p99 (a lone ~80 ms outlier
-/// against a ~58 ms median for `full_sweep_event_parallel`).
+/// One untimed sweep before sampling: the first sweep under a fresh thread
+/// setting pays pool spin-up and cold caches, which used to land in the
+/// timed window and skew the committed p99 (a lone ~80 ms outlier against
+/// a ~58 ms median).
 fn warmed(b: &mut harmonia_testkit::bench::Bencher) {
     black_box(harmonia_bench::all_tables().len());
     b.iter(|| black_box(harmonia_bench::all_tables().len()))
@@ -45,16 +37,10 @@ fn bench_paper(c: &mut Criterion) {
     // Enough samples that one scheduling hiccup cannot own the p99.
     g.sample_size(20);
     g.bench_function("full_sweep_serial", |b| {
-        with_knobs(Some("1"), Some("cycle"), || warmed(b))
+        with_env(THREADS_ENV, Some("1"), || warmed(b))
     });
     g.bench_function("full_sweep_parallel", |b| {
-        with_knobs(None, Some("cycle"), || warmed(b))
-    });
-    g.bench_function("full_sweep_event_serial", |b| {
-        with_knobs(Some("1"), Some("event"), || warmed(b))
-    });
-    g.bench_function("full_sweep_event_parallel", |b| {
-        with_knobs(None, Some("event"), || warmed(b))
+        with_env(THREADS_ENV, None, || warmed(b))
     });
     g.finish();
 }

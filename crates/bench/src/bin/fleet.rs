@@ -12,7 +12,7 @@
 //! ```
 //!
 //! All values are simulated, so every mode is byte-identical at any
-//! `HARMONIA_THREADS` under either `HARMONIA_ENGINE`.
+//! `HARMONIA_THREADS`.
 
 use harmonia::fleet::control::fleet_slos;
 use harmonia::fleet::{FleetController, FleetSpec};

@@ -11,7 +11,7 @@
 //! ```
 //!
 //! All values are simulated, so every mode is byte-identical at any
-//! `HARMONIA_THREADS` under either `HARMONIA_ENGINE`.
+//! `HARMONIA_THREADS`.
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

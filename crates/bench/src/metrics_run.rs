@@ -9,7 +9,7 @@
 //! [`par_metered`], a [`MetricsScraper`] samples each campaign on the
 //! simulated timeline, and the merged snapshot feeds the SLO evaluator.
 //! Everything is simulated and merge order is pinned, so the exports are
-//! byte-identical at any `HARMONIA_THREADS` under either engine.
+//! byte-identical at any `HARMONIA_THREADS`.
 
 use harmonia::cmd::{CommandCode, UnifiedControlKernel};
 use harmonia::host::{CommandDriver, DmaEngine, DriverError};

@@ -1,48 +1,36 @@
 //! The simulation engine's determinism contract, end to end: every paper
 //! artifact, trace export and fault-campaign transcript must render
-//! byte-identically whether `HARMONIA_ENGINE` selects the cycle-stepped
-//! reference or the event-driven scheduler, at any worker-pool width.
+//! byte-identically at any worker-pool width.
 //!
-//! This is the differential harness the event engine is developed
-//! against: the cycle engine is the behavioral reference (pinned to
-//! `paper_output.txt` by `paper_snapshot`), and the matrix below walks
-//! {cycle, event} x {1 thread, 4 threads} asserting byte equality of
-//! everything the repo publishes.
+//! The simulator has a single engine, the cycle-stepped `MultiClock`
+//! (pinned to `paper_output.txt` by `paper_snapshot`), so the matrix
+//! below has one engine point and walks the pool widths {1, 2, 4},
+//! asserting byte equality of everything the repo publishes.
 
 use harmonia::sim::exec::THREADS_ENV;
-use harmonia::sim::{Engine, ENGINE_ENV};
 use std::sync::Mutex;
 
 /// Env mutations are process-global; serialize the tests that flip
-/// `HARMONIA_THREADS` / `HARMONIA_ENGINE` so cargo's parallel test
-/// runner can't interleave them.
+/// `HARMONIA_THREADS` so cargo's parallel test runner can't interleave
+/// them.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
-/// Runs `f` with both knobs pinned, restoring the prior values after.
-fn with_knobs<R>(threads: Option<&str>, engine: Option<&str>, f: impl FnOnce() -> R) -> R {
+/// Runs `f` with the pool width pinned, restoring the prior value after.
+fn with_threads<R>(threads: &str, f: impl FnOnce() -> R) -> R {
     let _guard = ENV_LOCK.lock().unwrap();
-    let prior_threads = std::env::var(THREADS_ENV).ok();
-    let prior_engine = std::env::var(ENGINE_ENV).ok();
-    let set = |key: &str, value: Option<&str>| match value {
-        Some(v) => std::env::set_var(key, v),
-        None => std::env::remove_var(key),
-    };
-    set(THREADS_ENV, threads);
-    set(ENGINE_ENV, engine);
+    let prior = std::env::var(THREADS_ENV).ok();
+    std::env::set_var(THREADS_ENV, threads);
     let out = f();
-    set(THREADS_ENV, prior_threads.as_deref());
-    set(ENGINE_ENV, prior_engine.as_deref());
+    match prior {
+        Some(v) => std::env::set_var(THREADS_ENV, v),
+        None => std::env::remove_var(THREADS_ENV),
+    }
     out
 }
 
-/// The full comparison matrix: both engines at serial and wide pool
-/// widths. The first entry is the reference everything else must match.
-const MATRIX: [(&str, &str); 4] = [
-    ("cycle", "1"),
-    ("cycle", "4"),
-    ("event", "1"),
-    ("event", "4"),
-];
+/// The comparison matrix: serial, narrow and wide pool widths. The first
+/// entry is the reference everything else must match.
+const WIDTHS: [&str; 3] = ["1", "2", "4"];
 
 /// Renders `f` at every matrix point and asserts all outputs are
 /// byte-identical, returning the common value.
@@ -50,21 +38,18 @@ fn assert_matrix_identical<R: PartialEq + std::fmt::Debug>(
     what: &str,
     f: impl Fn() -> R,
 ) -> R {
-    let reference = with_knobs(Some(MATRIX[0].1), Some(MATRIX[0].0), &f);
-    for (engine, threads) in &MATRIX[1..] {
-        let got = with_knobs(Some(threads), Some(engine), &f);
-        assert_eq!(
-            reference, got,
-            "{what} diverged at engine={engine} threads={threads}"
-        );
+    let reference = with_threads(WIDTHS[0], &f);
+    for threads in &WIDTHS[1..] {
+        let got = with_threads(threads, &f);
+        assert_eq!(reference, got, "{what} diverged at threads={threads}");
     }
     reference
 }
 
 /// The full paper regeneration — every figure and table — is
-/// byte-identical across the engine/thread matrix *and* equal to the
-/// committed `paper_output.txt` snapshot, so switching the engine knob
-/// can never move a digit of the evaluation.
+/// byte-identical across the pool-width matrix *and* equal to the
+/// committed `paper_output.txt` snapshot, so the worker-pool knob can
+/// never move a digit of the evaluation.
 #[test]
 fn paper_tables_byte_identical_across_engines_and_threads() {
     let rendered = assert_matrix_identical("paper tables", || {
@@ -83,7 +68,7 @@ fn paper_tables_byte_identical_across_engines_and_threads() {
     );
 }
 
-/// The observability plane exports byte-identically under either engine:
+/// The observability plane exports byte-identically at every pool width:
 /// Perfetto JSON, text timeline, merged latency histogram and the driver
 /// report transcript all survive the matrix untouched.
 #[test]
@@ -98,18 +83,17 @@ fn trace_exports_byte_identical_across_engines_and_threads() {
                 run.reports.join("\n"),
             )
         });
-    // The capture is non-trivial under every matrix point: lanes traced,
-    // faults visible, well-formed export.
+    // The capture is non-trivial: lanes traced, faults visible,
+    // well-formed export.
     assert!(text.contains("cmd-retry"), "link flap must force retries");
     assert!(perfetto.starts_with('{') && perfetto.trim_end().ends_with('}'));
     assert_eq!(reports.lines().count(), 4, "one report per scenario");
 }
 
-/// One self-contained fault campaign (same shape as
-/// `parallel_equivalence`): a seeded plan mixing scheduled link-flap +
-/// credit-stall events with background drop/corrupt/irq-lost rates,
-/// driven through the resilient bring-up + monitoring workflow. Returns
-/// a rendered transcript for byte-exact comparison.
+/// One self-contained fault campaign: a seeded plan mixing scheduled
+/// link-flap + credit-stall events with background drop/corrupt/irq-lost
+/// rates, driven through the resilient bring-up + monitoring workflow.
+/// Returns a rendered transcript for byte-exact comparison.
 fn fault_campaign(seed: u64) -> String {
     use harmonia::cmd::{CommandCode, UnifiedControlKernel};
     use harmonia::host::{CommandDriver, DmaEngine, DriverError};
@@ -166,9 +150,8 @@ fn fault_campaign(seed: u64) -> String {
     )
 }
 
-/// Seeded fault-campaign reports are byte-identical across the engine
-/// matrix: the fault plane consults in the same order under either
-/// scheduler, at any pool width.
+/// Seeded fault-campaign reports are byte-identical across the pool-width
+/// matrix: the fault plane consults in the same order at any width.
 #[test]
 fn fault_campaign_reports_byte_identical_across_engines_and_threads() {
     let transcript = assert_matrix_identical("fault campaigns", || {
@@ -180,52 +163,5 @@ fn fault_campaign_reports_byte_identical_across_engines_and_threads() {
     assert!(
         !transcript.contains("retries=0 timeouts=0 nacks=0 gave-up=0"),
         "no campaign observed any fault:\n{transcript}"
-    );
-}
-
-/// The knob really selects the engine: the matrix above only means
-/// something if `Engine::from_env` reads what `with_knobs` pins.
-#[test]
-fn engine_env_knob_selects_the_engine() {
-    assert_eq!(with_knobs(None, None, Engine::from_env), Engine::Cycle);
-    assert_eq!(
-        with_knobs(None, Some("cycle"), Engine::from_env),
-        Engine::Cycle
-    );
-    assert_eq!(
-        with_knobs(None, Some("event"), Engine::from_env),
-        Engine::Event
-    );
-}
-
-/// The committed `BENCH_paper.json` must show the event engine's full
-/// sweep no slower than the cycle engine's at the same pool width — the
-/// skip-ahead scheduler is a performance feature, and this pins the
-/// acceptance criterion to the committed artifact.
-#[test]
-fn committed_bench_shows_event_engine_no_slower() {
-    let json = include_str!(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_paper.json"
-    ));
-    let median = |name: &str| -> f64 {
-        let entry = json
-            .lines()
-            .find(|l| l.contains(&format!("\"name\": \"{name}\"")))
-            .unwrap_or_else(|| panic!("BENCH_paper.json is missing {name}"));
-        let field = entry
-            .split("\"median_ns\": ")
-            .nth(1)
-            .and_then(|rest| rest.split([',', '}']).next())
-            .unwrap_or_else(|| panic!("{name} entry has no median_ns"));
-        field.trim().parse().expect("median_ns parses as f64")
-    };
-    assert!(
-        median("full_sweep_event_serial") <= median("full_sweep_serial"),
-        "event engine slower than cycle engine (serial sweep)"
-    );
-    assert!(
-        median("full_sweep_event_parallel") <= median("full_sweep_parallel"),
-        "event engine slower than cycle engine (parallel sweep)"
     );
 }

@@ -1,10 +1,9 @@
 //! Determinism and isolation contracts for the metrics plane.
 //!
-//! 1. **Matrix byte-identity** — the Prometheus and JSON exports (and the
+//! 1. **Thread byte-identity** — the Prometheus and JSON exports (and the
 //!    rendered SLO report) of the fault-campaign capture are
-//!    byte-identical at every `HARMONIA_ENGINE` × `HARMONIA_THREADS`
-//!    matrix point: registries fill per lane and merge in seed order, so
-//!    neither the scheduler nor the engine choice may move a byte.
+//!    byte-identical at 1 and 4 `HARMONIA_THREADS`: registries fill per
+//!    lane and merge in seed order, so the scheduler may not move a byte.
 //! 2. **Snapshot isolation** — enabling `HARMONIA_METRICS` must not move
 //!    a byte of the committed paper snapshot: metrics are observational,
 //!    never part of the model.
@@ -16,7 +15,7 @@
 
 use harmonia::host::DriverError;
 use harmonia::sim::exec::THREADS_ENV;
-use harmonia::sim::{ENGINE_ENV, METRICS_ENV, METRICS_PERIOD_ENV};
+use harmonia::sim::{METRICS_ENV, METRICS_PERIOD_ENV};
 use harmonia_bench::metrics_run;
 use std::sync::Mutex;
 
@@ -56,30 +55,16 @@ fn exports() -> (String, String, String) {
 }
 
 #[test]
-fn exports_are_byte_identical_across_engine_and_thread_matrix() {
-    let baseline = with_env(
-        &[
-            (ENGINE_ENV, Some("cycle")),
-            (THREADS_ENV, Some("1")),
-            (METRICS_PERIOD_ENV, None),
-        ],
-        exports,
-    );
-    assert!(baseline.0.contains("harmonia_cmd_acked_total"));
-    for (engine, threads) in [("cycle", "4"), ("event", "1"), ("event", "4")] {
-        let got = with_env(
-            &[
-                (ENGINE_ENV, Some(engine)),
-                (THREADS_ENV, Some(threads)),
-                (METRICS_PERIOD_ENV, None),
-            ],
+fn exports_are_byte_identical_at_one_and_four_threads() {
+    let at = |threads: &str| {
+        with_env(
+            &[(THREADS_ENV, Some(threads)), (METRICS_PERIOD_ENV, None)],
             exports,
-        );
-        assert_eq!(
-            got, baseline,
-            "metrics exports moved at engine={engine} threads={threads}"
-        );
-    }
+        )
+    };
+    let baseline = at("1");
+    assert!(baseline.0.contains("harmonia_cmd_acked_total"));
+    assert_eq!(at("4"), baseline, "metrics exports moved at threads=4");
 }
 
 #[test]
@@ -88,11 +73,10 @@ fn enabling_metrics_leaves_the_paper_snapshot_untouched() {
         env!("CARGO_MANIFEST_DIR"),
         "/../../paper_output.txt"
     ));
-    for (engine, threads) in [("cycle", "1"), ("cycle", "4"), ("event", "1"), ("event", "4")] {
+    for threads in ["1", "4"] {
         let rendered = with_env(
             &[
                 (METRICS_ENV, Some("1")),
-                (ENGINE_ENV, Some(engine)),
                 (THREADS_ENV, Some(threads)),
             ],
             || {
@@ -104,8 +88,7 @@ fn enabling_metrics_leaves_the_paper_snapshot_untouched() {
         );
         assert_eq!(
             rendered, committed,
-            "HARMONIA_METRICS=1 moved the paper snapshot at \
-             engine={engine} threads={threads}"
+            "HARMONIA_METRICS=1 moved the paper snapshot at threads={threads}"
         );
     }
 }

@@ -59,18 +59,27 @@ fn fig18_byte_identical_serial_vs_parallel() {
     assert_eq!(serial, parallel);
 }
 
+/// The full paper regeneration is byte-identical at 1 and 4 threads, and
+/// the 4-thread render equals the committed `paper_output.txt`.
 #[test]
 fn full_paper_output_byte_identical_serial_vs_parallel() {
     let render = || {
         harmonia_bench::all_tables()
             .iter()
-            .map(|t| t.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
+            .map(|t| format!("{t}\n"))
+            .collect::<String>()
     };
     let serial = with_threads(Some("1"), render);
     let parallel = with_threads(Some("4"), render);
     assert_eq!(serial, parallel);
+    let committed = include_str!(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../paper_output.txt"
+    ));
+    assert_eq!(
+        parallel, committed,
+        "4-thread render drifted from the committed snapshot"
+    );
 }
 
 /// One self-contained fault campaign: a seeded plan mixing scheduled

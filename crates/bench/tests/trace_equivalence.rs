@@ -51,6 +51,7 @@ fn trace_exports_byte_identical_serial_vs_parallel() {
     // The capture is non-trivial: every lane traced, faults visible.
     assert!(serial.1.contains("cmd-retry"));
     assert!(serial.0.starts_with('{') && serial.0.trim_end().ends_with('}'));
+    assert_eq!(serial.3.lines().count(), 4, "one report per scenario");
 }
 
 /// Turning `HARMONIA_TRACE` on must not move a single digit in the paper

@@ -187,8 +187,7 @@ pub struct CampaignReport {
 
 impl CampaignReport {
     /// Renders the campaign as deterministic text: integer math end to
-    /// end, byte-identical across the `{cycle,event}×{1,4}-thread`
-    /// matrix (pinned by tests).
+    /// end, byte-identical at any `HARMONIA_THREADS` (pinned by tests).
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(

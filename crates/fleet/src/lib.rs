@@ -23,10 +23,9 @@
 //!   `migration.rs` cost model, and `harmonia_fleet_*` metrics.
 //!
 //! Determinism contract: a campaign is a pure function of its
-//! [`FleetSpec`] and scheduled events. Nothing here consults
-//! `HARMONIA_ENGINE`, and every parallel fan-out goes through the
-//! ordered `harmonia_sim::exec` pool, so rendered campaign reports are
-//! byte-identical across the `{cycle,event}×{1,4}-thread` matrix.
+//! [`FleetSpec`] and scheduled events. Every parallel fan-out goes
+//! through the ordered `harmonia_sim::exec` pool, so rendered campaign
+//! reports are byte-identical at any `HARMONIA_THREADS`.
 //!
 //! ```
 //! use harmonia_fleet::{FleetController, FleetSpec, PlacementPolicy};

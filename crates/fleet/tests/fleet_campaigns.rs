@@ -1,5 +1,5 @@
 //! Fleet campaign suite: kill-device and kill-rack convergence with
-//! exact accounting, rolling upgrades, engine/thread byte-identity of
+//! exact accounting, rolling upgrades, thread-count byte-identity of
 //! rendered reports, the fleet knobs, and the `harmonia_fleet_*`
 //! metrics + SLO surface.
 
@@ -9,7 +9,6 @@ use harmonia_fleet::{
 };
 use harmonia_sim::exec::THREADS_ENV;
 use harmonia_sim::metrics::{evaluate_slos, MetricsRegistry};
-use harmonia_sim::ENGINE_ENV;
 use std::sync::Mutex;
 
 /// Env mutations are process-global; serialize against cargo's parallel
@@ -110,7 +109,7 @@ fn best_fit_beats_random_on_fleet_p99() {
 }
 
 #[test]
-fn campaign_render_is_byte_identical_across_the_engine_thread_matrix() {
+fn campaign_render_is_byte_identical_at_one_and_four_threads() {
     let run_one = || {
         let mut f = fleet(96, PlacementPolicy::BestFit);
         let victim = f.assignments()[0].device;
@@ -118,24 +117,10 @@ fn campaign_render_is_byte_identical_across_the_engine_thread_matrix() {
         f.schedule_upgrade(40, 2, 16);
         f.run().render()
     };
-    let mut renders = Vec::new();
-    for engine in ["cycle", "event"] {
-        for threads in ["1", "4"] {
-            let r = with_env(
-                &[(ENGINE_ENV, Some(engine)), (THREADS_ENV, Some(threads))],
-                run_one,
-            );
-            renders.push((engine, threads, r));
-        }
-    }
-    let (_, _, reference) = &renders[0];
-    for (engine, threads, r) in &renders[1..] {
-        assert_eq!(
-            r, reference,
-            "render diverged at engine={engine} threads={threads}"
-        );
-    }
-    assert!(reference.contains("exact=yes"));
+    let serial = with_env(&[(THREADS_ENV, Some("1"))], run_one);
+    let parallel = with_env(&[(THREADS_ENV, Some("4"))], run_one);
+    assert_eq!(parallel, serial, "render diverged at threads=4");
+    assert!(serial.contains("exact=yes"));
 }
 
 #[test]

@@ -8,7 +8,6 @@
 //! immediately once a batch threshold is reached). This module models that
 //! policy and quantifies the interrupt-rate / latency trade-off.
 
-use harmonia_sim::event::WakeSource;
 use harmonia_sim::{MetricsRegistry, Picos};
 
 /// Interrupt moderation policy.
@@ -169,33 +168,24 @@ impl IrqModerator {
     }
 }
 
-/// An event-driven host loop sleeps until the coalescing timer expires
-/// instead of polling the moderator every tick; with nothing pending the
-/// moderator is quiescent until external events arrive.
-impl WakeSource for IrqModerator {
-    fn next_wake(&self, now: Picos) -> Option<Picos> {
-        self.timer_deadline_ps().map(|d| d.max(now))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn wake_source_is_the_pending_timer_deadline() {
+    fn timer_deadline_is_the_oldest_pending_event_plus_max_wait() {
         let mut m = IrqModerator::new(IrqModeration {
             max_wait_ps: 5_000,
             batch_threshold: 64,
         });
-        assert_eq!(m.next_wake(0), None, "nothing pending, nothing to wake for");
+        assert_eq!(m.timer_deadline_ps(), None, "nothing pending, no timer");
         m.event(1_000);
-        assert_eq!(m.next_wake(1_000), Some(6_000));
-        // A caller already past the deadline must still be woken "now",
-        // never in the past.
-        assert_eq!(m.next_wake(7_000), Some(7_000));
+        assert_eq!(m.timer_deadline_ps(), Some(6_000));
+        // A later event joins the batch without moving the deadline.
+        m.event(3_000);
+        assert_eq!(m.timer_deadline_ps(), Some(6_000));
         m.flush(10_000);
-        assert_eq!(m.next_wake(10_000), None);
+        assert_eq!(m.timer_deadline_ps(), None);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! 1. **Legacy pinning** — `batch = 1` is byte-identical to the legacy
 //!    `cmd_raw_resilient` path under the same eight-seed fault campaigns
-//!    the engine-equivalence suite runs: same report rendering, same ack
+//!    the parallel-equivalence suite runs: same report rendering, same ack
 //!    log, same clocks, same response payloads.
 //! 2. **Convergence** — batched submission under seeded background fault
 //!    rates drives every entry to acked or reported-failed with exact
@@ -37,7 +37,7 @@ fn parts() -> (DmaEngine, UnifiedControlKernel, TailoredShell) {
     (engine, kernel, shell)
 }
 
-/// The engine-equivalence campaign plan: a link flap, a credit stall,
+/// The parallel-equivalence campaign plan: a link flap, a credit stall,
 /// and 5% background drop/corrupt/irq-lost rates from `seed`.
 fn campaign_plan(seed: u64) -> FaultPlan {
     FaultPlan::new()

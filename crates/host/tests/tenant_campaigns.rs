@@ -12,9 +12,9 @@
 //!    (link flap + credit stall + 5% background drop/corrupt/irq-lost)
 //!    every tenant's work converges to completed with exact accounting,
 //!    and each seed's full observable state is reproducible run-to-run.
-//! 4. **Matrix byte-identity** — the rendered driver state is identical
-//!    across `{cycle,event} × HARMONIA_THREADS {1,4}`: nothing in the
-//!    tenancy stack may consult the engine or thread knobs.
+//! 4. **Thread byte-identity** — the rendered driver state is identical
+//!    at `HARMONIA_THREADS` 1 and 4: nothing in the tenancy stack may
+//!    consult the thread knob.
 //! 5. **Env plumbing** — `HARMONIA_TENANT_POLICY` /
 //!    `HARMONIA_TENANT_SLICE_PS` select the scheduler configuration
 //!    through `TenantScheduler::from_env`.
@@ -32,7 +32,7 @@ use harmonia_shell::sched::{
 };
 use harmonia_shell::{MemoryDemand, RoleSpec, TailoredShell, UnifiedShell};
 use harmonia_sim::exec::THREADS_ENV;
-use harmonia_sim::{FaultKind, FaultPlan, FaultRates, ENGINE_ENV};
+use harmonia_sim::{FaultKind, FaultPlan, FaultRates};
 use std::sync::Mutex;
 
 /// Env mutations are process-global; serialize against cargo's parallel
@@ -100,7 +100,7 @@ fn health_reads(n: usize) -> Vec<CmdSpec> {
         .collect()
 }
 
-/// The engine-equivalence campaign plan scaled to tenant slices: a link
+/// The parallel-equivalence campaign plan scaled to tenant slices: a link
 /// flap across the first fifteen 2 ms slices, a credit stall after it,
 /// and 5% background drop/corrupt/irq-lost rates from `seed`.
 fn campaign_plan(seed: u64) -> FaultPlan {
@@ -239,7 +239,7 @@ fn eight_seed_campaigns_converge_with_exact_accounting() {
 }
 
 #[test]
-fn rendered_state_is_byte_identical_across_engine_thread_matrix() {
+fn rendered_state_is_byte_identical_at_one_and_four_threads() {
     for policy in [TenantPolicy::RoundRobin, TenantPolicy::WeightedFair] {
         let run = || {
             let mut d = driver(policy, &[4, 2, 1]);
@@ -250,20 +250,9 @@ fn rendered_state_is_byte_identical_across_engine_thread_matrix() {
             d.run(u64::MAX);
             render(policy.name(), &d, 3)
         };
-        let baseline = with_env(
-            &[(ENGINE_ENV, Some("cycle")), (THREADS_ENV, Some("1"))],
-            run,
-        );
-        for (engine, threads) in [("cycle", "4"), ("event", "1"), ("event", "4")] {
-            let got = with_env(
-                &[(ENGINE_ENV, Some(engine)), (THREADS_ENV, Some(threads))],
-                run,
-            );
-            assert_eq!(
-                got, baseline,
-                "{policy:?} diverged at engine={engine} threads={threads}"
-            );
-        }
+        let serial = with_env(&[(THREADS_ENV, Some("1"))], run);
+        let parallel = with_env(&[(THREADS_ENV, Some("4"))], run);
+        assert_eq!(parallel, serial, "{policy:?} diverged at threads=4");
     }
 }
 

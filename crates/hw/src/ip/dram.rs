@@ -10,7 +10,6 @@
 //! results: sequential ≫ random throughput (Figs 10c, 18c) and the benefit
 //! of interleaving (ablation benches).
 
-use harmonia_sim::event::WakeSource;
 use harmonia_sim::{FaultInjector, Picos, TraceCollector, TraceEventKind};
 use std::collections::VecDeque;
 
@@ -333,14 +332,6 @@ impl DramModel {
     }
 }
 
-/// An event-driven memory driver sleeps until the data bus frees instead
-/// of polling the channel every controller cycle.
-impl WakeSource for DramModel {
-    fn next_wake(&self, now: Picos) -> Option<Picos> {
-        (self.bus_free_ps > now).then_some(self.bus_free_ps)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,13 +344,12 @@ mod tests {
     }
 
     #[test]
-    fn wake_source_tracks_bus_occupancy() {
+    fn busy_until_tracks_bus_occupancy() {
         let mut m = DramModel::new(DramTiming::ddr4_2400());
-        assert_eq!(m.next_wake(0), None, "idle channel needs no wake");
+        assert_eq!(m.busy_until(), 0, "an idle channel's bus is free");
         let done = m.access(0, MemOp::read(0, 64));
-        assert_eq!(m.next_wake(0), Some(m.busy_until()));
-        assert!(m.busy_until() <= done);
-        assert_eq!(m.next_wake(done), None, "bus free once the access retires");
+        assert!(m.busy_until() > 0, "an access occupies the bus");
+        assert!(m.busy_until() <= done, "bus frees when the access retires");
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! `AsyncFifo` between two clock/width domains
 //! and can simulate a saturated transfer to verify exactly that condition.
 
-use harmonia_sim::event::{Engine, EventClock, Wake};
 use harmonia_sim::{AsyncFifo, ClockDomain, ClockEdge, Freq, MultiClock, Picos};
 
 /// Report of a saturated CDC transfer simulation.
@@ -101,48 +100,20 @@ impl ParamCdc {
     /// the writer is narrower, the up-converting gearbox sits in the write
     /// domain (a word completes every `U/M` write beats); when the reader
     /// is narrower, the down-converting gearbox sits in the read domain.
-    ///
-    /// Dispatches on [`Engine::from_env`] (`HARMONIA_ENGINE`); both
-    /// engines produce identical reports — see
-    /// [`simulate_with`](ParamCdc::simulate_with).
     pub fn simulate(&self, window_ps: Picos) -> CdcReport {
-        self.simulate_with(window_ps, Engine::from_env())
-    }
-
-    /// [`simulate`](ParamCdc::simulate) with an explicit engine choice.
-    ///
-    /// A saturated CDC has no quiescent regions — every edge carries a
-    /// beat — so the event engine walks the same edge stream the cycle
-    /// engine does and the two are identical by construction (the per-edge
-    /// body is shared). The differential tests pin it anyway.
-    pub fn simulate_with(&self, window_ps: Picos, engine: Engine) -> CdcReport {
         let mut run = CdcRun::new(self);
-        match engine {
-            Engine::Cycle => {
-                let mut mc = MultiClock::new();
-                mc.add(self.rbb_clock);
-                mc.add(self.user_clock);
-                for edge in mc.edges_until(window_ps) {
-                    run.on_edge(edge);
-                }
-            }
-            Engine::Event => {
-                let mut ec = EventClock::new();
-                ec.add(self.rbb_clock);
-                ec.add(self.user_clock);
-                while let Some(wake) = ec.next_wake_before(window_ps) {
-                    if let Wake::Edge(edge) = wake {
-                        run.on_edge(edge);
-                    }
-                }
-            }
+        let mut mc = MultiClock::new();
+        mc.add(self.rbb_clock);
+        mc.add(self.user_clock);
+        for edge in mc.edges_until(window_ps) {
+            run.on_edge(edge);
         }
         run.report
     }
 }
 
-/// The per-edge transfer body shared by both engines: clock index 0 is
-/// the write (RBB) domain, index 1 the read (user) domain.
+/// The per-edge transfer body: clock index 0 is the write (RBB) domain,
+/// index 1 the read (user) domain.
 struct CdcRun {
     fifo: AsyncFifo<u32>,
     wbytes: u64,
@@ -282,21 +253,6 @@ mod tests {
                 32,
             );
             assert!(cdc.is_lossless());
-        }
-    }
-
-    #[test]
-    fn engines_agree_on_every_shape() {
-        for (s, m, r, u) in [
-            (322u64, 512u32, 322u64, 512u32), // matched
-            (100, 512, 400, 128),             // width/frequency trade
-            (200, 512, 200, 256),             // undersized reader, stalls
-            (100, 128, 400, 128),             // oversized reader
-        ] {
-            let cdc = ParamCdc::new(Freq::mhz(s), m, Freq::mhz(r), u, 16);
-            let cycle = cdc.simulate_with(20 * US, Engine::Cycle);
-            let event = cdc.simulate_with(20 * US, Engine::Event);
-            assert_eq!(cycle, event, "engines diverged for {s}×{m} → {r}×{u}");
         }
     }
 

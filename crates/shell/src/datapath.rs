@@ -8,19 +8,13 @@
 //! (no bubbles) and per-packet latency must equal serialization plus the
 //! fixed pipeline depths.
 //!
-//! Both simulation engines drive the same per-edge body (`DatapathRun`):
-//! the cycle engine walks every edge of both clocks; the event engine
-//! (`HARMONIA_ENGINE=event`) pauses the MAC clock across provably inert
-//! regions — before the first packet finishes serializing, between packet
-//! arrivals once the crossing FIFO has settled, and permanently after the
-//! last packet is ingested — and the differential tests pin that the two
-//! reports are identical.
+//! `MultiClock` walks every edge of both clocks and feeds it to the
+//! per-edge body (`DatapathRun`) until the last packet is delivered.
 
 use crate::cdc::ParamCdc;
 use harmonia_hw::ip::MacIp;
 use harmonia_hw::ip::VendorIp;
 use harmonia_platform::{InterfaceWrapper, WidthConverter};
-use harmonia_sim::event::{Engine, EventClock, Wake};
 use harmonia_sim::stream::{packet_to_beats, StreamBeat};
 use harmonia_sim::{
     AsyncFifo, ClockDomain, ClockEdge, Freq, LatencyStats, MultiClock, Picos, Pipeline, Throughput,
@@ -38,10 +32,8 @@ pub struct DatapathReport {
     pub packets_delivered: u64,
     /// Whether the ingress ever back-pressured onto the wire (a bubble).
     pub ingress_stalled: bool,
-    /// Clock edges the engine actually visited. The cycle engine visits
-    /// every edge of both domains; the event engine skips provably inert
-    /// ones, so a smaller number here with an identical report is the
-    /// skip-ahead working as designed.
+    /// Clock edges simulated: every edge of both domains visited until the
+    /// last packet is delivered.
     pub edges_visited: u64,
 }
 
@@ -85,27 +77,11 @@ impl DatapathSim {
 
     /// Runs `count` back-to-back packets of `packet_bytes` at line rate.
     ///
-    /// Dispatches on [`Engine::from_env`] (`HARMONIA_ENGINE`); see
-    /// [`run_with`](DatapathSim::run_with).
-    ///
     /// # Panics
     ///
     /// Panics if the CDC configuration would be lossy (`S×M > R×U`) — a
     /// mis-sized role domain is a design error the tailoring flow rejects.
     pub fn run(&self, packet_bytes: u32, count: u64) -> DatapathReport {
-        self.run_with(packet_bytes, count, Engine::from_env())
-    }
-
-    /// [`run`](DatapathSim::run) with an explicit engine choice.
-    ///
-    /// The event engine pauses the MAC clock across regions where every
-    /// skipped edge is provably inert (determinism rules in
-    /// `harmonia_sim::event`): the ingress queue is empty *and* the
-    /// crossing FIFO [`is_settled`](AsyncFifo::is_settled), so the skipped
-    /// edges would only re-latch unchanged gray pointers. The user clock
-    /// is never paused — it drains the role pipeline and its edge/cycle
-    /// numbering must stay exact.
-    pub fn run_with(&self, packet_bytes: u32, count: u64, engine: Engine) -> DatapathReport {
         let mac_clock = self.mac.core_clock();
         let mac_width = self.mac.data_width_bits();
         if self.with_harmonia {
@@ -141,83 +117,24 @@ impl DatapathSim {
 
         // Run until everything is delivered (bounded by 4× the ideal time).
         let deadline = 4 * run.wire_ps_per_pkt * count + 10_000_000;
-        match engine {
-            Engine::Cycle => {
-                let mut mc = MultiClock::new();
-                let mac_clk = mc.add(ClockDomain::new(mac_clock));
-                let _user_clk = mc.add(ClockDomain::new(self.user_clock));
-                for edge in mc.edges_until(deadline) {
-                    if run.done() {
-                        break;
-                    }
-                    if edge.clock == mac_clk {
-                        run.on_mac_edge(edge);
-                    } else {
-                        run.on_user_edge(edge);
-                    }
-                }
+        let mut mc = MultiClock::new();
+        let mac_clk = mc.add(ClockDomain::new(mac_clock));
+        mc.add(ClockDomain::new(self.user_clock));
+        for edge in mc.edges_until(deadline) {
+            if run.done() {
+                break;
             }
-            Engine::Event => {
-                let mut ec = EventClock::new();
-                let mac_period = ClockDomain::new(mac_clock).period_ps();
-                let mac_clk = ec.add(ClockDomain::new(mac_clock));
-                let user_clk = ec.add(ClockDomain::new(self.user_clock));
-                while let Some(wake) = ec.next_wake_before(deadline) {
-                    if run.done() {
-                        break;
-                    }
-                    let edge = match wake {
-                        Wake::Edge(e) => e,
-                        Wake::Pin(_) => continue,
-                    };
-                    if edge.clock == mac_clk {
-                        run.on_mac_edge(edge);
-                        // Skip-ahead: with nothing queued on the wire side
-                        // and the crossing FIFO fully settled, every MAC
-                        // edge until the next packet arrival only
-                        // re-latches unchanged pointers — provably inert.
-                        // If the user side is fully drained as well (no
-                        // tags awaiting conversion, both pipelines empty),
-                        // its edges are equally inert and both domains can
-                        // sleep until the next arrival.
-                        if run.ingress.is_empty() && run.fifo.is_settled() {
-                            let user_idle = run.conv_tags.is_empty()
-                                && run.role_pipe.next_exit_cycle().is_none()
-                                && run.delivery_pipe.next_exit_cycle().is_none();
-                            if run.next_ready_pkt >= count {
-                                // No more packets will ever arrive.
-                                ec.pause(mac_clk);
-                                if user_idle {
-                                    ec.pause(user_clk);
-                                }
-                            } else {
-                                let next_arrival =
-                                    (run.next_ready_pkt + 1) * run.wire_ps_per_pkt;
-                                // Only sleep when the gap actually elides
-                                // an edge: a sub-period pause costs more
-                                // (two divisions in `resume_at`) than the
-                                // zero edges it would skip.
-                                if next_arrival > edge.at_ps + mac_period {
-                                    ec.pause(mac_clk);
-                                    ec.resume_at(mac_clk, next_arrival);
-                                    if user_idle {
-                                        ec.pause(user_clk);
-                                        ec.resume_at(user_clk, next_arrival);
-                                    }
-                                }
-                            }
-                        }
-                    } else {
-                        run.on_user_edge(edge);
-                    }
-                }
+            if edge.clock == mac_clk {
+                run.on_mac_edge(edge);
+            } else {
+                run.on_user_edge(edge);
             }
         }
         run.into_report()
     }
 }
 
-/// Per-edge simulation state shared verbatim by both engines.
+/// Per-edge simulation state.
 struct DatapathRun {
     packet_bytes: u32,
     count: u64,
@@ -405,57 +322,6 @@ mod tests {
         let report = s.run(128, 1_000);
         assert_eq!(report.packets_delivered, 1_000);
         assert!(!report.ingress_stalled);
-    }
-
-    #[test]
-    fn engines_agree_on_the_full_report() {
-        for size in [64u32, 256, 1024] {
-            let cycle = sim().run_with(size, 400, Engine::Cycle);
-            let event = sim().run_with(size, 400, Engine::Event);
-            assert_eq!(cycle.packets_delivered, event.packets_delivered, "size {size}");
-            assert_eq!(cycle.ingress_stalled, event.ingress_stalled, "size {size}");
-            // Stats types carry no PartialEq; compare every rendered field.
-            assert_eq!(
-                cycle.throughput.gbps().to_bits(),
-                event.throughput.gbps().to_bits(),
-                "size {size}: throughput diverged"
-            );
-            assert_eq!(
-                cycle.latency.mean_ps().to_bits(),
-                event.latency.mean_ps().to_bits(),
-                "size {size}: mean latency diverged"
-            );
-            assert_eq!(
-                cycle.latency.max(),
-                event.latency.max(),
-                "size {size}: max latency diverged"
-            );
-            assert!(
-                event.edges_visited <= cycle.edges_visited,
-                "size {size}: event engine visited more edges"
-            );
-            if size == 1024 {
-                // Large packets leave real inter-arrival gaps: the event
-                // engine must actually skip, not just match.
-                assert!(
-                    event.edges_visited < cycle.edges_visited * 95 / 100,
-                    "size {size}: no skip-ahead happened ({} vs {})",
-                    event.edges_visited,
-                    cycle.edges_visited
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn engines_agree_without_harmonia_wrapper() {
-        let cycle = sim().without_harmonia().run_with(256, 300, Engine::Cycle);
-        let event = sim().without_harmonia().run_with(256, 300, Engine::Event);
-        assert_eq!(cycle.packets_delivered, event.packets_delivered);
-        assert_eq!(
-            cycle.latency.mean_ps().to_bits(),
-            event.latency.mean_ps().to_bits()
-        );
     }
 
     #[test]

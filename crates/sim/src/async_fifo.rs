@@ -199,25 +199,6 @@ impl<T> AsyncFifo<T> {
     pub fn max_occupancy(&self) -> usize {
         self.max_occupancy
     }
-
-    /// Whether the FIFO is fully settled: empty *and* both pointer
-    /// synchronizers have caught up with their source pointers.
-    ///
-    /// This is the event engine's quiescence probe (determinism rule 1 in
-    /// `event`'s module docs): when a FIFO is settled and no pushes will
-    /// arrive during a window, every edge in that window only re-latches
-    /// unchanged gray pointers — skipping those edges is observationally
-    /// inert. An empty FIFO is *not* sufficient on its own: a stale
-    /// synchronizer stage still needs edges to propagate, and skipping
-    /// them would delay visibility relative to the cycle engine.
-    #[inline]
-    pub fn is_settled(&self) -> bool {
-        let wg = bin_to_gray(self.wptr);
-        let rg = bin_to_gray(self.rptr);
-        self.wptr == self.rptr
-            && self.wptr_gray_sync == [wg, wg]
-            && self.rptr_gray_sync == [rg, rg]
-    }
 }
 
 #[cfg(test)]
@@ -283,29 +264,6 @@ mod tests {
         f.on_write_edge();
         f.on_write_edge();
         assert!(f.can_push());
-    }
-
-    #[test]
-    fn settled_requires_caught_up_synchronizers() {
-        let mut f = AsyncFifo::new(4);
-        assert!(f.is_settled(), "fresh fifo is settled");
-        f.on_write_edge();
-        f.try_push(9u8).unwrap();
-        assert!(!f.is_settled(), "occupied fifo is not settled");
-        // Drain it: two read edges for visibility, then pop.
-        f.on_read_edge();
-        f.on_read_edge();
-        assert_eq!(f.try_pop(), Some(9));
-        // Empty, but the write side has not yet observed the new read
-        // pointer — still not settled.
-        assert!(f.is_empty());
-        assert!(!f.is_settled(), "stale rptr synchronizer blocks settling");
-        f.on_write_edge();
-        assert!(!f.is_settled(), "one write edge is not enough");
-        f.on_write_edge();
-        // The read side also advanced wptr into its synchronizer above,
-        // so after both sides latch twice everything matches.
-        assert!(f.is_settled());
     }
 
     #[test]

@@ -26,7 +26,6 @@
 
 pub mod async_fifo;
 pub mod edges;
-pub mod event;
 pub mod exec;
 pub mod fault;
 pub mod fifo;
@@ -41,7 +40,6 @@ pub mod trace;
 
 pub use async_fifo::AsyncFifo;
 pub use edges::{ClockEdge, MultiClock};
-pub use event::{Engine, EventClock, EventKey, EventQueue, Wake, WakeSource, ENGINE_ENV};
 pub use exec::WorkerPool;
 pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultRates, FaultReport};
 pub use fifo::{BeatFate, FifoFullError, SyncFifo};

@@ -27,7 +27,7 @@
 //!    [`LogHistogram::merge`] — all order-independent — and
 //!    [`par_metered`] merges in lane order, the same discipline as
 //!    [`crate::trace::par_traced`]. Exports are byte-identical at any
-//!    `HARMONIA_THREADS` and under either `HARMONIA_ENGINE`.
+//!    `HARMONIA_THREADS`.
 //!
 //! # Example: record → snapshot → export → grade
 //!

@@ -126,17 +126,6 @@ impl<T> Pipeline<T> {
     pub fn is_empty(&self) -> bool {
         self.in_flight.is_empty()
     }
-
-    /// The cycle at which the oldest in-flight item becomes available,
-    /// or `None` if the pipeline is empty.
-    ///
-    /// This is the event engine's wake probe: a driver holding an empty
-    /// pipeline (or one whose next exit lies beyond a window) may skip
-    /// the window's edges without changing what any `pop` observes.
-    #[inline]
-    pub fn next_exit_cycle(&self) -> Option<u64> {
-        self.in_flight.front().map(|&(due, _)| due)
-    }
 }
 
 #[cfg(test)]
@@ -216,19 +205,6 @@ mod tests {
         assert_eq!(p.pop(10), Some(2));
         assert_eq!(p.pop(10), Some(3));
         assert_eq!(p.pop(10), None);
-    }
-
-    #[test]
-    fn next_exit_cycle_tracks_oldest_item() {
-        let mut p = Pipeline::new(3);
-        assert_eq!(p.next_exit_cycle(), None);
-        p.push(10, 'a').unwrap();
-        p.push(11, 'b').unwrap();
-        assert_eq!(p.next_exit_cycle(), Some(13));
-        assert_eq!(p.pop(13), Some('a'));
-        assert_eq!(p.next_exit_cycle(), Some(14));
-        p.pop(14);
-        assert_eq!(p.next_exit_cycle(), None);
     }
 
     #[test]
