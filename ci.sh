@@ -78,5 +78,12 @@ echo "==> fleet metrics smoke: Prometheus export from a fleet campaign"
 HARMONIA_FLEET_DEVICES=128 cargo run -q --offline --locked -p harmonia-bench --bin fleet > fleet_export.prom
 grep -q "^harmonia_fleet_cmds_executed " fleet_export.prom
 rm -f fleet_export.prom
+if HARMONIA_FLEET_POLICY=mystery cargo run -q --offline --locked -p harmonia-bench --bin fleet > /dev/null 2>&1; then
+    echo "ci.sh: --bin fleet accepted HARMONIA_FLEET_POLICY=mystery" >&2
+    exit 1
+fi
+
+echo "==> benchmark (smoke): five ops per workload, outputs byte-checked against benchmark/reference/"
+benchmark/run.sh smoke
 
 echo "==> ci.sh: all gates passed"

@@ -20,7 +20,10 @@ use harmonia::sim::metrics::{evaluate_slos, MetricsRegistry};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let spec = FleetSpec::from_env();
+    let spec = FleetSpec::from_env().unwrap_or_else(|e| {
+        eprintln!("fleet: {e}");
+        std::process::exit(2);
+    });
     let mut fleet = FleetController::new(spec).expect("fleet placement must be feasible");
     let victim = fleet.assignments()[0].device;
     fleet.kill_device(victim, harmonia_bench::fleet::KILL_TICK);

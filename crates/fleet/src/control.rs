@@ -17,11 +17,15 @@
 
 use crate::catalog::{standard_catalog, RoleClass};
 use crate::inventory::{device_speed, record_position_range, DeviceState, Inventory};
-use crate::placement::{migration_matrix, place, Assignment, PlacementError, PlacementPolicy};
+use crate::placement::{
+    migration_matrix, place, Assignment, MigrationMatrix, PlacementError, PlacementPolicy,
+};
 use crate::traffic::{DiurnalTraffic, TickLoad};
+use crate::KnobError;
 use harmonia_sim::metrics::{MetricsRegistry, Slo, SloObjective};
 use harmonia_sim::{FaultInjector, FaultKind, FaultPlan, LogHistogram, Picos};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Ticks a replacement spare spends deploying before it serves.
 pub const DEPLOY_TICKS: u32 = 2;
@@ -66,13 +70,25 @@ impl FleetSpec {
     /// [`crate::FLEET_DEVICES_ENV`] (default
     /// [`crate::DEFAULT_FLEET_DEVICES`]), policy from
     /// [`crate::FLEET_POLICY_ENV`] (default best-fit), seed 42.
-    pub fn from_env() -> FleetSpec {
-        let devices = std::env::var(crate::FLEET_DEVICES_ENV)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(crate::DEFAULT_FLEET_DEVICES);
-        FleetSpec::new(devices, 42, PlacementPolicy::from_env())
+    ///
+    /// # Errors
+    ///
+    /// A set knob that does not parse — a device count that is not a
+    /// positive integer, or an unknown policy — is a [`KnobError`].
+    pub fn from_env() -> Result<FleetSpec, KnobError> {
+        let devices = match crate::read_knob(crate::FLEET_DEVICES_ENV) {
+            None => crate::DEFAULT_FLEET_DEVICES,
+            Some(v) => v
+                .parse::<usize>()
+                .ok()
+                .filter(|&n| n > 0)
+                .ok_or(KnobError {
+                    knob: crate::FLEET_DEVICES_ENV,
+                    value: v,
+                    expected: "a positive device count",
+                })?,
+        };
+        Ok(FleetSpec::new(devices, 42, PlacementPolicy::from_env()?))
     }
 }
 
@@ -331,6 +347,7 @@ struct UpgradePlan {
 pub struct FleetController {
     spec: FleetSpec,
     roles: Vec<RoleClass>,
+    table: Arc<MigrationMatrix>,
     inventory: Inventory,
     assignments: Vec<Assignment>,
     role_members: Vec<Vec<u32>>,
@@ -357,6 +374,7 @@ impl FleetController {
         let schedule = traffic.schedule(spec.ticks, &roles);
         let peaks = DiurnalTraffic::peak_per_role(&schedule, &roles);
         let assignments = place(spec.policy, &inventory, &roles, &peaks, spec.seed)?;
+        let table = migration_matrix(&roles);
         let mut inventory = inventory;
         let mut role_members = vec![Vec::new(); roles.len()];
         for a in &assignments {
@@ -367,6 +385,7 @@ impl FleetController {
         Ok(FleetController {
             spec,
             roles,
+            table,
             inventory,
             assignments,
             role_members,
@@ -643,9 +662,7 @@ impl FleetController {
                 .devices
                 .iter()
                 .filter(|d| {
-                    d.role.is_none()
-                        && d.state == DeviceState::Live
-                        && self.roles[r].fits(d.model)
+                    d.role.is_none() && d.state == DeviceState::Live && self.table.fits(d.model, r)
                 })
                 .map(|d| d.index)
                 .collect();
@@ -657,7 +674,8 @@ impl FleetController {
             None
         };
         if let Some(s) = spare {
-            let cost = migration_matrix(&self.roles)
+            let cost = self
+                .table
                 .cost(victim_model, r, self.inventory.devices[s as usize].model, r)
                 .expect("spare was fit-checked");
             let d = &mut self.inventory.devices[s as usize];
@@ -1026,7 +1044,7 @@ mod tests {
 
     #[test]
     fn spec_from_env_defaults() {
-        let spec = FleetSpec::from_env();
+        let spec = FleetSpec::from_env().unwrap();
         assert!(spec.devices > 0);
         assert_eq!(spec.ticks, crate::TICKS_PER_DAY);
     }

@@ -11,6 +11,7 @@
 use harmonia_hw::device::{catalog as hw_catalog, DeviceId};
 use harmonia_sim::{LogHistogram, Picos, SplitMix64};
 use std::collections::VecDeque;
+use std::sync::OnceLock;
 
 /// Model mix weights (A, B, C, D) out of [`MIX_TOTAL`].
 pub const MODEL_MIX: [(DeviceId, usize); 4] = [
@@ -25,11 +26,17 @@ pub const MIX_TOTAL: usize = 10;
 
 /// Speed of a catalog model in abstract speed-units: line rate plus
 /// host-link bandwidth (`network_gbps + 4 × pcie_gen × pcie_lanes`).
-/// A command of unit cost `c` takes `c / speed` picoseconds.
+/// A command of unit cost `c` takes `c / speed` picoseconds. Computed
+/// once per model from the catalog, then a table lookup.
 pub fn device_speed(model: DeviceId) -> u64 {
-    let d = hw_catalog::device(model);
-    let (gen, lanes) = d.pcie().unwrap_or((0, 0));
-    u64::from(d.network_gbps()) + 4 * u64::from(gen) * u64::from(lanes)
+    static SPEEDS: OnceLock<[u64; 4]> = OnceLock::new();
+    SPEEDS.get_or_init(|| {
+        DeviceId::ALL.map(|m| {
+            let d = hw_catalog::device(m);
+            let (gen, lanes) = d.pcie().unwrap_or((0, 0));
+            u64::from(d.network_gbps()) + 4 * u64::from(gen) * u64::from(lanes)
+        })
+    })[model as usize]
 }
 
 /// Lifecycle state of one fleet device.

@@ -15,7 +15,8 @@
 //!   of users, byte-identical at any `HARMONIA_THREADS`;
 //! * [`placement`] — the placement scheduler: capacity-aware best-fit
 //!   bin-packing by resource fit and tenant weight, against a
-//!   spec-blind random baseline ([`PlacementPolicy`]);
+//!   spec-blind random baseline ([`PlacementPolicy`]), with fit and
+//!   migration cost read from one per-process table of tailored shells;
 //! * [`control`] — the [`FleetController`] campaign loop: per-tick load
 //!   dispatch, failure domains wired to the PR 4 fault plane
 //!   (`FaultKind::LinkDown` per device), drain + reschedule with exact
@@ -54,6 +55,35 @@ pub use control::{
 pub use inventory::{DeviceState, FleetDevice, Inventory};
 pub use placement::{Assignment, PlacementError, PlacementPolicy};
 pub use traffic::{DiurnalTraffic, TickLoad};
+
+/// A fleet environment knob set to a value the control plane cannot use.
+/// Unset knobs take their defaults; set ones must parse.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct KnobError {
+    /// The environment variable.
+    pub knob: &'static str,
+    /// The rejected value (lossily decoded if it was not UTF-8).
+    pub value: String,
+    /// What the knob accepts.
+    pub expected: &'static str,
+}
+
+impl std::fmt::Display for KnobError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{}={:?}: expected {}",
+            self.knob, self.value, self.expected
+        )
+    }
+}
+
+impl std::error::Error for KnobError {}
+
+/// Reads a fleet knob, `None` when unset.
+fn read_knob(knob: &'static str) -> Option<String> {
+    std::env::var_os(knob).map(|v| v.to_string_lossy().into_owned())
+}
 
 /// Environment knob for the simulated device count
 /// ([`FleetSpec::from_env`]). Default [`DEFAULT_FLEET_DEVICES`].

@@ -1,6 +1,12 @@
 //! The placement scheduler: bin-packing roles onto the heterogeneous
 //! inventory by resource fit and tenant weight.
 //!
+//! Fit and migration cost both come from one per-catalog
+//! [`MigrationMatrix`]: each `(model, role)` pair is tailored exactly
+//! once per process, through the same `TailoredShell::tailor` gate a
+//! real deployment uses, and every fit check (placement and spare
+//! redeploy) and every migration stall reads that table.
+//!
 //! Two policies share one interface. **Best-fit** is the Harmonia
 //! scheduler: it checks real shell-tailoring fit per model, claims the
 //! fastest fitting devices first, and provisions until the claimed
@@ -14,10 +20,13 @@
 
 use crate::catalog::RoleClass;
 use crate::inventory::{device_speed, Inventory};
+use crate::KnobError;
+use harmonia_host::cmd_driver::{command_script, IssuedCommand};
+use harmonia_host::migration::cmd_modifications;
 use harmonia_hw::device::{catalog as hw_catalog, DeviceId};
-use harmonia_host::migration::migration_report;
+use harmonia_shell::{RoleSpec, TailoredShell, UnifiedShell};
 use harmonia_sim::{Picos, SplitMix64};
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Placement policy selector.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -38,13 +47,23 @@ impl PlacementPolicy {
     }
 
     /// Reads [`crate::FLEET_POLICY_ENV`] (`bestfit`/`random`,
-    /// case-insensitive); unset or unrecognized values fall back to
-    /// best-fit.
-    pub fn from_env() -> PlacementPolicy {
-        match std::env::var(crate::FLEET_POLICY_ENV) {
-            Ok(v) if v.eq_ignore_ascii_case("random") => PlacementPolicy::Random,
-            _ => PlacementPolicy::BestFit,
-        }
+    /// case-insensitive); unset means best-fit.
+    ///
+    /// # Errors
+    ///
+    /// Any other value is a [`KnobError`].
+    pub fn from_env() -> Result<PlacementPolicy, KnobError> {
+        let Some(v) = crate::read_knob(crate::FLEET_POLICY_ENV) else {
+            return Ok(PlacementPolicy::BestFit);
+        };
+        [PlacementPolicy::BestFit, PlacementPolicy::Random]
+            .into_iter()
+            .find(|p| v.eq_ignore_ascii_case(p.name()))
+            .ok_or(KnobError {
+                knob: crate::FLEET_POLICY_ENV,
+                value: v,
+                expected: "bestfit or random",
+            })
     }
 }
 
@@ -97,9 +116,10 @@ pub fn place(
     peaks: &[u64],
     seed: u64,
 ) -> Result<Vec<Assignment>, PlacementError> {
+    let table = migration_matrix(roles);
     match policy {
-        PlacementPolicy::BestFit => place_best_fit(inventory, roles, peaks),
-        PlacementPolicy::Random => place_random(inventory, roles, peaks, seed),
+        PlacementPolicy::BestFit => place_best_fit(&table, inventory, roles, peaks),
+        PlacementPolicy::Random => place_random(&table, inventory, roles, peaks, seed),
     }
 }
 
@@ -107,6 +127,7 @@ pub fn place(
 /// fastest fitting devices first, claim until the claimed capacity at
 /// the tenant's target utilization covers the peak.
 fn place_best_fit(
+    table: &MigrationMatrix,
     inventory: &Inventory,
     roles: &[RoleClass],
     peaks: &[u64],
@@ -122,7 +143,7 @@ fn place_best_fit(
         let mut candidates: Vec<u32> = inventory
             .devices
             .iter()
-            .filter(|d| !claimed[d.index as usize] && role.fits(d.model))
+            .filter(|d| !claimed[d.index as usize] && table.fits(d.model, r))
             .map(|d| d.index)
             .collect();
         candidates.sort_by_key(|&i| {
@@ -167,6 +188,7 @@ fn place_best_fit(
 /// uniformly from the unclaimed pool, fit-checked only at the last
 /// moment because an unfittable assignment would not even deploy.
 fn place_random(
+    table: &MigrationMatrix,
     inventory: &Inventory,
     roles: &[RoleClass],
     peaks: &[u64],
@@ -190,7 +212,7 @@ fn place_random(
         let mut fitting: Vec<u32> = inventory
             .devices
             .iter()
-            .filter(|d| !claimed[d.index as usize] && role.fits(d.model))
+            .filter(|d| !claimed[d.index as usize] && table.fits(d.model, r))
             .map(|d| d.index)
             .collect();
         if fitting.len() < want {
@@ -221,19 +243,69 @@ pub const DEPLOY_BASE_PS: Picos = 50_000_000_000; // 50 ms
 /// Per-`cmd_modification` stall charge.
 pub const CMD_MOD_PS: Picos = 10_000_000_000; // 10 ms
 
-/// Precomputed migration-cost matrix over `(model, role) → (model, role)`
-/// pairs, from the real tailoring + LCS diff in
-/// `harmonia_host::migration`. Infeasible pairs (either side does not
-/// tailor) are `None`.
+/// The per-catalog deployment table over `(model, role)` pairs: whether
+/// each role tailors onto each catalog model, and the migration stall
+/// between any two pairs.
+///
+/// Built by tailoring each pair exactly once (one [`UnifiedShell`] per
+/// model) and keeping only the fit bit and the tailored shell's
+/// [`command_script`]; every cost is then
+/// `DEPLOY_BASE_PS + CMD_MOD_PS ×` [`cmd_modifications`] between two
+/// cached scripts — the same count `migration_report` reports. Pairs
+/// where either side does not tailor cost `None`.
 pub struct MigrationMatrix {
+    /// The role specs the table was built from, catalog order.
+    specs: Vec<RoleSpec>,
+    /// Fit bit per `(model, role)` slot.
+    fits: Vec<bool>,
+    /// Cost per `(from slot, to slot)` pair.
     costs: Vec<Option<Picos>>,
-    n_roles: usize,
 }
 
 impl MigrationMatrix {
-    fn index(&self, from_model: DeviceId, from_role: usize, to_model: DeviceId, to_role: usize) -> usize {
-        (((from_model as usize * self.n_roles + from_role) * 4) + to_model as usize) * self.n_roles
-            + to_role
+    fn build(roles: &[RoleClass]) -> MigrationMatrix {
+        let scripts: Vec<Option<Vec<IssuedCommand>>> = DeviceId::ALL
+            .iter()
+            .flat_map(|&model| {
+                let unified = UnifiedShell::for_device(&hw_catalog::device(model));
+                roles
+                    .iter()
+                    .map(|role| {
+                        TailoredShell::tailor(&unified, &role.spec)
+                            .ok()
+                            .map(|shell| command_script(&shell))
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        let costs = scripts
+            .iter()
+            .flat_map(|from| {
+                scripts.iter().map(move |to| {
+                    let (from, to) = (from.as_deref()?, to.as_deref()?);
+                    Some(DEPLOY_BASE_PS + cmd_modifications(from, to) as Picos * CMD_MOD_PS)
+                })
+            })
+            .collect();
+        MigrationMatrix {
+            specs: roles.iter().map(|r| r.spec.clone()).collect(),
+            fits: scripts.iter().map(Option::is_some).collect(),
+            costs,
+        }
+    }
+
+    fn built_from(&self, roles: &[RoleClass]) -> bool {
+        self.specs.len() == roles.len() && self.specs.iter().zip(roles).all(|(s, r)| *s == r.spec)
+    }
+
+    fn slot(&self, model: DeviceId, role: usize) -> usize {
+        model as usize * self.specs.len() + role
+    }
+
+    /// Whether catalog role `role` tailors onto `model` — the same answer
+    /// as [`RoleClass::fits`], without re-tailoring.
+    pub fn fits(&self, model: DeviceId, role: usize) -> bool {
+        self.fits[self.slot(model, role)]
     }
 
     /// Stall cost of migrating a role between two placements, `None`
@@ -245,36 +317,25 @@ impl MigrationMatrix {
         to_model: DeviceId,
         to_role: usize,
     ) -> Option<Picos> {
-        self.costs[self.index(from_model, from_role, to_model, to_role)]
+        self.costs
+            [self.slot(from_model, from_role) * self.fits.len() + self.slot(to_model, to_role)]
     }
 }
 
-/// The process-global migration matrix for the standard catalog,
-/// computed once (≈ 96 `migration_report` calls) on first use.
-pub fn migration_matrix(roles: &[RoleClass]) -> &'static MigrationMatrix {
-    static MATRIX: OnceLock<MigrationMatrix> = OnceLock::new();
-    MATRIX.get_or_init(|| {
-        let n = roles.len();
-        let mut costs = vec![None; 4 * n * 4 * n];
-        for &fm in &DeviceId::ALL {
-            let from_dev = hw_catalog::device(fm);
-            for (fr, from_role) in roles.iter().enumerate() {
-                for &tm in &DeviceId::ALL {
-                    let to_dev = hw_catalog::device(tm);
-                    for (tr, to_role) in roles.iter().enumerate() {
-                        let idx = (((fm as usize * n + fr) * 4) + tm as usize) * n + tr;
-                        costs[idx] =
-                            migration_report(&from_dev, &from_role.spec, &to_dev, &to_role.spec)
-                                .ok()
-                                .map(|rep| {
-                                    DEPLOY_BASE_PS + rep.cmd_modifications as Picos * CMD_MOD_PS
-                                });
-                    }
-                }
-            }
-        }
-        MigrationMatrix { costs, n_roles: n }
-    })
+/// The deployment table for `roles`, shared by every caller in the
+/// process: 24 tailorings for the six-role standard catalog, on first
+/// use. A call with a different catalog (compared by [`RoleSpec`])
+/// builds and caches a fresh table, so the answer always matches
+/// `roles`.
+pub fn migration_matrix(roles: &[RoleClass]) -> Arc<MigrationMatrix> {
+    static TABLE: Mutex<Option<Arc<MigrationMatrix>>> = Mutex::new(None);
+    // A panic while building leaves the slot as it was, so a poisoned
+    // lock still guards a valid table (or none).
+    let mut cached = TABLE.lock().unwrap_or_else(PoisonError::into_inner);
+    match cached.as_ref() {
+        Some(table) if table.built_from(roles) => Arc::clone(table),
+        _ => Arc::clone(cached.insert(Arc::new(MigrationMatrix::build(roles)))),
+    }
 }
 
 #[cfg(test)]
@@ -282,6 +343,7 @@ mod tests {
     use super::*;
     use crate::catalog::standard_catalog;
     use crate::traffic::DiurnalTraffic;
+    use harmonia_host::migration::migration_report;
 
     fn demo(n: usize) -> (Inventory, Vec<RoleClass>, Vec<u64>) {
         let inv = Inventory::sample(n, 5);
@@ -341,6 +403,77 @@ mod tests {
         let err = place(PlacementPolicy::BestFit, &inv, &roles, &peaks, 1).unwrap_err();
         let PlacementError::InsufficientCapacity { demand, .. } = err;
         assert!(demand > 0);
+    }
+
+    /// The cost the matrix must reproduce: the full `migration_report`
+    /// (tailor both ends, diff register and command scripts).
+    fn reference_cost(from: (DeviceId, &RoleClass), to: (DeviceId, &RoleClass)) -> Option<Picos> {
+        let (from_dev, to_dev) = (hw_catalog::device(from.0), hw_catalog::device(to.0));
+        migration_report(&from_dev, &from.1.spec, &to_dev, &to.1.spec)
+            .ok()
+            .map(|rep| DEPLOY_BASE_PS + rep.cmd_modifications as Picos * CMD_MOD_PS)
+    }
+
+    #[test]
+    fn table_matches_tailoring_and_migration_report_on_every_pair() {
+        let roles = standard_catalog();
+        let table = migration_matrix(&roles);
+        for fm in DeviceId::ALL {
+            for (fr, from_role) in roles.iter().enumerate() {
+                assert_eq!(
+                    table.fits(fm, fr),
+                    from_role.fits(fm),
+                    "{} on {fm:?}",
+                    from_role.name
+                );
+                for tm in DeviceId::ALL {
+                    for (tr, to_role) in roles.iter().enumerate() {
+                        assert_eq!(
+                            table.cost(fm, fr, tm, tr),
+                            reference_cost((fm, from_role), (tm, to_role)),
+                            "{} on {fm:?} -> {} on {tm:?}",
+                            from_role.name,
+                            to_role.name
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn table_follows_the_catalog_it_is_asked_about() {
+        let standard = standard_catalog();
+        let _ = migration_matrix(&standard);
+        let mut reordered = standard_catalog();
+        reordered.reverse();
+        let table = migration_matrix(&reordered);
+        let retrieval = reordered
+            .iter()
+            .position(|r| r.name == "retrieval")
+            .unwrap();
+        assert_ne!(
+            standard[retrieval].name, "retrieval",
+            "the reorder must move retrieval"
+        );
+        let role = &reordered[retrieval];
+        // Retrieval only tailors onto A: A -> B is infeasible, whatever
+        // role held this index in the catalog built first.
+        assert_eq!(
+            table.cost(DeviceId::A, retrieval, DeviceId::B, retrieval),
+            reference_cost((DeviceId::A, role), (DeviceId::B, role))
+        );
+        assert!(!table.fits(DeviceId::B, retrieval));
+        // And back: the standard catalog gets its own answers again.
+        let l4lb = standard.iter().position(|r| r.name == "l4lb").unwrap();
+        let table = migration_matrix(&standard);
+        assert_eq!(
+            table.cost(DeviceId::A, l4lb, DeviceId::D, l4lb),
+            reference_cost(
+                (DeviceId::A, &standard[l4lb]),
+                (DeviceId::D, &standard[l4lb])
+            )
+        );
     }
 
     #[test]

@@ -128,23 +128,36 @@ fn fleet_knobs_select_size_and_policy() {
     let spec = with_env(
         &[(FLEET_DEVICES_ENV, Some("64")), (FLEET_POLICY_ENV, Some("random"))],
         FleetSpec::from_env,
-    );
+    )
+    .unwrap();
     assert_eq!(spec.devices, 64);
     assert_eq!(spec.policy, PlacementPolicy::Random);
     assert_eq!(spec.users, 64 * harmonia_fleet::USERS_PER_DEVICE);
     let default_spec = with_env(
         &[(FLEET_DEVICES_ENV, None), (FLEET_POLICY_ENV, None)],
         FleetSpec::from_env,
-    );
+    )
+    .unwrap();
     assert_eq!(default_spec.devices, harmonia_fleet::DEFAULT_FLEET_DEVICES);
     assert_eq!(default_spec.policy, PlacementPolicy::BestFit);
-    // Garbage values fall back rather than crash the control plane.
-    let garbage = with_env(
-        &[(FLEET_DEVICES_ENV, Some("not-a-number")), (FLEET_POLICY_ENV, Some("mystery"))],
-        FleetSpec::from_env,
-    );
-    assert_eq!(garbage.devices, harmonia_fleet::DEFAULT_FLEET_DEVICES);
-    assert_eq!(garbage.policy, PlacementPolicy::BestFit);
+    // Garbage values are rejected, naming the knob, rather than silently
+    // running a fleet nobody asked for.
+    for (devices, policy, bad_knob) in [
+        ("not-a-number", "bestfit", FLEET_DEVICES_ENV),
+        ("0", "bestfit", FLEET_DEVICES_ENV),
+        ("64", "mystery", FLEET_POLICY_ENV),
+    ] {
+        let err = with_env(
+            &[
+                (FLEET_DEVICES_ENV, Some(devices)),
+                (FLEET_POLICY_ENV, Some(policy)),
+            ],
+            FleetSpec::from_env,
+        )
+        .unwrap_err();
+        assert_eq!(err.knob, bad_knob, "{devices}/{policy}");
+        assert!(err.to_string().starts_with(bad_knob), "{err}");
+    }
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! modification is one script line added or removed under an LCS alignment
 //! ([`harmonia_metrics::lcs_diff`]).
 
-use crate::cmd_driver::command_script;
+use crate::cmd_driver::{command_script, IssuedCommand};
 use crate::reg_driver::RegisterDriver;
 use harmonia_hw::device::FpgaDevice;
 use harmonia_metrics::lcs_diff;
@@ -59,6 +59,15 @@ impl fmt::Display for MigrationReport {
     }
 }
 
+/// Command-interface modifications between two deployments' command
+/// scripts (see [`command_script`]): lines added or removed under an LCS
+/// alignment. The one rule behind both
+/// [`MigrationReport::cmd_modifications`] and callers that diff cached
+/// scripts without re-tailoring.
+pub fn cmd_modifications(script_from: &[IssuedCommand], script_to: &[IssuedCommand]) -> usize {
+    lcs_diff(script_from, script_to)
+}
+
 /// Tailors `role` onto a device, producing the shell the software talks to.
 fn deploy(device: &FpgaDevice, role: &RoleSpec) -> Result<TailoredShell, TailorError> {
     let unified = UnifiedShell::for_device(device);
@@ -87,12 +96,12 @@ pub fn migration_report(
     let mon_from = RegisterDriver::monitoring_script(&shell_from);
     let mon_to = RegisterDriver::monitoring_script(&shell_to);
 
-    let cmd_from = command_script(&shell_from);
-    let cmd_to = command_script(&shell_to);
-
     Ok(MigrationReport {
         reg_modifications: lcs_diff(&reg_from, &reg_to) + lcs_diff(&mon_from, &mon_to),
-        cmd_modifications: lcs_diff(&cmd_from, &cmd_to),
+        cmd_modifications: cmd_modifications(
+            &command_script(&shell_from),
+            &command_script(&shell_to),
+        ),
     })
 }
 
