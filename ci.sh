@@ -18,6 +18,14 @@ if grep -rnE 'HARMONIA_[E]NGINE|Event[C]lock|Wake[S]ource' crates examples tests
     exit 1
 fi
 
+echo "==> one command driver: no batch/depth/retry env knobs under crates/, examples/, tests/"
+# Batch size, ring depth and retry policy are constructor arguments
+# (CommandDriver::with_depth, set_policy), never environment reads.
+if grep -rnE 'HARMONIA_CMD_[B]ATCH|HARMONIA_SQ_[D]EPTH|HARMONIA_CMD_[D]EADLINE_PS|HARMONIA_CMD_[R]ETRIES|HARMONIA_CMD_[B]ACKOFF_PS' crates examples tests; then
+    echo "ci.sh: command-path knobs were removed; pass batch/depth/policy explicitly (see DESIGN.md)" >&2
+    exit 1
+fi
+
 echo "==> tier-1: release build"
 cargo build --release --workspace --offline --locked
 
@@ -38,9 +46,6 @@ cargo bench --no-run --workspace --offline --locked
 
 echo "==> fault campaigns (smoke): deep randomized fault plans"
 TESTKIT_CASES=128 cargo test -q --offline --locked -p harmonia-host --test fault_campaigns
-
-echo "==> batched command path: host/cmd suites with batching enabled"
-HARMONIA_CMD_BATCH=16 cargo test -q --offline --locked -p harmonia-host -p harmonia-cmd
 
 echo "==> metrics plane: host/cmd suites with metrics enabled"
 HARMONIA_METRICS=1 cargo test -q --offline --locked -p harmonia-host -p harmonia-cmd

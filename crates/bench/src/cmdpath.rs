@@ -9,13 +9,13 @@
 //! the `cmdpath_scaling` test pin the batch=16 ≥ 2× batch=1 speedup.
 
 use harmonia::cmd::{CommandCode, UnifiedControlKernel};
-use harmonia::host::{BatchedCommandDriver, DmaEngine};
+use harmonia::host::{CommandDriver, DmaEngine};
 use harmonia::hw::device::catalog;
 use harmonia::hw::ip::PcieDmaIp;
 use harmonia::hw::Vendor;
 use harmonia::sim::MetricsRegistry;
 
-/// Doorbell batch sizes the sweep covers (1 = the legacy serial path).
+/// Doorbell batch sizes the sweep covers (1 = the serial transport).
 pub const BATCHES: [usize; 4] = [1, 4, 16, 64];
 
 /// Submission-queue depths the sweep covers. A depth below the batch
@@ -38,8 +38,9 @@ pub struct CmdpathPoint {
     pub sim_ps: u64,
     /// Commands per second of simulated time.
     pub sim_cmds_per_sec: f64,
-    /// DMA doorbell bursts rung (0 on the legacy batch=1 path), sourced
-    /// from the `harmonia_dma_bursts_total` metrics counter.
+    /// DMA doorbells rung (one per command on the batch=1 serial
+    /// transport), sourced from the `harmonia_dma_bursts_total` metrics
+    /// counter.
     pub doorbells: u64,
     /// Completion interrupts raised after coalescing, sourced from the
     /// `harmonia_irq_interrupts_total` metrics counter.
@@ -62,7 +63,7 @@ pub fn run_point(batch: usize, depth: usize) -> CmdpathPoint {
     let (gen, lanes) = dev.pcie().unwrap();
     let engine = DmaEngine::new(PcieDmaIp::new(Vendor::Xilinx, gen, lanes));
     let kernel = UnifiedControlKernel::new(64);
-    let mut drv = BatchedCommandDriver::with_depth(engine, kernel, batch, depth);
+    let mut drv = CommandDriver::with_depth(engine, kernel, batch, depth);
     let reg = MetricsRegistry::enabled();
     drv.set_metrics_registry(reg.clone());
     let cmds = (0..COMMANDS)
@@ -76,7 +77,7 @@ pub fn run_point(batch: usize, depth: usize) -> CmdpathPoint {
     let sim_ps = drv.clock_ps();
     let snap = reg.snapshot();
     let doorbells = snap.counter("harmonia_dma_bursts_total");
-    debug_assert_eq!(doorbells, drv.inner().engine_ref().doorbells());
+    debug_assert_eq!(doorbells, drv.engine_ref().doorbells());
     let events = snap.counter("harmonia_irq_events_total");
     let interrupts = snap.counter("harmonia_irq_interrupts_total");
     CmdpathPoint {
@@ -163,11 +164,13 @@ mod tests {
     }
 
     #[test]
-    fn legacy_point_rings_no_doorbells() {
+    fn serial_point_rings_one_doorbell_per_command() {
         let p = run_point(1, 64);
-        assert_eq!(p.doorbells, 0, "batch=1 must pin the legacy path");
-        assert_eq!(p.interrupts, 0);
-        assert_eq!(p.irq_coalescing, 0.0);
+        // batch=1 is the serial transport: one DMA send and one
+        // immediate completion interrupt per command.
+        assert_eq!(p.doorbells, COMMANDS as u64);
+        assert_eq!(p.interrupts, COMMANDS as u64);
+        assert_eq!(p.irq_coalescing, 1.0);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::queue::{
 use std::collections::btree_map::Entry;
 use harmonia_hw::regfile::{RegOp, RegisterFile};
 use harmonia_hw::resource::ResourceUsage;
-use harmonia_shell::rbb::Rbb;
+use harmonia_shell::rbb::{instances, Rbb};
 use harmonia_sim::{MetricsRegistry, Picos, SyncFifo, TraceCollector, TraceEventKind};
 use std::collections::{BTreeMap, VecDeque};
 use std::error::Error;
@@ -273,12 +273,8 @@ impl UnifiedControlKernel {
 
     /// Registers every RBB of a shell, numbering instances per RBB kind.
     pub fn attach_shell<'a, I: IntoIterator<Item = &'a dyn Rbb>>(&mut self, rbbs: I) {
-        let mut counters: BTreeMap<u8, u8> = BTreeMap::new();
-        for rbb in rbbs {
-            let id = rbb.kind().id();
-            let n = counters.entry(id).or_insert(0);
-            self.register_module(ModuleHandle::from_rbb(rbb, *n));
-            *n += 1;
+        for (rbb, instance) in instances(rbbs) {
+            self.register_module(ModuleHandle::from_rbb(rbb, instance));
         }
     }
 

@@ -28,5 +28,5 @@ pub use kernel::{DrainOutcome, KernelError, ModuleHandle, UnifiedControlKernel};
 pub use packet::{CommandPacket, DecodeError, IDEMPOTENCY_FLAG};
 pub use queue::{
     CommandBudget, CompletionQueue, CompletionRecord, CompletionStatus, SqDescriptor,
-    SubmissionQueue, DEFAULT_SQ_DEPTH, SQ_DEPTH_ENV,
+    SubmissionQueue,
 };

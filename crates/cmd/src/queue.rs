@@ -16,23 +16,6 @@
 
 use harmonia_sim::Picos;
 
-/// Environment override for the submission/completion ring depth.
-pub const SQ_DEPTH_ENV: &str = "HARMONIA_SQ_DEPTH";
-
-/// Default ring depth (matches the kernel's default command-buffer depth).
-pub const DEFAULT_SQ_DEPTH: usize = 64;
-
-/// Reads the ring depth from [`SQ_DEPTH_ENV`], falling back to
-/// [`DEFAULT_SQ_DEPTH`] for unset or unparsable values. The result is
-/// rounded up to a power of two (rings mask, they don't divide).
-pub fn sq_depth_from_env() -> usize {
-    std::env::var(SQ_DEPTH_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&d| d > 0)
-        .unwrap_or(DEFAULT_SQ_DEPTH)
-}
-
 /// One submission-ring entry: an encoded command packet plus the host-side
 /// idempotency tag its completion record will carry back.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -147,11 +130,6 @@ impl SubmissionQueue {
         }
     }
 
-    /// Creates a ring with the [`SQ_DEPTH_ENV`]-controlled depth.
-    pub fn from_env() -> Self {
-        Self::new(sq_depth_from_env())
-    }
-
     /// Slot count (always a power of two).
     pub fn capacity(&self) -> usize {
         self.ring.capacity()
@@ -210,12 +188,6 @@ impl CompletionQueue {
         CompletionQueue {
             ring: Ring::new(depth),
         }
-    }
-
-    /// Creates a ring with the [`SQ_DEPTH_ENV`]-controlled depth (SQ and
-    /// CQ are sized together, so a full drain can always post).
-    pub fn from_env() -> Self {
-        Self::new(sq_depth_from_env())
     }
 
     /// Slot count (always a power of two).
@@ -361,12 +333,5 @@ mod tests {
         assert_eq!(cq.tail(), 10);
         assert_eq!(cq.head(), 10);
         assert!(cq.is_empty());
-    }
-
-    #[test]
-    fn env_depth_parses_with_fallback() {
-        // Not an env-mutation test (those race): exercise the parse path.
-        assert_eq!(DEFAULT_SQ_DEPTH, 64);
-        assert!(sq_depth_from_env() >= 1);
     }
 }

@@ -85,21 +85,7 @@ pub fn validate(deployment: &mut Deployment) -> ValidationReport {
         .unwrap_or(false);
     report.push("board-health", health_ok, "4-word health block");
 
-    let module_specs: Vec<(u8, u8)> = {
-        let mut counters = std::collections::BTreeMap::new();
-        deployment
-            .shell()
-            .rbbs()
-            .iter()
-            .map(|rbb| {
-                let id = rbb.kind().id();
-                let n = counters.entry(id).or_insert(0u8);
-                let pair = (id, *n);
-                *n += 1;
-                pair
-            })
-            .collect()
-    };
+    let module_specs: Vec<(u8, u8)> = deployment.shell().modules().collect();
     let mut stats_words = 0usize;
     let mut control_ok = true;
     for (rbb_id, inst) in &module_specs {

@@ -1,13 +1,18 @@
-//! Host-side batched command submission over the SQ/CQ ring pair.
+//! The ring transport of [`CommandDriver`]: batched submission over the
+//! SQ/CQ ring pair.
 //!
-//! [`BatchedCommandDriver`] amortizes per-command control-path overhead
-//! the way NVMe/QDMA drivers do: it writes up to N encoded descriptors
-//! into the [`SubmissionQueue`], rings the kernel doorbell once (one DMA
-//! burst for the whole chunk instead of one delivery per packet), drains
-//! the [`CompletionQueue`], and coalesces completion interrupts per batch
-//! through an [`IrqModerator`].
+//! With a batch size above 1, [`CommandDriver::submit`] amortizes
+//! per-command control-path overhead the way NVMe/QDMA drivers do: it
+//! writes up to `batch` encoded descriptors into the
+//! [`SubmissionQueue`](harmonia_cmd::SubmissionQueue), rings the kernel
+//! doorbell once (one DMA burst for the whole chunk instead of one
+//! delivery per packet), drains the
+//! [`CompletionQueue`](harmonia_cmd::CompletionQueue), and coalesces
+//! completion interrupts per batch through the driver's
+//! [`IrqModerator`](crate::IrqModerator).
 //!
-//! Resilience semantics are PR 4's, applied **per entry**:
+//! Each entry goes through the same issue, ack, nack, time-out and
+//! retry-or-give-up steps as the serial transport:
 //!
 //! * every entry carries its own idempotency tag, so a retried entry is
 //!   replayed by the kernel, never re-executed;
@@ -16,237 +21,63 @@
 //!   and only the lost entries ride the next doorbell — replay recovers
 //!   exactly what was lost;
 //! * per-entry NACKs (wire corruption) and retry budgets are accounted
-//!   identically to the one-at-a-time path ([`DriverReport`] fields mean
-//!   the same thing).
+//!   identically to the serial transport ([`DriverReport`](crate::DriverReport)
+//!   fields mean the same thing).
 //!
-//! Two deliberate departures from the serial path, both batching
+//! Two deliberate departures from the serial transport, both batching
 //! artifacts: entries retried from one round share a single deadline wait
 //! and a single (maximum) backoff interval — they ride the next doorbell
 //! together — and completion order may interleave across rounds under
 //! faults (a retried entry completes after its batchmates). With
-//! `batch == 1` neither applies: [`BatchedCommandDriver::submit`]
-//! delegates every command straight to
-//! [`CommandDriver::cmd_raw_resilient`], pinning the exact legacy path
-//! byte for byte.
+//! `batch == 1` neither applies: [`CommandDriver::submit`] sends every
+//! command over the serial transport, exactly as
+//! [`CommandDriver::cmd_raw_resilient`] does.
 
-use crate::cmd_driver::{CommandDriver, IssuedCommand};
-use crate::dma::{CommandDelivery, DmaEngine};
-use crate::irq::{IrqModeration, IrqModerator, IrqReport};
-use crate::resilience::{DriverError, DriverReport, RetryPolicy};
-use harmonia_cmd::queue::{
-    sq_depth_from_env, CompletionQueue, CompletionStatus, SqDescriptor, SubmissionQueue,
-};
-use harmonia_cmd::{CommandCode, CommandPacket, KernelError, UnifiedControlKernel};
-use harmonia_sim::{
-    FaultInjector, FlightRecorder, MetricsRegistry, Picos, TraceCollector, TraceEventKind,
-};
+use crate::cmd_driver::{CommandDriver, Inflight};
+use crate::dma::CommandDelivery;
+use crate::resilience::DriverError;
+use harmonia_cmd::queue::{CompletionStatus, SqDescriptor};
+use harmonia_cmd::{CommandCode, CommandPacket, KernelError};
+use harmonia_sim::{Picos, TraceEventKind};
 use std::collections::{BTreeMap, VecDeque};
-
-/// Environment override for the doorbell batch size.
-pub const CMD_BATCH_ENV: &str = "HARMONIA_CMD_BATCH";
-
-/// Default commands per doorbell.
-pub const DEFAULT_CMD_BATCH: usize = 16;
-
-/// Reads the batch size from [`CMD_BATCH_ENV`], falling back to
-/// [`DEFAULT_CMD_BATCH`] for unset or unparsable values (minimum 1;
-/// `HARMONIA_CMD_BATCH=1` selects the exact legacy path).
-pub fn cmd_batch_from_env() -> usize {
-    std::env::var(CMD_BATCH_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&b| b > 0)
-        .unwrap_or(DEFAULT_CMD_BATCH)
-}
 
 /// One command to submit: `(rbb_id, instance_id, code, data)`.
 pub type CmdSpec = (u8, u8, CommandCode, Vec<u32>);
 
-/// Per-command outcome, same type the serial resilient path returns.
+/// Per-command outcome, on either transport.
 pub type CmdResult = Result<CommandPacket, DriverError>;
 
-/// An in-flight batched command between doorbells.
-struct Entry {
-    /// Result slot in the caller's submission order.
-    idx: usize,
-    /// Idempotency tag (also the SQ descriptor / CQ record pairing key).
-    tag: u32,
-    packet: CommandPacket,
-    /// Retries performed so far (0 = first transmission pending).
-    attempt: u32,
-    /// Clock at this entry's first transmission (ack-span origin).
-    issued_at: Option<Picos>,
-}
+/// [`CommandDriver`] under the name the batched-submission callers import.
+pub type BatchedCommandDriver = CommandDriver;
 
-/// The batched command driver: a [`CommandDriver`] plus the SQ/CQ ring
-/// pair, a doorbell batch size, and per-batch interrupt moderation.
-#[derive(Debug)]
-pub struct BatchedCommandDriver {
-    inner: CommandDriver,
-    batch: usize,
-    sq: SubmissionQueue,
-    cq: CompletionQueue,
-    irq: IrqModerator,
-}
-
-impl BatchedCommandDriver {
-    /// Creates a batched driver with the given batch size and the
-    /// [`SQ_DEPTH_ENV`](harmonia_cmd::SQ_DEPTH_ENV)-controlled ring depth.
-    pub fn new(engine: DmaEngine, kernel: UnifiedControlKernel, batch: usize) -> Self {
-        Self::with_depth(engine, kernel, batch, sq_depth_from_env())
-    }
-
-    /// Creates a batched driver with explicit batch size and ring depth
-    /// (the depth is rounded up to a power of two; SQ and CQ are sized
-    /// together so a full drain can always post its completions).
-    pub fn with_depth(
-        engine: DmaEngine,
-        kernel: UnifiedControlKernel,
-        batch: usize,
-        depth: usize,
-    ) -> Self {
-        let batch = batch.max(1);
-        let inner = CommandDriver::new(engine, kernel);
-        let mut irq = IrqModerator::new(IrqModeration {
-            max_wait_ps: 50_000_000,
-            batch_threshold: batch.min(u32::MAX as usize) as u32,
-        });
-        // Coalesced completion interrupts land in the same registry as
-        // the rest of the command path (env-gated inside the inner
-        // driver's constructor).
-        irq.set_metrics_registry(inner.metrics().clone());
-        BatchedCommandDriver {
-            inner,
-            batch,
-            sq: SubmissionQueue::new(depth),
-            cq: CompletionQueue::new(depth),
-            irq,
-        }
-    }
-
-    /// Creates a batched driver with the [`CMD_BATCH_ENV`]-controlled
-    /// batch size.
-    pub fn from_env(engine: DmaEngine, kernel: UnifiedControlKernel) -> Self {
-        Self::new(engine, kernel, cmd_batch_from_env())
-    }
-
-    /// Commands per doorbell.
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
-
-    /// The wrapped serial driver (reports, logs, kernel, clock).
-    pub fn inner(&self) -> &CommandDriver {
-        &self.inner
-    }
-
-    /// Mutable access to the wrapped serial driver.
-    pub fn inner_mut(&mut self) -> &mut CommandDriver {
-        &mut self.inner
-    }
-
-    /// Failure/recovery accounting (same semantics as the serial path).
-    pub fn report(&self) -> &DriverReport {
-        self.inner.report()
-    }
-
-    /// Tags in completion order.
-    pub fn acked_log(&self) -> &[u32] {
-        self.inner.acked_log()
-    }
-
-    /// The driver's simulation clock.
-    pub fn clock_ps(&self) -> Picos {
-        self.inner.clock_ps()
-    }
-
-    /// Completion-interrupt moderation statistics: with batching on,
-    /// `coalescing()` approaches the batch size.
-    pub fn irq_report(&self) -> IrqReport {
-        self.irq.report()
-    }
-
-    /// See [`CommandDriver::set_fault_injector`].
-    pub fn set_fault_injector(&mut self, faults: FaultInjector) {
-        self.inner.set_fault_injector(faults);
-    }
-
-    /// See [`CommandDriver::set_policy`].
-    pub fn set_policy(&mut self, policy: RetryPolicy) {
-        self.inner.set_policy(policy);
-    }
-
-    /// See [`CommandDriver::set_trace_collector`].
-    pub fn set_trace_collector(&mut self, trace: TraceCollector) {
-        self.inner.set_trace_collector(trace);
-    }
-
-    /// See [`CommandDriver::set_metrics_registry`] (also rewires the
-    /// interrupt moderator's counters onto the new registry).
-    pub fn set_metrics_registry(&mut self, metrics: MetricsRegistry) {
-        self.irq.set_metrics_registry(metrics.clone());
-        self.inner.set_metrics_registry(metrics);
-    }
-
-    /// See [`CommandDriver::set_flight_recorder`].
-    pub fn set_flight_recorder(&mut self, flight: FlightRecorder) {
-        self.inner.set_flight_recorder(flight);
-    }
-
-    /// See [`CommandDriver::last_post_mortem`].
-    pub fn last_post_mortem(&self) -> Option<&str> {
-        self.inner.last_post_mortem()
-    }
-
+impl CommandDriver {
     /// Submits a batch of commands and drives every one of them to
     /// convergence — acked or reported-failed — in submission order.
     ///
     /// With `batch == 1` this is exactly one
-    /// [`CommandDriver::cmd_raw_resilient`] call per command (the legacy
-    /// serial path, byte for byte). Otherwise commands go out up to
+    /// [`CommandDriver::cmd_raw_resilient`] call per command (the serial
+    /// transport, byte for byte). Otherwise commands go out up to
     /// `batch` per doorbell: one DMA burst, one kernel drain, one CQ
     /// poll, coalesced completion interrupts; entries that a fault takes
     /// out retry on a later doorbell under their original idempotency
     /// tags.
     pub fn submit(&mut self, cmds: Vec<CmdSpec>) -> Vec<CmdResult> {
-        if self.batch <= 1 {
+        if self.batch == 1 {
             return cmds
                 .into_iter()
-                .map(|(rbb, inst, code, data)| {
-                    self.inner.cmd_raw_resilient(rbb, inst, code, data)
-                })
+                .map(|(rbb, inst, code, data)| self.cmd_raw_resilient(rbb, inst, code, data))
                 .collect();
         }
-        let n = cmds.len();
-        let mut results: Vec<Option<CmdResult>> = (0..n).map(|_| None).collect();
-        let mut pending: VecDeque<Entry> = VecDeque::with_capacity(n);
-        for (idx, (rbb_id, instance_id, code, data)) in cmds.into_iter().enumerate() {
-            let tag = self.inner.next_tag;
-            self.inner.next_tag += 1;
-            let packet = CommandPacket::new(self.inner.src, rbb_id, instance_id, code)
-                .with_data(data)
-                .with_idempotency_tag(tag);
-            self.inner.report.issued += 1;
-            self.inner
-                .metrics
-                .counter_inc("harmonia_cmd_issued_total", &[]);
-            self.inner.issued.push(IssuedCommand {
-                rbb_id,
-                instance_id,
-                code: code.to_u16(),
-            });
-            pending.push_back(Entry {
-                idx,
-                tag,
-                packet,
-                attempt: 0,
-                issued_at: None,
-            });
-        }
+        let mut results: Vec<Option<CmdResult>> = (0..cmds.len()).map(|_| None).collect();
+        let mut pending: VecDeque<Inflight> = cmds
+            .into_iter()
+            .enumerate()
+            .map(|(idx, spec)| self.issue(idx, spec))
+            .collect();
         while !pending.is_empty() {
-            self.run_round(&mut pending, &mut results);
+            self.ring_round(&mut pending, &mut results);
         }
-        self.irq.flush(self.inner.clock_ps);
+        self.irq.flush(self.clock_ps);
         results
             .into_iter()
             .map(|r| r.expect("every entry converges to ack or give-up"))
@@ -256,43 +87,25 @@ impl BatchedCommandDriver {
     /// One doorbell round: take up to `batch` entries, ship them as one
     /// burst, drain the kernel, poll the CQ, and re-queue whatever a
     /// fault took out.
-    fn run_round(
-        &mut self,
-        pending: &mut VecDeque<Entry>,
-        results: &mut [Option<CmdResult>],
-    ) {
-        let cap = self.batch.min(self.sq.capacity());
-        let mut round: Vec<Entry> = Vec::with_capacity(cap);
-        while round.len() < cap {
-            match pending.pop_front() {
-                Some(e) => round.push(e),
-                None => break,
-            }
-        }
-        let round_start = self.inner.clock_ps;
+    fn ring_round(&mut self, pending: &mut VecDeque<Inflight>, results: &mut [Option<CmdResult>]) {
+        let take = self.batch.min(self.sq.capacity()).min(pending.len());
+        let mut round: Vec<Inflight> = pending.drain(..take).collect();
+        let round_start = self.clock_ps;
         let mut total_bytes = 0u32;
         let mut encoded: Vec<Vec<u8>> = Vec::with_capacity(round.len());
-        for e in &mut round {
-            e.issued_at.get_or_insert(round_start);
-            let issue = TraceEventKind::CmdIssue {
-                code: e.packet.code.to_u16(),
-                rbb_id: e.packet.rbb_id,
-                instance_id: e.packet.instance_id,
-            };
-            self.inner.flight.record(round_start, 0, issue.clone());
-            self.inner.trace.instant(round_start, issue);
-            let bytes = e.packet.encode();
+        for cmd in &mut round {
+            self.transmit(cmd, round_start);
+            let bytes = cmd.packet.encode();
             total_bytes += bytes.len() as u32;
             encoded.push(bytes);
         }
         let entries = round.len() as u32;
         let delivery = self
-            .inner
             .engine
             .batch_delivery(total_bytes, entries, round_start);
         let (CommandDelivery::Delivered { latency_ps } | CommandDelivery::Lost { latency_ps }) =
             delivery;
-        self.inner.trace.span(
+        self.trace.span(
             round_start,
             latency_ps,
             TraceEventKind::BatchSubmit {
@@ -300,160 +113,98 @@ impl BatchedCommandDriver {
                 bytes: total_bytes,
             },
         );
-        if let CommandDelivery::Lost { latency_ps } = delivery {
+        self.clock_ps += latency_ps;
+        if let CommandDelivery::Lost { .. } = delivery {
             // The whole burst vanished (link down): every entry waits out
             // the shared deadline, then retries or gives up.
-            self.inner.clock_ps += latency_ps;
-            self.timeout_entries(&round, round_start);
-            self.requeue_or_give_up(round, pending, results);
+            self.time_out(&round, round_start);
+            self.requeue(round, pending, results);
             return;
         }
-        self.inner.clock_ps += latency_ps;
-        self.inner.total_latency_ps += latency_ps;
-        // Per-descriptor wire faults, in the serial path's consult order:
-        // drop first, then corruption. Dropped entries never reach the
-        // ring; corrupted ones NACK out of the kernel.
-        let mut lost: Vec<Entry> = Vec::new();
-        let mut survivors: BTreeMap<u32, Entry> = BTreeMap::new();
-        let mut pushed = 0usize;
-        for (e, mut bytes) in round.into_iter().zip(encoded) {
-            if self.inner.faults.is_active() && self.inner.faults.drop_command(self.inner.clock_ps)
-            {
-                lost.push(e);
+        self.total_latency_ps += latency_ps;
+        // Per-descriptor wire faults, in the serial transport's consult
+        // order: drop first, then corruption. Dropped entries never reach
+        // the ring; corrupted ones NACK out of the kernel.
+        let mut lost: Vec<Inflight> = Vec::new();
+        let mut survivors: BTreeMap<u32, Inflight> = BTreeMap::new();
+        for (cmd, mut bytes) in round.into_iter().zip(encoded) {
+            if self.faults.is_active() && self.faults.drop_command(self.clock_ps) {
+                lost.push(cmd);
                 continue;
             }
-            self.inner.faults.corrupt_command(self.inner.clock_ps, &mut bytes);
+            self.faults.corrupt_command(self.clock_ps, &mut bytes);
             self.sq
-                .push(SqDescriptor { tag: e.tag, bytes })
+                .push(SqDescriptor {
+                    tag: cmd.tag,
+                    bytes,
+                })
                 .expect("round is capped at the ring depth");
-            survivors.insert(e.tag, e);
-            pushed += 1;
+            survivors.insert(cmd.tag, cmd);
         }
-        self.inner.kernel.sync_clock(self.inner.clock_ps);
-        let outcome =
-            self.inner
-                .kernel
-                .ring_doorbell(&mut self.sq, &mut self.cq, pushed, self.inner.src);
+        let pushed = survivors.len();
+        self.kernel.sync_clock(self.clock_ps);
+        let outcome = self
+            .kernel
+            .ring_doorbell(&mut self.sq, &mut self.cq, pushed, self.src);
         debug_assert_eq!(outcome.drained, pushed, "CQ is sized to the SQ");
-        self.inner.clock_ps += outcome.exec_ps;
-        self.inner.total_latency_ps += outcome.exec_ps;
+        self.clock_ps += outcome.exec_ps;
+        self.total_latency_ps += outcome.exec_ps;
         let mut responses: BTreeMap<u32, CommandPacket> = outcome.responses.into_iter().collect();
         let mut errors: BTreeMap<u32, KernelError> = outcome.errors.into_iter().collect();
-        let mut nacked: Vec<Entry> = Vec::new();
+        let mut nacked: Vec<Inflight> = Vec::new();
         let mut polled = 0u32;
         let mut interrupts = 0u32;
         let mut upload_seq = 0u64;
         while let Some(rec) = self.cq.pop() {
             polled += 1;
-            let Some(e) = survivors.remove(&rec.tag) else {
+            let Some(cmd) = survivors.remove(&rec.tag) else {
                 debug_assert!(false, "CQ record for unknown tag {}", rec.tag);
                 continue;
             };
+            // A lost completion interrupt: the command executed, but the
+            // host never hears about it. The idempotency tag makes the
+            // retry a replay.
+            if rec.status == CompletionStatus::Ok && self.faults.irq_lost(self.clock_ps) {
+                lost.push(cmd);
+                continue;
+            }
+            if self.irq.event(self.clock_ps) {
+                interrupts += 1;
+            }
             match rec.status {
                 CompletionStatus::Ok => {
-                    // A lost completion interrupt: the command executed,
-                    // but the host never hears about it. The idempotency
-                    // tag makes the retry a replay.
-                    if self.inner.faults.irq_lost(self.inner.clock_ps) {
-                        lost.push(e);
-                        continue;
-                    }
-                    if self.irq.event(self.inner.clock_ps) {
-                        interrupts += 1;
-                    }
-                    let resp = responses.remove(&rec.tag).expect("Ok record has a response");
-                    let at = self.inner.clock_ps + upload_seq;
+                    let resp = responses
+                        .remove(&rec.tag)
+                        .expect("Ok record has a response");
+                    let at = self.clock_ps + upload_seq;
                     upload_seq += 1;
-                    if let Err(err) = self.inner.resp_pipe.push(at, e.tag) {
-                        results[e.idx] = Some(Err(err.into()));
-                        continue;
-                    }
-                    let uploaded = self.inner.resp_pipe.pop(at);
-                    debug_assert_eq!(uploaded, Some(e.tag));
-                    self.inner.acked_log.push(e.tag);
-                    self.inner.report.acked += 1;
-                    self.inner
-                        .metrics
-                        .counter_inc("harmonia_cmd_acked_total", &[]);
-                    let start = e.issued_at.unwrap_or(round_start);
-                    self.inner.metrics.observe(
-                        "harmonia_cmd_latency_ps",
-                        &[],
-                        self.inner.clock_ps - start,
-                    );
-                    let ack = TraceEventKind::CmdAck {
-                        code: e.packet.code.to_u16(),
-                        attempts: e.attempt + 1,
-                    };
-                    self.inner
-                        .flight
-                        .record(start, self.inner.clock_ps - start, ack.clone());
-                    self.inner
-                        .trace
-                        .span(start, self.inner.clock_ps - start, ack);
-                    self.inner.latency_histo.record(self.inner.clock_ps - start);
-                    results[e.idx] = Some(Ok(resp));
+                    results[cmd.idx] = Some(self.ack(&cmd, at, resp));
                 }
                 CompletionStatus::Nack { error_code } => {
-                    if self.irq.event(self.inner.clock_ps) {
-                        interrupts += 1;
-                    }
-                    self.inner.report.nacks += 1;
-                    self.inner
-                        .metrics
-                        .counter_inc("harmonia_cmd_nacks_total", &[]);
-                    self.inner.flight.record(
-                        self.inner.clock_ps,
-                        0,
-                        TraceEventKind::CmdNack { error_code },
-                    );
-                    nacked.push(e);
+                    self.nack(error_code);
+                    nacked.push(cmd);
                 }
                 CompletionStatus::Error => {
-                    if self.irq.event(self.inner.clock_ps) {
-                        interrupts += 1;
-                    }
-                    let err = errors.remove(&rec.tag).expect("Error record has a kernel error");
-                    results[e.idx] = Some(Err(DriverError::Kernel(err)));
+                    let err = errors
+                        .remove(&rec.tag)
+                        .expect("Error record has a kernel error");
+                    results[cmd.idx] = Some(Err(DriverError::Kernel(err)));
                 }
             }
         }
-        self.inner.trace.instant(
-            self.inner.clock_ps,
+        self.trace.instant(
+            self.clock_ps,
             TraceEventKind::BatchComplete {
                 entries: polled,
                 interrupts,
             },
         );
         if !lost.is_empty() {
-            self.timeout_entries(&lost, round_start);
+            self.time_out(&lost, round_start);
         }
-        let mut retriers = lost;
-        retriers.extend(nacked);
-        if !retriers.is_empty() {
-            self.requeue_or_give_up(retriers, pending, results);
-        }
-    }
-
-    /// Deadline accounting for entries whose response will never arrive:
-    /// one shared wait to `round_start + deadline`, one timeout per entry.
-    fn timeout_entries(&mut self, entries: &[Entry], round_start: Picos) {
-        self.inner.report.timeouts += entries.len() as u64;
-        self.inner
-            .metrics
-            .counter_add("harmonia_cmd_timeouts_total", &[], entries.len() as u64);
-        self.inner.clock_ps = self
-            .inner
-            .clock_ps
-            .max(round_start + self.inner.policy.deadline_ps);
-        for e in entries {
-            let timeout = TraceEventKind::CmdTimeout {
-                code: e.packet.code.to_u16(),
-            };
-            self.inner
-                .flight
-                .record(self.inner.clock_ps, 0, timeout.clone());
-            self.inner.trace.instant(self.inner.clock_ps, timeout);
+        lost.append(&mut nacked);
+        if !lost.is_empty() {
+            self.requeue(lost, pending, results);
         }
     }
 
@@ -462,77 +213,30 @@ impl BatchedCommandDriver {
     /// back off together (the maximum of their individual intervals —
     /// they ride the next doorbell as one burst) and re-queue at the
     /// front in submission order.
-    fn requeue_or_give_up(
+    fn requeue(
         &mut self,
-        mut retriers: Vec<Entry>,
-        pending: &mut VecDeque<Entry>,
+        mut failed: Vec<Inflight>,
+        pending: &mut VecDeque<Inflight>,
         results: &mut [Option<CmdResult>],
     ) {
-        retriers.sort_by_key(|e| e.idx);
+        failed.sort_by_key(|cmd| cmd.idx);
         let mut backoff: Picos = 0;
-        let mut retained: Vec<Entry> = Vec::new();
-        for mut e in retriers {
-            if e.attempt >= self.inner.policy.max_retries {
-                self.inner.report.gave_up += 1;
-                self.inner
-                    .metrics
-                    .counter_inc("harmonia_cmd_gave_up_total", &[]);
-                let give_up = TraceEventKind::CmdGiveUp {
-                    code: e.packet.code.to_u16(),
-                    attempts: e.attempt + 1,
-                };
-                self.inner
-                    .flight
-                    .record(self.inner.clock_ps, 0, give_up.clone());
-                self.inner.trace.instant(self.inner.clock_ps, give_up);
-                if self.inner.flight.is_enabled() {
-                    self.inner.last_post_mortem = Some(format!(
-                        "post-mortem: gave up on cmd {:#06x} (rbb {} inst {}) after {} \
-                         attempt(s), deadline {} ps\n{}",
-                        e.packet.code.to_u16(),
-                        e.packet.rbb_id,
-                        e.packet.instance_id,
-                        e.attempt + 1,
-                        self.inner.policy.deadline_ps,
-                        self.inner.flight.dump()
-                    ));
+        let mut retried: Vec<Inflight> = Vec::with_capacity(failed.len());
+        for mut cmd in failed {
+            match self.retry_or_give_up(&mut cmd) {
+                Ok(wait) => {
+                    backoff = backoff.max(wait);
+                    retried.push(cmd);
                 }
-                results[e.idx] = Some(Err(DriverError::GaveUp {
-                    rbb_id: e.packet.rbb_id,
-                    instance_id: e.packet.instance_id,
-                    code: e.packet.code.to_u16(),
-                    attempts: e.attempt + 1,
-                    deadline_ps: self.inner.policy.deadline_ps,
-                }));
-            } else {
-                backoff = backoff.max(self.inner.policy.backoff_ps(e.attempt));
-                e.attempt += 1;
-                self.inner.report.retries += 1;
-                self.inner
-                    .metrics
-                    .counter_inc("harmonia_cmd_retries_total", &[]);
-                retained.push(e);
+                Err(gave_up) => results[cmd.idx] = Some(Err(gave_up)),
             }
         }
-        if retained.is_empty() {
+        if retried.is_empty() {
             return;
         }
-        self.inner.clock_ps += backoff;
-        self.inner
-            .metrics
-            .counter_add("harmonia_cmd_backoff_ps_total", &[], backoff);
-        for e in &retained {
-            let retry = TraceEventKind::CmdRetry {
-                code: e.packet.code.to_u16(),
-                attempt: e.attempt,
-            };
-            self.inner
-                .flight
-                .record(self.inner.clock_ps, 0, retry.clone());
-            self.inner.trace.instant(self.inner.clock_ps, retry);
-        }
-        for e in retained.into_iter().rev() {
-            pending.push_front(e);
+        self.back_off(backoff, &retried);
+        for cmd in retried.into_iter().rev() {
+            pending.push_front(cmd);
         }
     }
 }
@@ -540,12 +244,14 @@ impl BatchedCommandDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DmaEngine;
+    use harmonia_cmd::UnifiedControlKernel;
     use harmonia_hw::device::catalog;
     use harmonia_hw::ip::PcieDmaIp;
     use harmonia_hw::Vendor;
     use harmonia_shell::{MemoryDemand, RoleSpec, TailoredShell, UnifiedShell};
 
-    fn setup(batch: usize) -> BatchedCommandDriver {
+    fn setup(batch: usize) -> CommandDriver {
         let dev = catalog::device_a();
         let unified = UnifiedShell::for_device(&dev);
         let role = RoleSpec::builder("t")
@@ -558,7 +264,7 @@ mod tests {
         kernel.attach_shell(shell.rbbs().iter().map(|r| r.as_ref()));
         let (gen, lanes) = dev.pcie().unwrap();
         let engine = DmaEngine::new(PcieDmaIp::new(Vendor::Xilinx, gen, lanes));
-        BatchedCommandDriver::with_depth(engine, kernel, batch, 64)
+        CommandDriver::with_depth(engine, kernel, batch, 64)
     }
 
     fn health_reads(n: usize) -> Vec<CmdSpec> {
@@ -579,7 +285,7 @@ mod tests {
         assert!(drv.report().converged());
         assert_eq!(drv.report().acked, 32);
         // 32 commands over batch=16 is exactly two doorbells.
-        assert_eq!(drv.inner().kernel().commands_executed(), 32);
+        assert_eq!(drv.kernel().commands_executed(), 32);
     }
 
     #[test]
@@ -611,9 +317,11 @@ mod tests {
         let mut drv = setup(1);
         let results = drv.submit(health_reads(4));
         assert!(results.iter().all(|r| r.is_ok()));
-        // The legacy path raises no batch events and no moderated irqs.
-        assert_eq!(drv.irq_report().events, 0);
-        assert_eq!(drv.inner().engine_ref().doorbells(), 0);
+        // The serial transport: one DMA send and one immediate
+        // interrupt per command.
+        let irq = drv.irq_report();
+        assert_eq!((irq.events, irq.interrupts), (4, 4));
+        assert_eq!(drv.engine_ref().doorbells(), 4);
         assert_eq!(drv.acked_log(), &[0, 1, 2, 3]);
     }
 
@@ -645,7 +353,7 @@ mod tests {
         assert_eq!(r.retries, 1, "{r}");
         assert!(r.converged(), "{r}");
         // Only the dropped entry re-rode a doorbell: 4 + 1 transmissions.
-        assert_eq!(drv.inner().engine_ref().commands_sent(), 5);
+        assert_eq!(drv.engine_ref().commands_sent(), 5);
     }
 
     #[test]
@@ -658,8 +366,8 @@ mod tests {
             (2, 0, CommandCode::ModuleInit, Vec::new()),
         ]);
         assert!(results.iter().all(|r| r.is_ok()));
-        assert_eq!(drv.inner().kernel().replays(), 1, "retry must replay");
-        assert_eq!(drv.inner().kernel().commands_executed(), 2);
+        assert_eq!(drv.kernel().replays(), 1, "retry must replay");
+        assert_eq!(drv.kernel().commands_executed(), 2);
         assert_eq!(drv.report().timeouts, 1);
     }
 
@@ -673,7 +381,7 @@ mod tests {
         let r = drv.report();
         assert_eq!(r.nacks, 1, "{r}");
         assert_eq!(r.retries, 1, "{r}");
-        assert_eq!(drv.inner().kernel().decode_errors(), 1);
+        assert_eq!(drv.kernel().decode_errors(), 1);
     }
 
     #[test]
@@ -685,7 +393,7 @@ mod tests {
         for r in &results {
             match r {
                 Err(DriverError::GaveUp { attempts, .. }) => {
-                    assert_eq!(*attempts, drv.inner().policy().max_retries + 1);
+                    assert_eq!(*attempts, drv.policy().max_retries + 1);
                 }
                 other => panic!("expected GaveUp, got {other:?}"),
             }

@@ -3,12 +3,30 @@
 //! The walkthrough of Figure 8: the driver builds command packets, ships
 //! them through the DMA engine's dedicated control queue, the unified
 //! control kernel executes them, and responses return tagged with the
-//! originating `SrcID`. High-level operations (initialize everything, read
+//! originating `SrcId`. High-level operations (initialize everything, read
 //! all statistics) are one command per module regardless of the platform
 //! underneath — that is the whole Figure 13 story.
+//!
+//! [`CommandDriver`] is the one command driver, with two transports:
+//!
+//! * **serial** — [`CommandDriver::cmd_raw_resilient`], and
+//!   [`CommandDriver::submit`] at batch size 1: one DMA send, one kernel
+//!   step and one completion per command;
+//! * **ring** — [`CommandDriver::submit`] at batch size > 1 (see
+//!   [`crate::batch`]): up to `batch` descriptors per SQ/CQ doorbell.
+//!
+//! Both transports drive one per-command record through the same issue,
+//! ack, nack, time-out and retry-or-give-up steps, so the resilience
+//! contract — deadlines, bounded retries with deterministic backoff,
+//! idempotent replay, [`DriverReport`] accounting and the give-up
+//! post-mortem — is written once. Completions of either transport feed
+//! one [`IrqModerator`] whose batch threshold is the batch size.
 
+use crate::batch::{CmdResult, CmdSpec};
 use crate::dma::{CommandDelivery, DmaEngine};
+use crate::irq::{IrqModeration, IrqModerator, IrqReport};
 use crate::resilience::{DriverError, DriverReport, RetryPolicy};
+use harmonia_cmd::queue::{CompletionQueue, SubmissionQueue};
 use harmonia_cmd::{CommandCode, CommandPacket, KernelError, SrcId, UnifiedControlKernel};
 use harmonia_shell::rbb::RbbKind;
 use harmonia_shell::TailoredShell;
@@ -34,6 +52,20 @@ pub struct IssuedCommand {
     pub code: u16,
 }
 
+/// One resilient command between issue and convergence, on either
+/// transport.
+pub(crate) struct Inflight {
+    /// Result slot in the caller's submission order.
+    pub(crate) idx: usize,
+    /// Idempotency tag (also the SQ descriptor / CQ record pairing key).
+    pub(crate) tag: u32,
+    pub(crate) packet: CommandPacket,
+    /// Retries performed so far (0 = first transmission pending).
+    pub(crate) attempt: u32,
+    /// Clock at the first transmission (the ack span's origin).
+    pub(crate) issued_at: Picos,
+}
+
 /// The command-interface driver, bound to one FPGA (kernel) via DMA.
 #[derive(Debug)]
 pub struct CommandDriver {
@@ -56,8 +88,9 @@ pub struct CommandDriver {
     pub(crate) trace: TraceCollector,
     /// Issue→ack latency of every completed command, log-bucketed.
     pub(crate) latency_histo: LogHistogram,
-    /// Metrics handle shared with the engine and kernel (disabled unless
-    /// attached or enabled via `HARMONIA_METRICS`).
+    /// Metrics handle shared with the engine, kernel and interrupt
+    /// moderator (disabled unless attached or enabled via
+    /// `HARMONIA_METRICS`).
     pub(crate) metrics: MetricsRegistry,
     /// Bounded ring of recent command-path events, dumped as a
     /// post-mortem on [`DriverError::GaveUp`].
@@ -65,6 +98,12 @@ pub struct CommandDriver {
     /// The post-mortem composed by the most recent give-up (None until a
     /// give-up happens with the flight recorder enabled).
     pub(crate) last_post_mortem: Option<String>,
+    /// Commands per doorbell; 1 selects the serial transport.
+    pub(crate) batch: usize,
+    pub(crate) sq: SubmissionQueue,
+    pub(crate) cq: CompletionQueue,
+    /// Completion-interrupt moderation (`batch_threshold` = `batch`).
+    pub(crate) irq: IrqModerator,
 }
 
 impl CommandDriver {
@@ -73,15 +112,39 @@ impl CommandDriver {
         Self::with_src(SrcId::Application, engine, kernel)
     }
 
-    /// Creates a driver for a specific controller type.
+    /// Creates a driver for a specific controller type (serial
+    /// transport, batch size 1).
     pub fn with_src(src: SrcId, engine: DmaEngine, kernel: UnifiedControlKernel) -> Self {
+        Self::build(src, engine, kernel, 1, 1)
+    }
+
+    /// Creates an application driver that submits `batch` commands per
+    /// doorbell (minimum 1) over SQ/CQ rings of `depth` slots (rounded up
+    /// to a power of two; SQ and CQ are sized together so a full drain
+    /// can always post its completions).
+    pub fn with_depth(
+        engine: DmaEngine,
+        kernel: UnifiedControlKernel,
+        batch: usize,
+        depth: usize,
+    ) -> Self {
+        Self::build(SrcId::Application, engine, kernel, batch.max(1), depth)
+    }
+
+    fn build(
+        src: SrcId,
+        engine: DmaEngine,
+        kernel: UnifiedControlKernel,
+        batch: usize,
+        depth: usize,
+    ) -> Self {
         let mut driver = CommandDriver {
             src,
             engine,
             kernel,
             issued: Vec::new(),
             total_latency_ps: 0,
-            policy: RetryPolicy::from_env(),
+            policy: RetryPolicy::default(),
             report: DriverReport::default(),
             faults: FaultInjector::none(),
             next_tag: 0,
@@ -93,11 +156,29 @@ impl CommandDriver {
             metrics: MetricsRegistry::disabled(),
             flight: FlightRecorder::disabled(),
             last_post_mortem: None,
+            batch,
+            sq: SubmissionQueue::new(depth),
+            cq: CompletionQueue::new(depth),
+            irq: IrqModerator::new(IrqModeration {
+                max_wait_ps: 50_000_000,
+                batch_threshold: batch.min(u32::MAX as usize) as u32,
+            }),
         };
         driver.set_trace_collector(TraceCollector::from_env());
         driver.set_metrics_registry(MetricsRegistry::from_env());
         driver.flight = FlightRecorder::from_env();
         driver
+    }
+
+    /// Commands per doorbell (1 = the serial transport).
+    pub fn batch(&self) -> usize {
+        self.batch
+    }
+
+    /// Completion-interrupt moderation statistics: `coalescing()`
+    /// approaches the batch size.
+    pub fn irq_report(&self) -> IrqReport {
+        self.irq.report()
     }
 
     /// Attaches an observability collector to this driver *and* its DMA
@@ -117,17 +198,18 @@ impl CommandDriver {
         &self.trace
     }
 
-    /// Attaches a metrics registry to this driver *and* its DMA engine
-    /// and kernel (clones share one store, so the whole command path
-    /// lands in one registry). [`CommandDriver::with_src`] consults
+    /// Attaches a metrics registry to this driver *and* its DMA engine,
+    /// kernel and interrupt moderator (clones share one store, so the
+    /// whole command path lands in one registry).
+    /// [`CommandDriver::with_src`] consults
     /// [`harmonia_sim::metrics::METRICS_ENV`] automatically; call this to
     /// override.
     pub fn set_metrics_registry(&mut self, metrics: MetricsRegistry) {
         self.engine.set_metrics_registry(metrics.clone());
         self.kernel.set_metrics_registry(metrics.clone());
+        self.irq.set_metrics_registry(metrics.clone());
         self.metrics = metrics;
     }
-
     /// The driver's metrics registry (disabled unless attached or
     /// enabled via `HARMONIA_METRICS`).
     pub fn metrics(&self) -> &MetricsRegistry {
@@ -327,31 +409,25 @@ impl CommandDriver {
         code: CommandCode,
         data: Vec<u32>,
     ) -> Result<CommandPacket, DriverError> {
-        let tag = self.next_tag;
-        self.next_tag += 1;
-        let packet = CommandPacket::new(self.src, rbb_id, instance, code)
-            .with_data(data)
-            .with_idempotency_tag(tag);
-        self.report.issued += 1;
-        self.metrics.counter_inc("harmonia_cmd_issued_total", &[]);
-        self.issued.push(IssuedCommand {
-            rbb_id,
-            instance_id: instance,
-            code: code.to_u16(),
-        });
-        let mut attempt: u32 = 0;
-        let cmd_start = self.clock_ps;
+        let cmd = self.issue(0, (rbb_id, instance, code, data));
+        let result = self.send(cmd);
+        // A wider moderator may hold the completion; the call returns
+        // with nothing pending.
+        self.irq.flush(self.clock_ps);
+        result
+    }
+
+    /// The serial transport: one DMA send, one kernel step and one
+    /// completion per attempt until `cmd` converges.
+    fn send(&mut self, mut cmd: Inflight) -> CmdResult {
         loop {
             let attempt_start = self.clock_ps;
-            let issue_kind = TraceEventKind::CmdIssue {
-                code: code.to_u16(),
-                rbb_id,
-                instance_id: instance,
-            };
-            self.flight.record(attempt_start, 0, issue_kind.clone());
-            self.trace.instant(attempt_start, issue_kind);
-            let mut bytes = packet.encode();
-            match self.engine.command_delivery(bytes.len() as u32, attempt_start) {
+            self.transmit(&mut cmd, attempt_start);
+            let mut bytes = cmd.packet.encode();
+            match self
+                .engine
+                .command_delivery(bytes.len() as u32, attempt_start)
+            {
                 CommandDelivery::Delivered { latency_ps } => {
                     self.clock_ps += latency_ps;
                     self.total_latency_ps += latency_ps;
@@ -359,8 +435,8 @@ impl CommandDriver {
                 CommandDelivery::Lost { latency_ps } => {
                     // Nothing will ever arrive; wait out the deadline.
                     self.clock_ps += latency_ps;
-                    self.timeout(attempt_start, packet.code.to_u16());
-                    self.retry_or_give_up(&mut attempt, &packet)?;
+                    self.time_out(std::slice::from_ref(&cmd), attempt_start);
+                    self.retry(&mut cmd)?;
                     continue;
                 }
             }
@@ -371,23 +447,19 @@ impl CommandDriver {
             match self.kernel.submit_bytes_or_nack(&bytes, self.src) {
                 Err(e) => return Err(DriverError::Kernel(e)),
                 Ok(Some(nack)) => {
-                    self.report.nacks += 1;
-                    self.metrics.counter_inc("harmonia_cmd_nacks_total", &[]);
-                    self.flight.record(
-                        self.clock_ps,
-                        0,
-                        TraceEventKind::CmdNack {
-                            error_code: nack.data[0],
-                        },
-                    );
-                    self.retry_or_give_up(&mut attempt, &packet)?;
+                    self.irq.event(self.clock_ps);
+                    self.nack(nack.data[0]);
+                    self.retry(&mut cmd)?;
                     continue;
                 }
                 Ok(None) => {}
             }
             let before = self.kernel.reg_ops_executed();
             let resp = match self.kernel.step() {
-                Err(e) => return Err(DriverError::Kernel(e)),
+                Err(e) => {
+                    self.irq.event(self.clock_ps);
+                    return Err(DriverError::Kernel(e));
+                }
                 // The command was accepted into an otherwise-drained
                 // buffer, so a response is structurally guaranteed.
                 Ok(r) => r.expect("command was just submitted"),
@@ -400,55 +472,102 @@ impl CommandDriver {
             // host never hears about it. The idempotency tag makes the
             // retry safe — the kernel replays the cached response.
             if self.faults.irq_lost(self.clock_ps) {
-                self.timeout(attempt_start, packet.code.to_u16());
-                self.retry_or_give_up(&mut attempt, &packet)?;
+                self.time_out(std::slice::from_ref(&cmd), attempt_start);
+                self.retry(&mut cmd)?;
                 continue;
             }
-            self.resp_pipe.push(self.clock_ps, tag)?;
-            let uploaded = self.resp_pipe.pop(self.clock_ps);
-            debug_assert_eq!(uploaded, Some(tag));
-            self.acked_log.push(tag);
-            self.report.acked += 1;
-            self.metrics.counter_inc("harmonia_cmd_acked_total", &[]);
-            self.metrics
-                .observe("harmonia_cmd_latency_ps", &[], self.clock_ps - cmd_start);
-            let ack_kind = TraceEventKind::CmdAck {
-                code: code.to_u16(),
-                attempts: attempt + 1,
-            };
-            self.flight
-                .record(cmd_start, self.clock_ps - cmd_start, ack_kind.clone());
-            self.trace
-                .span(cmd_start, self.clock_ps - cmd_start, ack_kind);
-            self.latency_histo.record(self.clock_ps - cmd_start);
-            return Ok(resp);
+            self.irq.event(self.clock_ps);
+            return self.ack(&cmd, self.clock_ps, resp);
         }
     }
 
-    /// Burns the remainder of the per-command deadline.
-    fn timeout(&mut self, attempt_start: Picos, code: u16) {
-        self.report.timeouts += 1;
-        self.metrics.counter_inc("harmonia_cmd_timeouts_total", &[]);
-        self.clock_ps = self.clock_ps.max(attempt_start + self.policy.deadline_ps);
-        self.flight
-            .record(self.clock_ps, 0, TraceEventKind::CmdTimeout { code });
-        self.trace
-            .instant(self.clock_ps, TraceEventKind::CmdTimeout { code });
+    /// Serial retry: give up, or wait out this command's own backoff.
+    fn retry(&mut self, cmd: &mut Inflight) -> Result<(), DriverError> {
+        let backoff = self.retry_or_give_up(cmd)?;
+        self.back_off(backoff, std::slice::from_ref(cmd));
+        Ok(())
     }
 
-    fn retry_or_give_up(
+    /// Tags and accounts a new resilient command for result slot `idx`.
+    pub(crate) fn issue(
         &mut self,
-        attempt: &mut u32,
-        packet: &CommandPacket,
-    ) -> Result<(), DriverError> {
-        if *attempt >= self.policy.max_retries {
+        idx: usize,
+        (rbb_id, instance_id, code, data): CmdSpec,
+    ) -> Inflight {
+        let tag = self.next_tag;
+        self.next_tag += 1;
+        self.report.issued += 1;
+        self.metrics.counter_inc("harmonia_cmd_issued_total", &[]);
+        self.issued.push(IssuedCommand {
+            rbb_id,
+            instance_id,
+            code: code.to_u16(),
+        });
+        Inflight {
+            idx,
+            tag,
+            packet: CommandPacket::new(self.src, rbb_id, instance_id, code)
+                .with_data(data)
+                .with_idempotency_tag(tag),
+            attempt: 0,
+            issued_at: 0,
+        }
+    }
+
+    /// Records one transmission of `cmd` starting at `at`; the first one
+    /// is where its ack span begins.
+    pub(crate) fn transmit(&mut self, cmd: &mut Inflight, at: Picos) {
+        if cmd.attempt == 0 {
+            cmd.issued_at = at;
+        }
+        let issue = TraceEventKind::CmdIssue {
+            code: cmd.packet.code.to_u16(),
+            rbb_id: cmd.packet.rbb_id,
+            instance_id: cmd.packet.instance_id,
+        };
+        self.flight.record(at, 0, issue);
+        self.trace.instant(at, issue);
+    }
+
+    /// The kernel NACKed an attempt (its bytes failed to decode).
+    pub(crate) fn nack(&mut self, error_code: u32) {
+        self.report.nacks += 1;
+        self.metrics.counter_inc("harmonia_cmd_nacks_total", &[]);
+        self.flight
+            .record(self.clock_ps, 0, TraceEventKind::CmdNack { error_code });
+    }
+
+    /// No response will arrive for `lost`: one shared wait until the
+    /// deadline of the attempt that started at `since`, one timeout each.
+    pub(crate) fn time_out(&mut self, lost: &[Inflight], since: Picos) {
+        self.report.timeouts += lost.len() as u64;
+        self.metrics
+            .counter_add("harmonia_cmd_timeouts_total", &[], lost.len() as u64);
+        self.clock_ps = self.clock_ps.max(since + self.policy.deadline_ps);
+        for cmd in lost {
+            let timeout = TraceEventKind::CmdTimeout {
+                code: cmd.packet.code.to_u16(),
+            };
+            self.flight.record(self.clock_ps, 0, timeout);
+            self.trace.instant(self.clock_ps, timeout);
+        }
+    }
+
+    /// Retry bookkeeping for a failed attempt. With the budget spent the
+    /// command gives up: typed error, plus the flight-recorder
+    /// post-mortem. Otherwise its attempt count advances and the backoff
+    /// it asks for is returned, to be charged by
+    /// [`CommandDriver::back_off`].
+    pub(crate) fn retry_or_give_up(&mut self, cmd: &mut Inflight) -> Result<Picos, DriverError> {
+        let packet = &cmd.packet;
+        if cmd.attempt >= self.policy.max_retries {
             self.report.gave_up += 1;
             self.metrics.counter_inc("harmonia_cmd_gave_up_total", &[]);
             let give_up = TraceEventKind::CmdGiveUp {
                 code: packet.code.to_u16(),
-                attempts: *attempt + 1,
+                attempts: cmd.attempt + 1,
             };
-            self.flight.record(self.clock_ps, 0, give_up.clone());
+            self.flight.record(self.clock_ps, 0, give_up);
             self.trace.instant(self.clock_ps, give_up);
             if self.flight.is_enabled() {
                 self.last_post_mortem = Some(format!(
@@ -457,7 +576,7 @@ impl CommandDriver {
                     packet.code.to_u16(),
                     packet.rbb_id,
                     packet.instance_id,
-                    *attempt + 1,
+                    cmd.attempt + 1,
                     self.policy.deadline_ps,
                     self.flight.dump()
                 ));
@@ -466,24 +585,57 @@ impl CommandDriver {
                 rbb_id: packet.rbb_id,
                 instance_id: packet.instance_id,
                 code: packet.code.to_u16(),
-                attempts: *attempt + 1,
+                attempts: cmd.attempt + 1,
                 deadline_ps: self.policy.deadline_ps,
             });
         }
-        let backoff = self.policy.backoff_ps(*attempt);
-        self.clock_ps += backoff;
-        *attempt += 1;
+        let backoff = self.policy.backoff_ps(cmd.attempt);
+        cmd.attempt += 1;
         self.report.retries += 1;
         self.metrics.counter_inc("harmonia_cmd_retries_total", &[]);
+        Ok(backoff)
+    }
+
+    /// Waits `backoff` before `retried` go out again.
+    pub(crate) fn back_off(&mut self, backoff: Picos, retried: &[Inflight]) {
+        self.clock_ps += backoff;
         self.metrics
             .counter_add("harmonia_cmd_backoff_ps_total", &[], backoff);
-        let retry = TraceEventKind::CmdRetry {
-            code: packet.code.to_u16(),
-            attempt: *attempt,
+        for cmd in retried {
+            let retry = TraceEventKind::CmdRetry {
+                code: cmd.packet.code.to_u16(),
+                attempt: cmd.attempt,
+            };
+            self.flight.record(self.clock_ps, 0, retry);
+            self.trace.instant(self.clock_ps, retry);
+        }
+    }
+
+    /// `cmd`'s response uploads at `upload_at` and the command converges
+    /// acked.
+    pub(crate) fn ack(
+        &mut self,
+        cmd: &Inflight,
+        upload_at: Picos,
+        resp: CommandPacket,
+    ) -> CmdResult {
+        self.resp_pipe.push(upload_at, cmd.tag)?;
+        let uploaded = self.resp_pipe.pop(upload_at);
+        debug_assert_eq!(uploaded, Some(cmd.tag));
+        self.acked_log.push(cmd.tag);
+        self.report.acked += 1;
+        self.metrics.counter_inc("harmonia_cmd_acked_total", &[]);
+        let latency = self.clock_ps - cmd.issued_at;
+        self.metrics
+            .observe("harmonia_cmd_latency_ps", &[], latency);
+        let ack = TraceEventKind::CmdAck {
+            code: cmd.packet.code.to_u16(),
+            attempts: cmd.attempt + 1,
         };
-        self.flight.record(self.clock_ps, 0, retry.clone());
-        self.trace.instant(self.clock_ps, retry);
-        Ok(())
+        self.flight.record(cmd.issued_at, latency, ack);
+        self.trace.span(cmd.issued_at, latency, ack);
+        self.latency_histo.record(latency);
+        Ok(resp)
     }
 
     /// Initializes every module of a shell: exactly one `ModuleInit` per
@@ -493,12 +645,8 @@ impl CommandDriver {
     ///
     /// Stops at the first module that fails to initialize.
     pub fn init_shell(&mut self, shell: &TailoredShell) -> Result<(), KernelError> {
-        let mut counters = std::collections::BTreeMap::new();
-        for rbb in shell.rbbs() {
-            let id = rbb.kind().id();
-            let n: &mut u8 = counters.entry(id).or_insert(0);
-            self.cmd_raw(id, *n, CommandCode::ModuleInit, Vec::new())?;
-            *n += 1;
+        for (id, inst) in shell.modules() {
+            self.cmd_raw(id, inst, CommandCode::ModuleInit, Vec::new())?;
         }
         Ok(())
     }
@@ -525,18 +673,7 @@ impl CommandDriver {
         // timeline and registry (disabled handles clone for free).
         shell.health_mut().set_trace_collector(self.trace.clone());
         shell.health_mut().set_metrics_registry(self.metrics.clone());
-        let mut counters = std::collections::BTreeMap::new();
-        let modules: Vec<(u8, u8)> = shell
-            .rbbs()
-            .iter()
-            .map(|rbb| {
-                let id = rbb.kind().id();
-                let n: &mut u8 = counters.entry(id).or_insert(0);
-                let inst = *n;
-                *n += 1;
-                (id, inst)
-            })
-            .collect();
+        let modules: Vec<(u8, u8)> = shell.modules().collect();
         let mut initialized = 0;
         for (id, inst) in modules {
             match self.cmd_raw_resilient(id, inst, CommandCode::ModuleInit, Vec::new()) {
@@ -568,12 +705,7 @@ impl CommandDriver {
         shell: &TailoredShell,
     ) -> Result<Vec<u32>, DriverError> {
         let mut out = Vec::new();
-        let mut counters = std::collections::BTreeMap::new();
-        for rbb in shell.rbbs() {
-            let id = rbb.kind().id();
-            let n: &mut u8 = counters.entry(id).or_insert(0);
-            let inst = *n;
-            *n += 1;
+        for (id, inst) in shell.modules() {
             if shell.health().is_degraded(id, inst) {
                 continue;
             }
@@ -593,13 +725,9 @@ impl CommandDriver {
     /// Kernel-side failures.
     pub fn read_all_stats(&mut self, shell: &TailoredShell) -> Result<Vec<u32>, KernelError> {
         let mut out = Vec::new();
-        let mut counters = std::collections::BTreeMap::new();
-        for rbb in shell.rbbs() {
-            let id = rbb.kind().id();
-            let n: &mut u8 = counters.entry(id).or_insert(0);
-            let resp = self.cmd_raw(id, *n, CommandCode::StatsRead, Vec::new())?;
+        for (id, inst) in shell.modules() {
+            let resp = self.cmd_raw(id, inst, CommandCode::StatsRead, Vec::new())?;
             out.extend(resp.data);
-            *n += 1;
         }
         let health = self.cmd_raw(0, 0, CommandCode::HealthRead, Vec::new())?;
         out.extend(health.data);
@@ -641,10 +769,7 @@ impl CommandDriver {
 /// shell — computed without running a kernel, for migration diffing.
 pub fn command_script(shell: &TailoredShell) -> Vec<IssuedCommand> {
     let mut script = Vec::new();
-    let mut counters = std::collections::BTreeMap::new();
-    for rbb in shell.rbbs() {
-        let id = rbb.kind().id();
-        let n: &mut u8 = counters.entry(id).or_insert(0);
+    for (rbb, (rbb_id, instance_id)) in shell.rbbs().iter().zip(shell.modules()) {
         let codes: &[CommandCode] = match rbb.kind() {
             RbbKind::Network => &[
                 CommandCode::ModuleReset,
@@ -663,12 +788,11 @@ pub fn command_script(shell: &TailoredShell) -> Vec<IssuedCommand> {
         };
         for &code in codes {
             script.push(IssuedCommand {
-                rbb_id: id,
-                instance_id: *n,
+                rbb_id,
+                instance_id,
                 code: code.to_u16(),
             });
         }
-        *n += 1;
     }
     script
 }
@@ -760,14 +884,10 @@ mod tests {
         legacy.init_shell(&shell).unwrap();
         let (mut resilient, shell2) = setup();
         resilient.set_fault_injector(FaultPlan::none().injector());
-        let mut counters = std::collections::BTreeMap::new();
-        for rbb in shell2.rbbs() {
-            let id = rbb.kind().id();
-            let n: &mut u8 = counters.entry(id).or_insert(0);
+        for (id, inst) in shell2.modules() {
             resilient
-                .cmd_raw_resilient(id, *n, CommandCode::ModuleInit, Vec::new())
+                .cmd_raw_resilient(id, inst, CommandCode::ModuleInit, Vec::new())
                 .unwrap();
-            *n += 1;
         }
         assert_eq!(legacy.report(), resilient.report());
         assert_eq!(format!("{}", legacy.report()), format!("{}", resilient.report()));

@@ -156,7 +156,8 @@ impl DmaEngine {
         self.commands_sent
     }
 
-    /// Doorbell bursts shipped via [`DmaEngine::batch_delivery`].
+    /// DMA sends rung so far: one per [`DmaEngine::command_delivery`]
+    /// and one per [`DmaEngine::batch_delivery`] burst.
     pub fn doorbells(&self) -> u64 {
         self.doorbells
     }
@@ -164,46 +165,10 @@ impl DmaEngine {
     /// Ships one command through the fault plane at simulation time
     /// `now`: an injected PCIe credit stall stretches the latency; a
     /// down link or an injected drop loses the packet outright. With the
-    /// no-op injector this is [`DmaEngine::command_latency_ps`] wrapped
-    /// in [`CommandDelivery::Delivered`] — bit-identical timing.
+    /// no-op injector the latency is [`DmaEngine::command_latency_ps`]
+    /// wrapped in [`CommandDelivery::Delivered`] — bit-identical timing.
     pub fn command_delivery(&mut self, cmd_bytes: u32, now: Picos) -> CommandDelivery {
-        let mut latency_ps = self.command_latency_ps(cmd_bytes);
-        if self.faults.is_active() {
-            let stall = self.faults.take_stall_beats(now);
-            if stall > 0 {
-                latency_ps += stall * self.credit_beat_ps();
-                self.metrics
-                    .counter_inc("harmonia_dma_credit_stalls_total", &[]);
-                self.metrics
-                    .counter_add("harmonia_dma_credit_stall_beats_total", &[], stall);
-                self.trace.instant(
-                    now,
-                    TraceEventKind::FaultInjected {
-                        kind: FaultKind::PcieCreditStall { beats: stall },
-                    },
-                );
-            }
-            if !self.faults.link_up(now) || self.faults.drop_command(now) {
-                self.trace.span(
-                    now,
-                    latency_ps,
-                    TraceEventKind::CmdDelivery {
-                        bytes: cmd_bytes,
-                        lost: true,
-                    },
-                );
-                return CommandDelivery::Lost { latency_ps };
-            }
-        }
-        self.trace.span(
-            now,
-            latency_ps,
-            TraceEventKind::CmdDelivery {
-                bytes: cmd_bytes,
-                lost: false,
-            },
-        );
-        CommandDelivery::Delivered { latency_ps }
+        self.deliver(cmd_bytes, 1, now, true)
     }
 
     /// Ships one doorbell burst of `descriptors` command packets totalling
@@ -213,8 +178,8 @@ impl DmaEngine {
     ///
     /// Burst-level faults apply here: an injected credit stall stretches
     /// the latency and a down link loses the entire burst. Per-descriptor
-    /// `CmdDrop`/`CmdCorrupt` faults are *not* consulted — the batched
-    /// driver applies those per entry, so replay recovers only the lost
+    /// `CmdDrop`/`CmdCorrupt` faults are *not* consulted — the driver
+    /// applies those per entry, so replay recovers only the lost
     /// descriptors.
     pub fn batch_delivery(
         &mut self,
@@ -222,12 +187,26 @@ impl DmaEngine {
         descriptors: u32,
         now: Picos,
     ) -> CommandDelivery {
+        self.deliver(total_bytes, descriptors, now, false)
+    }
+
+    /// One doorbell: send accounting, the credit-stall charge, the link
+    /// check (plus the per-packet drop when `drop_check` is set) and the
+    /// delivery span.
+    fn deliver(
+        &mut self,
+        bytes: u32,
+        descriptors: u32,
+        now: Picos,
+        drop_check: bool,
+    ) -> CommandDelivery {
         self.doorbells += 1;
         self.commands_sent += u64::from(descriptors);
         self.metrics.counter_inc("harmonia_dma_bursts_total", &[]);
         self.metrics
             .counter_add("harmonia_dma_cmds_total", &[], u64::from(descriptors));
-        let mut latency_ps = self.queue_latency_ps(total_bytes);
+        let mut latency_ps = self.queue_latency_ps(bytes);
+        let mut lost = false;
         if self.faults.is_active() {
             let stall = self.faults.take_stall_beats(now);
             if stall > 0 {
@@ -243,27 +222,15 @@ impl DmaEngine {
                     },
                 );
             }
-            if !self.faults.link_up(now) {
-                self.trace.span(
-                    now,
-                    latency_ps,
-                    TraceEventKind::CmdDelivery {
-                        bytes: total_bytes,
-                        lost: true,
-                    },
-                );
-                return CommandDelivery::Lost { latency_ps };
-            }
+            lost = !self.faults.link_up(now) || (drop_check && self.faults.drop_command(now));
         }
-        self.trace.span(
-            now,
-            latency_ps,
-            TraceEventKind::CmdDelivery {
-                bytes: total_bytes,
-                lost: false,
-            },
-        );
-        CommandDelivery::Delivered { latency_ps }
+        self.trace
+            .span(now, latency_ps, TraceEventKind::CmdDelivery { bytes, lost });
+        if lost {
+            CommandDelivery::Lost { latency_ps }
+        } else {
+            CommandDelivery::Delivered { latency_ps }
+        }
     }
 
     /// Wire time of one 32-byte credit beat at the bulk transfer rate —

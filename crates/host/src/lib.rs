@@ -8,8 +8,9 @@
 //! * [`reg_driver`] — the legacy register interface: per-device register
 //!   scripts whose addresses, lengths and op ordering change with every
 //!   platform (the ad-hoc-modification source of Figures 3d and 13);
-//! * [`cmd_driver`] — Harmonia's `cmd_read`/`cmd_write` interface driving
-//!   the unified control kernel;
+//! * [`cmd_driver`] — Harmonia's `cmd_read`/`cmd_write` interface: the one
+//!   [`CommandDriver`], whose serial transport (one DMA send per command)
+//!   and ring transport share one retry/ack core;
 //! * [`dma`] — the DMA engine model with a separate control queue for
 //!   performance isolation from the data path;
 //! * [`migration`] — the Figure 13 analysis: modification counts when
@@ -21,7 +22,7 @@
 //! * [`resilience`] — per-command deadlines, bounded retries with
 //!   deterministic backoff, and the [`resilience::DriverReport`] failure
 //!   accounting the fault campaigns assert over;
-//! * [`batch`] — the batched SQ/CQ submission path: N commands per
+//! * [`batch`] — the driver's ring transport: N commands per SQ/CQ
 //!   doorbell, one DMA burst per batch, coalesced completion interrupts;
 //! * [`tenant`] — the multi-tenant host driver: per-tenant SQ/CQ rings
 //!   inside scheduler-pinned queue ranges, driven one budget-enforced
@@ -38,7 +39,7 @@ pub mod resilience;
 pub mod tenant;
 pub mod tool;
 
-pub use batch::{BatchedCommandDriver, CMD_BATCH_ENV, DEFAULT_CMD_BATCH};
+pub use batch::BatchedCommandDriver;
 pub use bmc::{BmcController, BmcPolicy, BmcStatus};
 pub use cmd_driver::{CommandDriver, DEGRADED_STATUS};
 pub use dma::{CommandDelivery, DmaEngine};

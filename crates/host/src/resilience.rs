@@ -14,13 +14,6 @@ use harmonia_sim::{Picos, PushError};
 use std::error::Error;
 use std::fmt;
 
-/// Environment override for the per-command deadline, picoseconds.
-pub const DEADLINE_ENV: &str = "HARMONIA_CMD_DEADLINE_PS";
-/// Environment override for the retry budget.
-pub const RETRIES_ENV: &str = "HARMONIA_CMD_RETRIES";
-/// Environment override for the backoff base, picoseconds.
-pub const BACKOFF_ENV: &str = "HARMONIA_CMD_BACKOFF_PS";
-
 /// Retry/timeout policy for one command driver.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
@@ -48,35 +41,6 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// Upper bound on any single backoff interval (1 ms).
     pub const BACKOFF_CAP_PS: Picos = 1_000_000_000;
-
-    /// Reads the policy from `HARMONIA_CMD_DEADLINE_PS`,
-    /// `HARMONIA_CMD_RETRIES` and `HARMONIA_CMD_BACKOFF_PS`, falling back
-    /// to the defaults for unset or unparsable values.
-    pub fn from_env() -> Self {
-        Self::from_values(
-            std::env::var(DEADLINE_ENV).ok().as_deref(),
-            std::env::var(RETRIES_ENV).ok().as_deref(),
-            std::env::var(BACKOFF_ENV).ok().as_deref(),
-        )
-    }
-
-    /// [`RetryPolicy::from_env`] with the raw variable values passed in —
-    /// unset or unparsable values fall back to the defaults field-wise.
-    pub fn from_values(
-        deadline: Option<&str>,
-        retries: Option<&str>,
-        backoff: Option<&str>,
-    ) -> Self {
-        let d = RetryPolicy::default();
-        fn parse<T: std::str::FromStr>(value: Option<&str>, default: T) -> T {
-            value.and_then(|v| v.trim().parse().ok()).unwrap_or(default)
-        }
-        RetryPolicy {
-            deadline_ps: parse(deadline, d.deadline_ps),
-            max_retries: parse(retries, d.max_retries),
-            backoff_base_ps: parse(backoff, d.backoff_base_ps),
-        }
-    }
 
     /// Deterministic exponential backoff before retry `attempt`
     /// (0-based): `base << attempt`, capped. No jitter — reproducibility
@@ -200,16 +164,6 @@ mod tests {
         assert_eq!(p.backoff_ps(3), 8_000_000);
         assert_eq!(p.backoff_ps(63), RetryPolicy::BACKOFF_CAP_PS);
         assert_eq!(p.backoff_ps(200), RetryPolicy::BACKOFF_CAP_PS);
-    }
-
-    #[test]
-    fn knob_values_parse_with_field_wise_fallback() {
-        let d = RetryPolicy::default();
-        assert_eq!(RetryPolicy::from_values(None, None, None), d);
-        let p = RetryPolicy::from_values(Some("5000000"), Some(" 2 "), Some("banana"));
-        assert_eq!(p.deadline_ps, 5_000_000);
-        assert_eq!(p.max_retries, 2);
-        assert_eq!(p.backoff_base_ps, d.backoff_base_ps);
     }
 
     #[test]

@@ -9,17 +9,19 @@
 //! 2. **Convergence** — batched submission under seeded background fault
 //!    rates drives every entry to acked or reported-failed with exact
 //!    accounting, replaying only the lost entries.
+//!    A give-up on the ring transport leaves the same flight-recorder
+//!    post-mortem as one on the serial transport.
 //! 3. **Amortization** — with no faults, a batched submit acks everything
 //!    with the same payloads as the serial path while finishing on an
 //!    earlier simulated clock, and coalesces completion interrupts.
 
 use harmonia_cmd::{CommandCode, UnifiedControlKernel};
-use harmonia_host::{BatchedCommandDriver, CommandDriver, DmaEngine, DriverError};
+use harmonia_host::{CommandDriver, DmaEngine, DriverError};
 use harmonia_hw::device::catalog;
 use harmonia_hw::ip::PcieDmaIp;
 use harmonia_hw::Vendor;
 use harmonia_shell::{MemoryDemand, RoleSpec, TailoredShell, UnifiedShell};
-use harmonia_sim::{FaultKind, FaultPlan, FaultRates};
+use harmonia_sim::{FaultKind, FaultPlan, FaultRates, FlightRecorder};
 
 fn parts() -> (DmaEngine, UnifiedControlKernel, TailoredShell) {
     let dev = catalog::device_a();
@@ -99,7 +101,7 @@ fn batch_one_matches_legacy_under_eight_seed_campaigns() {
             .collect();
 
         let (engine, kernel, _shell) = parts();
-        let mut batched = BatchedCommandDriver::with_depth(engine, kernel, 1, 64);
+        let mut batched = CommandDriver::with_depth(engine, kernel, 1, 64);
         batched.set_fault_injector(campaign_plan(seed).injector());
         let batched_results: Vec<_> = batched
             .submit(mix())
@@ -108,7 +110,7 @@ fn batch_one_matches_legacy_under_eight_seed_campaigns() {
             .collect();
 
         let want = render("campaign", seed, &legacy_results, &legacy);
-        let got = render("campaign", seed, &batched_results, batched.inner());
+        let got = render("campaign", seed, &batched_results, &batched);
         assert_eq!(want, got, "seed {seed}: batch=1 diverged from legacy");
         assert!(legacy.report().converged(), "seed {seed}: {}", legacy.report());
     }
@@ -130,7 +132,7 @@ fn batch_one_matches_legacy_under_eight_seed_campaigns() {
 fn batched_campaigns_converge_under_seeded_rates() {
     for seed in 0..8u64 {
         let (engine, kernel, _shell) = parts();
-        let mut drv = BatchedCommandDriver::with_depth(engine, kernel, 4, 16);
+        let mut drv = CommandDriver::with_depth(engine, kernel, 4, 16);
         drv.set_fault_injector(campaign_plan(seed).injector());
         let results = drv.submit(mix());
         let (mut oks, mut gave_ups) = (0u64, 0u64);
@@ -157,6 +159,25 @@ fn batched_campaigns_converge_under_seeded_rates() {
     }
 }
 
+/// (2) A permanent link-down exhausts every entry's budget; the give-up
+/// names the failing command and dumps its retries.
+#[test]
+fn batched_give_up_leaves_a_post_mortem() {
+    let (engine, kernel, _shell) = parts();
+    let mut drv = CommandDriver::with_depth(engine, kernel, 4, 16);
+    drv.set_flight_recorder(FlightRecorder::with_capacity(64));
+    drv.set_fault_injector(FaultPlan::new().at(0, FaultKind::LinkDown).injector());
+    let results = drv.submit(mix());
+    assert!(results
+        .iter()
+        .all(|r| matches!(r, Err(DriverError::GaveUp { .. }))));
+    let dump = drv
+        .last_post_mortem()
+        .expect("a give-up with the recorder on");
+    assert!(dump.starts_with("post-mortem: gave up on cmd 0x"), "{dump}");
+    assert!(dump.contains("cmd-retry"), "{dump}");
+}
+
 /// (3) Fault-free differential: the batched path returns the same
 /// payloads as the serial path, acks everything, finishes on an earlier
 /// simulated clock, and raises one coalesced interrupt per full batch.
@@ -172,7 +193,7 @@ fn no_fault_batched_submit_matches_serial_payloads_on_a_faster_clock() {
         .collect();
 
     let (engine, kernel, _shell) = parts();
-    let mut batched = BatchedCommandDriver::with_depth(engine, kernel, 7, 16);
+    let mut batched = CommandDriver::with_depth(engine, kernel, 7, 16);
     let batched_results: Vec<_> = batched.submit(mix()).into_iter().map(squash).collect();
 
     assert_eq!(serial_results, batched_results, "payloads must match");

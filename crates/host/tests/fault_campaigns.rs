@@ -3,7 +3,8 @@
 //! Three contracts, exercised under randomized fault plans:
 //!
 //! 1. **Convergence** — any finite fault plan drives every issued command
-//!    to *acked* or *reported-failed*; no panics, no lost accounting;
+//!    to *acked* or *reported-failed*, on the serial and the ring
+//!    transport; no panics, no lost accounting;
 //! 2. **Ordering** — retries never reorder responses within one `SrcId`;
 //! 3. **Transparency** — `FaultPlan::none()` produces `DriverReport`s
 //!    byte-identical to the legacy (pre-fault-plane) path, with identical
@@ -20,6 +21,12 @@ use harmonia_sim::{FaultKind, FaultPlan, FaultRates};
 use harmonia_testkit::prelude::*;
 
 fn driver() -> (CommandDriver, TailoredShell) {
+    driver_with(CommandDriver::new)
+}
+
+fn driver_with(
+    build: impl FnOnce(DmaEngine, UnifiedControlKernel) -> CommandDriver,
+) -> (CommandDriver, TailoredShell) {
     let dev = catalog::device_a();
     let unified = UnifiedShell::for_device(&dev);
     let role = RoleSpec::builder("campaign")
@@ -32,7 +39,7 @@ fn driver() -> (CommandDriver, TailoredShell) {
     kernel.attach_shell(shell.rbbs().iter().map(|r| r.as_ref()));
     let (gen, lanes) = dev.pcie().unwrap();
     let engine = DmaEngine::new(PcieDmaIp::new(Vendor::Xilinx, gen, lanes));
-    (CommandDriver::new(engine, kernel), shell)
+    (build(engine, kernel), shell)
 }
 
 fn arb_fault_kind() -> impl Strategy<Value = FaultKind> {
@@ -106,6 +113,52 @@ forall! {
             "retries reordered responses: {:?}",
             drv.acked_log()
         );
+    }
+
+    /// (1) on the ring transport: under the same plans, batched
+    /// submission converges with exact accounting, acks each idempotency
+    /// tag at most once (completion order may interleave across rounds),
+    /// and gives up only after spending the whole retry budget.
+    #[test]
+    fn batched_fault_campaigns_converge(
+        plan in arb_plan(),
+        cmds in collection::vec(0u8..4, 1..24),
+        batch in 2usize..=16,
+    ) {
+        let (mut drv, _shell) =
+            driver_with(|engine, kernel| CommandDriver::with_depth(engine, kernel, batch, 64));
+        drv.set_fault_injector(plan.injector());
+        let specs = cmds
+            .into_iter()
+            .map(|c| match c {
+                0 => (0, 0, CommandCode::HealthRead, Vec::new()),
+                1 => (RbbKind::Network.id(), 0, CommandCode::StatsRead, Vec::new()),
+                2 => (RbbKind::Network.id(), 0, CommandCode::ModuleStatusRead, Vec::new()),
+                _ => (RbbKind::Host.id(), 0, CommandCode::ModuleInit, Vec::new()),
+            })
+            .collect();
+        let max_attempts = drv.policy().max_retries + 1;
+        let (mut oks, mut gave_ups, mut kernel_errors) = (0u64, 0u64, 0u64);
+        for res in drv.submit(specs) {
+            match res {
+                Ok(_) => oks += 1,
+                Err(DriverError::GaveUp { attempts, .. }) => {
+                    prop_assert_eq!(attempts, max_attempts);
+                    gave_ups += 1;
+                }
+                Err(DriverError::Kernel(_)) => kernel_errors += 1,
+                Err(other) => prop_assert!(false, "non-converging error: {other}"),
+            }
+        }
+        let r = drv.report();
+        prop_assert!(r.converged(), "{r}");
+        prop_assert_eq!(r.issued, oks + gave_ups + kernel_errors);
+        prop_assert_eq!(r.acked, oks);
+        prop_assert_eq!(r.acked, drv.acked_log().len() as u64);
+        let mut tags = drv.acked_log().to_vec();
+        tags.sort_unstable();
+        tags.dedup();
+        prop_assert_eq!(tags.len(), drv.acked_log().len(), "duplicate ack tags");
     }
 
     /// (3): with the no-op plan the resilient path is indistinguishable

@@ -75,6 +75,21 @@ impl fmt::Display for RbbKind {
     }
 }
 
+/// Numbers `rbbs` per kind in attach order: the `n`-th RBB of a kind is
+/// instance `n` of its RBB id — the address the control kernel registers
+/// it under and every command targets.
+pub fn instances<'a>(
+    rbbs: impl IntoIterator<Item = &'a dyn Rbb>,
+) -> impl Iterator<Item = (&'a dyn Rbb, u8)> {
+    let mut next = [0u8; 256];
+    rbbs.into_iter().map(move |rbb| {
+        let n = &mut next[usize::from(rbb.kind().id())];
+        let instance = *n;
+        *n += 1;
+        (rbb, instance)
+    })
+}
+
 /// How a migration between two devices is classified.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum MigrationKind {

@@ -232,6 +232,13 @@ impl TailoredShell {
         &self.rbbs
     }
 
+    /// `(rbb_id, instance)` of every RBB in attach order: the module
+    /// addresses the control kernel registers and commands target.
+    pub fn modules(&self) -> impl Iterator<Item = (u8, u8)> + '_ {
+        crate::rbb::instances(self.rbbs.iter().map(|r| r.as_ref()))
+            .map(|(rbb, instance)| (rbb.kind().id(), instance))
+    }
+
     /// RBBs of one kind.
     pub fn rbbs_of(&self, kind: RbbKind) -> impl Iterator<Item = &dyn Rbb> + '_ {
         self.rbbs
