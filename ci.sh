@@ -26,6 +26,21 @@ if grep -rnE 'HARMONIA_CMD_[B]ATCH|HARMONIA_SQ_[D]EPTH|HARMONIA_CMD_[D]EADLINE_P
     exit 1
 fi
 
+echo "==> one probe, env read only at the edges: no trace/metrics/tenancy knobs in the library"
+# Observability is attached as a Probe and tenancy is configured by value;
+# the library's only env reads are the worker-pool width (sim/src/exec/)
+# and the fleet knobs (fleet/src/lib.rs), plus the test harness and the
+# binaries, which are edges.
+if grep -rn 'env::[v]ar' crates/*/src \
+    | grep -vE '^crates/(sim/src/exec/|fleet/src/lib\.rs:|testkit/|bench/src/bin/)'; then
+    echo "ci.sh: read the environment at a binary or test edge and pass the value in (see DESIGN.md)" >&2
+    exit 1
+fi
+if grep -rnE 'HARMONIA_[T]RACE|HARMONIA_[M]ETRICS|HARMONIA_[T]ENANT_|push_[t]raced|rx_frame_[t]raced|run_striped_trace_[t]raced|[t]raced_channel([^_[:alnum:]]|$)' crates examples tests; then
+    echo "ci.sh: trace/metrics/tenancy knobs and the *_traced twin APIs were removed; attach a Probe (see DESIGN.md)" >&2
+    exit 1
+fi
+
 echo "==> tier-1: release build"
 cargo build --release --workspace --offline --locked
 
@@ -47,9 +62,6 @@ cargo bench --no-run --workspace --offline --locked
 echo "==> fault campaigns (smoke): deep randomized fault plans"
 TESTKIT_CASES=128 cargo test -q --offline --locked -p harmonia-host --test fault_campaigns
 
-echo "==> metrics plane: host/cmd suites with metrics enabled"
-HARMONIA_METRICS=1 cargo test -q --offline --locked -p harmonia-host -p harmonia-cmd
-
 echo "==> metrics smoke: Prometheus export from a paper-bench campaign"
 cargo run -q --offline --locked -p harmonia-bench --bin metrics > metrics_export.prom
 grep -q "^harmonia_cmd_acked_total " metrics_export.prom
@@ -62,14 +74,6 @@ cp target/testkit-bench/BENCH_paper.json .
 echo "==> cmdpath bench (smoke): batch x depth sweep, simulated throughput"
 TESTKIT_BENCH_SMOKE=1 cargo bench -q --offline --locked -p harmonia-bench --bench cmdpath
 cp target/testkit-bench/BENCH_cmdpath.json .
-
-echo "==> tenancy: shell/host suites under both scheduling policies"
-HARMONIA_TENANT_POLICY=rr cargo test -q --offline --locked \
-    -p harmonia-shell --test tenancy_properties \
-    -p harmonia-host --test tenant_campaigns
-HARMONIA_TENANT_POLICY=wfq cargo test -q --offline --locked \
-    -p harmonia-shell --test tenancy_properties \
-    -p harmonia-host --test tenant_campaigns
 
 echo "==> tenancy bench (smoke): policy x tenant-count noisy-neighbor sweep"
 TESTKIT_BENCH_SMOKE=1 cargo bench -q --offline --locked -p harmonia-bench --bench tenancy

@@ -13,7 +13,7 @@ use harmonia::host::{CommandDriver, DmaEngine};
 use harmonia::hw::device::catalog;
 use harmonia::hw::ip::PcieDmaIp;
 use harmonia::hw::Vendor;
-use harmonia::sim::MetricsRegistry;
+use harmonia::sim::{MetricsRegistry, Probe};
 
 /// Doorbell batch sizes the sweep covers (1 = the serial transport).
 pub const BATCHES: [usize; 4] = [1, 4, 16, 64];
@@ -65,7 +65,10 @@ pub fn run_point(batch: usize, depth: usize) -> CmdpathPoint {
     let kernel = UnifiedControlKernel::new(64);
     let mut drv = CommandDriver::with_depth(engine, kernel, batch, depth);
     let reg = MetricsRegistry::enabled();
-    drv.set_metrics_registry(reg.clone());
+    drv.set_probe(Probe {
+        metrics: reg.clone(),
+        ..Probe::disabled()
+    });
     let cmds = (0..COMMANDS)
         .map(|_| (0u8, 0u8, CommandCode::HealthRead, Vec::new()))
         .collect();

@@ -17,9 +17,10 @@ use harmonia::hw::device::catalog;
 use harmonia::hw::ip::PcieDmaIp;
 use harmonia::hw::Vendor;
 use harmonia::shell::{MemoryDemand, RoleSpec, TailoredShell, UnifiedShell};
+use harmonia::sim::metrics::DEFAULT_METRICS_PERIOD_PS;
 use harmonia::sim::{
-    evaluate_slos, par_metered, FaultKind, FaultPlan, FaultRates, FlightRecorder, MetricsRegistry,
-    MetricsScraper, MetricsSnapshot, Slo, SloObjective, SloReport,
+    evaluate_slos, par_metered, FaultKind, FaultPlan, FaultRates, MetricsRegistry, MetricsScraper,
+    MetricsSnapshot, Probe, Slo, SloObjective, SloReport,
 };
 
 /// Everything one capture produces: the merged registry snapshot, one
@@ -145,7 +146,10 @@ fn scenario(seed: u64, reg: &MetricsRegistry) -> String {
         DmaEngine::new(PcieDmaIp::new(Vendor::Xilinx, gen, lanes)),
         kernel,
     );
-    drv.set_metrics_registry(reg.clone());
+    drv.set_probe(Probe {
+        metrics: reg.clone(),
+        ..Probe::disabled()
+    });
     drv.set_fault_injector(
         FaultPlan::new()
             .at(0, FaultKind::LinkDown)
@@ -162,7 +166,7 @@ fn scenario(seed: u64, reg: &MetricsRegistry) -> String {
             )
             .injector(),
     );
-    let mut scraper = MetricsScraper::from_env();
+    let mut scraper = MetricsScraper::new(DEFAULT_METRICS_PERIOD_PS);
     drv.init_shell_resilient(&mut shell)
         .expect("bring-up converges under the plan");
     scraper.tick(reg, drv.clock_ps());
@@ -196,8 +200,7 @@ pub fn post_mortem_campaign() -> (DriverError, String) {
         DmaEngine::new(PcieDmaIp::new(Vendor::Xilinx, gen, lanes)),
         kernel,
     );
-    drv.set_metrics_registry(MetricsRegistry::enabled());
-    drv.set_flight_recorder(FlightRecorder::with_capacity(64));
+    drv.set_probe(Probe::enabled());
     drv.set_fault_injector(FaultPlan::new().at(0, FaultKind::LinkDown).injector());
     let err = drv
         .cmd_raw_resilient(0, 0, CommandCode::HealthRead, Vec::new())

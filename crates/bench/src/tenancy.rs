@@ -121,9 +121,7 @@ fn run_victim(d: &mut TenantHostDriver) -> (u64, u64, u64, u64, u64) {
     )
 }
 
-/// Runs one sweep point. `policy` is explicit — the sweep never
-/// consults `HARMONIA_TENANT_POLICY`, so bench numbers cannot drift
-/// with the caller's environment.
+/// Runs one sweep point under `policy`.
 pub fn run_point(policy: TenantPolicy, tenants: usize) -> TenancyPoint {
     assert!(tenants >= 2, "a noisy-neighbor point needs an aggressor");
     // Solo baseline: same victim workload, empty machine, same policy.

@@ -15,7 +15,7 @@ use harmonia::hw::ip::PcieDmaIp;
 use harmonia::hw::Vendor;
 use harmonia::shell::{MemoryDemand, RoleSpec, TailoredShell, UnifiedShell};
 use harmonia::sim::{
-    par_traced, FaultKind, FaultPlan, FaultRates, LogHistogram, Trace, TraceCollector,
+    par_traced, FaultKind, FaultPlan, FaultRates, LogHistogram, Probe, Trace, TraceCollector,
 };
 
 /// Everything one capture produces: the merged timeline, the merged
@@ -70,7 +70,10 @@ fn scenario(seed: u64, tc: &TraceCollector) -> (LogHistogram, String) {
         DmaEngine::new(PcieDmaIp::new(Vendor::Xilinx, gen, lanes)),
         kernel,
     );
-    drv.set_trace_collector(tc.clone());
+    drv.set_probe(Probe {
+        trace: tc.clone(),
+        ..Probe::disabled()
+    });
     drv.set_fault_injector(
         FaultPlan::new()
             .at(0, FaultKind::LinkDown)

@@ -7,40 +7,9 @@
 //! 2. **Committed artifact** — the repo-root `BENCH_tenancy.json` (all
 //!    simulated, hence byte-stable) shows the same split; drift means
 //!    the artifact was not regenerated after a tenancy change.
-//! 3. **Snapshot isolation** — enabling the tenancy knobs
-//!    (`HARMONIA_TENANT_POLICY` / `HARMONIA_TENANT_SLICE_PS`) must not
-//!    move a byte of the committed paper snapshot at 1 or 4 threads:
-//!    the paper generators never consult them.
 
-use harmonia::shell::sched::{TenantPolicy, TENANT_POLICY_ENV, TENANT_SLICE_ENV};
-use harmonia::sim::exec::THREADS_ENV;
+use harmonia::shell::sched::TenantPolicy;
 use harmonia_bench::tenancy;
-use std::sync::Mutex;
-
-/// Env mutations are process-global; serialize against cargo's parallel
-/// test runner (this file's own lock — other test binaries run in other
-/// processes).
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_env<R>(pairs: &[(&str, Option<&str>)], f: impl FnOnce() -> R) -> R {
-    let _guard = ENV_LOCK.lock().unwrap();
-    let priors: Vec<_> = pairs
-        .iter()
-        .map(|(k, _)| (*k, std::env::var(k).ok()))
-        .collect();
-    let set = |key: &str, value: Option<&str>| match value {
-        Some(v) => std::env::set_var(key, v),
-        None => std::env::remove_var(key),
-    };
-    for (k, v) in pairs {
-        set(k, *v);
-    }
-    let out = f();
-    for (k, v) in priors {
-        set(k, v.as_deref());
-    }
-    out
-}
 
 #[test]
 fn wfq_bounds_victim_p99_where_round_robin_does_not_live() {
@@ -96,31 +65,4 @@ fn committed_bench_shows_the_same_isolation_split() {
         "BENCH_tenancy.json is stale; regenerate with:\n\
          cargo bench --bench tenancy && cp target/testkit-bench/BENCH_tenancy.json ."
     );
-}
-
-#[test]
-fn paper_snapshot_is_byte_identical_with_tenancy_enabled() {
-    let committed = include_str!(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../paper_output.txt"
-    ));
-    for threads in ["1", "4"] {
-        let rendered = with_env(
-            &[
-                (TENANT_POLICY_ENV, Some("wfq")),
-                (TENANT_SLICE_ENV, Some("1000000")),
-                (THREADS_ENV, Some(threads)),
-            ],
-            || {
-                harmonia_bench::all_tables()
-                    .iter()
-                    .map(|t| format!("{t}\n"))
-                    .collect::<String>()
-            },
-        );
-        assert_eq!(
-            rendered, committed,
-            "tenancy knobs moved the paper snapshot at threads={threads}"
-        );
-    }
 }

@@ -1,28 +1,20 @@
 //! The observability plane's determinism contract, end to end: an enabled
-//! capture exports byte-identically at any worker-pool width, and a
-//! disabled (or merely env-enabled) collector never perturbs the paper
-//! artifacts that `paper_snapshot` pins.
+//! capture exports byte-identically at any worker-pool width, and running
+//! one never perturbs the paper artifacts that `paper_snapshot` pins. That
+//! an attached collector never perturbs a driver's own results is pinned
+//! by the `Probe`-invariance property in
+//! `crates/host/tests/fault_campaigns.rs`.
 
 use harmonia::sim::exec::THREADS_ENV;
-use harmonia::sim::TRACE_ENV;
-use std::sync::Mutex;
 
-/// Env mutations are process-global; serialize the tests that flip
-/// `HARMONIA_THREADS` / `HARMONIA_TRACE` so cargo's parallel test runner
-/// can't interleave them.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_env<R>(key: &str, value: Option<&str>, f: impl FnOnce() -> R) -> R {
-    let _guard = ENV_LOCK.lock().unwrap();
-    let prior = std::env::var(key).ok();
-    match value {
-        Some(v) => std::env::set_var(key, v),
-        None => std::env::remove_var(key),
-    }
+/// Runs `f` at a `HARMONIA_THREADS` width, restoring the prior value.
+fn with_threads<R>(threads: &str, f: impl FnOnce() -> R) -> R {
+    let prior = std::env::var(THREADS_ENV).ok();
+    std::env::set_var(THREADS_ENV, threads);
     let out = f();
     match prior {
-        Some(v) => std::env::set_var(key, v),
-        None => std::env::remove_var(key),
+        Some(v) => std::env::set_var(THREADS_ENV, v),
+        None => std::env::remove_var(THREADS_ENV),
     }
     out
 }
@@ -42,8 +34,8 @@ fn trace_exports_byte_identical_serial_vs_parallel() {
             run.reports.join("\n"),
         )
     };
-    let serial = with_env(THREADS_ENV, Some("1"), capture);
-    let parallel = with_env(THREADS_ENV, Some("4"), capture);
+    let serial = with_threads("1", capture);
+    let parallel = with_threads("4", capture);
     assert_eq!(serial.0, parallel.0, "Perfetto export diverged");
     assert_eq!(serial.1, parallel.1, "text timeline diverged");
     assert_eq!(serial.2, parallel.2, "latency histogram diverged");
@@ -54,33 +46,30 @@ fn trace_exports_byte_identical_serial_vs_parallel() {
     assert_eq!(serial.3.lines().count(), 4, "one report per scenario");
 }
 
-/// Turning `HARMONIA_TRACE` on must not move a single digit in the paper
-/// artifacts: collection is observational only, and the no-trace fast
-/// path (pinned byte-exactly by the `paper_snapshot` test) stays the
-/// behavioral reference.
+/// Enabling collection must not move a single digit in the paper
+/// artifacts. No env knob arms a collector any more, so "enabling" here
+/// means running a traced capture in the same process, between two
+/// renders: collection is observational only, shares no state with the
+/// model, and the untraced tables stay byte-exact with the committed
+/// snapshot.
 #[test]
 fn enabling_trace_env_never_changes_paper_tables() {
+    let committed = include_str!(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../paper_output.txt"
+    ));
     let render = || {
         [
             harmonia_bench::fig10::fig10a().to_string(),
             harmonia_bench::fig17::fig17d().to_string(),
         ]
-        .join("\n")
     };
-    let untraced = with_env(TRACE_ENV, None, render);
-    let traced = with_env(TRACE_ENV, Some("1"), render);
+    let untraced = render();
+    let run = harmonia_bench::trace_run::capture(2);
+    assert!(!run.trace.is_empty(), "the capture collected nothing");
+    let traced = render();
     assert_eq!(untraced, traced);
-}
-
-/// The env knob really gates collection: unset (or "0") leaves the
-/// driver's collector detached, any other value arms it.
-#[test]
-fn trace_env_knob_gates_collection() {
-    use harmonia::sim::TraceCollector;
-    let off = with_env(TRACE_ENV, None, TraceCollector::from_env);
-    assert!(!off.is_enabled());
-    let zero = with_env(TRACE_ENV, Some("0"), TraceCollector::from_env);
-    assert!(!zero.is_enabled());
-    let on = with_env(TRACE_ENV, Some("1"), TraceCollector::from_env);
-    assert!(on.is_enabled());
+    for table in &traced {
+        assert!(committed.contains(table.as_str()), "table left the snapshot:\n{table}");
+    }
 }

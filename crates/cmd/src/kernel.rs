@@ -21,7 +21,7 @@ use std::collections::btree_map::Entry;
 use harmonia_hw::regfile::{RegOp, RegisterFile};
 use harmonia_hw::resource::ResourceUsage;
 use harmonia_shell::rbb::{instances, Rbb};
-use harmonia_sim::{MetricsRegistry, Picos, SyncFifo, TraceCollector, TraceEventKind};
+use harmonia_sim::{FaultInjector, Picos, Probe, SyncFifo, TraceEventKind};
 use std::collections::{BTreeMap, VecDeque};
 use std::error::Error;
 use std::fmt;
@@ -152,12 +152,9 @@ pub struct UnifiedControlKernel {
     idem_order: VecDeque<(u8, u32)>,
     decode_errors: u64,
     replays: u64,
-    /// Observability handle (disabled by default — zero cost). Purely
+    /// Observability planes (disabled by default — zero cost). Purely
     /// observational: recording never feeds back into execution.
-    trace: TraceCollector,
-    /// Metrics handle (disabled by default — zero cost). Same contract
-    /// as `trace`: recording never feeds back into execution.
-    metrics: MetricsRegistry,
+    probe: Probe,
     /// Trace-only clock: advanced by executed-command latencies and
     /// synced forward by the driver. Never consulted by execution logic.
     trace_clock_ps: Picos,
@@ -206,26 +203,19 @@ impl UnifiedControlKernel {
             idem_order: VecDeque::new(),
             decode_errors: 0,
             replays: 0,
-            trace: TraceCollector::disabled(),
-            metrics: MetricsRegistry::disabled(),
+            probe: Probe::disabled(),
             trace_clock_ps: 0,
         }
     }
 
-    /// Attaches an observability collector: the kernel emits
+    /// Attaches an observability probe: the kernel emits
     /// [`TraceEventKind::KernelExec`] spans, replay/NACK instants and
-    /// buffer-stall events into it. Disabled collectors cost one branch
-    /// per hook.
-    pub fn set_trace_collector(&mut self, trace: TraceCollector) {
-        self.trace = trace;
-    }
-
-    /// Attaches a metrics registry: the kernel bumps
+    /// buffer-stall events on its timeline, and bumps
     /// `harmonia_kernel_*` counters (executed, replays, nacks, reg ops,
-    /// ring drains) and ring-occupancy high-water gauges into it.
-    /// Disabled registries cost one branch per hook.
-    pub fn set_metrics_registry(&mut self, metrics: MetricsRegistry) {
-        self.metrics = metrics;
+    /// ring drains) and ring-occupancy high-water gauges in its registry.
+    /// Disabled planes cost one branch per hook.
+    pub fn set_probe(&mut self, probe: Probe) {
+        self.probe = probe;
     }
 
     /// Advances the kernel's trace-only clock to `now` (the driver calls
@@ -318,8 +308,8 @@ impl UnifiedControlKernel {
             }
             Err(e) => {
                 self.decode_errors += 1;
-                self.metrics.counter_inc("harmonia_kernel_nacks_total", &[]);
-                self.trace.instant(
+                self.probe.metrics.counter_inc("harmonia_kernel_nacks_total", &[]);
+                self.probe.trace.instant(
                     self.trace_clock_ps,
                     TraceEventKind::CmdNack {
                         error_code: e.code(),
@@ -346,10 +336,16 @@ impl UnifiedControlKernel {
     ///
     /// [`KernelError::BufferFull`] under backpressure.
     pub fn submit(&mut self, packet: CommandPacket) -> Result<(), KernelError> {
+        // No fault injector here: the command buffer never draws ECC hits.
         self.buffer
-            .push_traced(packet, &self.trace, self.trace_clock_ps)
+            .push_at(
+                packet,
+                self.trace_clock_ps,
+                &FaultInjector::none(),
+                &self.probe,
+            )
             .map_err(|_| KernelError::BufferFull)?;
-        self.metrics.gauge_max(
+        self.probe.metrics.gauge_max(
             "harmonia_kernel_buffer_high_water",
             &[],
             self.buffer.len() as u64,
@@ -379,8 +375,8 @@ impl UnifiedControlKernel {
         if let Some(key) = idem_key {
             if let Some(cached) = self.idem_cache.get(&key) {
                 self.replays += 1;
-                self.metrics.counter_inc("harmonia_kernel_replays_total", &[]);
-                self.trace.instant(
+                self.probe.metrics.counter_inc("harmonia_kernel_replays_total", &[]);
+                self.probe.trace.instant(
                     self.trace_clock_ps,
                     TraceEventKind::KernelReplay {
                         code: packet.code.to_u16(),
@@ -392,14 +388,14 @@ impl UnifiedControlKernel {
         let ops_before = self.reg_ops_executed;
         let data = self.execute(&packet)?;
         self.commands_executed += 1;
-        self.metrics.counter_inc("harmonia_kernel_cmds_executed_total", &[]);
-        self.metrics.counter_add(
+        self.probe.metrics.counter_inc("harmonia_kernel_cmds_executed_total", &[]);
+        self.probe.metrics.counter_add(
             "harmonia_kernel_reg_ops_total",
             &[],
             self.reg_ops_executed - ops_before,
         );
         let exec_ps = Self::command_latency_ps(self.reg_ops_executed - ops_before);
-        self.trace.span(
+        self.probe.trace.span(
             self.trace_clock_ps,
             exec_ps,
             TraceEventKind::KernelExec {
@@ -471,7 +467,7 @@ impl UnifiedControlKernel {
         budget: &mut CommandBudget,
     ) -> DrainOutcome {
         let drain_start = self.trace_clock_ps;
-        self.metrics
+        self.probe.metrics
             .gauge_max("harmonia_kernel_sq_high_water", &[], sq.len() as u64);
         let mut out = DrainOutcome {
             drained: 0,
@@ -525,9 +521,9 @@ impl UnifiedControlKernel {
             .expect("cq fullness was checked before the pop");
         }
         if out.drained > 0 {
-            self.metrics
+            self.probe.metrics
                 .counter_add("harmonia_kernel_sq_drained_total", &[], out.drained as u64);
-            self.trace.span(
+            self.probe.trace.span(
                 drain_start,
                 out.exec_ps,
                 TraceEventKind::BatchDrain {
@@ -537,14 +533,14 @@ impl UnifiedControlKernel {
         }
         if budget.exhausted() && !sq.is_empty() {
             out.quota_exhausted = true;
-            self.trace.instant(
+            self.probe.trace.instant(
                 self.trace_clock_ps,
                 TraceEventKind::QuotaExhausted {
                     tenant: budget.tenant,
                     granted: budget.granted,
                 },
             );
-            self.metrics
+            self.probe.metrics
                 .counter_inc("harmonia_kernel_quota_exhausted_total", &[]);
         }
         out
@@ -1095,8 +1091,8 @@ mod tests {
     fn traced_kernel_emits_exec_replay_and_nack_events() {
         use harmonia_sim::TraceEventKind;
         let mut k = kernel_on_device_a();
-        let tc = harmonia_sim::TraceCollector::enabled();
-        k.set_trace_collector(tc.clone());
+        let probe = Probe::enabled();
+        k.set_probe(probe.clone());
         // Normal execution → one KernelExec span.
         k.submit(net_cmd(CommandCode::ModuleStatusRead)).unwrap();
         k.step().unwrap().unwrap();
@@ -1110,7 +1106,7 @@ mod tests {
         let mut bytes = net_cmd(CommandCode::ModuleStatusRead).encode();
         bytes[15] ^= 0xFF;
         k.submit_bytes_or_nack(&bytes, SrcId::Application).unwrap();
-        let trace = tc.take();
+        let trace = probe.trace.take();
         let names: Vec<&str> = trace.events().iter().map(|e| e.kind.name()).collect();
         assert!(names.contains(&"kernel-exec"));
         assert!(names.contains(&"kernel-replay"));
@@ -1125,16 +1121,41 @@ mod tests {
 
     #[test]
     fn untraced_kernel_behaves_identically() {
-        let run = |traced: bool| {
+        // Execution, an idempotent replay, a NACK and a ring drain: every
+        // result and counter must match with all three planes on or off.
+        let run = |probe: Probe| {
             let mut k = kernel_on_device_a();
-            if traced {
-                k.set_trace_collector(harmonia_sim::TraceCollector::enabled());
-            }
+            k.set_probe(probe);
             k.submit(net_cmd(CommandCode::ModuleInit)).unwrap();
-            let resp = k.step().unwrap().unwrap();
-            (resp, k.commands_executed(), k.reg_ops_executed())
+            let first = k.step().unwrap().unwrap();
+            let tagged = net_cmd(CommandCode::ModuleInit).with_idempotency_tag(9);
+            k.submit(tagged.clone()).unwrap();
+            let executed = k.step().unwrap().unwrap();
+            k.submit(tagged).unwrap();
+            let replayed = k.step().unwrap().unwrap();
+            let mut bytes = net_cmd(CommandCode::ModuleStatusRead).encode();
+            bytes[15] ^= 0xFF;
+            let nack = k.submit_bytes_or_nack(&bytes, SrcId::Application).unwrap();
+            let mut sq = SubmissionQueue::new(8);
+            let mut cq = CompletionQueue::new(8);
+            for tag in 0..5 {
+                sq.push(health_desc(tag)).unwrap();
+            }
+            let out = k.ring_doorbell(&mut sq, &mut cq, 8, SrcId::Application);
+            let mut recs = Vec::new();
+            while let Some(r) = cq.pop() {
+                recs.push(r);
+            }
+            let counters = (
+                k.commands_executed(),
+                k.reg_ops_executed(),
+                k.replays(),
+                k.decode_errors(),
+            );
+            let drain = (out.drained, out.exec_ps, out.responses, recs);
+            (first, executed, replayed, nack, drain, counters)
         };
-        assert_eq!(run(false), run(true));
+        assert_eq!(run(Probe::disabled()), run(Probe::enabled()));
     }
 
     #[test]
@@ -1202,8 +1223,8 @@ mod tests {
     fn unlimited_budget_matches_unbudgeted_doorbell() {
         let run = |budgeted: bool| {
             let mut k = kernel_on_device_a();
-            let tc = harmonia_sim::TraceCollector::enabled();
-            k.set_trace_collector(tc.clone());
+            let probe = Probe::enabled();
+            k.set_probe(probe.clone());
             let mut sq = SubmissionQueue::new(16);
             let mut cq = CompletionQueue::new(16);
             for tag in 0..10 {
@@ -1220,7 +1241,7 @@ mod tests {
                 recs.push(r);
             }
             let trace: Vec<String> =
-                tc.take().events().iter().map(|e| format!("{e:?}")).collect();
+                probe.trace.take().events().iter().map(|e| format!("{e:?}")).collect();
             (out.drained, out.exec_ps, out.quota_exhausted, recs, trace)
         };
         assert_eq!(run(false), run(true));
@@ -1229,10 +1250,8 @@ mod tests {
     #[test]
     fn quota_exhaustion_emits_trace_and_metric() {
         let mut k = kernel_on_device_a();
-        let tc = harmonia_sim::TraceCollector::enabled();
-        let m = MetricsRegistry::enabled();
-        k.set_trace_collector(tc.clone());
-        k.set_metrics_registry(m.clone());
+        let probe = Probe::enabled();
+        k.set_probe(probe.clone());
         let mut sq = SubmissionQueue::new(8);
         let mut cq = CompletionQueue::new(8);
         for tag in 0..6 {
@@ -1240,7 +1259,7 @@ mod tests {
         }
         let mut budget = CommandBudget::new(7, 2);
         k.ring_doorbell_budgeted(&mut sq, &mut cq, 8, SrcId::Application, &mut budget);
-        let trace = tc.take();
+        let trace = probe.trace.take();
         let quota: Vec<_> = trace
             .events()
             .iter()
@@ -1250,7 +1269,7 @@ mod tests {
             })
             .collect();
         assert_eq!(quota, vec![(7, 2)]);
-        let prom = m.snapshot().export_prometheus();
+        let prom = probe.metrics.snapshot().export_prometheus();
         assert!(
             prom.contains("harmonia_kernel_quota_exhausted_total 1"),
             "{prom}"

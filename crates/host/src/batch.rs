@@ -105,7 +105,7 @@ impl CommandDriver {
             .batch_delivery(total_bytes, entries, round_start);
         let (CommandDelivery::Delivered { latency_ps } | CommandDelivery::Lost { latency_ps }) =
             delivery;
-        self.trace.span(
+        self.probe.trace.span(
             round_start,
             latency_ps,
             TraceEventKind::BatchSubmit {
@@ -192,7 +192,7 @@ impl CommandDriver {
                 }
             }
         }
-        self.trace.instant(
+        self.probe.trace.instant(
             self.clock_ps,
             TraceEventKind::BatchComplete {
                 entries: polled,
@@ -405,12 +405,10 @@ mod tests {
 
     #[test]
     fn batch_trace_spans_mark_submit_drain_complete() {
-        use harmonia_sim::TraceCollector;
         let mut drv = setup(8);
-        let tc = TraceCollector::enabled();
-        drv.set_trace_collector(tc.clone());
+        drv.set_probe(harmonia_sim::Probe::enabled());
         drv.submit(health_reads(8));
-        let trace = tc.take();
+        let trace = drv.probe().trace.take();
         let names: Vec<&str> = trace.events().iter().map(|e| e.kind.name()).collect();
         for expected in ["batch-submit", "batch-drain", "batch-complete", "cmd-ack"] {
             assert!(names.contains(&expected), "missing {expected} in {names:?}");

@@ -31,7 +31,7 @@ use harmonia_cmd::{CommandCode, CommandPacket, KernelError, SrcId, UnifiedContro
 use harmonia_shell::rbb::RbbKind;
 use harmonia_shell::TailoredShell;
 use harmonia_sim::{
-    FaultInjector, FlightRecorder, LogHistogram, MetricsRegistry, Picos, Pipeline,
+    FaultInjector, FlightRecorder, LogHistogram, MetricsRegistry, Picos, Pipeline, Probe,
     TraceCollector, TraceEventKind,
 };
 use std::collections::BTreeSet;
@@ -85,16 +85,12 @@ pub struct CommandDriver {
     /// responses within one `SrcId`.
     pub(crate) acked_log: Vec<u32>,
     pub(crate) clock_ps: Picos,
-    pub(crate) trace: TraceCollector,
     /// Issue→ack latency of every completed command, log-bucketed.
     pub(crate) latency_histo: LogHistogram,
-    /// Metrics handle shared with the engine, kernel and interrupt
-    /// moderator (disabled unless attached or enabled via
-    /// `HARMONIA_METRICS`).
-    pub(crate) metrics: MetricsRegistry,
-    /// Bounded ring of recent command-path events, dumped as a
-    /// post-mortem on [`DriverError::GaveUp`].
-    pub(crate) flight: FlightRecorder,
+    /// Observability planes shared with the engine, kernel and interrupt
+    /// moderator (disabled unless attached). Its flight recorder is
+    /// dumped as a post-mortem on [`DriverError::GaveUp`].
+    pub(crate) probe: Probe,
     /// The post-mortem composed by the most recent give-up (None until a
     /// give-up happens with the flight recorder enabled).
     pub(crate) last_post_mortem: Option<String>,
@@ -138,7 +134,7 @@ impl CommandDriver {
         batch: usize,
         depth: usize,
     ) -> Self {
-        let mut driver = CommandDriver {
+        CommandDriver {
             src,
             engine,
             kernel,
@@ -151,10 +147,8 @@ impl CommandDriver {
             resp_pipe: Pipeline::new(0),
             acked_log: Vec::new(),
             clock_ps: 0,
-            trace: TraceCollector::disabled(),
             latency_histo: LogHistogram::new(),
-            metrics: MetricsRegistry::disabled(),
-            flight: FlightRecorder::disabled(),
+            probe: Probe::disabled(),
             last_post_mortem: None,
             batch,
             sq: SubmissionQueue::new(depth),
@@ -163,11 +157,7 @@ impl CommandDriver {
                 max_wait_ps: 50_000_000,
                 batch_threshold: batch.min(u32::MAX as usize) as u32,
             }),
-        };
-        driver.set_trace_collector(TraceCollector::from_env());
-        driver.set_metrics_registry(MetricsRegistry::from_env());
-        driver.flight = FlightRecorder::from_env();
-        driver
+        }
     }
 
     /// Commands per doorbell (1 = the serial transport).
@@ -181,53 +171,37 @@ impl CommandDriver {
         self.irq.report()
     }
 
-    /// Attaches an observability collector to this driver *and* its DMA
-    /// engine and kernel (clones share one buffer, so the whole command
-    /// path lands on a single timeline). [`CommandDriver::with_src`]
-    /// consults [`harmonia_sim::trace::TRACE_ENV`] automatically; call
-    /// this to override.
+    /// Attaches an observability probe to this driver *and* its DMA
+    /// engine, kernel and interrupt moderator (clones share every
+    /// plane's store, so the whole command path lands on one timeline,
+    /// in one registry and in one flight recorder).
+    pub fn set_probe(&mut self, probe: Probe) {
+        self.engine.set_probe(probe.clone());
+        self.kernel.set_probe(probe.clone());
+        self.irq.set_probe(probe.clone());
+        self.probe = probe;
+    }
+
+    /// The driver's observability planes (disabled unless attached).
+    pub fn probe(&self) -> &Probe {
+        &self.probe
+    }
+
+    /// [`CommandDriver::set_probe`] replacing only the trace collector.
+    /// This and the next two delegates serve the wall-clock benchmark
+    /// crate, which attaches its handles one at a time.
     pub fn set_trace_collector(&mut self, trace: TraceCollector) {
-        self.engine.set_trace_collector(trace.clone());
-        self.kernel.set_trace_collector(trace.clone());
-        self.trace = trace;
+        self.set_probe(Probe { trace, ..self.probe.clone() });
     }
 
-    /// The driver's observability collector (disabled unless attached or
-    /// enabled via `HARMONIA_TRACE`).
-    pub fn trace(&self) -> &TraceCollector {
-        &self.trace
-    }
-
-    /// Attaches a metrics registry to this driver *and* its DMA engine,
-    /// kernel and interrupt moderator (clones share one store, so the
-    /// whole command path lands in one registry).
-    /// [`CommandDriver::with_src`] consults
-    /// [`harmonia_sim::metrics::METRICS_ENV`] automatically; call this to
-    /// override.
+    /// [`CommandDriver::set_probe`] replacing only the metrics registry.
     pub fn set_metrics_registry(&mut self, metrics: MetricsRegistry) {
-        self.engine.set_metrics_registry(metrics.clone());
-        self.kernel.set_metrics_registry(metrics.clone());
-        self.irq.set_metrics_registry(metrics.clone());
-        self.metrics = metrics;
-    }
-    /// The driver's metrics registry (disabled unless attached or
-    /// enabled via `HARMONIA_METRICS`).
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
+        self.set_probe(Probe { metrics, ..self.probe.clone() });
     }
 
-    /// Replaces the flight recorder (a bounded ring of recent
-    /// command-path events). [`CommandDriver::with_src`] consults
-    /// [`harmonia_sim::metrics::METRICS_ENV`] automatically; call this to
-    /// override — e.g. with a larger ring for long campaigns.
+    /// [`CommandDriver::set_probe`] replacing only the flight recorder.
     pub fn set_flight_recorder(&mut self, flight: FlightRecorder) {
-        self.flight = flight;
-    }
-
-    /// The flight recorder (disabled unless attached or enabled via
-    /// `HARMONIA_METRICS`).
-    pub fn flight(&self) -> &FlightRecorder {
-        &self.flight
+        self.set_probe(Probe { flight, ..self.probe.clone() });
     }
 
     /// The post-mortem composed by the most recent
@@ -327,11 +301,11 @@ impl CommandDriver {
         let packet = CommandPacket::new(self.src, rbb_id, instance, code).with_data(data);
         let bytes = packet.encode();
         self.report.issued += 1;
-        self.metrics.counter_inc("harmonia_cmd_issued_total", &[]);
+        self.probe.metrics.counter_inc("harmonia_cmd_issued_total", &[]);
         // The legacy path keeps no real clock; accumulated latency is the
         // monotone pseudo-time its trace events are stamped with.
         let cmd_start = self.total_latency_ps;
-        self.trace.instant(
+        self.probe.trace.instant(
             cmd_start,
             TraceEventKind::CmdIssue {
                 code: code.to_u16(),
@@ -357,13 +331,13 @@ impl CommandDriver {
         let ops = self.kernel.reg_ops_executed() - before;
         self.total_latency_ps += UnifiedControlKernel::command_latency_ps(ops);
         self.report.acked += 1;
-        self.metrics.counter_inc("harmonia_cmd_acked_total", &[]);
-        self.metrics.observe(
+        self.probe.metrics.counter_inc("harmonia_cmd_acked_total", &[]);
+        self.probe.metrics.observe(
             "harmonia_cmd_latency_ps",
             &[],
             self.total_latency_ps - cmd_start,
         );
-        self.trace.span(
+        self.probe.trace.span(
             cmd_start,
             self.total_latency_ps - cmd_start,
             TraceEventKind::CmdAck {
@@ -497,7 +471,7 @@ impl CommandDriver {
         let tag = self.next_tag;
         self.next_tag += 1;
         self.report.issued += 1;
-        self.metrics.counter_inc("harmonia_cmd_issued_total", &[]);
+        self.probe.metrics.counter_inc("harmonia_cmd_issued_total", &[]);
         self.issued.push(IssuedCommand {
             rbb_id,
             instance_id,
@@ -525,15 +499,14 @@ impl CommandDriver {
             rbb_id: cmd.packet.rbb_id,
             instance_id: cmd.packet.instance_id,
         };
-        self.flight.record(at, 0, issue);
-        self.trace.instant(at, issue);
+        self.probe.record(at, 0, issue);
     }
 
     /// The kernel NACKed an attempt (its bytes failed to decode).
     pub(crate) fn nack(&mut self, error_code: u32) {
         self.report.nacks += 1;
-        self.metrics.counter_inc("harmonia_cmd_nacks_total", &[]);
-        self.flight
+        self.probe.metrics.counter_inc("harmonia_cmd_nacks_total", &[]);
+        self.probe.flight
             .record(self.clock_ps, 0, TraceEventKind::CmdNack { error_code });
     }
 
@@ -541,15 +514,14 @@ impl CommandDriver {
     /// deadline of the attempt that started at `since`, one timeout each.
     pub(crate) fn time_out(&mut self, lost: &[Inflight], since: Picos) {
         self.report.timeouts += lost.len() as u64;
-        self.metrics
+        self.probe.metrics
             .counter_add("harmonia_cmd_timeouts_total", &[], lost.len() as u64);
         self.clock_ps = self.clock_ps.max(since + self.policy.deadline_ps);
         for cmd in lost {
             let timeout = TraceEventKind::CmdTimeout {
                 code: cmd.packet.code.to_u16(),
             };
-            self.flight.record(self.clock_ps, 0, timeout);
-            self.trace.instant(self.clock_ps, timeout);
+            self.probe.record(self.clock_ps, 0, timeout);
         }
     }
 
@@ -562,14 +534,13 @@ impl CommandDriver {
         let packet = &cmd.packet;
         if cmd.attempt >= self.policy.max_retries {
             self.report.gave_up += 1;
-            self.metrics.counter_inc("harmonia_cmd_gave_up_total", &[]);
+            self.probe.metrics.counter_inc("harmonia_cmd_gave_up_total", &[]);
             let give_up = TraceEventKind::CmdGiveUp {
                 code: packet.code.to_u16(),
                 attempts: cmd.attempt + 1,
             };
-            self.flight.record(self.clock_ps, 0, give_up);
-            self.trace.instant(self.clock_ps, give_up);
-            if self.flight.is_enabled() {
+            self.probe.record(self.clock_ps, 0, give_up);
+            if self.probe.flight.is_enabled() {
                 self.last_post_mortem = Some(format!(
                     "post-mortem: gave up on cmd {:#06x} (rbb {} inst {}) after {} attempt(s), \
                      deadline {} ps\n{}",
@@ -578,7 +549,7 @@ impl CommandDriver {
                     packet.instance_id,
                     cmd.attempt + 1,
                     self.policy.deadline_ps,
-                    self.flight.dump()
+                    self.probe.flight.dump()
                 ));
             }
             return Err(DriverError::GaveUp {
@@ -592,22 +563,21 @@ impl CommandDriver {
         let backoff = self.policy.backoff_ps(cmd.attempt);
         cmd.attempt += 1;
         self.report.retries += 1;
-        self.metrics.counter_inc("harmonia_cmd_retries_total", &[]);
+        self.probe.metrics.counter_inc("harmonia_cmd_retries_total", &[]);
         Ok(backoff)
     }
 
     /// Waits `backoff` before `retried` go out again.
     pub(crate) fn back_off(&mut self, backoff: Picos, retried: &[Inflight]) {
         self.clock_ps += backoff;
-        self.metrics
+        self.probe.metrics
             .counter_add("harmonia_cmd_backoff_ps_total", &[], backoff);
         for cmd in retried {
             let retry = TraceEventKind::CmdRetry {
                 code: cmd.packet.code.to_u16(),
                 attempt: cmd.attempt,
             };
-            self.flight.record(self.clock_ps, 0, retry);
-            self.trace.instant(self.clock_ps, retry);
+            self.probe.record(self.clock_ps, 0, retry);
         }
     }
 
@@ -624,16 +594,15 @@ impl CommandDriver {
         debug_assert_eq!(uploaded, Some(cmd.tag));
         self.acked_log.push(cmd.tag);
         self.report.acked += 1;
-        self.metrics.counter_inc("harmonia_cmd_acked_total", &[]);
+        self.probe.metrics.counter_inc("harmonia_cmd_acked_total", &[]);
         let latency = self.clock_ps - cmd.issued_at;
-        self.metrics
+        self.probe.metrics
             .observe("harmonia_cmd_latency_ps", &[], latency);
         let ack = TraceEventKind::CmdAck {
             code: cmd.packet.code.to_u16(),
             attempts: cmd.attempt + 1,
         };
-        self.flight.record(cmd.issued_at, latency, ack);
-        self.trace.span(cmd.issued_at, latency, ack);
+        self.probe.record(cmd.issued_at, latency, ack);
         self.latency_histo.record(latency);
         Ok(resp)
     }
@@ -671,8 +640,7 @@ impl CommandDriver {
     ) -> Result<usize, DriverError> {
         // Degradations recorded by the ledger land on this driver's
         // timeline and registry (disabled handles clone for free).
-        shell.health_mut().set_trace_collector(self.trace.clone());
-        shell.health_mut().set_metrics_registry(self.metrics.clone());
+        shell.health_mut().set_probe(self.probe.clone());
         let modules: Vec<(u8, u8)> = shell.modules().collect();
         let mut initialized = 0;
         for (id, inst) in modules {
@@ -972,10 +940,9 @@ mod tests {
 
     #[test]
     fn traced_retry_storm_lands_on_one_timeline() {
-        use harmonia_sim::{FaultKind, FaultPlan, TraceCollector};
+        use harmonia_sim::{FaultKind, FaultPlan};
         let (mut drv, _) = setup();
-        let tc = TraceCollector::enabled();
-        drv.set_trace_collector(tc.clone());
+        drv.set_probe(Probe::enabled());
         drv.set_fault_injector(
             FaultPlan::new()
                 .at(0, FaultKind::CmdDrop)
@@ -984,7 +951,7 @@ mod tests {
         );
         drv.cmd_raw_resilient(0, 0, CommandCode::HealthRead, Vec::new())
             .unwrap();
-        let trace = tc.take();
+        let trace = drv.probe().trace.take();
         let names: Vec<&str> = trace.events().iter().map(|e| e.kind.name()).collect();
         // Driver, DMA engine and kernel all report into the same buffer.
         for expected in [
@@ -1009,34 +976,43 @@ mod tests {
 
     #[test]
     fn tracing_never_changes_behavior() {
-        use harmonia_sim::{FaultKind, FaultPlan, TraceCollector};
-        let run = |traced: bool| {
+        use harmonia_sim::{FaultKind, FaultPlan};
+        // A give-up (five drops in a row degrade the first module), a
+        // corrupted wire and a lost interrupt: every result must match
+        // with all three planes on or off.
+        let run = |probe: Probe| {
             let (mut drv, mut shell) = setup();
-            if traced {
-                drv.set_trace_collector(TraceCollector::enabled());
-            }
-            let mut plan = FaultPlan::new().at(0, FaultKind::CmdDrop);
+            drv.set_probe(probe);
+            let mut plan = FaultPlan::new();
             for i in 0..5 {
-                plan = plan.at(100 + i, FaultKind::CmdDrop);
+                plan = plan.at(i, FaultKind::CmdDrop);
             }
+            plan = plan
+                .at(100, FaultKind::CmdCorrupt)
+                .at(200, FaultKind::IrqLost);
             drv.set_fault_injector(plan.injector());
             let initialized = drv.init_shell_resilient(&mut shell).unwrap();
             let stats = drv.read_all_stats_resilient(&shell).unwrap();
-            (initialized, stats, drv.report().clone(), drv.clock_ps())
+            (
+                (initialized, stats, drv.report().clone(), drv.clock_ps()),
+                (drv.acked_log().to_vec(), drv.issued().to_vec()),
+                (drv.latency_histogram().clone(), drv.irq_report()),
+                shell.health().to_string(),
+            )
         };
-        assert_eq!(run(false), run(true));
+        let off = run(Probe::disabled());
+        assert_eq!(off.0 .2.gave_up, 1, "the plan must reach a give-up");
+        assert_eq!(off, run(Probe::enabled()));
     }
 
     #[test]
     fn legacy_path_populates_histogram_and_trace() {
-        use harmonia_sim::TraceCollector;
         let (mut drv, shell) = setup();
-        let tc = TraceCollector::enabled();
-        drv.set_trace_collector(tc.clone());
+        drv.set_probe(Probe::enabled());
         drv.init_shell(&shell).unwrap();
         assert_eq!(drv.latency_histogram().count(), 3);
         assert!(drv.latency_histogram().p50() > 0);
-        let trace = tc.take();
+        let trace = drv.probe().trace.take();
         let acks = trace
             .events()
             .iter()

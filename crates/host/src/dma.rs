@@ -7,9 +7,7 @@
 //! share the data queues, where they wait behind buffered data.
 
 use harmonia_hw::ip::PcieDmaIp;
-use harmonia_sim::{
-    FaultInjector, FaultKind, MetricsRegistry, Picos, Throughput, TraceCollector, TraceEventKind,
-};
+use harmonia_sim::{FaultInjector, FaultKind, Picos, Probe, Throughput, TraceEventKind};
 
 /// Outcome of shipping one command packet through the control queue.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -38,8 +36,7 @@ pub struct DmaEngine {
     commands_sent: u64,
     doorbells: u64,
     faults: FaultInjector,
-    trace: TraceCollector,
-    metrics: MetricsRegistry,
+    probe: Probe,
 }
 
 impl DmaEngine {
@@ -54,25 +51,18 @@ impl DmaEngine {
             commands_sent: 0,
             doorbells: 0,
             faults: FaultInjector::none(),
-            trace: TraceCollector::disabled(),
-            metrics: MetricsRegistry::disabled(),
+            probe: Probe::disabled(),
         }
     }
 
-    /// Attaches an observability collector: every
+    /// Attaches an observability probe: every
     /// [`DmaEngine::command_delivery`] emits a
-    /// [`TraceEventKind::CmdDelivery`] span, and injected credit stalls
-    /// emit [`TraceEventKind::FaultInjected`] instants.
-    pub fn set_trace_collector(&mut self, trace: TraceCollector) {
-        self.trace = trace;
-    }
-
-    /// Attaches a metrics registry: deliveries bump
-    /// `harmonia_dma_cmds_total`/`harmonia_dma_bursts_total` and injected
-    /// credit stalls bump the stall counters. Disabled registries cost
-    /// one branch per hook.
-    pub fn set_metrics_registry(&mut self, metrics: MetricsRegistry) {
-        self.metrics = metrics;
+    /// [`TraceEventKind::CmdDelivery`] span and bumps
+    /// `harmonia_dma_cmds_total`/`harmonia_dma_bursts_total`; injected
+    /// credit stalls emit [`TraceEventKind::FaultInjected`] instants and
+    /// bump the stall counters. Disabled planes cost one branch per hook.
+    pub fn set_probe(&mut self, probe: Probe) {
+        self.probe = probe;
     }
 
     /// Attaches a fault injector to the control queue (clones share the
@@ -135,7 +125,9 @@ impl DmaEngine {
     /// drain through the shared queue.
     pub fn command_latency_ps(&mut self, cmd_bytes: u32) -> Picos {
         self.commands_sent += 1;
-        self.metrics.counter_inc("harmonia_dma_cmds_total", &[]);
+        self.probe
+            .metrics
+            .counter_inc("harmonia_dma_cmds_total", &[]);
         self.queue_latency_ps(cmd_bytes)
     }
 
@@ -202,8 +194,11 @@ impl DmaEngine {
     ) -> CommandDelivery {
         self.doorbells += 1;
         self.commands_sent += u64::from(descriptors);
-        self.metrics.counter_inc("harmonia_dma_bursts_total", &[]);
-        self.metrics
+        self.probe
+            .metrics
+            .counter_inc("harmonia_dma_bursts_total", &[]);
+        self.probe
+            .metrics
             .counter_add("harmonia_dma_cmds_total", &[], u64::from(descriptors));
         let mut latency_ps = self.queue_latency_ps(bytes);
         let mut lost = false;
@@ -211,11 +206,13 @@ impl DmaEngine {
             let stall = self.faults.take_stall_beats(now);
             if stall > 0 {
                 latency_ps += stall * self.credit_beat_ps();
-                self.metrics
+                self.probe
+                    .metrics
                     .counter_inc("harmonia_dma_credit_stalls_total", &[]);
-                self.metrics
+                self.probe
+                    .metrics
                     .counter_add("harmonia_dma_credit_stall_beats_total", &[], stall);
-                self.trace.instant(
+                self.probe.trace.instant(
                     now,
                     TraceEventKind::FaultInjected {
                         kind: FaultKind::PcieCreditStall { beats: stall },
@@ -224,7 +221,8 @@ impl DmaEngine {
             }
             lost = !self.faults.link_up(now) || (drop_check && self.faults.drop_command(now));
         }
-        self.trace
+        self.probe
+            .trace
             .span(now, latency_ps, TraceEventKind::CmdDelivery { bytes, lost });
         if lost {
             CommandDelivery::Lost { latency_ps }

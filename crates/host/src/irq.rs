@@ -8,7 +8,7 @@
 //! immediately once a batch threshold is reached). This module models that
 //! policy and quantifies the interrupt-rate / latency trade-off.
 
-use harmonia_sim::{MetricsRegistry, Picos};
+use harmonia_sim::{Picos, Probe};
 
 /// Interrupt moderation policy.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -72,7 +72,7 @@ pub struct IrqModerator {
     interrupts: u64,
     delay_sum: f64,
     delay_max: Picos,
-    metrics: MetricsRegistry,
+    probe: Probe,
 }
 
 impl IrqModerator {
@@ -86,21 +86,21 @@ impl IrqModerator {
             interrupts: 0,
             delay_sum: 0.0,
             delay_max: 0,
-            metrics: MetricsRegistry::disabled(),
+            probe: Probe::disabled(),
         }
     }
 
-    /// Attaches a metrics registry: events and fired interrupts bump
-    /// `harmonia_irq_events_total`/`harmonia_irq_interrupts_total`.
-    /// Disabled registries cost one branch per hook.
-    pub fn set_metrics_registry(&mut self, metrics: MetricsRegistry) {
-        self.metrics = metrics;
+    /// Attaches an observability probe: events and fired interrupts bump
+    /// `harmonia_irq_events_total`/`harmonia_irq_interrupts_total` in its
+    /// registry. Disabled planes cost one branch per hook.
+    pub fn set_probe(&mut self, probe: Probe) {
+        self.probe = probe;
     }
 
     fn fire(&mut self, now_ps: Picos) {
         debug_assert!(self.pending > 0);
         self.interrupts += 1;
-        self.metrics.counter_inc("harmonia_irq_interrupts_total", &[]);
+        self.probe.metrics.counter_inc("harmonia_irq_interrupts_total", &[]);
         let delay = now_ps - self.oldest_ps;
         // All pending events waited at most `delay`; attribute the oldest's
         // wait (the worst case) to the max and the average of a uniform
@@ -121,7 +121,7 @@ impl IrqModerator {
         }
         self.pending += 1;
         self.events += 1;
-        self.metrics.counter_inc("harmonia_irq_events_total", &[]);
+        self.probe.metrics.counter_inc("harmonia_irq_events_total", &[]);
         if self.pending >= self.policy.batch_threshold {
             self.fire(now_ps);
             return true;

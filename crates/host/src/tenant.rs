@@ -38,7 +38,7 @@ use harmonia_cmd::{
 };
 use harmonia_shell::sched::{SliceGrant, TenantScheduler};
 use harmonia_sim::histo::LogHistogram;
-use harmonia_sim::{FaultInjector, MetricsRegistry, Picos, TraceCollector};
+use harmonia_sim::{FaultInjector, Picos, Probe};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Default per-tenant ring depth: deliberately deeper than
@@ -121,7 +121,7 @@ pub struct TenantHostDriver {
     kernel: UnifiedControlKernel,
     lanes: Vec<TenantLane>,
     faults: FaultInjector,
-    metrics: MetricsRegistry,
+    probe: Probe,
     clock_ps: Picos,
     next_tag: u32,
     slices_run: u64,
@@ -157,7 +157,7 @@ impl TenantHostDriver {
             kernel,
             lanes,
             faults: FaultInjector::none(),
-            metrics: MetricsRegistry::default(),
+            probe: Probe::disabled(),
             clock_ps: 0,
             next_tag: 0,
             slices_run: 0,
@@ -174,21 +174,15 @@ impl TenantHostDriver {
         self.faults = faults;
     }
 
-    /// Routes scheduler switches, DMA deliveries and kernel execution
-    /// onto one trace collector.
-    pub fn set_trace_collector(&mut self, trace: TraceCollector) {
-        self.sched.set_trace_collector(trace.clone());
-        self.engine.set_trace_collector(trace.clone());
-        self.kernel.set_trace_collector(trace);
-    }
-
-    /// Routes `harmonia_tenant_*`, `harmonia_pr_*`, `harmonia_dma_*`
-    /// and `harmonia_kernel_*` series onto one registry.
-    pub fn set_metrics_registry(&mut self, metrics: MetricsRegistry) {
-        self.sched.set_metrics_registry(metrics.clone());
-        self.engine.set_metrics_registry(metrics.clone());
-        self.kernel.set_metrics_registry(metrics.clone());
-        self.metrics = metrics;
+    /// Attaches one observability probe to the whole stack: scheduler
+    /// switches, DMA deliveries and kernel execution land on one
+    /// timeline, and the `harmonia_tenant_*`, `harmonia_pr_*`,
+    /// `harmonia_dma_*` and `harmonia_kernel_*` series in one registry.
+    pub fn set_probe(&mut self, probe: Probe) {
+        self.sched.set_probe(probe.clone());
+        self.engine.set_probe(probe.clone());
+        self.kernel.set_probe(probe.clone());
+        self.probe = probe;
     }
 
     /// Queues commands on a tenant's backlog (closed-loop source).
@@ -365,12 +359,12 @@ impl TenantHostDriver {
                         lane.last_done_ps = rec.at_ps;
                         lane.latency.record(latency);
                         lane.completed += 1;
-                        self.metrics.observe(
+                        self.probe.metrics.observe(
                             "harmonia_tenant_cmd_latency_ps",
                             &[("tenant", self.sched.tenant_name(t))],
                             latency,
                         );
-                        self.metrics.counter_inc(
+                        self.probe.metrics.counter_inc(
                             "harmonia_tenant_cmds_total",
                             &[("tenant", self.sched.tenant_name(t))],
                         );
@@ -386,7 +380,7 @@ impl TenantHostDriver {
             }
             if out.quota_exhausted {
                 self.quota_hits += 1;
-                self.metrics.counter_inc(
+                self.probe.metrics.counter_inc(
                     "harmonia_tenant_quota_exhausted_total",
                     &[("tenant", self.sched.tenant_name(t))],
                 );

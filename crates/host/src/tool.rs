@@ -11,7 +11,7 @@ use crate::cmd_driver::CommandDriver;
 use crate::dma::DmaEngine;
 use harmonia_cmd::{CommandCode, KernelError, SrcId, UnifiedControlKernel};
 use harmonia_shell::TailoredShell;
-use harmonia_sim::{LogHistogram, MetricsRegistry, MetricsSnapshot, Trace, TraceCollector};
+use harmonia_sim::{LogHistogram, MetricsRegistry, MetricsSnapshot, Probe, Trace, TraceCollector};
 use std::fmt;
 
 /// A board-health snapshot.
@@ -98,9 +98,26 @@ impl ControlTool {
         &self.driver
     }
 
-    /// Mutable driver access (fault injectors, trace collectors, policy).
+    /// Mutable driver access (fault injectors, probes, policy).
     pub fn driver_mut(&mut self) -> &mut CommandDriver {
         &mut self.driver
+    }
+
+    /// Runs the monitoring sweep with the driver's probe edited by
+    /// `attach`, then restores the prior probe (also when the sweep
+    /// fails).
+    fn sweep_with(
+        &mut self,
+        shell: &TailoredShell,
+        attach: impl FnOnce(&mut Probe),
+    ) -> Result<(), KernelError> {
+        let prior = self.driver.probe().clone();
+        let mut probe = prior.clone();
+        attach(&mut probe);
+        self.driver.set_probe(probe);
+        let swept = self.stats_snapshot(shell);
+        self.driver.set_probe(prior);
+        swept.map(|_| ())
     }
 
     /// The `trace` subcommand: runs a full monitoring sweep (every
@@ -116,12 +133,9 @@ impl ControlTool {
         &mut self,
         shell: &TailoredShell,
     ) -> Result<(Trace, LogHistogram), KernelError> {
-        let tc = TraceCollector::enabled();
-        self.driver.set_trace_collector(tc.clone());
-        self.stats_snapshot(shell)?;
-        self.driver
-            .set_trace_collector(TraceCollector::from_env());
-        Ok((tc.take(), self.driver.latency_histogram().clone()))
+        let trace = TraceCollector::enabled();
+        self.sweep_with(shell, |probe| probe.trace = trace.clone())?;
+        Ok((trace.take(), self.driver.latency_histogram().clone()))
     }
 
     /// The `metrics` subcommand: runs the same monitoring sweep with
@@ -136,18 +150,16 @@ impl ControlTool {
         &mut self,
         shell: &TailoredShell,
     ) -> Result<MetricsSnapshot, KernelError> {
-        let reg = MetricsRegistry::enabled();
-        self.driver.set_metrics_registry(reg.clone());
-        self.stats_snapshot(shell)?;
-        self.driver.set_metrics_registry(MetricsRegistry::from_env());
-        Ok(reg.snapshot())
+        let metrics = MetricsRegistry::enabled();
+        self.sweep_with(shell, |probe| probe.metrics = metrics.clone())?;
+        Ok(metrics.snapshot())
     }
 
     /// The `flight-dump` subcommand: renders the driver's flight-recorder
-    /// ring on demand (not just post-mortem). With metrics disabled the
-    /// dump says so rather than returning an empty string.
+    /// ring on demand (not just post-mortem). With the recorder disabled
+    /// the dump says so rather than returning an empty string.
     pub fn flight_dump(&self) -> String {
-        self.driver.flight().dump()
+        self.driver.probe().flight.dump()
     }
 }
 
@@ -204,10 +216,9 @@ mod tests {
         assert!(trace.len() >= 12, "only {} events", trace.len());
         assert!(trace.export_perfetto().contains("\"kernel-exec\""));
         assert!(trace.export_text().contains("cmd-ack"));
-        // The tool's own collector detaches afterwards (back to env gate).
-        if std::env::var_os(harmonia_sim::TRACE_ENV).is_none() {
-            assert!(!tool.driver().trace().is_enabled());
-        }
+        // The tool's own collector detaches afterwards: the prior probe
+        // is back.
+        assert!(!tool.driver().probe().trace.is_enabled());
     }
 
     #[test]
@@ -221,18 +232,23 @@ mod tests {
         assert_eq!(snap.counter("harmonia_dma_cmds_total"), 4);
         assert_eq!(snap.histogram("harmonia_cmd_latency_ps").count(), 4);
         assert!(snap.export_prometheus().contains("harmonia_cmd_acked_total 4"));
-        // The forced registry detaches afterwards (back to the env gate).
-        if std::env::var_os(harmonia_sim::METRICS_ENV).is_none() {
-            assert!(!tool.driver().metrics().is_enabled());
-        }
+        // The forced registry detaches afterwards: the prior probe is
+        // back.
+        assert!(!tool.driver().probe().metrics.is_enabled());
     }
 
     #[test]
     fn flight_dump_reports_disabled_without_metrics() {
-        let (tool, _) = tool_and_shell();
-        if !tool.driver().flight().is_enabled() {
-            assert!(tool.flight_dump().contains("disabled"));
-        }
+        let (mut tool, _) = tool_and_shell();
+        assert!(!tool.driver().probe().flight.is_enabled());
+        assert!(tool.flight_dump().contains("disabled"));
+        tool.driver_mut().set_probe(Probe::enabled());
+        tool.driver_mut()
+            .cmd_raw_resilient(0, 0, CommandCode::HealthRead, Vec::new())
+            .unwrap();
+        let dump = tool.flight_dump();
+        assert!(dump.starts_with("flight recorder: last"), "{dump}");
+        assert!(dump.contains("cmd-ack"), "{dump}");
     }
 
     #[test]

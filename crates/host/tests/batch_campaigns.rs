@@ -21,7 +21,7 @@ use harmonia_hw::device::catalog;
 use harmonia_hw::ip::PcieDmaIp;
 use harmonia_hw::Vendor;
 use harmonia_shell::{MemoryDemand, RoleSpec, TailoredShell, UnifiedShell};
-use harmonia_sim::{FaultKind, FaultPlan, FaultRates, FlightRecorder};
+use harmonia_sim::{FaultKind, FaultPlan, FaultRates, Probe};
 
 fn parts() -> (DmaEngine, UnifiedControlKernel, TailoredShell) {
     let dev = catalog::device_a();
@@ -165,7 +165,7 @@ fn batched_campaigns_converge_under_seeded_rates() {
 fn batched_give_up_leaves_a_post_mortem() {
     let (engine, kernel, _shell) = parts();
     let mut drv = CommandDriver::with_depth(engine, kernel, 4, 16);
-    drv.set_flight_recorder(FlightRecorder::with_capacity(64));
+    drv.set_probe(Probe::enabled());
     drv.set_fault_injector(FaultPlan::new().at(0, FaultKind::LinkDown).injector());
     let results = drv.submit(mix());
     assert!(results

@@ -8,16 +8,20 @@
 //! 2. **Ordering** — retries never reorder responses within one `SrcId`;
 //! 3. **Transparency** — `FaultPlan::none()` produces `DriverReport`s
 //!    byte-identical to the legacy (pre-fault-plane) path, with identical
-//!    latency accounting.
+//!    latency accounting;
+//! 4. **Observation** — attaching `Probe::enabled()` (trace, metrics and
+//!    flight recorder) never moves a simulated result on either
+//!    transport.
 
 use harmonia_cmd::{CommandCode, UnifiedControlKernel};
+use harmonia_host::batch::CmdSpec;
 use harmonia_host::{CommandDriver, DmaEngine, DriverError};
 use harmonia_hw::device::catalog;
 use harmonia_hw::ip::PcieDmaIp;
 use harmonia_hw::Vendor;
 use harmonia_shell::rbb::RbbKind;
 use harmonia_shell::{MemoryDemand, RoleSpec, TailoredShell, UnifiedShell};
-use harmonia_sim::{FaultKind, FaultPlan, FaultRates};
+use harmonia_sim::{FaultKind, FaultPlan, FaultRates, Probe};
 use harmonia_testkit::prelude::*;
 
 fn driver() -> (CommandDriver, TailoredShell) {
@@ -40,6 +44,22 @@ fn driver_with(
     let (gen, lanes) = dev.pcie().unwrap();
     let engine = DmaEngine::new(PcieDmaIp::new(Vendor::Xilinx, gen, lanes));
     (build(engine, kernel), shell)
+}
+
+/// The command mix of the campaigns: 0 = health read, 1 = network
+/// stats, 2 = network status, otherwise a host-module init.
+fn spec(c: u8) -> CmdSpec {
+    match c {
+        0 => (0, 0, CommandCode::HealthRead, Vec::new()),
+        1 => (RbbKind::Network.id(), 0, CommandCode::StatsRead, Vec::new()),
+        2 => (
+            RbbKind::Network.id(),
+            0,
+            CommandCode::ModuleStatusRead,
+            Vec::new(),
+        ),
+        _ => (RbbKind::Host.id(), 0, CommandCode::ModuleInit, Vec::new()),
+    }
 }
 
 fn arb_fault_kind() -> impl Strategy<Value = FaultKind> {
@@ -128,15 +148,7 @@ forall! {
         let (mut drv, _shell) =
             driver_with(|engine, kernel| CommandDriver::with_depth(engine, kernel, batch, 64));
         drv.set_fault_injector(plan.injector());
-        let specs = cmds
-            .into_iter()
-            .map(|c| match c {
-                0 => (0, 0, CommandCode::HealthRead, Vec::new()),
-                1 => (RbbKind::Network.id(), 0, CommandCode::StatsRead, Vec::new()),
-                2 => (RbbKind::Network.id(), 0, CommandCode::ModuleStatusRead, Vec::new()),
-                _ => (RbbKind::Host.id(), 0, CommandCode::ModuleInit, Vec::new()),
-            })
-            .collect();
+        let specs = cmds.into_iter().map(spec).collect();
         let max_attempts = drv.policy().max_retries + 1;
         let (mut oks, mut gave_ups, mut kernel_errors) = (0u64, 0u64, 0u64);
         for res in drv.submit(specs) {
@@ -188,6 +200,34 @@ forall! {
         );
         prop_assert_eq!(legacy.total_latency_ps(), resilient.total_latency_ps());
         prop_assert_eq!(legacy.issued(), resilient.issued());
+    }
+
+    /// (4): under the same plan and command mix, on the serial transport
+    /// (batch 1) and the ring transport, a driver with every probe plane
+    /// on returns the same results, `DriverReport`, ack log and clock as
+    /// one with every plane off.
+    #[test]
+    fn attaching_a_probe_never_moves_a_result(
+        plan in arb_plan(),
+        cmds in collection::vec(0u8..4, 1..24),
+        batch in prop_oneof![Just(1usize), 2usize..=16],
+    ) {
+        let run = |probe: &Probe| {
+            let (mut drv, _shell) =
+                driver_with(|engine, kernel| CommandDriver::with_depth(engine, kernel, batch, 64));
+            drv.set_probe(probe.clone());
+            drv.set_fault_injector(plan.clone().injector());
+            let results = drv.submit(cmds.iter().copied().map(spec).collect());
+            (results, drv.report().clone(), drv.acked_log().to_vec(), drv.clock_ps())
+        };
+        let on = Probe::enabled();
+        let observed = run(&on);
+        prop_assert_eq!(run(&Probe::disabled()), observed);
+        // The enabled probe really was attached to the whole path.
+        let snap = on.metrics.snapshot();
+        prop_assert_eq!(snap.counter("harmonia_cmd_issued_total"), cmds.len() as u64);
+        prop_assert!(!on.trace.is_empty());
+        prop_assert!(!on.flight.is_empty());
     }
 }
 

@@ -15,9 +15,6 @@
 //! 4. **Thread byte-identity** — the rendered driver state is identical
 //!    at `HARMONIA_THREADS` 1 and 4: nothing in the tenancy stack may
 //!    consult the thread knob.
-//! 5. **Env plumbing** — `HARMONIA_TENANT_POLICY` /
-//!    `HARMONIA_TENANT_SLICE_PS` select the scheduler configuration
-//!    through `TenantScheduler::from_env`.
 
 use harmonia_cmd::{CommandCode, UnifiedControlKernel};
 use harmonia_host::batch::CmdSpec;
@@ -27,35 +24,20 @@ use harmonia_hw::ip::PcieDmaIp;
 use harmonia_hw::resource::ResourceUsage;
 use harmonia_hw::Vendor;
 use harmonia_shell::pr::{MultiTenantRegion, TenantRole};
-use harmonia_shell::sched::{
-    TenantPolicy, TenantScheduler, DEFAULT_TENANT_SLICE_PS, TENANT_POLICY_ENV, TENANT_SLICE_ENV,
-};
+use harmonia_shell::sched::{TenantPolicy, TenantScheduler, DEFAULT_TENANT_SLICE_PS};
 use harmonia_shell::{MemoryDemand, RoleSpec, TailoredShell, UnifiedShell};
 use harmonia_sim::exec::THREADS_ENV;
 use harmonia_sim::{FaultKind, FaultPlan, FaultRates};
-use std::sync::Mutex;
 
-/// Env mutations are process-global; serialize against cargo's parallel
-/// test runner (this file's own lock — other test binaries run in other
-/// processes).
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_env<R>(pairs: &[(&str, Option<&str>)], f: impl FnOnce() -> R) -> R {
-    let _guard = ENV_LOCK.lock().unwrap();
-    let priors: Vec<_> = pairs
-        .iter()
-        .map(|(k, _)| (*k, std::env::var(k).ok()))
-        .collect();
-    let set = |key: &str, value: Option<&str>| match value {
-        Some(v) => std::env::set_var(key, v),
-        None => std::env::remove_var(key),
-    };
-    for (k, v) in pairs {
-        set(k, *v);
-    }
+/// Runs `f` at a `HARMONIA_THREADS` width, restoring the prior value
+/// (only one test here sets the variable).
+fn with_threads<R>(threads: &str, f: impl FnOnce() -> R) -> R {
+    let prior = std::env::var(THREADS_ENV).ok();
+    std::env::set_var(THREADS_ENV, threads);
     let out = f();
-    for (k, v) in priors {
-        set(k, v.as_deref());
+    match prior {
+        Some(v) => std::env::set_var(THREADS_ENV, v),
+        None => std::env::remove_var(THREADS_ENV),
     }
     out
 }
@@ -250,33 +232,8 @@ fn rendered_state_is_byte_identical_at_one_and_four_threads() {
             d.run(u64::MAX);
             render(policy.name(), &d, 3)
         };
-        let serial = with_env(&[(THREADS_ENV, Some("1"))], run);
-        let parallel = with_env(&[(THREADS_ENV, Some("4"))], run);
+        let serial = with_threads("1", run);
+        let parallel = with_threads("4", run);
         assert_eq!(parallel, serial, "{policy:?} diverged at threads=4");
     }
-}
-
-#[test]
-fn env_knobs_select_policy_and_slice_length() {
-    let (shell, _engine, _kernel) = shell_parts();
-    let build = || {
-        let region =
-            MultiTenantRegion::partition(&shell, catalog::device_a().capacity(), 1, 1024);
-        TenantScheduler::from_env(region, 0).unwrap()
-    };
-    let wfq = with_env(
-        &[
-            (TENANT_POLICY_ENV, Some("wfq")),
-            (TENANT_SLICE_ENV, Some("123456789")),
-        ],
-        build,
-    );
-    assert_eq!(wfq.policy(), TenantPolicy::WeightedFair);
-    assert_eq!(wfq.slice_ps(), 123_456_789);
-    let defaulted = with_env(
-        &[(TENANT_POLICY_ENV, None), (TENANT_SLICE_ENV, None)],
-        build,
-    );
-    assert_eq!(defaulted.policy(), TenantPolicy::RoundRobin);
-    assert_eq!(defaulted.slice_ps(), DEFAULT_TENANT_SLICE_PS);
 }

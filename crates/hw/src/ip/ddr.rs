@@ -45,18 +45,10 @@ impl DdrIp {
         }
     }
 
-    /// Creates a fresh channel timing model.
+    /// Creates a fresh channel timing model (attach a probe with
+    /// [`DramModel::set_probe`] to see its row conflicts and ECC scrubs).
     pub fn channel(&self) -> DramModel {
         DramModel::new(self.timing())
-    }
-
-    /// [`DdrIp::channel`] with an observability collector attached: row
-    /// conflicts and ECC scrubs on the returned channel land on the
-    /// shared timeline.
-    pub fn traced_channel(&self, trace: &harmonia_sim::TraceCollector) -> DramModel {
-        let mut ch = self.channel();
-        ch.set_trace_collector(trace.clone());
-        ch
     }
 
     /// Peak channel bandwidth in GB/s.
@@ -237,14 +229,15 @@ mod tests {
 
     #[test]
     fn traced_channel_reports_row_conflicts() {
-        use harmonia_sim::TraceCollector;
+        use harmonia_sim::Probe;
         let ip = DdrIp::new(Vendor::Xilinx, 4);
-        let tc = TraceCollector::enabled();
-        let mut ch = ip.traced_channel(&tc);
+        let probe = Probe::enabled();
+        let mut ch = ip.channel();
+        ch.set_probe(probe.clone());
         // Row-thrash within one bank: every access opens a new row.
         let (ps, _) = ch.run_trace((0..8u64).map(|i| MemOp::read(i << 20, 64)));
         assert!(ps > 0);
-        let trace = tc.take();
+        let trace = probe.trace.take();
         assert!(
             trace
                 .events()

@@ -10,7 +10,7 @@
 //! results: sequential ≫ random throughput (Figs 10c, 18c) and the benefit
 //! of interleaving (ablation benches).
 
-use harmonia_sim::{FaultInjector, Picos, TraceCollector, TraceEventKind};
+use harmonia_sim::{FaultInjector, Picos, Probe, TraceEventKind};
 use std::collections::VecDeque;
 
 /// One memory operation presented to the controller.
@@ -154,7 +154,7 @@ pub struct DramModel {
     recent_activates: VecDeque<Picos>,
     hits: u64,
     misses: u64,
-    trace: TraceCollector,
+    probe: Probe,
 }
 
 impl DramModel {
@@ -170,15 +170,15 @@ impl DramModel {
             timing,
             hits: 0,
             misses: 0,
-            trace: TraceCollector::disabled(),
+            probe: Probe::disabled(),
         }
     }
 
-    /// Attaches an observability collector: row-buffer conflicts emit
+    /// Attaches an observability probe: row-buffer conflicts emit
     /// [`TraceEventKind::DramRowConflict`] instants and corrected ECC
-    /// hits emit [`TraceEventKind::EccScrub`] spans.
-    pub fn set_trace_collector(&mut self, trace: TraceCollector) {
-        self.trace = trace;
+    /// hits emit [`TraceEventKind::EccScrub`] spans on its timeline.
+    pub fn set_probe(&mut self, probe: Probe) {
+        self.probe = probe;
     }
 
     /// The channel's timing parameters.
@@ -232,7 +232,8 @@ impl DramModel {
         } else {
             self.misses += 1;
             self.open_rows[bank] = Some(row);
-            self.trace
+            self.probe
+                .trace
                 .instant(t, TraceEventKind::DramRowConflict { bank: bank as u32 });
             t = self.reserve_activate(t) + self.timing.row_miss_extra_ps;
         }
@@ -276,7 +277,8 @@ impl DramModel {
         if faults.ecc_error(done) {
             let scrubbed = done + self.timing.ecc_scrub_penalty_ps();
             self.bus_free_ps = self.bus_free_ps.max(scrubbed);
-            self.trace
+            self.probe
+                .trace
                 .span(done, scrubbed - done, TraceEventKind::EccScrub);
             scrubbed
         } else {
@@ -480,14 +482,14 @@ mod tests {
 
     #[test]
     fn row_conflicts_and_scrubs_show_on_the_timeline() {
-        use harmonia_sim::{FaultKind, FaultPlan, TraceCollector, TraceEventKind};
-        let tc = TraceCollector::enabled();
+        use harmonia_sim::{FaultKind, FaultPlan, TraceEventKind};
+        let probe = Probe::enabled();
         let mut m = DramModel::new(DramTiming::ddr4_2400());
-        m.set_trace_collector(tc.clone());
+        m.set_probe(probe.clone());
         let inj = FaultPlan::new().at(0, FaultKind::EccError).injector();
         m.access_with_faults(0, MemOp::read(0, 64), &inj); // miss + ECC
         m.access(0, MemOp::read(64 * 16, 64)); // same row → hit, no event
-        let trace = tc.take();
+        let trace = probe.trace.take();
         let names: Vec<&str> = trace.events().iter().map(|e| e.kind.name()).collect();
         assert_eq!(names, vec!["dram-row-conflict", "ecc-scrub"]);
         let scrub = &trace.events()[1];

@@ -11,7 +11,7 @@ use crate::ip::{IpKind, VendorIp};
 use crate::regfile::{Access, RegOp, RegisterFile};
 use crate::resource::ResourceUsage;
 use crate::vendor::Vendor;
-use harmonia_sim::{Freq, Picos};
+use harmonia_sim::{FaultInjector, Freq, Picos, Probe};
 
 /// An HBM controller instance.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -42,48 +42,22 @@ impl HbmIp {
 
     /// Runs a trace where each op is steered to `(addr / stride) % 32`
     /// channels — the default (un-interleaved) static mapping. Returns
-    /// `(makespan_ps, bytes)`.
+    /// `(makespan_ps, bytes)`. Each access consults `faults` and pays the
+    /// ECC scrub penalty when a hit fires; `probe` is attached to every
+    /// pseudo-channel, so row conflicts and ECC scrubs land on one
+    /// timeline (each channel stamps its own bank id). The no-op injector
+    /// gives the fault-free run, and no probe moves the result.
     pub fn run_striped_trace<I: IntoIterator<Item = MemOp>>(
         &self,
         ops: I,
         stripe_bytes: u64,
-    ) -> (Picos, u64) {
-        self.run_striped_trace_with_faults(ops, stripe_bytes, &harmonia_sim::FaultInjector::none())
-    }
-
-    /// [`HbmIp::run_striped_trace`] through the fault plane: each access
-    /// consults the injector and pays the ECC scrub penalty when a hit
-    /// fires. The no-op injector reproduces `run_striped_trace` exactly.
-    pub fn run_striped_trace_with_faults<I: IntoIterator<Item = MemOp>>(
-        &self,
-        ops: I,
-        stripe_bytes: u64,
-        faults: &harmonia_sim::FaultInjector,
-    ) -> (Picos, u64) {
-        self.run_striped_trace_traced(
-            ops,
-            stripe_bytes,
-            faults,
-            &harmonia_sim::TraceCollector::disabled(),
-        )
-    }
-
-    /// [`HbmIp::run_striped_trace_with_faults`] with an observability
-    /// collector attached to every pseudo-channel: row conflicts and ECC
-    /// scrubs land on the shared timeline (each channel stamps its own
-    /// bank id). A disabled collector reproduces the untraced run
-    /// bit-for-bit.
-    pub fn run_striped_trace_traced<I: IntoIterator<Item = MemOp>>(
-        &self,
-        ops: I,
-        stripe_bytes: u64,
-        faults: &harmonia_sim::FaultInjector,
-        trace: &harmonia_sim::TraceCollector,
+        faults: &FaultInjector,
+        probe: &Probe,
     ) -> (Picos, u64) {
         assert!(stripe_bytes > 0, "stripe size must be non-zero");
         let mut channels = self.channels();
         for ch in &mut channels {
-            ch.set_trace_collector(trace.clone());
+            ch.set_probe(probe.clone());
         }
         let mut now = vec![0u64; channels.len()];
         let mut bytes = 0u64;
@@ -177,6 +151,11 @@ impl VendorIp for HbmIp {
 mod tests {
     use super::*;
 
+    /// The fault-free, unobserved run.
+    fn clean<I: IntoIterator<Item = MemOp>>(hbm: &HbmIp, ops: I, stripe: u64) -> (Picos, u64) {
+        hbm.run_striped_trace(ops, stripe, &FaultInjector::none(), &Probe::disabled())
+    }
+
     #[test]
     fn aggregate_bandwidth_matches_paper() {
         let hbm = HbmIp::new(Vendor::Xilinx);
@@ -188,10 +167,10 @@ mod tests {
         let hbm = HbmIp::new(Vendor::Xilinx);
         // Addresses striding across stripes hit all 32 channels.
         let spread = (0..32_000u64).map(|i| MemOp::read(i * 4096, 64));
-        let (ps_spread, b) = hbm.run_striped_trace(spread, 4096);
+        let (ps_spread, b) = clean(&hbm, spread, 4096);
         // All addresses in one stripe serialize on one channel.
         let narrow = (0..32_000u64).map(|i| MemOp::read((i * 64) % 4096, 64));
-        let (ps_narrow, _) = hbm.run_striped_trace(narrow, 4096);
+        let (ps_narrow, _) = clean(&hbm, narrow, 4096);
         assert_eq!(b, 32_000 * 64);
         assert!(
             ps_spread * 4 < ps_narrow,
@@ -208,7 +187,7 @@ mod tests {
     #[should_panic(expected = "stripe size")]
     fn zero_stripe_rejected() {
         let hbm = HbmIp::new(Vendor::Xilinx);
-        let _ = hbm.run_striped_trace(std::iter::empty(), 0);
+        let _ = clean(&hbm, std::iter::empty(), 0);
     }
 
     #[test]
@@ -223,7 +202,7 @@ mod tests {
         use harmonia_sim::{FaultPlan, FaultRates};
         let hbm = HbmIp::new(Vendor::Xilinx);
         let ops = || (0..2_000u64).map(|i| MemOp::read(i * 64, 64));
-        let (clean, bytes) = hbm.run_striped_trace(ops(), 256);
+        let (fault_free, bytes) = clean(&hbm, ops(), 256);
         let faulty_inj = FaultPlan::new()
             .with_rates(
                 7,
@@ -233,34 +212,37 @@ mod tests {
                 },
             )
             .injector();
-        let (faulty, fbytes) = hbm.run_striped_trace_with_faults(ops(), 256, &faulty_inj);
+        let off = Probe::disabled();
+        let (faulty, fbytes) = hbm.run_striped_trace(ops(), 256, &faulty_inj, &off);
         assert_eq!(bytes, fbytes);
-        assert!(faulty > clean, "ECC hits must cost time: {faulty} vs {clean}");
+        assert!(
+            faulty > fault_free,
+            "ECC hits must cost time: {faulty} vs {fault_free}"
+        );
         assert!(faulty_inj.report().ecc_errors > 0);
-        // The explicit no-op injector reproduces the plain trace exactly.
-        let none = harmonia_sim::FaultInjector::none();
-        assert_eq!(hbm.run_striped_trace_with_faults(ops(), 256, &none), (clean, bytes));
     }
 
     #[test]
     fn striped_run_surfaces_row_conflicts_and_scrubs() {
-        use harmonia_sim::{FaultPlan, FaultRates, TraceCollector};
+        use harmonia_sim::{FaultPlan, FaultRates};
         let hbm = HbmIp::new(Vendor::Xilinx);
         // Two rows ping-ponging in one stripe: every access past the first
         // conflicts.
         let ops = || (0..64u64).map(|i| MemOp::read((i % 2) << 20, 64));
-        let inj = FaultPlan::new()
-            .with_rates(
-                11,
-                FaultRates {
-                    ecc: 0.3,
-                    ..FaultRates::default()
-                },
-            )
-            .injector();
-        let tc = TraceCollector::enabled();
-        let (traced_ps, traced_bytes) = hbm.run_striped_trace_traced(ops(), 4096, &inj, &tc);
-        let trace = tc.take();
+        let inj = || {
+            FaultPlan::new()
+                .with_rates(
+                    11,
+                    FaultRates {
+                        ecc: 0.3,
+                        ..FaultRates::default()
+                    },
+                )
+                .injector()
+        };
+        let probe = Probe::enabled();
+        let traced = hbm.run_striped_trace(ops(), 4096, &inj(), &probe);
+        let trace = probe.trace.take();
         let conflicts = trace
             .events()
             .iter()
@@ -273,19 +255,10 @@ mod tests {
             .count();
         assert!(conflicts >= 32, "only {conflicts} row conflicts traced");
         assert!(scrubs > 0, "ECC scrubs must reach the timeline");
-        // Observational only: same makespan as the untraced fault run.
-        let inj2 = FaultPlan::new()
-            .with_rates(
-                11,
-                FaultRates {
-                    ecc: 0.3,
-                    ..FaultRates::default()
-                },
-            )
-            .injector();
+        // Observational only: same makespan as the unobserved fault run.
         assert_eq!(
-            hbm.run_striped_trace_with_faults(ops(), 4096, &inj2),
-            (traced_ps, traced_bytes)
+            hbm.run_striped_trace(ops(), 4096, &inj(), &Probe::disabled()),
+            traced
         );
     }
 }

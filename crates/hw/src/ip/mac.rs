@@ -10,7 +10,7 @@ use crate::ip::{IpKind, VendorIp};
 use crate::regfile::{Access, RegOp, RegisterFile};
 use crate::resource::ResourceUsage;
 use crate::vendor::Vendor;
-use harmonia_sim::{FaultInjector, FaultKind, Freq, Picos, TraceCollector, TraceEventKind};
+use harmonia_sim::{FaultInjector, FaultKind, Freq, Picos, Probe, TraceEventKind};
 
 /// Ethernet wire overhead per frame: 7 B preamble + 1 B SFD + 12 B IFG.
 pub const WIRE_OVERHEAD_BYTES: u32 = 20;
@@ -74,63 +74,41 @@ impl MacIp {
         wire_ps + 2 * self.pipeline_latency_ps()
     }
 
-    /// Receives one frame through the fault plane at absolute time `now`:
-    /// `Some(completion delay)` normally, `None` when the injector holds
-    /// the link down (the frame is lost on the wire). With the no-op
-    /// injector this is exactly `Some(loopback_latency_ps(frame_bytes))`.
-    pub fn rx_frame_with_faults(
+    /// Receives one frame at absolute time `now`: `Some(completion
+    /// delay)` normally, `None` when the injector holds the link down
+    /// (the frame is lost on the wire). A carried frame records a
+    /// [`TraceEventKind::MacFrame`] span covering its loopback latency on
+    /// `probe`; a lost frame records the [`TraceEventKind::FaultInjected`]
+    /// that killed it plus a lost-frame instant. With the no-op injector
+    /// this is exactly `Some(loopback_latency_ps(frame_bytes))`, whatever
+    /// the probe.
+    pub fn rx_frame(
         &self,
         frame_bytes: u32,
-        faults: &FaultInjector,
         now: Picos,
+        faults: &FaultInjector,
+        probe: &Probe,
     ) -> Option<Picos> {
+        let trace = &probe.trace;
         if !faults.link_up(now) {
+            let killed = TraceEventKind::FaultInjected {
+                kind: FaultKind::LinkDown,
+            };
+            trace.instant(now, killed);
+            let lost = TraceEventKind::MacFrame {
+                bytes: frame_bytes,
+                lost: true,
+            };
+            trace.instant(now, lost);
             return None;
         }
-        Some(self.loopback_latency_ps(frame_bytes))
-    }
-
-    /// [`MacIp::rx_frame_with_faults`] with observability: a carried
-    /// frame records a [`TraceEventKind::MacFrame`] span covering its
-    /// loopback latency; a frame lost to a down link records a lost-frame
-    /// instant plus the [`TraceEventKind::FaultInjected`] that killed it.
-    /// With a disabled collector this is exactly `rx_frame_with_faults`.
-    pub fn rx_frame_traced(
-        &self,
-        frame_bytes: u32,
-        faults: &FaultInjector,
-        now: Picos,
-        trace: &TraceCollector,
-    ) -> Option<Picos> {
-        match self.rx_frame_with_faults(frame_bytes, faults, now) {
-            Some(latency_ps) => {
-                trace.span(
-                    now,
-                    latency_ps,
-                    TraceEventKind::MacFrame {
-                        bytes: frame_bytes,
-                        lost: false,
-                    },
-                );
-                Some(latency_ps)
-            }
-            None => {
-                trace.instant(
-                    now,
-                    TraceEventKind::FaultInjected {
-                        kind: FaultKind::LinkDown,
-                    },
-                );
-                trace.instant(
-                    now,
-                    TraceEventKind::MacFrame {
-                        bytes: frame_bytes,
-                        lost: true,
-                    },
-                );
-                None
-            }
-        }
+        let latency_ps = self.loopback_latency_ps(frame_bytes);
+        let frame = TraceEventKind::MacFrame {
+            bytes: frame_bytes,
+            lost: false,
+        };
+        trace.span(now, latency_ps, frame);
+        Some(latency_ps)
     }
 
     fn stat_counter_count(&self) -> u32 {
@@ -412,45 +390,43 @@ mod tests {
     fn link_flap_loses_frames_in_the_window() {
         use harmonia_sim::{FaultKind, FaultPlan};
         let mac = MacIp::new(Vendor::Xilinx, 100);
+        let off = Probe::disabled();
         let inj = FaultPlan::new()
             .at(1_000_000, FaultKind::LinkDown)
             .at(2_000_000, FaultKind::LinkUp)
             .injector();
         assert_eq!(
-            mac.rx_frame_with_faults(1500, &inj, 0),
+            mac.rx_frame(1500, 0, &inj, &off),
             Some(mac.loopback_latency_ps(1500))
         );
-        assert_eq!(mac.rx_frame_with_faults(1500, &inj, 1_500_000), None);
-        assert!(mac.rx_frame_with_faults(1500, &inj, 2_000_000).is_some());
+        assert_eq!(mac.rx_frame(1500, 1_500_000, &inj, &off), None);
+        assert!(mac.rx_frame(1500, 2_000_000, &inj, &off).is_some());
         // The no-op injector never drops.
         let none = FaultPlan::none().injector();
-        assert!(mac.rx_frame_with_faults(64, &none, 1_500_000).is_some());
+        assert!(mac.rx_frame(64, 1_500_000, &none, &off).is_some());
     }
 
     #[test]
     fn traced_frames_land_on_the_timeline() {
-        use harmonia_sim::{FaultPlan, TraceCollector};
+        use harmonia_sim::FaultPlan;
         let mac = MacIp::new(Vendor::Xilinx, 100);
-        let inj = FaultPlan::new()
-            .at(1_000_000, FaultKind::LinkDown)
-            .injector();
-        let tc = TraceCollector::enabled();
+        let plan = FaultPlan::new().at(1_000_000, FaultKind::LinkDown);
+        let inj = plan.clone().injector();
+        let probe = Probe::enabled();
         // Carried frame: one span covering the loopback latency.
-        let lat = mac.rx_frame_traced(1500, &inj, 0, &tc);
-        assert_eq!(lat, mac.rx_frame_with_faults(1500, &inj, 0));
+        let lat = mac.rx_frame(1500, 0, &inj, &probe);
+        assert_eq!(lat, Some(mac.loopback_latency_ps(1500)));
         // Lost frame: a fault instant plus a lost-frame instant.
-        assert_eq!(mac.rx_frame_traced(1500, &inj, 1_500_000, &tc), None);
-        let trace = tc.take();
+        assert_eq!(mac.rx_frame(1500, 1_500_000, &inj, &probe), None);
+        let trace = probe.trace.take();
         let names: Vec<_> = trace.events().iter().map(|e| e.kind.name()).collect();
         assert_eq!(names, ["mac-frame", "fault-injected", "mac-frame"]);
         assert_eq!(trace.events()[0].dur, mac.loopback_latency_ps(1500));
         assert!(trace.export_text().contains("lost=true"));
-        // Disabled collector records nothing and changes nothing.
-        let off = TraceCollector::disabled();
-        let none = FaultPlan::none().injector();
-        assert_eq!(
-            mac.rx_frame_traced(64, &none, 0, &off),
-            Some(mac.loopback_latency_ps(64))
-        );
+        // A disabled probe records nothing and changes nothing.
+        let off = Probe::disabled();
+        let inj = plan.injector();
+        assert_eq!(mac.rx_frame(1500, 0, &inj, &off), lat);
+        assert_eq!(mac.rx_frame(1500, 1_500_000, &inj, &off), None);
     }
 }

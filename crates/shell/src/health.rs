@@ -7,7 +7,7 @@
 //! *degraded* here; the shell continues operating the healthy modules and
 //! the transition stays visible through the normal stats path.
 
-use harmonia_sim::{MetricsRegistry, Picos, TraceCollector, TraceEventKind};
+use harmonia_sim::{Picos, Probe, TraceEventKind};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -46,8 +46,7 @@ impl fmt::Display for RbbHealth {
 #[derive(Clone, Debug, Default)]
 pub struct HealthLedger {
     entries: BTreeMap<(u8, u8), RbbHealth>,
-    trace: TraceCollector,
-    metrics: MetricsRegistry,
+    probe: Probe,
 }
 
 impl HealthLedger {
@@ -56,19 +55,14 @@ impl HealthLedger {
         HealthLedger::default()
     }
 
-    /// Attaches an observability collector: new degradations emit a
-    /// [`TraceEventKind::ModuleDegraded`] instant (the driver attaches
-    /// its own collector during resilient bring-up).
-    pub fn set_trace_collector(&mut self, trace: TraceCollector) {
-        self.trace = trace;
-    }
-
-    /// Attaches a metrics registry: the degraded-module count is
-    /// published as the `harmonia_shell_degraded_modules` gauge, and each
-    /// degradation sets a per-module
+    /// Attaches an observability probe (the driver attaches its own
+    /// during resilient bring-up): new degradations emit a
+    /// [`TraceEventKind::ModuleDegraded`] instant, the degraded-module
+    /// count is published as the `harmonia_shell_degraded_modules` gauge,
+    /// and each degradation sets a per-module
     /// `harmonia_shell_module_degraded{rbb,inst}` gauge to 1.
-    pub fn set_metrics_registry(&mut self, metrics: MetricsRegistry) {
-        self.metrics = metrics;
+    pub fn set_probe(&mut self, probe: Probe) {
+        self.probe = probe;
     }
 
     /// Marks a module degraded. Returns `false` if it already was (the
@@ -78,14 +72,14 @@ impl HealthLedger {
             std::collections::btree_map::Entry::Occupied(_) => false,
             std::collections::btree_map::Entry::Vacant(v) => {
                 v.insert(RbbHealth::Degraded { since_ps: now });
-                self.trace.instant(
+                self.probe.trace.instant(
                     now,
                     TraceEventKind::ModuleDegraded {
                         rbb_id,
                         instance_id,
                     },
                 );
-                self.metrics.gauge_set(
+                self.probe.metrics.gauge_set(
                     "harmonia_shell_module_degraded",
                     &[
                         ("rbb", &rbb_id.to_string()),
@@ -98,7 +92,7 @@ impl HealthLedger {
                     .values()
                     .filter(|h| h.is_degraded())
                     .count() as u64;
-                self.metrics
+                self.probe.metrics
                     .gauge_set("harmonia_shell_degraded_modules", &[], degraded);
                 true
             }
@@ -174,12 +168,12 @@ mod tests {
 
     #[test]
     fn degradation_emits_one_trace_event() {
-        let tc = TraceCollector::enabled();
+        let probe = Probe::enabled();
         let mut l = HealthLedger::new();
-        l.set_trace_collector(tc.clone());
+        l.set_probe(probe.clone());
         assert!(l.mark_degraded(1, 0, 750));
         assert!(!l.mark_degraded(1, 0, 900), "re-marking is silent");
-        let trace = tc.take();
+        let trace = probe.trace.take();
         assert_eq!(trace.len(), 1);
         assert_eq!(trace.events()[0].at, 750);
         assert_eq!(

@@ -14,8 +14,7 @@
 
 use crate::tailor::TailoredShell;
 use harmonia_hw::resource::ResourceUsage;
-use harmonia_sim::metrics::MetricsRegistry;
-use harmonia_sim::Picos;
+use harmonia_sim::{Picos, Probe};
 use std::error::Error;
 use std::fmt;
 use std::ops::Range;
@@ -198,7 +197,7 @@ pub struct MultiTenantRegion {
     /// Accumulated reconfiguration time.
     total_reconfig_ps: Picos,
     /// Observability sink; disabled (and free) by default.
-    metrics: MetricsRegistry,
+    probe: Probe,
 }
 
 impl MultiTenantRegion {
@@ -245,15 +244,15 @@ impl MultiTenantRegion {
             next_queue: 0,
             queue_ranges: vec![None; slot_count],
             total_reconfig_ps: 0,
-            metrics: MetricsRegistry::default(),
+            probe: Probe::disabled(),
         }
     }
 
-    /// Attaches a metrics registry; reconfiguration charges become
+    /// Attaches an observability probe; reconfiguration charges become
     /// `harmonia_pr_reconfig_ps_total` / `harmonia_pr_reconfigs_total`
-    /// counters in Prometheus exports.
-    pub fn set_metrics_registry(&mut self, metrics: MetricsRegistry) {
-        self.metrics = metrics;
+    /// counters in its registry.
+    pub fn set_probe(&mut self, probe: Probe) {
+        self.probe = probe;
     }
 
     /// The PR slots.
@@ -336,9 +335,9 @@ impl MultiTenantRegion {
         s.reconfigurations += 1;
         let t = s.reconfig_time_ps();
         self.total_reconfig_ps += t;
-        self.metrics
+        self.probe.metrics
             .counter_add("harmonia_pr_reconfig_ps_total", &[], t);
-        self.metrics.counter_inc("harmonia_pr_reconfigs_total", &[]);
+        self.probe.metrics.counter_inc("harmonia_pr_reconfigs_total", &[]);
         t
     }
 
@@ -434,7 +433,7 @@ impl MultiTenantRegion {
         }
         let t = s.reconfig_time_ps();
         self.total_reconfig_ps += t;
-        self.metrics
+        self.probe.metrics
             .counter_add("harmonia_pr_reconfig_ps_total", &[], t);
         Ok(t)
     }
@@ -682,13 +681,12 @@ mod tests {
 
     #[test]
     fn reconfig_metrics_flow_to_registry() {
-        use harmonia_sim::metrics::MetricsRegistry;
         let mut r = region(1);
-        let m = MetricsRegistry::enabled();
-        r.set_metrics_registry(m.clone());
+        let probe = Probe::enabled();
+        r.set_probe(probe.clone());
         let t = r.deploy(0, small_tenant("t", 8)).unwrap();
         let s = r.charge_context_save(0).unwrap();
-        let text = m.snapshot().export_prometheus();
+        let text = probe.metrics.snapshot().export_prometheus();
         assert!(
             text.contains(&format!("harmonia_pr_reconfig_ps_total {}", t + s)),
             "{text}"

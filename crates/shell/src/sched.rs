@@ -12,7 +12,8 @@
 //! of the incoming one, both charged through
 //! [`crate::pr::PrSlot::reconfig_time_ps`].
 //!
-//! Two policies, selected by [`TENANT_POLICY_ENV`]:
+//! Two policies, chosen by the [`TenantPolicy`] passed to
+//! [`TenantScheduler::new`]:
 //!
 //! * **round-robin** — equal fixed slices in registration order. Simple
 //!   and starvation-free, but a noisy neighbor degrades everyone
@@ -31,16 +32,9 @@
 //! yields byte-identical schedules on any engine or thread count.
 
 use crate::pr::{MultiTenantRegion, TenancyError, TenantRole};
-use harmonia_sim::metrics::MetricsRegistry;
-use harmonia_sim::{Picos, TraceCollector, TraceEventKind};
+use harmonia_sim::{Picos, Probe, TraceEventKind};
 use std::ops::Range;
 
-/// Environment knob selecting the scheduling policy: `rr`/`round-robin`
-/// (default) or `wfq`/`weighted-fair`.
-pub const TENANT_POLICY_ENV: &str = "HARMONIA_TENANT_POLICY";
-/// Environment knob for the wall-clock length of one time slice, in
-/// picoseconds.
-pub const TENANT_SLICE_ENV: &str = "HARMONIA_TENANT_SLICE_PS";
 /// Default slice length: 2 ms — an order of magnitude above the
 /// millisecond-scale PR reconfiguration cost, so useful work dominates
 /// switch overhead even under round-robin.
@@ -64,20 +58,6 @@ pub enum TenantPolicy {
 }
 
 impl TenantPolicy {
-    /// Parses a policy string; unknown or absent values fall back to
-    /// round-robin (the conservative, weight-blind default).
-    pub fn parse(s: Option<&str>) -> TenantPolicy {
-        match s.map(str::trim) {
-            Some("wfq") | Some("weighted-fair") => TenantPolicy::WeightedFair,
-            _ => TenantPolicy::RoundRobin,
-        }
-    }
-
-    /// Reads [`TENANT_POLICY_ENV`].
-    pub fn from_env() -> TenantPolicy {
-        Self::parse(std::env::var(TENANT_POLICY_ENV).ok().as_deref())
-    }
-
     /// Stable short name (`rr` / `wfq`) for bench rows and reports.
     pub fn name(&self) -> &'static str {
         match self {
@@ -85,18 +65,6 @@ impl TenantPolicy {
             TenantPolicy::WeightedFair => "wfq",
         }
     }
-}
-
-/// Reads [`TENANT_SLICE_ENV`], falling back to
-/// [`DEFAULT_TENANT_SLICE_PS`] on absent or unparseable values.
-pub fn slice_ps_from_env() -> Picos {
-    parse_slice_ps(std::env::var(TENANT_SLICE_ENV).ok().as_deref())
-}
-
-fn parse_slice_ps(s: Option<&str>) -> Picos {
-    s.and_then(|v| v.trim().parse::<Picos>().ok())
-        .filter(|&v| v > 0)
-        .unwrap_or(DEFAULT_TENANT_SLICE_PS)
 }
 
 /// One scheduling decision: which tenant owns the slot next and what it
@@ -169,8 +137,7 @@ pub struct TenantScheduler {
     /// WF²Q+ virtual clock, in `VSCALE` units.
     vclock: u128,
     switches: u64,
-    trace: TraceCollector,
-    metrics: MetricsRegistry,
+    probe: Probe,
 }
 
 impl TenantScheduler {
@@ -209,35 +176,17 @@ impl TenantScheduler {
             rr_next: 0,
             vclock: 0,
             switches: 0,
-            trace: TraceCollector::disabled(),
-            metrics: MetricsRegistry::default(),
+            probe: Probe::disabled(),
         })
     }
 
-    /// [`TenantScheduler::new`] with policy and slice length read from
-    /// [`TENANT_POLICY_ENV`] / [`TENANT_SLICE_ENV`].
-    ///
-    /// # Errors
-    ///
-    /// See [`TenantScheduler::new`].
-    pub fn from_env(
-        region: MultiTenantRegion,
-        slot: usize,
-    ) -> Result<TenantScheduler, TenancyError> {
-        Self::new(region, slot, TenantPolicy::from_env(), slice_ps_from_env())
-    }
-
-    /// Attaches a trace collector; switches emit
-    /// [`TraceEventKind::TenantSwitch`] spans covering the PR cost.
-    pub fn set_trace_collector(&mut self, trace: TraceCollector) {
-        self.trace = trace;
-    }
-
-    /// Attaches a metrics registry to the scheduler *and* its region, so
-    /// `harmonia_tenant_*` and `harmonia_pr_*` series land together.
-    pub fn set_metrics_registry(&mut self, metrics: MetricsRegistry) {
-        self.region.set_metrics_registry(metrics.clone());
-        self.metrics = metrics;
+    /// Attaches an observability probe to the scheduler *and* its
+    /// region: switches emit [`TraceEventKind::TenantSwitch`] spans
+    /// covering the PR cost, and `harmonia_tenant_*` and `harmonia_pr_*`
+    /// series land in one registry.
+    pub fn set_probe(&mut self, probe: Probe) {
+        self.region.set_probe(probe.clone());
+        self.probe = probe;
     }
 
     /// Registers a tenant: reserves its persistent queue range and seeds
@@ -279,7 +228,7 @@ impl TenantScheduler {
             finish: VSCALE / weight as u128,
             prev_runnable: false,
         });
-        self.metrics
+        self.probe.metrics
             .gauge_max("harmonia_tenant_registered", &[], idx as u64 + 1);
         Ok(idx)
     }
@@ -388,7 +337,7 @@ impl TenantScheduler {
             )?;
             self.resident = Some(pick);
             self.switches += 1;
-            self.trace.span(
+            self.probe.trace.span(
                 now,
                 switch_ps,
                 TraceEventKind::TenantSwitch {
@@ -397,17 +346,17 @@ impl TenantScheduler {
                     to: pick as u32,
                 },
             );
-            self.metrics
+            self.probe.metrics
                 .counter_inc("harmonia_tenant_switches_total", &[]);
-            self.metrics
+            self.probe.metrics
                 .counter_add("harmonia_tenant_switch_ps_total", &[], switch_ps);
         }
         self.tenants[pick].slices += 1;
-        self.metrics.counter_inc(
+        self.probe.metrics.counter_inc(
             "harmonia_tenant_slices_total",
             &[("tenant", &self.tenants[pick].role.name)],
         );
-        self.metrics
+        self.probe.metrics
             .gauge_set("harmonia_tenant_resident", &[], pick as u64);
         Ok(Some(SliceGrant {
             tenant: pick,
@@ -535,29 +484,6 @@ mod tests {
     }
 
     #[test]
-    fn policy_parsing() {
-        assert_eq!(TenantPolicy::parse(None), TenantPolicy::RoundRobin);
-        assert_eq!(TenantPolicy::parse(Some("rr")), TenantPolicy::RoundRobin);
-        assert_eq!(
-            TenantPolicy::parse(Some("round-robin")),
-            TenantPolicy::RoundRobin
-        );
-        assert_eq!(TenantPolicy::parse(Some("wfq")), TenantPolicy::WeightedFair);
-        assert_eq!(
-            TenantPolicy::parse(Some(" weighted-fair ")),
-            TenantPolicy::WeightedFair
-        );
-        assert_eq!(
-            TenantPolicy::parse(Some("nonsense")),
-            TenantPolicy::RoundRobin
-        );
-        assert_eq!(parse_slice_ps(None), DEFAULT_TENANT_SLICE_PS);
-        assert_eq!(parse_slice_ps(Some("12345")), 12345);
-        assert_eq!(parse_slice_ps(Some("0")), DEFAULT_TENANT_SLICE_PS);
-        assert_eq!(parse_slice_ps(Some("junk")), DEFAULT_TENANT_SLICE_PS);
-    }
-
-    #[test]
     fn round_robin_rotates_in_registration_order() {
         let mut s = sched(TenantPolicy::RoundRobin, &[1, 1, 1]);
         assert_eq!(run_slices(&mut s, 7), vec![0, 1, 2, 0, 1, 2, 0]);
@@ -641,12 +567,10 @@ mod tests {
     #[test]
     fn switch_emits_span_and_metrics() {
         let mut s = sched(TenantPolicy::RoundRobin, &[1, 1]);
-        let tc = TraceCollector::enabled();
-        let m = MetricsRegistry::enabled();
-        s.set_trace_collector(tc.clone());
-        s.set_metrics_registry(m.clone());
+        let probe = Probe::enabled();
+        s.set_probe(probe.clone());
         run_slices(&mut s, 4);
-        let trace = tc.take();
+        let trace = probe.trace.take();
         let switches: Vec<_> = trace
             .events()
             .iter()
@@ -660,7 +584,7 @@ mod tests {
             }
             _ => unreachable!(),
         }
-        let prom = m.snapshot().export_prometheus();
+        let prom = probe.metrics.snapshot().export_prometheus();
         assert!(prom.contains("harmonia_tenant_switches_total 4"), "{prom}");
         assert!(
             prom.contains("harmonia_tenant_slices_total{tenant=\"t0\"} 2"),

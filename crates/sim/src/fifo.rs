@@ -6,8 +6,9 @@
 //! of the Host RBB.
 
 use crate::fault::FaultInjector;
+use crate::probe::Probe;
 use crate::time::Picos;
-use crate::trace::{TraceCollector, TraceEventKind};
+use crate::trace::TraceEventKind;
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
@@ -27,7 +28,7 @@ impl<T> fmt::Display for FifoFullError<T> {
 
 impl<T: fmt::Debug> Error for FifoFullError<T> {}
 
-/// What became of a beat offered via [`SyncFifo::push_with_faults`].
+/// What became of a beat offered via [`SyncFifo::push_at`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum BeatFate {
     /// The beat was stored normally.
@@ -91,56 +92,37 @@ impl<T> SyncFifo<T> {
         Ok(())
     }
 
-    /// Enqueues an item through the fault plane: an [`FaultInjector`]
-    /// ECC hit on the FIFO memory discards the beat (tallied in
-    /// [`SyncFifo::rejected`]) instead of storing a corrupt word. With
-    /// the no-op injector this is exactly [`SyncFifo::push`].
+    /// Enqueues an item at absolute time `now` through the fault plane
+    /// and the observability plane. An [`FaultInjector`] ECC hit on the
+    /// FIFO memory discards the beat (tallied in [`SyncFifo::rejected`])
+    /// instead of storing a corrupt word; a rejection for a full FIFO
+    /// records a [`TraceEventKind::FifoStall`] instant on `probe`, so
+    /// backpressure shows up on the timeline. With the no-op injector
+    /// this is exactly [`SyncFifo::push`], whatever the probe.
     ///
     /// # Errors
     ///
     /// Returns [`FifoFullError`] containing the item when the FIFO is
     /// full (backpressure precedes the memory, so full wins over ECC).
-    pub fn push_with_faults(
+    pub fn push_at(
         &mut self,
         item: T,
-        faults: &FaultInjector,
         now: Picos,
+        faults: &FaultInjector,
+        probe: &Probe,
     ) -> Result<BeatFate, FifoFullError<T>> {
         if self.buf.len() == self.capacity {
-            self.rejected += 1;
-            return Err(FifoFullError(item));
-        }
-        if faults.ecc_error(now) {
-            self.rejected += 1;
-            return Ok(BeatFate::Discarded);
-        }
-        self.push(item).map(|()| BeatFate::Stored)
-    }
-
-    /// [`SyncFifo::push`] that records a [`TraceEventKind::FifoStall`]
-    /// instant when the FIFO rejects the beat — so backpressure shows up
-    /// on the observability timeline. With a disabled collector this is
-    /// exactly `push`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FifoFullError`] containing the item when the FIFO is full.
-    pub fn push_traced(
-        &mut self,
-        item: T,
-        trace: &TraceCollector,
-        now: Picos,
-    ) -> Result<(), FifoFullError<T>> {
-        let result = self.push(item);
-        if result.is_err() {
-            trace.instant(
+            probe.trace.instant(
                 now,
                 TraceEventKind::FifoStall {
                     occupancy: self.buf.len() as u32,
                 },
             );
+        } else if faults.ecc_error(now) {
+            self.rejected += 1;
+            return Ok(BeatFate::Discarded);
         }
-        result
+        self.push(item).map(|()| BeatFate::Stored)
     }
 
     /// Dequeues the oldest item, if any.
@@ -281,10 +263,11 @@ mod tests {
     fn faulty_push_matches_plain_push_with_no_plan() {
         use crate::fault::FaultPlan;
         let inj = FaultPlan::none().injector();
+        let off = Probe::disabled();
         let mut f = SyncFifo::new(2);
-        assert_eq!(f.push_with_faults(1, &inj, 0), Ok(BeatFate::Stored));
-        assert_eq!(f.push_with_faults(2, &inj, 10), Ok(BeatFate::Stored));
-        assert_eq!(f.push_with_faults(3, &inj, 20), Err(FifoFullError(3)));
+        assert_eq!(f.push_at(1, 0, &inj, &off), Ok(BeatFate::Stored));
+        assert_eq!(f.push_at(2, 10, &inj, &off), Ok(BeatFate::Stored));
+        assert_eq!(f.push_at(3, 20, &inj, &off), Err(FifoFullError(3)));
         assert_eq!(f.drain(), vec![1, 2]);
     }
 
@@ -292,23 +275,27 @@ mod tests {
     fn ecc_hit_discards_the_beat() {
         use crate::fault::{FaultKind, FaultPlan};
         let inj = FaultPlan::new().at(5, FaultKind::EccError).injector();
+        let probe = Probe::enabled();
         let mut f = SyncFifo::new(4);
-        assert_eq!(f.push_with_faults(1, &inj, 0), Ok(BeatFate::Stored));
-        assert_eq!(f.push_with_faults(2, &inj, 5), Ok(BeatFate::Discarded));
-        assert_eq!(f.push_with_faults(3, &inj, 6), Ok(BeatFate::Stored));
+        assert_eq!(f.push_at(1, 0, &inj, &probe), Ok(BeatFate::Stored));
+        assert_eq!(f.push_at(2, 5, &inj, &probe), Ok(BeatFate::Discarded));
+        assert_eq!(f.push_at(3, 6, &inj, &probe), Ok(BeatFate::Stored));
+        assert!(probe.trace.is_empty(), "an ECC discard is not a stall");
         assert_eq!(f.rejected(), 1);
         assert_eq!(f.drain(), vec![1, 3]);
     }
 
     #[test]
     fn traced_push_emits_stall_only_on_rejection() {
-        use crate::trace::{TraceCollector, TraceEventKind};
-        let tc = TraceCollector::enabled();
+        use crate::fault::FaultInjector;
+        let probe = Probe::enabled();
+        let none = FaultInjector::none();
         let mut f = SyncFifo::new(1);
-        f.push_traced(1, &tc, 100).unwrap();
-        assert!(tc.is_empty(), "accepted beats emit nothing");
-        assert!(f.push_traced(2, &tc, 200).is_err());
-        let trace = tc.take();
+        f.push_at(1, 100, &none, &probe).unwrap();
+        assert!(probe.trace.is_empty(), "accepted beats emit nothing");
+        assert!(f.push_at(2, 200, &none, &probe).is_err());
+        assert_eq!(f.rejected(), 1);
+        let trace = probe.trace.take();
         assert_eq!(trace.len(), 1);
         assert_eq!(trace.events()[0].at, 200);
         assert_eq!(

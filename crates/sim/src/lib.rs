@@ -32,6 +32,7 @@ pub mod fifo;
 pub mod histo;
 pub mod metrics;
 pub mod pipeline;
+pub mod probe;
 pub mod rng;
 pub mod stats;
 pub mod stream;
@@ -46,11 +47,12 @@ pub use fifo::{BeatFate, FifoFullError, SyncFifo};
 pub use histo::LogHistogram;
 pub use metrics::{
     evaluate_slos, par_metered, FlightRecorder, MetricsRegistry, MetricsSample, MetricsScraper,
-    MetricsSnapshot, Slo, SloObjective, SloReport, SloResult, METRICS_ENV, METRICS_PERIOD_ENV,
+    MetricsSnapshot, Slo, SloObjective, SloReport, SloResult,
 };
 pub use pipeline::{Pipeline, PushError};
+pub use probe::Probe;
 pub use rng::SplitMix64;
 pub use stats::{LatencyStats, Throughput};
 pub use stream::StreamBeat;
 pub use time::{ClockDomain, Freq, Picos, PS_PER_SEC};
-pub use trace::{par_traced, Trace, TraceCollector, TraceEvent, TraceEventKind, TRACE_ENV};
+pub use trace::{par_traced, Trace, TraceCollector, TraceEvent, TraceEventKind};

@@ -16,11 +16,12 @@
 //!
 //! 1. **Disabled metrics are zero-cost.** [`MetricsRegistry::disabled`]
 //!    holds no state; every hook collapses to one branch on an `Option`.
-//!    The [`METRICS_ENV`]-off path is the pinned one (paper snapshot,
-//!    trace exports and committed bench medians are bit-identical).
+//!    The disabled path is the pinned one (paper snapshot, trace exports
+//!    and committed bench medians are bit-identical).
 //! 2. **Metrics are observational.** Recording never changes simulated
-//!    timing, fault draws or results; enabling [`METRICS_ENV`] alters
-//!    only what can be exported afterwards.
+//!    timing, fault draws or results; attaching an enabled registry
+//!    (usually inside a [`crate::Probe`]) alters only what can be
+//!    exported afterwards.
 //! 3. **Merged snapshots are thread-count independent.** Each fan-out
 //!    lane owns a registry; [`MetricsSnapshot::merge`] folds counters by
 //!    sum, gauges by max (high-water semantics) and histograms by
@@ -59,17 +60,6 @@ use crate::trace::{TraceEvent, TraceEventKind};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::{Arc, Mutex};
-
-/// Environment knob enabling the metrics plane in drivers and kernels
-/// that consult [`MetricsRegistry::from_env`]. Any value other than
-/// unset, empty or `0` enables collection — the same gate semantics as
-/// [`crate::trace::TRACE_ENV`]. Defaults off: the no-metrics path is the
-/// pinned one.
-pub const METRICS_ENV: &str = "HARMONIA_METRICS";
-
-/// Environment knob for the [`MetricsScraper`] sampling period in
-/// simulated picoseconds. Defaults to [`DEFAULT_METRICS_PERIOD_PS`].
-pub const METRICS_PERIOD_ENV: &str = "HARMONIA_METRICS_PERIOD_PS";
 
 /// Default scrape period: 10 µs of simulated time.
 pub const DEFAULT_METRICS_PERIOD_PS: Picos = 10_000_000;
@@ -164,23 +154,6 @@ impl MetricsRegistry {
     pub fn enabled() -> MetricsRegistry {
         MetricsRegistry {
             inner: Some(Arc::new(Mutex::new(RegistryBuf::default()))),
-        }
-    }
-
-    /// Reads [`METRICS_ENV`]: enabled for any value other than unset,
-    /// empty or `0`.
-    ///
-    /// ```
-    /// use harmonia_sim::metrics::MetricsRegistry;
-    /// // The default environment records nothing.
-    /// if std::env::var_os("HARMONIA_METRICS").is_none() {
-    ///     assert!(!MetricsRegistry::from_env().is_enabled());
-    /// }
-    /// ```
-    pub fn from_env() -> MetricsRegistry {
-        match std::env::var(METRICS_ENV) {
-            Ok(v) if !v.trim().is_empty() && v.trim() != "0" => Self::enabled(),
-            _ => Self::disabled(),
         }
     }
 
@@ -512,18 +485,6 @@ impl MetricsScraper {
         }
     }
 
-    /// Creates a scraper with the [`METRICS_PERIOD_ENV`]-controlled
-    /// period, falling back to [`DEFAULT_METRICS_PERIOD_PS`] for unset
-    /// or unparsable values.
-    pub fn from_env() -> MetricsScraper {
-        let period = std::env::var(METRICS_PERIOD_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<Picos>().ok())
-            .filter(|&p| p > 0)
-            .unwrap_or(DEFAULT_METRICS_PERIOD_PS);
-        MetricsScraper::new(period)
-    }
-
     /// The configured sampling period.
     pub fn period_ps(&self) -> Picos {
         self.period_ps
@@ -628,16 +589,6 @@ impl FlightRecorder {
         }
     }
 
-    /// Reads [`METRICS_ENV`]: the flight recorder rides the metrics
-    /// plane's gate (enabled with default capacity for any value other
-    /// than unset, empty or `0`).
-    pub fn from_env() -> FlightRecorder {
-        match std::env::var(METRICS_ENV) {
-            Ok(v) if !v.trim().is_empty() && v.trim() != "0" => Self::enabled(),
-            _ => Self::disabled(),
-        }
-    }
-
     /// Whether this handle records anything.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
@@ -683,7 +634,7 @@ impl FlightRecorder {
     /// [`crate::trace::Trace::export_text`].
     pub fn dump(&self) -> String {
         let Some(inner) = &self.inner else {
-            return String::from("(flight recorder disabled — set HARMONIA_METRICS=1)\n");
+            return String::from("(flight recorder disabled — attach an enabled FlightRecorder)\n");
         };
         let buf = inner.lock().expect("flight recorder poisoned");
         let mut out = format!(

@@ -17,8 +17,9 @@
 //!    contract, and pinned the same way (the `paper_snapshot` test runs
 //!    with tracing off and must stay byte-identical).
 //! 2. **Tracing is observational.** Recording events never changes
-//!    simulated timing, fault draws or results; enabling
-//!    [`TRACE_ENV`] alters *only* what can be exported afterwards.
+//!    simulated timing, fault draws or results; attaching an enabled
+//!    collector (usually inside a [`crate::Probe`]) alters *only* what
+//!    can be exported afterwards.
 //! 3. **Merged traces are thread-count independent.** Each scenario owns
 //!    a collector with a stable `lane`; [`Trace::merge`] orders events by
 //!    `(Picos, lane, seq)`, so [`par_traced`] emits byte-identical
@@ -50,11 +51,6 @@ use crate::fault::FaultKind;
 use crate::time::Picos;
 use std::fmt;
 use std::sync::{Arc, Mutex};
-
-/// Environment knob enabling tracing in binaries and drivers that consult
-/// [`TraceCollector::from_env`]. Any value other than unset, empty or `0`
-/// enables collection. Defaults off: the no-trace path is the pinned one.
-pub const TRACE_ENV: &str = "HARMONIA_TRACE";
 
 /// The typed event taxonomy — one variant per hot-path phenomenon worth
 /// seeing on a timeline.
@@ -389,23 +385,6 @@ impl TraceCollector {
                 seq: 0,
                 events: Vec::new(),
             }))),
-        }
-    }
-
-    /// Reads [`TRACE_ENV`]: enabled for any value other than unset, empty
-    /// or `0`.
-    ///
-    /// ```
-    /// use harmonia_sim::trace::TraceCollector;
-    /// // The default environment traces nothing.
-    /// if std::env::var_os("HARMONIA_TRACE").is_none() {
-    ///     assert!(!TraceCollector::from_env().is_enabled());
-    /// }
-    /// ```
-    pub fn from_env() -> TraceCollector {
-        match std::env::var(TRACE_ENV) {
-            Ok(v) if !v.trim().is_empty() && v.trim() != "0" => Self::enabled(),
-            _ => Self::disabled(),
         }
     }
 

@@ -17,7 +17,7 @@ use harmonia::hw::device::catalog;
 use harmonia::hw::ip::{MacIp, PcieDmaIp};
 use harmonia::hw::Vendor;
 use harmonia::shell::{RoleSpec, TailoredShell, UnifiedShell};
-use harmonia::sim::{FaultKind, FaultPlan, FaultRates, TraceCollector};
+use harmonia::sim::{FaultKind, FaultPlan, FaultRates, Probe};
 
 fn main() {
     // Shell side: a 100G Layer-4 LB role tailored onto device A.
@@ -31,7 +31,7 @@ fn main() {
     let mut kernel = UnifiedControlKernel::new(64);
     kernel.attach_shell(shell.rbbs().iter().map(|r| r.as_ref()));
 
-    // Host side: resilient driver with tracing forced on and a fault plan
+    // Host side: resilient driver with every probe plane on and a fault plan
     // that flaps the link mid-bring-up and drops a few percent of
     // commands.
     let (gen, lanes) = dev.pcie().expect("device A has PCIe");
@@ -39,8 +39,8 @@ fn main() {
         DmaEngine::new(PcieDmaIp::new(Vendor::Xilinx, gen, lanes)),
         kernel,
     );
-    let trace = TraceCollector::enabled();
-    driver.set_trace_collector(trace.clone());
+    let probe = Probe::enabled();
+    driver.set_probe(probe.clone());
     let injector = FaultPlan::new()
         .at(0, FaultKind::LinkDown)
         .at(30_000_000, FaultKind::LinkUp)
@@ -64,7 +64,7 @@ fn main() {
     let mut carried = 0u32;
     for i in 0..32u32 {
         let bytes = if i % 3 == 0 { 1500 } else { 64 };
-        if mac.rx_frame_traced(bytes, &injector, now, &trace).is_some() {
+        if mac.rx_frame(bytes, now, &injector, &probe).is_some() {
             carried += 1;
         }
         now += 672_000; // ~1500 B at 100G wire pacing between arrivals
@@ -75,7 +75,7 @@ fn main() {
         .read_all_stats_resilient(&shell)
         .expect("monitoring sweep succeeds");
 
-    let timeline = trace.take();
+    let timeline = probe.trace.take();
     let perfetto = timeline.export_perfetto();
     let out = std::path::Path::new("target").join("trace_capture.json");
     if std::fs::write(&out, &perfetto).is_ok() {
