@@ -51,13 +51,15 @@ pub fn ablation_memory() -> Table {
         ("random", AccessPattern::Random),
     ];
     let rows = par_sweep(cases, |(label, pattern)| {
+        // One trace per pattern, replayed on a fresh memory system for
+        // each configuration.
+        let ops = MemTraceGen::new(11).trace(pattern, false, 64, 40_000);
         let mut row = vec![label.to_string()];
         for (cache, interleave) in [(true, true), (false, true), (true, false), (false, false)] {
             let mut mem = MemoryRbb::ddr(Vendor::Xilinx, 4, 2);
             mem.set_cache(cache);
             mem.set_interleave(interleave);
-            let ops = MemTraceGen::new(11).trace(pattern, false, 64, 40_000);
-            let r = mem.run_trace(ops);
+            let r = mem.run_trace(ops.iter().copied());
             row.push(fmt_f64(r.bandwidth_gbs(), 1));
         }
         row
@@ -279,7 +281,33 @@ mod tests {
     #[test]
     fn memory_ablation_has_12_cells() {
         let t = ablation_memory();
-        assert_eq!(t.len(), 3);
+        let text = t.to_string();
+        let rows: Vec<(&str, Vec<f64>)> = text
+            .lines()
+            .skip(3)
+            .take(t.len())
+            .map(|line| {
+                let mut cells = line.split_whitespace();
+                let label = cells.next().expect("pattern label");
+                let cells = cells.map(|c| c.parse().expect("numeric cell")).collect();
+                (label, cells)
+            })
+            .collect();
+        let labels: Vec<&str> = rows.iter().map(|(label, _)| *label).collect();
+        assert_eq!(labels, ["sequential", "fixed", "random"]);
+        assert!(rows.iter().all(|(_, cells)| cells.len() == 4), "{rows:?}");
+        // Columns: both on, no cache, no interleave, neither.
+        let seq = &rows[0].1;
+        assert!(
+            seq[1] > 1.5 * seq[3],
+            "interleaving alone ({}) does not pay over neither ({})",
+            seq[1],
+            seq[3]
+        );
+        let random = &rows[2].1;
+        let lo = random.iter().copied().fold(f64::INFINITY, f64::min);
+        let hi = random.iter().copied().fold(0.0, f64::max);
+        assert!(hi <= 1.01 * lo, "random row not flat: {random:?}");
     }
 
     #[test]

@@ -24,28 +24,35 @@ pub mod tables;
 pub mod tenancy;
 pub mod trace_run;
 
+/// A generator: one paper artifact's tables.
+pub type Generator = fn() -> Vec<harmonia::metrics::Table>;
+
+/// Every generator of the evaluation, in the paper's order, with its
+/// module name.
+pub fn generators() -> [(&'static str, Generator); 12] {
+    [
+        ("fig03", fig03::generate),
+        ("fig10", fig10::generate),
+        ("fig11", fig11::generate),
+        ("fig12", fig12::generate),
+        ("fig13", fig13::generate),
+        ("fig14", fig14::generate),
+        ("fig15", fig15::generate),
+        ("fig16", fig16::generate),
+        ("fig17", fig17::generate),
+        ("fig18", fig18::generate),
+        ("tables", tables::generate),
+        ("ablation", ablation::generate),
+    ]
+}
+
 /// Every table of the evaluation, in the paper's order.
 ///
 /// Each artifact's generator is independent, so they fan out across the
 /// scoped worker pool ([`harmonia::sim::exec`]); ordered reassembly keeps
 /// the output byte-identical to running the generators one by one.
 pub fn all_tables() -> Vec<harmonia::metrics::Table> {
-    type Generator = fn() -> Vec<harmonia::metrics::Table>;
-    let generators: Vec<Generator> = vec![
-        fig03::generate,
-        fig10::generate,
-        fig11::generate,
-        fig12::generate,
-        fig13::generate,
-        fig14::generate,
-        fig15::generate,
-        fig16::generate,
-        fig17::generate,
-        fig18::generate,
-        tables::generate,
-        ablation::generate,
-    ];
-    harmonia::sim::exec::par_map(generators, |g| g())
+    harmonia::sim::exec::par_map(generators(), |(_, generate)| generate())
         .into_iter()
         .flatten()
         .collect()

@@ -134,6 +134,53 @@ impl DramTiming {
     }
 }
 
+/// A divisor fixed at construction. `x / d` and `x % d` are a shift and a
+/// mask when it is a power of two and a `u64` division otherwise.
+///
+/// Address mapping runs once per memory op, and every catalog geometry is
+/// a power of two, so the DRAM model and the Memory RBB build their
+/// divisors once in their constructors.
+#[derive(Copy, Clone, Debug)]
+pub struct Divisor {
+    d: u64,
+    /// `log2(d)` when `d` is a power of two.
+    shift: Option<u32>,
+}
+
+impl Divisor {
+    /// A divisor of `d`. A zero divisor panics on first use, as `/` does.
+    pub fn new(d: u64) -> Self {
+        Divisor {
+            d,
+            shift: d.is_power_of_two().then(|| d.trailing_zeros()),
+        }
+    }
+}
+
+impl std::ops::Div<Divisor> for u64 {
+    type Output = u64;
+
+    #[inline]
+    fn div(self, d: Divisor) -> u64 {
+        match d.shift {
+            Some(s) => self >> s,
+            None => self / d.d,
+        }
+    }
+}
+
+impl std::ops::Rem<Divisor> for u64 {
+    type Output = u64;
+
+    #[inline]
+    fn rem(self, d: Divisor) -> u64 {
+        match d.shift {
+            Some(_) => self & (d.d - 1),
+            None => self % d.d,
+        }
+    }
+}
+
 /// A single in-order DRAM channel with per-bank open-row state.
 ///
 /// The default physical address mapping interleaves banks on burst
@@ -143,6 +190,12 @@ impl DramTiming {
 #[derive(Clone, Debug)]
 pub struct DramModel {
     timing: DramTiming,
+    /// Address-mapping divisors from `timing`: burst size, bank count,
+    /// row span across all banks, bank-group count.
+    burst: Divisor,
+    banks: Divisor,
+    row_span: Divisor,
+    groups: Divisor,
     open_rows: Vec<Option<u64>>,
     /// Next time each bank can accept a command.
     bank_cmd_free_ps: Vec<Picos>,
@@ -167,6 +220,10 @@ impl DramModel {
             last_group: None,
             last_was_write: None,
             recent_activates: VecDeque::with_capacity(4),
+            burst: Divisor::new(u64::from(timing.burst_bytes)),
+            banks: Divisor::new(u64::from(timing.banks)),
+            row_span: Divisor::new(u64::from(timing.row_bytes) * u64::from(timing.banks)),
+            groups: Divisor::new(u64::from(timing.bank_groups)),
             timing,
             hits: 0,
             misses: 0,
@@ -187,15 +244,15 @@ impl DramModel {
     }
 
     fn bank_of(&self, addr: u64) -> u32 {
-        ((addr / u64::from(self.timing.burst_bytes)) % u64::from(self.timing.banks)) as u32
+        ((addr / self.burst) % self.banks) as u32
     }
 
     fn row_of(&self, addr: u64) -> u64 {
-        addr / (u64::from(self.timing.row_bytes) * u64::from(self.timing.banks))
+        addr / self.row_span
     }
 
     fn group_of(&self, bank: u32) -> u32 {
-        bank % self.timing.bank_groups
+        (u64::from(bank) % self.groups) as u32
     }
 
     /// Reserves a slot in the four-activate window at or after `t`; returns
@@ -337,6 +394,62 @@ impl DramModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use harmonia_testkit::prelude::*;
+
+    /// The catalog timings, whose divisors are all powers of two, and two
+    /// geometries whose divisors are not (12 banks in 3 groups, 3000-byte
+    /// rows, then also 48-byte bursts), which must take the division path.
+    fn mapping_geometries() -> [DramTiming; 5] {
+        let odd = DramTiming {
+            banks: 12,
+            bank_groups: 3,
+            row_bytes: 3000,
+            ..DramTiming::ddr4_2400()
+        };
+        [
+            DramTiming::ddr4_2400(),
+            DramTiming::ddr3_1600(),
+            DramTiming::hbm2_channel(),
+            odd,
+            DramTiming {
+                burst_bytes: 48,
+                ..odd
+            },
+        ]
+    }
+
+    forall! {
+        /// `Divisor` equals `/` and `%` for powers of two and for any other
+        /// non-zero divisor.
+        #[test]
+        fn divisor_matches_division(
+            x in any::<u64>(),
+            log2 in 0u32..64,
+            other in 1u64..=u64::MAX,
+            pow2 in any::<bool>(),
+        ) {
+            let d = if pow2 { 1u64 << log2 } else { other };
+            let div = Divisor::new(d);
+            prop_assert_eq!(x / div, x / d, "{x} / {d}");
+            prop_assert_eq!(x % div, x % d, "{x} % {d}");
+        }
+
+        /// Bank, row and bank-group mapping equal the division mapping on
+        /// random addresses, for every geometry.
+        #[test]
+        fn address_mapping_matches_division(
+            addr in any::<u64>(),
+            bank in any::<u32>(),
+            which in 0usize..5,
+        ) {
+            let t = mapping_geometries()[which];
+            let m = DramModel::new(t);
+            let (burst, banks) = (u64::from(t.burst_bytes), u64::from(t.banks));
+            prop_assert_eq!(m.bank_of(addr), ((addr / burst) % banks) as u32);
+            prop_assert_eq!(m.row_of(addr), addr / (u64::from(t.row_bytes) * banks));
+            prop_assert_eq!(m.group_of(bank), bank % t.bank_groups);
+        }
+    }
 
     #[test]
     fn peak_bandwidths_match_datasheets() {
@@ -373,8 +486,12 @@ mod tests {
             addr = addr.wrapping_mul(6364136223846793005).wrapping_add(1);
             MemOp::read((addr >> 8) % (1 << 30), 64)
         });
-        let bw = DramModel::new(DramTiming::ddr4_2400()).trace_bandwidth_gbs(ops.clone());
-        let _ = &mut m;
+        let bw = m.trace_bandwidth_gbs(ops);
+        assert!(
+            m.hit_ratio() < 0.01,
+            "random reads hit an open row {:.4} of the time",
+            m.hit_ratio()
+        );
         assert!(
             bw < 0.6 * 19.2,
             "random bw {bw:.2} GB/s unexpectedly close to peak"

@@ -9,7 +9,7 @@
 //! the device: 2 channels for DDR, 32 for HBM.
 
 use crate::rbb::{LogicComponent, LogicPart, Portability, Rbb, RbbKind};
-use harmonia_hw::ip::dram::{DramModel, MemOp};
+use harmonia_hw::ip::dram::{Divisor, DramModel, MemOp};
 use harmonia_hw::ip::{DdrIp, HbmIp, VendorIp};
 use harmonia_hw::regfile::{Access, RegisterFile};
 use harmonia_hw::resource::ResourceUsage;
@@ -32,7 +32,9 @@ enum StorageInstance {
 pub struct HotCache {
     /// Tag per line slot; `None` = invalid.
     tags: Vec<Option<u64>>,
-    line_bytes: u64,
+    /// Line size and slot count, as divisors.
+    line_bytes: Divisor,
+    slots: Divisor,
     hits: u64,
     misses: u64,
 }
@@ -47,7 +49,8 @@ impl HotCache {
         assert!(lines > 0 && line_bytes > 0, "cache geometry must be non-zero");
         HotCache {
             tags: vec![None; lines],
-            line_bytes,
+            line_bytes: Divisor::new(line_bytes),
+            slots: Divisor::new(lines as u64),
             hits: 0,
             misses: 0,
         }
@@ -55,7 +58,7 @@ impl HotCache {
 
     fn slot_and_tag(&self, addr: u64) -> (usize, u64) {
         let line = addr / self.line_bytes;
-        ((line % self.tags.len() as u64) as usize, line)
+        ((line % self.slots) as usize, line)
     }
 
     /// Looks up a read; fills the line on miss. Returns hit/miss.
@@ -133,9 +136,11 @@ pub struct MemoryRbb {
     cache_enabled: bool,
     cache: HotCache,
     /// Interleave stripe in bytes.
-    stripe_bytes: u64,
+    stripe_bytes: Divisor,
     /// Capacity per channel for contiguous (non-interleaved) mapping.
-    channel_span_bytes: u64,
+    channel_span_bytes: Divisor,
+    /// `channels.len()`, as a divisor.
+    channel_count: Divisor,
     /// Service time per cache-hit access on the on-chip port.
     cache_port_ps: Picos,
 }
@@ -167,15 +172,17 @@ impl MemoryRbb {
 
     fn build(storage: StorageInstance, channels: Vec<DramModel>) -> Self {
         MemoryRbb {
+            channel_count: Divisor::new(channels.len() as u64),
             storage,
             components: Self::component_inventory(),
             channels,
             interleave_enabled: true,
             cache_enabled: true,
             cache: HotCache::new(Self::CACHE_LINES, Self::CACHE_LINE_BYTES),
-            stripe_bytes: 4096,
-            channel_span_bytes: 1 << 28, // 256 MiB contiguous regions
-            cache_port_ps: 1_500,        // ≈42 GB/s on-chip port for 64 B ops
+            stripe_bytes: Divisor::new(4096),
+            // 256 MiB contiguous regions.
+            channel_span_bytes: Divisor::new(1 << 28),
+            cache_port_ps: 1_500, // ≈42 GB/s on-chip port for 64 B ops
         }
     }
 
@@ -243,11 +250,10 @@ impl MemoryRbb {
     }
 
     fn channel_of(&self, addr: u64) -> usize {
-        let n = self.channels.len() as u64;
         if self.interleave_enabled {
-            ((addr / self.stripe_bytes) % n) as usize
+            ((addr / self.stripe_bytes) % self.channel_count) as usize
         } else {
-            ((addr / self.channel_span_bytes) % n) as usize
+            ((addr / self.channel_span_bytes) % self.channel_count) as usize
         }
     }
 
@@ -403,6 +409,37 @@ impl Rbb for MemoryRbb {
 mod tests {
     use super::*;
     use crate::rbb::MigrationKind;
+    use harmonia_testkit::prelude::*;
+
+    forall! {
+        /// Channel and cache-slot mapping equal the division mapping on
+        /// random addresses: for 1, 2 and 3 DDR channels and 32 HBM
+        /// channels with interleave on and off, and for the default cache
+        /// geometry and one that is not a power of two.
+        #[test]
+        fn address_mapping_matches_division(
+            addr in any::<u64>(),
+            which in 0usize..4,
+            interleave in any::<bool>(),
+        ) {
+            let mut m = match which {
+                3 => MemoryRbb::hbm(Vendor::Xilinx),
+                ch => MemoryRbb::ddr(Vendor::Xilinx, 4, ch as u32 + 1),
+            };
+            m.set_interleave(interleave);
+            // The 4 KiB stripe and 256 MiB span `build` sets.
+            let region = if interleave { addr / 4096 } else { addr / (1 << 28) };
+            prop_assert_eq!(m.channel_of(addr), (region % m.channel_count() as u64) as usize);
+            let default = (MemoryRbb::CACHE_LINES, MemoryRbb::CACHE_LINE_BYTES);
+            for (lines, line_bytes) in [default, (100, 3000)] {
+                let line = addr / line_bytes;
+                prop_assert_eq!(
+                    HotCache::new(lines, line_bytes).slot_and_tag(addr),
+                    ((line % lines as u64) as usize, line)
+                );
+            }
+        }
+    }
 
     fn seq_ops(n: u64, size: u32) -> impl Iterator<Item = MemOp> {
         (0..n).map(move |i| MemOp::read(i * u64::from(size), size))
