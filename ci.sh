@@ -26,13 +26,21 @@ if grep -rnE 'HARMONIA_CMD_[B]ATCH|HARMONIA_SQ_[D]EPTH|HARMONIA_CMD_[D]EADLINE_P
     exit 1
 fi
 
+echo "==> one parallel loop: no worker pool, thread knob or nested fan-out under crates/, examples/, tests/"
+# harmonia_sim::exec::par_sweep sized from available_parallelism is the
+# only parallel primitive; the paper sweep (bench/src/lib.rs) is its only
+# caller (see DESIGN.md).
+if grep -rnE 'HARMONIA_[T]HREADS|Worker[P]ool|par_[m]ap|par_[t]asks|run_[p]arallel|map_[r]educe' crates examples tests; then
+    echo "ci.sh: the paper sweep is the only parallel loop; write a plain loop (see DESIGN.md)" >&2
+    exit 1
+fi
+
 echo "==> one probe, env read only at the edges: no trace/metrics/tenancy knobs in the library"
 # Observability is attached as a Probe and tenancy is configured by value;
-# the library's only env reads are the worker-pool width (sim/src/exec/)
-# and the fleet knobs (fleet/src/lib.rs), plus the test harness and the
-# binaries, which are edges.
+# the library's only env reads are the fleet knobs (fleet/src/lib.rs),
+# plus the test harness and the binaries, which are edges.
 if grep -rn 'env::[v]ar' crates/*/src \
-    | grep -vE '^crates/(sim/src/exec/|fleet/src/lib\.rs:|testkit/|bench/src/bin/)'; then
+    | grep -vE '^crates/(fleet/src/lib\.rs:|testkit/|bench/src/bin/)'; then
     echo "ci.sh: read the environment at a binary or test edge and pass the value in (see DESIGN.md)" >&2
     exit 1
 fi
@@ -44,10 +52,7 @@ fi
 echo "==> tier-1: release build"
 cargo build --release --workspace --offline --locked
 
-echo "==> tier-1: test suite (serial execution layer)"
-HARMONIA_THREADS=1 cargo test -q --workspace --offline --locked
-
-echo "==> tier-1: test suite (default parallelism)"
+echo "==> tier-1: test suite"
 cargo test -q --workspace --offline --locked
 
 echo "==> docs: rustdoc builds with zero warnings"
@@ -67,7 +72,7 @@ cargo run -q --offline --locked -p harmonia-bench --bin metrics > metrics_export
 grep -q "^harmonia_cmd_acked_total " metrics_export.prom
 rm -f metrics_export.prom
 
-echo "==> paper bench (smoke): serial vs parallel sweep"
+echo "==> paper bench (smoke): fanned-out vs serial sweep, and each generator"
 TESTKIT_BENCH_SMOKE=1 cargo bench -q --offline --locked -p harmonia-bench --bench paper
 cp target/testkit-bench/BENCH_paper.json .
 

@@ -12,7 +12,6 @@ use harmonia::hw::Vendor;
 use harmonia::metrics::report::fmt_f64;
 use harmonia::metrics::Table;
 use harmonia::shell::rbb::{HostRbb, MemoryRbb};
-use harmonia::sim::exec::par_sweep;
 use harmonia::workloads::{AccessPattern, MemTraceGen};
 
 /// Ablation 1: pipelined wrapper vs a store-and-forward converter that
@@ -23,7 +22,7 @@ pub fn ablation_wrapper() -> Table {
         &["pkt (B)", "pipelined", "store-and-forward"],
     );
     let mac = MacIp::new(Vendor::Xilinx, 100);
-    let rows = par_sweep([64u32, 256, 1024], |size| {
+    for size in [64u32, 256, 1024] {
         let pipelined = mac.throughput_gbps(size);
         // Store-and-forward: the converter holds each packet for its full
         // serialization before forwarding, halving effective occupancy on
@@ -31,10 +30,7 @@ pub fn ablation_wrapper() -> Table {
         // buffer drain, not the convert stage).
         let beats = f64::from(size.div_ceil(64));
         let saf = pipelined * beats / (beats + f64::from(size.div_ceil(64)));
-        [size.to_string(), fmt_f64(pipelined, 2), fmt_f64(saf, 2)]
-    });
-    for r in rows {
-        t.row(r);
+        t.row([size.to_string(), fmt_f64(pipelined, 2), fmt_f64(saf, 2)]);
     }
     t
 }
@@ -50,7 +46,7 @@ pub fn ablation_memory() -> Table {
         ("fixed", AccessPattern::Fixed),
         ("random", AccessPattern::Random),
     ];
-    let rows = par_sweep(cases, |(label, pattern)| {
+    for (label, pattern) in cases {
         // One trace per pattern, replayed on a fresh memory system for
         // each configuration.
         let ops = MemTraceGen::new(11).trace(pattern, false, 64, 40_000);
@@ -62,10 +58,7 @@ pub fn ablation_memory() -> Table {
             let r = mem.run_trace(ops.iter().copied());
             row.push(fmt_f64(r.bandwidth_gbs(), 1));
         }
-        row
-    });
-    for r in rows {
-        t.row(r);
+        t.row(row);
     }
     t
 }
@@ -76,7 +69,7 @@ pub fn ablation_scheduler() -> Table {
         "Ablation — Host RBB queue scheduling (slots examined / dequeue)",
         &["active queues", "active-ring", "naive scan"],
     );
-    let rows = par_sweep([2u16, 16, 128], |active| {
+    for active in [2u16, 16, 128] {
         let mut fast = HostRbb::with_link(Vendor::Xilinx, 4, 8);
         let mut slow = HostRbb::with_link(Vendor::Xilinx, 4, 8);
         for h in [&mut fast, &mut slow] {
@@ -96,14 +89,11 @@ pub fn ablation_scheduler() -> Table {
         while slow.schedule_naive().is_some() {
             deq_slow += 1;
         }
-        [
+        t.row([
             active.to_string(),
             fmt_f64(fast.sched_visits() as f64 / deq_fast as f64, 2),
             fmt_f64(slow.sched_visits() as f64 / deq_slow as f64, 2),
-        ]
-    });
-    for r in rows {
-        t.row(r);
+        ]);
     }
     t
 }
@@ -115,20 +105,17 @@ pub fn ablation_ctrl_isolation() -> Table {
         "Ablation — control-queue isolation (command latency, us)",
         &["data backlog (MB)", "isolated", "shared queue"],
     );
-    let rows = par_sweep([0u64, 10, 100], |backlog_mb| {
+    for backlog_mb in [0u64, 10, 100] {
         let mut iso = DmaEngine::new(PcieDmaIp::new(Vendor::Xilinx, 4, 8));
         let mut shared = DmaEngine::new(PcieDmaIp::new(Vendor::Xilinx, 4, 8));
         shared.set_ctrl_isolated(false);
         iso.enqueue_data(backlog_mb * 1_000_000);
         shared.enqueue_data(backlog_mb * 1_000_000);
-        [
+        t.row([
             backlog_mb.to_string(),
             fmt_f64(iso.command_latency_ps(64) as f64 / 1e6, 2),
             fmt_f64(shared.command_latency_ps(64) as f64 / 1e6, 2),
-        ]
-    });
-    for r in rows {
-        t.row(r);
+        ]);
     }
     t
 }
@@ -139,8 +126,8 @@ pub fn ablation_hot_cache_hits() -> Table {
         "Ablation — hot cache on a 512 KiB working set (GB/s)",
         &["pass", "cache on", "cache off"],
     );
-    // Deliberately serial: the cache warms across passes, so each row
-    // depends on the previous one — a `par_sweep` here would be wrong.
+    // The cache warms across passes, so each row depends on the previous
+    // one.
     let mut on = MemoryRbb::ddr(Vendor::Xilinx, 4, 2);
     let mut off = MemoryRbb::ddr(Vendor::Xilinx, 4, 2);
     off.set_cache(false);
@@ -167,18 +154,15 @@ pub fn ablation_datapath_sim() -> Table {
         &["pkt (B)", "analytic (Gbps)", "simulated (Gbps)", "sim latency (ns)"],
     );
     let mac = || MacIp::new(Vendor::Xilinx, 100);
-    let rows = par_sweep([64u32, 256, 1024], |size| {
+    for size in [64u32, 256, 1024] {
         let sim = DatapathSim::new(mac(), Freq::khz(322_265), 512);
         let report = sim.run(size, 1_500);
-        [
+        t.row([
             size.to_string(),
             fmt_f64(mac().throughput_gbps(size), 2),
             fmt_f64(report.throughput.gbps(), 2),
             fmt_f64(report.latency.mean_ns(), 1),
-        ]
-    });
-    for r in rows {
-        t.row(r);
+        ]);
     }
     t
 }
@@ -192,7 +176,7 @@ pub fn ablation_rdma_window() -> Table {
         "Ablation — RDMA window vs loss (goodput efficiency)",
         &["window", "loss 0%", "loss 1%", "loss 10%"],
     );
-    let rows = par_sweep([8usize, 32, 128], |window| {
+    for window in [8usize, 32, 128] {
         let mut row = vec![window.to_string()];
         for loss in [0.0, 0.01, 0.10] {
             let mut qp = QueuePair::new(RdmaConfig {
@@ -208,10 +192,7 @@ pub fn ablation_rdma_window() -> Table {
                 .expect("completes");
             row.push(fmt_f64(qp.stats().efficiency(), 3));
         }
-        row
-    });
-    for r in rows {
-        t.row(r);
+        t.row(row);
     }
     t
 }

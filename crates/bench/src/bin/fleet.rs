@@ -11,8 +11,8 @@
 //! cargo run --bin fleet -- --report  # rendered campaign report
 //! ```
 //!
-//! All values are simulated, so every mode is byte-identical at any
-//! `HARMONIA_THREADS`.
+//! All values are simulated, so every mode is byte-identical on every
+//! run.
 
 use harmonia::fleet::control::fleet_slos;
 use harmonia::fleet::{FleetController, FleetSpec};

@@ -10,8 +10,8 @@
 //! cargo run --bin metrics -- --flight  # flight-recorder post-mortem demo
 //! ```
 //!
-//! All values are simulated, so every mode is byte-identical at any
-//! `HARMONIA_THREADS`.
+//! All values are simulated, so every mode is byte-identical on every
+//! run.
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

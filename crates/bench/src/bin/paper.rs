@@ -1,8 +1,8 @@
 //! Regenerates every table and figure of the evaluation in one run.
 //!
-//! Independent artifacts are generated concurrently (see
-//! `harmonia::sim::exec`); set `HARMONIA_THREADS=1` for the exact serial
-//! path. Output is byte-identical at any thread count.
+//! The twelve generators run concurrently (`harmonia_bench::all_tables`,
+//! the workspace's only parallel loop); ordered reassembly makes the
+//! output byte-identical to running them one by one.
 fn main() {
     harmonia_bench::print_all(&harmonia_bench::all_tables());
 }

@@ -10,7 +10,7 @@
 //!
 //! Load `trace.json` at <https://ui.perfetto.dev> (or `chrome://tracing`);
 //! each scenario occupies its own track (`tid` = lane). The output is
-//! byte-identical at any `HARMONIA_THREADS` setting.
+//! byte-identical on every run.
 
 fn main() {
     let text = std::env::args().any(|a| a == "--text");

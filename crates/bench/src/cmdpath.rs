@@ -101,11 +101,10 @@ pub fn run_point(batch: usize, depth: usize) -> CmdpathPoint {
 
 /// The full batch × depth sweep, in declaration order.
 pub fn sweep() -> Vec<CmdpathPoint> {
-    let grid: Vec<(usize, usize)> = BATCHES
+    BATCHES
         .iter()
-        .flat_map(|&b| DEPTHS.iter().map(move |&d| (b, d)))
-        .collect();
-    harmonia::sim::exec::par_map(grid, |(b, d)| run_point(b, d))
+        .flat_map(|&b| DEPTHS.iter().map(move |&d| run_point(b, d)))
+        .collect()
 }
 
 /// Renders the sweep as the `BENCH_cmdpath.json` artifact body.

@@ -23,24 +23,19 @@ pub fn fig3a() -> Table {
     );
     let device = catalog::device_a();
     let unified = UnifiedShell::for_device(&device);
-    // Capture-free factories (not boxed apps) so each worker builds its
-    // own `Box<dyn App>` without requiring the trait object to be `Send`.
-    type AppFactory = fn() -> Box<dyn App>;
-    let apps: Vec<(&str, AppFactory)> = vec![
-        ("Sec-Gateway", || {
+    let apps: [(&str, Box<dyn App>); 5] = [
+        (
+            "Sec-Gateway",
             Box::new(harmonia::apps::SecGateway::new(
                 harmonia::apps::sec_gateway::Action::Allow,
-            ))
-        }),
-        ("Layer-4 LB", || Box::new(crate::roles::sample_lb())),
-        ("Retrieval", || {
-            Box::new(harmonia::apps::RetrievalEngine::synthetic(1, 16, 8))
-        }),
-        ("Board Test", || Box::new(harmonia::apps::BoardTest::new(1))),
-        ("Host Network", || Box::new(harmonia::apps::HostNetwork::new(16))),
+            )),
+        ),
+        ("Layer-4 LB", Box::new(crate::roles::sample_lb())),
+        ("Retrieval", Box::new(harmonia::apps::RetrievalEngine::synthetic(1, 16, 8))),
+        ("Board Test", Box::new(harmonia::apps::BoardTest::new(1))),
+        ("Host Network", Box::new(harmonia::apps::HostNetwork::new(16))),
     ];
-    let rows = harmonia::sim::exec::par_sweep(apps, |(name, make)| {
-        let app = make();
+    for (name, app) in apps {
         let shell = TailoredShell::tailor(&unified, &app.role_spec())
             .expect("evaluation roles deploy on device A");
         // Building the shell from scratch = all its countable code is
@@ -49,10 +44,7 @@ pub fn fig3a() -> Table {
         let mut full_shell = harmonia::metrics::ModuleWorkload::new("shell");
         full_shell.add("shell-logic", shell_w.countable_loc(), harmonia::metrics::Origin::Handcraft);
         let (s, r) = shell_role_split(&full_shell, &app.role_workload());
-        [name.to_string(), fmt_f64(s, 2), fmt_f64(r, 2)]
-    });
-    for r in rows {
-        t.row(r);
+        t.row([name.to_string(), fmt_f64(s, 2), fmt_f64(r, 2)]);
     }
     t
 }

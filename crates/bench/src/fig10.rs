@@ -9,7 +9,6 @@ use harmonia::hw::Vendor;
 use harmonia::metrics::report::fmt_f64;
 use harmonia::metrics::Table;
 use harmonia::platform::InterfaceWrapper;
-use harmonia::sim::exec::par_sweep;
 use harmonia::workloads::{AccessPattern, MemTraceGen};
 
 /// Figure 10a: MAC loopback, native vs wrapped.
@@ -26,21 +25,18 @@ pub fn fig10a() -> Table {
     );
     let mac = MacIp::new(Vendor::Xilinx, 100);
     let wrapper = InterfaceWrapper::wrap(&mac, 512);
-    let rows = par_sweep([64u32, 128, 256, 512, 1024], |size| {
+    for size in [64u32, 128, 256, 512, 1024] {
         let native_t = mac.throughput_gbps(size);
         let wrapped_t = wrapper.wrapped_throughput(native_t);
         let native_l = mac.loopback_latency_ps(size);
         let wrapped_l = native_l + 2 * wrapper.added_latency_ps();
-        [
+        t.row([
             size.to_string(),
             fmt_f64(native_t, 2),
             fmt_f64(wrapped_t, 2),
             fmt_f64(native_l as f64 / 1e6, 3),
             fmt_f64(wrapped_l as f64 / 1e6, 3),
-        ]
-    });
-    for r in rows {
-        t.row(r);
+        ]);
     }
     t
 }
@@ -59,20 +55,17 @@ pub fn fig10b() -> Table {
     );
     let dma = PcieDmaIp::new(Vendor::Xilinx, 4, 8);
     let wrapper = InterfaceWrapper::wrap(&dma, 512);
-    let rows = par_sweep([1024u32, 2048, 4096, 8192, 16384], |size| {
+    for size in [1024u32, 2048, 4096, 8192, 16384] {
         let native_t = dma.throughput_gbs(size);
         let native_l = dma.read_latency_ps(size);
         let wrapped_l = native_l + 2 * wrapper.added_latency_ps();
-        [
+        t.row([
             (size / 1024).to_string() + "K",
             fmt_f64(native_t, 2),
             fmt_f64(wrapper.wrapped_throughput(native_t), 2),
             fmt_f64(native_l as f64 / 1e6, 3),
             fmt_f64(wrapped_l as f64 / 1e6, 3),
-        ]
-    });
-    for r in rows {
-        t.row(r);
+        ]);
     }
     t
 }
@@ -97,7 +90,7 @@ pub fn fig10c() -> Table {
         ("SeqRead", AccessPattern::Sequential, false),
         ("SeqWrite", AccessPattern::Sequential, true),
     ];
-    let rows = par_sweep(cases, |(label, pattern, write)| {
+    for (label, pattern, write) in cases {
         let ops = MemTraceGen::new(7).trace(pattern, write, 64, 30_000);
         let mut ch = ip.channel();
         let (ps, bytes) = ch.run_trace(ops.iter().copied());
@@ -106,16 +99,13 @@ pub fn fig10c() -> Table {
         let mut one = ip.channel();
         let native_lat = one.access(0, MemOp::read(0, 64));
         let wrapped_lat = native_lat + 2 * wrapper.added_latency_ps();
-        [
+        t.row([
             label.to_string(),
             fmt_f64(native_bw, 2),
             fmt_f64(wrapper.wrapped_throughput(native_bw), 2),
             fmt_f64(native_lat as f64 / 1e3, 1),
             fmt_f64(wrapped_lat as f64 / 1e3, 1),
-        ]
-    });
-    for r in rows {
-        t.row(r);
+        ]);
     }
     t
 }

@@ -5,7 +5,6 @@ use harmonia::hw::{ResourceKind, ResourceUsage};
 use harmonia::metrics::report::fmt_pct;
 use harmonia::metrics::Table;
 use harmonia::shell::{TailoredShell, UnifiedShell};
-use harmonia::sim::exec::par_sweep;
 
 /// Resource occupancy (% of device A) for the unified shell and each
 /// application's tailored shell, by resource kind.
@@ -26,20 +25,17 @@ pub fn fig11() -> Table {
         pct(&u, ResourceKind::Uram),
         "-".to_string(),
     ]);
-    let rows = par_sweep(crate::roles::all(), |(name, role)| {
+    for (name, role) in crate::roles::all() {
         let shell = TailoredShell::tailor(&unified, &role).expect("roles deploy on device A");
         let r = shell.resources();
-        [
+        t.row([
             format!("{name} shell"),
             pct(&r, ResourceKind::Lut),
             pct(&r, ResourceKind::Reg),
             pct(&r, ResourceKind::Bram),
             pct(&r, ResourceKind::Uram),
             fmt_pct(100.0 * shell.overall_savings_vs(&unified)),
-        ]
-    });
-    for r in rows {
-        t.row(r);
+        ]);
     }
     t
 }

@@ -4,7 +4,6 @@ use harmonia::hw::device::catalog;
 use harmonia::metrics::report::fmt_x;
 use harmonia::metrics::Table;
 use harmonia::shell::{TailoredShell, UnifiedShell};
-use harmonia::sim::exec::par_sweep;
 
 /// Configuration items before (native modules) vs after (role-oriented)
 /// property-level tailoring, per application.
@@ -15,18 +14,15 @@ pub fn fig12() -> Table {
         "Figure 12 — configuration items per role",
         &["application", "native items", "role-oriented", "reduction"],
     );
-    let rows = par_sweep(crate::roles::all(), |(name, role)| {
+    for (name, role) in crate::roles::all() {
         let shell = TailoredShell::tailor(&unified, &role).expect("roles deploy on device A");
         let inv = shell.config_inventory();
-        [
+        t.row([
             name.to_string(),
             inv.total().to_string(),
             inv.role_oriented().to_string(),
             fmt_x(inv.reduction_factor().expect("roles keep some config")),
-        ]
-    });
-    for r in rows {
-        t.row(r);
+        ]);
     }
     t
 }

@@ -11,7 +11,6 @@ use harmonia::hw::device::catalog;
 use harmonia::metrics::report::fmt_x;
 use harmonia::metrics::Table;
 use harmonia::shell::{MemoryDemand, RoleSpec};
-use harmonia::sim::exec::par_sweep;
 
 /// `(name, role on C, role on D)` per application.
 pub fn migration_roles() -> Vec<(&'static str, RoleSpec, RoleSpec)> {
@@ -49,17 +48,14 @@ pub fn fig13() -> Table {
         "Figure 13 — software modifications migrating C → D",
         &["application", "register mods", "command mods", "reduction"],
     );
-    let rows = par_sweep(migration_roles(), |(name, on_c, on_d)| {
+    for (name, on_c, on_d) in migration_roles() {
         let r = migration_report(&c, &on_c, &d, &on_d).expect("roles deploy on C and D");
-        [
+        t.row([
             name.to_string(),
             r.reg_modifications.to_string(),
             r.cmd_modifications.to_string(),
             fmt_x(r.reduction_factor()),
-        ]
-    });
-    for r in rows {
-        t.row(r);
+        ]);
     }
     t
 }

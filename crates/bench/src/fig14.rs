@@ -26,19 +26,16 @@ pub fn fig14() -> Table {
         ("Host", Box::new(HostRbb::with_link(Vendor::Xilinx, 4, 8))),
         ("Memory", Box::new(MemoryRbb::ddr(Vendor::Xilinx, 4, 2))),
     ];
-    let rows = harmonia::sim::exec::par_sweep(&rbbs, |(name, rbb)| {
+    for (name, rbb) in &rbbs {
         let xv = rbb.workload(MigrationKind::CrossVendor).reuse_fraction();
         let xc = rbb.workload(MigrationKind::CrossChip).reuse_fraction();
-        [
+        t.row([
             name.to_string(),
             fmt_f64(xv, 2),
             fmt_f64(1.0 - xv, 2),
             fmt_f64(xc, 2),
             fmt_f64(1.0 - xc, 2),
-        ]
-    });
-    for r in rows {
-        t.row(r);
+        ]);
     }
     t
 }

@@ -5,7 +5,6 @@ use harmonia::metrics::report::fmt_f64;
 use harmonia::metrics::Table;
 use harmonia::shell::rbb::MigrationKind;
 use harmonia::shell::{TailoredShell, UnifiedShell};
-use harmonia::sim::exec::par_sweep;
 
 /// Per-application shell reuse when the deployment fleet mixes chip
 /// families and vendors; reported as the reuse fraction of the worst
@@ -17,14 +16,11 @@ pub fn fig15() -> Table {
         "Figure 15 — application shell reuse across FPGAs",
         &["application", "reuse (cross-vendor)", "reuse (cross-chip)"],
     );
-    let rows = par_sweep(crate::roles::all(), |(name, role)| {
+    for (name, role) in crate::roles::all() {
         let shell = TailoredShell::tailor(&unified, &role).expect("roles deploy on device A");
         let xv = shell.workload(MigrationKind::CrossVendor).reuse_fraction();
         let xc = shell.workload(MigrationKind::CrossChip).reuse_fraction();
-        [name.to_string(), fmt_f64(xv, 2), fmt_f64(xc, 2)]
-    });
-    for r in rows {
-        t.row(r);
+        t.row([name.to_string(), fmt_f64(xv, 2), fmt_f64(xc, 2)]);
     }
     t
 }

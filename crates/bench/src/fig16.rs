@@ -29,7 +29,7 @@ pub fn fig16() -> Table {
         ("DDR wrapper", Box::new(DdrIp::new(Vendor::Xilinx, 4))),
     ];
     let devices = catalog::all();
-    let rows = harmonia::sim::exec::par_sweep(&ips, |(name, ip)| {
+    for (name, ip) in &ips {
         let w = InterfaceWrapper::wrap(ip.as_ref(), 512);
         let res = w.resources();
         let max_over = |f: &dyn Fn(&harmonia::hw::ResourceUsage, &harmonia::hw::ResourceUsage) -> f64| {
@@ -38,16 +38,13 @@ pub fn fig16() -> Table {
                 .map(|d| f(&res, d.capacity()))
                 .fold(0.0, f64::max)
         };
-        [
+        t.row([
             name.to_string(),
             fmt_pct(max_over(&|r, c| r.percent_of(c, harmonia::hw::ResourceKind::Lut))),
             fmt_pct(max_over(&|r, c| r.percent_of(c, harmonia::hw::ResourceKind::Reg))),
             fmt_pct(max_over(&|r, c| r.percent_of(c, harmonia::hw::ResourceKind::Bram))),
             fmt_pct(max_over(&|r, c| r.max_percent_of(c))),
-        ]
-    });
-    for r in rows {
-        t.row(r);
+        ]);
     }
     let uck = UnifiedControlKernel::resources();
     let max_uck = devices

@@ -3,7 +3,6 @@
 use harmonia::apps::{HostNetwork, RetrievalEngine, SecGateway};
 use harmonia::metrics::report::fmt_f64;
 use harmonia::metrics::Table;
-use harmonia::sim::exec::par_sweep;
 use harmonia::sim::Freq;
 
 fn bitw_table(title: &str, path: harmonia::apps::BitwPath) -> Table {
@@ -19,21 +18,18 @@ fn bitw_table(title: &str, path: harmonia::apps::BitwPath) -> Table {
         ],
     );
     let without = path.clone().without_harmonia();
-    let rows = par_sweep([64u32, 128, 256, 512, 1024], |size| {
+    for size in [64u32, 128, 256, 512, 1024] {
         let w = path.perf(size);
         let wo = without.perf(size);
         let delta = (w.latency_ps - wo.latency_ps) as f64 / wo.latency_ps as f64;
-        [
+        t.row([
             size.to_string(),
             fmt_f64(wo.throughput, 2),
             fmt_f64(w.throughput, 2),
             fmt_f64(wo.latency_us(), 3),
             fmt_f64(w.latency_us(), 3),
             format!("{:.2}%", 100.0 * delta),
-        ]
-    });
-    for r in rows {
-        t.row(r);
+        ]);
     }
     t
 }
@@ -73,22 +69,19 @@ pub fn fig17d() -> Table {
         ],
     );
     let clock = Freq::mhz(450);
-    let rows = par_sweep([3u32, 5, 7, 9], |exp| {
+    for exp in [3u32, 5, 7, 9] {
         let items = 10u64.pow(exp);
         // Capacity model: geometry only, sharded across FPGAs past 10^6.
         let engine = RetrievalEngine::capacity_only(items, 64);
         let w = engine.sharded_perf(2048, clock, true);
         let wo = engine.sharded_perf(2048, clock, false);
-        [
+        t.row([
             format!("1e{exp}"),
             fmt_f64(wo.throughput, 1),
             fmt_f64(w.throughput, 1),
             fmt_f64(wo.latency_us(), 1),
             fmt_f64(w.latency_us(), 1),
-        ]
-    });
-    for r in rows {
-        t.row(r);
+        ]);
     }
     t
 }

@@ -7,7 +7,6 @@ use harmonia::metrics::report::{fmt_f64, fmt_pct};
 use harmonia::metrics::Table;
 use harmonia::shell::rbb::MemoryRbb;
 use harmonia::shell::{MemoryDemand, RoleSpec};
-use harmonia::sim::exec::par_sweep;
 use harmonia::workloads::{AccessMode, MatMulWorkload, TcpWorkload, VectorDbWorkload};
 
 fn bench_role() -> RoleSpec {
@@ -25,7 +24,7 @@ pub fn fig18a() -> Table {
         &["framework", "device", "LUT", "REG", "BRAM"],
     );
     let role = bench_role();
-    let rows = par_sweep(Framework::ALL, |f| {
+    for f in Framework::ALL {
         let device = match f {
             Framework::OneApi => catalog::device_d(),
             _ => catalog::device_a(),
@@ -33,16 +32,13 @@ pub fn fig18a() -> Table {
         let usage = baseline_shell_resources(f, &device, &role)
             .expect("role deploys")
             .expect("framework supports its own device");
-        [
+        t.row([
             f.to_string(),
             device.name().to_string(),
             fmt_pct(usage.percent_of(device.capacity(), ResourceKind::Lut)),
             fmt_pct(usage.percent_of(device.capacity(), ResourceKind::Reg)),
             fmt_pct(usage.percent_of(device.capacity(), ResourceKind::Bram)),
-        ]
-    });
-    for r in rows {
-        t.row(r);
+        ]);
     }
     t
 }
@@ -54,16 +50,13 @@ pub fn fig18b() -> Table {
         &["parallelism", "Vitis", "oneAPI", "Coyote", "Harmonia"],
     );
     let w = MatMulWorkload::paper();
-    let rows = par_sweep([4u32, 8, 16], |p| {
+    for p in [4u32, 8, 16] {
         let mut row = vec![format!("x{p}")];
         for f in Framework::ALL {
             let pf = PerfFactors::of(f);
             row.push(fmt_f64(pf.throughput(w.matrices_per_sec(p, pf.kernel_clock)), 0));
         }
-        row
-    });
-    for r in rows {
-        t.row(r);
+        t.row(row);
     }
     t
 }
@@ -74,7 +67,7 @@ pub fn fig18c() -> Table {
         "Figure 18c — database access (Mvec/s)",
         &["mode", "Vitis", "oneAPI", "Coyote", "Harmonia"],
     );
-    let rows = par_sweep(AccessMode::ALL, |mode| {
+    for mode in AccessMode::ALL {
         // Every framework drives the same DDR4 memory system with the same
         // trace, so the trace is replayed once per mode and each
         // framework's `PerfFactors` scale the result afterwards. The
@@ -91,10 +84,7 @@ pub fn fig18c() -> Table {
         for f in Framework::ALL {
             row.push(fmt_f64(PerfFactors::of(f).throughput(ops_per_sec) / 1e6, 1));
         }
-        row
-    });
-    for r in rows {
-        t.row(r);
+        t.row(row);
     }
     t
 }
@@ -112,7 +102,7 @@ pub fn fig18d() -> Table {
         ],
     );
     let w = TcpWorkload::paper();
-    let rows = par_sweep(TcpWorkload::PACKET_SIZES, |size| {
+    for size in TcpWorkload::PACKET_SIZES {
         let mut row = vec![size.to_string()];
         for f in Framework::ALL {
             let pf = PerfFactors::of(f);
@@ -120,10 +110,7 @@ pub fn fig18d() -> Table {
             let lat = pf.latency_ps(w.latency_ps(size)) as f64 / 1e6;
             row.push(format!("{:.1}/{:.1}", tpt, lat));
         }
-        row
-    });
-    for r in rows {
-        t.row(r);
+        t.row(row);
     }
     t
 }

@@ -83,11 +83,10 @@ pub fn run_point(policy: PlacementPolicy, devices: usize) -> FleetPoint {
 
 /// The full policy × fleet-size sweep, in declaration order.
 pub fn sweep() -> Vec<FleetPoint> {
-    let grid: Vec<(PlacementPolicy, usize)> = [PlacementPolicy::BestFit, PlacementPolicy::Random]
+    [PlacementPolicy::BestFit, PlacementPolicy::Random]
         .iter()
-        .flat_map(|&p| DEVICES.iter().map(move |&d| (p, d)))
-        .collect();
-    harmonia::sim::exec::par_map(grid, |(p, d)| run_point(p, d))
+        .flat_map(|&p| DEVICES.iter().map(move |&d| run_point(p, d)))
+        .collect()
 }
 
 /// Renders the sweep as the `BENCH_fleet.json` artifact body

@@ -48,11 +48,12 @@ pub fn generators() -> [(&'static str, Generator); 12] {
 
 /// Every table of the evaluation, in the paper's order.
 ///
-/// Each artifact's generator is independent, so they fan out across the
-/// scoped worker pool ([`harmonia::sim::exec`]); ordered reassembly keeps
-/// the output byte-identical to running the generators one by one.
+/// The twelve generators are independent, so they fan out across threads
+/// ([`harmonia::sim::exec::par_sweep`], the library's only parallel loop);
+/// ordered reassembly keeps the output byte-identical to running the
+/// generators one by one.
 pub fn all_tables() -> Vec<harmonia::metrics::Table> {
-    harmonia::sim::exec::par_map(generators(), |(_, generate)| generate())
+    harmonia::sim::exec::par_sweep(generators(), |(_, generate)| generate())
         .into_iter()
         .flatten()
         .collect()
@@ -60,8 +61,8 @@ pub fn all_tables() -> Vec<harmonia::metrics::Table> {
 
 /// Prints a list of tables with blank lines between them.
 ///
-/// Rendering is a pure per-table job, so it sweeps across the worker
-/// pool; printing stays sequential and in order.
+/// Rendering is a pure per-table job, so it fans out like
+/// [`all_tables`]; printing stays sequential and in order.
 pub fn print_all(tables: &[harmonia::metrics::Table]) {
     for rendered in harmonia::sim::exec::par_sweep(tables, |t| t.to_string()) {
         println!("{rendered}");

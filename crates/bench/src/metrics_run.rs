@@ -5,11 +5,11 @@
 //! resilient shell bring-up plus health polls and a monitoring sweep
 //! under a scheduled link flap, a credit stall and background
 //! drop/corrupt/irq-lost rates — but wired into the metrics plane:
-//! every worker fills its own [`MetricsRegistry`] through
+//! every campaign fills its own [`MetricsRegistry`] through
 //! [`par_metered`], a [`MetricsScraper`] samples each campaign on the
 //! simulated timeline, and the merged snapshot feeds the SLO evaluator.
 //! Everything is simulated and merge order is pinned, so the exports are
-//! byte-identical at any `HARMONIA_THREADS`.
+//! byte-identical on every run.
 
 use harmonia::cmd::{CommandCode, UnifiedControlKernel};
 use harmonia::host::{CommandDriver, DmaEngine, DriverError};
@@ -95,9 +95,8 @@ pub fn strict_slos() -> Vec<Slo> {
 
 /// Captures `scenarios` seeded fault campaigns into one merged snapshot.
 ///
-/// Each seed drives an independent campaign on its own registry lane;
-/// the fleet fans out over the scoped worker pool and merges in seed
-/// order, so the result does not depend on the thread count.
+/// Each seed drives an independent campaign on its own registry lane,
+/// and the lanes merge in seed order.
 pub fn capture(scenarios: u64) -> MetricsRun {
     let seeds: Vec<u64> = (0..scenarios).collect();
     let (reports, snapshot) = par_metered(seeds, |&seed, reg| scenario(seed, reg));

@@ -6,7 +6,6 @@ use harmonia::hw::device::catalog;
 use harmonia::metrics::Table;
 use harmonia::shell::rbb::RbbKind;
 use harmonia::shell::{MemoryDemand, RoleSpec, TailoredShell, UnifiedShell};
-use harmonia::sim::exec::par_sweep;
 
 /// Table 1 — framework capability comparison.
 pub fn table1() -> Table {
@@ -20,18 +19,15 @@ pub fn table1() -> Table {
             "consistent host IF",
         ],
     );
-    let rows = par_sweep(Framework::ALL, |f| {
+    for f in Framework::ALL {
         let m = CapabilityMatrix::of(f);
-        [
+        t.row([
             f.to_string(),
             m.heterogeneity.to_string(),
             m.unified_shell.to_string(),
             m.portable_role.to_string(),
             m.consistent_host_if.to_string(),
-        ]
-    });
-    for r in rows {
-        t.row(r);
+        ]);
     }
     t
 }
@@ -48,15 +44,12 @@ pub fn table3() -> Table {
         ("In-house Xilinx-die (B)", catalog::device_b()),
         ("In-house Intel-die (C)", catalog::device_c()),
     ];
-    let rendered = par_sweep(rows, |(label, device)| {
+    for (label, device) in rows {
         let mut row = vec![label.to_string()];
         for f in Framework::ALL {
             row.push(if f.supports(&device) { "yes" } else { "no" }.to_string());
         }
-        row
-    });
-    for r in rendered {
-        t.row(r);
+        t.row(row);
     }
     t
 }

@@ -153,11 +153,10 @@ pub fn run_point(policy: TenantPolicy, tenants: usize) -> TenancyPoint {
 
 /// The full policy × tenant-count sweep, in declaration order.
 pub fn sweep() -> Vec<TenancyPoint> {
-    let grid: Vec<(TenantPolicy, usize)> = [TenantPolicy::RoundRobin, TenantPolicy::WeightedFair]
+    [TenantPolicy::RoundRobin, TenantPolicy::WeightedFair]
         .iter()
-        .flat_map(|&p| TENANTS.iter().map(move |&t| (p, t)))
-        .collect();
-    harmonia::sim::exec::par_map(grid, |(p, t)| run_point(p, t))
+        .flat_map(|&p| TENANTS.iter().map(move |&t| run_point(p, t)))
+        .collect()
 }
 
 /// Renders the sweep as the `BENCH_tenancy.json` artifact body

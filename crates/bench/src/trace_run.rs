@@ -4,9 +4,8 @@
 //! Runs a fleet of seeded fault campaigns — resilient shell bring-up plus
 //! a monitoring sweep under a scheduled link flap, a credit stall and
 //! background drop/corrupt/irq-lost rates — through
-//! [`par_traced`], so every worker
-//! records onto its own lane and the merged timeline is byte-identical at
-//! any `HARMONIA_THREADS` setting.
+//! [`par_traced`], so every campaign records onto its own lane and the
+//! merged timeline is byte-identical on every run.
 
 use harmonia::cmd::{CommandCode, UnifiedControlKernel};
 use harmonia::host::{CommandDriver, DmaEngine, DriverError};
@@ -32,9 +31,8 @@ pub struct TraceRun {
 
 /// Captures `scenarios` seeded fault campaigns onto one merged timeline.
 ///
-/// Each seed drives an independent campaign on its own trace lane; the
-/// fleet fans out over the scoped worker pool and merges in seed order,
-/// so the result does not depend on the thread count.
+/// Each seed drives an independent campaign on its own trace lane, and
+/// the lanes merge in seed order.
 pub fn capture(scenarios: u64) -> TraceRun {
     let seeds: Vec<u64> = (0..scenarios).collect();
     let (outcomes, trace) = par_traced(seeds, |&seed, tc| scenario(seed, tc));

@@ -9,11 +9,10 @@
 //!    the artifact was not regenerated after a fleet change.
 //! 3. **Snapshot isolation** — setting the fleet knobs
 //!    (`HARMONIA_FLEET_DEVICES` / `HARMONIA_FLEET_POLICY`) must not
-//!    move a byte of the committed paper snapshot at 1 or 4 threads:
-//!    the paper generators never consult them.
+//!    move a byte of the committed paper snapshot: the paper generators
+//!    never consult them.
 
 use harmonia::fleet::{FLEET_DEVICES_ENV, FLEET_POLICY_ENV, TICK_PS};
-use harmonia::sim::exec::THREADS_ENV;
 use harmonia_bench::fleet;
 use std::sync::Mutex;
 
@@ -107,23 +106,14 @@ fn committed_bench_shows_the_same_placement_split() {
 #[test]
 fn paper_snapshot_is_byte_identical_with_fleet_knobs_set() {
     let committed = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../paper_output.txt"));
-    for threads in ["1", "4"] {
-        let rendered = with_env(
-            &[
-                (FLEET_DEVICES_ENV, Some("64")),
-                (FLEET_POLICY_ENV, Some("random")),
-                (THREADS_ENV, Some(threads)),
-            ],
-            || {
-                harmonia_bench::all_tables()
-                    .iter()
-                    .map(|t| format!("{t}\n"))
-                    .collect::<String>()
-            },
-        );
-        assert_eq!(
-            rendered, committed,
-            "fleet knobs moved the paper snapshot at threads={threads}"
-        );
-    }
+    let rendered = with_env(
+        &[(FLEET_DEVICES_ENV, Some("64")), (FLEET_POLICY_ENV, Some("random"))],
+        || {
+            harmonia_bench::all_tables()
+                .iter()
+                .map(|t| format!("{t}\n"))
+                .collect::<String>()
+        },
+    );
+    assert_eq!(rendered, committed, "fleet knobs moved the paper snapshot");
 }

@@ -5,13 +5,15 @@
 //! byte of the evaluation output fails here. In particular the no-op
 //! fault plan (`FaultPlan::none()`) must keep every artifact bit-exact —
 //! the paper binary takes the faultless paths throughout.
+//!
+//! `all_tables` fans the generators out across threads (the workspace's
+//! only parallel loop); the serial loop over `generators()` must render
+//! the same bytes.
 
-#[test]
-fn all_tables_match_committed_snapshot() {
-    let rendered: String = harmonia_bench::all_tables()
-        .iter()
-        .map(|t| format!("{t}\n"))
-        .collect();
+use harmonia::metrics::Table;
+
+fn assert_matches_snapshot(tables: &[Table]) {
+    let rendered: String = tables.iter().map(|t| format!("{t}\n")).collect();
     let committed = include_str!(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../paper_output.txt"
@@ -29,4 +31,18 @@ fn all_tables_match_committed_snapshot() {
             drift.map(|(i, (a, b))| format!("{}: {a:?} != {b:?}", i + 1))
         );
     }
+}
+
+#[test]
+fn all_tables_match_committed_snapshot() {
+    assert_matches_snapshot(&harmonia_bench::all_tables());
+}
+
+#[test]
+fn serial_generator_loop_matches_committed_snapshot() {
+    let tables: Vec<Table> = harmonia_bench::generators()
+        .into_iter()
+        .flat_map(|(_, generate)| generate())
+        .collect();
+    assert_matches_snapshot(&tables);
 }

@@ -1,30 +1,15 @@
 //! The observability plane's determinism contract, end to end: an enabled
-//! capture exports byte-identically at any worker-pool width, and running
-//! one never perturbs the paper artifacts that `paper_snapshot` pins. That
+//! capture exports byte-identically on every run, and running one never
+//! perturbs the paper artifacts that `paper_snapshot` pins. That
 //! an attached collector never perturbs a driver's own results is pinned
 //! by the `Probe`-invariance property in
 //! `crates/host/tests/fault_campaigns.rs`.
 
-use harmonia::sim::exec::THREADS_ENV;
-
-/// Runs `f` at a `HARMONIA_THREADS` width, restoring the prior value.
-fn with_threads<R>(threads: &str, f: impl FnOnce() -> R) -> R {
-    let prior = std::env::var(THREADS_ENV).ok();
-    std::env::set_var(THREADS_ENV, threads);
-    let out = f();
-    match prior {
-        Some(v) => std::env::set_var(THREADS_ENV, v),
-        None => std::env::remove_var(THREADS_ENV),
-    }
-    out
-}
-
-/// Perfetto and text exports are byte-identical whether the campaign
-/// fleet runs on one worker or four: lanes are assigned by submission
-/// order and the merge sorts on `(time, lane, seq)`, never on thread
-/// identity.
+/// Perfetto and text exports are byte-identical on every run: lanes are
+/// assigned by submission order and the merge sorts on
+/// `(time, lane, seq)`.
 #[test]
-fn trace_exports_byte_identical_serial_vs_parallel() {
+fn trace_exports_are_reproducible() {
     let capture = || {
         let run = harmonia_bench::trace_run::capture(4);
         (
@@ -34,16 +19,16 @@ fn trace_exports_byte_identical_serial_vs_parallel() {
             run.reports.join("\n"),
         )
     };
-    let serial = with_threads("1", capture);
-    let parallel = with_threads("4", capture);
-    assert_eq!(serial.0, parallel.0, "Perfetto export diverged");
-    assert_eq!(serial.1, parallel.1, "text timeline diverged");
-    assert_eq!(serial.2, parallel.2, "latency histogram diverged");
-    assert_eq!(serial.3, parallel.3, "driver reports diverged");
+    let first = capture();
+    let second = capture();
+    assert_eq!(first.0, second.0, "Perfetto export diverged");
+    assert_eq!(first.1, second.1, "text timeline diverged");
+    assert_eq!(first.2, second.2, "latency histogram diverged");
+    assert_eq!(first.3, second.3, "driver reports diverged");
     // The capture is non-trivial: every lane traced, faults visible.
-    assert!(serial.1.contains("cmd-retry"));
-    assert!(serial.0.starts_with('{') && serial.0.trim_end().ends_with('}'));
-    assert_eq!(serial.3.lines().count(), 4, "one report per scenario");
+    assert!(first.1.contains("cmd-retry"));
+    assert!(first.0.starts_with('{') && first.0.trim_end().ends_with('}'));
+    assert_eq!(first.3.lines().count(), 4, "one report per scenario");
 }
 
 /// Enabling collection must not move a single digit in the paper

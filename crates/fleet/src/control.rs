@@ -203,7 +203,7 @@ pub struct CampaignReport {
 
 impl CampaignReport {
     /// Renders the campaign as deterministic text: integer math end to
-    /// end, byte-identical at any `HARMONIA_THREADS` (pinned by tests).
+    /// end, byte-identical on every run.
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(

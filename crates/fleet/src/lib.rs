@@ -12,7 +12,7 @@
 //!   `harmonia-apps` as placeable roles with tenant weights, demand
 //!   shares and per-model fit computed by real shell tailoring;
 //! * [`traffic`] — a seeded diurnal traffic generator modeling millions
-//!   of users, byte-identical at any `HARMONIA_THREADS`;
+//!   of users, reproducible from its seed;
 //! * [`placement`] — the placement scheduler: capacity-aware best-fit
 //!   bin-packing by resource fit and tenant weight, against a
 //!   spec-blind random baseline ([`PlacementPolicy`]), with fit and
@@ -24,9 +24,9 @@
 //!   `migration.rs` cost model, and `harmonia_fleet_*` metrics.
 //!
 //! Determinism contract: a campaign is a pure function of its
-//! [`FleetSpec`] and scheduled events. Every parallel fan-out goes
-//! through the ordered `harmonia_sim::exec` pool, so rendered campaign
-//! reports are byte-identical at any `HARMONIA_THREADS`.
+//! [`FleetSpec`] and scheduled events: it runs on one thread with seeded
+//! randomness only, so rendered campaign reports are byte-identical on
+//! every run.
 //!
 //! ```
 //! use harmonia_fleet::{FleetController, FleetSpec, PlacementPolicy};

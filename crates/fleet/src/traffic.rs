@@ -1,16 +1,13 @@
-//! Seeded diurnal traffic generation: millions of users, byte-identical
-//! at any thread count.
+//! Seeded diurnal traffic generation: millions of users, reproducible
+//! from the seed alone.
 //!
 //! The generator models a day of user demand as a 24-point diurnal
 //! curve (trough before dawn, evening peak) interpolated per 5-minute
 //! tick, with ±1 % seeded jitter. Each tick's load is a *pure function*
-//! of `(spec, tick)` — the schedule fans out through the ordered
-//! `harmonia_sim::exec::par_sweep`, so `HARMONIA_THREADS=1` and `=4`
-//! produce the same bytes, and the whole day is reproducible from the
-//! seed alone.
+//! of `(spec, tick)`, so the whole day is reproducible from the seed
+//! alone.
 
 use crate::catalog::RoleClass;
-use harmonia_sim::exec::par_sweep;
 use harmonia_sim::SplitMix64;
 
 /// Hourly demand curve in per-mille of peak: trough of 300 ‰ around
@@ -96,10 +93,9 @@ impl DiurnalTraffic {
         TickLoad { tick, requests, per_role }
     }
 
-    /// The full schedule for `ticks` ticks, generated through the
-    /// ordered pool (byte-identical at any `HARMONIA_THREADS`).
+    /// The full schedule for `ticks` ticks, in tick order.
     pub fn schedule(&self, ticks: u32, roles: &[RoleClass]) -> Vec<TickLoad> {
-        par_sweep(0..ticks, |t| self.tick_load(t, roles))
+        (0..ticks).map(|t| self.tick_load(t, roles)).collect()
     }
 
     /// Total commands per role over a schedule, catalog order.

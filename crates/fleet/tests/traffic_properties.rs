@@ -1,39 +1,11 @@
 //! Property suite for the diurnal traffic generator: conservation of
-//! injected load, seed reproducibility, and byte-identical schedules at
-//! any `HARMONIA_THREADS`. Counterexample tapes are committed under
-//! `tests/regressions/`.
+//! injected load and seed reproducibility. Counterexample tapes are
+//! committed under `tests/regressions/`.
 
 use harmonia_fleet::catalog::standard_catalog;
 use harmonia_fleet::traffic::{DiurnalTraffic, JITTER_PPM, PEAK_REQS_PER_USER_PER_TICK};
 use harmonia_fleet::TICKS_PER_DAY;
-use harmonia_sim::exec::THREADS_ENV;
 use harmonia_testkit::prelude::*;
-use std::sync::Mutex;
-
-/// Env mutations are process-global; serialize against cargo's parallel
-/// test runner (this file's own lock — other test binaries run in other
-/// processes).
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_env<R>(pairs: &[(&str, Option<&str>)], f: impl FnOnce() -> R) -> R {
-    let _guard = ENV_LOCK.lock().unwrap();
-    let priors: Vec<_> = pairs
-        .iter()
-        .map(|(k, _)| (*k, std::env::var(k).ok()))
-        .collect();
-    let set = |key: &str, value: Option<&str>| match value {
-        Some(v) => std::env::set_var(key, v),
-        None => std::env::remove_var(key),
-    };
-    for (k, v) in pairs {
-        set(k, *v);
-    }
-    let out = f();
-    for (k, v) in priors {
-        set(k, v.as_deref());
-    }
-    out
-}
 
 forall! {
     /// Conservation: the per-role command split always sums to the
@@ -97,24 +69,4 @@ forall! {
         prop_assert!((300..=1000).contains(&level), "level {level}");
         prop_assert_eq!(level, DiurnalTraffic::level_per_mille(tick % TICKS_PER_DAY));
     }
-}
-
-/// The ordered pool keeps the schedule byte-identical at any thread
-/// count: `HARMONIA_THREADS=1` (the serial path) and `=4` must render
-/// the exact same bytes.
-#[test]
-fn schedule_is_byte_identical_across_thread_counts() {
-    let roles = standard_catalog();
-    let render = |threads: &str| {
-        with_env(&[(THREADS_ENV, Some(threads))], || {
-            format!(
-                "{:?}",
-                DiurnalTraffic::new(750_000, 17).schedule(TICKS_PER_DAY, &roles)
-            )
-        })
-    };
-    let serial = render("1");
-    let parallel = render("4");
-    assert_eq!(serial, parallel);
-    assert!(serial.len() > 10_000, "a real day of load was generated");
 }

@@ -27,8 +27,7 @@
 //! a burst lost to a down link burns the remainder of the slice (the
 //! wire is dead; spinning would starve the other tenants' grants).
 //! Everything is deterministic: no RNG outside the seeded fault plane,
-//! ties broken by tenant index, byte-identical across engines and
-//! thread counts.
+//! ties broken by tenant index, byte-identical on every run.
 
 use crate::batch::CmdSpec;
 use crate::dma::{CommandDelivery, DmaEngine};

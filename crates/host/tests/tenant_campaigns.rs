@@ -12,9 +12,6 @@
 //!    (link flap + credit stall + 5% background drop/corrupt/irq-lost)
 //!    every tenant's work converges to completed with exact accounting,
 //!    and each seed's full observable state is reproducible run-to-run.
-//! 4. **Thread byte-identity** — the rendered driver state is identical
-//!    at `HARMONIA_THREADS` 1 and 4: nothing in the tenancy stack may
-//!    consult the thread knob.
 
 use harmonia_cmd::{CommandCode, UnifiedControlKernel};
 use harmonia_host::batch::CmdSpec;
@@ -26,21 +23,7 @@ use harmonia_hw::Vendor;
 use harmonia_shell::pr::{MultiTenantRegion, TenantRole};
 use harmonia_shell::sched::{TenantPolicy, TenantScheduler, DEFAULT_TENANT_SLICE_PS};
 use harmonia_shell::{MemoryDemand, RoleSpec, TailoredShell, UnifiedShell};
-use harmonia_sim::exec::THREADS_ENV;
 use harmonia_sim::{FaultKind, FaultPlan, FaultRates};
-
-/// Runs `f` at a `HARMONIA_THREADS` width, restoring the prior value
-/// (only one test here sets the variable).
-fn with_threads<R>(threads: &str, f: impl FnOnce() -> R) -> R {
-    let prior = std::env::var(THREADS_ENV).ok();
-    std::env::set_var(THREADS_ENV, threads);
-    let out = f();
-    match prior {
-        Some(v) => std::env::set_var(THREADS_ENV, v),
-        None => std::env::remove_var(THREADS_ENV),
-    }
-    out
-}
 
 fn shell_parts() -> (TailoredShell, DmaEngine, UnifiedControlKernel) {
     let dev = catalog::device_a();
@@ -217,23 +200,5 @@ fn eight_seed_campaigns_converge_with_exact_accounting() {
             any_background_fault,
             "{policy:?}: eight seeds of 5% rates never fired a background fault"
         );
-    }
-}
-
-#[test]
-fn rendered_state_is_byte_identical_at_one_and_four_threads() {
-    for policy in [TenantPolicy::RoundRobin, TenantPolicy::WeightedFair] {
-        let run = || {
-            let mut d = driver(policy, &[4, 2, 1]);
-            d.set_fault_injector(campaign_plan(3).injector());
-            for t in 0..3 {
-                d.enqueue(t, health_reads(80));
-            }
-            d.run(u64::MAX);
-            render(policy.name(), &d, 3)
-        };
-        let serial = with_threads("1", run);
-        let parallel = with_threads("4", run);
-        assert_eq!(parallel, serial, "{policy:?} diverged at threads=4");
     }
 }

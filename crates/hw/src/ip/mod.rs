@@ -77,9 +77,8 @@ impl fmt::Display for IpKind {
 /// Common surface of every vendor IP model.
 ///
 /// This trait is object-safe: RBBs hold `Box<dyn VendorIp>` instances
-/// selected at shell-tailoring time. `Send + Sync` lets shells holding
-/// boxed IPs be shared across the `harmonia_sim::exec` worker pool.
-pub trait VendorIp: fmt::Debug + Send + Sync {
+/// selected at shell-tailoring time.
+pub trait VendorIp: fmt::Debug {
     /// The IP category.
     fn kind(&self) -> IpKind;
 

@@ -128,11 +128,8 @@ impl FleetModel {
         }
     }
 
-    /// Simulates through `end_year` inclusive.
-    ///
-    /// Years are independent, so the sweep fans out across the scoped
-    /// worker pool; ordered reassembly keeps the output identical to the
-    /// serial loop at any `HARMONIA_THREADS`.
+    /// Simulates through `end_year` inclusive, one [`FleetYear`] per year
+    /// in order.
     ///
     /// ```
     /// use harmonia_metrics::fleet::FleetModel;
@@ -148,19 +145,15 @@ impl FleetModel {
     /// assert_eq!(years[3].total_units, 6_000);
     /// ```
     pub fn run(&self, end_year: u32) -> Vec<FleetYear> {
-        harmonia_sim::exec::par_sweep(self.start_year..=end_year, |year| self.year(year))
+        (self.start_year..=end_year).map(|year| self.year(year)).collect()
     }
 
-    /// Fleet-wide aggregation over the simulated window: a parallel
-    /// map over years reduced with the order-independent
-    /// [`FleetSummary::merge`].
+    /// Fleet-wide aggregation over the simulated window: a fold of the
+    /// per-year summaries with [`FleetSummary::merge`].
     pub fn summarize(&self, end_year: u32) -> FleetSummary {
-        harmonia_sim::exec::WorkerPool::from_env()
-            .map_reduce(
-                self.start_year..=end_year,
-                |year| FleetSummary::of(&self.year(year)),
-                FleetSummary::merge,
-            )
+        (self.start_year..=end_year)
+            .map(|year| FleetSummary::of(&self.year(year)))
+            .reduce(FleetSummary::merge)
             .unwrap_or_default()
     }
 
@@ -169,9 +162,8 @@ impl FleetModel {
     /// gauge per simulated year (labelled by `year`), and returns the
     /// summary it published.
     ///
-    /// Aggregation runs through the same parallel `map_reduce` as
-    /// [`FleetModel::summarize`], so the published numbers are identical
-    /// at any `HARMONIA_THREADS`.
+    /// The published aggregate is the one [`FleetModel::summarize`]
+    /// returns.
     pub fn publish_metrics(
         &self,
         end_year: u32,

@@ -183,10 +183,7 @@ pub enum LogicPart {
 }
 
 /// Object-safe surface shared by the three RBBs.
-///
-/// `Send + Sync` lets shells holding boxed RBBs be swept across the
-/// `harmonia_sim::exec` worker pool.
-pub trait Rbb: fmt::Debug + Send + Sync {
+pub trait Rbb: fmt::Debug {
     /// The RBB category.
     fn kind(&self) -> RbbKind;
 

@@ -29,7 +29,7 @@
 //! Everything here is integer/deterministic: virtual time is tracked in
 //! units of `VSCALE/w` so every division is exact for weights up to
 //! 16, and ties break on tenant index. The same registration order
-//! yields byte-identical schedules on any engine or thread count.
+//! yields byte-identical schedules on every run.
 
 use crate::pr::{MultiTenantRegion, TenancyError, TenantRole};
 use harmonia_sim::{Picos, Probe, TraceEventKind};

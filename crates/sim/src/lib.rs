@@ -41,7 +41,6 @@ pub mod trace;
 
 pub use async_fifo::AsyncFifo;
 pub use edges::{ClockEdge, MultiClock};
-pub use exec::WorkerPool;
 pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultRates, FaultReport};
 pub use fifo::{BeatFate, FifoFullError, SyncFifo};
 pub use histo::LogHistogram;

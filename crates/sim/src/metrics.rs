@@ -22,13 +22,12 @@
 //!    timing, fault draws or results; attaching an enabled registry
 //!    (usually inside a [`crate::Probe`]) alters only what can be
 //!    exported afterwards.
-//! 3. **Merged snapshots are thread-count independent.** Each fan-out
-//!    lane owns a registry; [`MetricsSnapshot::merge`] folds counters by
-//!    sum, gauges by max (high-water semantics) and histograms by
+//! 3. **Merged snapshots are deterministic.** Each lane owns a
+//!    registry; [`MetricsSnapshot::merge`] folds counters by sum, gauges
+//!    by max (high-water semantics) and histograms by
 //!    [`LogHistogram::merge`] — all order-independent — and
 //!    [`par_metered`] merges in lane order, the same discipline as
-//!    [`crate::trace::par_traced`]. Exports are byte-identical at any
-//!    `HARMONIA_THREADS`.
+//!    [`crate::trace::par_traced`].
 //!
 //! # Example: record → snapshot → export → grade
 //!
@@ -816,10 +815,9 @@ pub fn evaluate_slos(snapshot: &MetricsSnapshot, slos: &[Slo]) -> SloReport {
     SloReport { results }
 }
 
-/// Runs `f` over `items` on the worker pool, giving each item its own
-/// lane-indexed [`MetricsRegistry`], and merges the per-lane snapshots in
-/// lane order — the same discipline as [`crate::trace::par_traced`], so
-/// both exports are byte-identical at any `HARMONIA_THREADS` setting.
+/// Runs `f` over `items` in order, giving each item its own
+/// [`MetricsRegistry`], and merges the per-item snapshots in item order —
+/// the same discipline as [`crate::trace::par_traced`].
 ///
 /// ```
 /// use harmonia_sim::metrics::par_metered;
@@ -833,20 +831,14 @@ pub fn evaluate_slos(snapshot: &MetricsSnapshot, slos: &[Slo]) -> SloReport {
 /// ```
 pub fn par_metered<T, R, F>(items: Vec<T>, f: F) -> (Vec<R>, MetricsSnapshot)
 where
-    T: Send,
-    R: Send,
-    F: Fn(&T, &MetricsRegistry) -> R + Sync,
+    F: Fn(&T, &MetricsRegistry) -> R,
 {
-    let results = crate::exec::par_map(items, |item| {
+    let mut out = Vec::with_capacity(items.len());
+    let mut snapshots = Vec::with_capacity(items.len());
+    for item in &items {
         let m = MetricsRegistry::enabled();
-        let r = f(&item, &m);
-        (r, m.snapshot())
-    });
-    let mut out = Vec::with_capacity(results.len());
-    let mut snapshots = Vec::with_capacity(results.len());
-    for (r, s) in results {
-        out.push(r);
-        snapshots.push(s);
+        out.push(f(item, &m));
+        snapshots.push(m.snapshot());
     }
     (out, MetricsSnapshot::merge(snapshots))
 }

@@ -20,10 +20,10 @@
 //!    simulated timing, fault draws or results; attaching an enabled
 //!    collector (usually inside a [`crate::Probe`]) alters *only* what
 //!    can be exported afterwards.
-//! 3. **Merged traces are thread-count independent.** Each scenario owns
-//!    a collector with a stable `lane`; [`Trace::merge`] orders events by
-//!    `(Picos, lane, seq)`, so [`par_traced`] emits byte-identical
-//!    exports at `HARMONIA_THREADS=1` and `=N`.
+//! 3. **Merged traces are deterministic.** Each scenario owns a
+//!    collector with a stable `lane`; [`Trace::merge`] orders events by
+//!    `(Picos, lane, seq)`, so the exports of a [`par_traced`] capture
+//!    depend only on its inputs.
 //!
 //! # Example: capture → export → assert ordering
 //!
@@ -580,10 +580,9 @@ fn fmt_us(ps: Picos) -> String {
     format!("{}.{:06}", ps / 1_000_000, ps % 1_000_000)
 }
 
-/// Runs `f` over `items` on the worker pool, giving each item its own
-/// lane-indexed [`TraceCollector`], and merges the per-item traces
-/// deterministically. The merged trace (and hence both exports) is
-/// byte-identical at any `HARMONIA_THREADS` setting.
+/// Runs `f` over `items` in order, giving each item its own
+/// lane-indexed [`TraceCollector`] (lane = item index), and merges the
+/// per-item traces by `(Picos, lane, seq)`.
 ///
 /// ```
 /// use harmonia_sim::trace::{par_traced, TraceEventKind};
@@ -599,25 +598,14 @@ fn fmt_us(ps: Picos) -> String {
 /// ```
 pub fn par_traced<T, R, F>(items: Vec<T>, f: F) -> (Vec<R>, Trace)
 where
-    T: Send,
-    R: Send,
-    F: Fn(&T, &TraceCollector) -> R + Sync,
+    F: Fn(&T, &TraceCollector) -> R,
 {
-    let indexed: Vec<(u32, T)> = items
-        .into_iter()
-        .enumerate()
-        .map(|(i, t)| (i as u32, t))
-        .collect();
-    let results = crate::exec::par_map(indexed, |(lane, item)| {
-        let tc = TraceCollector::with_lane(lane);
-        let r = f(&item, &tc);
-        (r, tc.take())
-    });
-    let mut out = Vec::with_capacity(results.len());
-    let mut traces = Vec::with_capacity(results.len());
-    for (r, t) in results {
-        out.push(r);
-        traces.push(t);
+    let mut out = Vec::with_capacity(items.len());
+    let mut traces = Vec::with_capacity(items.len());
+    for (lane, item) in items.iter().enumerate() {
+        let tc = TraceCollector::with_lane(lane as u32);
+        out.push(f(item, &tc));
+        traces.push(tc.take());
     }
     (out, Trace::merge(traces))
 }
@@ -726,7 +714,6 @@ mod tests {
             });
             trace.export_perfetto()
         };
-        // The pool size is env-driven; the export must not depend on it.
         let a = run();
         let b = run();
         assert_eq!(a, b);

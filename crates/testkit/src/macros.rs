@@ -25,11 +25,9 @@
 /// and panics with the minimal counterexample. Existing tapes replay
 /// before fresh cases are generated.
 ///
-/// Generated cases fan out across a scoped worker pool
-/// (`HARMONIA_THREADS` workers; `=1` pins the exact serial path). Seeds
-/// derive from the case *index*, and the lowest-index failure is the one
-/// reported, so the failing seed, shrink tape and persisted regression
-/// are identical at every thread count.
+/// Cases run in index order and seeds derive from the case *index*, so
+/// the failing seed, shrink tape and persisted regression are the same
+/// on every run.
 #[macro_export]
 macro_rules! forall {
     ($(
@@ -41,7 +39,7 @@ macro_rules! forall {
             let strategy = ($($strategy,)+);
             let runner = $crate::runner::Runner::new(stringify!($name))
                 .with_regressions_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/regressions"));
-            let outcome = runner.run_parallel(
+            let outcome = runner.run(
                 |src| $crate::strategy::Strategy::generate(&strategy, src),
                 |case| -> $crate::runner::CaseResult {
                     let ($($param,)+) = ::core::clone::Clone::clone(case);

@@ -48,9 +48,6 @@ pub struct Config {
     /// Whether minimal counterexample tapes are appended to the
     /// regression file on failure.
     pub persist: bool,
-    /// Worker threads for [`Runner::run_parallel`] (1 = exact serial
-    /// path). Resolved from `HARMONIA_THREADS` / available parallelism.
-    pub threads: usize,
 }
 
 fn env_parse<T: std::str::FromStr>(key: &str) -> Option<T> {
@@ -59,15 +56,13 @@ fn env_parse<T: std::str::FromStr>(key: &str) -> Option<T> {
 
 impl Config {
     /// Reads `TESTKIT_CASES`, `TESTKIT_SEED`, `TESTKIT_SHRINK_BUDGET`,
-    /// `TESTKIT_PERSIST` (0 disables), and `HARMONIA_THREADS`, with
-    /// hermetic defaults.
+    /// and `TESTKIT_PERSIST` (0 disables), with hermetic defaults.
     pub fn from_env() -> Self {
         Config {
             cases: env_parse("TESTKIT_CASES").unwrap_or(DEFAULT_CASES),
             seed: env_parse("TESTKIT_SEED").unwrap_or(DEFAULT_SEED),
             shrink_budget: env_parse("TESTKIT_SHRINK_BUDGET").unwrap_or(DEFAULT_SHRINK_BUDGET),
             persist: env_parse::<u8>("TESTKIT_PERSIST").unwrap_or(1) != 0,
-            threads: harmonia_sim::exec::threads(),
         }
     }
 }
@@ -135,9 +130,8 @@ impl Runner {
     }
 
     /// Per-case seeds, derived from the base seed **by case index** (the
-    /// i-th seed is the i-th output of the master stream). Workers never
-    /// touch the master stream, so a failing case reports the same seed
-    /// and tape at any thread count.
+    /// i-th seed is the i-th output of the master stream), so a failing
+    /// case reports the same seed and tape on every run.
     fn case_seeds(&self) -> Vec<u64> {
         let mut master = SplitMix64::new(self.config.seed);
         (0..self.config.cases).map(|_| master.next_u64()).collect()
@@ -165,50 +159,6 @@ impl Runner {
                 let tape = src.tape().to_vec();
                 return self.shrunk_failure(tape, case_seed, err, &gen, eval_tape(&gen, &test));
             }
-        }
-
-        Outcome::Passed {
-            cases: self.regression_count() + self.config.cases,
-        }
-    }
-
-    /// Executes the property with generated cases fanned out across
-    /// `config.threads` workers (the path [`forall!`](crate::forall)
-    /// takes).
-    ///
-    /// Determinism contract: seeds derive from the case index (see
-    /// `Runner::case_seeds`), and when several cases fail, the one
-    /// with the lowest index is reported — the same case the serial run
-    /// stops at. With `threads == 1` this *is* [`Runner::run`], so
-    /// failures, shrink tapes and persisted regressions are identical at
-    /// every thread count.
-    pub fn run_parallel<T, G, F>(&self, gen: G, test: F) -> Outcome<T>
-    where
-        T: Clone + Debug,
-        G: Fn(&mut DataSource) -> T + Sync,
-        F: Fn(&T) -> CaseResult + Sync,
-    {
-        let pool = harmonia_sim::exec::WorkerPool::with_threads(self.config.threads);
-        if pool.is_serial() {
-            return self.run(gen, test);
-        }
-
-        // Phase 1 stays serial: regression replays are few and ordered.
-        if let Some((tape, err)) = self.replay_regressions(&gen, &test) {
-            return self.shrunk_failure(tape, 0, err, &gen, eval_tape(&gen, &test));
-        }
-
-        // Phase 2: every case runs (no early exit across workers); the
-        // lowest-index failure is selected, matching the serial run.
-        let failures = pool.map(self.case_seeds(), |case_seed| {
-            let mut src = DataSource::live(case_seed);
-            let value = gen(&mut src);
-            run_case(&test, &value)
-                .err()
-                .map(|err| (src.tape().to_vec(), case_seed, err))
-        });
-        if let Some((tape, case_seed, err)) = failures.into_iter().flatten().next() {
-            return self.shrunk_failure(tape, case_seed, err, &gen, eval_tape(&gen, &test));
         }
 
         Outcome::Passed {

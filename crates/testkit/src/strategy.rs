@@ -29,12 +29,9 @@ pub trait StrategyExt: Strategy + Sized {
     }
 
     /// Type-erases the strategy for heterogeneous collections.
-    ///
-    /// Boxed strategies are `Send + Sync` so properties can be shared
-    /// with the parallel case-runner's workers.
     fn boxed(self) -> BoxedStrategy<Self::Value>
     where
-        Self: Send + Sync + 'static,
+        Self: 'static,
     {
         Box::new(self)
     }
@@ -42,8 +39,8 @@ pub trait StrategyExt: Strategy + Sized {
 
 impl<S: Strategy + Sized> StrategyExt for S {}
 
-/// A type-erased strategy (thread-shareable for the parallel runner).
-pub type BoxedStrategy<T> = Box<dyn Strategy<Value = T> + Send + Sync>;
+/// A type-erased strategy.
+pub type BoxedStrategy<T> = Box<dyn Strategy<Value = T>>;
 
 impl<T> Strategy for BoxedStrategy<T> {
     type Value = T;
