@@ -35,16 +35,24 @@ if grep -rnE 'HARMONIA_[T]HREADS|Worker[P]ool|par_[m]ap|par_[t]asks|run_[p]arall
     exit 1
 fi
 
+echo "==> one DRAM replay loop: no striped replay or fault-aware DRAM access under crates/, examples/, tests/"
+# MemoryRbb::run_trace is the only loop that replays a MemOp trace, and
+# DramModel::access is the only way into a channel (see DESIGN.md).
+if grep -rnE 'run_[s]triped_trace|access_[w]ith_faults|trace_[b]andwidth_gbs' crates examples tests; then
+    echo "ci.sh: replay traces through MemoryRbb::run_trace over DramModel::access (see DESIGN.md)" >&2
+    exit 1
+fi
+
 echo "==> one probe, env read only at the edges: no trace/metrics/tenancy knobs in the library"
-# Observability is attached as a Probe and tenancy is configured by value;
-# the library's only env reads are the fleet knobs (fleet/src/lib.rs),
-# plus the test harness and the binaries, which are edges.
+# Observability is attached as a Probe and configuration is passed by
+# value; only the test harness and the binaries, which are edges, read
+# the environment.
 if grep -rn 'env::[v]ar' crates/*/src \
-    | grep -vE '^crates/(fleet/src/lib\.rs:|testkit/|bench/src/bin/)'; then
+    | grep -vE '^crates/(testkit/|bench/src/bin/)'; then
     echo "ci.sh: read the environment at a binary or test edge and pass the value in (see DESIGN.md)" >&2
     exit 1
 fi
-if grep -rnE 'HARMONIA_[T]RACE|HARMONIA_[M]ETRICS|HARMONIA_[T]ENANT_|push_[t]raced|rx_frame_[t]raced|run_striped_trace_[t]raced|[t]raced_channel([^_[:alnum:]]|$)' crates examples tests; then
+if grep -rnE 'HARMONIA_[T]RACE|HARMONIA_[M]ETRICS|HARMONIA_[T]ENANT_|push_[t]raced|rx_frame_[t]raced|[t]raced_channel([^_[:alnum:]]|$)' crates examples tests; then
     echo "ci.sh: trace/metrics/tenancy knobs and the *_traced twin APIs were removed; attach a Probe (see DESIGN.md)" >&2
     exit 1
 fi

@@ -4,9 +4,10 @@
 
 use harmonia_testkit::bench::{Criterion, Throughput, black_box};
 use harmonia_testkit::{bench_group, bench_main};
-use harmonia::hw::ip::{DdrIp, MacIp, PcieDmaIp};
+use harmonia::hw::ip::{MacIp, PcieDmaIp};
 use harmonia::hw::Vendor;
 use harmonia::platform::WidthConverter;
+use harmonia::shell::rbb::MemoryRbb;
 use harmonia::shell::ParamCdc;
 use harmonia::sim::stream::packet_to_beats;
 use harmonia::sim::Freq;
@@ -73,8 +74,9 @@ fn bench_ip_models(c: &mut Criterion) {
     g.bench_function("ddr_random_trace_10k", |b| {
         let ops = MemTraceGen::new(5).trace(AccessPattern::Random, false, 64, 10_000);
         b.iter(|| {
-            let mut ch = DdrIp::new(Vendor::Xilinx, 4).channel();
-            black_box(ch.run_trace(ops.iter().copied()))
+            let mut mem = MemoryRbb::ddr(Vendor::Xilinx, 4, 1);
+            mem.set_cache(false);
+            black_box(mem.run_trace(ops.iter().copied()))
         })
     });
     g.finish();

@@ -20,7 +20,8 @@ use harmonia::sim::metrics::{evaluate_slos, MetricsRegistry};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let spec = FleetSpec::from_env().unwrap_or_else(|e| {
+    let knob = |name: &str| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    let spec = FleetSpec::from_knobs(knob).unwrap_or_else(|e| {
         eprintln!("fleet: {e}");
         std::process::exit(2);
     });

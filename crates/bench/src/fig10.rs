@@ -9,6 +9,7 @@ use harmonia::hw::Vendor;
 use harmonia::metrics::report::fmt_f64;
 use harmonia::metrics::Table;
 use harmonia::platform::InterfaceWrapper;
+use harmonia::shell::rbb::MemoryRbb;
 use harmonia::workloads::{AccessPattern, MemTraceGen};
 
 /// Figure 10a: MAC loopback, native vs wrapped.
@@ -92,9 +93,9 @@ pub fn fig10c() -> Table {
     ];
     for (label, pattern, write) in cases {
         let ops = MemTraceGen::new(7).trace(pattern, write, 64, 30_000);
-        let mut ch = ip.channel();
-        let (ps, bytes) = ch.run_trace(ops.iter().copied());
-        let native_bw = bytes as f64 / (ps as f64 / 1e3);
+        let mut mem = MemoryRbb::ddr(Vendor::Xilinx, 4, 1);
+        mem.set_cache(false);
+        let native_bw = mem.run_trace(ops.iter().copied()).bandwidth_gbs();
         // Single-access latency.
         let mut one = ip.channel();
         let native_lat = one.access(0, MemOp::read(0, 64));

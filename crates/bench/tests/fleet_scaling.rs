@@ -7,39 +7,9 @@
 //! 2. **Committed artifact** — the repo-root `BENCH_fleet.json` (all
 //!    simulated, hence byte-stable) shows the same split; drift means
 //!    the artifact was not regenerated after a fleet change.
-//! 3. **Snapshot isolation** — setting the fleet knobs
-//!    (`HARMONIA_FLEET_DEVICES` / `HARMONIA_FLEET_POLICY`) must not
-//!    move a byte of the committed paper snapshot: the paper generators
-//!    never consult them.
 
-use harmonia::fleet::{FLEET_DEVICES_ENV, FLEET_POLICY_ENV, TICK_PS};
+use harmonia::fleet::TICK_PS;
 use harmonia_bench::fleet;
-use std::sync::Mutex;
-
-/// Env mutations are process-global; serialize against cargo's parallel
-/// test runner (this file's own lock — other test binaries run in other
-/// processes).
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_env<R>(pairs: &[(&str, Option<&str>)], f: impl FnOnce() -> R) -> R {
-    let _guard = ENV_LOCK.lock().unwrap();
-    let priors: Vec<_> = pairs
-        .iter()
-        .map(|(k, _)| (*k, std::env::var(k).ok()))
-        .collect();
-    let set = |key: &str, value: Option<&str>| match value {
-        Some(v) => std::env::set_var(key, v),
-        None => std::env::remove_var(key),
-    };
-    for (k, v) in pairs {
-        set(k, *v);
-    }
-    let out = f();
-    for (k, v) in priors {
-        set(k, v.as_deref());
-    }
-    out
-}
 
 #[test]
 fn best_fit_beats_random_at_every_fleet_size_live() {
@@ -101,19 +71,4 @@ fn committed_bench_shows_the_same_placement_split() {
         "BENCH_fleet.json is stale; regenerate with:\n\
          cargo bench --bench fleet && cp target/testkit-bench/BENCH_fleet.json ."
     );
-}
-
-#[test]
-fn paper_snapshot_is_byte_identical_with_fleet_knobs_set() {
-    let committed = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../paper_output.txt"));
-    let rendered = with_env(
-        &[(FLEET_DEVICES_ENV, Some("64")), (FLEET_POLICY_ENV, Some("random"))],
-        || {
-            harmonia_bench::all_tables()
-                .iter()
-                .map(|t| format!("{t}\n"))
-                .collect::<String>()
-        },
-    );
-    assert_eq!(rendered, committed, "fleet knobs moved the paper snapshot");
 }

@@ -66,17 +66,20 @@ impl FleetSpec {
         }
     }
 
-    /// Builds a spec from the environment: device count from
+    /// Builds a spec from the fleet knobs, each looked up by name through
+    /// `get` (`None` when unset): device count from
     /// [`crate::FLEET_DEVICES_ENV`] (default
     /// [`crate::DEFAULT_FLEET_DEVICES`]), policy from
-    /// [`crate::FLEET_POLICY_ENV`] (default best-fit), seed 42.
+    /// [`crate::FLEET_POLICY_ENV`] (`bestfit`/`random`, case-insensitive,
+    /// default best-fit), seed 42. `--bin fleet` passes the process
+    /// environment; nothing in the library reads it.
     ///
     /// # Errors
     ///
     /// A set knob that does not parse — a device count that is not a
     /// positive integer, or an unknown policy — is a [`KnobError`].
-    pub fn from_env() -> Result<FleetSpec, KnobError> {
-        let devices = match crate::read_knob(crate::FLEET_DEVICES_ENV) {
+    pub fn from_knobs(get: impl Fn(&str) -> Option<String>) -> Result<FleetSpec, KnobError> {
+        let devices = match get(crate::FLEET_DEVICES_ENV) {
             None => crate::DEFAULT_FLEET_DEVICES,
             Some(v) => v
                 .parse::<usize>()
@@ -88,7 +91,18 @@ impl FleetSpec {
                     expected: "a positive device count",
                 })?,
         };
-        Ok(FleetSpec::new(devices, 42, PlacementPolicy::from_env()?))
+        let policy = match get(crate::FLEET_POLICY_ENV) {
+            None => PlacementPolicy::BestFit,
+            Some(v) => [PlacementPolicy::BestFit, PlacementPolicy::Random]
+                .into_iter()
+                .find(|p| v.eq_ignore_ascii_case(p.name()))
+                .ok_or(KnobError {
+                    knob: crate::FLEET_POLICY_ENV,
+                    value: v,
+                    expected: "bestfit or random",
+                })?,
+        };
+        Ok(FleetSpec::new(devices, 42, policy))
     }
 }
 
@@ -1044,7 +1058,7 @@ mod tests {
 
     #[test]
     fn spec_from_env_defaults() {
-        let spec = FleetSpec::from_env().unwrap();
+        let spec = FleetSpec::from_knobs(|_| None).unwrap();
         assert!(spec.devices > 0);
         assert_eq!(spec.ticks, crate::TICKS_PER_DAY);
     }

@@ -62,7 +62,7 @@ pub use traffic::{DiurnalTraffic, TickLoad};
 pub struct KnobError {
     /// The environment variable.
     pub knob: &'static str,
-    /// The rejected value (lossily decoded if it was not UTF-8).
+    /// The rejected value (`--bin fleet` decodes non-UTF-8 lossily).
     pub value: String,
     /// What the knob accepts.
     pub expected: &'static str,
@@ -80,13 +80,8 @@ impl std::fmt::Display for KnobError {
 
 impl std::error::Error for KnobError {}
 
-/// Reads a fleet knob, `None` when unset.
-fn read_knob(knob: &'static str) -> Option<String> {
-    std::env::var_os(knob).map(|v| v.to_string_lossy().into_owned())
-}
-
 /// Environment knob for the simulated device count
-/// ([`FleetSpec::from_env`]). Default [`DEFAULT_FLEET_DEVICES`].
+/// ([`FleetSpec::from_knobs`]). Default [`DEFAULT_FLEET_DEVICES`].
 pub const FLEET_DEVICES_ENV: &str = "HARMONIA_FLEET_DEVICES";
 
 /// Default fleet size: a couple of thousand cards, the "tens of
@@ -94,7 +89,7 @@ pub const FLEET_DEVICES_ENV: &str = "HARMONIA_FLEET_DEVICES";
 pub const DEFAULT_FLEET_DEVICES: usize = 2048;
 
 /// Environment knob selecting the placement policy
-/// (`bestfit`/`random`, see [`PlacementPolicy::from_env`]).
+/// (`bestfit`/`random`, see [`FleetSpec::from_knobs`]).
 pub const FLEET_POLICY_ENV: &str = "HARMONIA_FLEET_POLICY";
 
 /// Simulated length of one control-plane tick: 5 minutes.

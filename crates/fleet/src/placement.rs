@@ -20,7 +20,6 @@
 
 use crate::catalog::RoleClass;
 use crate::inventory::{device_speed, Inventory};
-use crate::KnobError;
 use harmonia_host::cmd_driver::{command_script, IssuedCommand};
 use harmonia_host::migration::cmd_modifications;
 use harmonia_hw::device::{catalog as hw_catalog, DeviceId};
@@ -44,26 +43,6 @@ impl PlacementPolicy {
             PlacementPolicy::BestFit => "bestfit",
             PlacementPolicy::Random => "random",
         }
-    }
-
-    /// Reads [`crate::FLEET_POLICY_ENV`] (`bestfit`/`random`,
-    /// case-insensitive); unset means best-fit.
-    ///
-    /// # Errors
-    ///
-    /// Any other value is a [`KnobError`].
-    pub fn from_env() -> Result<PlacementPolicy, KnobError> {
-        let Some(v) = crate::read_knob(crate::FLEET_POLICY_ENV) else {
-            return Ok(PlacementPolicy::BestFit);
-        };
-        [PlacementPolicy::BestFit, PlacementPolicy::Random]
-            .into_iter()
-            .find(|p| v.eq_ignore_ascii_case(p.name()))
-            .ok_or(KnobError {
-                knob: crate::FLEET_POLICY_ENV,
-                value: v,
-                expected: "bestfit or random",
-            })
     }
 }
 

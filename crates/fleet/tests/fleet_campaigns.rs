@@ -7,31 +7,15 @@ use harmonia_fleet::{
     FleetController, FleetSpec, PlacementPolicy, FLEET_DEVICES_ENV, FLEET_POLICY_ENV, TICK_PS,
 };
 use harmonia_sim::metrics::{evaluate_slos, MetricsRegistry};
-use std::sync::Mutex;
 
-/// Env mutations are process-global; serialize against cargo's parallel
-/// test runner (this file's own lock — other test binaries run in other
-/// processes).
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_env<R>(pairs: &[(&str, Option<&str>)], f: impl FnOnce() -> R) -> R {
-    let _guard = ENV_LOCK.lock().unwrap();
-    let priors: Vec<_> = pairs
-        .iter()
-        .map(|(k, _)| (*k, std::env::var(k).ok()))
-        .collect();
-    let set = |key: &str, value: Option<&str>| match value {
-        Some(v) => std::env::set_var(key, v),
-        None => std::env::remove_var(key),
-    };
-    for (k, v) in pairs {
-        set(k, *v);
+/// A knob getter over fixed `(name, value)` pairs; other knobs are unset.
+fn knobs<'a>(pairs: &'a [(&'a str, &'a str)]) -> impl Fn(&str) -> Option<String> + 'a {
+    move |name| {
+        pairs
+            .iter()
+            .find(|(k, _)| *k == name)
+            .map(|(_, v)| v.to_string())
     }
-    let out = f();
-    for (k, v) in priors {
-        set(k, v.as_deref());
-    }
-    out
 }
 
 fn fleet(devices: usize, policy: PlacementPolicy) -> FleetController {
@@ -108,19 +92,12 @@ fn best_fit_beats_random_on_fleet_p99() {
 
 #[test]
 fn fleet_knobs_select_size_and_policy() {
-    let spec = with_env(
-        &[(FLEET_DEVICES_ENV, Some("64")), (FLEET_POLICY_ENV, Some("random"))],
-        FleetSpec::from_env,
-    )
-    .unwrap();
+    let pairs = [(FLEET_DEVICES_ENV, "64"), (FLEET_POLICY_ENV, "random")];
+    let spec = FleetSpec::from_knobs(knobs(&pairs)).unwrap();
     assert_eq!(spec.devices, 64);
     assert_eq!(spec.policy, PlacementPolicy::Random);
     assert_eq!(spec.users, 64 * harmonia_fleet::USERS_PER_DEVICE);
-    let default_spec = with_env(
-        &[(FLEET_DEVICES_ENV, None), (FLEET_POLICY_ENV, None)],
-        FleetSpec::from_env,
-    )
-    .unwrap();
+    let default_spec = FleetSpec::from_knobs(knobs(&[])).unwrap();
     assert_eq!(default_spec.devices, harmonia_fleet::DEFAULT_FLEET_DEVICES);
     assert_eq!(default_spec.policy, PlacementPolicy::BestFit);
     // Garbage values are rejected, naming the knob, rather than silently
@@ -130,14 +107,8 @@ fn fleet_knobs_select_size_and_policy() {
         ("0", "bestfit", FLEET_DEVICES_ENV),
         ("64", "mystery", FLEET_POLICY_ENV),
     ] {
-        let err = with_env(
-            &[
-                (FLEET_DEVICES_ENV, Some(devices)),
-                (FLEET_POLICY_ENV, Some(policy)),
-            ],
-            FleetSpec::from_env,
-        )
-        .unwrap_err();
+        let pairs = [(FLEET_DEVICES_ENV, devices), (FLEET_POLICY_ENV, policy)];
+        let err = FleetSpec::from_knobs(knobs(&pairs)).unwrap_err();
         assert_eq!(err.knob, bad_knob, "{devices}/{policy}");
         assert!(err.to_string().starts_with(bad_knob), "{err}");
     }

@@ -46,7 +46,7 @@ impl DdrIp {
     }
 
     /// Creates a fresh channel timing model (attach a probe with
-    /// [`DramModel::set_probe`] to see its row conflicts and ECC scrubs).
+    /// [`DramModel::set_probe`] to see its row conflicts).
     pub fn channel(&self) -> DramModel {
         DramModel::new(self.timing())
     }
@@ -54,13 +54,6 @@ impl DdrIp {
     /// Peak channel bandwidth in GB/s.
     pub fn peak_gbs(&self) -> f64 {
         self.timing().peak_gbs()
-    }
-
-    /// Latency cost of a corrected ECC hit on this controller (see
-    /// `DramTiming::ecc_scrub_penalty_ps`; fault-aware accesses go
-    /// through `DramModel::access_with_faults` on [`DdrIp::channel`]).
-    pub fn ecc_scrub_penalty_ps(&self) -> harmonia_sim::Picos {
-        self.timing().ecc_scrub_penalty_ps()
     }
 }
 
@@ -223,7 +216,11 @@ mod tests {
     fn channel_model_runs() {
         let ip = DdrIp::new(Vendor::Intel, 4);
         let mut ch = ip.channel();
-        let (ps, bytes) = ch.run_trace((0..1000u64).map(|i| MemOp::read(i * 64, 64)));
+        let (ps, bytes) = (0..1000u64)
+            .map(|i| MemOp::read(i * 64, 64))
+            .fold((0, 0), |(_, b), op| {
+                (ch.access(0, op), b + u64::from(op.bytes))
+            });
         assert!(ps > 0 && bytes == 64_000);
     }
 
@@ -235,7 +232,7 @@ mod tests {
         let mut ch = ip.channel();
         ch.set_probe(probe.clone());
         // Row-thrash within one bank: every access opens a new row.
-        let (ps, _) = ch.run_trace((0..8u64).map(|i| MemOp::read(i << 20, 64)));
+        let ps = (0..8u64).fold(0, |_, i| ch.access(0, MemOp::read(i << 20, 64)));
         assert!(ps > 0);
         let trace = probe.trace.take();
         assert!(

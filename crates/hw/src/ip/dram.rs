@@ -10,7 +10,7 @@
 //! results: sequential ≫ random throughput (Figs 10c, 18c) and the benefit
 //! of interleaving (ablation benches).
 
-use harmonia_sim::{FaultInjector, Picos, Probe, TraceEventKind};
+use harmonia_sim::{Picos, Probe, TraceEventKind};
 use std::collections::VecDeque;
 
 /// One memory operation presented to the controller.
@@ -126,12 +126,6 @@ impl DramTiming {
     pub fn peak_gbs(&self) -> f64 {
         self.burst_bytes as f64 / (self.burst_ps as f64 / 1e3) // B/ns == GB/s
     }
-
-    /// Latency cost of one corrected ECC hit: scrub the word and replay
-    /// the column access (CAS + re-activated row + one burst).
-    pub fn ecc_scrub_penalty_ps(&self) -> Picos {
-        self.cas_ps + self.row_miss_extra_ps + self.burst_ps
-    }
 }
 
 /// A divisor fixed at construction. `x / d` and `x % d` are a shift and a
@@ -232,8 +226,7 @@ impl DramModel {
     }
 
     /// Attaches an observability probe: row-buffer conflicts emit
-    /// [`TraceEventKind::DramRowConflict`] instants and corrected ECC
-    /// hits emit [`TraceEventKind::EccScrub`] spans on its timeline.
+    /// [`TraceEventKind::DramRowConflict`] instants on its timeline.
     pub fn set_probe(&mut self, probe: Probe) {
         self.probe = probe;
     }
@@ -320,50 +313,6 @@ impl DramModel {
         done
     }
 
-    /// [`DramModel::access`] through the fault plane: if the injector
-    /// fires an ECC hit for this access, completion is delayed by the
-    /// scrub-and-replay penalty (the data is corrected, not lost). With
-    /// the no-op injector this is exactly `access`.
-    pub fn access_with_faults(
-        &mut self,
-        issue_ps: Picos,
-        op: MemOp,
-        faults: &FaultInjector,
-    ) -> Picos {
-        let done = self.access(issue_ps, op);
-        if faults.ecc_error(done) {
-            let scrubbed = done + self.timing.ecc_scrub_penalty_ps();
-            self.bus_free_ps = self.bus_free_ps.max(scrubbed);
-            self.probe
-                .trace
-                .span(done, scrubbed - done, TraceEventKind::EccScrub);
-            scrubbed
-        } else {
-            done
-        }
-    }
-
-    /// Runs a whole trace as a saturated in-order queue; returns
-    /// `(makespan_ps, bytes)`.
-    pub fn run_trace<I: IntoIterator<Item = MemOp>>(&mut self, ops: I) -> (Picos, u64) {
-        let mut last_done = 0;
-        let mut bytes = 0u64;
-        for op in ops {
-            last_done = self.access(0, op);
-            bytes += u64::from(op.bytes);
-        }
-        (last_done, bytes)
-    }
-
-    /// Achieved bandwidth of a trace in GB/s.
-    pub fn trace_bandwidth_gbs<I: IntoIterator<Item = MemOp>>(&mut self, ops: I) -> f64 {
-        let (ps, bytes) = self.run_trace(ops);
-        if ps == 0 {
-            return 0.0;
-        }
-        bytes as f64 / (ps as f64 / 1e3)
-    }
-
     /// The time the data bus is busy until — the channel's "current time"
     /// for back-to-back trace runs.
     pub fn busy_until(&self) -> Picos {
@@ -416,6 +365,20 @@ mod tests {
                 ..odd
             },
         ]
+    }
+
+    /// Folds `access(0, op)` over `ops`, a saturated in-order queue:
+    /// `(last completion, bytes)`.
+    fn replay(m: &mut DramModel, ops: impl IntoIterator<Item = MemOp>) -> (Picos, u64) {
+        ops.into_iter().fold((0, 0), |(_, bytes), op| {
+            (m.access(0, op), bytes + u64::from(op.bytes))
+        })
+    }
+
+    /// Achieved bandwidth of [`replay`] in GB/s.
+    fn bandwidth_gbs(m: &mut DramModel, ops: impl IntoIterator<Item = MemOp>) -> f64 {
+        let (ps, bytes) = replay(m, ops);
+        bytes as f64 / (ps as f64 / 1e3)
     }
 
     forall! {
@@ -471,7 +434,7 @@ mod tests {
     fn sequential_reads_approach_peak() {
         let mut m = DramModel::new(DramTiming::ddr4_2400());
         let ops = (0..40_000u64).map(|i| MemOp::read(i * 64, 64));
-        let bw = m.trace_bandwidth_gbs(ops);
+        let bw = bandwidth_gbs(&mut m, ops);
         assert!(bw > 0.85 * 19.2, "sequential bw {bw:.2} GB/s too low");
         assert!(m.hit_ratio() > 0.95);
     }
@@ -486,7 +449,7 @@ mod tests {
             addr = addr.wrapping_mul(6364136223846793005).wrapping_add(1);
             MemOp::read((addr >> 8) % (1 << 30), 64)
         });
-        let bw = m.trace_bandwidth_gbs(ops);
+        let bw = bandwidth_gbs(&mut m, ops);
         assert!(
             m.hit_ratio() < 0.01,
             "random reads hit an open row {:.4} of the time",
@@ -504,7 +467,7 @@ mod tests {
         let mut m = DramModel::new(DramTiming::ddr4_2400());
         // Stride keeps the bank fixed and changes the row every access.
         let stride = 8192u64 * 16 * 7;
-        let bw = m.trace_bandwidth_gbs((0..5_000u64).map(|i| MemOp::read(i * stride, 64)));
+        let bw = bandwidth_gbs(&mut m, (0..5_000u64).map(|i| MemOp::read(i * stride, 64)));
         assert!(bw < 3.0, "row-thrash bw {bw:.2} GB/s too high");
         assert!(m.hit_ratio() < 0.01);
     }
@@ -513,23 +476,26 @@ mod tests {
     fn writes_and_reads_cost_the_same_bus_time() {
         let mut mr = DramModel::new(DramTiming::ddr4_2400());
         let mut mw = DramModel::new(DramTiming::ddr4_2400());
-        let (pr, _) = mr.run_trace((0..1000u64).map(|i| MemOp::read(i * 64, 64)));
-        let (pw, _) = mw.run_trace((0..1000u64).map(|i| MemOp::write(i * 64, 64)));
+        let (pr, _) = replay(&mut mr, (0..1000u64).map(|i| MemOp::read(i * 64, 64)));
+        let (pw, _) = replay(&mut mw, (0..1000u64).map(|i| MemOp::write(i * 64, 64)));
         assert_eq!(pr, pw);
     }
 
     #[test]
     fn read_write_interleave_pays_turnaround() {
         let mut alt = DramModel::new(DramTiming::ddr4_2400());
-        let (p_alt, _) = alt.run_trace((0..1000u64).map(|i| {
-            if i % 2 == 0 {
-                MemOp::read(i * 64, 64)
-            } else {
-                MemOp::write(i * 64, 64)
-            }
-        }));
+        let (p_alt, _) = replay(
+            &mut alt,
+            (0..1000u64).map(|i| {
+                if i % 2 == 0 {
+                    MemOp::read(i * 64, 64)
+                } else {
+                    MemOp::write(i * 64, 64)
+                }
+            }),
+        );
         let mut uni = DramModel::new(DramTiming::ddr4_2400());
-        let (p_uni, _) = uni.run_trace((0..1000u64).map(|i| MemOp::read(i * 64, 64)));
+        let (p_uni, _) = replay(&mut uni, (0..1000u64).map(|i| MemOp::read(i * 64, 64)));
         assert!(p_alt > p_uni);
     }
 
@@ -546,8 +512,8 @@ mod tests {
         };
         let mut small = DramModel::new(DramTiming::ddr4_2400());
         let mut large = DramModel::new(DramTiming::ddr4_2400());
-        let (ps_s, b_s) = small.run_trace(rand_addrs(4096).map(|a| MemOp::read(a, 64)));
-        let (ps_l, b_l) = large.run_trace(rand_addrs(256).map(|a| MemOp::read(a, 1024)));
+        let (ps_s, b_s) = replay(&mut small, rand_addrs(4096).map(|a| MemOp::read(a, 64)));
+        let (ps_l, b_l) = replay(&mut large, rand_addrs(256).map(|a| MemOp::read(a, 1024)));
         assert_eq!(b_s, b_l);
         assert!(ps_l < ps_s, "large {ps_l} ps vs small {ps_s} ps");
     }
@@ -581,59 +547,5 @@ mod tests {
         let done = m.access(0, MemOp::read(0, 64));
         let t = DramTiming::ddr4_2400();
         assert_eq!(done, t.row_miss_extra_ps + t.cas_ps + t.burst_ps);
-    }
-
-    #[test]
-    fn faultless_access_is_bit_identical_to_plain() {
-        use harmonia_sim::FaultInjector;
-        let none = FaultInjector::none();
-        let mut plain = DramModel::new(DramTiming::ddr4_2400());
-        let mut faulty = DramModel::new(DramTiming::ddr4_2400());
-        let mut addr = 3u64;
-        for i in 0..500 {
-            addr = addr.wrapping_mul(6364136223846793005).wrapping_add(i);
-            let op = MemOp::read(addr % (1 << 30), 64);
-            assert_eq!(plain.access(0, op), faulty.access_with_faults(0, op, &none));
-        }
-    }
-
-    #[test]
-    fn row_conflicts_and_scrubs_show_on_the_timeline() {
-        use harmonia_sim::{FaultKind, FaultPlan, TraceEventKind};
-        let probe = Probe::enabled();
-        let mut m = DramModel::new(DramTiming::ddr4_2400());
-        m.set_probe(probe.clone());
-        let inj = FaultPlan::new().at(0, FaultKind::EccError).injector();
-        m.access_with_faults(0, MemOp::read(0, 64), &inj); // miss + ECC
-        m.access(0, MemOp::read(64 * 16, 64)); // same row → hit, no event
-        let trace = probe.trace.take();
-        let names: Vec<&str> = trace.events().iter().map(|e| e.kind.name()).collect();
-        assert_eq!(names, vec!["dram-row-conflict", "ecc-scrub"]);
-        let scrub = &trace.events()[1];
-        assert_eq!(
-            scrub.dur,
-            DramTiming::ddr4_2400().ecc_scrub_penalty_ps(),
-            "scrub span covers the replay penalty"
-        );
-        assert!(matches!(
-            trace.events()[0].kind,
-            TraceEventKind::DramRowConflict { bank: 0 }
-        ));
-    }
-
-    #[test]
-    fn scheduled_ecc_hit_pays_scrub_penalty() {
-        use harmonia_sim::{FaultKind, FaultPlan};
-        let t = DramTiming::ddr4_2400();
-        // Fire the ECC event at time 0 so the first completing access eats it.
-        let inj = FaultPlan::new().at(0, FaultKind::EccError).injector();
-        let mut m = DramModel::new(DramTiming::ddr4_2400());
-        let clean = t.row_miss_extra_ps + t.cas_ps + t.burst_ps;
-        let done = m.access_with_faults(0, MemOp::read(0, 64), &inj);
-        assert_eq!(done, clean + t.ecc_scrub_penalty_ps());
-        assert_eq!(inj.report().ecc_errors, 1);
-        // The event is one-shot: the next access is clean again.
-        let next = m.access_with_faults(done, MemOp::read(0, 64), &inj);
-        assert!(next < done + clean + t.ecc_scrub_penalty_ps());
     }
 }

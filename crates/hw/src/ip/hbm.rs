@@ -6,12 +6,12 @@
 //! carry HBM, so there is a single vendor flavour.
 
 use crate::iface::{self, InterfaceSpec, SignalDir};
-use crate::ip::dram::{DramModel, DramTiming, MemOp};
+use crate::ip::dram::{DramModel, DramTiming};
 use crate::ip::{IpKind, VendorIp};
 use crate::regfile::{Access, RegOp, RegisterFile};
 use crate::resource::ResourceUsage;
 use crate::vendor::Vendor;
-use harmonia_sim::{FaultInjector, Freq, Picos, Probe};
+use harmonia_sim::Freq;
 
 /// An HBM controller instance.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -38,35 +38,6 @@ impl HbmIp {
         (0..Self::CHANNELS)
             .map(|_| DramModel::new(DramTiming::hbm2_channel()))
             .collect()
-    }
-
-    /// Runs a trace where each op is steered to `(addr / stride) % 32`
-    /// channels — the default (un-interleaved) static mapping. Returns
-    /// `(makespan_ps, bytes)`. Each access consults `faults` and pays the
-    /// ECC scrub penalty when a hit fires; `probe` is attached to every
-    /// pseudo-channel, so row conflicts and ECC scrubs land on one
-    /// timeline (each channel stamps its own bank id). The no-op injector
-    /// gives the fault-free run, and no probe moves the result.
-    pub fn run_striped_trace<I: IntoIterator<Item = MemOp>>(
-        &self,
-        ops: I,
-        stripe_bytes: u64,
-        faults: &FaultInjector,
-        probe: &Probe,
-    ) -> (Picos, u64) {
-        assert!(stripe_bytes > 0, "stripe size must be non-zero");
-        let mut channels = self.channels();
-        for ch in &mut channels {
-            ch.set_probe(probe.clone());
-        }
-        let mut now = vec![0u64; channels.len()];
-        let mut bytes = 0u64;
-        for op in ops {
-            let ch = ((op.addr / stripe_bytes) % u64::from(Self::CHANNELS)) as usize;
-            now[ch] = channels[ch].access_with_faults(now[ch], op, faults);
-            bytes += u64::from(op.bytes);
-        }
-        (now.into_iter().max().unwrap_or(0), bytes)
     }
 }
 
@@ -151,31 +122,10 @@ impl VendorIp for HbmIp {
 mod tests {
     use super::*;
 
-    /// The fault-free, unobserved run.
-    fn clean<I: IntoIterator<Item = MemOp>>(hbm: &HbmIp, ops: I, stripe: u64) -> (Picos, u64) {
-        hbm.run_striped_trace(ops, stripe, &FaultInjector::none(), &Probe::disabled())
-    }
-
     #[test]
     fn aggregate_bandwidth_matches_paper() {
         let hbm = HbmIp::new(Vendor::Xilinx);
         assert!((hbm.aggregate_peak_gbs() - 460.8).abs() < 1.0);
-    }
-
-    #[test]
-    fn channel_parallel_trace_beats_single_channel() {
-        let hbm = HbmIp::new(Vendor::Xilinx);
-        // Addresses striding across stripes hit all 32 channels.
-        let spread = (0..32_000u64).map(|i| MemOp::read(i * 4096, 64));
-        let (ps_spread, b) = clean(&hbm, spread, 4096);
-        // All addresses in one stripe serialize on one channel.
-        let narrow = (0..32_000u64).map(|i| MemOp::read((i * 64) % 4096, 64));
-        let (ps_narrow, _) = clean(&hbm, narrow, 4096);
-        assert_eq!(b, 32_000 * 64);
-        assert!(
-            ps_spread * 4 < ps_narrow,
-            "parallel {ps_spread} ps vs serial {ps_narrow} ps"
-        );
     }
 
     #[test]
@@ -184,81 +134,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "stripe size")]
-    fn zero_stripe_rejected() {
-        let hbm = HbmIp::new(Vendor::Xilinx);
-        let _ = clean(&hbm, std::iter::empty(), 0);
-    }
-
-    #[test]
     fn register_map_covers_channels() {
         let rf = HbmIp::new(Vendor::Xilinx).register_map();
         assert!(rf.addr_of("ch_enable_31").is_some());
         assert!(rf.addr_of("ch_stat_31").is_some());
-    }
-
-    #[test]
-    fn ecc_hits_stretch_the_striped_trace() {
-        use harmonia_sim::{FaultPlan, FaultRates};
-        let hbm = HbmIp::new(Vendor::Xilinx);
-        let ops = || (0..2_000u64).map(|i| MemOp::read(i * 64, 64));
-        let (fault_free, bytes) = clean(&hbm, ops(), 256);
-        let faulty_inj = FaultPlan::new()
-            .with_rates(
-                7,
-                FaultRates {
-                    ecc: 0.2,
-                    ..FaultRates::default()
-                },
-            )
-            .injector();
-        let off = Probe::disabled();
-        let (faulty, fbytes) = hbm.run_striped_trace(ops(), 256, &faulty_inj, &off);
-        assert_eq!(bytes, fbytes);
-        assert!(
-            faulty > fault_free,
-            "ECC hits must cost time: {faulty} vs {fault_free}"
-        );
-        assert!(faulty_inj.report().ecc_errors > 0);
-    }
-
-    #[test]
-    fn striped_run_surfaces_row_conflicts_and_scrubs() {
-        use harmonia_sim::{FaultPlan, FaultRates};
-        let hbm = HbmIp::new(Vendor::Xilinx);
-        // Two rows ping-ponging in one stripe: every access past the first
-        // conflicts.
-        let ops = || (0..64u64).map(|i| MemOp::read((i % 2) << 20, 64));
-        let inj = || {
-            FaultPlan::new()
-                .with_rates(
-                    11,
-                    FaultRates {
-                        ecc: 0.3,
-                        ..FaultRates::default()
-                    },
-                )
-                .injector()
-        };
-        let probe = Probe::enabled();
-        let traced = hbm.run_striped_trace(ops(), 4096, &inj(), &probe);
-        let trace = probe.trace.take();
-        let conflicts = trace
-            .events()
-            .iter()
-            .filter(|e| e.kind.name() == "dram-row-conflict")
-            .count();
-        let scrubs = trace
-            .events()
-            .iter()
-            .filter(|e| e.kind.name() == "ecc-scrub")
-            .count();
-        assert!(conflicts >= 32, "only {conflicts} row conflicts traced");
-        assert!(scrubs > 0, "ECC scrubs must reach the timeline");
-        // Observational only: same makespan as the unobserved fault run.
-        assert_eq!(
-            hbm.run_striped_trace(ops(), 4096, &inj(), &Probe::disabled()),
-            traced
-        );
     }
 }
