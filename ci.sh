@@ -63,6 +63,11 @@ cargo build --release --workspace --offline --locked
 echo "==> tier-1: test suite"
 cargo test -q --workspace --offline --locked
 
+echo "==> benchmark (smoke): five ops per workload, outputs byte-checked against benchmark/reference/"
+# Builds the benchmark crate on its own and byte-checks paper_sweep's
+# output and the fleet and command-path fingerprints.
+benchmark/run.sh smoke
+
 echo "==> docs: rustdoc builds with zero warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline --locked
 
@@ -104,8 +109,5 @@ if HARMONIA_FLEET_POLICY=mystery cargo run -q --offline --locked -p harmonia-ben
     echo "ci.sh: --bin fleet accepted HARMONIA_FLEET_POLICY=mystery" >&2
     exit 1
 fi
-
-echo "==> benchmark (smoke): five ops per workload, outputs byte-checked against benchmark/reference/"
-benchmark/run.sh smoke
 
 echo "==> ci.sh: all gates passed"

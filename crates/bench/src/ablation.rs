@@ -197,17 +197,20 @@ pub fn ablation_rdma_window() -> Table {
     t
 }
 
+/// The ablation tables, in order: each one a job of the paper sweep.
+pub const TABLES: &[crate::TableFn] = &[
+    ablation_wrapper,
+    ablation_memory,
+    ablation_scheduler,
+    ablation_ctrl_isolation,
+    ablation_hot_cache_hits,
+    ablation_datapath_sim,
+    ablation_rdma_window,
+];
+
 /// All ablation tables.
 pub fn generate() -> Vec<Table> {
-    vec![
-        ablation_wrapper(),
-        ablation_memory(),
-        ablation_scheduler(),
-        ablation_ctrl_isolation(),
-        ablation_hot_cache_hits(),
-        ablation_datapath_sim(),
-        ablation_rdma_window(),
-    ]
+    TABLES.iter().map(|table| table()).collect()
 }
 
 #[cfg(test)]

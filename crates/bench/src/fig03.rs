@@ -145,9 +145,12 @@ pub fn fig3d() -> Table {
     t
 }
 
+/// The Figure 3 tables, in order: each one a job of the paper sweep.
+pub const TABLES: &[crate::TableFn] = &[fig3a, fig3b, fig3c, fig3d];
+
 /// All Figure 3 tables.
 pub fn generate() -> Vec<Table> {
-    vec![fig3a(), fig3b(), fig3c(), fig3d()]
+    TABLES.iter().map(|table| table()).collect()
 }
 
 #[cfg(test)]

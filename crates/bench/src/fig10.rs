@@ -111,9 +111,12 @@ pub fn fig10c() -> Table {
     t
 }
 
+/// The Figure 10 tables, in order: each one a job of the paper sweep.
+pub const TABLES: &[crate::TableFn] = &[fig10a, fig10b, fig10c];
+
 /// All Figure 10 tables.
 pub fn generate() -> Vec<Table> {
-    vec![fig10a(), fig10b(), fig10c()]
+    TABLES.iter().map(|table| table()).collect()
 }
 
 #[cfg(test)]

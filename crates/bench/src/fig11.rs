@@ -40,9 +40,12 @@ pub fn fig11() -> Table {
     t
 }
 
+/// The Figure 11 tables, in order: each one a job of the paper sweep.
+pub const TABLES: &[crate::TableFn] = &[fig11];
+
 /// All Figure 11 tables.
 pub fn generate() -> Vec<Table> {
-    vec![fig11()]
+    TABLES.iter().map(|table| table()).collect()
 }
 
 #[cfg(test)]

@@ -27,9 +27,12 @@ pub fn fig12() -> Table {
     t
 }
 
+/// The Figure 12 tables, in order: each one a job of the paper sweep.
+pub const TABLES: &[crate::TableFn] = &[fig12];
+
 /// All Figure 12 tables.
 pub fn generate() -> Vec<Table> {
-    vec![fig12()]
+    TABLES.iter().map(|table| table()).collect()
 }
 
 #[cfg(test)]

@@ -60,9 +60,12 @@ pub fn fig13() -> Table {
     t
 }
 
+/// The Figure 13 tables, in order: each one a job of the paper sweep.
+pub const TABLES: &[crate::TableFn] = &[fig13];
+
 /// All Figure 13 tables.
 pub fn generate() -> Vec<Table> {
-    vec![fig13()]
+    TABLES.iter().map(|table| table()).collect()
 }
 
 #[cfg(test)]

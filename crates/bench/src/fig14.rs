@@ -40,9 +40,12 @@ pub fn fig14() -> Table {
     t
 }
 
+/// The Figure 14 tables, in order: each one a job of the paper sweep.
+pub const TABLES: &[crate::TableFn] = &[fig14];
+
 /// All Figure 14 tables.
 pub fn generate() -> Vec<Table> {
-    vec![fig14()]
+    TABLES.iter().map(|table| table()).collect()
 }
 
 #[cfg(test)]

@@ -25,9 +25,12 @@ pub fn fig15() -> Table {
     t
 }
 
+/// The Figure 15 tables, in order: each one a job of the paper sweep.
+pub const TABLES: &[crate::TableFn] = &[fig15];
+
 /// All Figure 15 tables.
 pub fn generate() -> Vec<Table> {
-    vec![fig15()]
+    TABLES.iter().map(|table| table()).collect()
 }
 
 #[cfg(test)]

@@ -76,9 +76,12 @@ pub fn fig16() -> Table {
     t
 }
 
+/// The Figure 16 tables, in order: each one a job of the paper sweep.
+pub const TABLES: &[crate::TableFn] = &[fig16];
+
 /// All Figure 16 tables.
 pub fn generate() -> Vec<Table> {
-    vec![fig16()]
+    TABLES.iter().map(|table| table()).collect()
 }
 
 #[cfg(test)]

@@ -86,9 +86,12 @@ pub fn fig17d() -> Table {
     t
 }
 
+/// The Figure 17 tables, in order: each one a job of the paper sweep.
+pub const TABLES: &[crate::TableFn] = &[fig17a, fig17b, fig17c, fig17d];
+
 /// All Figure 17 tables.
 pub fn generate() -> Vec<Table> {
-    vec![fig17a(), fig17b(), fig17c(), fig17d()]
+    TABLES.iter().map(|table| table()).collect()
 }
 
 #[cfg(test)]

@@ -115,9 +115,12 @@ pub fn fig18d() -> Table {
     t
 }
 
+/// The Figure 18 tables, in order: each one a job of the paper sweep.
+pub const TABLES: &[crate::TableFn] = &[fig18a, fig18b, fig18c, fig18d];
+
 /// All Figure 18 tables.
 pub fn generate() -> Vec<Table> {
-    vec![fig18a(), fig18b(), fig18c(), fig18d()]
+    TABLES.iter().map(|table| table()).collect()
 }
 
 #[cfg(test)]

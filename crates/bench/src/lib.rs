@@ -24,39 +24,37 @@ pub mod tables;
 pub mod tenancy;
 pub mod trace_run;
 
-/// A generator: one paper artifact's tables.
-pub type Generator = fn() -> Vec<harmonia::metrics::Table>;
+/// One table of the evaluation.
+pub type TableFn = fn() -> harmonia::metrics::Table;
 
-/// Every generator of the evaluation, in the paper's order, with its
-/// module name.
-pub fn generators() -> [(&'static str, Generator); 12] {
+/// Every generator of the evaluation, in the paper's order: its module
+/// name and its tables (the module's `TABLES`; its `generate` runs them).
+pub fn generators() -> [(&'static str, &'static [TableFn]); 12] {
     [
-        ("fig03", fig03::generate),
-        ("fig10", fig10::generate),
-        ("fig11", fig11::generate),
-        ("fig12", fig12::generate),
-        ("fig13", fig13::generate),
-        ("fig14", fig14::generate),
-        ("fig15", fig15::generate),
-        ("fig16", fig16::generate),
-        ("fig17", fig17::generate),
-        ("fig18", fig18::generate),
-        ("tables", tables::generate),
-        ("ablation", ablation::generate),
+        ("fig03", fig03::TABLES),
+        ("fig10", fig10::TABLES),
+        ("fig11", fig11::TABLES),
+        ("fig12", fig12::TABLES),
+        ("fig13", fig13::TABLES),
+        ("fig14", fig14::TABLES),
+        ("fig15", fig15::TABLES),
+        ("fig16", fig16::TABLES),
+        ("fig17", fig17::TABLES),
+        ("fig18", fig18::TABLES),
+        ("tables", tables::TABLES),
+        ("ablation", ablation::TABLES),
     ]
 }
 
 /// Every table of the evaluation, in the paper's order.
 ///
-/// The twelve generators are independent, so they fan out across threads
-/// ([`harmonia::sim::exec::par_sweep`], the library's only parallel loop);
-/// ordered reassembly keeps the output byte-identical to running the
-/// generators one by one.
+/// The tables are independent, so they fan out across threads one table
+/// per job ([`harmonia::sim::exec::par_sweep`], the library's only
+/// parallel loop); ordered reassembly keeps the output byte-identical to
+/// running them one by one.
 pub fn all_tables() -> Vec<harmonia::metrics::Table> {
-    harmonia::sim::exec::par_sweep(generators(), |(_, generate)| generate())
-        .into_iter()
-        .flatten()
-        .collect()
+    let jobs = generators().into_iter().flat_map(|(_, tables)| tables);
+    harmonia::sim::exec::par_sweep(jobs, |table| table())
 }
 
 /// Prints a list of tables with blank lines between them.

@@ -6,9 +6,9 @@
 //! fault plan (`FaultPlan::none()`) must keep every artifact bit-exact —
 //! the paper binary takes the faultless paths throughout.
 //!
-//! `all_tables` fans the generators out across threads (the workspace's
-//! only parallel loop); the serial loop over `generators()` must render
-//! the same bytes.
+//! `all_tables` fans the tables out across threads (the workspace's only
+//! parallel loop); the serial loop over `generators()` must render the
+//! same bytes.
 
 use harmonia::metrics::Table;
 
@@ -42,7 +42,7 @@ fn all_tables_match_committed_snapshot() {
 fn serial_generator_loop_matches_committed_snapshot() {
     let tables: Vec<Table> = harmonia_bench::generators()
         .into_iter()
-        .flat_map(|(_, generate)| generate())
+        .flat_map(|(_, tables)| tables.iter().map(|table| table()))
         .collect();
     assert_matches_snapshot(&tables);
 }

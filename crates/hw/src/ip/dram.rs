@@ -11,7 +11,6 @@
 //! of interleaving (ablation benches).
 
 use harmonia_sim::{Picos, Probe, TraceEventKind};
-use std::collections::VecDeque;
 
 /// One memory operation presented to the controller.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -197,8 +196,11 @@ pub struct DramModel {
     bus_free_ps: Picos,
     last_group: Option<u32>,
     last_was_write: Option<bool>,
-    /// Start times of recent row activations, for the tFAW window.
-    recent_activates: VecDeque<Picos>,
+    /// The tFAW window as a ring over the last four row activations:
+    /// slot `faw_next` holds the oldest one's start plus `faw_ps`, the
+    /// earliest the next activation may start (0 until four have run).
+    faw_ends: [Picos; 4],
+    faw_next: usize,
     hits: u64,
     misses: u64,
     probe: Probe,
@@ -213,7 +215,8 @@ impl DramModel {
             bus_free_ps: 0,
             last_group: None,
             last_was_write: None,
-            recent_activates: VecDeque::with_capacity(4),
+            faw_ends: [0; 4],
+            faw_next: 0,
             burst: Divisor::new(u64::from(timing.burst_bytes)),
             banks: Divisor::new(u64::from(timing.banks)),
             row_span: Divisor::new(u64::from(timing.row_bytes) * u64::from(timing.banks)),
@@ -250,19 +253,10 @@ impl DramModel {
 
     /// Reserves a slot in the four-activate window at or after `t`; returns
     /// the actual activation time.
-    fn reserve_activate(&mut self, mut t: Picos) -> Picos {
-        while let Some(&oldest) = self.recent_activates.front() {
-            if self.recent_activates.len() < 4 {
-                break;
-            }
-            if t >= oldest + self.timing.faw_ps {
-                self.recent_activates.pop_front();
-            } else {
-                t = oldest + self.timing.faw_ps;
-                self.recent_activates.pop_front();
-            }
-        }
-        self.recent_activates.push_back(t);
+    fn reserve_activate(&mut self, t: Picos) -> Picos {
+        let t = t.max(self.faw_ends[self.faw_next]);
+        self.faw_ends[self.faw_next] = t + self.timing.faw_ps;
+        self.faw_next = (self.faw_next + 1) % 4;
         t
     }
 
@@ -298,7 +292,7 @@ impl DramModel {
             _ => 0,
         };
 
-        let bursts = u64::from(op.bytes.div_ceil(self.timing.burst_bytes));
+        let bursts = (u64::from(op.bytes) + u64::from(self.timing.burst_bytes) - 1) / self.burst;
         // Data appears CAS after the column command, but the bus is only
         // occupied for the burst itself — commands pipeline underneath.
         let data_start = (t + self.timing.cas_ps).max(self.bus_free_ps + group_gap + turnaround);
@@ -375,6 +369,28 @@ mod tests {
         })
     }
 
+    /// The tFAW window as a queue of activation start times, as the model
+    /// kept it before the ring: the oracle for `reserve_activate`.
+    fn reserve_activate_queue(
+        recent: &mut std::collections::VecDeque<Picos>,
+        faw_ps: Picos,
+        mut t: Picos,
+    ) -> Picos {
+        while let Some(&oldest) = recent.front() {
+            if recent.len() < 4 {
+                break;
+            }
+            if t >= oldest + faw_ps {
+                recent.pop_front();
+            } else {
+                t = oldest + faw_ps;
+                recent.pop_front();
+            }
+        }
+        recent.push_back(t);
+        t
+    }
+
     /// Achieved bandwidth of [`replay`] in GB/s.
     fn bandwidth_gbs(m: &mut DramModel, ops: impl IntoIterator<Item = MemOp>) -> f64 {
         let (ps, bytes) = replay(m, ops);
@@ -411,6 +427,26 @@ mod tests {
             prop_assert_eq!(m.bank_of(addr), ((addr / burst) % banks) as u32);
             prop_assert_eq!(m.row_of(addr), addr / (u64::from(t.row_bytes) * banks));
             prop_assert_eq!(m.group_of(bank), bank % t.bank_groups);
+        }
+    }
+
+    forall! {
+        /// The tFAW ring grants every activation the same start time as
+        /// the queue it replaced, for random non-decreasing request times
+        /// and random window lengths.
+        #[test]
+        fn faw_ring_matches_queue(
+            faw_ps in 0u64..100_000,
+            steps in collection::vec(0u64..40_000, 0..64),
+        ) {
+            let mut m = DramModel::new(DramTiming { faw_ps, ..DramTiming::ddr4_2400() });
+            let mut queue = std::collections::VecDeque::new();
+            let mut t = 0;
+            for (i, step) in steps.into_iter().enumerate() {
+                t += step;
+                let want = reserve_activate_queue(&mut queue, faw_ps, t);
+                prop_assert_eq!(m.reserve_activate(t), want, "activation {i} at {t}");
+            }
         }
     }
 

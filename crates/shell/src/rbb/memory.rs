@@ -249,14 +249,6 @@ impl MemoryRbb {
             .sum()
     }
 
-    fn channel_of(&self, addr: u64) -> usize {
-        if self.interleave_enabled {
-            ((addr / self.stripe_bytes) % self.channel_count) as usize
-        } else {
-            ((addr / self.channel_span_bytes) % self.channel_count) as usize
-        }
-    }
-
     /// Runs a trace of memory operations; the queue is kept saturated
     /// (issue time 0) so the result reflects steady-state bandwidth.
     pub fn run_trace<I: IntoIterator<Item = MemOp>>(&mut self, ops: I) -> MemTraceResult {
@@ -273,9 +265,17 @@ impl MemoryRbb {
         let mut bytes = 0u64;
         let mut dram_bytes = 0u64;
         let mut cache_hits = 0u64;
+        // Channel of an op: its stripe (interleaved) or region
+        // (contiguous), modulo the channel count.
+        let region = if self.interleave_enabled {
+            self.stripe_bytes
+        } else {
+            self.channel_span_bytes
+        };
+        let cache_enabled = self.cache_enabled;
         for op in ops {
             bytes += u64::from(op.bytes);
-            if self.cache_enabled {
+            if cache_enabled {
                 if op.is_write {
                     self.cache.invalidate(op.addr);
                 } else if self.cache.lookup_fill(op.addr) {
@@ -285,7 +285,7 @@ impl MemoryRbb {
                     continue;
                 }
             }
-            let ch = self.channel_of(op.addr);
+            let ch = ((op.addr / region) % self.channel_count) as usize;
             dram_done = dram_done.max(self.channels[ch].access(0, op));
             dram_bytes += u64::from(op.bytes);
         }
@@ -413,9 +413,10 @@ mod tests {
 
     forall! {
         /// Channel and cache-slot mapping equal the division mapping on
-        /// random addresses: for 1, 2 and 3 DDR channels and 32 HBM
-        /// channels with interleave on and off, and for the default cache
-        /// geometry and one that is not a power of two.
+        /// random addresses (an op replays on its channel and no other):
+        /// for 1, 2 and 3 DDR channels and 32 HBM channels with interleave
+        /// on and off, and for the default cache geometry and one that is
+        /// not a power of two.
         #[test]
         fn address_mapping_matches_division(
             addr in any::<u64>(),
@@ -427,9 +428,14 @@ mod tests {
                 ch => MemoryRbb::ddr(Vendor::Xilinx, 4, ch as u32 + 1),
             };
             m.set_interleave(interleave);
+            m.set_cache(false);
             // The 4 KiB stripe and 256 MiB span `build` sets.
             let region = if interleave { addr / 4096 } else { addr / (1 << 28) };
-            prop_assert_eq!(m.channel_of(addr), (region % m.channel_count() as u64) as usize);
+            let want = (region % m.channel_count() as u64) as usize;
+            m.run_trace([MemOp::read(addr, 64)]);
+            for (ch, channel) in m.channels.iter().enumerate() {
+                prop_assert_eq!(channel.busy_until() > 0, ch == want, "channel {ch}");
+            }
             let default = (MemoryRbb::CACHE_LINES, MemoryRbb::CACHE_LINE_BYTES);
             for (lines, line_bytes) in [default, (100, 3000)] {
                 let line = addr / line_bytes;

@@ -1,11 +1,13 @@
 //! The workspace's one parallel loop: an ordered fan-out over scoped
-//! threads, built only on `std::thread` and channels.
+//! threads, built only on `std::thread` and a mutex-guarded queue.
 //!
 //! The paper sweep (`harmonia_bench::all_tables`) is its only library
-//! caller: twelve independent generators are coarse enough to pay for a
-//! thread each, while every loop underneath them runs serially (see
+//! caller: its independent tables are coarse enough to share out across
+//! threads, while every loop underneath a table runs serially (see
 //! DESIGN.md, "Why the paper sweep is the only parallel loop"). The
-//! contract that makes it safe in deterministic code:
+//! calling thread is one of the workers, so a sweep at width `w` spawns
+//! `w − 1` threads. The contract that makes it safe in deterministic
+//! code:
 //!
 //! * **Ordered reassembly** — results come back in submission order, so
 //!   the output is the serial loop's at any width.
@@ -17,7 +19,7 @@
 //! the environment.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Mutex};
+use std::sync::Mutex;
 
 /// Applies `f` to every point of `grid` on scoped threads, returning the
 /// results in grid order.
@@ -39,8 +41,8 @@ fn width() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// [`par_sweep`] on at most `workers` threads; one worker (or at most
-/// one point) runs inline on the calling thread.
+/// [`par_sweep`] on at most `workers` threads, the calling thread being
+/// one of them; one worker (or at most one point) runs inline.
 fn sweep_at<T, R, F>(workers: usize, grid: impl IntoIterator<Item = T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -53,46 +55,32 @@ where
         return items.into_iter().map(f).collect();
     }
 
-    // Pre-load the whole queue so a worker's `recv` never blocks: it
-    // either takes an item or sees the dropped sender and exits.
-    let (item_tx, item_rx) = mpsc::channel();
-    for pair in items.into_iter().enumerate() {
-        item_tx.send(pair).expect("receiver alive until scope end");
-    }
-    drop(item_tx);
-    let queue = Mutex::new(item_rx);
-    let (res_tx, res_rx) = mpsc::channel();
+    // Every worker, the caller included, takes the next item off the
+    // shared queue until it is empty and returns what it ran, by index.
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let work = || {
+        let mut ran = Vec::new();
+        loop {
+            // Hold the lock only for the dequeue.
+            let next = queue.lock().expect("queue lock never poisoned").next();
+            let Some((idx, item)) = next else { break ran };
+            ran.push((idx, catch_unwind(AssertUnwindSafe(|| f(item)))));
+        }
+    };
 
-    let mut slots: Vec<Option<std::thread::Result<R>>> =
-        std::iter::repeat_with(|| None).take(n).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers.min(n) {
-            let (queue, f, res_tx) = (&queue, &f, res_tx.clone());
-            s.spawn(move || loop {
-                // Hold the lock only for the non-blocking dequeue.
-                let msg = queue.lock().expect("queue lock never poisoned").recv();
-                let Ok((idx, item)) = msg else { break };
-                let out = catch_unwind(AssertUnwindSafe(|| f(item)));
-                if res_tx.send((idx, out)).is_err() {
-                    break;
-                }
-            });
+    let mut ran = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..workers.min(n)).map(|_| s.spawn(work)).collect();
+        let mut ran = work();
+        for helper in helpers {
+            ran.extend(helper.join().expect("item panics are caught"));
         }
-        drop(res_tx);
-        for (idx, out) in res_rx {
-            slots[idx] = Some(out);
-        }
+        ran
     });
 
     // Reassemble by index; the first panic in index order wins.
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(idx, slot)| match slot {
-            Some(Ok(r)) => r,
-            Some(Err(payload)) => resume_unwind(payload),
-            None => panic!("item {idx} produced no result"),
-        })
+    ran.sort_unstable_by_key(|&(idx, _)| idx);
+    ran.into_iter()
+        .map(|(_, out)| out.unwrap_or_else(|payload| resume_unwind(payload)))
         .collect()
 }
 

@@ -104,14 +104,17 @@ pub trait SampleRange {
     fn sample(self, rng: &mut DetRng) -> Self::Output;
 }
 
+// Every span but the full inclusive `u64` range fits in a `u64`, so the
+// remainder is a `u64` one; the full range keeps the raw draw, which is
+// what a remainder by 2^64 would give.
 macro_rules! int_sample_ranges {
     ($($t:ty),*) => {$(
         impl SampleRange for ::core::ops::Range<$t> {
             type Output = $t;
             fn sample(self, rng: &mut DetRng) -> $t {
                 assert!(self.start < self.end, "empty range");
-                let span = (self.end as u128) - (self.start as u128);
-                self.start + ((rng.next_u64() as u128) % span) as $t
+                let span = (self.end - self.start) as u64;
+                self.start + (rng.next_u64() % span) as $t
             }
         }
 
@@ -119,8 +122,12 @@ macro_rules! int_sample_ranges {
             type Output = $t;
             fn sample(self, rng: &mut DetRng) -> $t {
                 assert!(self.start() <= self.end(), "empty range");
-                let span = (*self.end() as u128) - (*self.start() as u128) + 1;
-                self.start() + ((rng.next_u64() as u128) % span) as $t
+                let draw = rng.next_u64();
+                let offset = match ((*self.end() - *self.start()) as u64).checked_add(1) {
+                    Some(span) => draw % span,
+                    None => draw,
+                };
+                self.start() + offset as $t
             }
         }
     )*};
@@ -145,6 +152,48 @@ impl SampleRange for ::core::ops::Range<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prelude::*;
+
+    forall! {
+        /// `gen_range` samples what the `u128` remainder of the draw by
+        /// the span gives, for every integer width and both range kinds:
+        /// random bounds, nearby bounds, and the type's full range.
+        #[test]
+        fn gen_range_matches_u128_remainder(
+            seed in any::<u64>(),
+            a in any::<u64>(),
+            b in any::<u64>(),
+            gap in any::<u8>(),
+            shape in 0u8..3,
+        ) {
+            let draw = DetRng::new(seed).next_u64() as u128;
+            macro_rules! check {
+                ($($t:ty),*) => {$({
+                    let x = a as $t;
+                    let y = match shape {
+                        0 => b as $t,
+                        1 => x.saturating_add(gap as $t),
+                        _ => <$t>::MAX,
+                    };
+                    let (lo, hi) = if shape == 2 { (<$t>::MIN, y) } else { (x.min(y), x.max(y)) };
+                    let span = hi as u128 - lo as u128;
+                    prop_assert_eq!(
+                        DetRng::new(seed).gen_range(lo..=hi),
+                        lo + (draw % (span + 1)) as $t,
+                        "{}: {lo}..={hi}", stringify!($t)
+                    );
+                    if lo < hi {
+                        prop_assert_eq!(
+                            DetRng::new(seed).gen_range(lo..hi),
+                            lo + (draw % span) as $t,
+                            "{}: {lo}..{hi}", stringify!($t)
+                        );
+                    }
+                })*};
+            }
+            check!(u8, u16, u32, u64, usize);
+        }
+    }
 
     #[test]
     fn deterministic_per_seed() {
