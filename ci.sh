@@ -43,6 +43,15 @@ if grep -rnE 'run_[s]triped_trace|access_[w]ith_faults|trace_[b]andwidth_gbs' cr
     exit 1
 fi
 
+echo "==> one command path: no untagged single-command driver calls under crates/, examples/, tests/"
+# CommandDriver's serial transport (cmd_resilient, cmd_raw_resilient,
+# init_shell_resilient, read_all_stats_resilient) is the only way a single
+# command reaches the kernel (see DESIGN.md).
+if grep -rnE 'cmd_[r]aw\(|\.[c]md\(|init_[s]hell\(|read_all_[s]tats\(' crates examples tests; then
+    echo "ci.sh: issue single commands through the serial transport (cmd_raw_resilient and friends; see DESIGN.md)" >&2
+    exit 1
+fi
+
 echo "==> one probe, env read only at the edges: no trace/metrics/tenancy knobs in the library"
 # Observability is attached as a Probe and configuration is passed by
 # value; only the test harness and the binaries, which are edges, read

@@ -6,7 +6,7 @@
 //! under a scheduled link flap, a credit stall and background
 //! drop/corrupt/irq-lost rates — but wired into the metrics plane:
 //! every campaign fills its own [`MetricsRegistry`] through
-//! [`par_metered`], a [`MetricsScraper`] samples each campaign on the
+//! [`meter_lanes`], a [`MetricsScraper`] samples each campaign on the
 //! simulated timeline, and the merged snapshot feeds the SLO evaluator.
 //! Everything is simulated and merge order is pinned, so the exports are
 //! byte-identical on every run.
@@ -19,7 +19,7 @@ use harmonia::hw::Vendor;
 use harmonia::shell::{MemoryDemand, RoleSpec, TailoredShell, UnifiedShell};
 use harmonia::sim::metrics::DEFAULT_METRICS_PERIOD_PS;
 use harmonia::sim::{
-    evaluate_slos, par_metered, FaultKind, FaultPlan, FaultRates, MetricsRegistry, MetricsScraper,
+    evaluate_slos, meter_lanes, FaultKind, FaultPlan, FaultRates, MetricsRegistry, MetricsScraper,
     MetricsSnapshot, Probe, Slo, SloObjective, SloReport,
 };
 
@@ -99,7 +99,7 @@ pub fn strict_slos() -> Vec<Slo> {
 /// and the lanes merge in seed order.
 pub fn capture(scenarios: u64) -> MetricsRun {
     let seeds: Vec<u64> = (0..scenarios).collect();
-    let (reports, snapshot) = par_metered(seeds, |&seed, reg| scenario(seed, reg));
+    let (reports, snapshot) = meter_lanes(seeds, |&seed, reg| scenario(seed, reg));
     let slo = evaluate_slos(&snapshot, &slos());
     let strict_slo = evaluate_slos(&snapshot, &strict_slos());
     MetricsRun {

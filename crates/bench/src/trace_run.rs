@@ -4,7 +4,7 @@
 //! Runs a fleet of seeded fault campaigns — resilient shell bring-up plus
 //! a monitoring sweep under a scheduled link flap, a credit stall and
 //! background drop/corrupt/irq-lost rates — through
-//! [`par_traced`], so every campaign records onto its own lane and the
+//! [`trace_lanes`], so every campaign records onto its own lane and the
 //! merged timeline is byte-identical on every run.
 
 use harmonia::cmd::{CommandCode, UnifiedControlKernel};
@@ -14,7 +14,7 @@ use harmonia::hw::ip::PcieDmaIp;
 use harmonia::hw::Vendor;
 use harmonia::shell::{MemoryDemand, RoleSpec, TailoredShell, UnifiedShell};
 use harmonia::sim::{
-    par_traced, FaultKind, FaultPlan, FaultRates, LogHistogram, Probe, Trace, TraceCollector,
+    trace_lanes, FaultKind, FaultPlan, FaultRates, LogHistogram, Probe, Trace, TraceCollector,
 };
 
 /// Everything one capture produces: the merged timeline, the merged
@@ -35,7 +35,7 @@ pub struct TraceRun {
 /// the lanes merge in seed order.
 pub fn capture(scenarios: u64) -> TraceRun {
     let seeds: Vec<u64> = (0..scenarios).collect();
-    let (outcomes, trace) = par_traced(seeds, |&seed, tc| scenario(seed, tc));
+    let (outcomes, trace) = trace_lanes(seeds, |&seed, tc| scenario(seed, tc));
     let mut histogram = LogHistogram::new();
     let mut reports = Vec::new();
     for (histo, report) in outcomes {

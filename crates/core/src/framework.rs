@@ -6,8 +6,8 @@
 //! attach the unified control kernel, and initialize every module over the
 //! command interface.
 
-use harmonia_cmd::{KernelError, UnifiedControlKernel};
-use harmonia_host::{CommandDriver, DmaEngine};
+use harmonia_cmd::UnifiedControlKernel;
+use harmonia_host::{CommandDriver, DmaEngine, DriverError};
 use harmonia_hw::device::FpgaDevice;
 use harmonia_hw::ip::PcieDmaIp;
 use harmonia_hw::resource::ResourceUsage;
@@ -25,7 +25,7 @@ pub enum DeployError {
     /// Shell tailoring failed (missing capability, capacity, …).
     Tailor(TailorError),
     /// Module initialization over the command interface failed.
-    Init(KernelError),
+    Init(DriverError),
 }
 
 impl fmt::Display for DeployError {
@@ -52,8 +52,8 @@ impl From<TailorError> for DeployError {
     }
 }
 
-impl From<KernelError> for DeployError {
-    fn from(e: KernelError) -> Self {
+impl From<DriverError> for DeployError {
+    fn from(e: DriverError) -> Self {
         DeployError::Init(e)
     }
 }
@@ -76,7 +76,7 @@ impl Harmonia {
 
         // Stage 2b: unified shell from RBBs, tailored to the role (§3.3.2).
         let unified = UnifiedShell::for_device(device);
-        let shell = TailoredShell::tailor(&unified, role)?;
+        let mut shell = TailoredShell::tailor(&unified, role)?;
 
         // Dynamic resource group: on-demand clock and pin mappings for the
         // retained modules (§3.2 — "I/O pins and clock mappings configured
@@ -131,7 +131,7 @@ impl Harmonia {
         let mut driver = CommandDriver::new(engine, kernel);
 
         // Stage 4: hardware initialization through the command interface.
-        driver.init_shell(&shell)?;
+        let initialized = driver.init_shell_resilient(&mut shell)? == shell.rbbs().len();
 
         Ok(Deployment {
             device: device.clone(),
@@ -140,7 +140,7 @@ impl Harmonia {
             shell,
             driver,
             wrapper_resources,
-            initialized: true,
+            initialized,
         })
     }
 }
@@ -198,7 +198,7 @@ impl Deployment {
         &mut self.driver
     }
 
-    /// Whether module initialization completed.
+    /// Whether every module initialized (none degraded).
     pub fn initialized(&self) -> bool {
         self.initialized
     }
@@ -270,11 +270,11 @@ mod tests {
     fn driver_is_usable_after_deploy() {
         let mut d = Harmonia::deploy(&catalog::device_a(), &role()).unwrap();
         let shell_rbbs = d.shell().rbbs().len();
-        // init_shell already ran once per module.
+        // Initialization already ran once per module.
         assert_eq!(d.driver_mut().issued().len(), shell_rbbs);
         let health = d
             .driver_mut()
-            .cmd_raw(0, 0, harmonia_cmd::CommandCode::HealthRead, Vec::new())
+            .cmd_raw_resilient(0, 0, harmonia_cmd::CommandCode::HealthRead, Vec::new())
             .unwrap();
         assert_eq!(health.data.len(), 4);
     }

@@ -80,7 +80,7 @@ pub fn validate(deployment: &mut Deployment) -> ValidationReport {
     // 2. Control path: health + per-module status/stats round trips.
     let health_ok = deployment
         .driver_mut()
-        .cmd_raw(0, 0, CommandCode::HealthRead, Vec::new())
+        .cmd_raw_resilient(0, 0, CommandCode::HealthRead, Vec::new())
         .map(|r| r.data.len() == 4)
         .unwrap_or(false);
     report.push("board-health", health_ok, "4-word health block");
@@ -91,14 +91,14 @@ pub fn validate(deployment: &mut Deployment) -> ValidationReport {
     for (rbb_id, inst) in &module_specs {
         match deployment
             .driver_mut()
-            .cmd_raw(*rbb_id, *inst, CommandCode::StatsRead, Vec::new())
+            .cmd_raw_resilient(*rbb_id, *inst, CommandCode::StatsRead, Vec::new())
         {
             Ok(resp) => stats_words += resp.data.len(),
             Err(_) => control_ok = false,
         }
         if deployment
             .driver_mut()
-            .cmd_raw(*rbb_id, *inst, CommandCode::ModuleStatusRead, Vec::new())
+            .cmd_raw_resilient(*rbb_id, *inst, CommandCode::ModuleStatusRead, Vec::new())
             .is_err()
         {
             control_ok = false;
@@ -116,7 +116,7 @@ pub fn validate(deployment: &mut Deployment) -> ValidationReport {
         for code in [CommandCode::ModuleReset, CommandCode::ModuleInit] {
             if deployment
                 .driver_mut()
-                .cmd_raw(*rbb_id, *inst, code, Vec::new())
+                .cmd_raw_resilient(*rbb_id, *inst, code, Vec::new())
                 .is_err()
             {
                 reinit_ok = false;
@@ -128,13 +128,13 @@ pub fn validate(deployment: &mut Deployment) -> ValidationReport {
     // 4. Table path on the network modules, if present.
     let has_network = module_specs.iter().any(|(id, _)| *id == RbbKind::Network.id());
     if has_network {
-        let wr = deployment.driver_mut().cmd_raw(
+        let wr = deployment.driver_mut().cmd_raw_resilient(
             RbbKind::Network.id(),
             0,
             CommandCode::TableWrite,
             vec![0, 0x1234, 0x5678],
         );
-        let rd = deployment.driver_mut().cmd_raw(
+        let rd = deployment.driver_mut().cmd_raw_resilient(
             RbbKind::Network.id(),
             0,
             CommandCode::TableRead,

@@ -313,7 +313,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_one_delegates_to_the_legacy_path() {
+    fn batch_one_delegates_to_the_serial_transport() {
         let mut drv = setup(1);
         let results = drv.submit(health_reads(4));
         assert!(results.iter().all(|r| r.is_ok()));

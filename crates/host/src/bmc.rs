@@ -9,7 +9,8 @@
 
 use crate::cmd_driver::CommandDriver;
 use crate::dma::DmaEngine;
-use harmonia_cmd::{CommandCode, KernelError, SrcId, UnifiedControlKernel};
+use crate::resilience::DriverError;
+use harmonia_cmd::{CommandCode, SrcId, UnifiedControlKernel};
 use std::fmt;
 
 /// BMC alarm thresholds.
@@ -124,10 +125,10 @@ impl BmcController {
     /// # Errors
     ///
     /// Propagates command failures from the health read itself.
-    pub fn poll(&mut self) -> Result<BmcStatus, KernelError> {
+    pub fn poll(&mut self) -> Result<BmcStatus, DriverError> {
         let resp = self
             .driver
-            .cmd_raw(0, 0, CommandCode::HealthRead, Vec::new())?;
+            .cmd_raw_resilient(0, 0, CommandCode::HealthRead, Vec::new())?;
         let sample = HealthSample {
             temp_fpga_c: resp.data[0],
             temp_board_c: resp.data[1],
@@ -141,9 +142,12 @@ impl BmcController {
             // and are skipped (the BMC does not know the shell layout).
             for rbb_id in 1..=3u8 {
                 for inst in 0..2u8 {
-                    let _ = self
-                        .driver
-                        .cmd_raw(rbb_id, inst, CommandCode::ModuleReset, Vec::new());
+                    let _ = self.driver.cmd_raw_resilient(
+                        rbb_id,
+                        inst,
+                        CommandCode::ModuleReset,
+                        Vec::new(),
+                    );
                 }
             }
         }

@@ -9,9 +9,10 @@
 //!
 //! [`CommandDriver`] is the one command driver, with two transports:
 //!
-//! * **serial** — [`CommandDriver::cmd_raw_resilient`], and
-//!   [`CommandDriver::submit`] at batch size 1: one DMA send, one kernel
-//!   step and one completion per command;
+//! * **serial** — [`CommandDriver::cmd_raw_resilient`] (and the helpers
+//!   over it), and [`CommandDriver::submit`] at batch size 1: one DMA
+//!   send, one kernel step and one completion per command. It is the only
+//!   way a single command reaches the kernel;
 //! * **ring** — [`CommandDriver::submit`] at batch size > 1 (see
 //!   [`crate::batch`]): up to `batch` descriptors per SQ/CQ doorbell.
 //!
@@ -27,7 +28,7 @@ use crate::dma::{CommandDelivery, DmaEngine};
 use crate::irq::{IrqModeration, IrqModerator, IrqReport};
 use crate::resilience::{DriverError, DriverReport, RetryPolicy};
 use harmonia_cmd::queue::{CompletionQueue, SubmissionQueue};
-use harmonia_cmd::{CommandCode, CommandPacket, KernelError, SrcId, UnifiedControlKernel};
+use harmonia_cmd::{CommandCode, CommandPacket, SrcId, UnifiedControlKernel};
 use harmonia_shell::rbb::RbbKind;
 use harmonia_shell::TailoredShell;
 use harmonia_sim::{
@@ -213,8 +214,8 @@ impl CommandDriver {
         self.last_post_mortem.as_deref()
     }
 
-    /// Issue→ack latency histogram over every completed command (both the
-    /// legacy and the resilient path).
+    /// Issue→ack latency histogram over every completed command (on
+    /// either transport).
     pub fn latency_histogram(&self) -> &LogHistogram {
         &self.latency_histo
     }
@@ -271,85 +272,7 @@ impl CommandDriver {
 
     /// Issues one command and waits for its response (cmd_write/cmd_read
     /// collapse to this in the model; reads are commands whose response
-    /// carries data).
-    ///
-    /// # Errors
-    ///
-    /// Kernel-side failures (unknown module, bad payload, register fault).
-    pub fn cmd(
-        &mut self,
-        rbb: RbbKind,
-        instance: u8,
-        code: CommandCode,
-        data: Vec<u32>,
-    ) -> Result<CommandPacket, KernelError> {
-        self.cmd_raw(rbb.id(), instance, code, data)
-    }
-
-    /// Issues a command to a raw RBB id (0 = device-level).
-    ///
-    /// # Errors
-    ///
-    /// Kernel-side failures.
-    pub fn cmd_raw(
-        &mut self,
-        rbb_id: u8,
-        instance: u8,
-        code: CommandCode,
-        data: Vec<u32>,
-    ) -> Result<CommandPacket, KernelError> {
-        let packet = CommandPacket::new(self.src, rbb_id, instance, code).with_data(data);
-        let bytes = packet.encode();
-        self.report.issued += 1;
-        self.probe.metrics.counter_inc("harmonia_cmd_issued_total", &[]);
-        // The legacy path keeps no real clock; accumulated latency is the
-        // monotone pseudo-time its trace events are stamped with.
-        let cmd_start = self.total_latency_ps;
-        self.probe.trace.instant(
-            cmd_start,
-            TraceEventKind::CmdIssue {
-                code: code.to_u16(),
-                rbb_id,
-                instance_id: instance,
-            },
-        );
-        // Steps 2–3: transfer over the control queue and parse.
-        self.total_latency_ps += self.engine.command_latency_ps(bytes.len() as u32);
-        self.kernel.sync_clock(self.total_latency_ps);
-        self.kernel.submit_bytes(&bytes)?;
-        self.issued.push(IssuedCommand {
-            rbb_id,
-            instance_id: instance,
-            code: code.to_u16(),
-        });
-        // Steps 4–7: execute and upload the response.
-        let before = self.kernel.reg_ops_executed();
-        let resp = self
-            .kernel
-            .step()?
-            .expect("command was just submitted");
-        let ops = self.kernel.reg_ops_executed() - before;
-        self.total_latency_ps += UnifiedControlKernel::command_latency_ps(ops);
-        self.report.acked += 1;
-        self.probe.metrics.counter_inc("harmonia_cmd_acked_total", &[]);
-        self.probe.metrics.observe(
-            "harmonia_cmd_latency_ps",
-            &[],
-            self.total_latency_ps - cmd_start,
-        );
-        self.probe.trace.span(
-            cmd_start,
-            self.total_latency_ps - cmd_start,
-            TraceEventKind::CmdAck {
-                code: code.to_u16(),
-                attempts: 1,
-            },
-        );
-        self.latency_histo.record(self.total_latency_ps - cmd_start);
-        Ok(resp)
-    }
-
-    /// Fault-tolerant command issue: per-command deadline, bounded
+    /// carries data). Fault-tolerant: per-command deadline, bounded
     /// retries with deterministic exponential backoff, idempotency
     /// tagging so a retried command is replayed rather than re-executed.
     ///
@@ -371,7 +294,8 @@ impl CommandDriver {
         self.cmd_raw_resilient(rbb.id(), instance, code, data)
     }
 
-    /// [`CommandDriver::cmd_resilient`] addressed by raw RBB id.
+    /// [`CommandDriver::cmd_resilient`] addressed by raw RBB id (0 =
+    /// device-level).
     ///
     /// # Errors
     ///
@@ -607,22 +531,9 @@ impl CommandDriver {
         Ok(resp)
     }
 
-    /// Initializes every module of a shell: exactly one `ModuleInit` per
-    /// module, platform details handled by the kernel.
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first module that fails to initialize.
-    pub fn init_shell(&mut self, shell: &TailoredShell) -> Result<(), KernelError> {
-        for (id, inst) in shell.modules() {
-            self.cmd_raw(id, inst, CommandCode::ModuleInit, Vec::new())?;
-        }
-        Ok(())
-    }
-
-    /// Fault-tolerant shell bring-up with graceful degradation: every
-    /// module gets one idempotency-tagged `ModuleInit` through the retry
-    /// machinery. A module whose retry budget runs out is marked
+    /// Initializes every module of a shell — exactly one idempotency-tagged
+    /// `ModuleInit` per module, platform details handled by the kernel —
+    /// with graceful degradation. A module whose retry budget runs out is marked
     /// [`harmonia_shell::RbbHealth::Degraded`] in the shell's health
     /// ledger and its status register is set to [`DEGRADED_STATUS`]; the
     /// remaining modules are still initialized — one dead MAC must not
@@ -661,9 +572,9 @@ impl CommandDriver {
         Ok(initialized)
     }
 
-    /// Reads statistics from every *serving* module (degraded modules are
-    /// skipped — their last published status word says why) plus board
-    /// health, through the resilient path.
+    /// Reads all statistics: one `StatsRead` per *serving* module
+    /// (degraded modules are skipped — their last published status word
+    /// says why) plus one board `HealthRead`.
     ///
     /// # Errors
     ///
@@ -681,23 +592,6 @@ impl CommandDriver {
             out.extend(resp.data);
         }
         let health = self.cmd_raw_resilient(0, 0, CommandCode::HealthRead, Vec::new())?;
-        out.extend(health.data);
-        Ok(out)
-    }
-
-    /// Reads all statistics: one `StatsRead` per module plus one board
-    /// `HealthRead`.
-    ///
-    /// # Errors
-    ///
-    /// Kernel-side failures.
-    pub fn read_all_stats(&mut self, shell: &TailoredShell) -> Result<Vec<u32>, KernelError> {
-        let mut out = Vec::new();
-        for (id, inst) in shell.modules() {
-            let resp = self.cmd_raw(id, inst, CommandCode::StatsRead, Vec::new())?;
-            out.extend(resp.data);
-        }
-        let health = self.cmd_raw(0, 0, CommandCode::HealthRead, Vec::new())?;
         out.extend(health.data);
         Ok(out)
     }
@@ -768,6 +662,7 @@ pub fn command_script(shell: &TailoredShell) -> Vec<IssuedCommand> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use harmonia_cmd::KernelError;
     use harmonia_hw::device::catalog;
     use harmonia_hw::ip::PcieDmaIp;
     use harmonia_hw::Vendor;
@@ -791,8 +686,8 @@ mod tests {
 
     #[test]
     fn init_shell_is_one_command_per_module() {
-        let (mut drv, shell) = setup();
-        drv.init_shell(&shell).unwrap();
+        let (mut drv, mut shell) = setup();
+        assert_eq!(drv.init_shell_resilient(&mut shell).unwrap(), 3);
         assert_eq!(drv.issued().len(), 3); // net + mem + host
         assert!(drv.kernel().reg_ops_executed() > 20, "kernel did the work");
     }
@@ -800,7 +695,7 @@ mod tests {
     #[test]
     fn table4_monitoring_is_4_commands() {
         let (mut drv, shell) = setup();
-        let stats = drv.read_all_stats(&shell).unwrap();
+        let stats = drv.read_all_stats_resilient(&shell).unwrap();
         assert_eq!(drv.issued().len(), 4); // 3 StatsRead + HealthRead
         assert_eq!(stats.len(), 84 + 4); // all monitor regs + 4 health words
     }
@@ -817,8 +712,8 @@ mod tests {
 
     #[test]
     fn control_latency_accumulates() {
-        let (mut drv, shell) = setup();
-        drv.init_shell(&shell).unwrap();
+        let (mut drv, mut shell) = setup();
+        drv.init_shell_resilient(&mut shell).unwrap();
         let lat = drv.total_latency_ps();
         assert!(lat > 0);
         // Each command is sub-10 µs: DMA base latency dominated.
@@ -829,7 +724,7 @@ mod tests {
     fn distinct_commands_deduplicates() {
         let (mut drv, _) = setup();
         for _ in 0..5 {
-            drv.cmd_raw(0, 0, CommandCode::HealthRead, Vec::new())
+            drv.cmd_raw_resilient(0, 0, CommandCode::HealthRead, Vec::new())
                 .unwrap();
         }
         assert_eq!(drv.issued().len(), 5);
@@ -840,27 +735,12 @@ mod tests {
     fn errors_propagate_from_kernel() {
         let (mut drv, _) = setup();
         let err = drv
-            .cmd(RbbKind::Memory, 9, CommandCode::ModuleInit, Vec::new())
+            .cmd_resilient(RbbKind::Memory, 9, CommandCode::ModuleInit, Vec::new())
             .unwrap_err();
-        assert!(matches!(err, KernelError::UnknownModule { .. }));
-    }
-
-    #[test]
-    fn resilient_path_without_faults_matches_legacy_report() {
-        use harmonia_sim::FaultPlan;
-        let (mut legacy, shell) = setup();
-        legacy.init_shell(&shell).unwrap();
-        let (mut resilient, shell2) = setup();
-        resilient.set_fault_injector(FaultPlan::none().injector());
-        for (id, inst) in shell2.modules() {
-            resilient
-                .cmd_raw_resilient(id, inst, CommandCode::ModuleInit, Vec::new())
-                .unwrap();
-        }
-        assert_eq!(legacy.report(), resilient.report());
-        assert_eq!(format!("{}", legacy.report()), format!("{}", resilient.report()));
-        assert!(resilient.report().converged());
-        assert_eq!(resilient.acked_log(), &[0, 1, 2]);
+        assert!(matches!(
+            err,
+            DriverError::Kernel(KernelError::UnknownModule { .. })
+        ));
     }
 
     #[test]
@@ -1003,22 +883,6 @@ mod tests {
         let off = run(Probe::disabled());
         assert_eq!(off.0 .2.gave_up, 1, "the plan must reach a give-up");
         assert_eq!(off, run(Probe::enabled()));
-    }
-
-    #[test]
-    fn legacy_path_populates_histogram_and_trace() {
-        let (mut drv, shell) = setup();
-        drv.set_probe(Probe::enabled());
-        drv.init_shell(&shell).unwrap();
-        assert_eq!(drv.latency_histogram().count(), 3);
-        assert!(drv.latency_histogram().p50() > 0);
-        let trace = drv.probe().trace.take();
-        let acks = trace
-            .events()
-            .iter()
-            .filter(|e| e.kind.name() == "cmd-ack")
-            .count();
-        assert_eq!(acks, 3);
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //!   platform (the ad-hoc-modification source of Figures 3d and 13);
 //! * [`cmd_driver`] — Harmonia's `cmd_read`/`cmd_write` interface: the one
 //!   [`CommandDriver`], whose serial transport (one DMA send per command)
-//!   and ring transport share one retry/ack core;
+//!   and ring transport share one retry/ack core. The serial transport is
+//!   the only single-command path: applications, deployment, the control
+//!   tool and the BMC all issue idempotency-tagged commands through it;
 //! * [`dma`] — the DMA engine model with a separate control queue for
 //!   performance isolation from the data path;
 //! * [`migration`] — the Figure 13 analysis: modification counts when

@@ -58,7 +58,7 @@ impl RetryPolicy {
 /// Failure/recovery accounting for one driver, rendered into campaign
 /// reports. With no faults injected every command is one attempt:
 /// `issued == acked` and everything else stays zero — byte-identical to
-/// the pre-fault-plane driver behavior.
+/// a driver with no fault plan attached.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DriverReport {
     /// Commands the application asked for (not counting retransmissions).

@@ -9,6 +9,7 @@
 
 use crate::cmd_driver::CommandDriver;
 use crate::dma::DmaEngine;
+use crate::resilience::DriverError;
 use harmonia_cmd::{CommandCode, KernelError, SrcId, UnifiedControlKernel};
 use harmonia_shell::TailoredShell;
 use harmonia_sim::{LogHistogram, MetricsRegistry, MetricsSnapshot, Probe, Trace, TraceCollector};
@@ -55,15 +56,16 @@ impl ControlTool {
     ///
     /// # Errors
     ///
-    /// Kernel-side failures.
-    pub fn health(&mut self) -> Result<HealthSnapshot, KernelError> {
+    /// See [`CommandDriver::cmd_resilient`]; a short health block is a
+    /// [`KernelError::BadPayload`].
+    pub fn health(&mut self) -> Result<HealthSnapshot, DriverError> {
         let resp = self
             .driver
-            .cmd_raw(0, 0, CommandCode::HealthRead, Vec::new())?;
+            .cmd_raw_resilient(0, 0, CommandCode::HealthRead, Vec::new())?;
         let [t1, t2, v1, v2] = resp.data[..] else {
-            return Err(KernelError::BadPayload {
+            return Err(DriverError::Kernel(KernelError::BadPayload {
                 expected: "4-word health block",
-            });
+            }));
         };
         Ok(HealthSnapshot {
             temp_fpga_c: t1,
@@ -73,23 +75,23 @@ impl ControlTool {
         })
     }
 
-    /// Reads every module's statistics and the board health.
+    /// Reads every serving module's statistics and the board health.
     ///
     /// # Errors
     ///
-    /// Kernel-side failures.
-    pub fn stats_snapshot(&mut self, shell: &TailoredShell) -> Result<Vec<u32>, KernelError> {
-        self.driver.read_all_stats(shell)
+    /// See [`CommandDriver::cmd_resilient`].
+    pub fn stats_snapshot(&mut self, shell: &TailoredShell) -> Result<Vec<u32>, DriverError> {
+        self.driver.read_all_stats_resilient(shell)
     }
 
     /// Resets one module.
     ///
     /// # Errors
     ///
-    /// Kernel-side failures.
-    pub fn reset_module(&mut self, rbb_id: u8, instance: u8) -> Result<(), KernelError> {
+    /// See [`CommandDriver::cmd_resilient`].
+    pub fn reset_module(&mut self, rbb_id: u8, instance: u8) -> Result<(), DriverError> {
         self.driver
-            .cmd_raw(rbb_id, instance, CommandCode::ModuleReset, Vec::new())
+            .cmd_raw_resilient(rbb_id, instance, CommandCode::ModuleReset, Vec::new())
             .map(|_| ())
     }
 
@@ -110,7 +112,7 @@ impl ControlTool {
         &mut self,
         shell: &TailoredShell,
         attach: impl FnOnce(&mut Probe),
-    ) -> Result<(), KernelError> {
+    ) -> Result<(), DriverError> {
         let prior = self.driver.probe().clone();
         let mut probe = prior.clone();
         attach(&mut probe);
@@ -128,11 +130,11 @@ impl ControlTool {
     ///
     /// # Errors
     ///
-    /// Kernel-side failures.
+    /// See [`CommandDriver::cmd_resilient`].
     pub fn capture_trace(
         &mut self,
         shell: &TailoredShell,
-    ) -> Result<(Trace, LogHistogram), KernelError> {
+    ) -> Result<(Trace, LogHistogram), DriverError> {
         let trace = TraceCollector::enabled();
         self.sweep_with(shell, |probe| probe.trace = trace.clone())?;
         Ok((trace.take(), self.driver.latency_histogram().clone()))
@@ -145,11 +147,11 @@ impl ControlTool {
     ///
     /// # Errors
     ///
-    /// Kernel-side failures.
+    /// See [`CommandDriver::cmd_resilient`].
     pub fn capture_metrics(
         &mut self,
         shell: &TailoredShell,
-    ) -> Result<MetricsSnapshot, KernelError> {
+    ) -> Result<MetricsSnapshot, DriverError> {
         let metrics = MetricsRegistry::enabled();
         self.sweep_with(shell, |probe| probe.metrics = metrics.clone())?;
         Ok(metrics.snapshot())

@@ -2,8 +2,8 @@
 //!
 //! Three contracts:
 //!
-//! 1. **Legacy pinning** — `batch = 1` is byte-identical to the legacy
-//!    `cmd_raw_resilient` path under the same eight-seed fault campaigns
+//! 1. **Serial pinning** — `batch = 1` is byte-identical to the serial
+//!    transport's `cmd_raw_resilient` under the same eight-seed fault campaigns
 //!    the parallel-equivalence suite runs: same report rendering, same ack
 //!    log, same clocks, same response payloads.
 //! 2. **Convergence** — batched submission under seeded background fault
@@ -86,18 +86,18 @@ fn squash(r: Result<harmonia_cmd::CommandPacket, DriverError>) -> Result<Vec<u32
     r.map(|p| p.data).map_err(|e| e.to_string())
 }
 
-/// (1) Batch = 1 pins the legacy path byte-for-byte under the eight-seed
+/// (1) Batch = 1 pins the serial transport byte-for-byte under the eight-seed
 /// fault campaigns: identical fault-RNG consumption, identical retries,
 /// identical accounting and payloads.
 #[test]
-fn batch_one_matches_legacy_under_eight_seed_campaigns() {
+fn batch_one_matches_serial_under_eight_seed_campaigns() {
     for seed in 0..8u64 {
         let (engine, kernel, _shell) = parts();
-        let mut legacy = CommandDriver::new(engine, kernel);
-        legacy.set_fault_injector(campaign_plan(seed).injector());
-        let legacy_results: Vec<_> = mix()
+        let mut serial = CommandDriver::new(engine, kernel);
+        serial.set_fault_injector(campaign_plan(seed).injector());
+        let serial_results: Vec<_> = mix()
             .into_iter()
-            .map(|(rbb, inst, code, args)| squash(legacy.cmd_raw_resilient(rbb, inst, code, args)))
+            .map(|(rbb, inst, code, args)| squash(serial.cmd_raw_resilient(rbb, inst, code, args)))
             .collect();
 
         let (engine, kernel, _shell) = parts();
@@ -109,10 +109,10 @@ fn batch_one_matches_legacy_under_eight_seed_campaigns() {
             .map(squash)
             .collect();
 
-        let want = render("campaign", seed, &legacy_results, &legacy);
+        let want = render("campaign", seed, &serial_results, &serial);
         let got = render("campaign", seed, &batched_results, &batched);
-        assert_eq!(want, got, "seed {seed}: batch=1 diverged from legacy");
-        assert!(legacy.report().converged(), "seed {seed}: {}", legacy.report());
+        assert_eq!(want, got, "seed {seed}: batch=1 diverged from serial");
+        assert!(serial.report().converged(), "seed {seed}: {}", serial.report());
     }
     // The campaigns exercised the fault plane, not a degenerate no-op:
     // at least one seed must have retried.

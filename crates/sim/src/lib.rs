@@ -45,7 +45,7 @@ pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultRates, Fau
 pub use fifo::{BeatFate, FifoFullError, SyncFifo};
 pub use histo::LogHistogram;
 pub use metrics::{
-    evaluate_slos, par_metered, FlightRecorder, MetricsRegistry, MetricsSample, MetricsScraper,
+    evaluate_slos, meter_lanes, FlightRecorder, MetricsRegistry, MetricsSample, MetricsScraper,
     MetricsSnapshot, Slo, SloObjective, SloReport, SloResult,
 };
 pub use pipeline::{Pipeline, PushError};
@@ -54,4 +54,4 @@ pub use rng::SplitMix64;
 pub use stats::{LatencyStats, Throughput};
 pub use stream::StreamBeat;
 pub use time::{ClockDomain, Freq, Picos, PS_PER_SEC};
-pub use trace::{par_traced, Trace, TraceCollector, TraceEvent, TraceEventKind};
+pub use trace::{trace_lanes, Trace, TraceCollector, TraceEvent, TraceEventKind};

@@ -26,8 +26,8 @@
 //!    registry; [`MetricsSnapshot::merge`] folds counters by sum, gauges
 //!    by max (high-water semantics) and histograms by
 //!    [`LogHistogram::merge`] — all order-independent — and
-//!    [`par_metered`] merges in lane order, the same discipline as
-//!    [`crate::trace::par_traced`].
+//!    [`meter_lanes`] merges in lane order, the same discipline as
+//!    [`crate::trace::trace_lanes`].
 //!
 //! # Example: record → snapshot → export → grade
 //!
@@ -258,8 +258,8 @@ impl MetricsSnapshot {
     /// gauges take the maximum (high-water semantics survive the merge),
     /// histograms fold with [`LogHistogram::merge`]. Every fold is
     /// commutative and associative, so the result is independent of merge
-    /// order — [`par_metered`] still merges in lane order, the same
-    /// discipline as [`crate::trace::par_traced`].
+    /// order — [`meter_lanes`] still merges in lane order, the same
+    /// discipline as [`crate::trace::trace_lanes`].
     ///
     /// ```
     /// use harmonia_sim::metrics::{MetricsRegistry, MetricsSnapshot};
@@ -817,19 +817,19 @@ pub fn evaluate_slos(snapshot: &MetricsSnapshot, slos: &[Slo]) -> SloReport {
 
 /// Runs `f` over `items` in order, giving each item its own
 /// [`MetricsRegistry`], and merges the per-item snapshots in item order —
-/// the same discipline as [`crate::trace::par_traced`].
+/// the same discipline as [`crate::trace::trace_lanes`].
 ///
 /// ```
-/// use harmonia_sim::metrics::par_metered;
+/// use harmonia_sim::metrics::meter_lanes;
 ///
-/// let (sums, snap) = par_metered(vec![10u64, 20, 30], |&v, m| {
+/// let (sums, snap) = meter_lanes(vec![10u64, 20, 30], |&v, m| {
 ///     m.counter_add("work_total", &[], v);
 ///     v * 2
 /// });
 /// assert_eq!(sums, vec![20, 40, 60]);
 /// assert_eq!(snap.counter("work_total"), 60);
 /// ```
-pub fn par_metered<T, R, F>(items: Vec<T>, f: F) -> (Vec<R>, MetricsSnapshot)
+pub fn meter_lanes<T, R, F>(items: Vec<T>, f: F) -> (Vec<R>, MetricsSnapshot)
 where
     F: Fn(&T, &MetricsRegistry) -> R,
 {
@@ -1071,9 +1071,9 @@ mod tests {
     }
 
     #[test]
-    fn par_metered_is_thread_count_independent() {
+    fn meter_lanes_merge_is_reproducible() {
         let run = || {
-            let (_, snap) = par_metered((0..16u64).collect(), |&i, m| {
+            let (_, snap) = meter_lanes((0..16u64).collect(), |&i, m| {
                 m.counter_add("c_total", &[], i);
                 m.gauge_max("hw", &[], i);
                 m.observe("lat_ps", &[], i * 10 + 1);

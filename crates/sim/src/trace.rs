@@ -22,7 +22,7 @@
 //!    can be exported afterwards.
 //! 3. **Merged traces are deterministic.** Each scenario owns a
 //!    collector with a stable `lane`; [`Trace::merge`] orders events by
-//!    `(Picos, lane, seq)`, so the exports of a [`par_traced`] capture
+//!    `(Picos, lane, seq)`, so the exports of a [`trace_lanes`] capture
 //!    depend only on its inputs.
 //!
 //! # Example: capture → export → assert ordering
@@ -585,9 +585,9 @@ fn fmt_us(ps: Picos) -> String {
 /// per-item traces by `(Picos, lane, seq)`.
 ///
 /// ```
-/// use harmonia_sim::trace::{par_traced, TraceEventKind};
+/// use harmonia_sim::trace::{trace_lanes, TraceEventKind};
 ///
-/// let (sums, trace) = par_traced(vec![10u64, 20, 30], |&ms, tc| {
+/// let (sums, trace) = trace_lanes(vec![10u64, 20, 30], |&ms, tc| {
 ///     tc.instant(ms, TraceEventKind::EccScrub);
 ///     ms * 2
 /// });
@@ -596,7 +596,7 @@ fn fmt_us(ps: Picos) -> String {
 /// let lanes: Vec<u32> = trace.events().iter().map(|e| e.lane).collect();
 /// assert_eq!(lanes, vec![0, 1, 2]); // ordered by time, which tracks lane here
 /// ```
-pub fn par_traced<T, R, F>(items: Vec<T>, f: F) -> (Vec<R>, Trace)
+pub fn trace_lanes<T, R, F>(items: Vec<T>, f: F) -> (Vec<R>, Trace)
 where
     F: Fn(&T, &TraceCollector) -> R,
 {
@@ -705,19 +705,23 @@ mod tests {
     }
 
     #[test]
-    fn par_traced_is_thread_count_independent() {
+    fn trace_lanes_merge_is_reproducible_and_lane_ordered() {
         let run = || {
-            let (_, trace) = par_traced((0..16u64).collect(), |&i, tc| {
+            trace_lanes((0..16u64).collect(), |&i, tc| {
                 // Deliberately colliding timestamps across lanes.
                 tc.instant(i % 4, TraceEventKind::DramRowConflict { bank: i as u32 });
                 tc.span(i % 4, 10, TraceEventKind::EccScrub);
-            });
-            trace.export_perfetto()
+            })
+            .1
         };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b);
+        let trace = run();
+        let a = trace.export_perfetto();
+        assert_eq!(a, run().export_perfetto());
         assert!(a.contains("dram-row-conflict"));
+        // Events sharing a timestamp come out by lane, then by sequence.
+        let keys: Vec<_> = trace.events().iter().map(|e| (e.at, e.lane, e.seq)).collect();
+        assert_eq!(keys.len(), 32);
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
     }
 
     #[test]

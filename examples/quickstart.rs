@@ -38,13 +38,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 4. Control the hardware through commands, not registers.
     let health = deployment
         .driver_mut()
-        .cmd_raw(0, 0, CommandCode::HealthRead, Vec::new())?;
+        .cmd_raw_resilient(0, 0, CommandCode::HealthRead, Vec::new())?;
     println!(
         "board health: fpga {}°C, board {}°C, vccint {} mV",
         health.data[0], health.data[1], health.data[2]
     );
 
-    let stats = deployment.driver_mut().cmd(
+    let stats = deployment.driver_mut().cmd_resilient(
         RbbKind::Network,
         0,
         CommandCode::StatsRead,
@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("network RBB exposes {} monitor counters", stats.data.len());
 
     // 5. Install a flow-director entry — one command, any platform.
-    deployment.driver_mut().cmd(
+    deployment.driver_mut().cmd_resilient(
         RbbKind::Network,
         0,
         CommandCode::TableWrite,

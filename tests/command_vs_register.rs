@@ -49,7 +49,7 @@ fn same_init_state_both_ways() {
     let engine = DmaEngine::new(PcieDmaIp::new(harmonia::hw::Vendor::Xilinx, 4, 8));
     let mut driver = CommandDriver::new(engine, kernel);
     driver
-        .cmd(RbbKind::Network, 0, CommandCode::ModuleInit, Vec::new())
+        .cmd_resilient(RbbKind::Network, 0, CommandCode::ModuleInit, Vec::new())
         .unwrap();
     // The kernel performed at least the script's register ops.
     assert!(driver.kernel().reg_ops_executed() >= net.instance().init_sequence().len() as u64);
@@ -109,12 +109,12 @@ fn control_path_latency_isolated_from_data_path() {
     let engine = DmaEngine::new(PcieDmaIp::new(harmonia::hw::Vendor::Xilinx, 4, 8));
     let mut driver = CommandDriver::new(engine, kernel);
     driver
-        .cmd(RbbKind::Network, 0, CommandCode::StatsRead, Vec::new())
+        .cmd_resilient(RbbKind::Network, 0, CommandCode::StatsRead, Vec::new())
         .unwrap();
     let quiet = driver.total_latency_ps();
     driver.engine_mut().enqueue_data(500_000_000); // 500 MB in flight
     driver
-        .cmd(RbbKind::Network, 0, CommandCode::StatsRead, Vec::new())
+        .cmd_resilient(RbbKind::Network, 0, CommandCode::StatsRead, Vec::new())
         .unwrap();
     let busy = driver.total_latency_ps() - quiet;
     let ratio = busy as f64 / quiet as f64;

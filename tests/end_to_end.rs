@@ -25,17 +25,17 @@ fn deploy_and_control_full_stack() {
     // Control path: init already ran; reset + re-init the network module.
     deployment
         .driver_mut()
-        .cmd(RbbKind::Network, 0, CommandCode::ModuleReset, Vec::new())
+        .cmd_resilient(RbbKind::Network, 0, CommandCode::ModuleReset, Vec::new())
         .expect("reset");
     deployment
         .driver_mut()
-        .cmd(RbbKind::Network, 0, CommandCode::ModuleInit, Vec::new())
+        .cmd_resilient(RbbKind::Network, 0, CommandCode::ModuleInit, Vec::new())
         .expect("re-init");
 
     // Program a table entry and read it back through the kernel.
     deployment
         .driver_mut()
-        .cmd(
+        .cmd_resilient(
             RbbKind::Network,
             0,
             CommandCode::TableWrite,
@@ -44,14 +44,14 @@ fn deploy_and_control_full_stack() {
         .expect("table write");
     let read = deployment
         .driver_mut()
-        .cmd(RbbKind::Network, 0, CommandCode::TableRead, vec![5])
+        .cmd_resilient(RbbKind::Network, 0, CommandCode::TableRead, vec![5])
         .expect("table read");
     assert_eq!(read.data, vec![0xDEAD, 0xBEEF]);
 
     // Stats flow end to end.
     let stats = deployment
         .driver_mut()
-        .cmd(RbbKind::Host, 0, CommandCode::StatsRead, Vec::new())
+        .cmd_resilient(RbbKind::Host, 0, CommandCode::StatsRead, Vec::new())
         .expect("stats");
     assert_eq!(stats.data.len(), 32);
 }

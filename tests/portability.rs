@@ -36,7 +36,7 @@ fn identical_role_and_software_on_all_devices() {
             .unwrap_or_else(|e| panic!("{}: {e}", device.name()));
         for (rbb, code, data) in &commands {
             d.driver_mut()
-                .cmd_raw(*rbb, 0, *code, data.clone())
+                .cmd_raw_resilient(*rbb, 0, *code, data.clone())
                 .unwrap_or_else(|e| panic!("{}: {code:?}: {e}", device.name()));
         }
     }
@@ -111,7 +111,7 @@ fn legacy_generation_still_deploys() {
         .build();
     let mut d = Harmonia::deploy(&device, &role).expect("legacy deploys");
     d.driver_mut()
-        .cmd_raw(RbbKind::Network.id(), 0, CommandCode::StatsRead, vec![])
+        .cmd_raw_resilient(RbbKind::Network.id(), 0, CommandCode::StatsRead, vec![])
         .expect("same software, older hardware");
     // The 25G instance was selected (128-bit datapath).
     let net = d
