@@ -52,6 +52,15 @@ if grep -rnE 'cmd_[r]aw\(|\.[c]md\(|init_[s]hell\(|read_all_[s]tats\(' crates ex
     exit 1
 fi
 
+echo "==> LogHistogram owns its bucket geometry: no cohort recorder outside it under crates/, examples/, tests/"
+# LogHistogram::record_progression is the only code that maps a latency
+# progression onto buckets, so a change of bucket layout lands in one
+# place (see DESIGN.md).
+if grep -rnE 'record_[p]osition_range|bucket_[u]pper_of' crates examples tests; then
+    echo "ci.sh: record cohorts with LogHistogram::record_progression (see DESIGN.md)" >&2
+    exit 1
+fi
+
 echo "==> one probe, env read only at the edges: no trace/metrics/tenancy knobs in the library"
 # Observability is attached as a Probe and configuration is passed by
 # value; only the test harness and the binaries, which are edges, read

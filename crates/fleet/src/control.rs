@@ -16,7 +16,7 @@
 //! rack failures and upgrade waves.
 
 use crate::catalog::{standard_catalog, RoleClass};
-use crate::inventory::{device_speed, record_position_range, DeviceState, Inventory};
+use crate::inventory::{device_speed, DeviceState, Inventory};
 use crate::placement::{
     migration_matrix, place, Assignment, MigrationMatrix, PlacementError, PlacementPolicy,
 };
@@ -557,8 +557,7 @@ impl FleetController {
     /// their real per-tick service capacity (largest-remainder split,
     /// so the command count is conserved exactly).
     fn inject(&mut self, t: u32) {
-        let load = self.schedule[t as usize].clone();
-        for (r, &n) in load.per_role.iter().enumerate() {
+        for (r, &n) in self.schedule[t as usize].per_role.iter().enumerate() {
             if n == 0 {
                 continue;
             }
@@ -788,13 +787,8 @@ impl FleetController {
                 let Some(&(at, n)) = d.backlog.front() else { break };
                 let k = n.min(capacity);
                 let age = Picos::from(t - at) * crate::TICK_PS;
-                record_position_range(
-                    &mut d.latency,
-                    age + stall + service,
-                    service,
-                    pos,
-                    pos + k - 1,
-                );
+                d.latency
+                    .record_progression(age + stall + service, service, pos, pos + k - 1);
                 d.executed += k;
                 self.acc.executed += k;
                 pos += k;
@@ -897,9 +891,14 @@ fn split_by_capacity(n: u64, eligible: &[(u32, u64)]) -> Vec<(u32, u64)> {
     let mut rema: Vec<(usize, u64)> = Vec::with_capacity(eligible.len());
     let mut assigned = 0u64;
     for (k, &(i, c)) in eligible.iter().enumerate() {
-        let exact = n as u128 * c as u128;
-        let base = (exact / cap_sum as u128) as u64;
-        let rem = (exact % cap_sum as u128) as u64;
+        // `n × c` fits a u64 at fleet scale; widen only when it does not.
+        let (base, rem) = match n.checked_mul(c) {
+            Some(exact) => (exact / cap_sum, exact % cap_sum),
+            None => {
+                let exact = n as u128 * c as u128;
+                ((exact / cap_sum as u128) as u64, (exact % cap_sum as u128) as u64)
+            }
+        };
         out.push((i, base));
         rema.push((k, rem));
         assigned += base;
@@ -946,6 +945,7 @@ fn push_cohort(backlog: &mut std::collections::VecDeque<(u32, u64)>, at: u32, n:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use harmonia_testkit::prelude::*;
 
     fn small(policy: PlacementPolicy) -> FleetController {
         FleetController::new(FleetSpec::new(96, 7, policy)).expect("placement")
@@ -1042,6 +1042,61 @@ mod tests {
         for n in [0u64, 1, 7, 1000, 999_999] {
             let split = split_by_capacity(n, &eligible);
             assert_eq!(split.iter().map(|&(_, s)| s).sum::<u64>(), n, "n={n}");
+        }
+    }
+
+    /// Reference split: every share computed in u128.
+    fn split_u128(n: u64, eligible: &[(u32, u64)]) -> Vec<(u32, u64)> {
+        let cap_sum: u64 = eligible.iter().map(|&(_, c)| c).sum();
+        if cap_sum == 0 {
+            let each = n / eligible.len() as u64;
+            let mut out: Vec<(u32, u64)> = eligible.iter().map(|&(i, _)| (i, each)).collect();
+            out[0].1 += n - each * eligible.len() as u64;
+            return out;
+        }
+        let mut out = Vec::new();
+        let mut rema = Vec::new();
+        let mut assigned = 0u64;
+        for (k, &(i, c)) in eligible.iter().enumerate() {
+            let exact = n as u128 * c as u128;
+            let base = (exact / cap_sum as u128) as u64;
+            out.push((i, base));
+            rema.push((k, (exact % cap_sum as u128) as u64));
+            assigned += base;
+        }
+        rema.sort_by_key(|&(k, rem)| (std::cmp::Reverse(rem), k));
+        for &(k, _) in rema.iter().take((n - assigned) as usize) {
+            out[k].1 += 1;
+        }
+        out
+    }
+
+    forall! {
+        /// The u64 fast path splits exactly as the u128 arithmetic does:
+        /// for all-zero capacities, for shares whose `n × capacity`
+        /// overflows a u64, and for capacities near `u64::MAX`.
+        #[test]
+        fn split_by_capacity_matches_u128_arithmetic(
+            n in prop_oneof![0u64..10_000, any::<u64>(), Just(u64::MAX)],
+            raw in collection::vec(
+                prop_oneof![
+                    Just(0u64),
+                    1u64..1_000,
+                    any::<u64>(),
+                    (0u64..4).prop_map(|d| u64::MAX - d),
+                ],
+                1..6,
+            ),
+            all_zero in any::<bool>(),
+        ) {
+            // Scale so the capacities sum within a u64, as a fleet's do.
+            let len = raw.len() as u64;
+            let eligible: Vec<(u32, u64)> = raw
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| (i as u32, if all_zero { 0 } else { c / len }))
+                .collect();
+            prop_assert_eq!(split_by_capacity(n, &eligible), split_u128(n, &eligible));
         }
     }
 

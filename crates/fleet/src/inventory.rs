@@ -175,55 +175,6 @@ impl Inventory {
     }
 }
 
-/// Records the latency cohort `offset + p × scale` for queue positions
-/// `p ∈ [lo, hi]` into `hist` in O(buckets): positions mapping into one
-/// log bucket are recorded with one `record_n`.
-pub fn record_position_range(
-    hist: &mut LogHistogram,
-    offset: Picos,
-    scale: Picos,
-    lo: u64,
-    hi: u64,
-) {
-    debug_assert!(scale > 0, "scale must be positive");
-    let mut p = lo;
-    while p <= hi {
-        let lat = offset + p * scale;
-        // Largest position still in lat's bucket: latencies are
-        // monotone in p, so binary-search-free arithmetic works.
-        let upper = bucket_upper_of(lat);
-        let p_max = if upper >= offset {
-            ((upper - offset) / scale).min(hi)
-        } else {
-            p
-        };
-        let p_max = p_max.max(p);
-        // Record the chunk's boundary values exactly: every position in
-        // the chunk lands in the same bucket, so percentiles match the
-        // per-command loop while `min`/`max` stay exact.
-        hist.record(lat);
-        if p_max > p {
-            hist.record_n(offset + p_max * scale, p_max - p);
-        }
-        p = p_max + 1;
-    }
-}
-
-/// Inclusive upper bound of the log2 bucket holding `v` (mirrors
-/// `LogHistogram`'s bucketing: bucket of `v` covers `[2^(k-1), 2^k-1]`).
-fn bucket_upper_of(v: u64) -> u64 {
-    if v == 0 {
-        0
-    } else {
-        let b = v.ilog2() + 1;
-        if b >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << b) - 1
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,29 +231,5 @@ mod tests {
         assert_eq!(c, 656); // 2×200G + 4×4×16
         assert_eq!(d, 456); // 2×100G + 4×4×16
         assert!(c > d && d > b && b > a);
-    }
-
-    #[test]
-    fn position_range_matches_per_command_records() {
-        let mut bulk = LogHistogram::new();
-        let mut looped = LogHistogram::new();
-        let (offset, scale) = (1_000u64, 700u64);
-        record_position_range(&mut bulk, offset, scale, 1, 500);
-        for p in 1..=500u64 {
-            looped.record(offset + p * scale);
-        }
-        assert_eq!(bulk.count(), looped.count());
-        assert_eq!(bulk.p50(), looped.p50());
-        assert_eq!(bulk.p99(), looped.p99());
-        assert_eq!(bulk.min(), looped.min());
-        assert_eq!(bulk.max(), looped.max());
-    }
-
-    #[test]
-    fn position_range_handles_single_position_and_zero_offset() {
-        let mut h = LogHistogram::new();
-        record_position_range(&mut h, 0, 3, 7, 7);
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.min(), 21);
     }
 }

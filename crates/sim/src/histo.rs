@@ -85,8 +85,7 @@ impl LogHistogram {
     }
 
     /// Records `n` samples of value `v` in O(1) — the bulk entry point
-    /// for aggregate models (the fleet control plane records whole
-    /// per-tick command cohorts this way instead of looping).
+    /// for aggregate models.
     ///
     /// ```
     /// use harmonia_sim::histo::LogHistogram;
@@ -105,6 +104,76 @@ impl LogHistogram {
         self.sum += v as u128 * n as u128;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
+    }
+
+    /// Records the progression `offset + p × step` for every position `p`
+    /// in `lo..=hi` in O(buckets) — the fleet control plane records each
+    /// per-tick command cohort this way (the command at queue position `p`
+    /// waits `p` service times more than the head of the queue).
+    ///
+    /// The positions falling in one bucket form a chunk; the bucket
+    /// gets the chunk's length, and `sum` gets the chunk's first value
+    /// once plus its last value for each further position. So `min` and
+    /// `max` stay exact, and `sum` (hence `mean` and the Prometheus
+    /// `_sum`) counts each chunk at its boundary values.
+    ///
+    /// `lo > hi` records nothing. `step == 0` records `hi − lo + 1`
+    /// samples of `offset`. `offset + hi × step` and the sample count
+    /// `hi − lo + 1` must each fit in a `u64` (checked in debug builds).
+    ///
+    /// ```
+    /// use harmonia_sim::histo::LogHistogram;
+    /// let mut h = LogHistogram::new();
+    /// h.record_progression(1_000, 700, 1, 500);
+    /// assert_eq!(h.count(), 500);
+    /// assert_eq!(h.min(), 1_700);
+    /// assert_eq!(h.max(), 351_000);
+    /// ```
+    pub fn record_progression(&mut self, offset: u64, step: u64, lo: u64, hi: u64) {
+        if lo > hi {
+            return;
+        }
+        debug_assert!(hi - lo < u64::MAX, "sample count overflows a u64");
+        if step == 0 {
+            self.record_n(offset, hi - lo + 1);
+            return;
+        }
+        debug_assert!(
+            hi.checked_mul(step)
+                .and_then(|x| x.checked_add(offset))
+                .is_some(),
+            "offset + hi × step overflows a u64"
+        );
+        let first = offset + lo * step;
+        let last = offset + hi * step;
+        let recip = u64::MAX / step;
+        // Sum of the chunk of positions `s..=e`, at its boundary values.
+        let chunk_sum = |s: u64, e: u64| {
+            (offset + s * step) as u128 + (offset + e * step) as u128 * (e - s) as u128
+        };
+        let mut sum = 0u128;
+        // First position of the next chunk; no bucket's end depends on it.
+        let mut start = lo;
+        let last_bucket = Self::bucket_of(last);
+        for b in Self::bucket_of(first)..last_bucket {
+            // Last position whose value is at most the bucket's upper
+            // bound: below `hi`, since the bound is below `last`, and
+            // `upper ≥ first ≥ offset`, so the subtraction cannot wrap.
+            let end = div_floor(Self::bucket_upper(b) - offset, step, recip);
+            if end < start {
+                continue; // step is wider than this bucket: no position lands here
+            }
+            self.buckets[b] += end - start + 1;
+            sum += chunk_sum(start, end);
+            start = end + 1;
+        }
+        // The last bucket takes every remaining position.
+        self.buckets[last_bucket] += hi - start + 1;
+        sum += chunk_sum(start, hi);
+        self.count += hi - lo + 1;
+        self.sum += sum;
+        self.min = self.min.min(first);
+        self.max = self.max.max(last);
     }
 
     /// Folds another histogram into this one (workers merge into a fleet
@@ -155,7 +224,9 @@ impl LogHistogram {
     }
 
     /// Exact sum of all samples (`u128`: 2^64 samples of `u64::MAX`
-    /// cannot overflow it). The Prometheus summary `_sum` line.
+    /// cannot overflow it), except that [`Self::record_progression`]
+    /// adds each chunk at its boundary values. The Prometheus summary
+    /// `_sum` line.
     pub fn sum(&self) -> u128 {
         self.sum
     }
@@ -226,6 +297,17 @@ impl LogHistogram {
     }
 }
 
+/// `x / d` for `d > 0`, given `recip = u64::MAX / d`, with no division.
+///
+/// `r = ⌊(2^64 − 1) / d⌋` leaves `2^64 − r·d ∈ [1, d]`, so `x·r / 2^64`
+/// falls short of `x / d` by at most `x / 2^64 < 1`. The high word of
+/// `x·r` is therefore the quotient or one less, and one comparison of
+/// the remainder against `d` adds the missing 1.
+fn div_floor(x: u64, d: u64, recip: u64) -> u64 {
+    let q = ((x as u128 * recip as u128) >> 64) as u64;
+    q + u64::from(x - q * d >= d)
+}
+
 impl fmt::Display for LogHistogram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -244,6 +326,139 @@ impl fmt::Display for LogHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use harmonia_testkit::prelude::*;
+
+    /// Reference progression recorder: one division per chunk, each
+    /// chunk starting where the last one ended. `step` must be non-zero.
+    fn chunk_loop(hist: &mut LogHistogram, offset: u64, step: u64, lo: u64, hi: u64) {
+        let mut p = lo;
+        while p <= hi {
+            let lat = offset + p * step;
+            let upper = LogHistogram::bucket_upper(LogHistogram::bucket_of(lat));
+            let p_max = if upper >= offset {
+                ((upper - offset) / step).min(hi)
+            } else {
+                p
+            };
+            let p_max = p_max.max(p);
+            hist.record(lat);
+            if p_max > p {
+                hist.record_n(offset + p_max * step, p_max - p);
+            }
+            if p_max == hi {
+                break; // `p_max + 1` would overflow at `hi == u64::MAX`
+            }
+            p = p_max + 1;
+        }
+    }
+
+    /// A value of any magnitude: a full-width draw shifted right by 0–63.
+    fn magnitude() -> impl Strategy<Value = u64> {
+        (any::<u64>(), 0u32..64).prop_map(|(x, shift)| x >> shift)
+    }
+
+    forall! {
+        /// `record_progression` leaves exactly the histogram the chunk
+        /// loop leaves — every bucket, `count`, `sum`, `min` and `max` —
+        /// on top of random history, for `offset` 0, `step` 1, single
+        /// positions, empty ranges, ranges that reach bucket 64, and
+        /// ranges from position 0 whose step is wider than the buckets
+        /// just above the offset, which leaves those buckets empty.
+        #[test]
+        fn record_progression_matches_the_chunk_loop(
+            history in collection::vec(magnitude(), 0..6),
+            offset in prop_oneof![Just(0u64), magnitude()],
+            step in prop_oneof![Just(0u64), Just(1u64), magnitude()],
+            a in prop_oneof![Just(0u64), magnitude()],
+            b in magnitude(),
+            shape in 0u8..5,
+        ) {
+            // Largest `hi` with `offset + hi × step` in range, leaving
+            // room in `count` for the history.
+            let fit = (u64::MAX - offset).checked_div(step).unwrap_or(u64::MAX);
+            let top = fit.min(u64::MAX - 8);
+            let (lo, hi) = match shape {
+                0 => (a.min(top), a.min(top)),                // one position
+                1 => (b.min(top).saturating_add(1 + a % 4), b.min(top)), // lo > hi
+                2 => (a.min(top), a.min(top).saturating_add(b % 64).min(top)),
+                3 => (a.min(b).min(top), top),                // up to the fit limit
+                _ => (a.min(b).min(top), a.max(b).min(top)),
+            };
+            let mut want = LogHistogram::new();
+            for &v in &history {
+                want.record(v);
+            }
+            let mut got = want.clone();
+            got.record_progression(offset, step, lo, hi);
+            if step == 0 {
+                if lo <= hi {
+                    want.record_n(offset, hi - lo + 1);
+                }
+            } else {
+                chunk_loop(&mut want, offset, step, lo, hi);
+            }
+            prop_assert_eq!(got, want, "offset {} step {} positions {}..={}", offset, step, lo, hi);
+        }
+
+        /// The reciprocal division is `x / d` for every `x` and every
+        /// non-zero `d`, at exact multiples of `d` and one below them.
+        #[test]
+        fn div_floor_matches_division(
+            raw in any::<u64>(),
+            d in prop_oneof![
+                Just(1u64),
+                Just(u64::MAX),
+                (0u32..64).prop_map(|k| 1u64 << k),
+                magnitude().prop_map(|d| d.max(1)),
+            ],
+            form in 0u8..4,
+        ) {
+            let x = match form {
+                0 => raw,
+                1 => raw / d * d,
+                2 => (raw / d * d).saturating_sub(1),
+                _ => u64::MAX,
+            };
+            prop_assert_eq!(div_floor(x, d, u64::MAX / d), x / d, "x {} d {}", x, d);
+        }
+    }
+
+    #[test]
+    fn progression_matches_per_command_records() {
+        let mut bulk = LogHistogram::new();
+        let mut looped = LogHistogram::new();
+        let (offset, step) = (1_000u64, 700u64);
+        bulk.record_progression(offset, step, 1, 500);
+        for p in 1..=500u64 {
+            looped.record(offset + p * step);
+        }
+        assert_eq!(bulk.buckets, looped.buckets);
+        assert_eq!(bulk.count(), looped.count());
+        assert_eq!(bulk.p50(), looped.p50());
+        assert_eq!(bulk.p99(), looped.p99());
+        assert_eq!(bulk.min(), looped.min());
+        assert_eq!(bulk.max(), looped.max());
+    }
+
+    #[test]
+    fn progression_handles_single_position_and_zero_offset() {
+        let mut h = LogHistogram::new();
+        h.record_progression(0, 3, 7, 7);
+        assert_eq!(h.count(), 1);
+        assert_eq!(h.min(), 21);
+        assert_eq!(h.sum(), 21);
+    }
+
+    #[test]
+    fn progression_degenerate_inputs() {
+        let mut h = LogHistogram::new();
+        h.record_progression(5, 3, 9, 8); // lo > hi: nothing
+        assert_eq!(h, LogHistogram::new());
+        h.record_progression(40, 0, 2, 11); // step 0: ten samples of the offset
+        let mut want = LogHistogram::new();
+        want.record_n(40, 10);
+        assert_eq!(h, want);
+    }
 
     #[test]
     fn empty_reports_zeros() {
