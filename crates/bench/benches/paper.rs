@@ -1,13 +1,15 @@
-//! Timing of the full paper regeneration, fanned out and serial, and of
-//! each generator on its own.
+//! Timing of the full paper regeneration, fanned out and serial, of each
+//! generator on its own, and of each table on its own.
 //!
 //! Measures `all_tables()` (the tables fanned out across threads, the
 //! workspace's only parallel loop) and a plain serial loop over
 //! `generators()`, so the committed `BENCH_paper.json` records what the
 //! fan-out buys on the build machine. Then times every entry of
 //! `generators()` on its own (`<name>_serial`), so a change to the
-//! sweep's time shows which generator moved. `TESTKIT_BENCH_SMOKE=1`
-//! trims sampling for CI.
+//! sweep's time shows which generator moved, and every table of it
+//! (`<name>_<index>_serial`, the index into the generator's `TABLES`), so
+//! the per-table breakdown that picks the next optimisation is committed
+//! too. `TESTKIT_BENCH_SMOKE=1` trims sampling for CI.
 
 use harmonia_testkit::bench::{black_box, Criterion};
 use harmonia_testkit::{bench_group, bench_main};
@@ -41,6 +43,11 @@ fn bench_paper(c: &mut Criterion) {
         g.bench_function(format!("{name}_serial"), |b| {
             warmed(b, || tables.iter().map(|table| table().len()).sum())
         });
+        for (index, table) in tables.iter().enumerate() {
+            g.bench_function(format!("{name}_{index}_serial"), |b| {
+                warmed(b, || table().len())
+            });
+        }
     }
     g.finish();
 }

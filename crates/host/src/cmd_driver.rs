@@ -43,7 +43,7 @@ pub const DEGRADED_STATUS: u32 = 0xDEAD;
 
 /// An abstract command issued by the driver — the unit Figure 13 counts
 /// when diffing software across platforms.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct IssuedCommand {
     /// Target RBB id.
     pub rbb_id: u8,

@@ -13,6 +13,41 @@ fn arb_script() -> impl Strategy<Value = Vec<u8>> {
     collection::vec(0u8..6, 0..24)
 }
 
+/// A script length for the `lcs_diff` oracle: uniform over 0..=300, or
+/// one either side of a 64-bit word boundary (63, 64, 65, 127, …, 257).
+fn arb_len() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        0usize..=300,
+        (0usize..=4, 0usize..=2).prop_map(|(words, d)| (64 * words + d).saturating_sub(1)),
+    ]
+}
+
+/// Alphabet size for the oracle's scripts: from two symbols up to
+/// effectively all-distinct.
+fn arb_alphabet() -> impl Strategy<Value = u32> {
+    prop_oneof![2u32..=4, 5u32..=64, 65u32..=4096, Just(u32::MAX)]
+}
+
+/// The two-row dynamic programme `lcs_diff` used before it went
+/// bit-parallel: the oracle for the current implementation.
+fn lcs_diff_dp<T: PartialEq>(a: &[T], b: &[T]) -> usize {
+    let (n, m) = (a.len(), b.len());
+    let mut prev = vec![0usize; m + 1];
+    let mut cur = vec![0usize; m + 1];
+    for i in 1..=n {
+        for j in 1..=m {
+            cur[j] = if a[i - 1] == b[j - 1] {
+                prev[j - 1] + 1
+            } else {
+                prev[j].max(cur[j - 1])
+            };
+        }
+        std::mem::swap(&mut prev, &mut cur);
+    }
+    let lcs = prev[m];
+    (n - lcs) + (m - lcs)
+}
+
 fn arb_origin() -> impl Strategy<Value = Origin> {
     prop_oneof![
         Just(Origin::Handcraft),
@@ -67,6 +102,30 @@ forall! {
         let pa: Vec<u8> = prefix.iter().chain(&a).copied().collect();
         let pb: Vec<u8> = prefix.iter().chain(&b).copied().collect();
         prop_assert_eq!(lcs_diff(&pa, &pb), lcs_diff(&a, &b));
+    }
+
+    /// The bit-parallel `lcs_diff` agrees with the two-row DP on lengths
+    /// either side of its word boundaries and on every alphabet size. An
+    /// even `raw_b` draw copies `a`'s element at the same index, so long
+    /// common runs (and carries across words) occur on large alphabets
+    /// too.
+    #[test]
+    fn lcs_diff_matches_the_two_row_dp(
+        (la, lb) in (arb_len(), arb_len()),
+        symbols in arb_alphabet(),
+        raw_a in collection::vec(any::<u32>(), 300),
+        raw_b in collection::vec(any::<u32>(), 300),
+    ) {
+        let a: Vec<u32> = raw_a[..la].iter().map(|x| x % symbols).collect();
+        let b: Vec<u32> = raw_b[..lb]
+            .iter()
+            .enumerate()
+            .map(|(j, x)| match a.get(j) {
+                Some(&same) if x % 2 == 0 => same,
+                _ => x % symbols,
+            })
+            .collect();
+        prop_assert_eq!(lcs_diff(&a, &b), lcs_diff_dp(&a, &b), "a {:?} b {:?}", a, b);
     }
 
     /// `reduction_factor` is defined exactly when `after > 0` and then

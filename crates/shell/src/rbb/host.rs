@@ -70,6 +70,16 @@ struct HostQueue {
     stats: QueueStats,
 }
 
+impl HostQueue {
+    fn idle() -> Self {
+        HostQueue {
+            active: false,
+            buf: SyncFifo::new(HostRbb::QUEUE_DEPTH),
+            stats: QueueStats::default(),
+        }
+    }
+}
+
 /// The Host RBB.
 #[derive(Debug)]
 pub struct HostRbb {
@@ -78,6 +88,9 @@ pub struct HostRbb {
     /// Queues the role asked to have exposed (≤ QUEUES); drives how many
     /// contexts host software programs.
     advertised_queues: u16,
+    /// Per-queue state, materialized on first touch: entry `q` exists once
+    /// queue `q`, or one above it, was activated or offered an entry. The
+    /// queues beyond are idle, empty and hold no storage.
     queues: Vec<HostQueue>,
     /// Indices of active queues, in activation order (scheduler ring).
     active_ring: Vec<u16>,
@@ -98,7 +111,9 @@ impl HostRbb {
     }
 
     /// Creates a Host RBB advertising only `queues` queues to the role
-    /// (property-level tailoring of the queue surface).
+    /// (property-level tailoring of the queue surface). All
+    /// [`Self::QUEUES`] queues are addressable; each one's state is
+    /// allocated when it is first touched.
     ///
     /// # Panics
     ///
@@ -112,13 +127,7 @@ impl HostRbb {
             dma,
             advertised_queues: queues,
             components: Self::component_inventory(),
-            queues: (0..Self::QUEUES)
-                .map(|_| HostQueue {
-                    active: false,
-                    buf: SyncFifo::new(Self::QUEUE_DEPTH),
-                    stats: QueueStats::default(),
-                })
-                .collect(),
+            queues: Vec::new(),
             active_ring: Vec::new(),
             ring_pos: 0,
             sched_visits: 0,
@@ -189,12 +198,30 @@ impl HostRbb {
         &self.dma
     }
 
-    fn check_range(&self, queue: u16) -> Result<(), HostQueueError> {
-        if usize::from(queue) >= self.queues.len() {
+    fn check_range(queue: u16) -> Result<usize, HostQueueError> {
+        if queue >= Self::QUEUES {
             Err(HostQueueError::OutOfRange { queue })
         } else {
-            Ok(())
+            Ok(usize::from(queue))
         }
+    }
+
+    /// Queue `idx`'s state, materializing idle queues up to it.
+    fn touch(&mut self, idx: usize) -> &mut HostQueue {
+        if idx >= self.queues.len() {
+            self.queues.resize_with(idx + 1, HostQueue::idle);
+        }
+        &mut self.queues[idx]
+    }
+
+    /// Queue `queue`'s state, or `None` while it was never touched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `queue` is out of range.
+    fn touched(&self, queue: u16) -> Option<&HostQueue> {
+        assert!(queue < Self::QUEUES, "queue {queue} out of range");
+        self.queues.get(usize::from(queue))
     }
 
     /// Activates a queue (tenant attach).
@@ -203,8 +230,7 @@ impl HostRbb {
     ///
     /// [`HostQueueError::OutOfRange`].
     pub fn activate(&mut self, queue: u16) -> Result<(), HostQueueError> {
-        self.check_range(queue)?;
-        let q = &mut self.queues[usize::from(queue)];
+        let q = self.touch(Self::check_range(queue)?);
         if !q.active {
             q.active = true;
             self.active_ring.push(queue);
@@ -218,8 +244,10 @@ impl HostRbb {
     ///
     /// [`HostQueueError::OutOfRange`].
     pub fn deactivate(&mut self, queue: u16) -> Result<(), HostQueueError> {
-        self.check_range(queue)?;
-        let q = &mut self.queues[usize::from(queue)];
+        let idx = Self::check_range(queue)?;
+        let Some(q) = self.queues.get_mut(idx) else {
+            return Ok(()); // never touched, so never active
+        };
         if q.active {
             q.active = false;
             q.stats.dropped += q.buf.len() as u64;
@@ -244,8 +272,7 @@ impl HostRbb {
     /// Out-of-range, inactive or full queues reject the entry (isolation:
     /// one tenant's overflow never spills into another's queue).
     pub fn enqueue(&mut self, queue: u16, bytes: u32) -> Result<(), HostQueueError> {
-        self.check_range(queue)?;
-        let q = &mut self.queues[usize::from(queue)];
+        let q = self.touch(Self::check_range(queue)?);
         if !q.active {
             q.stats.dropped += 1;
             return Err(HostQueueError::Inactive { queue });
@@ -283,11 +310,13 @@ impl HostRbb {
     /// Baseline scheduler scanning **all** queues regardless of state —
     /// the ablation comparator for the active-ring design.
     pub fn schedule_naive(&mut self) -> Option<(u16, u32)> {
-        let n = self.queues.len();
+        let n = usize::from(Self::QUEUES);
         for i in 0..n {
             self.sched_visits += 1;
             let queue = ((self.ring_pos + i) % n) as u16;
-            let q = &mut self.queues[usize::from(queue)];
+            let Some(q) = self.queues.get_mut(usize::from(queue)) else {
+                continue; // never touched, so inactive
+            };
             if q.active {
                 if let Some(bytes) = q.buf.pop() {
                     self.ring_pos = (usize::from(queue) + 1) % n;
@@ -316,12 +345,17 @@ impl HostRbb {
     ///
     /// Panics if `queue` is out of range.
     pub fn queue_stats(&self, queue: u16) -> QueueStats {
-        self.queues[usize::from(queue)].stats
+        self.touched(queue)
+            .map_or_else(QueueStats::default, |q| q.stats)
     }
 
     /// A queue's current depth.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `queue` is out of range.
     pub fn queue_depth(&self, queue: u16) -> usize {
-        self.queues[usize::from(queue)].buf.len()
+        self.touched(queue).map_or(0, |q| q.buf.len())
     }
 
     /// Publishes live per-queue aggregates into a register file laid out
@@ -537,6 +571,24 @@ mod tests {
         h.activate(4).unwrap();
         h.enqueue(4, 10).unwrap();
         assert_eq!(h.schedule(), Some((4, 10)));
+    }
+
+    #[test]
+    fn untouched_queues_read_idle_and_still_cost_a_naive_visit() {
+        let mut h = rbb();
+        let last = HostRbb::QUEUES - 1;
+        assert_eq!(h.queue_stats(last), QueueStats::default());
+        assert_eq!(h.queue_depth(last), 0);
+        assert_eq!(h.deactivate(last), Ok(()));
+        assert_eq!(h.schedule_naive(), None);
+        assert_eq!(h.sched_visits(), u64::from(HostRbb::QUEUES));
+        // An entry offered to an untouched, inactive queue is a drop.
+        assert_eq!(
+            h.enqueue(last, 64),
+            Err(HostQueueError::Inactive { queue: last })
+        );
+        assert_eq!(h.queue_stats(last).dropped, 1);
+        assert_eq!(h.queue_stats(last - 1), QueueStats::default());
     }
 
     #[test]

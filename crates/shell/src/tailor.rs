@@ -27,6 +27,17 @@ use std::fmt;
 /// Reasons a role cannot be tailored onto a device.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TailorError {
+    /// The role asks for zero queues.
+    NoQueues,
+    /// The role asks for more queues than a Host RBB has.
+    TooManyQueues {
+        /// Queues wanted.
+        wanted: u16,
+        /// Queues a Host RBB has ([`HostRbb::QUEUES`]).
+        max: u16,
+    },
+    /// The role asks for DDR with zero channels.
+    NoMemoryChannels,
     /// The device's network cages cannot reach the demanded speed.
     NetworkSpeedUnavailable {
         /// Speed the role wants, Gbps.
@@ -60,6 +71,11 @@ pub enum TailorError {
 impl fmt::Display for TailorError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            TailorError::NoQueues => f.write_str("role asks for zero queues"),
+            TailorError::TooManyQueues { wanted, max } => {
+                write!(f, "role asks for {wanted} queues, a Host RBB has {max}")
+            }
+            TailorError::NoMemoryChannels => f.write_str("role asks for DDR with zero channels"),
             TailorError::NetworkSpeedUnavailable {
                 wanted_gbps,
                 best_gbps,
@@ -99,10 +115,13 @@ impl TailoredShell {
     ///
     /// # Errors
     ///
-    /// Returns a [`TailorError`] when the device lacks a demanded
-    /// capability — the paper's portability caveat: roles migrate freely
-    /// only "to FPGA platforms that have appropriate hardware capabilities".
+    /// Returns a [`TailorError`] when the role's own demands are malformed
+    /// (zero queues, more queues than [`HostRbb::QUEUES`], DDR with zero
+    /// channels), or when the device lacks a demanded capability — the
+    /// paper's portability caveat: roles migrate freely only "to FPGA
+    /// platforms that have appropriate hardware capabilities".
     pub fn tailor(unified: &UnifiedShell, role: &RoleSpec) -> Result<TailoredShell, TailorError> {
+        Self::validate(role)?;
         let device = unified.device();
         let die = device.die_vendor();
         let mut rbbs: Vec<Box<dyn Rbb>> = Vec::new();
@@ -215,6 +234,25 @@ impl TailoredShell {
             });
         }
         Ok(shell)
+    }
+
+    /// Rejects demands no device can meet, before any RBB is built (the
+    /// RBB constructors panic on them).
+    fn validate(role: &RoleSpec) -> Result<(), TailorError> {
+        let wanted = role.desired_queues();
+        if wanted == 0 {
+            return Err(TailorError::NoQueues);
+        }
+        if wanted > HostRbb::QUEUES {
+            return Err(TailorError::TooManyQueues {
+                wanted,
+                max: HostRbb::QUEUES,
+            });
+        }
+        if role.memory() == Some(MemoryDemand::Ddr { channels: 0 }) {
+            return Err(TailorError::NoMemoryChannels);
+        }
+        Ok(())
     }
 
     /// The role this shell serves.
@@ -453,6 +491,48 @@ mod tests {
             TailoredShell::tailor(&u, &role).unwrap_err(),
             TailorError::DoesNotFit { .. }
         ));
+    }
+
+    #[test]
+    fn zero_queues_rejected() {
+        let role = RoleSpec::builder("no-queues")
+            .network_gbps(100)
+            .queues(0)
+            .build();
+        let err = TailoredShell::tailor(&unified_a(), &role).unwrap_err();
+        assert_eq!(err, TailorError::NoQueues);
+        assert_eq!(err.to_string(), "role asks for zero queues");
+    }
+
+    #[test]
+    fn more_queues_than_the_host_rbb_has_rejected() {
+        let role = RoleSpec::builder("greedy")
+            .queues(HostRbb::QUEUES + 1)
+            .build();
+        let err = TailoredShell::tailor(&unified_a(), &role).unwrap_err();
+        assert_eq!(
+            err,
+            TailorError::TooManyQueues {
+                wanted: 1025,
+                max: 1024
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "role asks for 1025 queues, a Host RBB has 1024"
+        );
+        let all = RoleSpec::builder("all").queues(HostRbb::QUEUES).build();
+        assert!(TailoredShell::tailor(&unified_a(), &all).is_ok());
+    }
+
+    #[test]
+    fn zero_ddr_channels_rejected() {
+        let role = RoleSpec::builder("no-channels")
+            .memory(MemoryDemand::Ddr { channels: 0 })
+            .build();
+        let err = TailoredShell::tailor(&unified_a(), &role).unwrap_err();
+        assert_eq!(err, TailorError::NoMemoryChannels);
+        assert_eq!(err.to_string(), "role asks for DDR with zero channels");
     }
 
     #[test]

@@ -61,13 +61,16 @@ pub struct SyncFifo<T> {
 impl<T> SyncFifo<T> {
     /// Creates a FIFO holding at most `capacity` items.
     ///
+    /// `capacity` is a bound, not a reservation: the buffer starts empty
+    /// and grows as items are pushed, so an idle FIFO costs no heap.
+    ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "fifo capacity must be non-zero");
         SyncFifo {
-            buf: VecDeque::with_capacity(capacity),
+            buf: VecDeque::new(),
             capacity,
             max_occupancy: 0,
             total_pushes: 0,
@@ -302,6 +305,27 @@ mod tests {
             trace.events()[0].kind,
             TraceEventKind::FifoStall { occupancy: 1 }
         );
+    }
+
+    #[test]
+    fn capacity_is_a_bound_while_storage_grows_on_push() {
+        let mut f = SyncFifo::new(256);
+        assert_eq!(f.capacity(), 256);
+        for i in 0..256u32 {
+            f.push(i).unwrap();
+            assert_eq!(f.max_occupancy(), i as usize + 1);
+        }
+        assert!(f.is_full());
+        assert_eq!(f.push(256), Err(FifoFullError(256)));
+        assert_eq!(f.rejected(), 1);
+        assert_eq!(
+            (f.len(), f.max_occupancy(), f.total_pushes()),
+            (256, 256, 256)
+        );
+        // The bound still holds after a drain and a refill.
+        assert_eq!(f.drain(), (0..256).collect::<Vec<_>>());
+        f.extend(0..300);
+        assert_eq!((f.len(), f.max_occupancy(), f.rejected()), (256, 256, 45));
     }
 
     #[test]
