@@ -36,10 +36,11 @@ if grep -rnE 'HARMONIA_[T]HREADS|Worker[P]ool|par_[m]ap|par_[t]asks|run_[p]arall
 fi
 
 echo "==> one DRAM replay loop: no striped replay or fault-aware DRAM access under crates/, examples/, tests/"
-# MemoryRbb::run_trace is the only loop that replays a MemOp trace, and
-# DramModel::access is the only way into a channel (see DESIGN.md).
+# MemoryRbb::run_trace is the only loop that replays a MemOp trace; it hands
+# each channel its ops through DramModel::replay, which runs the same step
+# function as DramModel::access, a channel's only other way in (see DESIGN.md).
 if grep -rnE 'run_[s]triped_trace|access_[w]ith_faults|trace_[b]andwidth_gbs' crates examples tests; then
-    echo "ci.sh: replay traces through MemoryRbb::run_trace over DramModel::access (see DESIGN.md)" >&2
+    echo "ci.sh: replay traces through MemoryRbb::run_trace over DramModel::replay and DramModel::access (see DESIGN.md)" >&2
     exit 1
 fi
 

@@ -62,16 +62,29 @@ fn bench_host_rbb(c: &mut Criterion) {
 fn bench_memory_rbb(c: &mut Criterion) {
     let mut g = c.benchmark_group("memory_rbb");
     g.sample_size(20);
-    let seq = MemTraceGen::new(2).trace(AccessPattern::Sequential, false, 64, 20_000);
-    let rnd = MemTraceGen::new(2).trace(AccessPattern::Random, false, 64, 20_000);
-    for (name, trace, cache) in [
-        ("seq_cache_on", &seq, true),
-        ("seq_cache_off", &seq, false),
-        ("rand_cache_off", &rnd, false),
+    let trace = |pattern, count| {
+        MemTraceGen::new(2)
+            .trace(pattern, false, 64, count)
+            .expect("64 B ops fit the default footprint")
+    };
+    let seq = trace(AccessPattern::Sequential, 20_000);
+    let rnd = trace(AccessPattern::Random, 20_000);
+    // 100k ops over HBM's 32 pseudo-channels time routing at a high
+    // channel count.
+    let hbm_seq = trace(AccessPattern::Sequential, 100_000);
+    let hbm_rnd = trace(AccessPattern::Random, 100_000);
+    let ddr2: fn() -> MemoryRbb = || MemoryRbb::ddr(Vendor::Xilinx, 4, 2);
+    let hbm: fn() -> MemoryRbb = || MemoryRbb::hbm(Vendor::Xilinx);
+    for (name, make, trace, cache) in [
+        ("seq_cache_on", ddr2, &seq, true),
+        ("seq_cache_off", ddr2, &seq, false),
+        ("rand_cache_off", ddr2, &rnd, false),
+        ("hbm_seq_cache_off", hbm, &hbm_seq, false),
+        ("hbm_rand_cache_off", hbm, &hbm_rnd, false),
     ] {
         g.bench_function(name, |b| {
             b.iter(|| {
-                let mut mem = MemoryRbb::ddr(Vendor::Xilinx, 4, 2);
+                let mut mem = make();
                 mem.set_cache(cache);
                 black_box(mem.run_trace(trace.iter().copied()))
             })

@@ -72,7 +72,9 @@ fn bench_ip_models(c: &mut Criterion) {
     });
     g.sample_size(20);
     g.bench_function("ddr_random_trace_10k", |b| {
-        let ops = MemTraceGen::new(5).trace(AccessPattern::Random, false, 64, 10_000);
+        let ops = MemTraceGen::new(5)
+            .trace(AccessPattern::Random, false, 64, 10_000)
+            .expect("64 B ops fit the default footprint");
         b.iter(|| {
             let mut mem = MemoryRbb::ddr(Vendor::Xilinx, 4, 1);
             mem.set_cache(false);

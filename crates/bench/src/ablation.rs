@@ -49,7 +49,9 @@ pub fn ablation_memory() -> Table {
     for (label, pattern) in cases {
         // One trace per pattern, replayed on a fresh memory system for
         // each configuration.
-        let ops = MemTraceGen::new(11).trace(pattern, false, 64, 40_000);
+        let ops = MemTraceGen::new(11)
+            .trace(pattern, false, 64, 40_000)
+            .expect("64 B ops fit the default footprint");
         let mut row = vec![label.to_string()];
         for (cache, interleave) in [(true, true), (false, true), (true, false), (false, false)] {
             let mut mem = MemoryRbb::ddr(Vendor::Xilinx, 4, 2);

@@ -92,7 +92,9 @@ pub fn fig10c() -> Table {
         ("SeqWrite", AccessPattern::Sequential, true),
     ];
     for (label, pattern, write) in cases {
-        let ops = MemTraceGen::new(7).trace(pattern, write, 64, 30_000);
+        let ops = MemTraceGen::new(7)
+            .trace(pattern, write, 64, 30_000)
+            .expect("64 B ops fit the default footprint");
         let mut mem = MemoryRbb::ddr(Vendor::Xilinx, 4, 1);
         mem.set_cache(false);
         let native_bw = mem.run_trace(ops.iter().copied()).bandwidth_gbs();

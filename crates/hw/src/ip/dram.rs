@@ -10,7 +10,7 @@
 //! results: sequential ≫ random throughput (Figs 10c, 18c) and the benefit
 //! of interleaving (ablation benches).
 
-use harmonia_sim::{Picos, Probe, TraceEventKind};
+use harmonia_sim::{Picos, Probe, TraceCollector, TraceEventKind};
 
 /// One memory operation presented to the controller.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -127,8 +127,9 @@ impl DramTiming {
     }
 }
 
-/// A divisor fixed at construction. `x / d` and `x % d` are a shift and a
-/// mask when it is a power of two and a `u64` division otherwise.
+/// A divisor fixed at construction. A replay decides once per call whether
+/// it divides by [`ShiftMask`] (every divisor it uses is a power of two)
+/// or by [`Division`], so the per-op mapping carries no branch on it.
 ///
 /// Address mapping runs once per memory op, and every catalog geometry is
 /// a power of two, so the DRAM model and the Memory RBB build their
@@ -136,8 +137,8 @@ impl DramTiming {
 #[derive(Copy, Clone, Debug)]
 pub struct Divisor {
     d: u64,
-    /// `log2(d)` when `d` is a power of two.
-    shift: Option<u32>,
+    /// `log2(d)` when `d` is a power of two, else 0.
+    shift: u32,
 }
 
 impl Divisor {
@@ -145,32 +146,218 @@ impl Divisor {
     pub fn new(d: u64) -> Self {
         Divisor {
             d,
-            shift: d.is_power_of_two().then(|| d.trailing_zeros()),
+            shift: if d.is_power_of_two() {
+                d.trailing_zeros()
+            } else {
+                0
+            },
         }
+    }
+
+    /// Whether [`ShiftMask`] may divide by this divisor.
+    pub fn is_power_of_two(self) -> bool {
+        self.d.is_power_of_two()
     }
 }
 
-impl std::ops::Div<Divisor> for u64 {
-    type Output = u64;
+/// How a replay computes `x / d` and `x % d` for its [`Divisor`]s.
+pub trait DivMode {
+    /// `x / d`.
+    fn div(x: u64, d: Divisor) -> u64;
+    /// `x % d`.
+    fn rem(x: u64, d: Divisor) -> u64;
+}
 
-    #[inline]
-    fn div(self, d: Divisor) -> u64 {
-        match d.shift {
-            Some(s) => self >> s,
-            None => self / d.d,
-        }
+/// A shift and a mask; only for divisors that are powers of two.
+#[derive(Debug)]
+pub enum ShiftMask {}
+
+/// A `u64` division; for any non-zero divisor.
+#[derive(Debug)]
+pub enum Division {}
+
+impl DivMode for ShiftMask {
+    #[inline(always)]
+    fn div(x: u64, d: Divisor) -> u64 {
+        x >> d.shift
+    }
+
+    #[inline(always)]
+    fn rem(x: u64, d: Divisor) -> u64 {
+        x & (d.d - 1)
     }
 }
 
-impl std::ops::Rem<Divisor> for u64 {
-    type Output = u64;
+impl DivMode for Division {
+    #[inline(always)]
+    fn div(x: u64, d: Divisor) -> u64 {
+        x / d.d
+    }
 
-    #[inline]
-    fn rem(self, d: Divisor) -> u64 {
-        match d.shift {
-            Some(_) => self & (d.d - 1),
-            None => self % d.d,
+    #[inline(always)]
+    fn rem(x: u64, d: Divisor) -> u64 {
+        x % d.d
+    }
+}
+
+/// A channel's address mapping: burst size, bank count, row span across
+/// all banks and bank-group count, as divisors.
+#[derive(Copy, Clone, Debug)]
+struct Mapping {
+    burst: Divisor,
+    banks: Divisor,
+    row_span: Divisor,
+    groups: Divisor,
+    /// Every divisor is a power of two, so [`ShiftMask`] maps.
+    shifts: bool,
+}
+
+impl Mapping {
+    fn new(timing: &DramTiming) -> Self {
+        let burst = Divisor::new(u64::from(timing.burst_bytes));
+        let banks = Divisor::new(u64::from(timing.banks));
+        let row_span = Divisor::new(u64::from(timing.row_bytes) * u64::from(timing.banks));
+        let groups = Divisor::new(u64::from(timing.bank_groups));
+        Mapping {
+            shifts: [burst, banks, row_span, groups]
+                .iter()
+                .all(|d| d.is_power_of_two()),
+            burst,
+            banks,
+            row_span,
+            groups,
         }
+    }
+
+    #[inline(always)]
+    fn bank_of<M: DivMode>(&self, addr: u64) -> u64 {
+        M::rem(M::div(addr, self.burst), self.banks)
+    }
+
+    #[inline(always)]
+    fn row_of<M: DivMode>(&self, addr: u64) -> u64 {
+        M::div(addr, self.row_span)
+    }
+
+    #[inline(always)]
+    fn group_of<M: DivMode>(&self, bank: u64) -> u64 {
+        M::rem(bank, self.groups)
+    }
+}
+
+/// One bank: its open row and the next time it can accept a command.
+#[derive(Copy, Clone, Debug, Default)]
+struct Bank {
+    open_row: Option<u64>,
+    cmd_free_ps: Picos,
+}
+
+/// `last_group` before the first burst: no bank group matches it.
+const NO_GROUP: u64 = u64::MAX;
+/// `last_dir` before the first burst: `NO_DIR ^ d` is never 1.
+const NO_DIR: u64 = 2;
+
+/// `x` when `cond` holds, else 0, without a branch.
+#[inline(always)]
+fn gate(cond: bool, x: Picos) -> Picos {
+    u64::from(cond).wrapping_neg() & x
+}
+
+/// A channel's scalar state. A replay copies it into locals, steps every
+/// op on the copy and writes it back once.
+#[derive(Copy, Clone, Debug)]
+struct ChannelRegs {
+    /// Next time the data bus is free.
+    bus_free_ps: Picos,
+    /// Bank group of the last burst, or [`NO_GROUP`].
+    last_group: u64,
+    /// Direction of the last burst (1 for a write), or [`NO_DIR`].
+    last_dir: u64,
+    /// The tFAW window over the last four row activations, oldest first:
+    /// each one's start plus `faw_ps`. The first is the earliest the next
+    /// activation may start (0 until four have run).
+    faw_ends: [Picos; 4],
+    hits: u64,
+    misses: u64,
+}
+
+impl ChannelRegs {
+    const IDLE: ChannelRegs = ChannelRegs {
+        bus_free_ps: 0,
+        last_group: NO_GROUP,
+        last_dir: NO_DIR,
+        faw_ends: [0; 4],
+        hits: 0,
+        misses: 0,
+    };
+
+    /// Reserves a slot in the four-activate window at or after `t`; returns
+    /// the actual activation time. The window shifts by one slot, so every
+    /// index is a constant and the window can live in registers.
+    #[inline(always)]
+    fn reserve_activate(&mut self, t: Picos, faw_ps: Picos) -> Picos {
+        let [oldest, b, c, d] = self.faw_ends;
+        let t = t.max(oldest);
+        self.faw_ends = [b, c, d, t + faw_ps];
+        t
+    }
+
+    /// Issues `op` with its command no earlier than `issue_ps`; returns the
+    /// completion time. The one place a channel's timing is computed:
+    /// [`DramModel::access`] and [`DramModel::replay`] both run it. With
+    /// `TRACE` false, row conflicts never reach `trace`; a replay sets it
+    /// once per call from whether a probe is attached.
+    #[inline(always)]
+    fn step<M: DivMode, const TRACE: bool>(
+        &mut self,
+        timing: &DramTiming,
+        map: &Mapping,
+        banks: &mut [Bank],
+        trace: &TraceCollector,
+        issue_ps: Picos,
+        op: MemOp,
+    ) -> Picos {
+        let bank_no = map.bank_of::<M>(op.addr);
+        let row = map.row_of::<M>(op.addr);
+        let group = map.group_of::<M>(bank_no);
+        let bank = &mut banks[bank_no as usize];
+
+        let mut t = issue_ps.max(bank.cmd_free_ps);
+        if bank.open_row == Some(row) {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+            bank.open_row = Some(row);
+            if TRACE && trace.is_enabled() {
+                trace.instant(
+                    t,
+                    TraceEventKind::DramRowConflict {
+                        bank: bank_no as u32,
+                    },
+                );
+            }
+            t = self.reserve_activate(t, timing.faw_ps) + timing.row_miss_extra_ps;
+        }
+
+        let dir = u64::from(op.is_write);
+        let group_gap = gate(self.last_group == group, timing.same_group_gap_ps);
+        let turnaround = gate(self.last_dir ^ dir == 1, timing.turnaround_ps);
+        let bursts = M::div(
+            u64::from(op.bytes) + u64::from(timing.burst_bytes) - 1,
+            map.burst,
+        );
+        // Data appears CAS after the column command, but the bus is only
+        // occupied for the burst itself — commands pipeline underneath.
+        let data_start = (t + timing.cas_ps).max(self.bus_free_ps + group_gap + turnaround);
+        let done = data_start + bursts * timing.burst_ps;
+
+        self.bus_free_ps = done;
+        // The bank can take its next column command once this burst is on
+        // the wire (tCCD spacing is enforced by the bus occupancy).
+        bank.cmd_free_ps = data_start - timing.cas_ps + timing.burst_ps;
+        self.last_group = group;
+        self.last_dir = dir;
+        done
     }
 }
 
@@ -183,26 +370,9 @@ impl std::ops::Rem<Divisor> for u64 {
 #[derive(Clone, Debug)]
 pub struct DramModel {
     timing: DramTiming,
-    /// Address-mapping divisors from `timing`: burst size, bank count,
-    /// row span across all banks, bank-group count.
-    burst: Divisor,
-    banks: Divisor,
-    row_span: Divisor,
-    groups: Divisor,
-    open_rows: Vec<Option<u64>>,
-    /// Next time each bank can accept a command.
-    bank_cmd_free_ps: Vec<Picos>,
-    /// Next time the data bus is free.
-    bus_free_ps: Picos,
-    last_group: Option<u32>,
-    last_was_write: Option<bool>,
-    /// The tFAW window as a ring over the last four row activations:
-    /// slot `faw_next` holds the oldest one's start plus `faw_ps`, the
-    /// earliest the next activation may start (0 until four have run).
-    faw_ends: [Picos; 4],
-    faw_next: usize,
-    hits: u64,
-    misses: u64,
+    map: Mapping,
+    banks: Vec<Bank>,
+    regs: ChannelRegs,
     probe: Probe,
 }
 
@@ -210,20 +380,10 @@ impl DramModel {
     /// Creates a channel with the given timing.
     pub fn new(timing: DramTiming) -> Self {
         DramModel {
-            open_rows: vec![None; timing.banks as usize],
-            bank_cmd_free_ps: vec![0; timing.banks as usize],
-            bus_free_ps: 0,
-            last_group: None,
-            last_was_write: None,
-            faw_ends: [0; 4],
-            faw_next: 0,
-            burst: Divisor::new(u64::from(timing.burst_bytes)),
-            banks: Divisor::new(u64::from(timing.banks)),
-            row_span: Divisor::new(u64::from(timing.row_bytes) * u64::from(timing.banks)),
-            groups: Divisor::new(u64::from(timing.bank_groups)),
+            map: Mapping::new(&timing),
+            banks: vec![Bank::default(); timing.banks as usize],
+            regs: ChannelRegs::IDLE,
             timing,
-            hits: 0,
-            misses: 0,
             probe: Probe::disabled(),
         }
     }
@@ -239,97 +399,86 @@ impl DramModel {
         &self.timing
     }
 
-    fn bank_of(&self, addr: u64) -> u32 {
-        ((addr / self.burst) % self.banks) as u32
-    }
-
-    fn row_of(&self, addr: u64) -> u64 {
-        addr / self.row_span
-    }
-
-    fn group_of(&self, bank: u32) -> u32 {
-        (u64::from(bank) % self.groups) as u32
-    }
-
-    /// Reserves a slot in the four-activate window at or after `t`; returns
-    /// the actual activation time.
-    fn reserve_activate(&mut self, t: Picos) -> Picos {
-        let t = t.max(self.faw_ends[self.faw_next]);
-        self.faw_ends[self.faw_next] = t + self.timing.faw_ps;
-        self.faw_next = (self.faw_next + 1) % 4;
-        t
-    }
-
     /// Issues one operation whose command may start at `issue_ps`; returns
     /// the completion time (last data beat plus CAS latency).
     ///
     /// Pass the enqueue time for latency studies, or a constant 0 to model
     /// a saturated in-order request queue for throughput studies.
     pub fn access(&mut self, issue_ps: Picos, op: MemOp) -> Picos {
-        let bank = self.bank_of(op.addr) as usize;
-        let row = self.row_of(op.addr);
-        let group = self.group_of(bank as u32);
-
-        let mut t = issue_ps.max(self.bank_cmd_free_ps[bank]);
-        if self.open_rows[bank] == Some(row) {
-            self.hits += 1;
+        if self.map.shifts {
+            self.access_in::<ShiftMask>(issue_ps, op)
         } else {
-            self.misses += 1;
-            self.open_rows[bank] = Some(row);
-            self.probe
-                .trace
-                .instant(t, TraceEventKind::DramRowConflict { bank: bank as u32 });
-            t = self.reserve_activate(t) + self.timing.row_miss_extra_ps;
+            self.access_in::<Division>(issue_ps, op)
         }
+    }
 
-        let group_gap = if self.last_group == Some(group) {
-            self.timing.same_group_gap_ps
-        } else {
-            0
-        };
-        let turnaround = match self.last_was_write {
-            Some(w) if w != op.is_write => self.timing.turnaround_ps,
-            _ => 0,
-        };
+    fn access_in<M: DivMode>(&mut self, issue_ps: Picos, op: MemOp) -> Picos {
+        let DramModel {
+            timing,
+            map,
+            banks,
+            regs,
+            probe,
+        } = self;
+        regs.step::<M, true>(timing, map, banks, &probe.trace, issue_ps, op)
+    }
 
-        let bursts = (u64::from(op.bytes) + u64::from(self.timing.burst_bytes) - 1) / self.burst;
-        // Data appears CAS after the column command, but the bus is only
-        // occupied for the burst itself — commands pipeline underneath.
-        let data_start = (t + self.timing.cas_ps).max(self.bus_free_ps + group_gap + turnaround);
-        let done = data_start + bursts * self.timing.burst_ps;
+    /// Issues `ops` in order on a saturated queue, as folding
+    /// [`access`](Self::access)`(0, op)` over them would; returns the last
+    /// completion, which is [`busy_until`](Self::busy_until) afterwards.
+    ///
+    /// The mapping and whether a probe is attached are decided once for
+    /// the slice, and the channel's state is held in locals throughout and
+    /// written back once.
+    pub fn replay(&mut self, ops: &[MemOp]) -> Picos {
+        match (self.map.shifts, self.probe.trace.is_enabled()) {
+            (true, false) => self.replay_in::<ShiftMask, false>(ops),
+            (true, true) => self.replay_in::<ShiftMask, true>(ops),
+            (false, false) => self.replay_in::<Division, false>(ops),
+            (false, true) => self.replay_in::<Division, true>(ops),
+        }
+    }
 
-        self.bus_free_ps = done;
-        // The bank can take its next column command once this burst is on
-        // the wire (tCCD spacing is enforced by the bus occupancy).
-        self.bank_cmd_free_ps[bank] = data_start - self.timing.cas_ps + self.timing.burst_ps;
-        self.last_group = Some(group);
-        self.last_was_write = Some(op.is_write);
-        done
+    fn replay_in<M: DivMode, const TRACE: bool>(&mut self, ops: &[MemOp]) -> Picos {
+        let DramModel {
+            timing,
+            map,
+            banks,
+            regs,
+            probe,
+        } = self;
+        let banks = banks.as_mut_slice();
+        let mut r = *regs;
+        for &op in ops {
+            r.step::<M, TRACE>(timing, map, banks, &probe.trace, 0, op);
+        }
+        *regs = r;
+        r.bus_free_ps
     }
 
     /// The time the data bus is busy until — the channel's "current time"
     /// for back-to-back trace runs.
     pub fn busy_until(&self) -> Picos {
-        self.bus_free_ps
+        self.regs.bus_free_ps
     }
 
     /// Row-buffer hits so far.
     pub fn row_hits(&self) -> u64 {
-        self.hits
+        self.regs.hits
     }
 
     /// Row-buffer misses so far.
     pub fn row_misses(&self) -> u64 {
-        self.misses
+        self.regs.misses
     }
 
     /// Row-hit ratio in `[0, 1]`; 0 when no accesses occurred.
     pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
+        let total = self.regs.hits + self.regs.misses;
         if total == 0 {
             0.0
         } else {
-            self.hits as f64 / total as f64
+            self.regs.hits as f64 / total as f64
         }
     }
 }
@@ -398,8 +547,8 @@ mod tests {
     }
 
     forall! {
-        /// `Divisor` equals `/` and `%` for powers of two and for any other
-        /// non-zero divisor.
+        /// Both division modes equal `/` and `%`: `Division` for any
+        /// non-zero divisor, `ShiftMask` for powers of two.
         #[test]
         fn divisor_matches_division(
             x in any::<u64>(),
@@ -409,12 +558,18 @@ mod tests {
         ) {
             let d = if pow2 { 1u64 << log2 } else { other };
             let div = Divisor::new(d);
-            prop_assert_eq!(x / div, x / d, "{x} / {d}");
-            prop_assert_eq!(x % div, x % d, "{x} % {d}");
+            prop_assert_eq!(div.is_power_of_two(), d.is_power_of_two());
+            prop_assert_eq!(Division::div(x, div), x / d, "{x} / {d}");
+            prop_assert_eq!(Division::rem(x, div), x % d, "{x} % {d}");
+            if pow2 {
+                prop_assert_eq!(ShiftMask::div(x, div), x / d, "{x} >> log2 {d}");
+                prop_assert_eq!(ShiftMask::rem(x, div), x % d, "{x} & {d} - 1");
+            }
         }
 
         /// Bank, row and bank-group mapping equal the division mapping on
-        /// random addresses, for every geometry.
+        /// random addresses, for every geometry, in the mode the channel
+        /// picks for it: shifts for the catalog, division for the others.
         #[test]
         fn address_mapping_matches_division(
             addr in any::<u64>(),
@@ -422,11 +577,88 @@ mod tests {
             which in 0usize..5,
         ) {
             let t = mapping_geometries()[which];
-            let m = DramModel::new(t);
+            let map = DramModel::new(t).map;
+            prop_assert_eq!(map.shifts, which < 3, "geometry {which}");
             let (burst, banks) = (u64::from(t.burst_bytes), u64::from(t.banks));
-            prop_assert_eq!(m.bank_of(addr), ((addr / burst) % banks) as u32);
-            prop_assert_eq!(m.row_of(addr), addr / (u64::from(t.row_bytes) * banks));
-            prop_assert_eq!(m.group_of(bank), bank % t.bank_groups);
+            let want = (
+                (addr / burst) % banks,
+                addr / (u64::from(t.row_bytes) * banks),
+                u64::from(bank % t.bank_groups),
+            );
+            let bank = u64::from(bank);
+            let got = if map.shifts {
+                (map.bank_of::<ShiftMask>(addr), map.row_of::<ShiftMask>(addr), map.group_of::<ShiftMask>(bank))
+            } else {
+                (map.bank_of::<Division>(addr), map.row_of::<Division>(addr), map.group_of::<Division>(bank))
+            };
+            prop_assert_eq!(got, want);
+        }
+    }
+
+    forall! {
+        /// `replay` leaves a channel exactly where folding `access` over
+        /// the same ops leaves it, for every geometry (the odd ones take
+        /// the division path). The ops, of random sizes and directions,
+        /// are split into several `replay` calls mixed with single
+        /// `access` calls at non-zero issue times; each call's completion,
+        /// the bus time, the row counts and, with a probe attached, the
+        /// row-conflict events must agree. For tFAW to bind, the addresses
+        /// may walk the banks, opening a new row each time, and the ops may
+        /// all be short enough (at most 128 bytes) to leave the bus room.
+        #[test]
+        fn replay_matches_access_fold(
+            which in 0usize..5,
+            calls in collection::vec(
+                (
+                    collection::vec((any::<u64>(), 0u32..=4096, any::<bool>()), 0..48),
+                    any::<bool>(),
+                    1u64..2_000_000,
+                ),
+                1..8,
+            ),
+            walk in any::<bool>(),
+            short in any::<bool>(),
+            probed in any::<bool>(),
+        ) {
+            let t = mapping_geometries()[which];
+            let (mut replayed, mut folded) = (DramModel::new(t), DramModel::new(t));
+            let probes = probed.then(|| (Probe::enabled(), Probe::enabled()));
+            if let Some((a, b)) = &probes {
+                replayed.set_probe(a.clone());
+                folded.set_probe(b.clone());
+            }
+            // One burst plus one row of every bank: the next bank, a new row.
+            let walk_stride = u64::from(t.burst_bytes) + u64::from(t.row_bytes) * u64::from(t.banks);
+            for (i, (ops, single, issue_ps)) in calls.into_iter().enumerate() {
+                let base = ops.first().map_or(0, |op| op.0);
+                let ops: Vec<MemOp> = ops
+                    .into_iter()
+                    .enumerate()
+                    .map(|(j, (addr, bytes, is_write))| MemOp {
+                        addr: if walk { base.wrapping_add(j as u64 * walk_stride) } else { addr },
+                        bytes: if short { bytes % 129 } else { bytes },
+                        is_write,
+                    })
+                    .collect();
+                if single {
+                    for (j, &op) in ops.iter().enumerate() {
+                        let want = folded.access(issue_ps, op);
+                        prop_assert_eq!(replayed.access(issue_ps, op), want, "call {i}, op {j}");
+                    }
+                } else {
+                    let start = folded.busy_until();
+                    let want = ops.iter().fold(start, |_, &op| folded.access(0, op));
+                    prop_assert_eq!(replayed.replay(&ops), want, "call {i}");
+                }
+                prop_assert_eq!(replayed.busy_until(), folded.busy_until(), "call {i}");
+                prop_assert_eq!(replayed.row_hits(), folded.row_hits(), "call {i}");
+                prop_assert_eq!(replayed.row_misses(), folded.row_misses(), "call {i}");
+            }
+            if let Some((a, b)) = probes {
+                let (a, b) = (a.trace.take(), b.trace.take());
+                prop_assert_eq!(a.len() as u64, replayed.row_misses());
+                prop_assert_eq!(a.events(), b.events());
+            }
         }
     }
 
@@ -439,13 +671,13 @@ mod tests {
             faw_ps in 0u64..100_000,
             steps in collection::vec(0u64..40_000, 0..64),
         ) {
-            let mut m = DramModel::new(DramTiming { faw_ps, ..DramTiming::ddr4_2400() });
+            let mut regs = ChannelRegs::IDLE;
             let mut queue = std::collections::VecDeque::new();
             let mut t = 0;
             for (i, step) in steps.into_iter().enumerate() {
                 t += step;
                 let want = reserve_activate_queue(&mut queue, faw_ps, t);
-                prop_assert_eq!(m.reserve_activate(t), want, "activation {i} at {t}");
+                prop_assert_eq!(regs.reserve_activate(t, faw_ps), want, "activation {i} at {t}");
             }
         }
     }

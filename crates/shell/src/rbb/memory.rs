@@ -9,7 +9,7 @@
 //! the device: 2 channels for DDR, 32 for HBM.
 
 use crate::rbb::{LogicComponent, LogicPart, Portability, Rbb, RbbKind};
-use harmonia_hw::ip::dram::{Divisor, DramModel, MemOp};
+use harmonia_hw::ip::dram::{DivMode, Division, Divisor, DramModel, MemOp, ShiftMask};
 use harmonia_hw::ip::{DdrIp, HbmIp, VendorIp};
 use harmonia_hw::regfile::{Access, RegisterFile};
 use harmonia_hw::resource::ResourceUsage;
@@ -56,14 +56,29 @@ impl HotCache {
         }
     }
 
-    fn slot_and_tag(&self, addr: u64) -> (usize, u64) {
-        let line = addr / self.line_bytes;
-        ((line % self.slots) as usize, line)
+    /// Whether [`ShiftMask`] may map this cache's addresses.
+    fn shifts(&self) -> bool {
+        self.line_bytes.is_power_of_two() && self.slots.is_power_of_two()
+    }
+
+    #[inline(always)]
+    fn slot_and_tag<M: DivMode>(&self, addr: u64) -> (usize, u64) {
+        let line = M::div(addr, self.line_bytes);
+        (M::rem(line, self.slots) as usize, line)
     }
 
     /// Looks up a read; fills the line on miss. Returns hit/miss.
     pub fn lookup_fill(&mut self, addr: u64) -> bool {
-        let (slot, tag) = self.slot_and_tag(addr);
+        if self.shifts() {
+            self.lookup_fill_in::<ShiftMask>(addr)
+        } else {
+            self.lookup_fill_in::<Division>(addr)
+        }
+    }
+
+    #[inline(always)]
+    fn lookup_fill_in<M: DivMode>(&mut self, addr: u64) -> bool {
+        let (slot, tag) = self.slot_and_tag::<M>(addr);
         if self.tags[slot] == Some(tag) {
             self.hits += 1;
             true
@@ -76,7 +91,16 @@ impl HotCache {
 
     /// Invalidates the line containing `addr` (write-through policy).
     pub fn invalidate(&mut self, addr: u64) {
-        let (slot, tag) = self.slot_and_tag(addr);
+        if self.shifts() {
+            self.invalidate_in::<ShiftMask>(addr)
+        } else {
+            self.invalidate_in::<Division>(addr)
+        }
+    }
+
+    #[inline(always)]
+    fn invalidate_in<M: DivMode>(&mut self, addr: u64) {
+        let (slot, tag) = self.slot_and_tag::<M>(addr);
         if self.tags[slot] == Some(tag) {
             self.tags[slot] = None;
         }
@@ -150,6 +174,8 @@ impl MemoryRbb {
     pub const CACHE_LINES: usize = 256;
     /// Cache line size in bytes.
     pub const CACHE_LINE_BYTES: u64 = 4096;
+    /// Ops a channel collects in `run_trace` before it replays them.
+    const REPLAY_CHUNK: usize = 64;
 
     /// Creates a DDR-backed Memory RBB with `channels` channels.
     ///
@@ -251,7 +277,35 @@ impl MemoryRbb {
 
     /// Runs a trace of memory operations; the queue is kept saturated
     /// (issue time 0) so the result reflects steady-state bandwidth.
+    ///
+    /// A two-stage pipeline. Ops pass the hot cache in trace order, and
+    /// each DRAM-bound op is routed to its channel's chunk, in order. A
+    /// channel replays its chunk with [`DramModel::replay`] once it is
+    /// full, and at the end of the trace. This is exactly the per-op
+    /// replay: channels share no state, and the cache never reads DRAM
+    /// timing.
     pub fn run_trace<I: IntoIterator<Item = MemOp>>(&mut self, ops: I) -> MemTraceResult {
+        let shifts = self.cache.shifts()
+            && self.region().is_power_of_two()
+            && self.channel_count.is_power_of_two();
+        if shifts {
+            self.run_trace_in::<ShiftMask>(ops.into_iter())
+        } else {
+            self.run_trace_in::<Division>(ops.into_iter())
+        }
+    }
+
+    /// Channel of an op: its stripe (interleaved) or region (contiguous),
+    /// modulo the channel count.
+    fn region(&self) -> Divisor {
+        if self.interleave_enabled {
+            self.stripe_bytes
+        } else {
+            self.channel_span_bytes
+        }
+    }
+
+    fn run_trace_in<M: DivMode>(&mut self, ops: impl Iterator<Item = MemOp>) -> MemTraceResult {
         // Channels keep absolute time across calls; measure this trace
         // relative to where they already were.
         let t0: Picos = self
@@ -265,29 +319,43 @@ impl MemoryRbb {
         let mut bytes = 0u64;
         let mut dram_bytes = 0u64;
         let mut cache_hits = 0u64;
-        // Channel of an op: its stripe (interleaved) or region
-        // (contiguous), modulo the channel count.
-        let region = if self.interleave_enabled {
-            self.stripe_bytes
-        } else {
-            self.channel_span_bytes
-        };
+        let region = self.region();
         let cache_enabled = self.cache_enabled;
+        // Channel `ch`'s chunk is `chunks[ch * CHUNK..][..lens[ch]]`.
+        const CHUNK: usize = MemoryRbb::REPLAY_CHUNK;
+        let mut chunks = vec![MemOp::read(0, 0); self.channels.len() * CHUNK];
+        let mut lens = vec![0usize; self.channels.len()];
         for op in ops {
             bytes += u64::from(op.bytes);
             if cache_enabled {
                 if op.is_write {
-                    self.cache.invalidate(op.addr);
-                } else if self.cache.lookup_fill(op.addr) {
+                    self.cache.invalidate_in::<M>(op.addr);
+                } else if self.cache.lookup_fill_in::<M>(op.addr) {
                     cache_hits += 1;
-                    cache_port_busy += self.cache_port_ps
-                        * u64::from(op.bytes.div_ceil(64));
+                    cache_port_busy += self.cache_port_ps * u64::from(op.bytes.div_ceil(64));
                     continue;
                 }
             }
-            let ch = ((op.addr / region) % self.channel_count) as usize;
-            dram_done = dram_done.max(self.channels[ch].access(0, op));
             dram_bytes += u64::from(op.bytes);
+            let ch = M::rem(M::div(op.addr, region), self.channel_count) as usize;
+            let chunk = &mut chunks[ch * CHUNK..][..CHUNK];
+            let len = &mut lens[ch];
+            chunk[*len] = op;
+            *len += 1;
+            if *len == CHUNK {
+                dram_done = dram_done.max(self.channels[ch].replay(chunk));
+                *len = 0;
+            }
+        }
+        for ((channel, chunk), &len) in self
+            .channels
+            .iter_mut()
+            .zip(chunks.chunks(CHUNK))
+            .zip(&lens)
+        {
+            if len > 0 {
+                dram_done = dram_done.max(channel.replay(&chunk[..len]));
+            }
         }
         MemTraceResult {
             makespan_ps: (dram_done - t0).max(cache_port_busy),
@@ -411,12 +479,60 @@ mod tests {
     use crate::rbb::MigrationKind;
     use harmonia_testkit::prelude::*;
 
+    /// The Memory RBB's replay loop as it was before the chunk pipeline:
+    /// each op passes the cache, then `access(0, op)` on its channel.
+    /// The oracle for `run_trace`.
+    fn per_op_replay(
+        channels: &mut [DramModel],
+        mut cache: Option<&mut HotCache>,
+        region: u64,
+        ops: &[MemOp],
+    ) -> MemTraceResult {
+        let t0 = channels
+            .iter()
+            .map(DramModel::busy_until)
+            .max()
+            .unwrap_or(0);
+        let mut r = MemTraceResult::default();
+        let (mut cache_port_busy, mut dram_done) = (0, t0);
+        for &op in ops {
+            r.bytes += u64::from(op.bytes);
+            if let Some(cache) = cache.as_deref_mut() {
+                if op.is_write {
+                    cache.invalidate(op.addr);
+                } else if cache.lookup_fill(op.addr) {
+                    r.cache_hits += 1;
+                    cache_port_busy += 1_500 * u64::from(op.bytes.div_ceil(64));
+                    continue;
+                }
+            }
+            let ch = ((op.addr / region) % channels.len() as u64) as usize;
+            dram_done = dram_done.max(channels[ch].access(0, op));
+            r.dram_bytes += u64::from(op.bytes);
+        }
+        r.makespan_ps = (dram_done - t0).max(cache_port_busy);
+        r
+    }
+
+    /// Ops from `(addr, bytes, is_write, local)` draws; a local op stays
+    /// in the low 4 MiB, where the 1 MiB cache and open rows can hit.
+    fn draw_ops(draws: Vec<(u64, u32, bool, bool)>) -> Vec<MemOp> {
+        draws
+            .into_iter()
+            .map(|(addr, bytes, is_write, local)| MemOp {
+                addr: if local { addr % (4 << 20) } else { addr },
+                bytes,
+                is_write,
+            })
+            .collect()
+    }
+
     forall! {
         /// Channel and cache-slot mapping equal the division mapping on
         /// random addresses (an op replays on its channel and no other):
         /// for 1, 2 and 3 DDR channels and 32 HBM channels with interleave
         /// on and off, and for the default cache geometry and one that is
-        /// not a power of two.
+        /// not a power of two, each in the mode it picks.
         #[test]
         fn address_mapping_matches_division(
             addr in any::<u64>(),
@@ -439,37 +555,54 @@ mod tests {
             let default = (MemoryRbb::CACHE_LINES, MemoryRbb::CACHE_LINE_BYTES);
             for (lines, line_bytes) in [default, (100, 3000)] {
                 let line = addr / line_bytes;
-                prop_assert_eq!(
-                    HotCache::new(lines, line_bytes).slot_and_tag(addr),
-                    ((line % lines as u64) as usize, line)
-                );
+                let cache = HotCache::new(lines, line_bytes);
+                prop_assert_eq!(cache.shifts(), lines == MemoryRbb::CACHE_LINES);
+                let got = if cache.shifts() {
+                    cache.slot_and_tag::<ShiftMask>(addr)
+                } else {
+                    cache.slot_and_tag::<Division>(addr)
+                };
+                prop_assert_eq!(got, ((line % lines as u64) as usize, line));
             }
         }
 
-        /// A one-channel, cache-off RBB replays a trace exactly as folding
-        /// `DramModel::access(0, op)` over it on a fresh channel: every op
-        /// lands on channel 0 and completions never decrease, so the RBB's
-        /// latest completion is the fold's last one. The second run checks
-        /// that a makespan is measured from where the channel already was.
+        /// `run_trace` gives exactly what the per-op loop gives, for 1, 2
+        /// and 3 DDR channels and 32 HBM channels, cache and interleave
+        /// each on and off, on traces that span several chunks: the same
+        /// result, and every channel and the cache left in the same state.
+        /// The second run checks that a makespan is measured from where the
+        /// channels already were.
         #[test]
-        fn one_channel_replay_matches_access_fold(
+        fn run_trace_matches_the_per_op_loop(
+            which in 0usize..4,
             gen in 3u8..=4,
-            first in collection::vec((any::<u64>(), 0u32..=4096, any::<bool>()), 0..48),
-            second in collection::vec((any::<u64>(), 0u32..=4096, any::<bool>()), 0..48),
+            cache in any::<bool>(),
+            interleave in any::<bool>(),
+            first in collection::vec((any::<u64>(), prop_oneof![0u32..=128, 0u32..=4096], any::<bool>(), any::<bool>()), 0..700),
+            second in collection::vec((any::<u64>(), prop_oneof![0u32..=128, 0u32..=4096], any::<bool>(), any::<bool>()), 0..700),
         ) {
-            let mut rbb = MemoryRbb::ddr(Vendor::Xilinx, gen, 1);
-            rbb.set_cache(false);
-            let mut channel = DdrIp::new(Vendor::Xilinx, gen).channel();
-            for run in [first, second] {
-                let ops: Vec<MemOp> = run
-                    .into_iter()
-                    .map(|(addr, bytes, is_write)| MemOp { addr, bytes, is_write })
-                    .collect();
-                let start = channel.busy_until();
-                let end = ops.iter().fold(start, |_, &op| channel.access(0, op));
-                let r = rbb.run_trace(ops.iter().copied());
-                prop_assert_eq!(r.makespan_ps, end - start);
-                prop_assert_eq!(r.bytes, ops.iter().map(|op| u64::from(op.bytes)).sum::<u64>());
+            let (mut rbb, mut channels) = match which {
+                3 => (MemoryRbb::hbm(Vendor::Xilinx), HbmIp::new(Vendor::Xilinx).channels()),
+                n => {
+                    let ip = DdrIp::new(Vendor::Xilinx, gen);
+                    (MemoryRbb::ddr(Vendor::Xilinx, gen, n as u32 + 1), vec![ip.channel(); n + 1])
+                }
+            };
+            rbb.set_cache(cache);
+            rbb.set_interleave(interleave);
+            let mut hot = HotCache::new(MemoryRbb::CACHE_LINES, MemoryRbb::CACHE_LINE_BYTES);
+            let region = if interleave { 4096 } else { 1 << 28 };
+            for (run, draws) in [first, second].into_iter().enumerate() {
+                let ops = draw_ops(draws);
+                let want = per_op_replay(&mut channels, cache.then_some(&mut hot), region, &ops);
+                prop_assert_eq!(rbb.run_trace(ops.iter().copied()), want, "run {run}");
+                for (ch, (got, want)) in rbb.channels.iter().zip(&channels).enumerate() {
+                    prop_assert_eq!(got.busy_until(), want.busy_until(), "run {run}, channel {ch}");
+                    prop_assert_eq!(got.row_hits(), want.row_hits(), "run {run}, channel {ch}");
+                    prop_assert_eq!(got.row_misses(), want.row_misses(), "run {run}, channel {ch}");
+                }
+                prop_assert_eq!(rbb.cache.hits(), hot.hits(), "run {run}");
+                prop_assert_eq!(rbb.cache.misses(), hot.misses(), "run {run}");
             }
         }
     }

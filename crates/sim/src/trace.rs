@@ -388,7 +388,9 @@ impl TraceCollector {
         }
     }
 
-    /// Whether this handle records anything.
+    /// Whether this handle records anything. Inlined, so a hot loop in
+    /// another crate can skip a disabled hook without a call.
+    #[inline]
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
     }

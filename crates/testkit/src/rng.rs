@@ -104,6 +104,17 @@ pub trait SampleRange {
     fn sample(self, rng: &mut DetRng) -> Self::Output;
 }
 
+/// `draw % span` for a non-zero span; a mask when the span is a power of
+/// two, which is the same remainder.
+#[inline]
+fn reduce(draw: u64, span: u64) -> u64 {
+    if span.is_power_of_two() {
+        draw & (span - 1)
+    } else {
+        draw % span
+    }
+}
+
 // Every span but the full inclusive `u64` range fits in a `u64`, so the
 // remainder is a `u64` one; the full range keeps the raw draw, which is
 // what a remainder by 2^64 would give.
@@ -114,7 +125,7 @@ macro_rules! int_sample_ranges {
             fn sample(self, rng: &mut DetRng) -> $t {
                 assert!(self.start < self.end, "empty range");
                 let span = (self.end - self.start) as u64;
-                self.start + (rng.next_u64() % span) as $t
+                self.start + reduce(rng.next_u64(), span) as $t
             }
         }
 
@@ -124,7 +135,7 @@ macro_rules! int_sample_ranges {
                 assert!(self.start() <= self.end(), "empty range");
                 let draw = rng.next_u64();
                 let offset = match ((*self.end() - *self.start()) as u64).checked_add(1) {
-                    Some(span) => draw % span,
+                    Some(span) => reduce(draw, span),
                     None => draw,
                 };
                 self.start() + offset as $t
@@ -157,25 +168,34 @@ mod tests {
     forall! {
         /// `gen_range` samples what the `u128` remainder of the draw by
         /// the span gives, for every integer width and both range kinds:
-        /// random bounds, nearby bounds, and the type's full range.
+        /// random bounds, nearby bounds, the type's full range, and spans
+        /// that are powers of two (the mask path).
         #[test]
         fn gen_range_matches_u128_remainder(
             seed in any::<u64>(),
             a in any::<u64>(),
             b in any::<u64>(),
             gap in any::<u8>(),
-            shape in 0u8..3,
+            shape in 0u8..4,
         ) {
             let draw = DetRng::new(seed).next_u64() as u128;
             macro_rules! check {
                 ($($t:ty),*) => {$({
                     let x = a as $t;
+                    // Shape 3: a span of 2^k, so `lo..hi` and `lo..=hi - 1`
+                    // both mask.
+                    let pow2 = (1 as $t) << (u32::from(gap) % <$t>::BITS);
                     let y = match shape {
                         0 => b as $t,
                         1 => x.saturating_add(gap as $t),
-                        _ => <$t>::MAX,
+                        2 => <$t>::MAX,
+                        _ => x.min(<$t>::MAX - pow2) + pow2,
                     };
-                    let (lo, hi) = if shape == 2 { (<$t>::MIN, y) } else { (x.min(y), x.max(y)) };
+                    let (lo, hi) = match shape {
+                        2 => (<$t>::MIN, y),
+                        3 => (y - pow2, y),
+                        _ => (x.min(y), x.max(y)),
+                    };
                     let span = hi as u128 - lo as u128;
                     prop_assert_eq!(
                         DetRng::new(seed).gen_range(lo..=hi),
@@ -187,6 +207,11 @@ mod tests {
                             DetRng::new(seed).gen_range(lo..hi),
                             lo + (draw % span) as $t,
                             "{}: {lo}..{hi}", stringify!($t)
+                        );
+                        prop_assert_eq!(
+                            DetRng::new(seed).gen_range(lo..=hi - 1),
+                            lo + (draw % span) as $t,
+                            "{}: {lo}..={}", stringify!($t), hi - 1
                         );
                     }
                 })*};

@@ -86,19 +86,31 @@ impl VectorDbWorkload {
             (0.0..=1.0).contains(&write_ratio),
             "write ratio must be a fraction"
         );
-        let stride = u64::from(self.access_bytes);
-        (0..count as u64)
-            .map(|i| {
+        let (bytes, stride) = (self.access_bytes, u64::from(self.access_bytes));
+        let vectors = self.vectors;
+        // Sequential and fixed walk op `i` to index `i % wrap`, counting.
+        let wrap = match mode {
+            AccessMode::Fixed => self.hot_vectors,
+            _ => vectors,
+        };
+        let mut next = 0;
+        (0..count)
+            .map(|_| {
                 let index = match mode {
-                    AccessMode::Sequential => i % self.vectors,
-                    AccessMode::Fixed => i % self.hot_vectors,
-                    AccessMode::Random => self.rng.gen_range(0..self.vectors),
+                    AccessMode::Random => self.rng.gen_range(0..vectors),
+                    AccessMode::Sequential | AccessMode::Fixed => {
+                        let index = next;
+                        next += 1;
+                        if next == wrap {
+                            next = 0;
+                        }
+                        index
+                    }
                 };
-                let addr = index * stride;
-                if self.rng.gen_bool(write_ratio) {
-                    MemOp::write(addr, self.access_bytes)
-                } else {
-                    MemOp::read(addr, self.access_bytes)
+                MemOp {
+                    addr: index * stride,
+                    bytes,
+                    is_write: self.rng.next_f64() < write_ratio,
                 }
             })
             .collect()
