@@ -76,6 +76,29 @@ if grep -rnE 'HARMONIA_[T]RACE|HARMONIA_[M]ETRICS|HARMONIA_[T]ENANT_|push_[t]rac
     exit 1
 fi
 
+echo "==> every pub fn has a caller: none under crates/*/src is named only at its definition"
+# One counting pass over every identifier in crates/, examples/, tests/
+# and benchmark/src: a `pub fn` whose name occurs once occurs only where it
+# is defined, so nothing calls it (see DESIGN.md).
+uncalled=$(
+    { grep -rhoE 'pub (const |unsafe )?fn [A-Za-z_][A-Za-z0-9_]*' crates/*/src \
+        | sed -E 's/^.* /def /'
+      grep -rhoE --include='*.rs' '[A-Za-z_][A-Za-z0-9_]*' crates examples tests benchmark/src \
+        | sort | uniq -c
+    } | awk '$1 == "def" { def[$2] = 1; next } { n[$2] = $1 } END { for (f in def) if (n[f] == 1) print f }' \
+      | sort
+)
+if [ -n "$uncalled" ]; then
+    printf '%s\n' "$uncalled"
+    echo "ci.sh: delete the pub fns above or give them a caller (see DESIGN.md)" >&2
+    exit 1
+fi
+
+echo "==> compiler gate: zero warnings on every target"
+# Items that nothing outside their crate uses are pub(crate), so rustc's
+# dead_code lint reports any that nothing inside it uses either.
+RUSTFLAGS="-D warnings" cargo check --workspace --all-targets --offline --locked
+
 echo "==> tier-1: release build"
 cargo build --release --workspace --offline --locked
 

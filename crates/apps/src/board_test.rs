@@ -110,13 +110,14 @@ impl BoardTest {
 
     /// Injects a stuck-at fault into the memory test (verifies the tester
     /// actually detects failures).
-    pub fn with_injected_memory_fault(mut self) -> Self {
+    #[cfg(test)]
+    fn with_injected_memory_fault(mut self) -> Self {
         self.inject_memory_fault = true;
         self
     }
 
     /// Marching-ones/zeros plus random-pattern memory test.
-    pub fn memory_pattern_test(&self) -> StageResult {
+    pub(crate) fn memory_pattern_test(&self) -> StageResult {
         let mut img = MemImage::new(self.test_words);
         let mut ok = true;
         // Walking ones.
@@ -154,7 +155,7 @@ impl BoardTest {
     }
 
     /// Memory bandwidth stage against the Memory RBB model.
-    pub fn memory_bandwidth_test(&self, mem: &mut MemoryRbb, min_gbs: f64) -> StageResult {
+    pub(crate) fn memory_bandwidth_test(&self, mem: &mut MemoryRbb, min_gbs: f64) -> StageResult {
         // Measure the external memory itself, not the hot cache.
         mem.set_cache(false);
         let ops = (0..100_000u64).map(|i| MemOp::read(i * 64, 64));
@@ -169,7 +170,7 @@ impl BoardTest {
 
     /// Network loopback: frames out and back, count + integrity by size
     /// sweep; measured value is the worst-case goodput.
-    pub fn network_loopback_test(&self, mac: &MacIp) -> StageResult {
+    pub(crate) fn network_loopback_test(&self, mac: &MacIp) -> StageResult {
         let mut min_goodput = f64::INFINITY;
         let mut ok = true;
         for &size in &[64u32, 256, 1024, 1500] {
@@ -189,7 +190,7 @@ impl BoardTest {
 
     /// DMA echo: write a pattern through the engine model and check the
     /// throughput plateau.
-    pub fn dma_echo_test(&self, dma: &harmonia_hw::ip::PcieDmaIp) -> StageResult {
+    pub(crate) fn dma_echo_test(&self, dma: &harmonia_hw::ip::PcieDmaIp) -> StageResult {
         let bw = dma.throughput_gbs(16384);
         StageResult {
             name: format!("dma-echo-gen{}x{}", dma.gen(), dma.lanes()),

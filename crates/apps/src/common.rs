@@ -75,22 +75,11 @@ impl BitwPath {
         }
     }
 
-    /// Overrides the external path latency.
-    pub fn with_external_path_ps(mut self, ps: Picos) -> Self {
-        self.external_path_ps = ps;
-        self
-    }
-
     /// Disables the Harmonia stages (the "w/o Harmonia" baseline of
     /// Figure 17: a hand-built shell with direct vendor interfaces).
     pub fn without_harmonia(mut self) -> Self {
         self.with_harmonia = false;
         self
-    }
-
-    /// Whether Harmonia stages are present.
-    pub fn with_harmonia(&self) -> bool {
-        self.with_harmonia
     }
 
     /// Throughput for a frame size: the MAC's line-rate goodput. Identical

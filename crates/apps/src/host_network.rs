@@ -92,7 +92,7 @@ impl FlowMask {
     }
 
     /// Applies the mask to a flow key, zeroing wildcarded fields.
-    pub fn apply(&self, key: &FlowKey) -> FlowKey {
+    pub(crate) fn apply(&self, key: &FlowKey) -> FlowKey {
         FlowKey {
             src_ip: Self::mask_ip(key.src_ip, self.src_bits),
             dst_ip: Self::mask_ip(key.dst_ip, self.dst_bits),
@@ -144,12 +144,14 @@ impl MegaflowCache {
     }
 
     /// Number of distinct tuple classes (masks).
-    pub fn tuple_classes(&self) -> usize {
+    #[cfg(test)]
+    fn tuple_classes(&self) -> usize {
         self.tuples.len()
     }
 
     /// Mean tuple-class probes per lookup (the TSS cost metric).
-    pub fn probes_per_lookup(&self) -> f64 {
+    #[cfg(test)]
+    fn probes_per_lookup(&self) -> f64 {
         if self.lookups == 0 {
             0.0
         } else {
@@ -247,22 +249,9 @@ impl HostNetwork {
         self.flow_cache.install(FlowMask::exact(), key, action)
     }
 
-    /// Installs a wildcarded megaflow covering a whole traffic class.
-    ///
-    /// # Errors
-    ///
-    /// Returns the key when the cache is full.
-    pub fn install_megaflow(
-        &mut self,
-        mask: FlowMask,
-        key: FlowKey,
-        action: FlowAction,
-    ) -> Result<(), FlowKey> {
-        self.flow_cache.install(mask, key, action)
-    }
-
     /// Looks a packet up on the fast path; `None` = slow-path punt.
-    pub fn fast_path(&mut self, pkt: &PacketMeta) -> Option<FlowAction> {
+    #[cfg(test)]
+    fn fast_path(&mut self, pkt: &PacketMeta) -> Option<FlowAction> {
         match self.flow_cache.lookup(pkt) {
             Some(action) => {
                 self.stats.cache_hits += 1;
@@ -282,13 +271,9 @@ impl HostNetwork {
     }
 
     /// Cache occupancy.
-    pub fn cached_flows(&self) -> usize {
+    #[cfg(test)]
+    fn cached_flows(&self) -> usize {
         self.flow_cache.len()
-    }
-
-    /// The underlying megaflow cache (inspection).
-    pub fn cache(&self) -> &MegaflowCache {
-        &self.flow_cache
     }
 
     /// Statistics.

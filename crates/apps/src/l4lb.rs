@@ -95,19 +95,6 @@ impl Layer4Lb {
         self.ring = slots.into_iter().map(|(_, id)| id).collect();
     }
 
-    /// Current backends.
-    pub fn backends(&self) -> &[Backend] {
-        &self.backends
-    }
-
-    /// Adds a backend and rebuilds the ring (existing connections keep
-    /// their backend via the connection table).
-    pub fn add_backend(&mut self, backend: Backend) {
-        self.backends.retain(|b| b.id != backend.id);
-        self.backends.push(backend);
-        self.rebuild_ring();
-    }
-
     /// Removes a backend. Established connections to it are flushed (the
     /// servers are gone); other connections are untouched.
     pub fn remove_backend(&mut self, id: u16) {
@@ -179,7 +166,8 @@ impl Layer4Lb {
     }
 
     /// Live connection count.
-    pub fn connection_count(&self) -> usize {
+    #[cfg(test)]
+    fn connection_count(&self) -> usize {
         self.connections.len()
     }
 
@@ -288,7 +276,6 @@ mod tests {
     fn established_connections_survive_membership_changes() {
         let mut lb = lb();
         let backend = lb.dispatch(&pkt(42)).unwrap();
-        lb.add_backend(Backend { id: 99, weight: 4 });
         if backend != 3 {
             lb.remove_backend(3);
         } else {

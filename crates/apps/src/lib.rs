@@ -30,12 +30,3 @@ pub use l4lb::Layer4Lb;
 pub use retrieval::RetrievalEngine;
 pub use sec_gateway::SecGateway;
 pub use storage::StorageOffload;
-
-/// The five evaluated applications' names, in the paper's reporting order.
-pub const APP_NAMES: [&str; 5] = [
-    "Sec-Gateway",
-    "Layer-4 LB",
-    "Retrieval",
-    "Board Test",
-    "Host Network",
-];

@@ -50,9 +50,6 @@ pub struct RetrievalEngine {
 }
 
 impl RetrievalEngine {
-    /// Embedding dimension used in production (64 × f32 = 256 B/item).
-    pub const DEFAULT_DIM: usize = 64;
-
     /// Builds a synthetic corpus of `items` embeddings of `dim` floats,
     /// deterministically from `seed`.
     ///
@@ -75,11 +72,6 @@ impl RetrievalEngine {
     /// Corpus size in items.
     pub fn items(&self) -> u64 {
         self.items
-    }
-
-    /// Embedding dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
     }
 
     /// Dot-product score of `query` against item `index`.
@@ -159,7 +151,7 @@ impl RetrievalEngine {
 
     /// Queries per second on the FPGA: the corpus streams from HBM once per
     /// query (bandwidth-bound) unless the scoring pipeline is the limit.
-    pub fn qps(&self, parallel_lanes: u32, clock: Freq) -> f64 {
+    pub(crate) fn qps(&self, parallel_lanes: u32, clock: Freq) -> f64 {
         let corpus_bytes = self.items as f64 * self.dim as f64 * 4.0;
         let hbm = HbmIp::new(harmonia_hw::Vendor::Xilinx);
         let mem_qps = hbm.aggregate_peak_gbs() * 1e9 / corpus_bytes;
@@ -170,7 +162,7 @@ impl RetrievalEngine {
     }
 
     /// One Figure 17d sweep point: QPS plus per-query latency.
-    pub fn perf(&self, parallel_lanes: u32, clock: Freq, with_harmonia: bool) -> AppPerf {
+    pub(crate) fn perf(&self, parallel_lanes: u32, clock: Freq, with_harmonia: bool) -> AppPerf {
         let qps = self.qps(parallel_lanes, clock);
         let scan_ps = (1e12 / qps) as u64;
         // PCIe query/response hop plus the scan; Harmonia adds wrapper

@@ -105,11 +105,6 @@ impl SecGateway {
         Ok(())
     }
 
-    /// Number of installed rules.
-    pub fn rule_count(&self) -> usize {
-        self.rules.len()
-    }
-
     /// Classifies one packet (first matching rule wins).
     pub fn classify(&self, pkt: &PacketMeta) -> Action {
         self.rules

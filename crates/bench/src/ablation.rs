@@ -16,7 +16,7 @@ use harmonia::workloads::{AccessPattern, MemTraceGen};
 
 /// Ablation 1: pipelined wrapper vs a store-and-forward converter that
 /// buffers a whole packet before re-emitting it.
-pub fn ablation_wrapper() -> Table {
+pub(crate) fn ablation_wrapper() -> Table {
     let mut t = Table::new(
         "Ablation — wrapper conversion strategy (100G MAC, Gbps)",
         &["pkt (B)", "pipelined", "store-and-forward"],
@@ -36,7 +36,7 @@ pub fn ablation_wrapper() -> Table {
 }
 
 /// Ablation 2: Memory RBB ex-functions on/off.
-pub fn ablation_memory() -> Table {
+pub(crate) fn ablation_memory() -> Table {
     let mut t = Table::new(
         "Ablation — Memory RBB ex-functions (DDR4 x2, GB/s)",
         &["pattern", "both on", "no cache", "no interleave", "neither"],
@@ -66,7 +66,7 @@ pub fn ablation_memory() -> Table {
 }
 
 /// Ablation 3: active-ring vs naive full-scan scheduling.
-pub fn ablation_scheduler() -> Table {
+pub(crate) fn ablation_scheduler() -> Table {
     let mut t = Table::new(
         "Ablation — Host RBB queue scheduling (slots examined / dequeue)",
         &["active queues", "active-ring", "naive scan"],
@@ -102,7 +102,7 @@ pub fn ablation_scheduler() -> Table {
 
 /// Ablation 4: command latency with and without control-queue isolation
 /// under data-path load.
-pub fn ablation_ctrl_isolation() -> Table {
+pub(crate) fn ablation_ctrl_isolation() -> Table {
     let mut t = Table::new(
         "Ablation — control-queue isolation (command latency, us)",
         &["data backlog (MB)", "isolated", "shared queue"],
@@ -123,7 +123,7 @@ pub fn ablation_ctrl_isolation() -> Table {
 }
 
 /// Ablation 5: hot-cache benefit on a cache-friendly working set.
-pub fn ablation_hot_cache_hits() -> Table {
+pub(crate) fn ablation_hot_cache_hits() -> Table {
     let mut t = Table::new(
         "Ablation — hot cache on a 512 KiB working set (GB/s)",
         &["pass", "cache on", "cache off"],
@@ -148,7 +148,7 @@ pub fn ablation_hot_cache_hits() -> Table {
 
 /// Validation: the beat-level datapath simulation against the analytic
 /// line-rate model (the Figure 10a claims, verified by cycle simulation).
-pub fn ablation_datapath_sim() -> Table {
+pub(crate) fn ablation_datapath_sim() -> Table {
     use harmonia::shell::DatapathSim;
     use harmonia::sim::Freq;
     let mut t = Table::new(
@@ -171,7 +171,7 @@ pub fn ablation_datapath_sim() -> Table {
 
 /// Ablation 6: RDMA go-back-N window size vs loss — the window that
 /// maximizes goodput shrinks as loss grows.
-pub fn ablation_rdma_window() -> Table {
+pub(crate) fn ablation_rdma_window() -> Table {
     use harmonia::shell::rbb::rdma::{QueuePair, RdmaConfig};
     use harmonia::sim::SplitMix64;
     let mut t = Table::new(

@@ -16,7 +16,7 @@ use harmonia::hw::device::catalog;
 
 /// Figure 3a: fraction of handcraft development workload in shell vs role
 /// for the five applications.
-pub fn fig3a() -> Table {
+pub(crate) fn fig3a() -> Table {
     let mut t = Table::new(
         "Figure 3a — development workload split (fraction of handcraft LoC)",
         &["application", "shell", "role"],
@@ -51,7 +51,7 @@ pub fn fig3a() -> Table {
 
 /// Figure 3b: interface/configuration differences between Xilinx and Intel
 /// flavours of each common IP.
-pub fn fig3b() -> Table {
+pub(crate) fn fig3b() -> Table {
     let mut t = Table::new(
         "Figure 3b — vendor-specific module differences (Xilinx vs Intel)",
         &["module", "interface diffs", "config diffs", "total"],
@@ -102,7 +102,7 @@ pub fn fig3b() -> Table {
 }
 
 /// Figure 3c: heterogeneous fleet evolution 2020–2024.
-pub fn fig3c() -> Table {
+pub(crate) fn fig3c() -> Table {
     let mut t = Table::new(
         "Figure 3c — fleet evolution",
         &[
@@ -128,7 +128,7 @@ pub fn fig3c() -> Table {
 }
 
 /// Figure 3d: the module-initialization sequences of two shells.
-pub fn fig3d() -> Table {
+pub(crate) fn fig3d() -> Table {
     let mut t = Table::new(
         "Figure 3d — MAC init sequences across shells",
         &["step", "shell A (Xilinx-style)", "shell B (Intel-style)"],

@@ -43,7 +43,7 @@ pub fn fig10a() -> Table {
 }
 
 /// Figure 10b: PCIe DMA reads, native vs wrapped.
-pub fn fig10b() -> Table {
+pub(crate) fn fig10b() -> Table {
     let mut t = Table::new(
         "Figure 10b — PCIe DMA (Gen4x8) native vs wrapped",
         &[
@@ -72,7 +72,7 @@ pub fn fig10b() -> Table {
 }
 
 /// Figure 10c: DDR4 access patterns, native vs wrapped.
-pub fn fig10c() -> Table {
+pub(crate) fn fig10c() -> Table {
     let mut t = Table::new(
         "Figure 10c — DDR4 native vs wrapped",
         &[

@@ -8,7 +8,7 @@ use harmonia::shell::{TailoredShell, UnifiedShell};
 
 /// Resource occupancy (% of device A) for the unified shell and each
 /// application's tailored shell, by resource kind.
-pub fn fig11() -> Table {
+pub(crate) fn fig11() -> Table {
     let device = catalog::device_a();
     let unified = UnifiedShell::for_device(&device);
     let mut t = Table::new(

@@ -7,7 +7,7 @@ use harmonia::shell::{TailoredShell, UnifiedShell};
 
 /// Configuration items before (native modules) vs after (role-oriented)
 /// property-level tailoring, per application.
-pub fn fig12() -> Table {
+pub(crate) fn fig12() -> Table {
     let device = catalog::device_a();
     let unified = UnifiedShell::for_device(&device);
     let mut t = Table::new(

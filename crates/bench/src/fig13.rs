@@ -13,7 +13,7 @@ use harmonia::metrics::Table;
 use harmonia::shell::{MemoryDemand, RoleSpec};
 
 /// `(name, role on C, role on D)` per application.
-pub fn migration_roles() -> Vec<(&'static str, RoleSpec, RoleSpec)> {
+pub(crate) fn migration_roles() -> Vec<(&'static str, RoleSpec, RoleSpec)> {
     let pair = |name: &'static str, ports: u32, queues: u16, multicast: bool| {
         let base = || {
             let mut b = RoleSpec::builder(name)
@@ -41,7 +41,7 @@ pub fn migration_roles() -> Vec<(&'static str, RoleSpec, RoleSpec)> {
 }
 
 /// Register vs command modifications per application, device C → D.
-pub fn fig13() -> Table {
+pub(crate) fn fig13() -> Table {
     let c = catalog::device_c();
     let d = catalog::device_d();
     let mut t = Table::new(

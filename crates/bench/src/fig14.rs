@@ -7,7 +7,7 @@ use harmonia::shell::rbb::{HostRbb, MemoryRbb, MigrationKind, NetworkRbb, Rbb};
 
 /// Reuse fractions per RBB for cross-vendor (A↔C) and cross-chip (A↔B)
 /// migrations.
-pub fn fig14() -> Table {
+pub(crate) fn fig14() -> Table {
     let mut t = Table::new(
         "Figure 14 — RBB development-workload reuse",
         &[

@@ -9,7 +9,7 @@ use harmonia::shell::{TailoredShell, UnifiedShell};
 /// Per-application shell reuse when the deployment fleet mixes chip
 /// families and vendors; reported as the reuse fraction of the worst
 /// (cross-vendor) and best (cross-chip) migrations.
-pub fn fig15() -> Table {
+pub(crate) fn fig15() -> Table {
     let device = catalog::device_a();
     let unified = UnifiedShell::for_device(&device);
     let mut t = Table::new(

@@ -11,7 +11,7 @@ use harmonia::platform::InterfaceWrapper;
 
 /// Highest resource-consumption percentage of each wrapper and of the UCK
 /// across the catalog devices.
-pub fn fig16() -> Table {
+pub(crate) fn fig16() -> Table {
     let mut t = Table::new(
         "Figure 16 — Harmonia hardware overhead (max % across devices)",
         &["module", "LUT %", "REG %", "BRAM %", "max %"],

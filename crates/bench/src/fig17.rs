@@ -35,13 +35,13 @@ fn bitw_table(title: &str, path: harmonia::apps::BitwPath) -> Table {
 }
 
 /// Figure 17a: Sec-Gateway.
-pub fn fig17a() -> Table {
+pub(crate) fn fig17a() -> Table {
     let gw = SecGateway::new(harmonia::apps::sec_gateway::Action::Allow);
     bitw_table("Figure 17a — Sec-Gateway performance", gw.datapath())
 }
 
 /// Figure 17b: Layer-4 LB.
-pub fn fig17b() -> Table {
+pub(crate) fn fig17b() -> Table {
     bitw_table(
         "Figure 17b — Layer-4 LB performance",
         crate::roles::sample_lb().datapath(),
@@ -49,7 +49,7 @@ pub fn fig17b() -> Table {
 }
 
 /// Figure 17c: Host Network.
-pub fn fig17c() -> Table {
+pub(crate) fn fig17c() -> Table {
     bitw_table(
         "Figure 17c — Host Network performance",
         HostNetwork::new(1024).datapath(),

@@ -18,7 +18,7 @@ fn bench_role() -> RoleSpec {
 
 /// Figure 18a: shell resource usage per framework (each on a device it
 /// supports: Vitis/Coyote/Harmonia on A, oneAPI on D).
-pub fn fig18a() -> Table {
+pub(crate) fn fig18a() -> Table {
     let mut t = Table::new(
         "Figure 18a — shell resource usage (% of device)",
         &["framework", "device", "LUT", "REG", "BRAM"],
@@ -44,7 +44,7 @@ pub fn fig18a() -> Table {
 }
 
 /// Figure 18b: matrix multiplication vs parallelism.
-pub fn fig18b() -> Table {
+pub(crate) fn fig18b() -> Table {
     let mut t = Table::new(
         "Figure 18b — matrix multiplication (matrices/s)",
         &["parallelism", "Vitis", "oneAPI", "Coyote", "Harmonia"],
@@ -62,7 +62,7 @@ pub fn fig18b() -> Table {
 }
 
 /// Figure 18c: vector database access (million vectors/s by mode).
-pub fn fig18c() -> Table {
+pub(crate) fn fig18c() -> Table {
     let mut t = Table::new(
         "Figure 18c — database access (Mvec/s)",
         &["mode", "Vitis", "oneAPI", "Coyote", "Harmonia"],
@@ -90,7 +90,7 @@ pub fn fig18c() -> Table {
 }
 
 /// Figure 18d: TCP transmission throughput/latency vs packet size.
-pub fn fig18d() -> Table {
+pub(crate) fn fig18d() -> Table {
     let mut t = Table::new(
         "Figure 18d — TCP transmission",
         &[

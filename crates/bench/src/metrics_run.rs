@@ -31,17 +31,17 @@ pub struct MetricsRun {
     pub snapshot: MetricsSnapshot,
     /// `seed=N <driver report> samples=K` transcript lines, in seed order.
     pub reports: Vec<String>,
-    /// The production objectives ([`slos`]) — sized to pass under the
+    /// The production objectives (`slos`) — sized to pass under the
     /// fault campaign.
     pub slo: SloReport,
-    /// The aspirational objectives ([`strict_slos`]) — deliberately
+    /// The aspirational objectives (`strict_slos`) — deliberately
     /// tighter than a faulted fleet can meet, so the report always
     /// carries worked FAIL lines too.
     pub strict_slo: SloReport,
 }
 
 /// Production service-level objectives for the fault-campaign fleet.
-pub fn slos() -> Vec<Slo> {
+pub(crate) fn slos() -> Vec<Slo> {
     vec![
         Slo {
             name: "cmd-latency-p99",
@@ -72,7 +72,7 @@ pub fn slos() -> Vec<Slo> {
 
 /// Aspirational objectives: what a fault-free fleet would meet. The
 /// committed report keeps these as the worked FAIL example.
-pub fn strict_slos() -> Vec<Slo> {
+pub(crate) fn strict_slos() -> Vec<Slo> {
     vec![
         Slo {
             name: "cmd-latency-p99-tight",

@@ -121,7 +121,7 @@ impl SrcId {
     }
 
     /// Decodes a wire value.
-    pub fn from_u8(v: u8) -> Option<SrcId> {
+    pub(crate) fn from_u8(v: u8) -> Option<SrcId> {
         match v {
             1 => Some(SrcId::Application),
             2 => Some(SrcId::Bmc),

@@ -17,7 +17,6 @@ use crate::packet::{CommandPacket, DecodeError, VERSION};
 use crate::queue::{
     CommandBudget, CompletionQueue, CompletionRecord, CompletionStatus, SubmissionQueue,
 };
-use std::collections::btree_map::Entry;
 use harmonia_hw::regfile::{RegOp, RegisterFile};
 use harmonia_hw::resource::ResourceUsage;
 use harmonia_shell::rbb::{instances, Rbb};
@@ -115,11 +114,6 @@ impl From<DecodeError> for KernelError {
     }
 }
 
-/// Handler for an RBB-defined extension command (§3.3.3: commands "support
-/// the extension to new hardware modules (e.g., i2c) and software"). The
-/// handler receives the request packet and produces the response payload.
-pub type ExtensionHandler = Box<dyn FnMut(&CommandPacket) -> Result<Vec<u32>, KernelError> + Send>;
-
 /// What one [`UnifiedControlKernel::ring_doorbell`] drain produced, in
 /// addition to the records posted on the completion ring.
 #[derive(Debug, Default)]
@@ -145,7 +139,6 @@ pub struct UnifiedControlKernel {
     buffer: SyncFifo<CommandPacket>,
     modules: BTreeMap<(u8, u8), ModuleHandle>,
     health: RegisterFile,
-    extensions: BTreeMap<u16, ExtensionHandler>,
     commands_executed: u64,
     reg_ops_executed: u64,
     idem_cache: BTreeMap<(u8, u32), CommandPacket>,
@@ -165,7 +158,6 @@ impl fmt::Debug for UnifiedControlKernel {
         f.debug_struct("UnifiedControlKernel")
             .field("pending", &self.buffer.len())
             .field("modules", &self.modules.len())
-            .field("extensions", &self.extensions.keys().collect::<Vec<_>>())
             .field("commands_executed", &self.commands_executed)
             .finish()
     }
@@ -196,7 +188,6 @@ impl UnifiedControlKernel {
             buffer: SyncFifo::new(buffer_depth),
             modules: BTreeMap::new(),
             health,
-            extensions: BTreeMap::new(),
             commands_executed: 0,
             reg_ops_executed: 0,
             idem_cache: BTreeMap::new(),
@@ -226,29 +217,6 @@ impl UnifiedControlKernel {
         self.trace_clock_ps = self.trace_clock_ps.max(now);
     }
 
-    /// Registers a handler for an extension command code (≥ 0x0010; the
-    /// 0x000A–0x000F band is reserved for protocol codes such as
-    /// [`CommandCode::Nack`]). The kernel's command space stays open for
-    /// new hardware modules — i2c sensor buses, flash controllers —
-    /// without touching the packet format or the drivers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `code` collides with a built-in command or an existing
-    /// extension.
-    pub fn register_extension(&mut self, code: u16, handler: ExtensionHandler) {
-        assert!(
-            code >= 0x0010,
-            "extension code {code:#06x} collides with built-in commands"
-        );
-        match self.extensions.entry(code) {
-            Entry::Vacant(v) => {
-                v.insert(handler);
-            }
-            Entry::Occupied(_) => panic!("extension {code:#06x} registered twice"),
-        }
-    }
-
     /// Registers a module.
     ///
     /// # Panics
@@ -269,7 +237,8 @@ impl UnifiedControlKernel {
     }
 
     /// Number of registered modules.
-    pub fn module_count(&self) -> usize {
+    #[cfg(test)]
+    fn module_count(&self) -> usize {
         self.modules.len()
     }
 
@@ -456,7 +425,7 @@ impl UnifiedControlKernel {
     /// queued, [`DrainOutcome::quota_exhausted`] is set and a
     /// `QuotaExhausted` trace instant plus a
     /// `harmonia_kernel_quota_exhausted_total` counter tick record the
-    /// preemption cause. With [`CommandBudget::unlimited`] this is
+    /// preemption cause. With `CommandBudget::unlimited` this is
     /// byte-for-byte the unbudgeted path.
     pub fn ring_doorbell_budgeted(
         &mut self,
@@ -551,7 +520,8 @@ impl UnifiedControlKernel {
     /// # Errors
     ///
     /// Stops at the first failing command.
-    pub fn run_to_idle(&mut self) -> Result<Vec<CommandPacket>, KernelError> {
+    #[cfg(test)]
+    fn run_to_idle(&mut self) -> Result<Vec<CommandPacket>, KernelError> {
         let mut out = Vec::new();
         while let Some(resp) = self.step()? {
             out.push(resp);
@@ -715,10 +685,8 @@ impl UnifiedControlKernel {
             CommandCode::Nack => Err(KernelError::Unsupported {
                 code: CommandCode::Nack.to_u16(),
             }),
-            CommandCode::Extension(code) => match self.extensions.get_mut(&code) {
-                Some(handler) => handler(packet),
-                None => Err(KernelError::Unsupported { code }),
-            },
+            // No extension command has a handler in this kernel.
+            CommandCode::Extension(code) => Err(KernelError::Unsupported { code }),
         }
     }
 
@@ -976,53 +944,18 @@ mod tests {
     }
 
     #[test]
-    fn extension_commands_route_to_handlers() {
+    fn extension_codes_are_unsupported() {
         let mut k = kernel_on_device_a();
-        // An i2c temperature read, new hardware module, no format changes.
-        let i2c_regs = [0x19u32, 0x2A];
-        k.register_extension(
-            0x0010,
-            Box::new(move |pkt| {
-                let [dev_addr] = pkt.data[..] else {
-                    return Err(KernelError::BadPayload {
-                        expected: "[i2c device address]",
-                    });
-                };
-                Ok(vec![i2c_regs[(dev_addr % 2) as usize], dev_addr])
-            }),
-        );
-        let resp = {
-            k.submit(
-                CommandPacket::new(SrcId::Bmc, 0, 0, CommandCode::Extension(0x0010))
-                    .with_data(vec![1]),
-            )
+        for code in [0x0010, 0x0099] {
+            k.submit(CommandPacket::new(
+                SrcId::Bmc,
+                0,
+                0,
+                CommandCode::Extension(code),
+            ))
             .unwrap();
-            k.step().unwrap().unwrap()
-        };
-        assert_eq!(resp.data, vec![0x2A, 1]);
-        // Unknown extensions still fail cleanly.
-        k.submit(CommandPacket::new(
-            SrcId::Bmc,
-            0,
-            0,
-            CommandCode::Extension(0x0099),
-        ))
-        .unwrap();
-        assert_eq!(k.step(), Err(KernelError::Unsupported { code: 0x0099 }));
-    }
-
-    #[test]
-    #[should_panic(expected = "collides with built-in")]
-    fn extension_cannot_shadow_builtins() {
-        let mut k = UnifiedControlKernel::new(4);
-        k.register_extension(0x0002, Box::new(|_| Ok(Vec::new())));
-    }
-
-    #[test]
-    #[should_panic(expected = "collides with built-in")]
-    fn extension_cannot_shadow_nack() {
-        let mut k = UnifiedControlKernel::new(4);
-        k.register_extension(0x000F, Box::new(|_| Ok(Vec::new())));
+            assert_eq!(k.step(), Err(KernelError::Unsupported { code }));
+        }
     }
 
     #[test]

@@ -98,7 +98,7 @@ impl CommandPacket {
     }
 
     /// The idempotency key when the options word carries the flag.
-    pub fn idempotency_key(&self) -> Option<u32> {
+    pub(crate) fn idempotency_key(&self) -> Option<u32> {
         (self.options & IDEMPOTENCY_FLAG != 0).then_some(self.options)
     }
 

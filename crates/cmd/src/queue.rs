@@ -263,7 +263,7 @@ impl CommandBudget {
     }
 
     /// An effectively unlimited budget (the single-tenant fast path).
-    pub fn unlimited() -> CommandBudget {
+    pub(crate) fn unlimited() -> CommandBudget {
         CommandBudget::new(u32::MAX, u64::MAX)
     }
 
@@ -278,7 +278,7 @@ impl CommandBudget {
     }
 
     /// Charges one command.
-    pub fn charge(&mut self) {
+    pub(crate) fn charge(&mut self) {
         self.used += 1;
     }
 }

@@ -174,7 +174,7 @@ pub struct Deployment {
 
 impl Deployment {
     /// The target device.
-    pub fn device(&self) -> &FpgaDevice {
+    pub(crate) fn device(&self) -> &FpgaDevice {
         &self.device
     }
 
@@ -210,7 +210,7 @@ impl Deployment {
 
     /// Harmonia's own overhead: interface wrappers plus the control kernel
     /// (the Figure 16 quantities).
-    pub fn harmonia_overhead(&self) -> ResourceUsage {
+    pub(crate) fn harmonia_overhead(&self) -> ResourceUsage {
         self.wrapper_resources + UnifiedControlKernel::resources()
     }
 

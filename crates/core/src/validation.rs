@@ -32,7 +32,8 @@ pub struct ValidationReport {
 
 impl ValidationReport {
     /// Whether every check passed (empty reports do not pass).
-    pub fn release_ready(&self) -> bool {
+    #[cfg(test)]
+    fn release_ready(&self) -> bool {
         !self.checks.is_empty() && self.checks.iter().all(|c| c.passed)
     }
 

@@ -35,21 +35,21 @@ pub struct RoleClass {
     pub cmds_per_req: u64,
     /// Service cost in ps × speed-units: a device of speed `s` serves one
     /// command in `unit_cost / s` picoseconds (see
-    /// [`crate::inventory::device_speed`]).
+    /// `inventory::device_speed`).
     pub unit_cost: u64,
     /// Tenant weight. Placement buys `weight`-scaled headroom: the target
-    /// utilization for a role is [`RoleClass::target_util_ppm`].
+    /// utilization for a role is `RoleClass::target_util_ppm`.
     pub weight: u64,
 }
 
 impl RoleClass {
     /// Service time of one command on a device of the given speed.
-    pub fn service_ps(&self, speed: u64) -> Picos {
+    pub(crate) fn service_ps(&self, speed: u64) -> Picos {
         (self.unit_cost / speed).max(1)
     }
 
     /// Commands per tick a device of the given speed can serve.
-    pub fn capacity_per_tick(&self, speed: u64) -> u64 {
+    pub(crate) fn capacity_per_tick(&self, speed: u64) -> u64 {
         crate::TICK_PS / self.service_ps(speed)
     }
 
@@ -57,7 +57,7 @@ impl RoleClass {
     /// buys headroom (`800 000 − 50 000 × weight`, floored at 500 000),
     /// so a weight-4 tenant's replicas run at ≤ 60 % where a weight-1
     /// tenant's run at ≤ 75 %.
-    pub fn target_util_ppm(&self) -> u64 {
+    pub(crate) fn target_util_ppm(&self) -> u64 {
         800_000u64.saturating_sub(50_000 * self.weight).max(500_000)
     }
 

@@ -421,16 +421,6 @@ impl FleetController {
         &self.assignments
     }
 
-    /// The role catalog this fleet serves.
-    pub fn roles(&self) -> &[RoleClass] {
-        &self.roles
-    }
-
-    /// The inventory (for inspection; mutated by [`FleetController::run`]).
-    pub fn inventory(&self) -> &Inventory {
-        &self.inventory
-    }
-
     /// Schedules a link-down kill of one device at `tick` — the PR 4
     /// fault plane's `LinkDown` wired to this device's injector.
     pub fn kill_device(&mut self, device: u32, tick: u32) {
@@ -441,7 +431,8 @@ impl FleetController {
     }
 
     /// Schedules a link restore of one device at `tick`.
-    pub fn restore_device(&mut self, device: u32, tick: u32) {
+    #[cfg(test)]
+    fn restore_device(&mut self, device: u32, tick: u32) {
         self.push_fault(device, tick, FaultKind::LinkUp);
     }
 

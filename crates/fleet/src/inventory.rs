@@ -28,7 +28,7 @@ pub const MIX_TOTAL: usize = 10;
 /// host-link bandwidth (`network_gbps + 4 × pcie_gen × pcie_lanes`).
 /// A command of unit cost `c` takes `c / speed` picoseconds. Computed
 /// once per model from the catalog, then a table lookup.
-pub fn device_speed(model: DeviceId) -> u64 {
+pub(crate) fn device_speed(model: DeviceId) -> u64 {
     static SPEEDS: OnceLock<[u64; 4]> = OnceLock::new();
     SPEEDS.get_or_init(|| {
         DeviceId::ALL.map(|m| {
@@ -87,13 +87,8 @@ pub struct FleetDevice {
 
 impl FleetDevice {
     /// Total commands queued (all cohorts).
-    pub fn queued(&self) -> u64 {
+    pub(crate) fn queued(&self) -> u64 {
         self.backlog.iter().map(|&(_, n)| n).sum()
-    }
-
-    /// Whether this device can take traffic this tick.
-    pub fn serving(&self) -> bool {
-        self.state == DeviceState::Live && self.role.is_some()
     }
 }
 
@@ -162,7 +157,8 @@ impl Inventory {
     }
 
     /// Device count per model, in catalog order.
-    pub fn model_counts(&self) -> [(DeviceId, usize); 4] {
+    #[cfg(test)]
+    fn model_counts(&self) -> [(DeviceId, usize); 4] {
         let mut out = MODEL_MIX.map(|(m, _)| (m, 0usize));
         for d in &self.devices {
             for slot in out.iter_mut() {

@@ -289,7 +289,7 @@ impl MigrationMatrix {
 
     /// Stall cost of migrating a role between two placements, `None`
     /// when either end does not tailor.
-    pub fn cost(
+    pub(crate) fn cost(
         &self,
         from_model: DeviceId,
         from_role: usize,

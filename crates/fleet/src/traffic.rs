@@ -98,17 +98,6 @@ impl DiurnalTraffic {
         (0..ticks).map(|t| self.tick_load(t, roles)).collect()
     }
 
-    /// Total commands per role over a schedule, catalog order.
-    pub fn day_totals(schedule: &[TickLoad], roles: &[RoleClass]) -> Vec<u64> {
-        let mut totals = vec![0u64; roles.len()];
-        for load in schedule {
-            for (t, &n) in totals.iter_mut().zip(&load.per_role) {
-                *t += n;
-            }
-        }
-        totals
-    }
-
     /// Peak per-tick command demand per role over a schedule — what the
     /// placement scheduler must provision for.
     pub fn peak_per_role(schedule: &[TickLoad], roles: &[RoleClass]) -> Vec<u64> {

@@ -123,7 +123,8 @@ impl CapabilityMatrix {
     }
 
     /// Whether every capability is fully provided.
-    pub fn is_comprehensive(&self) -> bool {
+    #[cfg(test)]
+    fn is_comprehensive(&self) -> bool {
         [
             self.heterogeneity,
             self.unified_shell,

@@ -96,7 +96,8 @@ impl BmcController {
     }
 
     /// Whether the BMC has fenced the board.
-    pub fn is_fenced(&self) -> bool {
+    #[cfg(test)]
+    fn is_fenced(&self) -> bool {
         self.fenced
     }
 
@@ -154,11 +155,6 @@ impl BmcController {
         Ok(status)
     }
 
-    /// Clears the fence after operator intervention.
-    pub fn clear_fence(&mut self) {
-        self.fenced = false;
-    }
-
     /// Mutable kernel access for sensor injection in tests/benches.
     pub fn driver_mut(&mut self) -> &mut CommandDriver {
         &mut self.driver
@@ -201,9 +197,9 @@ mod tests {
         b.driver_mut().kernel_mut().update_sensors(104, 45, 850);
         assert_eq!(b.poll().unwrap(), BmcStatus::TempCritical);
         assert!(b.is_fenced());
-        // Stays fenced until cleared.
+        // Stays fenced.
         assert_eq!(b.poll().unwrap(), BmcStatus::TempCritical);
-        b.clear_fence();
+        assert!(b.is_fenced());
         b.driver_mut().kernel_mut().update_sensors(60, 40, 850);
         assert_eq!(b.poll().unwrap(), BmcStatus::Healthy);
     }

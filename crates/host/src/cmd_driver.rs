@@ -111,7 +111,7 @@ impl CommandDriver {
 
     /// Creates a driver for a specific controller type (serial
     /// transport, batch size 1).
-    pub fn with_src(src: SrcId, engine: DmaEngine, kernel: UnifiedControlKernel) -> Self {
+    pub(crate) fn with_src(src: SrcId, engine: DmaEngine, kernel: UnifiedControlKernel) -> Self {
         Self::build(src, engine, kernel, 1, 1)
     }
 
@@ -159,11 +159,6 @@ impl CommandDriver {
                 batch_threshold: batch.min(u32::MAX as usize) as u32,
             }),
         }
-    }
-
-    /// Commands per doorbell (1 = the serial transport).
-    pub fn batch(&self) -> usize {
-        self.batch
     }
 
     /// Completion-interrupt moderation statistics: `coalescing()`
@@ -622,7 +617,8 @@ impl CommandDriver {
     }
 
     /// Mutable kernel access (hardware-side sensor/test injection).
-    pub fn kernel_mut(&mut self) -> &mut UnifiedControlKernel {
+    #[cfg(test)]
+    pub(crate) fn kernel_mut(&mut self) -> &mut UnifiedControlKernel {
         &mut self.kernel
     }
 }

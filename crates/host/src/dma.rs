@@ -56,7 +56,7 @@ impl DmaEngine {
     }
 
     /// Attaches an observability probe: every
-    /// [`DmaEngine::command_delivery`] emits a
+    /// `DmaEngine::command_delivery` emits a
     /// [`TraceEventKind::CmdDelivery`] span and bumps
     /// `harmonia_dma_cmds_total`/`harmonia_dma_bursts_total`; injected
     /// credit stalls emit [`TraceEventKind::FaultInjected`] instants and
@@ -80,11 +80,6 @@ impl DmaEngine {
     /// the data queues).
     pub fn set_ctrl_isolated(&mut self, isolated: bool) {
         self.ctrl_isolated = isolated;
-    }
-
-    /// Whether the control queue is isolated.
-    pub fn ctrl_isolated(&self) -> bool {
-        self.ctrl_isolated
     }
 
     /// The underlying link model.
@@ -148,8 +143,8 @@ impl DmaEngine {
         self.commands_sent
     }
 
-    /// DMA sends rung so far: one per [`DmaEngine::command_delivery`]
-    /// and one per [`DmaEngine::batch_delivery`] burst.
+    /// DMA sends rung so far: one per `DmaEngine::command_delivery`
+    /// and one per `DmaEngine::batch_delivery` burst.
     pub fn doorbells(&self) -> u64 {
         self.doorbells
     }
@@ -159,7 +154,7 @@ impl DmaEngine {
     /// down link or an injected drop loses the packet outright. With the
     /// no-op injector the latency is [`DmaEngine::command_latency_ps`]
     /// wrapped in [`CommandDelivery::Delivered`] — bit-identical timing.
-    pub fn command_delivery(&mut self, cmd_bytes: u32, now: Picos) -> CommandDelivery {
+    pub(crate) fn command_delivery(&mut self, cmd_bytes: u32, now: Picos) -> CommandDelivery {
         self.deliver(cmd_bytes, 1, now, true)
     }
 
@@ -173,7 +168,7 @@ impl DmaEngine {
     /// `CmdDrop`/`CmdCorrupt` faults are *not* consulted — the driver
     /// applies those per entry, so replay recovers only the lost
     /// descriptors.
-    pub fn batch_delivery(
+    pub(crate) fn batch_delivery(
         &mut self,
         total_bytes: u32,
         descriptors: u32,

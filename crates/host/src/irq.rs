@@ -21,7 +21,8 @@ pub struct IrqModeration {
 
 impl IrqModeration {
     /// A typical NIC setting: 50 µs coalescing window, 64-event batches.
-    pub fn nic_default() -> Self {
+    #[cfg(test)]
+    fn nic_default() -> Self {
         IrqModeration {
             max_wait_ps: 50_000_000,
             batch_threshold: 64,
@@ -111,7 +112,7 @@ impl IrqModerator {
     }
 
     /// Feeds one event at `now_ps`; returns whether an interrupt fired.
-    pub fn event(&mut self, now_ps: Picos) -> bool {
+    pub(crate) fn event(&mut self, now_ps: Picos) -> bool {
         // A timer expiry between events fires for the waiting batch first.
         if self.pending > 0 && now_ps >= self.oldest_ps + self.policy.max_wait_ps {
             self.fire(self.oldest_ps + self.policy.max_wait_ps);
@@ -131,7 +132,7 @@ impl IrqModerator {
 
     /// Flushes any pending batch: the coalescing timer fires at
     /// `oldest + max_wait` regardless of when the event stream ends.
-    pub fn flush(&mut self, _now_ps: Picos) {
+    pub(crate) fn flush(&mut self, _now_ps: Picos) {
         if self.pending > 0 {
             self.fire(self.oldest_ps + self.policy.max_wait_ps);
         }
@@ -153,7 +154,8 @@ impl IrqModerator {
 
     /// Absolute time the coalescing timer will fire for the oldest
     /// pending event, or `None` when nothing is pending.
-    pub fn timer_deadline_ps(&self) -> Option<Picos> {
+    #[cfg(test)]
+    fn timer_deadline_ps(&self) -> Option<Picos> {
         (self.pending > 0).then(|| self.oldest_ps + self.policy.max_wait_ps)
     }
 

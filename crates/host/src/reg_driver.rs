@@ -12,7 +12,6 @@ use harmonia_hw::device::{FpgaDevice, Peripheral};
 use harmonia_hw::regfile::RegOp;
 use harmonia_shell::rbb::{Rbb, RbbKind};
 use harmonia_shell::TailoredShell;
-use std::collections::BTreeSet;
 
 /// Number of packet-filter table entries a typical application loads.
 pub const FILTER_TABLE_LOADS: u32 = 24;
@@ -51,7 +50,7 @@ impl RegisterDriver {
 
     /// Board bring-up: clocks, cage/GT lanes, PCIe and DRAM PHY presence.
     /// Derived entirely from the device description — every board differs.
-    pub fn board_prologue(device: &FpgaDevice) -> Vec<RegOp> {
+    pub(crate) fn board_prologue(device: &FpgaDevice) -> Vec<RegOp> {
         let mut ops = Vec::new();
         // Clock tree programming: two ops per board reference clock.
         for (i, clk) in device.clock_sources().iter().enumerate() {
@@ -159,7 +158,7 @@ impl RegisterDriver {
     }
 
     /// The Memory RBB's initialization program.
-    pub fn memory_init_ops(rbb: &dyn Rbb, base: u32) -> Vec<RegOp> {
+    pub(crate) fn memory_init_ops(rbb: &dyn Rbb, base: u32) -> Vec<RegOp> {
         debug_assert_eq!(rbb.kind(), RbbKind::Memory);
         let mut ops = Self::rebase(rbb.instance().init_sequence(), base);
         let rbb_base = base + 0x8000;
@@ -210,7 +209,7 @@ impl RegisterDriver {
     }
 
     /// One module's init program dispatched by RBB kind.
-    pub fn module_init_ops(rbb: &dyn Rbb, base: u32) -> Vec<RegOp> {
+    pub(crate) fn module_init_ops(rbb: &dyn Rbb, base: u32) -> Vec<RegOp> {
         match rbb.kind() {
             RbbKind::Network => Self::network_init_ops(rbb, base),
             RbbKind::Memory => Self::memory_init_ops(rbb, base),
@@ -247,7 +246,8 @@ impl RegisterDriver {
     }
 
     /// Distinct register addresses a script touches.
-    pub fn distinct_registers(script: &[RegOp]) -> usize {
+    #[cfg(test)]
+    fn distinct_registers(script: &[RegOp]) -> usize {
         script
             .iter()
             .map(|op| match *op {
@@ -255,7 +255,7 @@ impl RegisterDriver {
                 | RegOp::Write { addr, .. }
                 | RegOp::WaitStatus { addr, .. } => addr,
             })
-            .collect::<BTreeSet<_>>()
+            .collect::<std::collections::BTreeSet<_>>()
             .len()
     }
 }

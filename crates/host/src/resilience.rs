@@ -45,7 +45,7 @@ impl RetryPolicy {
     /// Deterministic exponential backoff before retry `attempt`
     /// (0-based): `base << attempt`, capped. No jitter — reproducibility
     /// is the whole point of the simulated control plane.
-    pub fn backoff_ps(&self, attempt: u32) -> Picos {
+    pub(crate) fn backoff_ps(&self, attempt: u32) -> Picos {
         let factor = if attempt >= 63 {
             None
         } else {

@@ -62,13 +62,9 @@ impl Peripheral {
     }
 
     /// Whether this peripheral provides external memory.
-    pub fn is_memory(&self) -> bool {
+    #[cfg(test)]
+    fn is_memory(&self) -> bool {
         matches!(self, Peripheral::Ddr { .. } | Peripheral::Hbm { .. })
-    }
-
-    /// Whether this peripheral provides a host link.
-    pub fn is_host_link(&self) -> bool {
-        matches!(self, Peripheral::Pcie { .. })
     }
 }
 
@@ -461,7 +457,6 @@ mod tests {
     fn peripheral_categories() {
         assert!(Peripheral::Qsfp { gbps: 100 }.is_network());
         assert!(Peripheral::Hbm { gib: 8 }.is_memory());
-        assert!(Peripheral::Pcie { gen: 4, lanes: 8 }.is_host_link());
         assert!(!Peripheral::Ddr { gen: 4, gib: 16 }.is_network());
     }
 

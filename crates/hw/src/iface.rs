@@ -27,13 +27,6 @@ pub enum Protocol {
     Proprietary,
 }
 
-impl Protocol {
-    /// Whether the protocol is a streaming (vs memory-mapped/control) kind.
-    pub fn is_streaming(self) -> bool {
-        matches!(self, Protocol::Axi4Stream | Protocol::AvalonStreaming)
-    }
-}
-
 impl fmt::Display for Protocol {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -123,13 +116,13 @@ impl InterfaceSpec {
     }
 
     /// Adds a signal (builder style).
-    pub fn signal(mut self, name: impl Into<String>, width: u32, dir: SignalDir) -> Self {
+    pub(crate) fn signal(mut self, name: impl Into<String>, width: u32, dir: SignalDir) -> Self {
         self.signals.push(SignalSpec::new(name, width, dir));
         self
     }
 
     /// Adds several indexed signals `prefix0..prefixN-1`.
-    pub fn signal_array(
+    pub(crate) fn signal_array(
         mut self,
         prefix: &str,
         count: u32,
@@ -144,7 +137,7 @@ impl InterfaceSpec {
     }
 
     /// Adds a configuration parameter (builder style).
-    pub fn config(mut self, name: impl Into<String>, default: impl Into<String>) -> Self {
+    pub(crate) fn config(mut self, name: impl Into<String>, default: impl Into<String>) -> Self {
         self.configs.push(ConfigParam::new(name, default));
         self
     }
@@ -152,11 +145,6 @@ impl InterfaceSpec {
     /// Interface name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Protocol family.
-    pub fn protocol(&self) -> Protocol {
-        self.protocol
     }
 
     /// The signal list.
@@ -170,13 +158,9 @@ impl InterfaceSpec {
     }
 
     /// Number of interface signals.
-    pub fn signal_count(&self) -> usize {
+    #[cfg(test)]
+    fn signal_count(&self) -> usize {
         self.signals.len()
-    }
-
-    /// Number of configuration parameters.
-    pub fn config_count(&self) -> usize {
-        self.configs.len()
     }
 
     /// Computes the property differences between two specs — the Figure 3b
@@ -261,7 +245,7 @@ impl InterfaceDiff {
 }
 
 /// Canonical AXI4-Stream signal set at a given data width.
-pub fn axi4_stream(name: &str, width_bits: u32) -> InterfaceSpec {
+pub(crate) fn axi4_stream(name: &str, width_bits: u32) -> InterfaceSpec {
     InterfaceSpec::new(name, Protocol::Axi4Stream)
         .signal("tdata", width_bits, SignalDir::Out)
         .signal("tkeep", width_bits / 8, SignalDir::Out)
@@ -272,7 +256,7 @@ pub fn axi4_stream(name: &str, width_bits: u32) -> InterfaceSpec {
 }
 
 /// Canonical Avalon-ST signal set at a given data width.
-pub fn avalon_st(name: &str, width_bits: u32) -> InterfaceSpec {
+pub(crate) fn avalon_st(name: &str, width_bits: u32) -> InterfaceSpec {
     InterfaceSpec::new(name, Protocol::AvalonStreaming)
         .signal("data", width_bits, SignalDir::Out)
         .signal("valid", 1, SignalDir::Out)
@@ -285,7 +269,7 @@ pub fn avalon_st(name: &str, width_bits: u32) -> InterfaceSpec {
 }
 
 /// Canonical AXI4 memory-mapped signal set (read+write channels).
-pub fn axi4_mm(name: &str, data_bits: u32, addr_bits: u32) -> InterfaceSpec {
+pub(crate) fn axi4_mm(name: &str, data_bits: u32, addr_bits: u32) -> InterfaceSpec {
     InterfaceSpec::new(name, Protocol::Axi4MemoryMapped)
         .signal("awaddr", addr_bits, SignalDir::Out)
         .signal("awlen", 8, SignalDir::Out)
@@ -315,7 +299,7 @@ pub fn axi4_mm(name: &str, data_bits: u32, addr_bits: u32) -> InterfaceSpec {
 }
 
 /// Canonical Avalon memory-mapped signal set.
-pub fn avalon_mm(name: &str, data_bits: u32, addr_bits: u32) -> InterfaceSpec {
+pub(crate) fn avalon_mm(name: &str, data_bits: u32, addr_bits: u32) -> InterfaceSpec {
     InterfaceSpec::new(name, Protocol::AvalonMemoryMapped)
         .signal("address", addr_bits, SignalDir::Out)
         .signal("read", 1, SignalDir::Out)
@@ -326,28 +310,6 @@ pub fn avalon_mm(name: &str, data_bits: u32, addr_bits: u32) -> InterfaceSpec {
         .signal("byteenable", data_bits / 8, SignalDir::Out)
         .signal("burstcount", 8, SignalDir::Out)
         .signal("waitrequest", 1, SignalDir::In)
-}
-
-/// Canonical AXI4-Lite control interface (32-bit).
-pub fn axi4_lite(name: &str) -> InterfaceSpec {
-    InterfaceSpec::new(name, Protocol::Axi4Lite)
-        .signal("awaddr", 32, SignalDir::In)
-        .signal("awvalid", 1, SignalDir::In)
-        .signal("awready", 1, SignalDir::Out)
-        .signal("wdata", 32, SignalDir::In)
-        .signal("wstrb", 4, SignalDir::In)
-        .signal("wvalid", 1, SignalDir::In)
-        .signal("wready", 1, SignalDir::Out)
-        .signal("bresp", 2, SignalDir::Out)
-        .signal("bvalid", 1, SignalDir::Out)
-        .signal("bready", 1, SignalDir::In)
-        .signal("araddr", 32, SignalDir::In)
-        .signal("arvalid", 1, SignalDir::In)
-        .signal("arready", 1, SignalDir::Out)
-        .signal("rdata", 32, SignalDir::Out)
-        .signal("rresp", 2, SignalDir::Out)
-        .signal("rvalid", 1, SignalDir::Out)
-        .signal("rready", 1, SignalDir::In)
 }
 
 #[cfg(test)]
@@ -397,9 +359,6 @@ mod tests {
     fn canonical_mm_interfaces_have_expected_shape() {
         assert_eq!(axi4_mm("m", 512, 34).signal_count(), 25);
         assert_eq!(avalon_mm("m", 512, 34).signal_count(), 9);
-        assert_eq!(axi4_lite("ctrl").signal_count(), 17);
-        assert!(Protocol::Axi4Stream.is_streaming());
-        assert!(!Protocol::Axi4Lite.is_streaming());
     }
 
     #[test]

@@ -31,13 +31,8 @@ impl DdrIp {
         DdrIp { vendor, gen }
     }
 
-    /// DDR generation (3 or 4).
-    pub fn gen(&self) -> u8 {
-        self.gen
-    }
-
     /// The channel timing for this controller.
-    pub fn timing(&self) -> DramTiming {
+    pub(crate) fn timing(&self) -> DramTiming {
         if self.gen == 4 {
             DramTiming::ddr4_2400()
         } else {

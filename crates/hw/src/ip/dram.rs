@@ -89,7 +89,7 @@ impl DramTiming {
     }
 
     /// DDR3-1600 on a 64-bit channel: 12.8 GB/s peak, no bank groups.
-    pub fn ddr3_1600() -> Self {
+    pub(crate) fn ddr3_1600() -> Self {
         DramTiming {
             cas_ps: 13_750,
             row_miss_extra_ps: 27_500,
@@ -473,7 +473,8 @@ impl DramModel {
     }
 
     /// Row-hit ratio in `[0, 1]`; 0 when no accesses occurred.
-    pub fn hit_ratio(&self) -> f64 {
+    #[cfg(test)]
+    fn hit_ratio(&self) -> f64 {
         let total = self.regs.hits + self.regs.misses;
         if total == 0 {
             0.0

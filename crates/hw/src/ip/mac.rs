@@ -55,7 +55,7 @@ impl MacIp {
     }
 
     /// Fixed datapath latency through the MAC (pipeline + gearbox), ps.
-    pub fn pipeline_latency_ps(&self) -> Picos {
+    pub(crate) fn pipeline_latency_ps(&self) -> Picos {
         // Hard-IP MACs sit near 80–120 ns; wider cores pay a little more
         // for alignment/gearboxing.
         match self.speed_gbps {

@@ -115,7 +115,8 @@ pub trait VendorIp: fmt::Debug {
 /// # Errors
 ///
 /// Returns the failing op's index and error message.
-pub fn check_init_sequence(ip: &dyn VendorIp) -> Result<(), (usize, String)> {
+#[cfg(test)]
+fn check_init_sequence(ip: &dyn VendorIp) -> Result<(), (usize, String)> {
     let mut rf = ip.register_map();
     for (i, op) in ip.init_sequence().iter().enumerate() {
         // Model the hardware raising status bits before software polls.

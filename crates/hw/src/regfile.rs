@@ -95,8 +95,6 @@ impl Error for RegError {}
 pub struct RegisterFile {
     module: String,
     regs: BTreeMap<u32, Register>,
-    reads: u64,
-    writes: u64,
 }
 
 impl RegisterFile {
@@ -106,11 +104,6 @@ impl RegisterFile {
             module: module.into(),
             ..Default::default()
         }
-    }
-
-    /// Owning module name.
-    pub fn module(&self) -> &str {
-        &self.module
     }
 
     /// Defines a register at `addr`.
@@ -183,7 +176,6 @@ impl RegisterFile {
         if reg.access == Access::WriteOnly {
             return Err(RegError::WriteOnlyRead { addr });
         }
-        self.reads += 1;
         Ok(reg.value)
     }
 
@@ -201,7 +193,6 @@ impl RegisterFile {
             return Err(RegError::ReadOnlyWrite { addr });
         }
         reg.value = value;
-        self.writes += 1;
         Ok(())
     }
 
@@ -221,16 +212,6 @@ impl RegisterFile {
         for reg in self.regs.values_mut() {
             reg.value = reg.reset_value;
         }
-    }
-
-    /// Total software reads performed.
-    pub fn total_reads(&self) -> u64 {
-        self.reads
-    }
-
-    /// Total software writes performed.
-    pub fn total_writes(&self) -> u64 {
-        self.writes
     }
 
     /// Executes one [`RegOp`] against this file.
@@ -337,8 +318,6 @@ mod tests {
         let mut rf = sample_file();
         rf.write(0x00, 7).unwrap();
         assert_eq!(rf.read(0x00).unwrap(), 7);
-        assert_eq!(rf.total_reads(), 1);
-        assert_eq!(rf.total_writes(), 1);
     }
 
     #[test]

@@ -85,7 +85,7 @@ impl ResourceUsage {
     }
 
     /// The zero bundle.
-    pub fn zero() -> Self {
+    pub(crate) fn zero() -> Self {
         Self::default()
     }
 

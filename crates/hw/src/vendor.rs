@@ -26,19 +26,6 @@ impl Vendor {
     /// All vendors, in display order.
     pub const ALL: [Vendor; 3] = [Vendor::Xilinx, Vendor::Intel, Vendor::InHouse];
 
-    /// The vendor's native streaming/memory-mapped interface protocol
-    /// family name.
-    pub fn native_protocol_family(self) -> &'static str {
-        match self {
-            Vendor::Xilinx => "AXI",
-            Vendor::Intel => "Avalon",
-            // In-house boards reuse the die vendor's fabric protocols; the
-            // deployment uses Xilinx-die and Intel-die in-house cards, but
-            // the board-level integration is proprietary either way.
-            Vendor::InHouse => "AXI",
-        }
-    }
-
     /// The vendor's CAD toolchain name, part of the vendor adapter's
     /// dependency key-value pairs (§3.2).
     pub fn cad_tool(self) -> &'static str {
@@ -46,16 +33,6 @@ impl Vendor {
             Vendor::Xilinx => "vivado",
             Vendor::Intel => "quartus",
             Vendor::InHouse => "vivado",
-        }
-    }
-
-    /// The vendor's IP packaging format key (§3.2: "specific IP packaging
-    /// format").
-    pub fn ip_package_format(self) -> &'static str {
-        match self {
-            Vendor::Xilinx => "ip-xact",
-            Vendor::Intel => "qsys",
-            Vendor::InHouse => "ip-xact",
         }
     }
 }
@@ -160,7 +137,6 @@ mod tests {
     fn vendor_toolchains() {
         assert_eq!(Vendor::Xilinx.cad_tool(), "vivado");
         assert_eq!(Vendor::Intel.cad_tool(), "quartus");
-        assert_eq!(Vendor::Intel.native_protocol_family(), "Avalon");
     }
 
     #[test]

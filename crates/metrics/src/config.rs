@@ -34,11 +34,6 @@ impl ConfigInventory {
         }
     }
 
-    /// The inventory name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Adds one item.
     pub fn add(&mut self, item: impl Into<String>, class: ConfigClass) -> &mut Self {
         self.items.push((item.into(), class));
@@ -68,11 +63,6 @@ impl ConfigInventory {
             .iter()
             .filter(|(_, c)| *c == ConfigClass::RoleOriented)
             .count()
-    }
-
-    /// Items absorbed by the shell.
-    pub fn shell_oriented(&self) -> usize {
-        self.total() - self.role_oriented()
     }
 
     /// Configuration-reduction factor (Figure 12's 8.8–19.8×).
@@ -130,7 +120,6 @@ mod tests {
         let inv = sample();
         assert_eq!(inv.total(), 4);
         assert_eq!(inv.role_oriented(), 1);
-        assert_eq!(inv.shell_oriented(), 3);
     }
 
     #[test]

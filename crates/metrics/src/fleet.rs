@@ -94,7 +94,7 @@ impl FleetModel {
 
     /// One simulated year. Pure in `year`, so years can be computed in
     /// any order — or concurrently.
-    pub fn year(&self, year: u32) -> FleetYear {
+    pub(crate) fn year(&self, year: u32) -> FleetYear {
         let new_models = self
             .introductions
             .iter()
@@ -162,7 +162,7 @@ impl FleetModel {
     /// gauge per simulated year (labelled by `year`), and returns the
     /// summary it published.
     ///
-    /// The published aggregate is the one [`FleetModel::summarize`]
+    /// The published aggregate is the one `FleetModel::summarize`
     /// returns.
     pub fn publish_metrics(
         &self,
@@ -209,8 +209,8 @@ pub struct FleetSummary {
 }
 
 impl FleetSummary {
-    /// The single-year summary [`FleetModel::summarize`] reduces over.
-    pub fn of(y: &FleetYear) -> Self {
+    /// The single-year summary `FleetModel::summarize` reduces over.
+    pub(crate) fn of(y: &FleetYear) -> Self {
         FleetSummary {
             years: 1,
             peak_units: y.total_units,

@@ -51,11 +51,6 @@ impl ModuleWorkload {
         }
     }
 
-    /// The module name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Adds a component.
     pub fn add(&mut self, name: impl Into<String>, loc: u64, origin: Origin) -> &mut Self {
         self.components.push(CodeComponent {

@@ -143,16 +143,6 @@ impl DynamicMapping {
         self.clocks.insert(consumer.into(), index);
         self
     }
-
-    /// Number of pin mappings.
-    pub fn pin_count(&self) -> usize {
-        self.pins.len()
-    }
-
-    /// Number of clock mappings.
-    pub fn clock_count(&self) -> usize {
-        self.clocks.len()
-    }
 }
 
 /// A device adapter: the static group generated from the device plus the
@@ -180,13 +170,9 @@ impl DeviceAdapter {
     }
 
     /// The static resource group.
-    pub fn static_config(&self) -> &StaticResourceConfig {
+    #[cfg(test)]
+    fn static_config(&self) -> &StaticResourceConfig {
         &self.static_cfg
-    }
-
-    /// The dynamic mapping group.
-    pub fn dynamic(&self) -> &DynamicMapping {
-        &self.dynamic
     }
 
     /// Mutable access to the dynamic group for on-demand configuration.
@@ -195,7 +181,8 @@ impl DeviceAdapter {
     }
 
     /// Resolves a consumer's clock, if mapped.
-    pub fn clock_for(&self, consumer: &str) -> Option<Freq> {
+    #[cfg(test)]
+    fn clock_for(&self, consumer: &str) -> Option<Freq> {
         let idx = *self.dynamic.clocks.get(consumer)?;
         self.static_cfg.clock_inventory.get(idx).copied()
     }

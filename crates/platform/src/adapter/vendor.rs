@@ -109,12 +109,12 @@ impl ModuleDeps {
     }
 
     /// The module name.
-    pub fn module(&self) -> &str {
+    pub(crate) fn module(&self) -> &str {
         &self.module
     }
 
     /// Iterates requirements.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Version)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&str, &Version)> + '_ {
         self.requires.iter().map(|(k, v)| (k.as_str(), v))
     }
 }
@@ -171,7 +171,6 @@ impl Error for CompatError {}
 /// deployment flow, plus the rigid inspection.
 #[derive(Clone, Debug)]
 pub struct VendorAdapter {
-    vendor: Vendor,
     provides: DependencyEnv,
 }
 
@@ -194,12 +193,7 @@ impl VendorAdapter {
                 provides.insert("board-files".into(), Version::new(2, 0, 0));
             }
         }
-        VendorAdapter { vendor, provides }
-    }
-
-    /// The adapter's vendor.
-    pub fn vendor(&self) -> Vendor {
-        self.vendor
+        VendorAdapter { provides }
     }
 
     /// Adds or overrides a provided dependency (e.g. a tool upgrade).

@@ -6,7 +6,6 @@
 //! wrapped module and every RBB speaks these types upward, which is what
 //! makes the shell, roles and host software platform-independent.
 
-use harmonia_hw::iface::{InterfaceSpec, Protocol, SignalDir};
 use std::fmt;
 
 /// The kind of a unified port.
@@ -36,7 +35,7 @@ pub enum UnifiedPortKind {
 
 impl UnifiedPortKind {
     /// Whether this kind carries bulk data (stream or mem-map).
-    pub fn is_data(self) -> bool {
+    pub(crate) fn is_data(self) -> bool {
         matches!(
             self,
             UnifiedPortKind::Stream { .. } | UnifiedPortKind::MemMap { .. }
@@ -113,16 +112,6 @@ impl UnifiedPort {
             kind,
         }
     }
-
-    /// Renders this port as an [`InterfaceSpec`] for comparison with
-    /// vendor-native interfaces.
-    pub fn to_spec(&self) -> InterfaceSpec {
-        let mut spec = InterfaceSpec::new(self.name.clone(), Protocol::Proprietary);
-        for (sig, width) in self.kind.signals() {
-            spec = spec.signal(format!("{}_{sig}", self.name), width, SignalDir::Out);
-        }
-        spec
-    }
 }
 
 #[cfg(test)]
@@ -167,7 +156,7 @@ mod tests {
         // have identical specs, so upper layers never see vendor variance.
         let a = UnifiedPort::new("rx", UnifiedPortKind::Stream { width_bits: 512 });
         let b = UnifiedPort::new("rx", UnifiedPortKind::Stream { width_bits: 512 });
-        assert_eq!(a.to_spec().diff(&b.to_spec()).total(), 0);
+        assert_eq!(a.kind.signals(), b.kind.signals());
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::unified::{UnifiedPort, UnifiedPortKind};
 use harmonia_hw::ip::{IpKind, VendorIp};
 use harmonia_hw::resource::ResourceUsage;
 use harmonia_sim::stream::StreamBeat;
-use harmonia_sim::{Picos, SyncFifo};
+use harmonia_sim::Picos;
 use std::collections::VecDeque;
 
 /// A fully pipelined stream width converter.
@@ -44,8 +44,6 @@ pub struct WidthConverter {
     acc_bytes: u32,
     next_is_sop: bool,
     ready: VecDeque<StreamBeat>,
-    total_in: u64,
-    total_out: u64,
 }
 
 impl WidthConverter {
@@ -69,8 +67,6 @@ impl WidthConverter {
             acc_bytes: 0,
             next_is_sop: true,
             ready: VecDeque::new(),
-            total_in: 0,
-            total_out: 0,
         }
     }
 
@@ -86,7 +82,6 @@ impl WidthConverter {
             beat.valid_bytes,
             self.in_bytes
         );
-        self.total_in += u64::from(beat.valid_bytes);
         self.acc_bytes += u32::from(beat.valid_bytes);
         // Emit complete output beats greedily; the final (possibly partial)
         // beat flushes on end-of-packet.
@@ -109,7 +104,6 @@ impl WidthConverter {
             self.next_is_sop = true;
         }
         self.acc_bytes -= bytes;
-        self.total_out += u64::from(bytes);
         self.ready.push_back(out);
     }
 
@@ -123,20 +117,10 @@ impl WidthConverter {
         self.ready.pop_front()
     }
 
-    /// Total input bytes accepted.
-    pub fn total_in_bytes(&self) -> u64 {
-        self.total_in
-    }
-
-    /// Total output bytes emitted.
-    pub fn total_out_bytes(&self) -> u64 {
-        self.total_out
-    }
-
     /// The fixed pipeline depth of the translation logic in cycles: one
     /// stage to register the input, one to shift/merge, one to drive the
     /// output, plus one more when the widths actually differ.
-    pub fn latency_cycles(&self) -> u64 {
+    pub(crate) fn latency_cycles(&self) -> u64 {
         if self.in_bytes == self.out_bytes {
             3
         } else {
@@ -148,20 +132,13 @@ impl WidthConverter {
 /// A lightweight interface wrapper around one vendor IP.
 #[derive(Debug)]
 pub struct InterfaceWrapper {
-    instance: String,
-    kind: IpKind,
     native_width_bits: u32,
     unified_width_bits: u32,
     core_period_ps: Picos,
     ports: Vec<UnifiedPort>,
-    /// FIFO buffering the IP's output data plus sideband signals (§3.2).
-    sideband_fifo: SyncFifo<u64>,
 }
 
 impl InterfaceWrapper {
-    /// Default depth of the output/sideband FIFO.
-    pub const FIFO_DEPTH: usize = 32;
-
     /// Wraps a vendor IP, exposing unified ports at `unified_width_bits`.
     pub fn wrap(ip: &dyn VendorIp, unified_width_bits: u32) -> Self {
         let mut ports = vec![
@@ -218,34 +195,16 @@ impl InterfaceWrapper {
             }
         }
         InterfaceWrapper {
-            instance: ip.instance_name(),
-            kind: ip.kind(),
             native_width_bits: ip.data_width_bits(),
             unified_width_bits,
             core_period_ps: ip.core_clock().period_ps(),
             ports,
-            sideband_fifo: SyncFifo::new(Self::FIFO_DEPTH),
         }
-    }
-
-    /// The wrapped IP's instance name.
-    pub fn instance(&self) -> &str {
-        &self.instance
-    }
-
-    /// The wrapped IP's kind.
-    pub fn kind(&self) -> IpKind {
-        self.kind
     }
 
     /// The unified ports the wrapper exposes upward.
     pub fn ports(&self) -> &[UnifiedPort] {
         &self.ports
-    }
-
-    /// Mutable access to the output/sideband FIFO.
-    pub fn sideband_fifo_mut(&mut self) -> &mut SyncFifo<u64> {
-        &mut self.sideband_fifo
     }
 
     /// The translation pipeline depth in cycles.
@@ -285,11 +244,6 @@ impl InterfaceWrapper {
             0,
         )
     }
-
-    /// Creates the width converter for this wrapper's datapath.
-    pub fn converter(&self) -> WidthConverter {
-        WidthConverter::new(self.native_width_bits, self.unified_width_bits)
-    }
 }
 
 #[cfg(test)]
@@ -310,7 +264,6 @@ mod tests {
                     conv.push(beat);
                 }
             }
-            assert_eq!(conv.total_in_bytes(), conv.total_out_bytes());
             let out = conv.drain();
             let bytes: u64 = out.iter().map(|b| u64::from(b.valid_bytes)).sum();
             assert_eq!(bytes, 64 + 65 + 100 + 1500 + 9000);

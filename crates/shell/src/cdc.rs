@@ -27,7 +27,8 @@ pub struct CdcReport {
 
 impl CdcReport {
     /// Delivered bandwidth over a window, in Gbps.
-    pub fn delivered_gbps(&self, window_ps: Picos) -> f64 {
+    #[cfg(test)]
+    fn delivered_gbps(&self, window_ps: Picos) -> f64 {
         (self.bytes_delivered as f64 * 8.0) / (window_ps as f64 / 1e3) // bits/ns = Gbps
     }
 }
@@ -76,12 +77,12 @@ impl ParamCdc {
     }
 
     /// RBB-side bandwidth `S × M` in bits/second.
-    pub fn rbb_bandwidth_bps(&self) -> u128 {
+    pub(crate) fn rbb_bandwidth_bps(&self) -> u128 {
         u128::from(self.rbb_clock.freq().hz()) * u128::from(self.rbb_bits)
     }
 
     /// User-side bandwidth `R × U` in bits/second.
-    pub fn user_bandwidth_bps(&self) -> u128 {
+    pub(crate) fn user_bandwidth_bps(&self) -> u128 {
         u128::from(self.user_clock.freq().hz()) * u128::from(self.user_bits)
     }
 

@@ -64,7 +64,8 @@ impl DatapathSim {
     }
 
     /// Sets the role pipeline depth.
-    pub fn with_role_pipeline(mut self, cycles: u64) -> Self {
+    #[cfg(test)]
+    fn with_role_pipeline(mut self, cycles: u64) -> Self {
         self.role_pipeline_cycles = cycles;
         self
     }

@@ -26,7 +26,7 @@ pub enum RbbHealth {
 
 impl RbbHealth {
     /// Whether this state is out of service.
-    pub fn is_degraded(&self) -> bool {
+    pub(crate) fn is_degraded(&self) -> bool {
         matches!(self, RbbHealth::Degraded { .. })
     }
 }
@@ -105,7 +105,7 @@ impl HealthLedger {
     }
 
     /// Health of one module; modules never marked are healthy.
-    pub fn health_of(&self, rbb_id: u8, instance_id: u8) -> RbbHealth {
+    pub(crate) fn health_of(&self, rbb_id: u8, instance_id: u8) -> RbbHealth {
         self.entries
             .get(&(rbb_id, instance_id))
             .copied()
@@ -118,7 +118,7 @@ impl HealthLedger {
     }
 
     /// All degraded modules with their failure times, in address order.
-    pub fn degraded(&self) -> impl Iterator<Item = ((u8, u8), Picos)> + '_ {
+    pub(crate) fn degraded(&self) -> impl Iterator<Item = ((u8, u8), Picos)> + '_ {
         self.entries.iter().filter_map(|(&k, &h)| match h {
             RbbHealth::Degraded { since_ps } => Some((k, since_ps)),
             RbbHealth::Healthy => None,

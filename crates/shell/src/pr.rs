@@ -251,7 +251,7 @@ impl MultiTenantRegion {
     /// Attaches an observability probe; reconfiguration charges become
     /// `harmonia_pr_reconfig_ps_total` / `harmonia_pr_reconfigs_total`
     /// counters in its registry.
-    pub fn set_probe(&mut self, probe: Probe) {
+    pub(crate) fn set_probe(&mut self, probe: Probe) {
         self.probe = probe;
     }
 

@@ -118,7 +118,7 @@ impl HostRbb {
     /// # Panics
     ///
     /// Panics if `queues` is zero or exceeds [`Self::QUEUES`].
-    pub fn with_advertised_queues(dma: PcieDmaIp, queues: u16) -> Self {
+    pub(crate) fn with_advertised_queues(dma: PcieDmaIp, queues: u16) -> Self {
         assert!(
             (1..=Self::QUEUES).contains(&queues),
             "advertised queues {queues} out of range"
@@ -139,11 +139,6 @@ impl HostRbb {
     /// communication demands".
     pub fn with_link(die_vendor: Vendor, gen: u8, lanes: u8) -> Self {
         Self::new(PcieDmaIp::new(die_vendor, gen, lanes))
-    }
-
-    /// Queues advertised to the role.
-    pub fn advertised_queues(&self) -> u16 {
-        self.advertised_queues
     }
 
     fn component_inventory() -> Vec<LogicComponent> {
@@ -191,11 +186,6 @@ impl HostRbb {
                 resources: ResourceUsage::new(1_000, 1_500, 0, 0, 0),
             },
         ]
-    }
-
-    /// The underlying DMA engine.
-    pub fn dma(&self) -> &PcieDmaIp {
-        &self.dma
     }
 
     fn check_range(queue: u16) -> Result<usize, HostQueueError> {
@@ -334,17 +324,13 @@ impl HostRbb {
         self.sched_visits
     }
 
-    /// Resets the visit counter.
-    pub fn reset_sched_visits(&mut self) {
-        self.sched_visits = 0;
-    }
-
     /// A queue's statistics.
     ///
     /// # Panics
     ///
     /// Panics if `queue` is out of range.
-    pub fn queue_stats(&self, queue: u16) -> QueueStats {
+    #[cfg(test)]
+    fn queue_stats(&self, queue: u16) -> QueueStats {
         self.touched(queue)
             .map_or_else(QueueStats::default, |q| q.stats)
     }

@@ -68,7 +68,8 @@ impl HotCache {
     }
 
     /// Looks up a read; fills the line on miss. Returns hit/miss.
-    pub fn lookup_fill(&mut self, addr: u64) -> bool {
+    #[cfg(test)]
+    fn lookup_fill(&mut self, addr: u64) -> bool {
         if self.shifts() {
             self.lookup_fill_in::<ShiftMask>(addr)
         } else {
@@ -90,7 +91,8 @@ impl HotCache {
     }
 
     /// Invalidates the line containing `addr` (write-through policy).
-    pub fn invalidate(&mut self, addr: u64) {
+    #[cfg(test)]
+    fn invalidate(&mut self, addr: u64) {
         if self.shifts() {
             self.invalidate_in::<ShiftMask>(addr)
         } else {
@@ -107,12 +109,12 @@ impl HotCache {
     }
 
     /// Cache hits so far.
-    pub fn hits(&self) -> u64 {
+    pub(crate) fn hits(&self) -> u64 {
         self.hits
     }
 
     /// Cache misses so far.
-    pub fn misses(&self) -> u64 {
+    pub(crate) fn misses(&self) -> u64 {
         self.misses
     }
 }
@@ -263,7 +265,8 @@ impl MemoryRbb {
     }
 
     /// Number of memory channels.
-    pub fn channel_count(&self) -> usize {
+    #[cfg(test)]
+    fn channel_count(&self) -> usize {
         self.channels.len()
     }
 
@@ -363,11 +366,6 @@ impl MemoryRbb {
             dram_bytes,
             cache_hits,
         }
-    }
-
-    /// The hot cache's statistics.
-    pub fn cache(&self) -> &HotCache {
-        &self.cache
     }
 
     /// Publishes cache/channel aggregates into a register file laid out

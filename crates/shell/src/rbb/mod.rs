@@ -19,7 +19,7 @@ pub mod rdma;
 pub use host::HostRbb;
 pub use memory::MemoryRbb;
 pub use network::NetworkRbb;
-pub use rdma::{RdmaConfig, RdmaEngine};
+pub use rdma::RdmaConfig;
 
 use harmonia_hw::device::FpgaDevice;
 use harmonia_hw::ip::VendorIp;
@@ -54,7 +54,8 @@ impl RbbKind {
     }
 
     /// Parses a command-packet RBB id.
-    pub fn from_id(id: u8) -> Option<RbbKind> {
+    #[cfg(test)]
+    fn from_id(id: u8) -> Option<RbbKind> {
         match id {
             1 => Some(RbbKind::Network),
             2 => Some(RbbKind::Memory),
@@ -143,7 +144,7 @@ pub enum Portability {
 impl Portability {
     /// Whether a component with this portability is reused under the given
     /// migration.
-    pub fn reused_under(self, migration: MigrationKind) -> bool {
+    pub(crate) fn reused_under(self, migration: MigrationKind) -> bool {
         match migration {
             MigrationKind::SamePlatform => true,
             MigrationKind::CrossChip => self != Portability::ChipBound,
@@ -231,11 +232,6 @@ pub trait Rbb: fmt::Debug {
         }
         w
     }
-}
-
-/// Sums the resources of a set of RBBs.
-pub fn total_resources<'a, I: IntoIterator<Item = &'a dyn Rbb>>(rbbs: I) -> ResourceUsage {
-    rbbs.into_iter().map(|r| r.resources()).sum()
 }
 
 #[cfg(test)]

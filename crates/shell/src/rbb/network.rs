@@ -212,11 +212,6 @@ impl NetworkRbb {
         ]
     }
 
-    /// The underlying MAC.
-    pub fn mac(&self) -> &MacIp {
-        &self.mac
-    }
-
     /// Registers a local MAC address the filter should accept.
     pub fn add_local_mac(&mut self, mac: u64) {
         self.local_macs.insert(mac & 0xFFFF_FFFF_FFFF);
@@ -239,7 +234,8 @@ impl NetworkRbb {
     ///
     /// Returns the key back when the table is full or the queue is out of
     /// range.
-    pub fn direct_flow(&mut self, key: FlowKey, queue: u16) -> Result<(), FlowKey> {
+    #[cfg(test)]
+    fn direct_flow(&mut self, key: FlowKey, queue: u16) -> Result<(), FlowKey> {
         if queue >= self.queue_count
             || (self.flow_table.len() >= Self::FLOW_TABLE_CAPACITY
                 && !self.flow_table.contains_key(&key))
@@ -248,11 +244,6 @@ impl NetworkRbb {
         }
         self.flow_table.insert(key, queue);
         Ok(())
-    }
-
-    /// Number of installed exact-match entries.
-    pub fn flow_table_len(&self) -> usize {
-        self.flow_table.len()
     }
 
     /// Processes one received packet through filter → director.
@@ -273,12 +264,6 @@ impl NetworkRbb {
         self.stats.rx_packets += 1;
         self.stats.rx_bytes += u64::from(pkt.bytes);
         RxDecision::Deliver { queue }
-    }
-
-    /// Records one transmitted packet.
-    pub fn record_tx(&mut self, bytes: u32) {
-        self.stats.tx_packets += 1;
-        self.stats.tx_bytes += u64::from(bytes);
     }
 
     /// Current traffic statistics.
@@ -312,11 +297,6 @@ impl NetworkRbb {
         set(rf, "mon_q_0", u64::from(self.queue_count))?;
         set(rf, "mon_q_1", self.flow_table.len() as u64)?;
         Ok(())
-    }
-
-    /// Configured queue count.
-    pub fn queue_count(&self) -> u16 {
-        self.queue_count
     }
 }
 

@@ -40,11 +40,6 @@ impl Default for RdmaConfig {
 /// Errors from queue-pair operations.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum RdmaError {
-    /// QP index out of range.
-    NoSuchQp {
-        /// Offending index.
-        qp: usize,
-    },
     /// A zero-byte message was posted.
     EmptyMessage,
 }
@@ -52,7 +47,6 @@ pub enum RdmaError {
 impl fmt::Display for RdmaError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RdmaError::NoSuchQp { qp } => write!(f, "no queue pair {qp}"),
             RdmaError::EmptyMessage => f.write_str("zero-byte RDMA message"),
         }
     }
@@ -174,7 +168,7 @@ impl QueuePair {
     }
 
     /// Whether all posted work has been delivered and acknowledged.
-    pub fn is_drained(&self) -> bool {
+    pub(crate) fn is_drained(&self) -> bool {
         self.tx.base == self.tx.segments.len()
     }
 
@@ -186,7 +180,7 @@ impl QueuePair {
     /// Runs one simulation slot against a lossy link: transmit up to the
     /// window, deliver/drop each segment, process the cumulative ACK,
     /// handle timeout. `loss` is the per-segment drop probability.
-    pub fn slot(&mut self, rng: &mut SplitMix64, loss: f64) {
+    pub(crate) fn slot(&mut self, rng: &mut SplitMix64, loss: f64) {
         let window_end = (self.tx.base + self.config.window).min(self.tx.segments.len());
         let mut progressed = false;
         // Transmit every sendable segment this slot.
@@ -251,61 +245,6 @@ impl QueuePair {
             self.slot(rng, loss);
         }
         self.is_drained().then_some(max_slots)
-    }
-}
-
-/// A set of queue pairs (the flow-level Network RBB instance).
-#[derive(Debug)]
-pub struct RdmaEngine {
-    qps: Vec<QueuePair>,
-    config: RdmaConfig,
-}
-
-impl RdmaEngine {
-    /// Creates an engine with `qp_count` queue pairs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `qp_count` is zero.
-    pub fn new(qp_count: usize, config: RdmaConfig) -> Self {
-        assert!(qp_count > 0, "need at least one queue pair");
-        RdmaEngine {
-            qps: (0..qp_count).map(|_| QueuePair::new(config)).collect(),
-            config,
-        }
-    }
-
-    /// The transport configuration.
-    pub fn config(&self) -> RdmaConfig {
-        self.config
-    }
-
-    /// Number of queue pairs.
-    pub fn qp_count(&self) -> usize {
-        self.qps.len()
-    }
-
-    /// Access a QP.
-    ///
-    /// # Errors
-    ///
-    /// [`RdmaError::NoSuchQp`].
-    pub fn qp_mut(&mut self, qp: usize) -> Result<&mut QueuePair, RdmaError> {
-        self.qps.get_mut(qp).ok_or(RdmaError::NoSuchQp { qp })
-    }
-
-    /// Aggregate statistics across QPs.
-    pub fn total_stats(&self) -> QpStats {
-        let mut total = QpStats::default();
-        for qp in &self.qps {
-            let s = qp.stats();
-            total.messages_delivered += s.messages_delivered;
-            total.bytes_delivered += s.bytes_delivered;
-            total.segments_sent += s.segments_sent;
-            total.retransmits += s.retransmits;
-            total.drops += s.drops;
-        }
-        total
     }
 }
 
@@ -382,34 +321,5 @@ mod tests {
     fn zero_byte_message_rejected() {
         let mut qp = QueuePair::new(RdmaConfig::default());
         assert_eq!(qp.post_send(0), Err(RdmaError::EmptyMessage));
-    }
-
-    #[test]
-    fn engine_multiplexes_qps() {
-        let mut engine = RdmaEngine::new(8, RdmaConfig::default());
-        let mut rng = SplitMix64::new(3);
-        for q in 0..8 {
-            engine.qp_mut(q).unwrap().post_send(4096 * (q as u32 + 1)).unwrap();
-        }
-        for q in 0..8 {
-            engine
-                .qp_mut(q)
-                .unwrap()
-                .run_to_completion(&mut rng, 0.1, 100_000)
-                .unwrap();
-        }
-        let total = engine.total_stats();
-        assert_eq!(total.messages_delivered, 8);
-        assert_eq!(
-            total.bytes_delivered,
-            (1..=8u64).map(|q| 4096 * q).sum::<u64>()
-        );
-        assert!(engine.qp_mut(99).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one queue pair")]
-    fn zero_qps_rejected() {
-        let _ = RdmaEngine::new(0, RdmaConfig::default());
     }
 }

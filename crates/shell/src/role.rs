@@ -82,17 +82,18 @@ impl RoleSpec {
     }
 
     /// DMA queues the role wants exposed.
-    pub fn desired_queues(&self) -> u16 {
+    pub(crate) fn desired_queues(&self) -> u16 {
         self.desired_queues
     }
 
     /// Whether the packet filter must accept multicast.
-    pub fn multicast(&self) -> bool {
+    pub(crate) fn multicast(&self) -> bool {
         self.multicast
     }
 
     /// The role's clock (R in the CDC equation).
-    pub fn user_clock(&self) -> Freq {
+    #[cfg(test)]
+    pub(crate) fn user_clock(&self) -> Freq {
         self.user_clock
     }
 
@@ -151,7 +152,8 @@ impl RoleSpecBuilder {
     }
 
     /// Opts out of the Host RBB (pure wire-speed roles).
-    pub fn no_host_link(mut self) -> Self {
+    #[cfg(test)]
+    fn no_host_link(mut self) -> Self {
         self.spec.host_link = false;
         self
     }

@@ -233,16 +233,6 @@ impl TenantScheduler {
         Ok(idx)
     }
 
-    /// The policy in force.
-    pub fn policy(&self) -> TenantPolicy {
-        self.policy
-    }
-
-    /// The configured slice length.
-    pub fn slice_ps(&self) -> Picos {
-        self.slice_ps
-    }
-
     /// Registered tenant count.
     pub fn tenant_count(&self) -> usize {
         self.tenants.len()
@@ -266,11 +256,6 @@ impl TenantScheduler {
     /// Tenant switches performed (residency changes, not grants).
     pub fn switches(&self) -> u64 {
         self.switches
-    }
-
-    /// Tenant currently resident in the slot.
-    pub fn resident(&self) -> Option<usize> {
-        self.resident
     }
 
     /// The underlying region (reconfig-time accounting lives there).

@@ -183,19 +183,11 @@ impl TailoredShell {
         if let Some(demand) = role.memory() {
             match demand {
                 MemoryDemand::Ddr { channels } => {
-                    let available = device
-                        .peripherals()
-                        .iter()
-                        .filter(|p| matches!(p, Peripheral::Ddr { .. }))
-                        .count() as u32;
-                    if available < channels {
-                        return Err(TailorError::MemoryUnavailable { demand });
-                    }
-                    rbbs.push(Box::new(MemoryRbb::ddr(
-                        die,
-                        crate::unified::ddr_generation(device),
-                        channels,
-                    )));
+                    let gen = match crate::unified::usable_ddr(device) {
+                        Some((available, gen)) if available >= channels => gen,
+                        _ => return Err(TailorError::MemoryUnavailable { demand }),
+                    };
+                    rbbs.push(Box::new(MemoryRbb::ddr(die, gen, channels)));
                 }
                 MemoryDemand::Hbm => {
                     if !device.has_hbm() {
@@ -255,16 +247,6 @@ impl TailoredShell {
         Ok(())
     }
 
-    /// The role this shell serves.
-    pub fn role_name(&self) -> &str {
-        &self.role_name
-    }
-
-    /// The device it is tailored for.
-    pub fn device_name(&self) -> &str {
-        &self.device_name
-    }
-
     /// The retained RBBs.
     pub fn rbbs(&self) -> &[Box<dyn Rbb>] {
         &self.rbbs
@@ -309,7 +291,7 @@ impl TailoredShell {
 
     /// Resource savings versus the unified shell, as a fraction per kind
     /// (Figure 11). Kinds the unified shell does not use report 0.
-    pub fn savings_vs(&self, unified: &UnifiedShell, kind: ResourceKind) -> f64 {
+    pub(crate) fn savings_vs(&self, unified: &UnifiedShell, kind: ResourceKind) -> f64 {
         let u = unified.resources().get(kind);
         if u == 0 {
             return 0.0;
@@ -331,11 +313,6 @@ impl TailoredShell {
             inv.merge(&r.config_inventory());
         }
         inv
-    }
-
-    /// Configuration-reduction factor for the role (Figure 12).
-    pub fn config_reduction_factor(&self) -> Option<f64> {
-        self.config_inventory().reduction_factor()
     }
 
     /// Development-workload inventory under a migration (Figure 15's
@@ -543,7 +520,7 @@ mod tests {
             .memory(MemoryDemand::Ddr { channels: 1 })
             .build();
         let t = TailoredShell::tailor(&u, &role).unwrap();
-        let f = t.config_reduction_factor().unwrap();
+        let f = t.config_inventory().reduction_factor().unwrap();
         assert!((8.8..=19.8).contains(&f), "factor {f:.1}");
     }
 

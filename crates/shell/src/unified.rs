@@ -18,7 +18,7 @@ use harmonia_metrics::workload::{ModuleWorkload, Origin};
 
 /// Shell-management logic present in every shell instance: the §2.1
 /// production-shell functionality that is not tied to one RBB.
-pub fn management_components() -> Vec<LogicComponent> {
+pub(crate) fn management_components() -> Vec<LogicComponent> {
     vec![
         LogicComponent {
             name: "health-monitor",
@@ -51,18 +51,18 @@ pub fn management_components() -> Vec<LogicComponent> {
     ]
 }
 
-/// The DDR generation a device's channels run at (oldest wins when mixed;
-/// legacy boards still carry DDR3).
-pub fn ddr_generation(device: &FpgaDevice) -> u8 {
-    device
-        .peripherals()
-        .iter()
-        .filter_map(|p| match p {
-            Peripheral::Ddr { gen, .. } => Some(*gen),
-            _ => None,
-        })
-        .min()
-        .unwrap_or(4)
+/// The DDR a shell can use on a device: the number of DDR3/DDR4 channels
+/// and the generation they run at (oldest wins when mixed; legacy boards
+/// still carry DDR3). Only those two generations have a controller model,
+/// so channels of any other generation are not counted, and a device with
+/// none of them offers no DDR (`None`).
+pub(crate) fn usable_ddr(device: &FpgaDevice) -> Option<(u32, u8)> {
+    let gens = device.peripherals().iter().filter_map(|p| match *p {
+        Peripheral::Ddr { gen, .. } if gen == 3 || gen == 4 => Some(gen),
+        _ => None,
+    });
+    let (channels, oldest) = gens.fold((0, u8::MAX), |(n, old), gen| (n + 1, old.min(gen)));
+    (channels > 0).then_some((channels, oldest))
 }
 
 /// The one-size-fits-all shell for a device.
@@ -92,13 +92,8 @@ impl UnifiedShell {
                 _ => {}
             }
         }
-        let ddr_channels = device
-            .peripherals()
-            .iter()
-            .filter(|p| matches!(p, Peripheral::Ddr { .. }))
-            .count() as u32;
-        if ddr_channels > 0 {
-            rbbs.push(Box::new(MemoryRbb::ddr(die, ddr_generation(device), ddr_channels)));
+        if let Some((channels, gen)) = usable_ddr(device) {
+            rbbs.push(Box::new(MemoryRbb::ddr(die, gen, channels)));
         }
         if device.has_hbm() {
             rbbs.push(Box::new(MemoryRbb::hbm(die)));
@@ -114,12 +109,12 @@ impl UnifiedShell {
     }
 
     /// The device this shell was built for.
-    pub fn device(&self) -> &FpgaDevice {
+    pub(crate) fn device(&self) -> &FpgaDevice {
         &self.device
     }
 
     /// The device's name.
-    pub fn device_name(&self) -> &str {
+    pub(crate) fn device_name(&self) -> &str {
         self.device.name()
     }
 

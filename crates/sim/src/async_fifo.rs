@@ -73,8 +73,6 @@ pub struct AsyncFifo<T> {
     rptr_gray_sync: [u64; 2],
     pushed_this_edge: bool,
     popped_this_edge: bool,
-    total_pushes: u64,
-    total_pops: u64,
     max_occupancy: usize,
 }
 
@@ -99,8 +97,6 @@ impl<T> AsyncFifo<T> {
             rptr_gray_sync: [0; 2],
             pushed_this_edge: false,
             popped_this_edge: false,
-            total_pushes: 0,
-            total_pops: 0,
             max_occupancy: 0,
         }
     }
@@ -131,7 +127,7 @@ impl<T> AsyncFifo<T> {
     }
 
     /// Whether a pop would succeed at the current read edge.
-    pub fn can_pop(&self) -> bool {
+    pub(crate) fn can_pop(&self) -> bool {
         !self.popped_this_edge && self.rptr < gray_to_bin(self.wptr_gray_sync[1])
     }
 
@@ -150,7 +146,6 @@ impl<T> AsyncFifo<T> {
         self.storage[slot] = Some(item);
         self.wptr += 1;
         self.pushed_this_edge = true;
-        self.total_pushes += 1;
         let occ = (self.wptr - self.rptr) as usize;
         self.max_occupancy = self.max_occupancy.max(occ);
         Ok(())
@@ -166,7 +161,6 @@ impl<T> AsyncFifo<T> {
         debug_assert!(item.is_some(), "popping empty slot");
         self.rptr += 1;
         self.popped_this_edge = true;
-        self.total_pops += 1;
         item
     }
 
@@ -183,16 +177,6 @@ impl<T> AsyncFifo<T> {
     /// Whether the FIFO holds no items (omniscient view).
     pub fn is_empty(&self) -> bool {
         self.wptr == self.rptr
-    }
-
-    /// Total accepted pushes.
-    pub fn total_pushes(&self) -> u64 {
-        self.total_pushes
-    }
-
-    /// Total successful pops.
-    pub fn total_pops(&self) -> u64 {
-        self.total_pops
     }
 
     /// High-water mark of true occupancy.

@@ -84,7 +84,7 @@ impl MultiClock {
 
     /// Returns the next edge at or after the current position, advancing the
     /// corresponding clock. Returns `None` when no clocks are registered.
-    pub fn next_edge(&mut self) -> Option<ClockEdge> {
+    pub(crate) fn next_edge(&mut self) -> Option<ClockEdge> {
         let idx = self
             .clocks
             .iter()

@@ -138,7 +138,7 @@ impl FaultPlan {
     }
 
     /// Whether the plan injects anything at all.
-    pub fn is_none(&self) -> bool {
+    pub(crate) fn is_none(&self) -> bool {
         self.events.is_empty() && self.rates.is_zero()
     }
 
@@ -314,7 +314,7 @@ impl FaultInjector {
     }
 
     /// Whether the memory beat consulted at `now` takes an ECC hit.
-    pub fn ecc_error(&self, now: Picos) -> bool {
+    pub(crate) fn ecc_error(&self, now: Picos) -> bool {
         let Some(inner) = &self.inner else {
             return false;
         };

@@ -1,9 +1,8 @@
 //! Bounded synchronous FIFO with occupancy statistics.
 //!
 //! This is the single-clock buffering primitive used throughout the hardware
-//! models: vendor-IP output buffers, the interface wrapper's sideband FIFO,
-//! command queues in the unified control kernel, and the per-queue buffers
-//! of the Host RBB.
+//! models: command queues in the unified control kernel and the per-queue
+//! buffers of the Host RBB.
 
 use crate::fault::FaultInjector;
 use crate::probe::Probe;
@@ -53,8 +52,6 @@ pub struct SyncFifo<T> {
     buf: VecDeque<T>,
     capacity: usize,
     max_occupancy: usize,
-    total_pushes: u64,
-    total_pops: u64,
     rejected: u64,
 }
 
@@ -73,8 +70,6 @@ impl<T> SyncFifo<T> {
             buf: VecDeque::new(),
             capacity,
             max_occupancy: 0,
-            total_pushes: 0,
-            total_pops: 0,
             rejected: 0,
         }
     }
@@ -90,7 +85,6 @@ impl<T> SyncFifo<T> {
             return Err(FifoFullError(item));
         }
         self.buf.push_back(item);
-        self.total_pushes += 1;
         self.max_occupancy = self.max_occupancy.max(self.buf.len());
         Ok(())
     }
@@ -130,11 +124,7 @@ impl<T> SyncFifo<T> {
 
     /// Dequeues the oldest item, if any.
     pub fn pop(&mut self) -> Option<T> {
-        let item = self.buf.pop_front();
-        if item.is_some() {
-            self.total_pops += 1;
-        }
-        item
+        self.buf.pop_front()
     }
 
     /// Peeks at the oldest item without removing it.
@@ -168,16 +158,6 @@ impl<T> SyncFifo<T> {
         self.max_occupancy
     }
 
-    /// Total accepted pushes.
-    pub fn total_pushes(&self) -> u64 {
-        self.total_pushes
-    }
-
-    /// Total successful pops.
-    pub fn total_pops(&self) -> u64 {
-        self.total_pops
-    }
-
     /// Number of pushes rejected due to a full FIFO (drop/backpressure count).
     pub fn rejected(&self) -> u64 {
         self.rejected
@@ -185,7 +165,6 @@ impl<T> SyncFifo<T> {
 
     /// Removes all items and returns them, preserving order.
     pub fn drain(&mut self) -> Vec<T> {
-        self.total_pops += self.buf.len() as u64;
         self.buf.drain(..).collect()
     }
 }
@@ -237,10 +216,8 @@ mod tests {
         for i in 0..3 {
             f.push(i).unwrap();
         }
-        f.pop();
+        assert_eq!(f.pop(), Some(0));
         f.push(9).unwrap();
-        assert_eq!(f.total_pushes(), 4);
-        assert_eq!(f.total_pops(), 1);
         assert_eq!(f.max_occupancy(), 3);
         assert_eq!(f.len(), 3);
     }
@@ -259,7 +236,6 @@ mod tests {
         f.extend([1, 2, 3]);
         assert_eq!(f.drain(), vec![1, 2, 3]);
         assert!(f.is_empty());
-        assert_eq!(f.total_pops(), 3);
     }
 
     #[test]
@@ -318,10 +294,7 @@ mod tests {
         assert!(f.is_full());
         assert_eq!(f.push(256), Err(FifoFullError(256)));
         assert_eq!(f.rejected(), 1);
-        assert_eq!(
-            (f.len(), f.max_occupancy(), f.total_pushes()),
-            (256, 256, 256)
-        );
+        assert_eq!((f.len(), f.max_occupancy()), (256, 256));
         // The bound still holds after a drain and a refill.
         assert_eq!(f.drain(), (0..256).collect::<Vec<_>>());
         f.extend(0..300);

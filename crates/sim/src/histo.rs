@@ -232,7 +232,7 @@ impl LogHistogram {
     }
 
     /// Mean of all samples, rounded down (0 when empty).
-    pub fn mean(&self) -> u64 {
+    pub(crate) fn mean(&self) -> u64 {
         if self.count == 0 {
             0
         } else {
@@ -244,7 +244,7 @@ impl LogHistogram {
     /// bound of the bucket holding that rank — except the last occupied
     /// bucket, where the exact `max` is returned. Same nearest-rank
     /// convention as [`crate::stats::LatencyStats`].
-    pub fn percentile(&self, p: f64) -> u64 {
+    pub(crate) fn percentile(&self, p: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }

@@ -576,7 +576,7 @@ impl FlightRecorder {
 
     /// An enabled recorder with a stable lane id (use the scenario index
     /// when fanning out) and explicit capacity.
-    pub fn with_lane_capacity(lane: u32, capacity: usize) -> FlightRecorder {
+    pub(crate) fn with_lane_capacity(lane: u32, capacity: usize) -> FlightRecorder {
         let capacity = capacity.max(1);
         FlightRecorder {
             inner: Some(Arc::new(Mutex::new(FlightBuf {

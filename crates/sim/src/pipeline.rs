@@ -22,13 +22,6 @@ pub struct PushError<T> {
     pub last_push_cycle: u64,
 }
 
-impl<T> PushError<T> {
-    /// Recovers the rejected item.
-    pub fn into_item(self) -> T {
-        self.item
-    }
-}
-
 impl<T> fmt::Display for PushError<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -56,7 +49,6 @@ pub struct Pipeline<T> {
     latency: u64,
     in_flight: VecDeque<(u64, T)>,
     last_push_cycle: Option<u64>,
-    total: u64,
 }
 
 impl<T> Pipeline<T> {
@@ -68,13 +60,7 @@ impl<T> Pipeline<T> {
             latency,
             in_flight: VecDeque::new(),
             last_push_cycle: None,
-            total: 0,
         }
-    }
-
-    /// The fixed latency in cycles.
-    pub fn latency(&self) -> u64 {
-        self.latency
     }
 
     /// Accepts one item at clock cycle `cycle`.
@@ -98,7 +84,6 @@ impl<T> Pipeline<T> {
         }
         self.last_push_cycle = Some(cycle);
         self.in_flight.push_back((cycle + self.latency, item));
-        self.total += 1;
         Ok(())
     }
 
@@ -115,11 +100,6 @@ impl<T> Pipeline<T> {
     /// Number of items currently traversing the pipeline.
     pub fn in_flight(&self) -> usize {
         self.in_flight.len()
-    }
-
-    /// Total items ever accepted.
-    pub fn total_accepted(&self) -> u64 {
-        self.total
     }
 
     /// Whether the pipeline holds no items.
@@ -156,7 +136,7 @@ mod tests {
         assert_eq!(same_cycle.cycle, 1);
         assert_eq!(same_cycle.last_push_cycle, 1);
         let past = p.push(0, 'z').unwrap_err();
-        assert_eq!(past.into_item(), 'z');
+        assert_eq!(past.item, 'z');
         assert_eq!(past.cycle, 0);
         assert_eq!(past.last_push_cycle, 1);
         p.push(2, 'y').unwrap();
@@ -213,7 +193,6 @@ mod tests {
         p.push(0, ()).unwrap();
         p.push(1, ()).unwrap();
         assert_eq!(p.in_flight(), 2);
-        assert_eq!(p.total_accepted(), 2);
         p.pop(2);
         p.pop(2);
         assert!(p.is_empty());

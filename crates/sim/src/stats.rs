@@ -43,11 +43,6 @@ impl Throughput {
         self.bytes
     }
 
-    /// Total items recorded.
-    pub fn items(&self) -> u64 {
-        self.items
-    }
-
     /// Measurement window in picoseconds.
     pub fn window_ps(&self) -> Picos {
         self.window_ps
@@ -61,11 +56,6 @@ impl Throughput {
     pub fn gbps(&self) -> f64 {
         assert!(self.window_ps > 0, "throughput window not closed");
         (self.bytes as f64 * 8.0) / (self.window_ps as f64 / PS_PER_SEC as f64) / 1e9
-    }
-
-    /// Gigabytes per second over the window.
-    pub fn gbytes_per_sec(&self) -> f64 {
-        self.gbps() / 8.0
     }
 
     /// Million items (operations, packets, vectors, …) per second.
@@ -152,11 +142,6 @@ impl LatencyStats {
         self.mean_ps() / 1e3
     }
 
-    /// Mean latency in microseconds.
-    pub fn mean_us(&self) -> f64 {
-        self.mean_ps() / 1e6
-    }
-
     /// The `p`-th percentile (0.0–100.0), by nearest-rank on sorted samples.
     ///
     /// Returns `None` when empty.
@@ -164,7 +149,7 @@ impl LatencyStats {
     /// # Panics
     ///
     /// Panics if `p` is outside `[0, 100]`.
-    pub fn percentile(&mut self, p: f64) -> Option<Picos> {
+    pub(crate) fn percentile(&mut self, p: f64) -> Option<Picos> {
         assert!((0.0..=100.0).contains(&p), "percentile must be in [0,100]");
         if self.samples.is_empty() {
             return None;

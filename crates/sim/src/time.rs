@@ -35,7 +35,7 @@ impl Freq {
     ///
     /// Panics if `hz` is zero: a zero-frequency clock never ticks and any
     /// component on it would silently deadlock the simulation.
-    pub fn from_hz(hz: u64) -> Self {
+    pub(crate) fn from_hz(hz: u64) -> Self {
         assert!(hz > 0, "clock frequency must be non-zero");
         Freq(hz)
     }
@@ -51,18 +51,13 @@ impl Freq {
         Self::from_hz(khz * 1_000)
     }
 
-    /// Creates a frequency from gigahertz.
-    pub fn ghz(ghz: u64) -> Self {
-        Self::from_hz(ghz * 1_000_000_000)
-    }
-
     /// The clock period in picoseconds, rounded down.
     pub fn period_ps(self) -> Picos {
         PS_PER_SEC / self.0
     }
 
     /// Frequency in MHz as a float, for reporting.
-    pub fn as_mhz(self) -> f64 {
+    pub(crate) fn as_mhz(self) -> f64 {
         self.0 as f64 / 1e6
     }
 }
@@ -142,7 +137,7 @@ mod tests {
     #[test]
     fn freq_constructors_agree() {
         assert_eq!(Freq::mhz(100), Freq::khz(100_000));
-        assert_eq!(Freq::ghz(1), Freq::mhz(1_000));
+        assert_eq!(Freq::khz(1_000_000), Freq::mhz(1_000));
         assert_eq!(Freq::from_hz(322_265_625).period_ps(), 3_103);
     }
 

@@ -216,7 +216,7 @@ impl TraceEventKind {
     }
 
     /// Stable category (Perfetto `cat`): which layer emitted the event.
-    pub fn category(&self) -> &'static str {
+    pub(crate) fn category(&self) -> &'static str {
         match self {
             TraceEventKind::CmdIssue { .. }
             | TraceEventKind::CmdDelivery { .. }
@@ -243,7 +243,7 @@ impl TraceEventKind {
 
     /// The event's arguments as deterministic `(key, value)` pairs, in a
     /// fixed order (drives both exporters).
-    pub fn args(&self) -> Vec<(&'static str, String)> {
+    pub(crate) fn args(&self) -> Vec<(&'static str, String)> {
         match *self {
             TraceEventKind::CmdIssue {
                 code,

@@ -21,7 +21,7 @@ pub type CandidateFailure = Option<String>;
 /// Shrinks `tape` against `eval`, which returns `Some(error)` while the
 /// property still fails. Returns the minimal tape, its error, and the
 /// number of accepted shrink steps.
-pub fn shrink_tape(
+pub(crate) fn shrink_tape(
     tape: Vec<u64>,
     mut eval: impl FnMut(&[u64]) -> CandidateFailure,
     mut budget: usize,

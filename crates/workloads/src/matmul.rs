@@ -42,12 +42,13 @@ impl MatMulWorkload {
     }
 
     /// Iteration count.
-    pub fn iterations(&self) -> u64 {
+    #[cfg(test)]
+    fn iterations(&self) -> u64 {
         self.iterations
     }
 
     /// Multiply-accumulate operations per matrix product.
-    pub fn macs_per_matrix(&self) -> u64 {
+    pub(crate) fn macs_per_matrix(&self) -> u64 {
         (self.n * self.n * self.n) as u64
     }
 

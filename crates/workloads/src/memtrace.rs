@@ -100,7 +100,8 @@ impl MemTraceGen {
     /// # Panics
     ///
     /// Panics if `bytes` is zero.
-    pub fn with_footprint(mut self, bytes: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_footprint(mut self, bytes: u64) -> Self {
         assert!(bytes > 0, "footprint must be non-zero");
         self.footprint_bytes = bytes;
         self

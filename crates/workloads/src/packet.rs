@@ -167,9 +167,6 @@ impl PacketGen {
         }
         out
     }
-
-    /// The frame sizes the paper sweeps in Figures 10a and 17.
-    pub const FRAME_SIZES: [u32; 5] = [64, 128, 256, 512, 1024];
 }
 
 #[cfg(test)]

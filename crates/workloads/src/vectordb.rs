@@ -65,16 +65,6 @@ impl VectorDbWorkload {
         }
     }
 
-    /// Database size in vectors.
-    pub fn vectors(&self) -> u64 {
-        self.vectors
-    }
-
-    /// Bytes per vector access.
-    pub fn access_bytes(&self) -> u32 {
-        self.access_bytes
-    }
-
     /// Generates `count` accesses in a mode; `write_ratio` in `[0,1]`
     /// selects the read/write mix.
     ///

@@ -5,10 +5,13 @@ use harmonia::apps::l4lb::Backend;
 use harmonia::apps::Layer4Lb;
 use harmonia::cmd::CommandCode;
 use harmonia::hw::device::catalog;
+use harmonia::hw::{ChipFamily, FpgaDevice, Peripheral, Vendor};
 use harmonia::shell::rbb::network::RxDecision;
 use harmonia::shell::rbb::{NetworkRbb, RbbKind};
 use harmonia::workloads::PacketGen;
-use harmonia::{Harmonia, MemoryDemand, RoleSpec};
+use harmonia::shell::TailorError;
+use harmonia::sim::Freq;
+use harmonia::{DeployError, Harmonia, MemoryDemand, RoleSpec};
 
 const LOCAL_MAC: u64 = 0x02_00_00_00_00_77;
 
@@ -95,6 +98,37 @@ fn deployment_rejects_overcommitted_roles_cleanly() {
     let err = Harmonia::deploy(&device, &role).unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("tailoring"), "unexpected error: {msg}");
+}
+
+#[test]
+fn unsupported_ddr_generation_is_an_error_not_a_panic() {
+    // Device D with DDR5 in place of its DDR4: only DDR3 and DDR4 have a
+    // controller model, so the board offers no DDR at all.
+    let device = FpgaDevice::builder("Device D (DDR5)")
+        .vendor(Vendor::Intel)
+        .family(ChipFamily::Agilex)
+        .part("AGF014")
+        .capacity(*catalog::device_d().capacity())
+        .peripheral(Peripheral::Qsfp { gbps: 100 })
+        .peripheral(Peripheral::Qsfp { gbps: 100 })
+        .peripheral(Peripheral::Pcie { gen: 4, lanes: 16 })
+        .peripheral(Peripheral::Ddr { gen: 5, gib: 16 })
+        .clock_source(Freq::mhz(100))
+        .clock_source(Freq::mhz(250))
+        .virtual_functions(16)
+        .io_pins(624)
+        .build();
+    let ddr_role = RoleSpec::builder("needs-ddr")
+        .network_gbps(100)
+        .memory(MemoryDemand::Ddr { channels: 1 })
+        .build();
+    let err = Harmonia::deploy(&device, &ddr_role).unwrap_err();
+    assert!(
+        matches!(err, DeployError::Tailor(TailorError::MemoryUnavailable { .. })),
+        "unexpected error: {err}"
+    );
+    let net_role = RoleSpec::builder("no-memory").network_gbps(100).build();
+    assert!(Harmonia::deploy(&device, &net_role).is_ok());
 }
 
 #[test]
