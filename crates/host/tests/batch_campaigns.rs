@@ -14,6 +14,9 @@
 //! 3. **Amortization** — with no faults, a batched submit acks everything
 //!    with the same payloads as the serial path while finishing on an
 //!    earlier simulated clock, and coalesces completion interrupts.
+//! 4. **Observed campaign** — one faulty batched campaign with every
+//!    observability plane attached is pinned byte for byte: report,
+//!    clock, ack log, text trace, Prometheus export and flight dump.
 
 use harmonia_cmd::{CommandCode, UnifiedControlKernel};
 use harmonia_host::{CommandDriver, DmaEngine, DriverError};
@@ -80,6 +83,13 @@ fn render(tag: &str, seed: u64, results: &[Result<Vec<u32>, String>], drv: &Comm
         drv.total_latency_ps(),
         results,
     )
+}
+
+/// FNV-1a, 64-bit: a compact pin for a long rendering.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 fn squash(r: Result<harmonia_cmd::CommandPacket, DriverError>) -> Result<Vec<u32>, String> {
@@ -209,4 +219,36 @@ fn no_fault_batched_submit_matches_serial_payloads_on_a_faster_clock() {
     assert_eq!(irq.events, mix().len() as u64);
     assert_eq!(irq.interrupts, 2, "14 completions in 7-batches coalesce twice");
     assert_eq!(irq.coalescing(), 7.0);
+}
+
+/// (4) Six copies of the mix at batch 16 over 64-deep rings under the
+/// seed-5 campaign, with every plane attached: the ring rounds' fault
+/// draws, retries, spans, counters and flight records are pinned.
+#[test]
+fn observed_batched_campaign_is_pinned() {
+    let (engine, kernel, _shell) = parts();
+    let mut drv = CommandDriver::with_depth(engine, kernel, 16, 64);
+    drv.set_probe(Probe::enabled());
+    drv.set_fault_injector(campaign_plan(5).injector());
+    let results = drv.submit((0..6).flat_map(|_| mix()).collect());
+    assert_eq!(results.len(), 84);
+    let acked = format!("{:?}", drv.acked_log());
+    let text = drv.probe().trace.take().export_text();
+    let prom = drv.probe().metrics.snapshot().export_prometheus();
+    let flight = drv.probe().flight.dump();
+    let pin = |s: &str| (s.lines().count(), fnv1a(s));
+    assert_eq!(
+        drv.report().to_string(),
+        "driver[issued=84 acked=84 retries=47 timeouts=42 nacks=5 gave-up=0]",
+        "report"
+    );
+    assert_eq!(drv.clock_ps(), 178_675_225, "clock");
+    assert_eq!(
+        (drv.acked_log().len(), fnv1a(&acked)),
+        (84, 0x3501_9a09_528f_7549),
+        "ack log"
+    );
+    assert_eq!(pin(&text), (429, 0x17ba_6e9d_4120_a996), "text trace");
+    assert_eq!(pin(&prom), (43, 0x24d9_1531_46a0_ec76), "Prometheus export");
+    assert_eq!(pin(&flight), (65, 0x8c42_7b4a_0da2_2bae), "flight dump");
 }

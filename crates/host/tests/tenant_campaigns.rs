@@ -11,7 +11,11 @@
 //! 3. **Campaign convergence** — under the eight-seed fault campaigns
 //!    (link flap + credit stall + 5% background drop/corrupt/irq-lost)
 //!    every tenant's work converges to completed with exact accounting,
-//!    and each seed's full observable state is reproducible run-to-run.
+//!    and each seed's full observable state is reproducible run-to-run
+//!    and pinned to recorded FNV-1a hashes.
+//! 4. **Observed campaign** — one campaign with every observability
+//!    plane attached ends in the same state as without them, and its
+//!    text trace and Prometheus export are pinned byte for byte.
 
 use harmonia_cmd::{CommandCode, UnifiedControlKernel};
 use harmonia_host::batch::CmdSpec;
@@ -23,7 +27,7 @@ use harmonia_hw::Vendor;
 use harmonia_shell::pr::{MultiTenantRegion, TenantRole};
 use harmonia_shell::sched::{TenantPolicy, TenantScheduler, DEFAULT_TENANT_SLICE_PS};
 use harmonia_shell::{MemoryDemand, RoleSpec, TailoredShell, UnifiedShell};
-use harmonia_sim::{FaultKind, FaultPlan, FaultRates};
+use harmonia_sim::{FaultKind, FaultPlan, FaultRates, Probe};
 
 fn shell_parts() -> (TailoredShell, DmaEngine, UnifiedControlKernel) {
     let dev = catalog::device_a();
@@ -82,6 +86,13 @@ fn campaign_plan(seed: u64) -> FaultPlan {
                 ecc: 0.0,
             },
         )
+}
+
+/// FNV-1a, 64-bit: a compact pin for a long rendering.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// Everything observable about a finished run, as one comparable string.
@@ -155,9 +166,36 @@ fn no_starvation_under_either_policy() {
     }
 }
 
+/// FNV-1a of each seed's `render`, round-robin then weighted-fair.
+const CAMPAIGN_RENDERS: [[u64; 8]; 2] = [
+    [
+        0xb596_a75f_5ee0_2c3d,
+        0x52aa_ec97_34cb_6d34,
+        0xd58f_baa9_fc91_a5ca,
+        0x9e72_1ca4_b11a_2f72,
+        0x35e9_859d_c528_d0b1,
+        0x6358_5bf3_eb6a_3290,
+        0xbe70_812e_523d_1bbb,
+        0xd60d_1947_6c25_b606,
+    ],
+    [
+        0xac53_aae5_af6c_bda3,
+        0x9376_b275_77d5_532b,
+        0x0d50_aab3_aae8_0f27,
+        0xaeb9_7ce9_52a1_ca34,
+        0x92e7_117a_e090_1844,
+        0xac67_8ce6_f55b_0d14,
+        0x2236_9c53_63ce_62d8,
+        0x6f24_ca4c_5788_5214,
+    ],
+];
+
 #[test]
 fn eight_seed_campaigns_converge_with_exact_accounting() {
-    for policy in [TenantPolicy::RoundRobin, TenantPolicy::WeightedFair] {
+    for (pins, policy) in CAMPAIGN_RENDERS
+        .iter()
+        .zip([TenantPolicy::RoundRobin, TenantPolicy::WeightedFair])
+    {
         let mut any_background_fault = false;
         for seed in 0..8u64 {
             let run = || {
@@ -190,6 +228,11 @@ fn eight_seed_campaigns_converge_with_exact_accounting() {
             let (first, recoveries) = run();
             let (second, _) = run();
             assert_eq!(first, second, "{policy:?} seed {seed}: not reproducible");
+            assert_eq!(
+                fnv1a(&first),
+                pins[seed as usize],
+                "{policy:?} seed {seed}: {first}"
+            );
             // Link-down alone accounts for 3 front-of-ring retries; more
             // means the seeded background rates actually fired.
             if recoveries > 3 {
@@ -201,4 +244,36 @@ fn eight_seed_campaigns_converge_with_exact_accounting() {
             "{policy:?}: eight seeds of 5% rates never fired a background fault"
         );
     }
+}
+
+/// One seed-0 weighted-fair campaign with every plane attached: the
+/// probe changes nothing the driver reports, and the timeline and the
+/// registry it fills are pinned.
+#[test]
+fn observed_campaign_pins_its_trace_and_metrics() {
+    let run = |probe: Probe| {
+        let mut d = driver(TenantPolicy::WeightedFair, &[4, 2, 1]);
+        d.set_probe(probe);
+        d.set_fault_injector(campaign_plan(0).injector());
+        for t in 0..3 {
+            d.enqueue(t, health_reads(60));
+        }
+        d.run(u64::MAX);
+        render("observed", &d, 3)
+    };
+    let probe = Probe::enabled();
+    let observed = run(probe.clone());
+    assert_eq!(observed, run(Probe::disabled()), "the probe changed the run");
+    let text = probe.trace.take().export_text();
+    let prom = probe.metrics.snapshot().export_prometheus();
+    assert_eq!(
+        (text.lines().count(), fnv1a(&text)),
+        (216, 0x90cd_1ba3_2910_276b),
+        "text trace"
+    );
+    assert_eq!(
+        (prom.lines().count(), fnv1a(&prom)),
+        (59, 0xfa17_742b_fb1f_3d27),
+        "Prometheus export"
+    );
 }
