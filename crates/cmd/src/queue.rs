@@ -263,7 +263,7 @@ impl CommandBudget {
     }
 
     /// An effectively unlimited budget (the single-tenant fast path).
-    pub(crate) fn unlimited() -> CommandBudget {
+    pub fn unlimited() -> CommandBudget {
         CommandBudget::new(u32::MAX, u64::MAX)
     }
 

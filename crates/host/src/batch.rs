@@ -11,8 +11,11 @@
 //! completion interrupts per batch through the driver's
 //! [`IrqModerator`](crate::IrqModerator).
 //!
-//! Each entry goes through the same issue, ack, nack, time-out and
-//! retry-or-give-up steps as the serial transport:
+//! The round itself runs over the crate-private `ring` module, shared
+//! with [`TenantHostDriver`](crate::TenantHostDriver); this module is the
+//! command driver's policy over it. Each entry goes through the same
+//! issue, ack, nack, time-out and retry-or-give-up steps as the serial
+//! transport:
 //!
 //! * every entry carries its own idempotency tag, so a retried entry is
 //!   replayed by the kernel, never re-executed;
@@ -34,12 +37,12 @@
 //! [`CommandDriver::cmd_raw_resilient`] does.
 
 use crate::cmd_driver::{CommandDriver, Inflight};
-use crate::dma::CommandDelivery;
 use crate::resilience::DriverError;
-use harmonia_cmd::queue::{CompletionStatus, SqDescriptor};
-use harmonia_cmd::{CommandCode, CommandPacket, KernelError};
+use crate::ring::{self, Outcome};
+use harmonia_cmd::queue::CommandBudget;
+use harmonia_cmd::{CommandCode, CommandPacket};
 use harmonia_sim::{Picos, TraceEventKind};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// One command to submit: `(rbb_id, instance_id, code, data)`.
 pub type CmdSpec = (u8, u8, CommandCode, Vec<u32>);
@@ -85,120 +88,72 @@ impl CommandDriver {
     }
 
     /// One doorbell round: take up to `batch` entries, ship them as one
-    /// burst, drain the kernel, poll the CQ, and re-queue whatever a
-    /// fault took out.
+    /// burst over the driver's ring, and re-queue whatever a fault took out.
     fn ring_round(&mut self, pending: &mut VecDeque<Inflight>, results: &mut [Option<CmdResult>]) {
-        let take = self.batch.min(self.sq.capacity()).min(pending.len());
-        let mut round: Vec<Inflight> = pending.drain(..take).collect();
+        let take = self.batch.min(self.ring.free()).min(pending.len());
         let round_start = self.clock_ps;
-        let mut total_bytes = 0u32;
-        let mut encoded: Vec<Vec<u8>> = Vec::with_capacity(round.len());
-        for cmd in &mut round {
-            self.transmit(cmd, round_start);
-            let bytes = cmd.packet.encode();
-            total_bytes += bytes.len() as u32;
-            encoded.push(bytes);
+        let mut round = Vec::with_capacity(take);
+        for mut cmd in pending.drain(..take) {
+            self.transmit(&mut cmd, round_start);
+            round.push((ring::descriptor(cmd.tag, &cmd.packet), cmd));
         }
-        let entries = round.len() as u32;
-        let delivery = self
-            .engine
-            .batch_delivery(total_bytes, entries, round_start);
-        let (CommandDelivery::Delivered { latency_ps } | CommandDelivery::Lost { latency_ps }) =
-            delivery;
-        self.probe.trace.span(
-            round_start,
-            latency_ps,
-            TraceEventKind::BatchSubmit {
-                entries,
-                bytes: total_bytes,
-            },
-        );
-        self.clock_ps += latency_ps;
-        if let CommandDelivery::Lost { .. } = delivery {
-            // The whole burst vanished (link down): every entry waits out
-            // the shared deadline, then retries or gives up.
-            self.time_out(&round, round_start);
-            self.requeue(round, pending, results);
-            return;
-        }
-        self.total_latency_ps += latency_ps;
-        // Per-descriptor wire faults, in the serial transport's consult
-        // order: drop first, then corruption. Dropped entries never reach
-        // the ring; corrupted ones NACK out of the kernel.
-        let mut lost: Vec<Inflight> = Vec::new();
-        let mut survivors: BTreeMap<u32, Inflight> = BTreeMap::new();
-        for (cmd, mut bytes) in round.into_iter().zip(encoded) {
-            if self.faults.is_active() && self.faults.drop_command(self.clock_ps) {
-                lost.push(cmd);
-                continue;
-            }
-            self.faults.corrupt_command(self.clock_ps, &mut bytes);
-            self.sq
-                .push(SqDescriptor {
-                    tag: cmd.tag,
-                    bytes,
-                })
-                .expect("round is capped at the ring depth");
-            survivors.insert(cmd.tag, cmd);
-        }
-        let pushed = survivors.len();
-        self.kernel.sync_clock(self.clock_ps);
-        let outcome = self
-            .kernel
-            .ring_doorbell(&mut self.sq, &mut self.cq, pushed, self.src);
-        debug_assert_eq!(outcome.drained, pushed, "CQ is sized to the SQ");
-        self.clock_ps += outcome.exec_ps;
-        self.total_latency_ps += outcome.exec_ps;
-        let mut responses: BTreeMap<u32, CommandPacket> = outcome.responses.into_iter().collect();
-        let mut errors: BTreeMap<u32, KernelError> = outcome.errors.into_iter().collect();
+        let burst = self
+            .ring
+            .submit(&mut self.engine, &self.faults, round, round_start);
+        let submit = TraceEventKind::BatchSubmit {
+            entries: take as u32,
+            bytes: burst.bytes,
+        };
+        self.probe.trace.span(round_start, burst.latency_ps, submit);
+        self.clock_ps += burst.latency_ps;
+        // What the wire lost — the whole burst on a down link, else the
+        // descriptors dropped on it — waits out the shared deadline.
+        // Corrupted descriptors NACK out of the kernel.
+        let mut lost = burst.lost;
         let mut nacked: Vec<Inflight> = Vec::new();
-        let mut polled = 0u32;
-        let mut interrupts = 0u32;
-        let mut upload_seq = 0u64;
-        while let Some(rec) = self.cq.pop() {
-            polled += 1;
-            let Some(cmd) = survivors.remove(&rec.tag) else {
-                debug_assert!(false, "CQ record for unknown tag {}", rec.tag);
-                continue;
-            };
-            // A lost completion interrupt: the command executed, but the
-            // host never hears about it. The idempotency tag makes the
-            // retry a replay.
-            if rec.status == CompletionStatus::Ok && self.faults.irq_lost(self.clock_ps) {
-                lost.push(cmd);
-                continue;
-            }
-            if self.irq.event(self.clock_ps) {
-                interrupts += 1;
-            }
-            match rec.status {
-                CompletionStatus::Ok => {
-                    let resp = responses
-                        .remove(&rec.tag)
-                        .expect("Ok record has a response");
-                    let at = self.clock_ps + upload_seq;
-                    upload_seq += 1;
-                    results[cmd.idx] = Some(self.ack(&cmd, at, resp));
+        if burst.delivered {
+            self.total_latency_ps += burst.latency_ps;
+            let (exec_ps, completions) = self.ring.doorbell(
+                &mut self.kernel,
+                &self.faults,
+                self.src,
+                self.clock_ps,
+                &mut CommandBudget::unlimited(),
+            );
+            debug_assert!(self.ring.is_idle(), "CQ is sized to the SQ");
+            self.clock_ps += exec_ps;
+            self.total_latency_ps += exec_ps;
+            let polled = completions.len() as u32;
+            let mut interrupts = 0u32;
+            let mut upload_seq = 0u64;
+            for done in completions {
+                let Some(outcome) = done.outcome else {
+                    lost.push(done.entry);
+                    continue;
+                };
+                let cmd = done.entry;
+                if self.irq.event(self.clock_ps) {
+                    interrupts += 1;
                 }
-                CompletionStatus::Nack { error_code } => {
-                    self.nack(error_code);
-                    nacked.push(cmd);
-                }
-                CompletionStatus::Error => {
-                    let err = errors
-                        .remove(&rec.tag)
-                        .expect("Error record has a kernel error");
-                    results[cmd.idx] = Some(Err(DriverError::Kernel(err)));
+                match outcome {
+                    Outcome::Acked(resp) => {
+                        let at = self.clock_ps + upload_seq;
+                        upload_seq += 1;
+                        results[cmd.idx] = Some(self.ack(&cmd, at, resp));
+                    }
+                    Outcome::Nacked(error_code) => {
+                        self.nack(error_code);
+                        nacked.push(cmd);
+                    }
+                    Outcome::Failed(e) => results[cmd.idx] = Some(Err(DriverError::Kernel(e))),
                 }
             }
-        }
-        self.probe.trace.instant(
-            self.clock_ps,
-            TraceEventKind::BatchComplete {
+            let complete = TraceEventKind::BatchComplete {
                 entries: polled,
                 interrupts,
-            },
-        );
+            };
+            self.probe.trace.instant(self.clock_ps, complete);
+        }
         if !lost.is_empty() {
             self.time_out(&lost, round_start);
         }
@@ -245,7 +200,7 @@ impl CommandDriver {
 mod tests {
     use super::*;
     use crate::DmaEngine;
-    use harmonia_cmd::UnifiedControlKernel;
+    use harmonia_cmd::{KernelError, UnifiedControlKernel};
     use harmonia_hw::device::catalog;
     use harmonia_hw::ip::PcieDmaIp;
     use harmonia_hw::Vendor;

@@ -165,9 +165,9 @@ impl DmaEngine {
     ///
     /// Burst-level faults apply here: an injected credit stall stretches
     /// the latency and a down link loses the entire burst. Per-descriptor
-    /// `CmdDrop`/`CmdCorrupt` faults are *not* consulted — the driver
-    /// applies those per entry, so replay recovers only the lost
-    /// descriptors.
+    /// `CmdDrop`/`CmdCorrupt` faults are *not* consulted — the SQ/CQ ring
+    /// round applies those per descriptor, so replay recovers only the
+    /// lost descriptors.
     pub(crate) fn batch_delivery(
         &mut self,
         total_bytes: u32,

@@ -28,7 +28,8 @@
 //!   doorbell, one DMA burst per batch, coalesced completion interrupts;
 //! * [`tenant`] — the multi-tenant host driver: per-tenant SQ/CQ rings
 //!   inside scheduler-pinned queue ranges, driven one budget-enforced
-//!   time slice at a time.
+//!   time slice at a time. It runs the same SQ/CQ ring round as [`batch`]
+//!   (the crate-private `ring` module); each keeps only its own policy.
 
 pub mod batch;
 pub mod bmc;
@@ -38,6 +39,7 @@ pub mod irq;
 pub mod migration;
 pub mod reg_driver;
 pub mod resilience;
+mod ring;
 pub mod tenant;
 pub mod tool;
 

@@ -6,12 +6,12 @@
 //! (the shared control path), and one SQ/CQ ring pair **per tenant**
 //! inside that tenant's pinned queue range. Each scheduler grant runs
 //! one slice: the driver tops the resident tenant's submission ring up
-//! from its backlog, ships the burst through the fault plane, rings the
-//! kernel doorbell *with the slice's command budget*
-//! ([`UnifiedControlKernel::ring_doorbell_budgeted`]), and polls the
-//! completion ring. A tenant that floods its backlog therefore stalls
-//! only its own rings — the kernel refuses to drain past the budget and
-//! the scheduler hands the slot to the next tenant.
+//! from its backlog and runs ring rounds — the same burst delivery,
+//! per-descriptor faults, doorbell and CQ poll as the
+//! [`CommandDriver`](crate::CommandDriver)'s ring transport — *with the
+//! slice's command budget*. A tenant that floods its backlog therefore
+//! stalls only its own rings — the kernel refuses to drain past the
+//! budget and the scheduler hands the slot to the next tenant.
 //!
 //! Latencies are closed-loop: each completion is timed from the later
 //! of its enqueue and the tenant's previous completion, the way a
@@ -20,25 +20,24 @@
 //! in its tail — the noisy-neighbor signal `BENCH_tenancy.json`
 //! quantifies.
 //!
-//! Fault semantics follow [`crate::batch`] per descriptor: a dropped or
-//! nacked descriptor re-queues at the *front* of its tenant's backlog
-//! under its original idempotency tag (the kernel replays, never
-//! re-executes), a lost completion interrupt retries the same way, and
-//! a burst lost to a down link burns the remainder of the slice (the
-//! wire is dead; spinning would starve the other tenants' grants).
-//! Everything is deterministic: no RNG outside the seeded fault plane,
-//! ties broken by tenant index, byte-identical on every run.
+//! Retry policy: a dropped or nacked descriptor re-queues at the
+//! *front* of its tenant's backlog under its original idempotency tag
+//! (the kernel replays, never re-executes), a lost completion interrupt
+//! retries the same way, without a bound, and a burst lost to a down
+//! link burns the remainder of the slice (the wire is dead; spinning
+//! would starve the other tenants' grants). Everything is
+//! deterministic: no RNG outside the seeded fault plane, ties broken by
+//! tenant index, byte-identical on every run.
 
 use crate::batch::CmdSpec;
-use crate::dma::{CommandDelivery, DmaEngine};
-use harmonia_cmd::queue::{CommandBudget, CompletionStatus, SqDescriptor};
-use harmonia_cmd::{
-    CommandPacket, CompletionQueue, SrcId, SubmissionQueue, UnifiedControlKernel,
-};
+use crate::dma::DmaEngine;
+use crate::ring::{self, Outcome, Ring};
+use harmonia_cmd::queue::CommandBudget;
+use harmonia_cmd::{CommandPacket, SrcId, UnifiedControlKernel};
 use harmonia_shell::sched::{SliceGrant, TenantScheduler};
 use harmonia_sim::histo::LogHistogram;
 use harmonia_sim::{FaultInjector, Picos, Probe};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Default per-tenant ring depth: deliberately deeper than
 /// [`BASE_SLICE_CMDS`](harmonia_shell::sched::BASE_SLICE_CMDS) so
@@ -61,39 +60,34 @@ struct PendingCmd {
 /// pinned queue range, a backlog, and per-tenant accounting.
 #[derive(Debug)]
 struct TenantLane {
-    sq: SubmissionQueue,
-    cq: CompletionQueue,
+    ring: Ring<PendingCmd>,
     backlog: VecDeque<PendingCmd>,
-    /// Descriptors pushed to the SQ whose completion has not been
-    /// consumed yet, keyed by tag.
-    inflight: BTreeMap<u32, PendingCmd>,
     latency: LogHistogram,
     /// Completion time of the tenant's latest acked command.
     last_done_ps: Picos,
-    completed: u64,
-    nacks: u64,
-    timeouts: u64,
-    errors: u64,
+    /// Counters; `slices` is the scheduler's, filled in on read.
+    stats: TenantStats,
 }
 
 impl TenantLane {
     fn new(depth: usize) -> TenantLane {
         TenantLane {
-            sq: SubmissionQueue::new(depth),
-            cq: CompletionQueue::new(depth),
+            ring: Ring::new(depth),
             backlog: VecDeque::new(),
-            inflight: BTreeMap::new(),
             latency: LogHistogram::new(),
             last_done_ps: 0,
-            completed: 0,
-            nacks: 0,
-            timeouts: 0,
-            errors: 0,
+            stats: TenantStats {
+                completed: 0,
+                nacks: 0,
+                timeouts: 0,
+                errors: 0,
+                slices: 0,
+            },
         }
     }
 
     fn runnable(&self) -> bool {
-        !self.backlog.is_empty() || !self.inflight.is_empty()
+        !self.backlog.is_empty() || !self.ring.is_idle()
     }
 }
 
@@ -227,13 +221,9 @@ impl TenantHostDriver {
 
     /// A tenant's accounting snapshot.
     pub fn stats(&self, tenant: usize) -> TenantStats {
-        let l = &self.lanes[tenant];
         TenantStats {
-            completed: l.completed,
-            nacks: l.nacks,
-            timeouts: l.timeouts,
-            errors: l.errors,
             slices: self.sched.slices_granted(tenant),
+            ..self.lanes[tenant].stats.clone()
         }
     }
 
@@ -268,121 +258,80 @@ impl TenantHostDriver {
     /// the slice's wall clock runs out.
     fn run_slice(&mut self, grant: &SliceGrant) {
         let t = grant.tenant;
+        let tenant = [("tenant", self.sched.tenant_name(t))];
         let mut budget = CommandBudget::new(t as u32, grant.budget_cmds);
         let deadline = self.clock_ps + grant.slice_ps;
         while self.lanes[t].runnable() && !budget.exhausted() && self.clock_ps < deadline {
             // Stage fresh descriptors into the free ring space.
             let lane = &mut self.lanes[t];
-            let free = lane.sq.capacity() - lane.sq.len();
-            let take = free.min(lane.backlog.len());
-            let mut staged: Vec<(PendingCmd, Vec<u8>)> = Vec::with_capacity(take);
-            let mut total_bytes = 0u32;
-            for _ in 0..take {
-                let p = lane.backlog.pop_front().expect("len was checked");
-                let bytes = p.packet.encode();
-                total_bytes += bytes.len() as u32;
-                staged.push((p, bytes));
-            }
-            if !staged.is_empty() {
-                let entries = staged.len() as u32;
-                match self.engine.batch_delivery(total_bytes, entries, self.clock_ps) {
-                    CommandDelivery::Lost { latency_ps } => {
-                        // Link down: nothing reached the device. Put the
-                        // burst back and burn the slice — retrying into a
-                        // dead wire would starve every other grant.
-                        let lane = &mut self.lanes[t];
-                        lane.timeouts += staged.len() as u64;
-                        for (p, _) in staged.into_iter().rev() {
-                            lane.backlog.push_front(p);
-                        }
-                        self.clock_ps = (self.clock_ps + latency_ps).max(deadline);
-                        break;
-                    }
-                    CommandDelivery::Delivered { latency_ps } => {
-                        self.clock_ps += latency_ps;
-                        let mut dropped: Vec<PendingCmd> = Vec::new();
-                        for (p, mut bytes) in staged {
-                            if self.faults.is_active()
-                                && self.faults.drop_command(self.clock_ps)
-                            {
-                                dropped.push(p);
-                                continue;
-                            }
-                            self.faults.corrupt_command(self.clock_ps, &mut bytes);
-                            let lane = &mut self.lanes[t];
-                            lane.sq
-                                .push(SqDescriptor { tag: p.tag, bytes })
-                                .expect("staging is capped at free ring space");
-                            lane.inflight.insert(p.tag, p);
-                        }
-                        let lane = &mut self.lanes[t];
-                        lane.timeouts += dropped.len() as u64;
-                        for p in dropped.into_iter().rev() {
-                            lane.backlog.push_front(p);
-                        }
-                    }
+            let take = lane.ring.free().min(lane.backlog.len());
+            if take > 0 {
+                let staged = lane
+                    .backlog
+                    .drain(..take)
+                    .map(|p| (ring::descriptor(p.tag, &p.packet), p))
+                    .collect();
+                let burst = lane
+                    .ring
+                    .submit(&mut self.engine, &self.faults, staged, self.clock_ps);
+                lane.stats.timeouts += burst.lost.len() as u64;
+                for p in burst.lost.into_iter().rev() {
+                    lane.backlog.push_front(p);
                 }
+                if !burst.delivered {
+                    // Link down: nothing reached the device. Burn the
+                    // slice — retrying into a dead wire would starve every
+                    // other grant.
+                    self.clock_ps = (self.clock_ps + burst.latency_ps).max(deadline);
+                    break;
+                }
+                self.clock_ps += burst.latency_ps;
             }
-            let lane = &mut self.lanes[t];
-            if lane.sq.is_empty() {
+            if lane.ring.is_idle() {
                 // Every staged descriptor was dropped on the wire; the
                 // clock already advanced, so loop for the retry.
                 continue;
             }
-            self.kernel.sync_clock(self.clock_ps);
-            let n = lane.sq.len();
-            let out = self.kernel.ring_doorbell_budgeted(
-                &mut lane.sq,
-                &mut lane.cq,
-                n,
+            let (exec_ps, completions) = lane.ring.doorbell(
+                &mut self.kernel,
+                &self.faults,
                 self.src,
+                self.clock_ps,
                 &mut budget,
             );
-            self.clock_ps += out.exec_ps;
-            while let Some(rec) = lane.cq.pop() {
-                let Some(p) = lane.inflight.remove(&rec.tag) else {
-                    debug_assert!(false, "CQ record for unknown tag {}", rec.tag);
-                    continue;
-                };
-                match rec.status {
-                    CompletionStatus::Ok => {
-                        if self.faults.irq_lost(self.clock_ps) {
-                            // Executed but unheard-of: the replay cache
-                            // makes the retry safe.
-                            lane.timeouts += 1;
-                            lane.backlog.push_front(p);
-                            continue;
-                        }
-                        let start = p.submitted_at.max(lane.last_done_ps);
-                        let latency = rec.at_ps.saturating_sub(start);
-                        lane.last_done_ps = rec.at_ps;
-                        lane.latency.record(latency);
-                        lane.completed += 1;
-                        self.probe.metrics.observe(
-                            "harmonia_tenant_cmd_latency_ps",
-                            &[("tenant", self.sched.tenant_name(t))],
-                            latency,
-                        );
-                        self.probe.metrics.counter_inc(
-                            "harmonia_tenant_cmds_total",
-                            &[("tenant", self.sched.tenant_name(t))],
-                        );
-                    }
-                    CompletionStatus::Nack { .. } => {
-                        lane.nacks += 1;
+            self.clock_ps += exec_ps;
+            for done in completions {
+                let p = done.entry;
+                match done.outcome {
+                    // Executed but unheard-of: the replay cache makes the
+                    // retry safe.
+                    None => {
+                        lane.stats.timeouts += 1;
                         lane.backlog.push_front(p);
                     }
-                    CompletionStatus::Error => {
-                        lane.errors += 1;
+                    Some(Outcome::Acked(_)) => {
+                        let start = p.submitted_at.max(lane.last_done_ps);
+                        let latency = done.at_ps.saturating_sub(start);
+                        lane.last_done_ps = done.at_ps;
+                        lane.latency.record(latency);
+                        lane.stats.completed += 1;
+                        let metrics = &self.probe.metrics;
+                        metrics.observe("harmonia_tenant_cmd_latency_ps", &tenant, latency);
+                        metrics.counter_inc("harmonia_tenant_cmds_total", &tenant);
                     }
+                    Some(Outcome::Nacked(_)) => {
+                        lane.stats.nacks += 1;
+                        lane.backlog.push_front(p);
+                    }
+                    Some(Outcome::Failed(_)) => lane.stats.errors += 1,
                 }
             }
-            if out.quota_exhausted {
+            // The kernel stopped at the budget with descriptors queued.
+            if budget.exhausted() && !lane.ring.is_idle() {
                 self.quota_hits += 1;
-                self.probe.metrics.counter_inc(
-                    "harmonia_tenant_quota_exhausted_total",
-                    &[("tenant", self.sched.tenant_name(t))],
-                );
+                self.probe
+                    .metrics
+                    .counter_inc("harmonia_tenant_quota_exhausted_total", &tenant);
                 break;
             }
         }

@@ -263,7 +263,11 @@ fn observed_campaign_pins_its_trace_and_metrics() {
     };
     let probe = Probe::enabled();
     let observed = run(probe.clone());
-    assert_eq!(observed, run(Probe::disabled()), "the probe changed the run");
+    assert_eq!(
+        observed,
+        run(Probe::disabled()),
+        "the probe changed the run"
+    );
     let text = probe.trace.take().export_text();
     let prom = probe.metrics.snapshot().export_prometheus();
     assert_eq!(
