@@ -10,6 +10,7 @@
 use crate::cmd_driver::CommandDriver;
 use crate::dma::DmaEngine;
 use crate::resilience::DriverError;
+use crate::tool::HealthSnapshot;
 use harmonia_cmd::{CommandCode, SrcId, UnifiedControlKernel};
 use std::fmt;
 
@@ -32,17 +33,6 @@ impl Default for BmcPolicy {
             vccint_range_mv: (810, 890),
         }
     }
-}
-
-/// One health sample as the BMC records it.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct HealthSample {
-    /// FPGA junction temperature, °C.
-    pub temp_fpga_c: u32,
-    /// Board ambient temperature, °C.
-    pub temp_board_c: u32,
-    /// Core voltage, millivolts.
-    pub vccint_mv: u32,
 }
 
 /// Severity classification of a sample.
@@ -75,7 +65,7 @@ impl fmt::Display for BmcStatus {
 pub struct BmcController {
     driver: CommandDriver,
     policy: BmcPolicy,
-    history: Vec<(HealthSample, BmcStatus)>,
+    history: Vec<(HealthSnapshot, BmcStatus)>,
     fenced: bool,
 }
 
@@ -102,11 +92,11 @@ impl BmcController {
     }
 
     /// The sample history.
-    pub fn history(&self) -> &[(HealthSample, BmcStatus)] {
+    pub fn history(&self) -> &[(HealthSnapshot, BmcStatus)] {
         &self.history
     }
 
-    fn classify(&self, s: &HealthSample) -> BmcStatus {
+    fn classify(&self, s: &HealthSnapshot) -> BmcStatus {
         if s.temp_fpga_c >= self.policy.temp_crit_c {
             BmcStatus::TempCritical
         } else if s.vccint_mv < self.policy.vccint_range_mv.0
@@ -125,16 +115,14 @@ impl BmcController {
     ///
     /// # Errors
     ///
-    /// Propagates command failures from the health read itself.
+    /// Propagates command failures from the health read itself,
+    /// and a health block of other than four words as
+    /// [`KernelError::BadPayload`](harmonia_cmd::KernelError::BadPayload).
     pub fn poll(&mut self) -> Result<BmcStatus, DriverError> {
         let resp = self
             .driver
             .cmd_raw_resilient(0, 0, CommandCode::HealthRead, Vec::new())?;
-        let sample = HealthSample {
-            temp_fpga_c: resp.data[0],
-            temp_board_c: resp.data[1],
-            vccint_mv: resp.data[2],
-        };
+        let sample = HealthSnapshot::parse(&resp.data)?;
         let status = self.classify(&sample);
         self.history.push((sample, status));
         if status == BmcStatus::TempCritical && !self.fenced {

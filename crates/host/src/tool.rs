@@ -26,6 +26,24 @@ pub struct HealthSnapshot {
     pub vcc12_mv: u32,
 }
 
+impl HealthSnapshot {
+    /// Parses a `HealthRead` response block, for the tool and the BMC
+    /// alike: anything but four words is a [`KernelError::BadPayload`].
+    pub(crate) fn parse(data: &[u32]) -> Result<HealthSnapshot, DriverError> {
+        let [temp_fpga_c, temp_board_c, vccint_mv, vcc12_mv] = data[..] else {
+            return Err(DriverError::Kernel(KernelError::BadPayload {
+                expected: "4-word health block",
+            }));
+        };
+        Ok(HealthSnapshot {
+            temp_fpga_c,
+            temp_board_c,
+            vccint_mv,
+            vcc12_mv,
+        })
+    }
+}
+
 impl fmt::Display for HealthSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -60,17 +78,7 @@ impl ControlTool {
         let resp = self
             .driver
             .cmd_raw_resilient(0, 0, CommandCode::HealthRead, Vec::new())?;
-        let [t1, t2, v1, v2] = resp.data[..] else {
-            return Err(DriverError::Kernel(KernelError::BadPayload {
-                expected: "4-word health block",
-            }));
-        };
-        Ok(HealthSnapshot {
-            temp_fpga_c: t1,
-            temp_board_c: t2,
-            vccint_mv: v1,
-            vcc12_mv: v2,
-        })
+        HealthSnapshot::parse(&resp.data)
     }
 
     /// The underlying driver (for inspection in tests/benches).
@@ -111,6 +119,14 @@ mod tests {
         assert_eq!(h.temp_fpga_c, 41);
         assert_eq!(h.vcc12_mv, 12_010);
         assert!(h.to_string().contains("41°C"));
+    }
+
+    #[test]
+    fn short_health_block_is_bad_payload() {
+        assert!(matches!(
+            HealthSnapshot::parse(&[41, 35, 850]),
+            Err(DriverError::Kernel(KernelError::BadPayload { .. }))
+        ));
     }
 
     #[test]
