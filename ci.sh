@@ -53,6 +53,15 @@ if grep -rnE 'cmd_[r]aw\(|\.[c]md\(|init_[s]hell\(|read_all_[s]tats\(' crates ex
     exit 1
 fi
 
+echo "==> one ring round: no doorbell outside the ring module under crates/host/src"
+# crates/host/src/ring.rs runs the SQ/CQ round (burst delivery, per-descriptor
+# faults, doorbell, CQ poll) for both the command driver and the tenant
+# driver; each keeps only its retry and accounting policy (see DESIGN.md).
+if grep -rn 'ring_[d]oorbell' crates/host/src | grep -v '^crates/host/src/ring\.rs:'; then
+    echo "ci.sh: ring the doorbell through crates/host/src/ring.rs (see DESIGN.md)" >&2
+    exit 1
+fi
+
 echo "==> LogHistogram owns its bucket geometry: no cohort recorder outside it under crates/, examples/, tests/"
 # LogHistogram::record_progression is the only code that maps a latency
 # progression onto buckets, so a change of bucket layout lands in one
@@ -128,27 +137,37 @@ grep -q "^harmonia_cmd_acked_total " metrics_export.prom
 rm -f metrics_export.prom
 
 echo "==> paper bench (smoke): fanned-out vs serial sweep, each generator and each table"
+# The smoke run's wall-clock timings stay under target/; the committed
+# BENCH_paper.json holds a full run's.
 TESTKIT_BENCH_SMOKE=1 cargo bench -q --offline --locked -p harmonia-bench --bench paper
-cp target/testkit-bench/BENCH_paper.json .
 tables=$(cargo run -q --offline --locked -p harmonia-bench --bin paper | grep -c '^== .* ==$')
-per_table=$(grep -oE '"name": "[a-z0-9]+_[0-9]+_serial"' BENCH_paper.json | sort)
+per_table=$(grep -oE '"name": "[a-z0-9]+_[0-9]+_serial"' target/testkit-bench/BENCH_paper.json | sort)
 if [ "$(printf '%s\n' "$per_table" | grep -c .)" -ne "$tables" ] \
     || [ -n "$(printf '%s\n' "$per_table" | uniq -d)" ]; then
     echo "ci.sh: BENCH_paper.json must time each of the $tables tables once, as <generator>_<index>_serial" >&2
     exit 1
 fi
 
+# The simulated benches are deterministic: a fresh smoke run must
+# reproduce the committed file byte for byte.
+bench_matches() {
+    if ! cmp "target/testkit-bench/$1" "$1"; then
+        echo "ci.sh: $1 no longer regenerates byte-identical; say why it moved and commit the new file" >&2
+        exit 1
+    fi
+}
+
 echo "==> cmdpath bench (smoke): batch x depth sweep, simulated throughput"
 TESTKIT_BENCH_SMOKE=1 cargo bench -q --offline --locked -p harmonia-bench --bench cmdpath
-cp target/testkit-bench/BENCH_cmdpath.json .
+bench_matches BENCH_cmdpath.json
 
 echo "==> tenancy bench (smoke): policy x tenant-count noisy-neighbor sweep"
 TESTKIT_BENCH_SMOKE=1 cargo bench -q --offline --locked -p harmonia-bench --bench tenancy
-cp target/testkit-bench/BENCH_tenancy.json .
+bench_matches BENCH_tenancy.json
 
 echo "==> fleet bench (smoke): policy x fleet-size sweep with a peak-hour kill"
 TESTKIT_BENCH_SMOKE=1 cargo bench -q --offline --locked -p harmonia-bench --bench fleet
-cp target/testkit-bench/BENCH_fleet.json .
+bench_matches BENCH_fleet.json
 
 echo "==> fleet metrics smoke: Prometheus export from a fleet campaign"
 HARMONIA_FLEET_DEVICES=128 cargo run -q --offline --locked -p harmonia-bench --bin fleet > fleet_export.prom
