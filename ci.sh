@@ -148,6 +148,27 @@ if [ "$(printf '%s\n' "$per_table" | grep -c .)" -ne "$tables" ] \
     exit 1
 fi
 
+echo "==> components bench (smoke): wall-clock time of each fleet-tick phase"
+# Wall-clock only, like BENCH_paper.json: the committed
+# BENCH_components.json holds a full run's timings, so the fresh file and
+# the committed one are checked for one entry per phase of the tick
+# (the PHASES list in crates/fleet/src/control.rs), never compared.
+TESTKIT_BENCH_SMOKE=1 cargo bench -q --offline --locked -p harmonia-bench --bench components
+phases=$(sed -n '/^const PHASES/,/^];/p' crates/fleet/src/control.rs | grep -oE '^ *\("[a-z_]+"' | tr -d ' ("')
+if [ -z "$phases" ]; then
+    echo "ci.sh: found no fleet-tick phases in crates/fleet/src/control.rs" >&2
+    exit 1
+fi
+for phase in $phases; do
+    for file in target/testkit-bench/BENCH_components.json BENCH_components.json; do
+        entries=$(grep -c "\"name\": \"fleet_tick_$phase\"" "$file" || true)
+        if [ "$entries" != 1 ]; then
+            echo "ci.sh: $file must time the fleet-tick phase $phase once, as fleet_tick_$phase" >&2
+            exit 1
+        fi
+    done
+done
+
 # The simulated benches are deterministic: a fresh smoke run must
 # reproduce the committed file byte for byte.
 bench_matches() {

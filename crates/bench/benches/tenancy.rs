@@ -3,24 +3,10 @@
 //! Like `cmdpath`, every number here is *simulated* time from the
 //! tenancy models, so the emitted `BENCH_tenancy.json` is deterministic
 //! and committable. The artifact lands in `TESTKIT_BENCH_DIR` (default
-//! `target/testkit-bench`); `ci.sh` copies it to the repo root.
+//! `target/testkit-bench`); `ci.sh` checks that a smoke run
+//! regenerates the committed copy byte for byte.
 
 use harmonia_bench::tenancy;
-use std::path::PathBuf;
-
-fn out_dir() -> PathBuf {
-    if let Ok(dir) = std::env::var("TESTKIT_BENCH_DIR") {
-        return PathBuf::from(dir);
-    }
-    let start = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    let root = start
-        .ancestors()
-        .filter(|a| a.join("Cargo.toml").is_file())
-        .last()
-        .unwrap_or(&start)
-        .to_path_buf();
-    root.join("target").join("testkit-bench")
-}
 
 fn main() {
     let points = tenancy::sweep();
@@ -37,7 +23,7 @@ fn main() {
             p.quota_exhausted,
         );
     }
-    let dir = out_dir();
+    let dir = harmonia_testkit::bench::out_dir();
     if let Err(e) = std::fs::create_dir_all(&dir) {
         eprintln!("[tenancy] cannot create {}: {e}", dir.display());
         return;

@@ -9,7 +9,7 @@
 //! depends on sampling luck.
 
 use harmonia_hw::device::{catalog as hw_catalog, DeviceId};
-use harmonia_sim::{LogHistogram, Picos, SplitMix64};
+use harmonia_sim::{Picos, SplitMix64};
 use std::collections::VecDeque;
 use std::sync::OnceLock;
 
@@ -77,8 +77,6 @@ pub struct FleetDevice {
     pub backlog: VecDeque<(u32, u64)>,
     /// Commands executed so far.
     pub executed: u64,
-    /// Per-device command-latency histogram.
-    pub latency: LogHistogram,
     /// One-time stall charged before serving (redeploy/migration cost).
     pub stall_ps: Picos,
     /// Arrivals routed to this device for the current tick.
@@ -147,7 +145,6 @@ impl Inventory {
                 role: None,
                 backlog: VecDeque::new(),
                 executed: 0,
-                latency: LogHistogram::new(),
                 stall_ps: 0,
                 incoming: 0,
             })

@@ -107,35 +107,45 @@ impl LogHistogram {
     }
 
     /// Records the progression `offset + p × step` for every position `p`
-    /// in `lo..=hi` in O(buckets) — the fleet control plane records each
-    /// per-tick command cohort this way (the command at queue position `p`
-    /// waits `p` service times more than the head of the queue).
+    /// in `lo..=hi`, `copies` times over, in O(buckets) — the fleet
+    /// control plane records each per-tick command cohort this way (the
+    /// command at queue position `p` waits `p` service times more than
+    /// the head of the queue), once for every replica that served an
+    /// identical cohort that tick.
     ///
     /// The positions falling in one bucket form a chunk; the bucket
     /// gets the chunk's length, and `sum` gets the chunk's first value
     /// once plus its last value for each further position. So `min` and
     /// `max` stay exact, and `sum` (hence `mean` and the Prometheus
-    /// `_sum`) counts each chunk at its boundary values.
+    /// `_sum`) counts each chunk at its boundary values. One call with
+    /// `copies = m` leaves exactly what `m` calls with `copies = 1` leave.
     ///
-    /// `lo > hi` records nothing. `step == 0` records `hi − lo + 1`
-    /// samples of `offset`. `offset + hi × step` and the sample count
-    /// `hi − lo + 1` must each fit in a `u64` (checked in debug builds).
+    /// `lo > hi` or `copies == 0` records nothing. `step == 0` records
+    /// `copies × (hi − lo + 1)` samples of `offset`. `offset + hi × step`
+    /// and the sample count `copies × (hi − lo + 1)` must each fit in a
+    /// `u64` (checked in debug builds).
     ///
     /// ```
     /// use harmonia_sim::histo::LogHistogram;
     /// let mut h = LogHistogram::new();
-    /// h.record_progression(1_000, 700, 1, 500);
-    /// assert_eq!(h.count(), 500);
+    /// h.record_progression(1_000, 700, 1, 500, 2);
+    /// assert_eq!(h.count(), 1_000);
     /// assert_eq!(h.min(), 1_700);
     /// assert_eq!(h.max(), 351_000);
     /// ```
-    pub fn record_progression(&mut self, offset: u64, step: u64, lo: u64, hi: u64) {
-        if lo > hi {
+    pub fn record_progression(&mut self, offset: u64, step: u64, lo: u64, hi: u64, copies: u64) {
+        if lo > hi || copies == 0 {
             return;
         }
-        debug_assert!(hi - lo < u64::MAX, "sample count overflows a u64");
+        debug_assert!(
+            (hi - lo)
+                .checked_add(1)
+                .and_then(|n| n.checked_mul(copies))
+                .is_some(),
+            "sample count overflows a u64"
+        );
         if step == 0 {
-            self.record_n(offset, hi - lo + 1);
+            self.record_n(offset, (hi - lo + 1) * copies);
             return;
         }
         debug_assert!(
@@ -163,15 +173,17 @@ impl LogHistogram {
             if end < start {
                 continue; // step is wider than this bucket: no position lands here
             }
-            self.buckets[b] += end - start + 1;
+            self.buckets[b] += (end - start + 1) * copies;
             sum += chunk_sum(start, end);
             start = end + 1;
         }
         // The last bucket takes every remaining position.
-        self.buckets[last_bucket] += hi - start + 1;
+        self.buckets[last_bucket] += (hi - start + 1) * copies;
         sum += chunk_sum(start, hi);
-        self.count += hi - lo + 1;
-        self.sum += sum;
+        self.count += (hi - lo + 1) * copies;
+        // At most `copies × (hi − lo + 1)` samples of at most `u64::MAX`
+        // each, so the product stays below 2^128.
+        self.sum += sum * u128::from(copies);
         self.min = self.min.min(first);
         self.max = self.max.max(last);
     }
@@ -389,7 +401,7 @@ mod tests {
                 want.record(v);
             }
             let mut got = want.clone();
-            got.record_progression(offset, step, lo, hi);
+            got.record_progression(offset, step, lo, hi, 1);
             if step == 0 {
                 if lo <= hi {
                     want.record_n(offset, hi - lo + 1);
@@ -398,6 +410,41 @@ mod tests {
                 chunk_loop(&mut want, offset, step, lo, hi);
             }
             prop_assert_eq!(got, want, "offset {} step {} positions {}..={}", offset, step, lo, hi);
+        }
+
+        /// One call with `copies = m` leaves exactly what `m` calls with
+        /// `copies = 1` leave — every bucket, `count`, `sum`, `min` and
+        /// `max` — on top of random history, for `copies = 0` too, which
+        /// leaves the history untouched even for a value below its `min`
+        /// or above its `max`.
+        #[test]
+        fn record_progression_copies_match_repeated_calls(
+            history in collection::vec(magnitude(), 0..6),
+            offset in prop_oneof![Just(0u64), magnitude()],
+            step in prop_oneof![Just(0u64), Just(1u64), magnitude()],
+            lo in prop_oneof![Just(0u64), magnitude()],
+            len in prop_oneof![Just(0u64), 1u64..64, magnitude()],
+            copies in 0u64..8,
+        ) {
+            // Largest `hi` with `offset + hi × step` in range, and at most
+            // `u64::MAX / 8` positions, so that every copy fits in `count`
+            // beside the history.
+            let fit = (u64::MAX - offset).checked_div(step).unwrap_or(u64::MAX);
+            let lo = lo.min(fit);
+            let hi = lo.saturating_add(len.min(u64::MAX / 8 - 1)).min(fit);
+            let mut want = LogHistogram::new();
+            for &v in &history {
+                want.record(v);
+            }
+            let mut got = want.clone();
+            got.record_progression(offset, step, lo, hi, copies);
+            for _ in 0..copies {
+                want.record_progression(offset, step, lo, hi, 1);
+            }
+            prop_assert_eq!(
+                got, want,
+                "offset {} step {} positions {}..={} copies {}", offset, step, lo, hi, copies
+            );
         }
 
         /// The reciprocal division is `x / d` for every `x` and every
@@ -428,7 +475,7 @@ mod tests {
         let mut bulk = LogHistogram::new();
         let mut looped = LogHistogram::new();
         let (offset, step) = (1_000u64, 700u64);
-        bulk.record_progression(offset, step, 1, 500);
+        bulk.record_progression(offset, step, 1, 500, 1);
         for p in 1..=500u64 {
             looped.record(offset + p * step);
         }
@@ -443,7 +490,7 @@ mod tests {
     #[test]
     fn progression_handles_single_position_and_zero_offset() {
         let mut h = LogHistogram::new();
-        h.record_progression(0, 3, 7, 7);
+        h.record_progression(0, 3, 7, 7, 1);
         assert_eq!(h.count(), 1);
         assert_eq!(h.min(), 21);
         assert_eq!(h.sum(), 21);
@@ -452,9 +499,9 @@ mod tests {
     #[test]
     fn progression_degenerate_inputs() {
         let mut h = LogHistogram::new();
-        h.record_progression(5, 3, 9, 8); // lo > hi: nothing
+        h.record_progression(5, 3, 9, 8, 1); // lo > hi: nothing
         assert_eq!(h, LogHistogram::new());
-        h.record_progression(40, 0, 2, 11); // step 0: ten samples of the offset
+        h.record_progression(40, 0, 2, 11, 1); // step 0: ten samples of the offset
         let mut want = LogHistogram::new();
         want.record_n(40, 10);
         assert_eq!(h, want);

@@ -30,7 +30,9 @@ const SMOKE_SAMPLE_SIZE: usize = 5;
 const SMOKE_WARMUP_NANOS: u128 = 2_000_000; // 2 ms
 const SMOKE_TARGET_SAMPLE_NANOS: u128 = 500_000; // 0.5 ms
 
-fn smoke_mode() -> bool {
+/// Whether `TESTKIT_BENCH_SMOKE` asks for a smoke run: set, non-empty
+/// and not `0`.
+pub fn smoke_mode() -> bool {
     std::env::var("TESTKIT_BENCH_SMOKE")
         .map(|v| v.trim() != "0" && !v.trim().is_empty())
         .unwrap_or(false)
@@ -88,6 +90,27 @@ pub struct BenchStats {
 }
 
 impl BenchStats {
+    /// Summarizes timed samples, each already divided down to
+    /// nanoseconds per iteration. `samples_ns` must not be empty.
+    pub fn from_samples(
+        name: impl Into<String>,
+        mut samples_ns: Vec<f64>,
+        iters_per_sample: u64,
+    ) -> BenchStats {
+        samples_ns.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
+        let n = samples_ns.len();
+        BenchStats {
+            name: name.into(),
+            samples: n,
+            iters_per_sample,
+            min_ns: samples_ns[0],
+            mean_ns: samples_ns.iter().sum::<f64>() / n as f64,
+            median_ns: samples_ns[n / 2],
+            p99_ns: samples_ns[((n as f64 * 0.99).ceil() as usize).clamp(1, n) - 1],
+            throughput: None,
+        }
+    }
+
     fn rate_suffix(&self) -> String {
         match self.throughput {
             Some(Throughput::Bytes(n)) => {
@@ -120,12 +143,9 @@ impl Criterion {
             .skip(1)
             .filter(|a| !a.starts_with('-'))
             .collect();
-        let out_dir = std::env::var("TESTKIT_BENCH_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(|_| default_out_dir());
         Criterion {
             filters,
-            out_dir,
+            out_dir: out_dir(),
             groups_run: 0,
             smoke: smoke_mode(),
         }
@@ -286,26 +306,23 @@ impl Bencher {
             }
             samples_ns.push(start.elapsed().as_nanos() as f64 / iters_per_sample as f64);
         }
-        samples_ns.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
-        let n = samples_ns.len();
-        self.stats = Some(BenchStats {
-            name: String::new(),
-            samples: n,
+        self.stats = Some(BenchStats::from_samples(
+            String::new(),
+            samples_ns,
             iters_per_sample,
-            min_ns: samples_ns[0],
-            mean_ns: samples_ns.iter().sum::<f64>() / n as f64,
-            median_ns: samples_ns[n / 2],
-            p99_ns: samples_ns[((n as f64 * 0.99).ceil() as usize).clamp(1, n) - 1],
-            throughput: None,
-        });
+        ));
     }
 }
 
+/// Where `BENCH_*.json` artifacts land: `TESTKIT_BENCH_DIR` if set, else
 /// `<workspace root>/target/testkit-bench`, resolved by walking up from
 /// the running crate's manifest dir (cargo sets the bench binary's CWD
 /// to the *package* dir, so a bare relative path would scatter stray
 /// `target/` dirs across member crates).
-fn default_out_dir() -> PathBuf {
+pub fn out_dir() -> PathBuf {
+    if let Ok(dir) = std::env::var("TESTKIT_BENCH_DIR") {
+        return PathBuf::from(dir);
+    }
     let start = std::env::var("CARGO_MANIFEST_DIR")
         .map(PathBuf::from)
         .or_else(|_| std::env::current_dir())
