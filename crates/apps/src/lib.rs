@@ -2,18 +2,20 @@
 //!
 //! | Application | Architecture | Function |
 //! |---|---|---|
-//! | [`sec_gateway`] | bump-in-the-wire | DCI access control |
+//! | [`sec_gateway`] | bump-in-the-wire | DCI access control (role spec, datapath) |
 //! | [`l4lb`] | bump-in-the-wire | stateful layer-4 load balancing |
-//! | [`host_network`] | bump-in-the-wire | network offloading (checksum, OVS) |
+//! | [`host_network`] | bump-in-the-wire | network offloading (role spec, datapath) |
 //! | [`retrieval`] | look-aside | embedding retrieval (top-K) |
 //! | [`board_test`] | diverse | custom board testing |
-//! | [`storage`] | SmartSSD | near-storage LZ compression (§2.2 scenario) |
+//! | [`storage`] | SmartSSD | near-storage compression (role spec; §2.2 scenario) |
 //!
-//! Each application provides its role logic (actually executed in tests and
-//! benches), its [`RoleSpec`](harmonia_shell::RoleSpec) for shell
-//! tailoring, its role-side development workload (Figure 3a), and
-//! performance models for the with/without-Harmonia comparison
-//! (Figure 17).
+//! Each application is what the evaluation reads of it: its
+//! [`RoleSpec`](harmonia_shell::RoleSpec) for shell tailoring, its
+//! role-side code size (the Figure 3a development workload), and, for the
+//! bump-in-the-wire roles, the datapath of the with/without-Harmonia
+//! comparison (Figure 17). The load balancer, retrieval engine and board
+//! test also run their role logic, which the examples and the
+//! integration tests execute.
 
 pub mod board_test;
 pub mod common;

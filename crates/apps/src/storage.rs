@@ -2,224 +2,15 @@
 //!
 //! §2.2 motivates heterogeneous FPGAs with storage applications that
 //! "incorporate I/O operators like compression, which involve attaching
-//! FPGAs directly to SSDs as SmartSSD". This module implements the operator
-//! itself — an LZ77-class byte compressor with a hash-chain match finder,
-//! the structure FPGA LZ4 engines pipeline — plus its decompressor and a
-//! throughput model over the Memory RBB.
-//!
-//! Wire format (token stream, all lengths little-endian):
-//!
-//! ```text
-//! 0x00 len16 data…        literal run of `len16` bytes
-//! 0x01 dist16 len16       match: copy `len16` bytes from `dist16` back
-//! ```
+//! FPGAs directly to SSDs as SmartSSD". The model is the role's shell
+//! demands and its role-side code size; the fleet catalog deploys it.
 
 use crate::common::App;
 use harmonia_shell::{MemoryDemand, RoleSpec};
-use harmonia_sim::Freq;
-use std::error::Error;
-use std::fmt;
 
-/// Minimum match length worth encoding (token overhead is 5 bytes).
-const MIN_MATCH: usize = 6;
-/// Match-window size (hardware history buffer).
-const WINDOW: usize = 64 * 1024;
-/// Hash table size for the match finder (power of two).
-const HASH_SLOTS: usize = 1 << 14;
-
-/// Decompression failures (corrupt or truncated streams).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum CodecError {
-    /// The stream ended inside a token.
-    Truncated,
-    /// Unknown token tag.
-    BadToken {
-        /// The offending tag byte.
-        tag: u8,
-    },
-    /// A match referenced data before the start of the output.
-    BadDistance {
-        /// The offending distance.
-        distance: u16,
-    },
-}
-
-impl fmt::Display for CodecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CodecError::Truncated => f.write_str("compressed stream truncated"),
-            CodecError::BadToken { tag } => write!(f, "unknown token tag {tag:#04x}"),
-            CodecError::BadDistance { distance } => {
-                write!(f, "match distance {distance} before stream start")
-            }
-        }
-    }
-}
-
-impl Error for CodecError {}
-
-/// Compression statistics.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct CodecStats {
-    /// Input bytes consumed.
-    pub bytes_in: u64,
-    /// Output bytes produced.
-    pub bytes_out: u64,
-    /// Matches emitted.
-    pub matches: u64,
-    /// Literal runs emitted.
-    pub literal_runs: u64,
-}
-
-impl CodecStats {
-    /// Compression ratio (output ÷ input); 1.0 for empty input.
-    pub fn ratio(&self) -> f64 {
-        if self.bytes_in == 0 {
-            1.0
-        } else {
-            self.bytes_out as f64 / self.bytes_in as f64
-        }
-    }
-}
-
-/// The near-storage compression engine.
-#[derive(Clone, Debug, Default)]
-pub struct StorageOffload {
-    stats: CodecStats,
-}
-
-impl StorageOffload {
-    /// Creates an engine.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> CodecStats {
-        self.stats
-    }
-
-    fn hash(window: &[u8]) -> usize {
-        let v = u32::from_le_bytes([window[0], window[1], window[2], window[3]]);
-        (v.wrapping_mul(2654435761) >> 18) as usize % HASH_SLOTS
-    }
-
-    /// Compresses `input`, returning the token stream.
-    pub fn compress(&mut self, input: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(input.len() / 2 + 16);
-        let mut head: Vec<Option<usize>> = vec![None; HASH_SLOTS];
-        let mut literal_start = 0usize;
-        let mut i = 0usize;
-
-        let flush_literals =
-            |out: &mut Vec<u8>, stats: &mut CodecStats, from: usize, to: usize, data: &[u8]| {
-                let mut start = from;
-                while start < to {
-                    let len = (to - start).min(u16::MAX as usize);
-                    out.push(0x00);
-                    out.extend_from_slice(&(len as u16).to_le_bytes());
-                    out.extend_from_slice(&data[start..start + len]);
-                    stats.literal_runs += 1;
-                    start += len;
-                }
-            };
-
-        while i + 4 <= input.len() {
-            let slot = Self::hash(&input[i..]);
-            let candidate = head[slot];
-            head[slot] = Some(i);
-            let m = candidate.and_then(|c| {
-                if i - c > WINDOW {
-                    return None;
-                }
-                // Extend the match as far as it goes (capped at u16).
-                let mut len = 0usize;
-                while i + len < input.len()
-                    && input[c + len] == input[i + len]
-                    && len < u16::MAX as usize
-                {
-                    len += 1;
-                }
-                (len >= MIN_MATCH).then_some((i - c, len))
-            });
-            if let Some((dist, len)) = m {
-                flush_literals(&mut out, &mut self.stats, literal_start, i, input);
-                out.push(0x01);
-                out.extend_from_slice(&(dist as u16).to_le_bytes());
-                out.extend_from_slice(&(len as u16).to_le_bytes());
-                self.stats.matches += 1;
-                // Index positions inside the match so later data can refer
-                // back into it (sparse stride keeps it cheap, as hardware
-                // match finders do).
-                let end = i + len;
-                while i < end && i + 4 <= input.len() {
-                    head[Self::hash(&input[i..])] = Some(i);
-                    i += 3;
-                }
-                i = end;
-                literal_start = i;
-            } else {
-                i += 1;
-            }
-        }
-        flush_literals(&mut out, &mut self.stats, literal_start, input.len(), input);
-        self.stats.bytes_in += input.len() as u64;
-        self.stats.bytes_out += out.len() as u64;
-        out
-    }
-
-    /// Decompresses a token stream.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError`] on truncated or corrupt input.
-    pub fn decompress(&self, mut data: &[u8]) -> Result<Vec<u8>, CodecError> {
-        let mut out = Vec::with_capacity(data.len() * 2);
-        while !data.is_empty() {
-            let tag = data[0];
-            match tag {
-                0x00 => {
-                    if data.len() < 3 {
-                        return Err(CodecError::Truncated);
-                    }
-                    let len = usize::from(u16::from_le_bytes([data[1], data[2]]));
-                    if data.len() < 3 + len {
-                        return Err(CodecError::Truncated);
-                    }
-                    out.extend_from_slice(&data[3..3 + len]);
-                    data = &data[3 + len..];
-                }
-                0x01 => {
-                    if data.len() < 5 {
-                        return Err(CodecError::Truncated);
-                    }
-                    let dist = u16::from_le_bytes([data[1], data[2]]);
-                    let len = usize::from(u16::from_le_bytes([data[3], data[4]]));
-                    let d = usize::from(dist);
-                    if d == 0 || d > out.len() {
-                        return Err(CodecError::BadDistance { distance: dist });
-                    }
-                    // Overlapping copies are legal (run-length behaviour).
-                    let start = out.len() - d;
-                    for k in 0..len {
-                        let b = out[start + k];
-                        out.push(b);
-                    }
-                    data = &data[5..];
-                }
-                tag => return Err(CodecError::BadToken { tag }),
-            }
-        }
-        Ok(out)
-    }
-
-    /// Offload throughput in GB/s: the engine processes one byte per cycle
-    /// per lane (the classic FPGA LZ pipeline), bounded by the SSD link.
-    pub fn throughput_gbs(&self, lanes: u32, clock: Freq, ssd_link_gbs: f64) -> f64 {
-        let engine = f64::from(lanes) * clock.hz() as f64 / 1e9;
-        engine.min(ssd_link_gbs)
-    }
-}
+/// The near-storage compression application.
+#[derive(Copy, Clone, Debug)]
+pub struct StorageOffload;
 
 impl App for StorageOffload {
     fn name(&self) -> &'static str {
@@ -237,102 +28,5 @@ impl App for StorageOffload {
 
     fn role_loc(&self) -> u64 {
         7_200
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use harmonia_sim::SplitMix64;
-
-    fn round_trip(data: &[u8]) -> (Vec<u8>, CodecStats) {
-        let mut eng = StorageOffload::new();
-        let packed = eng.compress(data);
-        let unpacked = eng.decompress(&packed).expect("own output decodes");
-        assert_eq!(unpacked, data, "round trip broke");
-        (packed, eng.stats())
-    }
-
-    #[test]
-    fn empty_and_tiny_inputs() {
-        let (packed, _) = round_trip(b"");
-        assert!(packed.is_empty());
-        round_trip(b"a");
-        round_trip(b"abcd");
-    }
-
-    #[test]
-    fn repetitive_data_compresses_hard() {
-        let data = b"hello world, hello world, hello world, hello world!".repeat(64);
-        let (packed, stats) = round_trip(&data);
-        assert!(
-            packed.len() * 10 < data.len(),
-            "{} -> {} bytes",
-            data.len(),
-            packed.len()
-        );
-        assert!(stats.matches >= 1); // one giant match can cover the repetition
-        assert!(stats.ratio() < 0.1);
-    }
-
-    #[test]
-    fn random_data_stays_roughly_incompressible() {
-        let mut rng = SplitMix64::new(3);
-        let data: Vec<u8> = (0..32_768).map(|_| rng.next_u64() as u8).collect();
-        let (packed, stats) = round_trip(&data);
-        // Random bytes gain at most the token framing overhead.
-        assert!(packed.len() >= data.len());
-        assert!(packed.len() < data.len() + data.len() / 1000 + 16);
-        assert!(stats.ratio() >= 1.0);
-    }
-
-    #[test]
-    fn text_like_data_compresses_meaningfully() {
-        let text = include_str!("storage.rs").as_bytes();
-        let (packed, _) = round_trip(text);
-        assert!(
-            packed.len() * 10 < text.len() * 9,
-            "source text {} -> {}",
-            text.len(),
-            packed.len()
-        );
-    }
-
-    #[test]
-    fn run_length_overlap_copies() {
-        // 'aaaa…' forces distance-1 overlapping matches.
-        let data = vec![b'a'; 10_000];
-        let (packed, _) = round_trip(&data);
-        assert!(packed.len() < 64, "RLE case took {} bytes", packed.len());
-    }
-
-    #[test]
-    fn corrupt_streams_are_rejected() {
-        let eng = StorageOffload::new();
-        assert_eq!(eng.decompress(&[0x02, 0, 0]), Err(CodecError::BadToken { tag: 2 }));
-        assert_eq!(eng.decompress(&[0x00, 5, 0, 1]), Err(CodecError::Truncated));
-        assert_eq!(eng.decompress(&[0x01, 4, 0]), Err(CodecError::Truncated));
-        assert_eq!(
-            eng.decompress(&[0x01, 9, 0, 3, 0]),
-            Err(CodecError::BadDistance { distance: 9 })
-        );
-    }
-
-    #[test]
-    fn long_inputs_cross_token_limits() {
-        // A literal run longer than u16::MAX must split.
-        let mut rng = SplitMix64::new(9);
-        let data: Vec<u8> = (0..70_000).map(|_| rng.next_u64() as u8).collect();
-        let (_, stats) = round_trip(&data);
-        assert!(stats.literal_runs >= 2);
-    }
-
-    #[test]
-    fn throughput_bounded_by_ssd_link() {
-        let eng = StorageOffload::new();
-        // 8 lanes @ 300 MHz = 2.4 GB/s engine, 3.2 GB/s NVMe link.
-        assert!((eng.throughput_gbs(8, Freq::mhz(300), 3.2) - 2.4).abs() < 1e-9);
-        // 16 lanes: engine 4.8 GB/s, link-bound at 3.2.
-        assert!((eng.throughput_gbs(16, Freq::mhz(300), 3.2) - 3.2).abs() < 1e-9);
     }
 }

@@ -1,71 +1,11 @@
 //! Property-based tests for the application role logic.
 
-use harmonia_apps::host_network::{checksum_valid, internet_checksum};
-use harmonia_apps::storage::StorageOffload;
 use harmonia_apps::l4lb::{Backend, Layer4Lb};
 use harmonia_apps::retrieval::RetrievalEngine;
-use harmonia_apps::sec_gateway::{AclRule, Action, SecGateway};
 use harmonia_shell::rbb::network::PacketMeta;
 use harmonia_testkit::prelude::*;
 
-fn arb_pkt() -> impl Strategy<Value = PacketMeta> {
-    (any::<u32>(), any::<u32>(), any::<u16>(), any::<u16>()).prop_map(
-        |(src_ip, dst_ip, src_port, dst_port)| PacketMeta {
-            dst_mac: 1,
-            src_ip,
-            dst_ip,
-            src_port,
-            dst_port,
-            proto: 6,
-            bytes: 128,
-        },
-    )
-}
-
-fn arb_rule() -> impl Strategy<Value = AclRule> {
-    (
-        any::<u32>(),
-        0u8..=32,
-        any::<u32>(),
-        0u8..=32,
-        option::of(any::<u16>()),
-        any::<u16>(),
-        any::<bool>(),
-    )
-        .prop_map(|(sa, sl, da, dl, port, priority, allow)| AclRule {
-            src: (sa, sl),
-            dst: (da, dl),
-            dst_port: port,
-            proto: None,
-            priority,
-            action: if allow { Action::Allow } else { Action::Deny },
-        })
-}
-
 forall! {
-    /// The gateway's verdict equals the lowest-priority matching rule's
-    /// action (reference implementation), or the default.
-    #[test]
-    fn acl_first_match_semantics(
-        rules in collection::vec(arb_rule(), 0..40),
-        pkt in arb_pkt(),
-    ) {
-        let mut gw = SecGateway::new(Action::Allow);
-        for r in &rules {
-            gw.install_rule(*r).unwrap();
-        }
-        // Reference: stable sort by priority, first match wins. The
-        // gateway's insertion order is the tie-break for equal priorities,
-        // matching a stable sort of the original list.
-        let mut sorted: Vec<&AclRule> = rules.iter().collect();
-        sorted.sort_by_key(|r| r.priority);
-        let expect = sorted
-            .iter()
-            .find(|r| r.matches(&pkt))
-            .map_or(Action::Allow, |r| r.action);
-        prop_assert_eq!(gw.classify(&pkt), expect);
-    }
-
     /// LB: flows are sticky, and removing an uninvolved backend never
     /// remaps an established flow.
     #[test]
@@ -102,44 +42,6 @@ forall! {
                 prop_assert_ne!(nb, remove);
             }
         }
-    }
-
-    /// RFC 1071: appending the checksum always validates; flipping any
-    /// single bit always invalidates.
-    #[test]
-    fn checksum_validates_and_detects(
-        mut data in collection::vec(any::<u8>(), 1..256),
-        bit in any::<usize>(),
-    ) {
-        if data.len() % 2 == 1 {
-            data.push(0);
-        }
-        let csum = internet_checksum(&data);
-        let mut framed = data.clone();
-        framed.extend_from_slice(&csum.to_be_bytes());
-        prop_assert!(checksum_valid(&framed));
-        let bit = bit % (framed.len() * 8);
-        framed[bit / 8] ^= 1 << (bit % 8);
-        prop_assert!(!checksum_valid(&framed), "single-bit flip validated");
-    }
-
-    /// The LZ codec round-trips arbitrary byte strings exactly.
-    #[test]
-    fn lz_codec_round_trip(data in collection::vec(any::<u8>(), 0..4096)) {
-        let mut eng = StorageOffload::new();
-        let packed = eng.compress(&data);
-        let unpacked = eng.decompress(&packed).expect("own output decodes");
-        prop_assert_eq!(unpacked, data);
-    }
-
-    /// Low-entropy inputs never expand beyond framing overhead, and highly
-    /// repetitive ones always shrink.
-    #[test]
-    fn lz_codec_expansion_bounded(byte in any::<u8>(), n in 64usize..4096) {
-        let data = vec![byte; n];
-        let mut eng = StorageOffload::new();
-        let packed = eng.compress(&data);
-        prop_assert!(packed.len() < 32, "constant run of {n} took {} bytes", packed.len());
     }
 
     /// Top-K equals the exhaustive reference for arbitrary K and corpus.

@@ -24,16 +24,11 @@ pub(crate) fn fig3a() -> Table {
     let device = catalog::device_a();
     let unified = UnifiedShell::for_device(&device);
     let apps: [(&str, Box<dyn App>); 5] = [
-        (
-            "Sec-Gateway",
-            Box::new(harmonia::apps::SecGateway::new(
-                harmonia::apps::sec_gateway::Action::Allow,
-            )),
-        ),
+        ("Sec-Gateway", Box::new(harmonia::apps::SecGateway)),
         ("Layer-4 LB", Box::new(crate::roles::sample_lb())),
         ("Retrieval", Box::new(harmonia::apps::RetrievalEngine::synthetic(1, 16, 8))),
         ("Board Test", Box::new(harmonia::apps::BoardTest::new(1))),
-        ("Host Network", Box::new(harmonia::apps::HostNetwork::new(16))),
+        ("Host Network", Box::new(harmonia::apps::HostNetwork)),
     ];
     for (name, app) in apps {
         let shell = TailoredShell::tailor(&unified, &app.role_spec())

@@ -36,8 +36,10 @@ fn bitw_table(title: &str, path: harmonia::apps::BitwPath) -> Table {
 
 /// Figure 17a: Sec-Gateway.
 pub(crate) fn fig17a() -> Table {
-    let gw = SecGateway::new(harmonia::apps::sec_gateway::Action::Allow);
-    bitw_table("Figure 17a — Sec-Gateway performance", gw.datapath())
+    bitw_table(
+        "Figure 17a — Sec-Gateway performance",
+        SecGateway.datapath(),
+    )
 }
 
 /// Figure 17b: Layer-4 LB.
@@ -52,7 +54,7 @@ pub(crate) fn fig17b() -> Table {
 pub(crate) fn fig17c() -> Table {
     bitw_table(
         "Figure 17c — Host Network performance",
-        HostNetwork::new(1024).datapath(),
+        HostNetwork.datapath(),
     )
 }
 

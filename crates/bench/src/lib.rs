@@ -75,16 +75,12 @@ pub mod roles {
     /// `(name, role)` for the five applications, in the paper's order.
     pub fn all() -> Vec<(&'static str, RoleSpec)> {
         vec![
-            ("Sec-Gateway", SecGateway::new(crate::roles::allow()).role_spec()),
+            ("Sec-Gateway", SecGateway.role_spec()),
             ("Layer-4 LB", sample_lb().role_spec()),
             ("Retrieval", RetrievalEngine::synthetic(1, 16, 8).role_spec()),
             ("Board Test", BoardTest::new(1).role_spec()),
-            ("Host Network", HostNetwork::new(16).role_spec()),
+            ("Host Network", HostNetwork.role_spec()),
         ]
-    }
-
-    pub(crate) fn allow() -> harmonia::apps::sec_gateway::Action {
-        harmonia::apps::sec_gateway::Action::Allow
     }
 
     pub(crate) fn sample_lb() -> Layer4Lb {

@@ -731,20 +731,6 @@ impl UnifiedControlKernel {
             })
     }
 
-    /// Hardware-side sensor update: the board management fabric refreshes
-    /// the health registers (software reads them via `HealthRead`).
-    pub fn update_sensors(&mut self, temp_fpga_c: u32, temp_board_c: u32, vccint_mv: u32) {
-        self.health
-            .hw_set(0x00, temp_fpga_c)
-            .expect("health map is fixed");
-        self.health
-            .hw_set(0x04, temp_board_c)
-            .expect("health map is fixed");
-        self.health
-            .hw_set(0x08, vccint_mv)
-            .expect("health map is fixed");
-    }
-
     /// Commands executed so far.
     pub fn commands_executed(&self) -> u64 {
         self.commands_executed

@@ -50,7 +50,7 @@
 //! | [`platform`] | platform-specific (§3.2) | device + vendor adapters, lightweight interface wrappers over the six unified types |
 //! | [`shell`] | platform-independent (§3.3) | Network/Memory/Host RBBs, parameterized CDC, unified shell, hierarchical tailoring, health ledger, partial reconfiguration plane ([`shell::pr`]), vFPGA time-multiplexing scheduler ([`shell::sched`]) |
 //! | [`cmd`] | platform-independent (§3.3.3) | command packets (Fig. 9), command codes, the unified control kernel, batched SQ/CQ queue pairs with doorbell batching ([`cmd::queue`]) |
-//! | [`host`] | platform-independent | register vs. command drivers, DMA engine with isolated control queue, retry/backoff resilience, command batching ([`host::batch`]), multi-tenant vFPGA scheduling ([`host::tenant`]), migration analysis ([`host::migration`]), control tool, BMC, irq moderation |
+//! | [`host`] | platform-independent | register vs. command drivers, DMA engine with isolated control queue, retry/backoff resilience, command batching ([`host::batch`]), multi-tenant vFPGA scheduling ([`host::tenant`]), migration analysis ([`host::migration`]), irq moderation |
 //! | [`workloads`] | evaluation | seeded packet/memory/matmul/vector-DB/TCP generators |
 //! | [`frameworks`] | evaluation | Vitis / oneAPI / Coyote baseline models |
 //! | [`apps`] | applications | the five production applications plus the storage offload |

@@ -15,7 +15,6 @@
 
 use harmonia_apps::common::App;
 use harmonia_apps::l4lb::Backend;
-use harmonia_apps::sec_gateway::Action;
 use harmonia_apps::{HostNetwork, Layer4Lb, RetrievalEngine, SecGateway, StorageOffload};
 use harmonia_hw::device::{catalog as hw_catalog, DeviceId};
 use harmonia_shell::{RoleSpec, TailoredShell, UnifiedShell};
@@ -95,7 +94,7 @@ pub fn standard_catalog() -> Vec<RoleClass> {
         },
         RoleClass {
             name: "sec-gateway",
-            spec: SecGateway::new(Action::Deny).role_spec(),
+            spec: SecGateway.role_spec(),
             share_ppm: 200_000,
             cmds_per_req: 1,
             unit_cost: 7_000_000_000_000,
@@ -103,7 +102,7 @@ pub fn standard_catalog() -> Vec<RoleClass> {
         },
         RoleClass {
             name: "host-network",
-            spec: HostNetwork::new(16).role_spec(),
+            spec: HostNetwork.role_spec(),
             share_ppm: 200_000,
             cmds_per_req: 1,
             unit_cost: 8_000_000_000_000,
@@ -119,7 +118,7 @@ pub fn standard_catalog() -> Vec<RoleClass> {
         },
         RoleClass {
             name: "storage-offload",
-            spec: StorageOffload::new().role_spec(),
+            spec: StorageOffload.role_spec(),
             share_ppm: 50_000,
             cmds_per_req: 2,
             unit_cost: 10_000_000_000_000,

@@ -124,11 +124,11 @@ impl Inventory {
         }
         let mut models: Vec<DeviceId> = counts
             .iter()
-            .flat_map(|&(m, c, _)| std::iter::repeat(m).take(c))
+            .flat_map(|&(m, c, _)| std::iter::repeat_n(m, c))
             .collect();
         // Seeded Fisher–Yates: rack composition varies with the seed,
         // model counts do not.
-        let mut rng = SplitMix64::new(seed ^ 0x464c_4545_54_u64); // "FLEET"
+        let mut rng = SplitMix64::new(seed ^ 0x0046_4c45_4554_u64); // "FLEET"
         for i in (1..models.len()).rev() {
             let j = rng.next_below(i as u64 + 1) as usize;
             models.swap(i, j);

@@ -173,7 +173,7 @@ fn place_random(
     peaks: &[u64],
     seed: u64,
 ) -> Result<Vec<Assignment>, PlacementError> {
-    let mut rng = SplitMix64::new(seed ^ 0x524e_444f_4d); // "RNDOM"
+    let mut rng = SplitMix64::new(seed ^ 0x0052_4e44_4f4d); // "RNDOM"
     let mut order: Vec<usize> = (0..roles.len()).collect();
     order.sort_by_key(|&r| (std::cmp::Reverse(peaks[r]), roles[r].name));
     let mut claimed = vec![false; inventory.devices.len()];

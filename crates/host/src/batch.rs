@@ -116,7 +116,6 @@ impl CommandDriver {
             let (exec_ps, completions) = self.ring.doorbell(
                 &mut self.kernel,
                 &self.faults,
-                self.src,
                 self.clock_ps,
                 &mut CommandBudget::unlimited(),
             );

@@ -70,7 +70,6 @@ pub(crate) struct Inflight {
 /// The command-interface driver, bound to one FPGA (kernel) via DMA.
 #[derive(Debug)]
 pub struct CommandDriver {
-    pub(crate) src: SrcId,
     pub(crate) engine: DmaEngine,
     pub(crate) kernel: UnifiedControlKernel,
     pub(crate) issued: Vec<IssuedCommand>,
@@ -104,15 +103,10 @@ pub struct CommandDriver {
 }
 
 impl CommandDriver {
-    /// Creates a driver for an application controller.
+    /// Creates an application driver on the serial transport (batch
+    /// size 1).
     pub fn new(engine: DmaEngine, kernel: UnifiedControlKernel) -> Self {
-        Self::with_src(SrcId::Application, engine, kernel)
-    }
-
-    /// Creates a driver for a specific controller type (serial
-    /// transport, batch size 1).
-    pub(crate) fn with_src(src: SrcId, engine: DmaEngine, kernel: UnifiedControlKernel) -> Self {
-        Self::build(src, engine, kernel, 1, 1)
+        Self::build(engine, kernel, 1, 1)
     }
 
     /// Creates an application driver that submits `batch` commands per
@@ -125,18 +119,11 @@ impl CommandDriver {
         batch: usize,
         depth: usize,
     ) -> Self {
-        Self::build(SrcId::Application, engine, kernel, batch.max(1), depth)
+        Self::build(engine, kernel, batch.max(1), depth)
     }
 
-    fn build(
-        src: SrcId,
-        engine: DmaEngine,
-        kernel: UnifiedControlKernel,
-        batch: usize,
-        depth: usize,
-    ) -> Self {
+    fn build(engine: DmaEngine, kernel: UnifiedControlKernel, batch: usize, depth: usize) -> Self {
         CommandDriver {
-            src,
             engine,
             kernel,
             issued: Vec::new(),
@@ -249,11 +236,6 @@ impl CommandDriver {
         self.clock_ps
     }
 
-    /// The controller type this driver reports as.
-    pub fn src(&self) -> SrcId {
-        self.src
-    }
-
     /// Access to the DMA engine (e.g. to toggle control isolation).
     pub fn engine_mut(&mut self) -> &mut DmaEngine {
         &mut self.engine
@@ -336,7 +318,7 @@ impl CommandDriver {
             // buffer: the kernel must NACK, not panic.
             self.faults.corrupt_command(self.clock_ps, &mut bytes);
             self.kernel.sync_clock(self.clock_ps);
-            match self.kernel.submit_bytes_or_nack(&bytes, self.src) {
+            match self.kernel.submit_bytes_or_nack(&bytes, SrcId::Application) {
                 Err(e) => return Err(DriverError::Kernel(e)),
                 Ok(Some(nack)) => {
                     self.irq.event(self.clock_ps);
@@ -398,7 +380,7 @@ impl CommandDriver {
         Inflight {
             idx,
             tag,
-            packet: CommandPacket::new(self.src, rbb_id, instance_id, code)
+            packet: CommandPacket::new(SrcId::Application, rbb_id, instance_id, code)
                 .with_data(data)
                 .with_idempotency_tag(tag),
             attempt: 0,
@@ -885,5 +867,87 @@ mod tests {
         let regs = drv.kernel_mut().module_regs_mut(net_id, 0).unwrap();
         let addr = regs.addr_of("status").unwrap();
         assert_eq!(regs.read(addr).unwrap(), DEGRADED_STATUS);
+    }
+
+    /// A one-port network role (two network instances and the host
+    /// module, no memory) behind a serial driver.
+    fn ops_driver() -> (CommandDriver, TailoredShell) {
+        let dev = catalog::device_a();
+        let unified = UnifiedShell::for_device(&dev);
+        let role = RoleSpec::builder("ops").network_gbps(100).build();
+        let shell = TailoredShell::tailor(&unified, &role).unwrap();
+        let mut kernel = UnifiedControlKernel::new(32);
+        kernel.attach_shell(shell.rbbs().iter().map(|r| r.as_ref()));
+        let engine = DmaEngine::new(PcieDmaIp::new(Vendor::Xilinx, 4, 8));
+        (CommandDriver::new(engine, kernel), shell)
+    }
+
+    #[test]
+    fn stats_snapshot_covers_all_modules() {
+        let (mut drv, shell) = ops_driver();
+        let stats = drv.read_all_stats_resilient(&shell).unwrap();
+        // 2 network (28 each) + host (32) + health (4).
+        assert_eq!(stats.len(), 2 * 28 + 32 + 4);
+    }
+
+    #[test]
+    fn reset_module_round_trip() {
+        let (mut drv, _) = ops_driver();
+        let mut reset =
+            |rbb_id| drv.cmd_raw_resilient(rbb_id, 0, CommandCode::ModuleReset, Vec::new());
+        reset(1).unwrap();
+        assert!(reset(2).is_err()); // no memory module
+    }
+
+    #[test]
+    fn capture_trace_covers_the_monitoring_sweep() {
+        let (mut drv, shell) = ops_driver();
+        let collector = TraceCollector::enabled();
+        drv.set_probe(Probe {
+            trace: collector.clone(),
+            ..Probe::disabled()
+        });
+        drv.read_all_stats_resilient(&shell).unwrap();
+        let trace = collector.take();
+        // 3 StatsRead + 1 HealthRead, each an issue + delivery + exec + ack.
+        assert_eq!(drv.latency_histogram().count(), 4);
+        // Each command contributes at least issue + exec + ack.
+        assert!(trace.len() >= 12, "only {} events", trace.len());
+        assert!(trace.export_perfetto().contains("\"kernel-exec\""));
+        assert!(trace.export_text().contains("cmd-ack"));
+    }
+
+    #[test]
+    fn capture_metrics_counts_the_monitoring_sweep() {
+        let (mut drv, shell) = ops_driver();
+        let metrics = MetricsRegistry::enabled();
+        drv.set_probe(Probe {
+            metrics: metrics.clone(),
+            ..Probe::disabled()
+        });
+        drv.read_all_stats_resilient(&shell).unwrap();
+        let snap = metrics.snapshot();
+        // 3 StatsRead + 1 HealthRead, all acked.
+        assert_eq!(snap.counter("harmonia_cmd_issued_total"), 4);
+        assert_eq!(snap.counter("harmonia_cmd_acked_total"), 4);
+        assert_eq!(snap.counter("harmonia_kernel_cmds_executed_total"), 4);
+        assert_eq!(snap.counter("harmonia_dma_cmds_total"), 4);
+        assert_eq!(snap.histogram("harmonia_cmd_latency_ps").count(), 4);
+        assert!(snap
+            .export_prometheus()
+            .contains("harmonia_cmd_acked_total 4"));
+    }
+
+    #[test]
+    fn flight_dump_reports_disabled_without_metrics() {
+        let (mut drv, _) = ops_driver();
+        assert!(!drv.probe().flight.is_enabled());
+        assert!(drv.probe().flight.dump().contains("disabled"));
+        drv.set_probe(Probe::enabled());
+        drv.cmd_raw_resilient(0, 0, CommandCode::HealthRead, Vec::new())
+            .unwrap();
+        let dump = drv.probe().flight.dump();
+        assert!(dump.starts_with("flight recorder: last"), "{dump}");
+        assert!(dump.contains("cmd-ack"), "{dump}");
     }
 }

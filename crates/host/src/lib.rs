@@ -11,14 +11,12 @@
 //! * [`cmd_driver`] — Harmonia's `cmd_read`/`cmd_write` interface: the one
 //!   [`CommandDriver`], whose serial transport (one DMA send per command)
 //!   and ring transport share one retry/ack core. The serial transport is
-//!   the only single-command path: applications, deployment, the control
-//!   tool and the BMC all issue idempotency-tagged commands through it;
+//!   the only single-command path: applications, deployment and the
+//!   monitoring sweep all issue idempotency-tagged commands through it;
 //! * [`dma`] — the DMA engine model with a separate control queue for
 //!   performance isolation from the data path;
 //! * [`migration`] — the Figure 13 analysis: modification counts when
 //!   moving an application between devices under each interface;
-//! * [`tool`] — the standalone control tool (one of the multiple
-//!   controllers production servers run concurrently);
 //! * [`irq`] — interrupt moderation for the latency-critical `irq` unified
 //!   type (coalescing windows and batch thresholds);
 //! * [`resilience`] — per-command deadlines, bounded retries with
@@ -32,7 +30,6 @@
 //!   (the crate-private `ring` module); each keeps only its own policy.
 
 pub mod batch;
-pub mod bmc;
 pub mod cmd_driver;
 pub mod dma;
 pub mod irq;
@@ -41,10 +38,8 @@ pub mod reg_driver;
 pub mod resilience;
 mod ring;
 pub mod tenant;
-pub mod tool;
 
 pub use batch::BatchedCommandDriver;
-pub use bmc::{BmcController, BmcPolicy, BmcStatus};
 pub use cmd_driver::{CommandDriver, DEGRADED_STATUS};
 pub use dma::{CommandDelivery, DmaEngine};
 pub use resilience::{DriverError, DriverReport, RetryPolicy};
@@ -52,4 +47,3 @@ pub use irq::{IrqModeration, IrqModerator};
 pub use migration::{migration_report, MigrationReport};
 pub use reg_driver::RegisterDriver;
 pub use tenant::{TenantHostDriver, TenantStats, DEFAULT_TENANT_RING_DEPTH};
-pub use tool::ControlTool;

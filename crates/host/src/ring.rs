@@ -121,13 +121,18 @@ impl<T> Ring<T> {
         &mut self,
         kernel: &mut UnifiedControlKernel,
         faults: &FaultInjector,
-        src: SrcId,
         now: Picos,
         budget: &mut CommandBudget,
     ) -> (Picos, Vec<Completion<T>>) {
         kernel.sync_clock(now);
         let n = self.sq.len();
-        let out = kernel.ring_doorbell_budgeted(&mut self.sq, &mut self.cq, n, src, budget);
+        let out = kernel.ring_doorbell_budgeted(
+            &mut self.sq,
+            &mut self.cq,
+            n,
+            SrcId::Application,
+            budget,
+        );
         let polled_at = now + out.exec_ps;
         // Responses and errors come in drain order, as the CQ records do.
         let mut responses = out.responses.into_iter();

@@ -70,9 +70,9 @@ struct TenantLane {
 }
 
 impl TenantLane {
-    fn new(depth: usize) -> TenantLane {
+    fn new() -> TenantLane {
         TenantLane {
-            ring: Ring::new(depth),
+            ring: Ring::new(DEFAULT_TENANT_RING_DEPTH),
             backlog: VecDeque::new(),
             latency: LogHistogram::new(),
             last_done_ps: 0,
@@ -119,7 +119,6 @@ pub struct TenantHostDriver {
     next_tag: u32,
     slices_run: u64,
     quota_hits: u64,
-    src: SrcId,
 }
 
 impl TenantHostDriver {
@@ -131,18 +130,8 @@ impl TenantHostDriver {
         engine: DmaEngine,
         kernel: UnifiedControlKernel,
     ) -> TenantHostDriver {
-        Self::with_depth(sched, engine, kernel, DEFAULT_TENANT_RING_DEPTH)
-    }
-
-    /// [`TenantHostDriver::new`] with an explicit per-tenant ring depth.
-    pub fn with_depth(
-        sched: TenantScheduler,
-        engine: DmaEngine,
-        kernel: UnifiedControlKernel,
-        depth: usize,
-    ) -> TenantHostDriver {
         let lanes = (0..sched.tenant_count())
-            .map(|_| TenantLane::new(depth))
+            .map(|_| TenantLane::new())
             .collect();
         TenantHostDriver {
             sched,
@@ -155,7 +144,6 @@ impl TenantHostDriver {
             next_tag: 0,
             slices_run: 0,
             quota_hits: 0,
-            src: SrcId::Application,
         }
     }
 
@@ -183,7 +171,7 @@ impl TenantHostDriver {
         for (rbb_id, instance_id, code, data) in cmds {
             let tag = self.next_tag;
             self.next_tag += 1;
-            let packet = CommandPacket::new(self.src, rbb_id, instance_id, code)
+            let packet = CommandPacket::new(SrcId::Application, rbb_id, instance_id, code)
                 .with_data(data)
                 .with_idempotency_tag(tag);
             self.lanes[tenant].backlog.push_back(PendingCmd {
@@ -292,13 +280,9 @@ impl TenantHostDriver {
                 // clock already advanced, so loop for the retry.
                 continue;
             }
-            let (exec_ps, completions) = lane.ring.doorbell(
-                &mut self.kernel,
-                &self.faults,
-                self.src,
-                self.clock_ps,
-                &mut budget,
-            );
+            let (exec_ps, completions) =
+                lane.ring
+                    .doorbell(&mut self.kernel, &self.faults, self.clock_ps, &mut budget);
             self.clock_ps += exec_ps;
             for done in completions {
                 let p = done.entry;
@@ -315,9 +299,11 @@ impl TenantHostDriver {
                         lane.last_done_ps = done.at_ps;
                         lane.latency.record(latency);
                         lane.stats.completed += 1;
-                        let metrics = &self.probe.metrics;
-                        metrics.observe("harmonia_tenant_cmd_latency_ps", &tenant, latency);
-                        metrics.counter_inc("harmonia_tenant_cmds_total", &tenant);
+                        self.probe.metrics.observe(
+                            "harmonia_tenant_cmd_latency_ps",
+                            &tenant,
+                            latency,
+                        );
                     }
                     Some(Outcome::Nacked(_)) => {
                         lane.stats.nacks += 1;

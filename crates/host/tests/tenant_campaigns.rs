@@ -277,7 +277,7 @@ fn observed_campaign_pins_its_trace_and_metrics() {
     );
     assert_eq!(
         (prom.lines().count(), fnv1a(&prom)),
-        (59, 0xfa17_742b_fb1f_3d27),
+        (55, 0xd780_7fe9_050c_a1b6),
         "Prometheus export"
     );
 }

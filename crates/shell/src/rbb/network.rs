@@ -14,7 +14,7 @@ use harmonia_hw::regfile::{Access, RegisterFile};
 use harmonia_hw::resource::ResourceUsage;
 use harmonia_hw::Vendor;
 use harmonia_metrics::config::{ConfigClass, ConfigInventory};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// A parsed packet header, as the RBB's ex-functions see it.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -122,16 +122,12 @@ pub struct NetworkRbb {
     local_macs: BTreeSet<u64>,
     accept_multicast: bool,
     filter_enabled: bool,
-    // Flow-director state.
-    flow_table: BTreeMap<FlowKey, u16>,
+    // Flow-director state: it steers by flow hash.
     queue_count: u16,
     stats: TrafficStats,
 }
 
 impl NetworkRbb {
-    /// Maximum exact-match flow-table entries.
-    pub const FLOW_TABLE_CAPACITY: usize = 4096;
-
     /// Creates a Network RBB around the selected MAC instance with
     /// `queue_count` host queues for the flow director.
     ///
@@ -146,7 +142,6 @@ impl NetworkRbb {
             local_macs: BTreeSet::new(),
             accept_multicast: false,
             filter_enabled: true,
-            flow_table: BTreeMap::new(),
             queue_count,
             stats: TrafficStats::default(),
         }
@@ -228,24 +223,6 @@ impl NetworkRbb {
         self.filter_enabled = enabled;
     }
 
-    /// Installs an exact-match flow-director entry.
-    ///
-    /// # Errors
-    ///
-    /// Returns the key back when the table is full or the queue is out of
-    /// range.
-    #[cfg(test)]
-    fn direct_flow(&mut self, key: FlowKey, queue: u16) -> Result<(), FlowKey> {
-        if queue >= self.queue_count
-            || (self.flow_table.len() >= Self::FLOW_TABLE_CAPACITY
-                && !self.flow_table.contains_key(&key))
-        {
-            return Err(key);
-        }
-        self.flow_table.insert(key, queue);
-        Ok(())
-    }
-
     /// Processes one received packet through filter → director.
     pub fn process_rx(&mut self, pkt: &PacketMeta) -> RxDecision {
         if self.filter_enabled {
@@ -256,11 +233,7 @@ impl NetworkRbb {
                 return RxDecision::Filtered;
             }
         }
-        let key = pkt.flow_key();
-        let queue = match self.flow_table.get(&key) {
-            Some(&q) => q,
-            None => (key.hash() % u64::from(self.queue_count)) as u16,
-        };
+        let queue = (pkt.flow_key().hash() % u64::from(self.queue_count)) as u16;
         self.stats.rx_packets += 1;
         self.stats.rx_bytes += u64::from(pkt.bytes);
         RxDecision::Deliver { queue }
@@ -295,7 +268,8 @@ impl NetworkRbb {
         set(rf, "mon_tx_0", self.stats.tx_packets)?;
         set(rf, "mon_tx_1", self.stats.tx_bytes)?;
         set(rf, "mon_q_0", u64::from(self.queue_count))?;
-        set(rf, "mon_q_1", self.flow_table.len() as u64)?;
+        // Exact-match flow-table occupancy: the model has no table.
+        set(rf, "mon_q_1", 0)?;
         Ok(())
     }
 }
@@ -439,35 +413,6 @@ mod tests {
         if let RxDecision::Deliver { queue } = q1 {
             assert!(queue < 64);
         }
-    }
-
-    #[test]
-    fn exact_entries_override_hash() {
-        let mut n = rbb();
-        let p = pkt(LOCAL, 777);
-        n.direct_flow(p.flow_key(), 7).unwrap();
-        assert_eq!(n.process_rx(&p), RxDecision::Deliver { queue: 7 });
-    }
-
-    #[test]
-    fn flow_table_rejects_bad_queue_and_overflow() {
-        let mut n = rbb();
-        let key = pkt(LOCAL, 1).flow_key();
-        assert!(n.direct_flow(key, 64).is_err()); // out of range
-        for i in 0..NetworkRbb::FLOW_TABLE_CAPACITY as u16 {
-            let mut k = key;
-            k.src_port = i;
-            k.dst_port = 9;
-            n.direct_flow(k, 1).unwrap();
-        }
-        let mut k = key;
-        k.dst_port = 10;
-        assert!(n.direct_flow(k, 1).is_err()); // full
-        // Updating an existing entry still works.
-        let mut existing = key;
-        existing.src_port = 0;
-        existing.dst_port = 9;
-        assert!(n.direct_flow(existing, 2).is_ok());
     }
 
     #[test]

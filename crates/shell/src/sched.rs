@@ -543,8 +543,8 @@ mod tests {
             let picks = run_slices(&mut s, 8);
             assert!(picks.iter().any(|&p| p != picks[0]), "must multiplex");
         }
-        for i in 0..3 {
-            assert_eq!(s.queue_range(i), ranges[i], "range moved for tenant {i}");
+        for (i, range) in ranges.iter().enumerate() {
+            assert_eq!(&s.queue_range(i), range, "range moved for tenant {i}");
         }
         assert!(s.region().queues_disjoint());
     }

@@ -179,8 +179,8 @@ forall! {
             prop_assert_eq!(r.occupied(), model.iter().flatten().count());
             prop_assert_eq!(r.free_queues(), free, "step {step}");
             prop_assert_eq!(r.total_reconfig_ps(), expected_ps, "step {step}");
-            for s in 0..slots {
-                prop_assert_eq!(r.queue_range(s), model[s].clone(), "slot {s} range");
+            for (s, range) in model.iter().enumerate() {
+                prop_assert_eq!(r.queue_range(s), range.clone(), "slot {s} range");
             }
         }
     }

@@ -536,7 +536,7 @@ struct FlightBuf {
 
 /// A bounded ring of the last N trace events — the post-mortem buffer
 /// drivers dump when a command exhausts its retry budget
-/// (`DriverError::GaveUp`) and the control tool dumps on demand. Unlike
+/// (`DriverError::GaveUp`), or that anyone holding it dumps on demand. Unlike
 /// the unbounded [`crate::trace::TraceCollector`], memory stays constant
 /// no matter how long the run: old events fall off the front.
 ///
@@ -793,14 +793,11 @@ pub fn evaluate_slos(snapshot: &MetricsSnapshot, slos: &[Slo]) -> SloReport {
                     )
                 }
             };
-            let budget_burn_pct = if limit == 0 {
-                if actual == 0 {
-                    0
-                } else {
-                    u64::MAX
-                }
-            } else {
-                actual.saturating_mul(100) / limit
+            let budget_burn_pct = match actual.saturating_mul(100).checked_div(limit) {
+                Some(pct) => pct,
+                // A zero limit: no miss burns nothing, any miss all of it.
+                None if actual == 0 => 0,
+                None => u64::MAX,
             };
             SloResult {
                 name: slo.name,

@@ -28,6 +28,10 @@
 /// Cases run in index order and seeds derive from the case *index*, so
 /// the failing seed, shrink tape and persisted regression are the same
 /// on every run.
+#[allow(
+    clippy::test_attr_in_doctest,
+    reason = "the example shows how a consumer writes a property; the doctest compiles it"
+)]
 #[macro_export]
 macro_rules! forall {
     ($(

@@ -307,7 +307,7 @@ pub mod option {
         fn generate(&self, src: &mut DataSource) -> Option<S::Value> {
             // `None` on even draws: shrinking a draw toward zero prefers
             // the absent case, the conventional minimum.
-            if src.draw() % 2 == 0 {
+            if src.draw().is_multiple_of(2) {
                 None
             } else {
                 Some(self.inner.generate(src))

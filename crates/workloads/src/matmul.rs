@@ -67,11 +67,6 @@ impl MatMulWorkload {
         macs_per_sec * efficiency / self.macs_per_matrix() as f64
     }
 
-    /// Wall-clock seconds for the whole workload at the given design point.
-    pub fn duration_secs(&self, parallelism: u32, clock: Freq) -> f64 {
-        self.iterations as f64 / self.matrices_per_sec(parallelism, clock)
-    }
-
     /// Reference software implementation: `a × b` for `n × n` row-major
     /// matrices.
     ///
@@ -118,14 +113,6 @@ mod tests {
         assert!(x16 > 1.9 * x8 && x16 < 2.0 * x8);
         // Order of magnitude sanity: x16 @300 MHz ≈ 16k matrices/s.
         assert!((15_000.0..20_000.0).contains(&x16), "x16 = {x16:.0}");
-    }
-
-    #[test]
-    fn duration_inverse_of_rate() {
-        let w = MatMulWorkload::paper();
-        let clk = Freq::mhz(300);
-        let d = w.duration_secs(8, clk);
-        assert!((d * w.matrices_per_sec(8, clk) - 1024.0).abs() < 1e-6);
     }
 
     #[test]

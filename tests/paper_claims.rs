@@ -81,14 +81,8 @@ fn claim_component_overheads() {
 fn claim_performance_preserved() {
     use harmonia::apps::{App, HostNetwork, SecGateway};
     let apps: Vec<(Box<dyn App>, harmonia::apps::BitwPath)> = vec![
-        (
-            Box::new(SecGateway::new(harmonia::apps::sec_gateway::Action::Allow)),
-            SecGateway::new(harmonia::apps::sec_gateway::Action::Allow).datapath(),
-        ),
-        (
-            Box::new(HostNetwork::new(64)),
-            HostNetwork::new(64).datapath(),
-        ),
+        (Box::new(SecGateway), SecGateway.datapath()),
+        (Box::new(HostNetwork), HostNetwork.datapath()),
     ];
     for (_, path) in &apps {
         let without = path.clone().without_harmonia();
