@@ -91,8 +91,7 @@ impl BitwPath {
     /// End-to-end latency for one frame.
     pub fn latency_ps(&self, frame_bytes: u32) -> Picos {
         let mac = self.mac.loopback_latency_ps(frame_bytes);
-        let role =
-            self.role_pipeline_cycles * self.role_clock.period_ps();
+        let role = self.role_pipeline_cycles * self.role_clock.period_ps();
         let harmonia = if self.with_harmonia {
             // In + out of the role region.
             2 * Self::HARMONIA_STAGES_CYCLES * self.role_clock.period_ps()
@@ -151,7 +150,11 @@ mod tests {
             let lo = without.latency_ps(size) as f64;
             let inc = (lw - lo) / lo;
             assert!(inc > 0.0, "harmonia adds some latency");
-            assert!(inc < 0.01, "size {size}: +{:.2}% breaks the <1% claim", 100.0 * inc);
+            assert!(
+                inc < 0.01,
+                "size {size}: +{:.2}% breaks the <1% claim",
+                100.0 * inc
+            );
         }
     }
 

@@ -220,10 +220,7 @@ mod tests {
     }
 
     fn lb() -> Layer4Lb {
-        Layer4Lb::new(
-            (0..8).map(|id| Backend { id, weight: 1 }).collect(),
-            10_000,
-        )
+        Layer4Lb::new((0..8).map(|id| Backend { id, weight: 1 }).collect(), 10_000)
     }
 
     #[test]
@@ -246,20 +243,14 @@ mod tests {
             counts[usize::from(b)] += 1;
         }
         for (i, c) in counts.iter().enumerate() {
-            assert!(
-                (250..=750).contains(c),
-                "backend {i} got {c} of 4000 flows"
-            );
+            assert!((250..=750).contains(c), "backend {i} got {c} of 4000 flows");
         }
     }
 
     #[test]
     fn weights_bias_distribution() {
         let mut lb = Layer4Lb::new(
-            vec![
-                Backend { id: 0, weight: 3 },
-                Backend { id: 1, weight: 1 },
-            ],
+            vec![Backend { id: 0, weight: 3 }, Backend { id: 1, weight: 1 }],
             100_000,
         );
         let mut heavy = 0u32;
@@ -281,7 +272,11 @@ mod tests {
         } else {
             lb.remove_backend(4);
         }
-        assert_eq!(lb.dispatch(&pkt(42)), Some(backend), "stateful pinning broke");
+        assert_eq!(
+            lb.dispatch(&pkt(42)),
+            Some(backend),
+            "stateful pinning broke"
+        );
     }
 
     #[test]

@@ -62,11 +62,7 @@ impl RetrievalEngine {
         let corpus = (0..items as usize * dim)
             .map(|_| (rng.next_f64() as f32) * 2.0 - 1.0)
             .collect();
-        RetrievalEngine {
-            dim,
-            corpus,
-            items,
-        }
+        RetrievalEngine { dim, corpus, items }
     }
 
     /// Corpus size in items.

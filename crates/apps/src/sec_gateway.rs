@@ -9,9 +9,9 @@
 
 use crate::common::{App, BitwPath};
 use harmonia_hw::ip::MacIp;
+use harmonia_hw::Vendor;
 use harmonia_shell::{MemoryDemand, RoleSpec};
 use harmonia_sim::Freq;
-use harmonia_hw::Vendor;
 
 /// The security-gateway application.
 #[derive(Copy, Clone, Debug)]

@@ -34,7 +34,10 @@ fn main() {
     }
     let path = dir.join("BENCH_cmdpath.json");
     match std::fs::write(&path, cmdpath::sweep_json(&points)) {
-        Ok(()) => println!("\n[cmdpath] sweep complete; JSON artifact at {}", path.display()),
+        Ok(()) => println!(
+            "\n[cmdpath] sweep complete; JSON artifact at {}",
+            path.display()
+        ),
         Err(e) => eprintln!("[cmdpath] cannot write {}: {e}", path.display()),
     }
 }

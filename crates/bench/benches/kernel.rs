@@ -1,12 +1,12 @@
 //! Micro-benches (harmonia-testkit harness) for the command interface: packet codec and unified
 //! control kernel execution (the Figure 13 / Table 4 machinery).
 
-use harmonia_testkit::bench::{Criterion, Throughput, black_box};
-use harmonia_testkit::{bench_group, bench_main};
 use harmonia::cmd::{CommandCode, CommandPacket, SrcId, UnifiedControlKernel};
 use harmonia::host::reg_driver::RegisterDriver;
 use harmonia::hw::device::catalog;
 use harmonia::shell::{MemoryDemand, RoleSpec, TailoredShell, UnifiedShell};
+use harmonia_testkit::bench::{black_box, Criterion, Throughput};
+use harmonia_testkit::{bench_group, bench_main};
 
 fn table4_shell() -> TailoredShell {
     let unified = UnifiedShell::for_device(&catalog::device_a());

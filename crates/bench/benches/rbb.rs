@@ -2,12 +2,12 @@
 //! flow direction, queue scheduling, and the memory system with its
 //! ex-functions on and off (the ablation's timing side).
 
-use harmonia_testkit::bench::{BenchmarkId, Criterion, Throughput, black_box};
-use harmonia_testkit::{bench_group, bench_main};
 use harmonia::apps::common::to_packet_meta;
 use harmonia::hw::Vendor;
 use harmonia::shell::rbb::{HostRbb, MemoryRbb, NetworkRbb};
 use harmonia::workloads::{AccessPattern, MemTraceGen, PacketGen};
+use harmonia_testkit::bench::{black_box, BenchmarkId, Criterion, Throughput};
+use harmonia_testkit::{bench_group, bench_main};
 
 const LOCAL_MAC: u64 = 0x02_11_22_33_44_55;
 

@@ -2,8 +2,6 @@
 //! clock-domain crossing and the vendor IP timing models (Figure 10's
 //! machinery).
 
-use harmonia_testkit::bench::{Criterion, Throughput, black_box};
-use harmonia_testkit::{bench_group, bench_main};
 use harmonia::hw::ip::{MacIp, PcieDmaIp};
 use harmonia::hw::Vendor;
 use harmonia::platform::WidthConverter;
@@ -12,6 +10,8 @@ use harmonia::shell::ParamCdc;
 use harmonia::sim::stream::packet_to_beats;
 use harmonia::sim::Freq;
 use harmonia::workloads::{AccessPattern, MemTraceGen};
+use harmonia_testkit::bench::{black_box, Criterion, Throughput};
+use harmonia_testkit::{bench_group, bench_main};
 
 fn bench_width_converter(c: &mut Criterion) {
     let mut g = c.benchmark_group("width_converter");

@@ -153,7 +153,12 @@ pub(crate) fn ablation_datapath_sim() -> Table {
     use harmonia::sim::Freq;
     let mut t = Table::new(
         "Validation — cycle-simulated datapath vs analytic model (100G)",
-        &["pkt (B)", "analytic (Gbps)", "simulated (Gbps)", "sim latency (ns)"],
+        &[
+            "pkt (B)",
+            "analytic (Gbps)",
+            "simulated (Gbps)",
+            "sim latency (ns)",
+        ],
     );
     let mac = || MacIp::new(Vendor::Xilinx, 100);
     for size in [64u32, 256, 1024] {
@@ -304,9 +309,28 @@ mod tests {
         let first: Vec<&str> = text.lines().nth(3).unwrap().split_whitespace().collect();
         assert_eq!(first[1], "1.000");
         // At 10% loss, the small window beats the large one.
-        let small: f64 = text.lines().nth(3).unwrap().split_whitespace().last().unwrap().parse().unwrap();
-        let large: f64 = text.lines().nth(5).unwrap().split_whitespace().last().unwrap().parse().unwrap();
-        assert!(small > large, "small-window {small} <= large-window {large}");
+        let small: f64 = text
+            .lines()
+            .nth(3)
+            .unwrap()
+            .split_whitespace()
+            .last()
+            .unwrap()
+            .parse()
+            .unwrap();
+        let large: f64 = text
+            .lines()
+            .nth(5)
+            .unwrap()
+            .split_whitespace()
+            .last()
+            .unwrap()
+            .parse()
+            .unwrap();
+        assert!(
+            small > large,
+            "small-window {small} <= large-window {large}"
+        );
     }
 
     #[test]

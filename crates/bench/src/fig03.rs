@@ -5,6 +5,7 @@
 //! grows every year; (d) register init sequences differ across shells.
 
 use harmonia::apps::App;
+use harmonia::hw::device::catalog;
 use harmonia::hw::ip::{DdrIp, IpKind, MacIp, PcieDmaIp, VendorIp};
 use harmonia::hw::Vendor;
 use harmonia::metrics::report::fmt_f64;
@@ -12,7 +13,6 @@ use harmonia::metrics::workload::shell_role_split;
 use harmonia::metrics::{FleetModel, Table};
 use harmonia::shell::rbb::MigrationKind;
 use harmonia::shell::{TailoredShell, UnifiedShell};
-use harmonia::hw::device::catalog;
 
 /// Figure 3a: fraction of handcraft development workload in shell vs role
 /// for the five applications.
@@ -26,7 +26,10 @@ pub(crate) fn fig3a() -> Table {
     let apps: [(&str, Box<dyn App>); 5] = [
         ("Sec-Gateway", Box::new(harmonia::apps::SecGateway)),
         ("Layer-4 LB", Box::new(crate::roles::sample_lb())),
-        ("Retrieval", Box::new(harmonia::apps::RetrievalEngine::synthetic(1, 16, 8))),
+        (
+            "Retrieval",
+            Box::new(harmonia::apps::RetrievalEngine::synthetic(1, 16, 8)),
+        ),
         ("Board Test", Box::new(harmonia::apps::BoardTest::new(1))),
         ("Host Network", Box::new(harmonia::apps::HostNetwork)),
     ];
@@ -37,7 +40,11 @@ pub(crate) fn fig3a() -> Table {
         // handcraft; that is the pre-Harmonia world Figure 3a describes.
         let shell_w = shell.workload(MigrationKind::CrossVendor);
         let mut full_shell = harmonia::metrics::ModuleWorkload::new("shell");
-        full_shell.add("shell-logic", shell_w.countable_loc(), harmonia::metrics::Origin::Handcraft);
+        full_shell.add(
+            "shell-logic",
+            shell_w.countable_loc(),
+            harmonia::metrics::Origin::Handcraft,
+        );
         let (s, r) = shell_role_split(&full_shell, &app.role_workload());
         t.row([name.to_string(), fmt_f64(s, 2), fmt_f64(r, 2)]);
     }

@@ -168,6 +168,9 @@ mod tests {
         let t = fig10c();
         let rand_read = col(&t, 0, 3);
         let seq_read = col(&t, 2, 3);
-        assert!(seq_read > 1.5 * rand_read, "seq {seq_read} vs rand {rand_read}");
+        assert!(
+            seq_read > 1.5 * rand_read,
+            "seq {seq_read} vs rand {rand_read}"
+        );
     }
 }

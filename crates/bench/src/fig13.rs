@@ -82,12 +82,7 @@ mod tests {
             let cmds: usize = cells[cells.len() - 2].parse().unwrap();
             assert!(regs > 40, "register mods {regs} too small in '{line}'");
             assert!(cmds <= 8, "command mods {cmds} too large in '{line}'");
-            let x: f64 = cells
-                .last()
-                .unwrap()
-                .trim_end_matches('x')
-                .parse()
-                .unwrap();
+            let x: f64 = cells.last().unwrap().trim_end_matches('x').parse().unwrap();
             assert!((20.0..=250.0).contains(&x), "reduction {x} out of band");
         }
     }

@@ -32,17 +32,24 @@ pub(crate) fn fig16() -> Table {
     for (name, ip) in &ips {
         let w = InterfaceWrapper::wrap(ip.as_ref(), 512);
         let res = w.resources();
-        let max_over = |f: &dyn Fn(&harmonia::hw::ResourceUsage, &harmonia::hw::ResourceUsage) -> f64| {
-            devices
-                .iter()
-                .map(|d| f(&res, d.capacity()))
-                .fold(0.0, f64::max)
-        };
+        let max_over =
+            |f: &dyn Fn(&harmonia::hw::ResourceUsage, &harmonia::hw::ResourceUsage) -> f64| {
+                devices
+                    .iter()
+                    .map(|d| f(&res, d.capacity()))
+                    .fold(0.0, f64::max)
+            };
         t.row([
             name.to_string(),
-            fmt_pct(max_over(&|r, c| r.percent_of(c, harmonia::hw::ResourceKind::Lut))),
-            fmt_pct(max_over(&|r, c| r.percent_of(c, harmonia::hw::ResourceKind::Reg))),
-            fmt_pct(max_over(&|r, c| r.percent_of(c, harmonia::hw::ResourceKind::Bram))),
+            fmt_pct(max_over(&|r, c| {
+                r.percent_of(c, harmonia::hw::ResourceKind::Lut)
+            })),
+            fmt_pct(max_over(&|r, c| {
+                r.percent_of(c, harmonia::hw::ResourceKind::Reg)
+            })),
+            fmt_pct(max_over(&|r, c| {
+                r.percent_of(c, harmonia::hw::ResourceKind::Bram)
+            })),
             fmt_pct(max_over(&|r, c| r.max_percent_of(c))),
         ]);
     }

@@ -108,12 +108,7 @@ mod tests {
                 let wo_t: f64 = cells[cells.len() - 5].parse().unwrap();
                 let w_t: f64 = cells[cells.len() - 4].parse().unwrap();
                 assert_eq!(wo_t, w_t, "{}: '{line}'", t.title());
-                let delta: f64 = cells
-                    .last()
-                    .unwrap()
-                    .trim_end_matches('%')
-                    .parse()
-                    .unwrap();
+                let delta: f64 = cells.last().unwrap().trim_end_matches('%').parse().unwrap();
                 assert!(delta < 1.0, "{}: latency delta {delta}%", t.title());
                 assert!(delta > 0.0);
             }

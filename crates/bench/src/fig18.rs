@@ -54,7 +54,10 @@ pub(crate) fn fig18b() -> Table {
         let mut row = vec![format!("x{p}")];
         for f in Framework::ALL {
             let pf = PerfFactors::of(f);
-            row.push(fmt_f64(pf.throughput(w.matrices_per_sec(p, pf.kernel_clock)), 0));
+            row.push(fmt_f64(
+                pf.throughput(w.matrices_per_sec(p, pf.kernel_clock)),
+                0,
+            ));
         }
         t.row(row);
     }
@@ -137,9 +140,7 @@ mod tests {
     #[test]
     fn fig18a_harmonia_uses_least_lut() {
         let t = fig18a();
-        let pct = |row: usize| -> f64 {
-            cell(&t, row, 2).trim_end_matches('%').parse().unwrap()
-        };
+        let pct = |row: usize| -> f64 { cell(&t, row, 2).trim_end_matches('%').parse().unwrap() };
         let (vitis, coyote, harmonia) = (pct(0), pct(2), pct(3));
         for baseline in [vitis, coyote] {
             let saving = 100.0 * (1.0 - harmonia / baseline);

@@ -66,7 +66,11 @@ pub fn run_point(policy: PlacementPolicy, devices: usize) -> FleetPoint {
     let victim = fleet.assignments()[0].device;
     fleet.kill_device(victim, KILL_TICK);
     let report = fleet.run();
-    assert!(report.accounting.exact(), "{}: books must balance", policy.name());
+    assert!(
+        report.accounting.exact(),
+        "{}: books must balance",
+        policy.name()
+    );
     FleetPoint {
         policy: report.policy,
         devices: report.devices,
@@ -144,7 +148,10 @@ mod tests {
         let json = sweep_json(&points);
         let p = &points[0];
         assert_eq!(field_from_json(&json, &p.name(), "p99_ps"), Some(p.p99_ps));
-        assert_eq!(field_from_json(&json, &p.name(), "injected"), Some(p.injected));
+        assert_eq!(
+            field_from_json(&json, &p.name(), "injected"),
+            Some(p.injected)
+        );
         assert_eq!(field_from_json(&json, "bestfit/devices=9", "p99_ps"), None);
     }
 

@@ -77,7 +77,10 @@ pub mod roles {
         vec![
             ("Sec-Gateway", SecGateway.role_spec()),
             ("Layer-4 LB", sample_lb().role_spec()),
-            ("Retrieval", RetrievalEngine::synthetic(1, 16, 8).role_spec()),
+            (
+                "Retrieval",
+                RetrievalEngine::synthetic(1, 16, 8).role_spec(),
+            ),
             ("Board Test", BoardTest::new(1).role_spec()),
             ("Host Network", HostNetwork.role_spec()),
         ]

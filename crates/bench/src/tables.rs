@@ -128,10 +128,7 @@ mod tests {
     #[test]
     fn table1_only_harmonia_full_yes() {
         let text = table1().to_string();
-        let harmonia_line = text
-            .lines()
-            .find(|l| l.starts_with("Harmonia"))
-            .unwrap();
+        let harmonia_line = text.lines().find(|l| l.starts_with("Harmonia")).unwrap();
         assert_eq!(harmonia_line.matches("yes").count(), 4);
     }
 
@@ -155,7 +152,10 @@ mod tests {
         assert!(mon.contains("84") && mon.contains("21x"), "'{mon}'");
         let net = text.lines().find(|l| l.contains("Network init")).unwrap();
         assert!(net.contains("115") && net.contains("23x"), "'{net}'");
-        let host = text.lines().find(|l| l.contains("Host interaction")).unwrap();
+        let host = text
+            .lines()
+            .find(|l| l.contains("Host interaction"))
+            .unwrap();
         assert!(host.contains("60") && host.contains("15x"), "'{host}'");
     }
 }

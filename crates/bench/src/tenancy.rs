@@ -136,8 +136,7 @@ pub fn run_point(policy: TenantPolicy, tenants: usize) -> TenancyPoint {
     for t in 1..tenants {
         d.enqueue(t, health_reads(AGGRESSOR_CMDS));
     }
-    let (victim_p99_ps, victim_slices, switches, quota_exhausted, sim_ps) =
-        run_victim(&mut d);
+    let (victim_p99_ps, victim_slices, switches, quota_exhausted, sim_ps) = run_victim(&mut d);
     TenancyPoint {
         policy: policy.name(),
         tenants,

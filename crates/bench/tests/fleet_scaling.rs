@@ -18,7 +18,10 @@ fn best_fit_beats_random_at_every_fleet_size_live() {
         let best = fleet::run_point(PlacementPolicy::BestFit, devices);
         let random = fleet::run_point(PlacementPolicy::Random, devices);
         assert_eq!(best.executed, best.injected, "best-fit/{devices}: drained");
-        assert_eq!(random.executed, random.injected, "random/{devices}: drained");
+        assert_eq!(
+            random.executed, random.injected,
+            "random/{devices}: drained"
+        );
         assert!(
             best.p99_ps <= TICK_PS,
             "best-fit/{devices}: p99 {} ps spills past one tick ({TICK_PS} ps)",
@@ -47,12 +50,17 @@ fn best_fit_beats_random_at_every_fleet_size_live() {
 
 #[test]
 fn committed_bench_shows_the_same_placement_split() {
-    let committed = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet.json"));
+    let committed = include_str!(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../BENCH_fleet.json"
+    ));
     for &devices in &fleet::DEVICES {
-        let best = fleet::field_from_json(committed, &format!("bestfit/devices={devices}"), "p99_ps")
-            .expect("committed artifact carries the bestfit point");
-        let random = fleet::field_from_json(committed, &format!("random/devices={devices}"), "p99_ps")
-            .expect("committed artifact carries the random point");
+        let best =
+            fleet::field_from_json(committed, &format!("bestfit/devices={devices}"), "p99_ps")
+                .expect("committed artifact carries the bestfit point");
+        let random =
+            fleet::field_from_json(committed, &format!("random/devices={devices}"), "p99_ps")
+                .expect("committed artifact carries the random point");
         assert!(
             best <= TICK_PS,
             "committed bestfit/devices={devices} p99 {best} breaks the tick bound"

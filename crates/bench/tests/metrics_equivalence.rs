@@ -60,10 +60,7 @@ fn gave_up_campaign_dumps_the_failing_commands_retries() {
 
 #[test]
 fn committed_slo_report_is_fresh() {
-    let committed = include_str!(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../SLO_report.txt"
-    ));
+    let committed = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../SLO_report.txt"));
     assert!(committed.contains("PASS cmd-latency-p99"));
     assert!(committed.contains("FAIL cmd-latency-p99-tight"));
     assert!(committed.contains("slo: 3/3 objectives met"));

@@ -31,8 +31,14 @@ fn wfq_bounds_victim_p99_where_round_robin_does_not_live() {
         );
         // The flood must be held back by quota enforcement, not by
         // aggressors politely draining first.
-        assert!(wfq.quota_exhausted > 0, "wfq/tenants={tenants}: no quota hits");
-        assert!(rr.quota_exhausted > 0, "rr/tenants={tenants}: no quota hits");
+        assert!(
+            wfq.quota_exhausted > 0,
+            "wfq/tenants={tenants}: no quota hits"
+        );
+        assert!(
+            rr.quota_exhausted > 0,
+            "rr/tenants={tenants}: no quota hits"
+        );
     }
 }
 

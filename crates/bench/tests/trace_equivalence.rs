@@ -55,6 +55,9 @@ fn enabling_trace_env_never_changes_paper_tables() {
     let traced = render();
     assert_eq!(untraced, traced);
     for table in &traced {
-        assert!(committed.contains(table.as_str()), "table left the snapshot:\n{table}");
+        assert!(
+            committed.contains(table.as_str()),
+            "table left the snapshot:\n{table}"
+        );
     }
 }

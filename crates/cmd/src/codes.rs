@@ -170,7 +170,10 @@ mod tests {
     fn nack_sits_below_the_extension_space() {
         assert_eq!(CommandCode::Nack.to_u16(), 0x000F);
         assert_eq!(CommandCode::from_u16(0x000F), CommandCode::Nack);
-        assert_eq!(CommandCode::from_u16(0x0010), CommandCode::Extension(0x0010));
+        assert_eq!(
+            CommandCode::from_u16(0x0010),
+            CommandCode::Extension(0x0010)
+        );
         assert_eq!(CommandCode::Nack.to_string(), "nack");
     }
 

@@ -277,7 +277,9 @@ impl UnifiedControlKernel {
             }
             Err(e) => {
                 self.decode_errors += 1;
-                self.probe.metrics.counter_inc("harmonia_kernel_nacks_total", &[]);
+                self.probe
+                    .metrics
+                    .counter_inc("harmonia_kernel_nacks_total", &[]);
                 self.probe.trace.instant(
                     self.trace_clock_ps,
                     TraceEventKind::CmdNack {
@@ -344,7 +346,9 @@ impl UnifiedControlKernel {
         if let Some(key) = idem_key {
             if let Some(cached) = self.idem_cache.get(&key) {
                 self.replays += 1;
-                self.probe.metrics.counter_inc("harmonia_kernel_replays_total", &[]);
+                self.probe
+                    .metrics
+                    .counter_inc("harmonia_kernel_replays_total", &[]);
                 self.probe.trace.instant(
                     self.trace_clock_ps,
                     TraceEventKind::KernelReplay {
@@ -357,7 +361,9 @@ impl UnifiedControlKernel {
         let ops_before = self.reg_ops_executed;
         let data = self.execute(&packet)?;
         self.commands_executed += 1;
-        self.probe.metrics.counter_inc("harmonia_kernel_cmds_executed_total", &[]);
+        self.probe
+            .metrics
+            .counter_inc("harmonia_kernel_cmds_executed_total", &[]);
         self.probe.metrics.counter_add(
             "harmonia_kernel_reg_ops_total",
             &[],
@@ -436,7 +442,8 @@ impl UnifiedControlKernel {
         budget: &mut CommandBudget,
     ) -> DrainOutcome {
         let drain_start = self.trace_clock_ps;
-        self.probe.metrics
+        self.probe
+            .metrics
             .gauge_max("harmonia_kernel_sq_high_water", &[], sq.len() as u64);
         let mut out = DrainOutcome {
             drained: 0,
@@ -463,8 +470,7 @@ impl UnifiedControlKernel {
                     let before = self.reg_ops_executed;
                     match self.step() {
                         Ok(Some(resp)) => {
-                            out.exec_ps +=
-                                Self::command_latency_ps(self.reg_ops_executed - before);
+                            out.exec_ps += Self::command_latency_ps(self.reg_ops_executed - before);
                             out.responses.push((desc.tag, resp));
                             CompletionStatus::Ok
                         }
@@ -490,8 +496,11 @@ impl UnifiedControlKernel {
             .expect("cq fullness was checked before the pop");
         }
         if out.drained > 0 {
-            self.probe.metrics
-                .counter_add("harmonia_kernel_sq_drained_total", &[], out.drained as u64);
+            self.probe.metrics.counter_add(
+                "harmonia_kernel_sq_drained_total",
+                &[],
+                out.drained as u64,
+            );
             self.probe.trace.span(
                 drain_start,
                 out.exec_ps,
@@ -509,7 +518,8 @@ impl UnifiedControlKernel {
                     granted: budget.granted,
                 },
             );
-            self.probe.metrics
+            self.probe
+                .metrics
                 .counter_inc("harmonia_kernel_quota_exhausted_total", &[]);
         }
         out
@@ -569,9 +579,12 @@ impl UnifiedControlKernel {
                 let m = Self::module_mut(&mut self.modules, packet.rbb_id, packet.instance_id)?;
                 let mut out = Vec::new();
                 if packet.data.is_empty() {
-                    let addr = m.rbb_regs.addr_of("status").ok_or(KernelError::BadPayload {
-                        expected: "addresses (module has no default status reg)",
-                    })?;
+                    let addr = m
+                        .rbb_regs
+                        .addr_of("status")
+                        .ok_or(KernelError::BadPayload {
+                            expected: "addresses (module has no default status reg)",
+                        })?;
                     out.push(Self::reg_on(&mut self.reg_ops_executed, || {
                         m.rbb_regs.read(addr)
                     })?);
@@ -605,9 +618,8 @@ impl UnifiedControlKernel {
                     // The hardware raises polled status bits as the module
                     // comes up; model that before each wait.
                     if let RegOp::WaitStatus { addr, mask, expect } = *op {
-                        let cur = Self::reg_on(&mut self.reg_ops_executed, || {
-                            m.ip_regs.read(addr)
-                        })?;
+                        let cur =
+                            Self::reg_on(&mut self.reg_ops_executed, || m.ip_regs.read(addr))?;
                         m.ip_regs
                             .hw_set(addr, (cur & !mask) | expect)
                             .map_err(|e| KernelError::RegFault {
@@ -652,9 +664,12 @@ impl UnifiedControlKernel {
                     });
                 };
                 let m = Self::module_mut(&mut self.modules, packet.rbb_id, packet.instance_id)?;
-                let addr_reg = m.rbb_regs.addr_of("table_addr").ok_or(KernelError::BadPayload {
-                    expected: "a module with table registers",
-                })?;
+                let addr_reg = m
+                    .rbb_regs
+                    .addr_of("table_addr")
+                    .ok_or(KernelError::BadPayload {
+                        expected: "a module with table registers",
+                    })?;
                 Self::reg_on(&mut self.reg_ops_executed, || {
                     m.rbb_regs.write(addr_reg, index)
                 })?;
@@ -856,8 +871,13 @@ mod tests {
     #[test]
     fn health_and_timesync_are_device_level() {
         let mut k = kernel_on_device_a();
-        k.submit(CommandPacket::new(SrcId::Bmc, 0, 0, CommandCode::HealthRead))
-            .unwrap();
+        k.submit(CommandPacket::new(
+            SrcId::Bmc,
+            0,
+            0,
+            CommandCode::HealthRead,
+        ))
+        .unwrap();
         let resp = k.step().unwrap().unwrap();
         assert_eq!(resp.data.len(), 4);
         assert_eq!(resp.data[0], 41); // temp
@@ -894,10 +914,7 @@ mod tests {
         k.submit_bytes(&good).unwrap();
         let mut bad = good.clone();
         bad[15] ^= 0xFF;
-        assert!(matches!(
-            k.submit_bytes(&bad),
-            Err(KernelError::Decode(_))
-        ));
+        assert!(matches!(k.submit_bytes(&bad), Err(KernelError::Decode(_))));
     }
 
     #[test]
@@ -1159,8 +1176,13 @@ mod tests {
             while let Some(r) = cq.pop() {
                 recs.push(r);
             }
-            let trace: Vec<String> =
-                probe.trace.take().events().iter().map(|e| format!("{e:?}")).collect();
+            let trace: Vec<String> = probe
+                .trace
+                .take()
+                .events()
+                .iter()
+                .map(|e| format!("{e:?}"))
+                .collect();
             (out.drained, out.exec_ps, out.quota_exhausted, recs, trace)
         };
         assert_eq!(run(false), run(true));

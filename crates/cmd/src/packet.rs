@@ -173,10 +173,9 @@ impl CommandPacket {
                 actual: words.len(),
             });
         }
-        let src = SrcId::from_u8(((w0 >> 4) & 0xF) as u8)
-            .ok_or(DecodeError::BadSrcId {
-                src: ((w0 >> 4) & 0xF) as u8,
-            })?;
+        let src = SrcId::from_u8(((w0 >> 4) & 0xF) as u8).ok_or(DecodeError::BadSrcId {
+            src: ((w0 >> 4) & 0xF) as u8,
+        })?;
         let declared = *words.last().expect("length checked");
         let computed = Self::checksum_of(&words[..words.len() - 1]);
         if declared != computed {
@@ -412,7 +411,9 @@ mod tests {
         assert_eq!(p.options, IDEMPOTENCY_FLAG | 0x42);
         assert_eq!(p.idempotency_key(), Some(IDEMPOTENCY_FLAG | 0x42));
         assert_eq!(
-            CommandPacket::decode(&p.encode()).unwrap().idempotency_key(),
+            CommandPacket::decode(&p.encode())
+                .unwrap()
+                .idempotency_key(),
             p.idempotency_key()
         );
         assert_eq!(sample().idempotency_key(), None);

@@ -107,13 +107,14 @@ impl Harmonia {
             .map(|rbb| {
                 let ip = rbb.instance();
                 ModuleDeps::new(ip.instance_name())
-                    .require(ip.vendor().cad_tool(), Version::new(min_tool_major(ip.vendor()), 0, 0))
+                    .require(
+                        ip.vendor().cad_tool(),
+                        Version::new(min_tool_major(ip.vendor()), 0, 0),
+                    )
                     .require("ip-catalog", Version::new(catalog_major(ip.vendor()), 0, 0))
             })
             .collect();
-        vendor_adapter
-            .inspect(&deps)
-            .map_err(DeployError::Compat)?;
+        vendor_adapter.inspect(&deps).map_err(DeployError::Compat)?;
 
         // Stage 2c: wrap every instance into the unified interfaces and
         // account the overhead (§3.2, Figure 16).
@@ -237,8 +238,8 @@ mod tests {
     #[test]
     fn deploys_on_every_catalog_device() {
         for dev in catalog::all() {
-            let d = Harmonia::deploy(&dev, &role())
-                .unwrap_or_else(|e| panic!("{}: {e}", dev.name()));
+            let d =
+                Harmonia::deploy(&dev, &role()).unwrap_or_else(|e| panic!("{}: {e}", dev.name()));
             assert!(d.initialized());
             assert!(d
                 .shell_resources()
@@ -283,9 +284,6 @@ mod tests {
     fn adapters_reflect_device() {
         let d = Harmonia::deploy(&catalog::device_d(), &role()).unwrap();
         assert_eq!(d.device_adapter().device_name(), "Device D");
-        assert!(d
-            .vendor_adapter()
-            .environment()
-            .contains_key("quartus"));
+        assert!(d.vendor_adapter().environment().contains_key("quartus"));
     }
 }

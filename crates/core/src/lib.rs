@@ -65,8 +65,16 @@ pub mod framework;
 pub mod project;
 pub mod validation;
 
-/// Simulation kernel (clocks, FIFOs, CDC primitives, statistics).
-pub use harmonia_sim as sim;
+/// The five production applications.
+pub use harmonia_apps as apps;
+/// Command-based interface (packets, codes, unified control kernel).
+pub use harmonia_cmd as cmd;
+/// Cluster-scale control plane (inventory, placement, campaigns).
+pub use harmonia_fleet as fleet;
+/// Baseline framework models (Vitis, oneAPI, Coyote).
+pub use harmonia_frameworks as frameworks;
+/// Host software stack (drivers, DMA engine, migration analysis).
+pub use harmonia_host as host;
 /// Hardware substrate (devices, vendor IPs, registers, resources).
 pub use harmonia_hw as hw;
 /// Evaluation accounting (workloads, configs, diffs, fleet, tables).
@@ -75,20 +83,12 @@ pub use harmonia_metrics as metrics;
 pub use harmonia_platform as platform;
 /// Platform-independent layer (RBBs, unified shell, tailoring).
 pub use harmonia_shell as shell;
-/// Command-based interface (packets, codes, unified control kernel).
-pub use harmonia_cmd as cmd;
-/// Host software stack (drivers, DMA engine, migration analysis).
-pub use harmonia_host as host;
+/// Simulation kernel (clocks, FIFOs, CDC primitives, statistics).
+pub use harmonia_sim as sim;
 /// Workload generators.
 pub use harmonia_workloads as workloads;
-/// Baseline framework models (Vitis, oneAPI, Coyote).
-pub use harmonia_frameworks as frameworks;
-/// The five production applications.
-pub use harmonia_apps as apps;
-/// Cluster-scale control plane (inventory, placement, campaigns).
-pub use harmonia_fleet as fleet;
 
 pub use framework::{DeployError, Deployment, Harmonia};
+pub use harmonia_shell::{MemoryDemand, RoleSpec, TailoredShell, UnifiedShell};
 pub use project::{build_project, ProjectBundle, ProjectError};
 pub use validation::{validate, ValidationReport};
-pub use harmonia_shell::{MemoryDemand, RoleSpec, TailoredShell, UnifiedShell};

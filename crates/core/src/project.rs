@@ -140,11 +140,7 @@ pub fn build_project(device: &FpgaDevice, role: &RoleSpec) -> Result<ProjectBund
             fnv1a(&mut id, &c.loc.to_le_bytes());
         }
     }
-    let minutes = compile_minutes(
-        &shell.resources(),
-        role.role_resources(),
-        device.capacity(),
-    );
+    let minutes = compile_minutes(&shell.resources(), role.role_resources(), device.capacity());
 
     // 3. Package bitstream + software.
     let mut software = vec![

@@ -90,10 +90,12 @@ pub fn validate(deployment: &mut Deployment) -> ValidationReport {
     let mut stats_words = 0usize;
     let mut control_ok = true;
     for (rbb_id, inst) in &module_specs {
-        match deployment
-            .driver_mut()
-            .cmd_raw_resilient(*rbb_id, *inst, CommandCode::StatsRead, Vec::new())
-        {
+        match deployment.driver_mut().cmd_raw_resilient(
+            *rbb_id,
+            *inst,
+            CommandCode::StatsRead,
+            Vec::new(),
+        ) {
             Ok(resp) => stats_words += resp.data.len(),
             Err(_) => control_ok = false,
         }
@@ -108,7 +110,10 @@ pub fn validate(deployment: &mut Deployment) -> ValidationReport {
     report.push(
         "module-control",
         control_ok,
-        format!("{} modules, {stats_words} monitor words", module_specs.len()),
+        format!(
+            "{} modules, {stats_words} monitor words",
+            module_specs.len()
+        ),
     );
 
     // 3. Reset/re-init cycle on every module (dynamic-configuration check).
@@ -127,7 +132,9 @@ pub fn validate(deployment: &mut Deployment) -> ValidationReport {
     report.push("reset-reinit-cycle", reinit_ok, "all modules");
 
     // 4. Table path on the network modules, if present.
-    let has_network = module_specs.iter().any(|(id, _)| *id == RbbKind::Network.id());
+    let has_network = module_specs
+        .iter()
+        .any(|(id, _)| *id == RbbKind::Network.id());
     if has_network {
         let wr = deployment.driver_mut().cmd_raw_resilient(
             RbbKind::Network.id(),

@@ -300,7 +300,9 @@ impl CampaignReport {
                 u.target_version,
                 u.waves,
                 u.devices_upgraded,
-                u.completed_tick.map(|t| t.to_string()).unwrap_or_else(|| "-".into()),
+                u.completed_tick
+                    .map(|t| t.to_string())
+                    .unwrap_or_else(|| "-".into()),
             )),
             None => out.push_str("upgrade: none\n"),
         }
@@ -316,9 +318,21 @@ impl CampaignReport {
         registry.gauge_set("harmonia_fleet_users", &[], self.users);
         registry.gauge_set("harmonia_fleet_replicas", &[], self.replicas as u64);
         registry.gauge_set("harmonia_fleet_spares", &[], self.spares as u64);
-        registry.counter_add("harmonia_fleet_cmds_injected", &[], self.accounting.injected);
-        registry.counter_add("harmonia_fleet_cmds_executed", &[], self.accounting.executed);
-        registry.counter_add("harmonia_fleet_cmds_migrated", &[], self.accounting.migrated);
+        registry.counter_add(
+            "harmonia_fleet_cmds_injected",
+            &[],
+            self.accounting.injected,
+        );
+        registry.counter_add(
+            "harmonia_fleet_cmds_executed",
+            &[],
+            self.accounting.executed,
+        );
+        registry.counter_add(
+            "harmonia_fleet_cmds_migrated",
+            &[],
+            self.accounting.migrated,
+        );
         registry.gauge_set("harmonia_fleet_cmds_pending", &[], self.accounting.pending);
         registry.counter_add("harmonia_fleet_kills", &[], u64::from(self.kills));
         registry.gauge_set(
@@ -333,7 +347,11 @@ impl CampaignReport {
         );
         registry.observe_histogram("harmonia_fleet_latency_ps", &[], &self.fleet_latency);
         for r in &self.roles {
-            registry.gauge_set("harmonia_fleet_role_replicas", &[("role", r.name)], r.replicas as u64);
+            registry.gauge_set(
+                "harmonia_fleet_role_replicas",
+                &[("role", r.name)],
+                r.replicas as u64,
+            );
             registry.counter_add("harmonia_fleet_role_cmds", &[("role", r.name)], r.executed);
             registry.observe_histogram(
                 "harmonia_fleet_role_latency_ps",
@@ -342,7 +360,11 @@ impl CampaignReport {
             );
         }
         if let Some(u) = &self.upgrade {
-            registry.counter_add("harmonia_fleet_upgraded_devices", &[], u64::from(u.devices_upgraded));
+            registry.counter_add(
+                "harmonia_fleet_upgraded_devices",
+                &[],
+                u64::from(u.devices_upgraded),
+            );
         }
     }
 }
@@ -496,8 +518,7 @@ impl FleetController {
     pub fn kill_device(&mut self, device: u32, tick: u32) {
         self.push_fault(device, tick, FaultKind::LinkDown);
         self.kills += 1;
-        self.first_fault_tick =
-            Some(self.first_fault_tick.map_or(tick, |t| t.min(tick)));
+        self.first_fault_tick = Some(self.first_fault_tick.map_or(tick, |t| t.min(tick)));
     }
 
     /// Schedules a link restore of one device at `tick`.
@@ -667,7 +688,9 @@ impl FleetController {
 
     /// Launches the next upgrade wave when none is in flight.
     fn upgrade_wave(&mut self, t: u32) {
-        let Some(plan) = self.upgrade.clone() else { return };
+        let Some(plan) = self.upgrade.clone() else {
+            return;
+        };
         if plan.completed_tick.is_some() || t < plan.start_tick {
             return;
         }
@@ -716,7 +739,8 @@ impl FleetController {
             let model = d.model;
             (role, model)
         };
-        let mut cohorts: Vec<(u32, u64)> = self.inventory.devices[victim].backlog.drain(..).collect();
+        let mut cohorts: Vec<(u32, u64)> =
+            self.inventory.devices[victim].backlog.drain(..).collect();
         let incoming = std::mem::take(&mut self.inventory.devices[victim].incoming);
         if incoming > 0 {
             cohorts.push((t, incoming));
@@ -740,7 +764,10 @@ impl FleetController {
                 .map(|d| d.index)
                 .collect();
             spares.sort_by_key(|&i| {
-                (std::cmp::Reverse(device_speed(self.inventory.devices[i as usize].model)), i)
+                (
+                    std::cmp::Reverse(device_speed(self.inventory.devices[i as usize].model)),
+                    i,
+                )
             });
             spares.first().copied()
         } else {
@@ -753,7 +780,9 @@ impl FleetController {
                 .expect("spare was fit-checked");
             let d = &mut self.inventory.devices[s as usize];
             take_role(d, r);
-            d.state = DeviceState::Deploying { ready_tick: t + DEPLOY_TICKS };
+            d.state = DeviceState::Deploying {
+                ready_tick: t + DEPLOY_TICKS,
+            };
             d.stall_ps += cost;
             for &(at, n) in &cohorts {
                 push_cohort(&mut d.backlog, at, n);
@@ -852,7 +881,9 @@ impl FleetController {
             };
             let mut pos = 0u64;
             while capacity > 0 {
-                let Some(&(at, n)) = d.backlog.front() else { break };
+                let Some(&(at, n)) = d.backlog.front() else {
+                    break;
+                };
                 let k = n.min(capacity);
                 let age = Picos::from(t - at) * crate::TICK_PS;
                 let cohort = (age + stall + service, service, pos, pos + k - 1);
@@ -888,7 +919,12 @@ impl FleetController {
     /// End-of-tick bookkeeping: recompute pending from the actual
     /// queues, assert exact conservation, track congestion.
     fn settle(&mut self, t: u32) {
-        let queued: u64 = self.inventory.devices.iter().map(|d| d.queued() + d.incoming).sum();
+        let queued: u64 = self
+            .inventory
+            .devices
+            .iter()
+            .map(|d| d.queued() + d.incoming)
+            .sum();
         let orphaned: u64 = self.orphaned.iter().map(|&(_, _, n)| n).sum();
         self.acc.pending = queued + orphaned;
         assert!(
@@ -934,7 +970,12 @@ impl FleetController {
                 roles[r].executed += d.executed;
             }
         }
-        let spares = self.inventory.devices.iter().filter(|d| d.role.is_none()).count();
+        let spares = self
+            .inventory
+            .devices
+            .iter()
+            .filter(|d| d.role.is_none())
+            .count();
         CampaignReport {
             policy: self.spec.policy.name(),
             devices: self.spec.devices,
@@ -1002,7 +1043,10 @@ fn split_by_capacity(
             Some(exact) => (exact / cap_sum, exact % cap_sum),
             None => {
                 let exact = n as u128 * c as u128;
-                ((exact / cap_sum as u128) as u64, (exact % cap_sum as u128) as u64)
+                (
+                    (exact / cap_sum as u128) as u64,
+                    (exact % cap_sum as u128) as u64,
+                )
             }
         };
         shares.push(base);
@@ -1041,7 +1085,10 @@ fn push_cohort(backlog: &mut std::collections::VecDeque<(u32, u64)>, at: u32, n:
     }
     // Out-of-order insert (migrated cohorts older than the resident
     // queue): keep FIFO by arrival tick.
-    let pos = backlog.iter().position(|&(a, _)| a > at).unwrap_or(backlog.len());
+    let pos = backlog
+        .iter()
+        .position(|&(a, _)| a > at)
+        .unwrap_or(backlog.len());
     if pos > 0 && backlog[pos - 1].0 == at {
         backlog[pos - 1].1 += n;
     } else {

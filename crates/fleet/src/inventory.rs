@@ -197,11 +197,18 @@ mod tests {
         let b = Inventory::sample(256, 2);
         assert_eq!(a.model_counts(), b.model_counts());
         assert!(
-            a.devices.iter().zip(&b.devices).any(|(x, y)| x.model != y.model),
+            a.devices
+                .iter()
+                .zip(&b.devices)
+                .any(|(x, y)| x.model != y.model),
             "different seeds should shuffle differently"
         );
         let a2 = Inventory::sample(256, 1);
-        assert!(a.devices.iter().zip(&a2.devices).all(|(x, y)| x.model == y.model));
+        assert!(a
+            .devices
+            .iter()
+            .zip(&a2.devices)
+            .all(|(x, y)| x.model == y.model));
     }
 
     #[test]

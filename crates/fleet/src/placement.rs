@@ -72,7 +72,11 @@ pub enum PlacementError {
 impl std::fmt::Display for PlacementError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PlacementError::InsufficientCapacity { role, demand, available } => write!(
+            PlacementError::InsufficientCapacity {
+                role,
+                demand,
+                available,
+            } => write!(
                 f,
                 "role {role}: peak demand {demand} cmds/tick exceeds fitting capacity {available}"
             ),
@@ -183,7 +187,11 @@ fn place_random(
         // Spec-blind sizing: the baseline assumes every card serves at
         // the nominal "catalog speed" — the fastest model in the fleet —
         // with no idea the device it lands on may be far slower.
-        let nominal_speed = DeviceId::ALL.iter().map(|&m| device_speed(m)).max().unwrap_or(1);
+        let nominal_speed = DeviceId::ALL
+            .iter()
+            .map(|&m| device_speed(m))
+            .max()
+            .unwrap_or(1);
         let optimistic_cap = role.capacity_per_tick(nominal_speed);
         let want =
             (peaks[r].saturating_mul(1_000_000)).div_ceil(optimistic_cap * role.target_util_ppm());
@@ -351,7 +359,10 @@ mod tests {
     fn best_fit_leaves_spares() {
         let (inv, roles, peaks) = demo(256);
         let a = place(PlacementPolicy::BestFit, &inv, &roles, &peaks, 1).unwrap();
-        assert!(a.len() < inv.devices.len(), "placement should not claim the whole fleet");
+        assert!(
+            a.len() < inv.devices.len(),
+            "placement should not claim the whole fleet"
+        );
     }
 
     #[test]
@@ -465,6 +476,8 @@ mod tests {
         let c = m.cost(DeviceId::A, l4lb, DeviceId::B, l4lb).unwrap();
         assert!(c >= DEPLOY_BASE_PS);
         // retrieval cannot land on C (no DRAM at all).
-        assert!(m.cost(DeviceId::A, retrieval, DeviceId::C, retrieval).is_none());
+        assert!(m
+            .cost(DeviceId::A, retrieval, DeviceId::C, retrieval)
+            .is_none());
     }
 }

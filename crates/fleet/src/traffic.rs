@@ -90,7 +90,11 @@ impl DiurnalTraffic {
         if let (Some(first), Some(role0)) = (per_role.first_mut(), roles.first()) {
             *first += (requests - split_reqs) * role0.cmds_per_req;
         }
-        TickLoad { tick, requests, per_role }
+        TickLoad {
+            tick,
+            requests,
+            per_role,
+        }
     }
 
     /// The full schedule for `ticks` ticks, in tick order.
@@ -126,8 +130,10 @@ mod tests {
             // and fans out by that role's cmds_per_req; reconstruct by
             // re-deriving the per-role request split.
             let reqs: u64 = load.requests;
-            let mut req_split: Vec<u64> =
-                roles.iter().map(|r| reqs * r.share_ppm / 1_000_000).collect();
+            let mut req_split: Vec<u64> = roles
+                .iter()
+                .map(|r| reqs * r.share_ppm / 1_000_000)
+                .collect();
             req_split[0] += reqs - req_split.iter().sum::<u64>();
             let want: u64 = req_split
                 .iter()
@@ -167,13 +173,16 @@ mod tests {
         let roles = standard_catalog();
         let gen = DiurnalTraffic::new(2_000_000, 11);
         for tick in 0..crate::TICKS_PER_DAY {
-            let base = gen.users * PEAK_REQS_PER_USER_PER_TICK
-                * DiurnalTraffic::level_per_mille(tick)
-                / 1000;
+            let base =
+                gen.users * PEAK_REQS_PER_USER_PER_TICK * DiurnalTraffic::level_per_mille(tick)
+                    / 1000;
             let got = gen.tick_load(tick, &roles).requests;
             let lo = base * (1_000_000 - JITTER_PPM) / 1_000_000;
             let hi = base * (1_000_000 + JITTER_PPM) / 1_000_000;
-            assert!(got >= lo && got <= hi, "tick {tick}: {got} outside [{lo}, {hi}]");
+            assert!(
+                got >= lo && got <= hi,
+                "tick {tick}: {got} outside [{lo}, {hi}]"
+            );
         }
     }
 }

@@ -123,15 +123,24 @@ fn campaign_publishes_fleet_metrics_and_meets_the_slos() {
     let registry = MetricsRegistry::enabled();
     report.publish_metrics(&registry);
     let snap = registry.snapshot();
-    assert_eq!(snap.counter("harmonia_fleet_cmds_injected"), report.accounting.injected);
-    assert_eq!(snap.counter("harmonia_fleet_cmds_executed"), report.accounting.executed);
+    assert_eq!(
+        snap.counter("harmonia_fleet_cmds_injected"),
+        report.accounting.injected
+    );
+    assert_eq!(
+        snap.counter("harmonia_fleet_cmds_executed"),
+        report.accounting.executed
+    );
     assert_eq!(snap.gauge("harmonia_fleet_devices"), 128);
     assert_eq!(
         snap.histogram("harmonia_fleet_latency_ps").count(),
         report.fleet_latency.count()
     );
     let prom = snap.export_prometheus();
-    assert!(prom.lines().any(|l| l.starts_with("harmonia_fleet_")), "{prom}");
+    assert!(
+        prom.lines().any(|l| l.starts_with("harmonia_fleet_")),
+        "{prom}"
+    );
     let slos = evaluate_slos(&snap, &fleet_slos());
     assert!(
         slos.results.iter().all(|r| r.pass),
@@ -151,5 +160,8 @@ fn random_placement_blows_the_p99_slo() {
         .iter()
         .find(|r| r.name == "fleet-p99-within-tick")
         .expect("objective present");
-    assert!(!p99.pass, "spec-blind placement must fail the tick-latency SLO");
+    assert!(
+        !p99.pass,
+        "spec-blind placement must fail the tick-latency SLO"
+    );
 }

@@ -28,8 +28,7 @@ impl Framework {
     ];
 
     /// The baselines (everything but Harmonia).
-    pub const BASELINES: [Framework; 3] =
-        [Framework::Vitis, Framework::OneApi, Framework::Coyote];
+    pub const BASELINES: [Framework; 3] = [Framework::Vitis, Framework::OneApi, Framework::Coyote];
 
     /// Whether the framework supports a device (Table 3): Vitis covers
     /// Xilinx parts, Coyote only Xilinx Alveo-class boards, oneAPI only

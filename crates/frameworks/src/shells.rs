@@ -125,9 +125,7 @@ mod tests {
 
     #[test]
     fn tailoring_failure_propagates() {
-        let role = RoleSpec::builder("x")
-            .memory(MemoryDemand::Hbm)
-            .build();
+        let role = RoleSpec::builder("x").memory(MemoryDemand::Hbm).build();
         let err = baseline_shell_resources(Framework::Harmonia, &catalog::device_c(), &role);
         assert!(err.is_err());
     }

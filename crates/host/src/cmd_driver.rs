@@ -173,17 +173,26 @@ impl CommandDriver {
     /// This and the next two delegates serve the wall-clock benchmark
     /// crate, which attaches its handles one at a time.
     pub fn set_trace_collector(&mut self, trace: TraceCollector) {
-        self.set_probe(Probe { trace, ..self.probe.clone() });
+        self.set_probe(Probe {
+            trace,
+            ..self.probe.clone()
+        });
     }
 
     /// [`CommandDriver::set_probe`] replacing only the metrics registry.
     pub fn set_metrics_registry(&mut self, metrics: MetricsRegistry) {
-        self.set_probe(Probe { metrics, ..self.probe.clone() });
+        self.set_probe(Probe {
+            metrics,
+            ..self.probe.clone()
+        });
     }
 
     /// [`CommandDriver::set_probe`] replacing only the flight recorder.
     pub fn set_flight_recorder(&mut self, flight: FlightRecorder) {
-        self.set_probe(Probe { flight, ..self.probe.clone() });
+        self.set_probe(Probe {
+            flight,
+            ..self.probe.clone()
+        });
     }
 
     /// The post-mortem composed by the most recent
@@ -371,7 +380,9 @@ impl CommandDriver {
         let tag = self.next_tag;
         self.next_tag += 1;
         self.report.issued += 1;
-        self.probe.metrics.counter_inc("harmonia_cmd_issued_total", &[]);
+        self.probe
+            .metrics
+            .counter_inc("harmonia_cmd_issued_total", &[]);
         self.issued.push(IssuedCommand {
             rbb_id,
             instance_id,
@@ -405,8 +416,11 @@ impl CommandDriver {
     /// The kernel NACKed an attempt (its bytes failed to decode).
     pub(crate) fn nack(&mut self, error_code: u32) {
         self.report.nacks += 1;
-        self.probe.metrics.counter_inc("harmonia_cmd_nacks_total", &[]);
-        self.probe.flight
+        self.probe
+            .metrics
+            .counter_inc("harmonia_cmd_nacks_total", &[]);
+        self.probe
+            .flight
             .record(self.clock_ps, 0, TraceEventKind::CmdNack { error_code });
     }
 
@@ -414,7 +428,8 @@ impl CommandDriver {
     /// deadline of the attempt that started at `since`, one timeout each.
     pub(crate) fn time_out(&mut self, lost: &[Inflight], since: Picos) {
         self.report.timeouts += lost.len() as u64;
-        self.probe.metrics
+        self.probe
+            .metrics
             .counter_add("harmonia_cmd_timeouts_total", &[], lost.len() as u64);
         self.clock_ps = self.clock_ps.max(since + self.policy.deadline_ps);
         for cmd in lost {
@@ -434,7 +449,9 @@ impl CommandDriver {
         let packet = &cmd.packet;
         if cmd.attempt >= self.policy.max_retries {
             self.report.gave_up += 1;
-            self.probe.metrics.counter_inc("harmonia_cmd_gave_up_total", &[]);
+            self.probe
+                .metrics
+                .counter_inc("harmonia_cmd_gave_up_total", &[]);
             let give_up = TraceEventKind::CmdGiveUp {
                 code: packet.code.to_u16(),
                 attempts: cmd.attempt + 1,
@@ -463,14 +480,17 @@ impl CommandDriver {
         let backoff = self.policy.backoff_ps(cmd.attempt);
         cmd.attempt += 1;
         self.report.retries += 1;
-        self.probe.metrics.counter_inc("harmonia_cmd_retries_total", &[]);
+        self.probe
+            .metrics
+            .counter_inc("harmonia_cmd_retries_total", &[]);
         Ok(backoff)
     }
 
     /// Waits `backoff` before `retried` go out again.
     pub(crate) fn back_off(&mut self, backoff: Picos, retried: &[Inflight]) {
         self.clock_ps += backoff;
-        self.probe.metrics
+        self.probe
+            .metrics
             .counter_add("harmonia_cmd_backoff_ps_total", &[], backoff);
         for cmd in retried {
             let retry = TraceEventKind::CmdRetry {
@@ -494,9 +514,12 @@ impl CommandDriver {
         debug_assert_eq!(uploaded, Some(cmd.tag));
         self.acked_log.push(cmd.tag);
         self.report.acked += 1;
-        self.probe.metrics.counter_inc("harmonia_cmd_acked_total", &[]);
+        self.probe
+            .metrics
+            .counter_inc("harmonia_cmd_acked_total", &[]);
         let latency = self.clock_ps - cmd.issued_at;
-        self.probe.metrics
+        self.probe
+            .metrics
             .observe("harmonia_cmd_latency_ps", &[], latency);
         let ack = TraceEventKind::CmdAck {
             code: cmd.packet.code.to_u16(),

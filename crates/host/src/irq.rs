@@ -101,7 +101,9 @@ impl IrqModerator {
     fn fire(&mut self, now_ps: Picos) {
         debug_assert!(self.pending > 0);
         self.interrupts += 1;
-        self.probe.metrics.counter_inc("harmonia_irq_interrupts_total", &[]);
+        self.probe
+            .metrics
+            .counter_inc("harmonia_irq_interrupts_total", &[]);
         let delay = now_ps - self.oldest_ps;
         // All pending events waited at most `delay`; attribute the oldest's
         // wait (the worst case) to the max and the average of a uniform
@@ -122,7 +124,9 @@ impl IrqModerator {
         }
         self.pending += 1;
         self.events += 1;
-        self.probe.metrics.counter_inc("harmonia_irq_events_total", &[]);
+        self.probe
+            .metrics
+            .counter_inc("harmonia_irq_events_total", &[]);
         if self.pending >= self.policy.batch_threshold {
             self.fire(now_ps);
             return true;

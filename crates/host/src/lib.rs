@@ -42,8 +42,8 @@ pub mod tenant;
 pub use batch::BatchedCommandDriver;
 pub use cmd_driver::{CommandDriver, DEGRADED_STATUS};
 pub use dma::{CommandDelivery, DmaEngine};
-pub use resilience::{DriverError, DriverReport, RetryPolicy};
 pub use irq::{IrqModeration, IrqModerator};
 pub use migration::{migration_report, MigrationReport};
 pub use reg_driver::RegisterDriver;
+pub use resilience::{DriverError, DriverReport, RetryPolicy};
 pub use tenant::{TenantHostDriver, TenantStats, DEFAULT_TENANT_RING_DEPTH};

@@ -129,13 +129,8 @@ mod tests {
     #[test]
     fn c_to_d_reduction_in_fig13_band() {
         let (rc, rd) = host_network_roles();
-        let report = migration_report(
-            &catalog::device_c(),
-            &rc,
-            &catalog::device_d(),
-            &rd,
-        )
-        .unwrap();
+        let report =
+            migration_report(&catalog::device_c(), &rc, &catalog::device_d(), &rd).unwrap();
         assert!(
             report.cmd_modifications <= 8,
             "command mods {} not 'a handful'",
@@ -156,13 +151,8 @@ mod tests {
     #[test]
     fn identical_deployment_needs_no_changes() {
         let role = RoleSpec::builder("same").network_gbps(100).build();
-        let report = migration_report(
-            &catalog::device_a(),
-            &role,
-            &catalog::device_a(),
-            &role,
-        )
-        .unwrap();
+        let report =
+            migration_report(&catalog::device_a(), &role, &catalog::device_a(), &role).unwrap();
         assert_eq!(report.reg_modifications, 0);
         assert_eq!(report.cmd_modifications, 0);
         assert_eq!(report.reduction_factor(), 0.0);
@@ -189,13 +179,8 @@ mod tests {
         // Same module composition on both devices → the command stream is
         // untouched even across vendors.
         let role = RoleSpec::builder("r").network_gbps(100).build();
-        let report = migration_report(
-            &catalog::device_a(),
-            &role,
-            &catalog::device_c(),
-            &role,
-        )
-        .unwrap();
+        let report =
+            migration_report(&catalog::device_a(), &role, &catalog::device_c(), &role).unwrap();
         assert_eq!(report.cmd_modifications, 0);
         assert!(report.reg_modifications > 0);
     }

@@ -186,10 +186,10 @@ impl RegisterDriver {
             .unwrap_or(3);
         for q in 0..setups {
             for (off, value) in [
-                (0x004u32, q),              // queue_sel
-                (0x00C, 0x1000_0000 + q),   // ring_base_lo
-                (0x010, 0),                 // ring_base_hi
-                (0x014, 512),               // ring_size
+                (0x004u32, q),            // queue_sel
+                (0x00C, 0x1000_0000 + q), // ring_base_lo
+                (0x010, 0),               // ring_base_hi
+                (0x014, 512),             // ring_size
             ] {
                 ops.push(RegOp::Write {
                     addr: rbb_base + off,

@@ -31,7 +31,7 @@ pub struct RetryPolicy {
 impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
-            deadline_ps: 20_000_000,    // 20 µs
+            deadline_ps: 20_000_000, // 20 µs
             max_retries: 4,
             backoff_base_ps: 1_000_000, // 1 µs
         }
@@ -51,7 +51,9 @@ impl RetryPolicy {
         } else {
             self.backoff_base_ps.checked_mul(1u64 << attempt)
         };
-        factor.unwrap_or(Self::BACKOFF_CAP_PS).min(Self::BACKOFF_CAP_PS)
+        factor
+            .unwrap_or(Self::BACKOFF_CAP_PS)
+            .min(Self::BACKOFF_CAP_PS)
     }
 }
 

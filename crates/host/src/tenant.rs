@@ -347,8 +347,7 @@ mod tests {
             .build();
         let shell = TailoredShell::tailor(&unified, &role).unwrap();
         let region = MultiTenantRegion::partition(&shell, dev.capacity(), 1, 1024);
-        let mut sched =
-            TenantScheduler::new(region, 0, policy, DEFAULT_TENANT_SLICE_PS).unwrap();
+        let mut sched = TenantScheduler::new(region, 0, policy, DEFAULT_TENANT_SLICE_PS).unwrap();
         let logic = ResourceUsage::new(50_000, 80_000, 100, 20, 100);
         for (i, &w) in weights.iter().enumerate() {
             sched
@@ -423,9 +422,7 @@ mod tests {
         d.run(u64::MAX);
         assert!(d.idle());
         assert_eq!(d.stats(0).completed + d.stats(1).completed, 80);
-        let total_recoveries: u64 = (0..2)
-            .map(|t| d.stats(t).nacks + d.stats(t).timeouts)
-            .sum();
+        let total_recoveries: u64 = (0..2).map(|t| d.stats(t).nacks + d.stats(t).timeouts).sum();
         assert_eq!(total_recoveries, 3, "each armed fault fires exactly once");
     }
 

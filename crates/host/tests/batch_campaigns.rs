@@ -74,7 +74,12 @@ fn mix() -> Vec<(u8, u8, CommandCode, Vec<u32>)> {
     cmds
 }
 
-fn render(tag: &str, seed: u64, results: &[Result<Vec<u32>, String>], drv: &CommandDriver) -> String {
+fn render(
+    tag: &str,
+    seed: u64,
+    results: &[Result<Vec<u32>, String>],
+    drv: &CommandDriver,
+) -> String {
     format!(
         "{tag} seed={seed} {} acked={:?} clock={} lat={} results={:?}",
         drv.report(),
@@ -113,16 +118,16 @@ fn batch_one_matches_serial_under_eight_seed_campaigns() {
         let (engine, kernel, _shell) = parts();
         let mut batched = CommandDriver::with_depth(engine, kernel, 1, 64);
         batched.set_fault_injector(campaign_plan(seed).injector());
-        let batched_results: Vec<_> = batched
-            .submit(mix())
-            .into_iter()
-            .map(squash)
-            .collect();
+        let batched_results: Vec<_> = batched.submit(mix()).into_iter().map(squash).collect();
 
         let want = render("campaign", seed, &serial_results, &serial);
         let got = render("campaign", seed, &batched_results, &batched);
         assert_eq!(want, got, "seed {seed}: batch=1 diverged from serial");
-        assert!(serial.report().converged(), "seed {seed}: {}", serial.report());
+        assert!(
+            serial.report().converged(),
+            "seed {seed}: {}",
+            serial.report()
+        );
     }
     // The campaigns exercised the fault plane, not a degenerate no-op:
     // at least one seed must have retried.
@@ -197,9 +202,7 @@ fn no_fault_batched_submit_matches_serial_payloads_on_a_faster_clock() {
     let mut serial = CommandDriver::new(engine, kernel);
     let serial_results: Vec<_> = mix()
         .into_iter()
-        .map(|(rbb, inst, code, args)| {
-            squash(serial.cmd_raw_resilient(rbb, inst, code, args))
-        })
+        .map(|(rbb, inst, code, args)| squash(serial.cmd_raw_resilient(rbb, inst, code, args)))
         .collect();
 
     let (engine, kernel, _shell) = parts();
@@ -217,7 +220,10 @@ fn no_fault_batched_submit_matches_serial_payloads_on_a_faster_clock() {
     );
     let irq = batched.irq_report();
     assert_eq!(irq.events, mix().len() as u64);
-    assert_eq!(irq.interrupts, 2, "14 completions in 7-batches coalesce twice");
+    assert_eq!(
+        irq.interrupts, 2,
+        "14 completions in 7-batches coalesce twice"
+    );
     assert_eq!(irq.coalescing(), 7.0);
 }
 

@@ -16,7 +16,11 @@ fn arb_policy() -> impl Strategy<Value = IrqModeration> {
 
 fn arb_dma() -> impl Strategy<Value = PcieDmaIp> {
     (
-        prop_oneof![Just(Vendor::Xilinx), Just(Vendor::Intel), Just(Vendor::InHouse)],
+        prop_oneof![
+            Just(Vendor::Xilinx),
+            Just(Vendor::Intel),
+            Just(Vendor::InHouse)
+        ],
         3u8..=5,
         prop_oneof![Just(8u8), Just(16u8)],
     )

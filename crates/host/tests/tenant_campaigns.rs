@@ -46,8 +46,7 @@ fn shell_parts() -> (TailoredShell, DmaEngine, UnifiedControlKernel) {
 }
 
 fn scheduler(policy: TenantPolicy, weights: &[u64], shell: &TailoredShell) -> TenantScheduler {
-    let region =
-        MultiTenantRegion::partition(shell, catalog::device_a().capacity(), 1, 1024);
+    let region = MultiTenantRegion::partition(shell, catalog::device_a().capacity(), 1, 1024);
     let mut sched = TenantScheduler::new(region, 0, policy, DEFAULT_TENANT_SLICE_PS).unwrap();
     let logic = ResourceUsage::new(50_000, 80_000, 100, 20, 100);
     for (i, &w) in weights.iter().enumerate() {
@@ -216,8 +215,7 @@ fn eight_seed_campaigns_converge_with_exact_accounting() {
                 }
                 // The t=0 link-down burns the first slice; every seed
                 // must record that as a retried timeout.
-                let recoveries: u64 =
-                    (0..3).map(|t| d.stats(t).nacks + d.stats(t).timeouts).sum();
+                let recoveries: u64 = (0..3).map(|t| d.stats(t).nacks + d.stats(t).timeouts).sum();
                 assert!(recoveries > 0, "{policy:?} seed {seed}: no faults fired");
                 assert!(
                     d.clock_ps() >= 30_000_000_000,

@@ -276,10 +276,7 @@ impl FpgaDeviceBuilder {
     pub fn build(self) -> FpgaDevice {
         let vendor = self.vendor.expect("device vendor must be set");
         let family = self.family.expect("device chip family must be set");
-        assert!(
-            !self.capacity.is_zero(),
-            "device capacity must be non-zero"
-        );
+        assert!(!self.capacity.is_zero(), "device capacity must be non-zero");
         FpgaDevice {
             name: self.name,
             vendor,
@@ -429,10 +426,7 @@ mod tests {
         assert_eq!(b.vendor(), Vendor::InHouse);
         assert_eq!(b.die_vendor(), Vendor::Xilinx);
         assert_eq!(b.pcie(), Some((3, 16)));
-        assert_eq!(
-            b.peripherals().iter().filter(|p| p.is_memory()).count(),
-            2
-        );
+        assert_eq!(b.peripherals().iter().filter(|p| p.is_memory()).count(), 2);
 
         let c = catalog::device_c();
         assert_eq!(c.die_vendor(), Vendor::Intel);

@@ -258,9 +258,7 @@ mod tests {
     fn init_sequences_both_calibrate() {
         for v in [Vendor::Xilinx, Vendor::Intel] {
             let ops = DdrIp::new(v, 4).init_sequence();
-            assert!(ops
-                .iter()
-                .any(|op| matches!(op, RegOp::WaitStatus { .. })));
+            assert!(ops.iter().any(|op| matches!(op, RegOp::WaitStatus { .. })));
         }
     }
 }

@@ -69,8 +69,7 @@ impl MacIp {
     /// Store-and-forward loopback latency for one frame, ps: serialization
     /// on the wire plus twice the datapath pipeline (TX + RX).
     pub fn loopback_latency_ps(&self, frame_bytes: u32) -> Picos {
-        let wire_ps =
-            (u64::from(frame_bytes) * 8 * 1000) / u64::from(self.speed_gbps); // bits / Gbps → ps
+        let wire_ps = (u64::from(frame_bytes) * 8 * 1000) / u64::from(self.speed_gbps); // bits / Gbps → ps
         wire_ps + 2 * self.pipeline_latency_ps()
     }
 
@@ -191,8 +190,20 @@ impl VendorIp for MacIp {
         rf.define(0x020, "stat_tx_status", Access::ReadOnly, 0);
         rf.define(0x024, "stat_aligned", Access::ReadOnly, 0);
         rf.define(0x028, "tick", Access::WriteOnly, 0);
-        rf.define_block(0x100, "stat_rx_", self.stat_counter_count(), Access::ReadOnly, 0);
-        rf.define_block(0x400, "stat_tx_", self.stat_counter_count(), Access::ReadOnly, 0);
+        rf.define_block(
+            0x100,
+            "stat_rx_",
+            self.stat_counter_count(),
+            Access::ReadOnly,
+            0,
+        );
+        rf.define_block(
+            0x400,
+            "stat_tx_",
+            self.stat_counter_count(),
+            Access::ReadOnly,
+            0,
+        );
         rf
     }
 

@@ -288,12 +288,20 @@ impl VendorIp for PcieDmaIp {
     fn resources(&self) -> ResourceUsage {
         let scale = u64::from(self.data_width_bits() / 256);
         match self.vendor {
-            Vendor::Xilinx | Vendor::InHouse => {
-                ResourceUsage::new(30_000 + 8_000 * scale, 45_000 + 10_000 * scale, 60 + 20 * scale, 8, 0)
-            }
-            Vendor::Intel => {
-                ResourceUsage::new(26_000 + 7_000 * scale, 40_000 + 9_000 * scale, 120 + 40 * scale, 0, 0)
-            }
+            Vendor::Xilinx | Vendor::InHouse => ResourceUsage::new(
+                30_000 + 8_000 * scale,
+                45_000 + 10_000 * scale,
+                60 + 20 * scale,
+                8,
+                0,
+            ),
+            Vendor::Intel => ResourceUsage::new(
+                26_000 + 7_000 * scale,
+                40_000 + 9_000 * scale,
+                120 + 40 * scale,
+                0,
+                0,
+            ),
         }
     }
 
@@ -400,8 +408,8 @@ mod tests {
 
     #[test]
     fn hard_ip_and_tlp_specs_differ_across_vendors() {
-        let d_hip = pcie_hard_ip_spec(Vendor::Xilinx, 4, 16)
-            .diff(&pcie_hard_ip_spec(Vendor::Intel, 4, 16));
+        let d_hip =
+            pcie_hard_ip_spec(Vendor::Xilinx, 4, 16).diff(&pcie_hard_ip_spec(Vendor::Intel, 4, 16));
         assert!(d_hip.total() > 20, "PCIe hard-IP diff {}", d_hip.total());
         let d_tlp = tlp_layer_spec(Vendor::Xilinx).diff(&tlp_layer_spec(Vendor::Intel));
         assert!(d_tlp.total() > 20, "TLP diff {}", d_tlp.total());
@@ -455,10 +463,7 @@ mod tests {
         assert_eq!(PcieDmaIp::new(Vendor::Xilinx, 3, 8).data_width_bits(), 256);
         assert_eq!(PcieDmaIp::new(Vendor::Xilinx, 4, 8).data_width_bits(), 512);
         assert_eq!(PcieDmaIp::new(Vendor::Xilinx, 5, 8).data_width_bits(), 1024);
-        assert_eq!(
-            PcieDmaIp::new(Vendor::Intel, 5, 16).data_width_bits(),
-            2048
-        );
+        assert_eq!(PcieDmaIp::new(Vendor::Intel, 5, 16).data_width_bits(), 2048);
     }
 
     #[test]

@@ -382,10 +382,7 @@ mod tests {
 
     #[test]
     fn script_diff_identical_is_zero() {
-        let s = vec![
-            RegOp::Write { addr: 0, value: 1 },
-            RegOp::Read { addr: 4 },
-        ];
+        let s = vec![RegOp::Write { addr: 0, value: 1 }, RegOp::Read { addr: 4 }];
         assert_eq!(script_diff(&s, &s), 0);
     }
 

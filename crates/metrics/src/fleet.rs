@@ -95,11 +95,7 @@ impl FleetModel {
     /// One simulated year. Pure in `year`, so years can be computed in
     /// any order — or concurrently.
     pub(crate) fn year(&self, year: u32) -> FleetYear {
-        let new_models = self
-            .introductions
-            .iter()
-            .filter(|i| i.year == year)
-            .count() as u32;
+        let new_models = self.introductions.iter().filter(|i| i.year == year).count() as u32;
         let deployed_in = |y: u32| -> u64 {
             self.introductions
                 .iter()
@@ -145,7 +141,9 @@ impl FleetModel {
     /// assert_eq!(years[3].total_units, 6_000);
     /// ```
     pub fn run(&self, end_year: u32) -> Vec<FleetYear> {
-        (self.start_year..=end_year).map(|year| self.year(year)).collect()
+        (self.start_year..=end_year)
+            .map(|year| self.year(year))
+            .collect()
     }
 
     /// Fleet-wide aggregation over the simulated window: a fold of the

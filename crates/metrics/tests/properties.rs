@@ -1,10 +1,10 @@
 //! Property-based tests for the metrics layer: the LCS modification
 //! metric, workload accounting, and the fleet evolution model.
 
-use harmonia_metrics::fleet::FleetModel;
-use harmonia_metrics::workload::{shell_role_split, ModuleWorkload, Origin};
 use harmonia_metrics::diff::reduction_factor;
+use harmonia_metrics::fleet::FleetModel;
 use harmonia_metrics::lcs_diff;
+use harmonia_metrics::workload::{shell_role_split, ModuleWorkload, Origin};
 use harmonia_testkit::prelude::*;
 
 fn arb_script() -> impl Strategy<Value = Vec<u8>> {

@@ -356,7 +356,10 @@ mod tests {
         let mac = MacIp::new(Vendor::Xilinx, 100);
         let wrapper = InterfaceWrapper::wrap(&mac, 512);
         let ns = wrapper.added_latency_ps() as f64 / 1e3;
-        assert!(ns < 20.0, "wrapper latency {ns:.1} ns is not 'a few cycles'");
+        assert!(
+            ns < 20.0,
+            "wrapper latency {ns:.1} ns is not 'a few cycles'"
+        );
         assert!(ns > 1.0);
     }
 
@@ -386,10 +389,7 @@ mod tests {
         let mac_w = InterfaceWrapper::wrap(&MacIp::new(Vendor::Xilinx, 100), 512);
         assert!(mac_w.ports().iter().any(|p| p.name == "rx"));
         let dma_w = InterfaceWrapper::wrap(&PcieDmaIp::new(Vendor::Intel, 4, 16), 512);
-        assert!(dma_w
-            .ports()
-            .iter()
-            .any(|p| p.kind == UnifiedPortKind::Irq));
+        assert!(dma_w.ports().iter().any(|p| p.kind == UnifiedPortKind::Irq));
         let ddr_w = InterfaceWrapper::wrap(&DdrIp::new(Vendor::Intel, 4), 512);
         assert!(ddr_w
             .ports()

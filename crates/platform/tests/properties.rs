@@ -6,7 +6,14 @@ use harmonia_sim::stream::packet_to_beats;
 use harmonia_testkit::prelude::*;
 
 fn arb_width() -> impl Strategy<Value = u32> {
-    prop_oneof![Just(64u32), Just(128), Just(256), Just(512), Just(1024), Just(2048)]
+    prop_oneof![
+        Just(64u32),
+        Just(128),
+        Just(256),
+        Just(512),
+        Just(1024),
+        Just(2048)
+    ]
 }
 
 forall! {

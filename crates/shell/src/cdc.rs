@@ -246,13 +246,7 @@ mod tests {
     fn paper_parameter_progression() {
         // The Network RBB widths/speeds of §3.3.1: 128 b / 512 b / 2048 b.
         for (bits, mhz) in [(128u32, 250u64), (512, 322), (2048, 402)] {
-            let cdc = ParamCdc::new(
-                Freq::mhz(mhz),
-                bits,
-                Freq::mhz(mhz),
-                bits,
-                32,
-            );
+            let cdc = ParamCdc::new(Freq::mhz(mhz), bits, Freq::mhz(mhz), bits, 32);
             assert!(cdc.is_lossless());
         }
     }

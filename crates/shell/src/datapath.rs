@@ -178,8 +178,7 @@ impl DatapathRun {
     ) -> Self {
         // Wire model: packet n's first bit arrives at n × (wire time of one
         // packet + overhead); serialization finishes a packet later.
-        let wire_ps_per_pkt =
-            (u64::from(packet_bytes) + 20) * 8 * 1000 / u64::from(speed_gbps);
+        let wire_ps_per_pkt = (u64::from(packet_bytes) + 20) * 8 * 1000 / u64::from(speed_gbps);
         DatapathRun {
             packet_bytes,
             count,
@@ -354,46 +353,126 @@ mod tests {
     type Recorded = (u32, bool, u64, u8, u64, u64, bool, u64, u64, f64, u64, u64);
 
     const RECORDED: &[Recorded] = &[
-        (64, true, 16, 0, 200, 910, false, 68798, 71882, 70308.42, 12800, 1408762),
-        (64, true, 32, 0, 200, 942, false, 118446, 121530, 119956.42, 12800, 1458410),
-        (64, false, 16, 0, 200, 904, false, 59489, 62573, 60999.42, 12800, 1399453),
-        (64, false, 32, 0, 200, 936, false, 109137, 112221, 110647.42, 12800, 1449101),
-        (256, true, 16, 0, 200, 2896, false, 93452, 96530, 95008.89, 51200, 4490041),
-        (256, true, 32, 0, 200, 2928, false, 143100, 146178, 144656.89, 51200, 4539689),
-        (256, false, 16, 0, 200, 2890, false, 84143, 87221, 85699.89, 51200, 4480732),
-        (256, false, 32, 0, 200, 2922, false, 133791, 136869, 135347.89, 51200, 4530380),
-        (1024, true, 16, 0, 200, 10840, false, 192125, 195199, 193655.62, 204800, 16815157),
-        (1024, true, 32, 0, 200, 10872, false, 241773, 244847, 243303.62, 204800, 16864805),
-        (1024, false, 16, 0, 200, 10834, false, 182816, 185890, 184346.62, 204800, 16805848),
-        (1024, false, 32, 0, 200, 10866, false, 232464, 235538, 233994.62, 204800, 16855496),
-        (1500, true, 16, 0, 200, 15764, false, 255046, 258130, 256604.67, 300000, 24454743),
-        (1500, true, 32, 0, 200, 15796, false, 304694, 307778, 306252.67, 300000, 24504391),
-        (1500, false, 16, 0, 200, 15758, false, 245737, 248821, 247295.67, 300000, 24445434),
-        (1500, false, 32, 0, 200, 15790, false, 295385, 298469, 296943.67, 300000, 24495082),
-        (64, true, 16, 1, 200, 821, false, 91040, 97600, 94280.0, 12800, 1432000),
-        (64, true, 32, 1, 200, 858, false, 155040, 161600, 158280.0, 12800, 1496000),
-        (64, false, 16, 1, 200, 812, false, 75040, 81600, 78280.0, 12800, 1416000),
-        (64, false, 32, 1, 200, 848, false, 139040, 145600, 142280.0, 12800, 1480000),
-        (256, true, 16, 1, 200, 2586, false, 118400, 124800, 121660.0, 51200, 4516000),
-        (256, true, 32, 1, 200, 2622, false, 182400, 188800, 185660.0, 51200, 4580000),
-        (256, false, 16, 1, 200, 2577, false, 102400, 108800, 105660.0, 51200, 4500000),
-        (256, false, 32, 1, 200, 2613, false, 166400, 172800, 169660.0, 51200, 4564000),
-        (1024, true, 16, 1, 200, 9645, false, 227680, 234240, 231000.0, 204800, 16852000),
-        (1024, true, 32, 1, 200, 9682, false, 291680, 298240, 295000.0, 204800, 16916000),
-        (1024, false, 16, 1, 200, 9636, false, 211680, 218240, 215000.0, 204800, 16836000),
-        (1024, false, 32, 1, 200, 9673, false, 275680, 282240, 279000.0, 204800, 16900000),
-        (1500, true, 16, 1, 200, 14022, false, 298400, 304000, 301240.0, 300000, 24500000),
-        (1500, true, 32, 1, 200, 14059, false, 362400, 368000, 365240.0, 300000, 24564000),
-        (1500, false, 16, 1, 200, 14013, false, 282400, 288000, 285240.0, 300000, 24484000),
-        (1500, false, 32, 1, 200, 14050, false, 346400, 352000, 349240.0, 300000, 24548000),
-        (64, false, 16, 2, 200, 918, false, 180000, 832720, 506360.0, 12800, 2170000),
-        (64, false, 32, 2, 200, 985, false, 340000, 992720, 666360.0, 12800, 2330000),
-        (256, false, 16, 2, 200, 3460, true, 230000, 3796080, 2013040.0, 51200, 8190000),
-        (256, false, 32, 2, 200, 3527, true, 390000, 3956080, 2173040.0, 51200, 8350000),
-        (1024, false, 16, 2, 200, 13620, true, 410000, 15629520, 8019760.0, 204800, 32250000),
-        (1024, false, 32, 2, 200, 13687, true, 570000, 15789520, 8179760.0, 204800, 32410000),
-        (1500, false, 16, 2, 200, 20393, true, 530000, 24091600, 12310800.0, 300000, 48290000),
-        (1500, false, 32, 2, 200, 20460, true, 690000, 24251600, 12470800.0, 300000, 48450000),
+        (
+            64, true, 16, 0, 200, 910, false, 68798, 71882, 70308.42, 12800, 1408762,
+        ),
+        (
+            64, true, 32, 0, 200, 942, false, 118446, 121530, 119956.42, 12800, 1458410,
+        ),
+        (
+            64, false, 16, 0, 200, 904, false, 59489, 62573, 60999.42, 12800, 1399453,
+        ),
+        (
+            64, false, 32, 0, 200, 936, false, 109137, 112221, 110647.42, 12800, 1449101,
+        ),
+        (
+            256, true, 16, 0, 200, 2896, false, 93452, 96530, 95008.89, 51200, 4490041,
+        ),
+        (
+            256, true, 32, 0, 200, 2928, false, 143100, 146178, 144656.89, 51200, 4539689,
+        ),
+        (
+            256, false, 16, 0, 200, 2890, false, 84143, 87221, 85699.89, 51200, 4480732,
+        ),
+        (
+            256, false, 32, 0, 200, 2922, false, 133791, 136869, 135347.89, 51200, 4530380,
+        ),
+        (
+            1024, true, 16, 0, 200, 10840, false, 192125, 195199, 193655.62, 204800, 16815157,
+        ),
+        (
+            1024, true, 32, 0, 200, 10872, false, 241773, 244847, 243303.62, 204800, 16864805,
+        ),
+        (
+            1024, false, 16, 0, 200, 10834, false, 182816, 185890, 184346.62, 204800, 16805848,
+        ),
+        (
+            1024, false, 32, 0, 200, 10866, false, 232464, 235538, 233994.62, 204800, 16855496,
+        ),
+        (
+            1500, true, 16, 0, 200, 15764, false, 255046, 258130, 256604.67, 300000, 24454743,
+        ),
+        (
+            1500, true, 32, 0, 200, 15796, false, 304694, 307778, 306252.67, 300000, 24504391,
+        ),
+        (
+            1500, false, 16, 0, 200, 15758, false, 245737, 248821, 247295.67, 300000, 24445434,
+        ),
+        (
+            1500, false, 32, 0, 200, 15790, false, 295385, 298469, 296943.67, 300000, 24495082,
+        ),
+        (
+            64, true, 16, 1, 200, 821, false, 91040, 97600, 94280.0, 12800, 1432000,
+        ),
+        (
+            64, true, 32, 1, 200, 858, false, 155040, 161600, 158280.0, 12800, 1496000,
+        ),
+        (
+            64, false, 16, 1, 200, 812, false, 75040, 81600, 78280.0, 12800, 1416000,
+        ),
+        (
+            64, false, 32, 1, 200, 848, false, 139040, 145600, 142280.0, 12800, 1480000,
+        ),
+        (
+            256, true, 16, 1, 200, 2586, false, 118400, 124800, 121660.0, 51200, 4516000,
+        ),
+        (
+            256, true, 32, 1, 200, 2622, false, 182400, 188800, 185660.0, 51200, 4580000,
+        ),
+        (
+            256, false, 16, 1, 200, 2577, false, 102400, 108800, 105660.0, 51200, 4500000,
+        ),
+        (
+            256, false, 32, 1, 200, 2613, false, 166400, 172800, 169660.0, 51200, 4564000,
+        ),
+        (
+            1024, true, 16, 1, 200, 9645, false, 227680, 234240, 231000.0, 204800, 16852000,
+        ),
+        (
+            1024, true, 32, 1, 200, 9682, false, 291680, 298240, 295000.0, 204800, 16916000,
+        ),
+        (
+            1024, false, 16, 1, 200, 9636, false, 211680, 218240, 215000.0, 204800, 16836000,
+        ),
+        (
+            1024, false, 32, 1, 200, 9673, false, 275680, 282240, 279000.0, 204800, 16900000,
+        ),
+        (
+            1500, true, 16, 1, 200, 14022, false, 298400, 304000, 301240.0, 300000, 24500000,
+        ),
+        (
+            1500, true, 32, 1, 200, 14059, false, 362400, 368000, 365240.0, 300000, 24564000,
+        ),
+        (
+            1500, false, 16, 1, 200, 14013, false, 282400, 288000, 285240.0, 300000, 24484000,
+        ),
+        (
+            1500, false, 32, 1, 200, 14050, false, 346400, 352000, 349240.0, 300000, 24548000,
+        ),
+        (
+            64, false, 16, 2, 200, 918, false, 180000, 832720, 506360.0, 12800, 2170000,
+        ),
+        (
+            64, false, 32, 2, 200, 985, false, 340000, 992720, 666360.0, 12800, 2330000,
+        ),
+        (
+            256, false, 16, 2, 200, 3460, true, 230000, 3796080, 2013040.0, 51200, 8190000,
+        ),
+        (
+            256, false, 32, 2, 200, 3527, true, 390000, 3956080, 2173040.0, 51200, 8350000,
+        ),
+        (
+            1024, false, 16, 2, 200, 13620, true, 410000, 15629520, 8019760.0, 204800, 32250000,
+        ),
+        (
+            1024, false, 32, 2, 200, 13687, true, 570000, 15789520, 8179760.0, 204800, 32410000,
+        ),
+        (
+            1500, false, 16, 2, 200, 20393, true, 530000, 24091600, 12310800.0, 300000, 48290000,
+        ),
+        (
+            1500, false, 32, 2, 200, 20460, true, 690000, 24251600, 12470800.0, 300000, 48450000,
+        ),
     ];
 
     /// Pins every field of the report, to the edge: the paper tables round

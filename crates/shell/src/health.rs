@@ -87,12 +87,9 @@ impl HealthLedger {
                     ],
                     1,
                 );
-                let degraded = self
-                    .entries
-                    .values()
-                    .filter(|h| h.is_degraded())
-                    .count() as u64;
-                self.probe.metrics
+                let degraded = self.entries.values().filter(|h| h.is_degraded()).count() as u64;
+                self.probe
+                    .metrics
                     .gauge_set("harmonia_shell_degraded_modules", &[], degraded);
                 true
             }

@@ -335,9 +335,12 @@ impl MultiTenantRegion {
         s.reconfigurations += 1;
         let t = s.reconfig_time_ps();
         self.total_reconfig_ps += t;
-        self.probe.metrics
+        self.probe
+            .metrics
             .counter_add("harmonia_pr_reconfig_ps_total", &[], t);
-        self.probe.metrics.counter_inc("harmonia_pr_reconfigs_total", &[]);
+        self.probe
+            .metrics
+            .counter_inc("harmonia_pr_reconfigs_total", &[]);
         t
     }
 
@@ -433,7 +436,8 @@ impl MultiTenantRegion {
         }
         let t = s.reconfig_time_ps();
         self.total_reconfig_ps += t;
-        self.probe.metrics
+        self.probe
+            .metrics
             .counter_add("harmonia_pr_reconfig_ps_total", &[], t);
         Ok(t)
     }
@@ -522,7 +526,11 @@ mod tests {
     }
 
     fn small_tenant(name: &str, queues: u16) -> TenantRole {
-        TenantRole::new(name, ResourceUsage::new(50_000, 80_000, 100, 20, 100), queues)
+        TenantRole::new(
+            name,
+            ResourceUsage::new(50_000, 80_000, 100, 20, 100),
+            queues,
+        )
     }
 
     #[test]

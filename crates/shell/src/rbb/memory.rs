@@ -46,7 +46,10 @@ impl HotCache {
     ///
     /// Panics if either parameter is zero.
     pub fn new(lines: usize, line_bytes: u64) -> Self {
-        assert!(lines > 0 && line_bytes > 0, "cache geometry must be non-zero");
+        assert!(
+            lines > 0 && line_bytes > 0,
+            "cache geometry must be non-zero"
+        );
         HotCache {
             tags: vec![None; lines],
             line_bytes: Divisor::new(line_bytes),
@@ -272,10 +275,7 @@ impl MemoryRbb {
 
     /// Aggregate peak bandwidth across channels, GB/s.
     pub fn peak_gbs(&self) -> f64 {
-        self.channels
-            .iter()
-            .map(|c| c.timing().peak_gbs())
-            .sum()
+        self.channels.iter().map(|c| c.timing().peak_gbs()).sum()
     }
 
     /// Runs a trace of memory operations; the queue is kept saturated
@@ -676,9 +676,7 @@ mod tests {
         let mut m = MemoryRbb::ddr(Vendor::Xilinx, 4, 2);
         // Working set: 64 KiB, far smaller than the 1 MiB cache — second
         // pass onward hits on chip.
-        let pass = |m: &mut MemoryRbb| {
-            m.run_trace((0..1024u64).map(|i| MemOp::read(i * 64, 64)))
-        };
+        let pass = |m: &mut MemoryRbb| m.run_trace((0..1024u64).map(|i| MemOp::read(i * 64, 64)));
         let first = pass(&mut m);
         let second = pass(&mut m);
         assert_eq!(first.cache_hits, 1008, "only line-granular misses expected");

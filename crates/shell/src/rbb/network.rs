@@ -255,11 +255,9 @@ impl NetworkRbb {
         &self,
         rf: &mut RegisterFile,
     ) -> Result<(), harmonia_hw::regfile::RegError> {
-        let set = |rf: &mut RegisterFile, name: &str, v: u64| {
-            match rf.addr_of(name) {
-                Some(addr) => rf.hw_set(addr, v as u32),
-                None => Err(harmonia_hw::regfile::RegError::Unmapped { addr: 0 }),
-            }
+        let set = |rf: &mut RegisterFile, name: &str, v: u64| match rf.addr_of(name) {
+            Some(addr) => rf.hw_set(addr, v as u32),
+            None => Err(harmonia_hw::regfile::RegError::Unmapped { addr: 0 }),
         };
         set(rf, "mon_rx_0", self.stats.rx_packets)?;
         set(rf, "mon_rx_1", self.stats.rx_bytes)?;
@@ -293,7 +291,12 @@ impl Rbb for NetworkRbb {
         rf.define(0x000, "filter_ctrl", Access::ReadWrite, 1);
         rf.define(0x004, "multicast_ctrl", Access::ReadWrite, 0);
         rf.define(0x008, "director_ctrl", Access::ReadWrite, 1);
-        rf.define(0x00C, "queue_count", Access::ReadWrite, u32::from(self.queue_count));
+        rf.define(
+            0x00C,
+            "queue_count",
+            Access::ReadWrite,
+            u32::from(self.queue_count),
+        );
         rf.define(0x010, "table_addr", Access::ReadWrite, 0);
         rf.define(0x014, "table_wdata_lo", Access::ReadWrite, 0);
         rf.define(0x018, "table_wdata_hi", Access::ReadWrite, 0);
@@ -375,7 +378,10 @@ mod tests {
     #[test]
     fn filter_drops_foreign_unicast() {
         let mut n = rbb();
-        assert_eq!(n.process_rx(&pkt(0x02_99_99_99_99_99, 1000)), RxDecision::Filtered);
+        assert_eq!(
+            n.process_rx(&pkt(0x02_99_99_99_99_99, 1000)),
+            RxDecision::Filtered
+        );
         assert!(matches!(
             n.process_rx(&pkt(LOCAL, 1000)),
             RxDecision::Deliver { .. }
@@ -454,10 +460,7 @@ mod tests {
         let rf = rbb().register_file();
         assert!(rf.addr_of("mon_rx_9").is_some());
         assert!(rf.addr_of("table_cmd").is_some());
-        assert_eq!(
-            rf.iter().filter(|(_, n)| n.starts_with("mon_")).count(),
-            28
-        );
+        assert_eq!(rf.iter().filter(|(_, n)| n.starts_with("mon_")).count(), 28);
     }
 
     #[test]

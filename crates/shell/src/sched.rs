@@ -228,7 +228,8 @@ impl TenantScheduler {
             finish: VSCALE / weight as u128,
             prev_runnable: false,
         });
-        self.probe.metrics
+        self.probe
+            .metrics
             .gauge_max("harmonia_tenant_registered", &[], idx as u64 + 1);
         Ok(idx)
     }
@@ -331,9 +332,11 @@ impl TenantScheduler {
                     to: pick as u32,
                 },
             );
-            self.probe.metrics
+            self.probe
+                .metrics
                 .counter_inc("harmonia_tenant_switches_total", &[]);
-            self.probe.metrics
+            self.probe
+                .metrics
                 .counter_add("harmonia_tenant_switch_ps_total", &[], switch_ps);
         }
         self.tenants[pick].slices += 1;
@@ -341,7 +344,8 @@ impl TenantScheduler {
             "harmonia_tenant_slices_total",
             &[("tenant", &self.tenants[pick].role.name)],
         );
-        self.probe.metrics
+        self.probe
+            .metrics
             .gauge_set("harmonia_tenant_resident", &[], pick as u64);
         Ok(Some(SliceGrant {
             tenant: pick,
@@ -448,8 +452,7 @@ mod tests {
     }
 
     fn sched(policy: TenantPolicy, weights: &[u64]) -> TenantScheduler {
-        let mut s =
-            TenantScheduler::new(region(), 0, policy, DEFAULT_TENANT_SLICE_PS).unwrap();
+        let mut s = TenantScheduler::new(region(), 0, policy, DEFAULT_TENANT_SLICE_PS).unwrap();
         for (i, &w) in weights.iter().enumerate() {
             s.register(tenant(&format!("t{i}")), w).unwrap();
         }
@@ -514,7 +517,10 @@ mod tests {
         assert_eq!(rr.budget_cmds(1), BASE_SLICE_CMDS);
         // Weighted grants carry the scaled budget.
         let g = wfq.next_slice(0, &[true, true]).unwrap().unwrap();
-        assert_eq!(g.budget_cmds, BASE_SLICE_CMDS * wfq.tenants[g.tenant].weight);
+        assert_eq!(
+            g.budget_cmds,
+            BASE_SLICE_CMDS * wfq.tenants[g.tenant].weight
+        );
     }
 
     #[test]
@@ -591,7 +597,10 @@ mod tests {
             .map(|i| s.next_slice(i, &[true, true]).unwrap().unwrap().tenant)
             .collect();
         let ones = picks.iter().filter(|&&p| p == 1).count();
-        assert!((4..=6).contains(&ones), "woken tenant got {ones}/10: {picks:?}");
+        assert!(
+            (4..=6).contains(&ones),
+            "woken tenant got {ones}/10: {picks:?}"
+        );
     }
 
     #[test]

@@ -84,7 +84,10 @@ impl fmt::Display for TailorError {
                 "role wants {wanted_gbps}G networking, device tops out at {best_gbps}G"
             ),
             TailorError::NotEnoughPorts { wanted, available } => {
-                write!(f, "role wants {wanted} network ports, device has {available}")
+                write!(
+                    f,
+                    "role wants {wanted} network ports, device has {available}"
+                )
             }
             TailorError::MemoryUnavailable { demand } => {
                 write!(f, "device lacks demanded memory {demand:?}")
@@ -168,8 +171,7 @@ impl TailoredShell {
             }
         }
 
-        if role.network_gbps().is_none()
-            && device.peripherals().iter().any(Peripheral::is_network)
+        if role.network_gbps().is_none() && device.peripherals().iter().any(Peripheral::is_network)
         {
             // Production shells retain a minimal 25G management port even
             // when the role itself does no packet processing (remote
@@ -412,7 +414,7 @@ mod tests {
         let t = TailoredShell::tailor(&u, &slow).unwrap();
         let net = t.rbbs_of(RbbKind::Network).next().unwrap();
         assert_eq!(net.instance().data_width_bits(), 128); // 25G instance
-        // The tailored 25G shell is cheaper than a 100G selection.
+                                                           // The tailored 25G shell is cheaper than a 100G selection.
         let fast = TailoredShell::tailor(&u, &netrole()).unwrap();
         assert!(t.resources().lut < fast.resources().lut);
     }

@@ -83,11 +83,7 @@ impl UnifiedShell {
         for p in device.peripherals() {
             match *p {
                 Peripheral::Qsfp { gbps } | Peripheral::Dsfp { gbps } => {
-                    rbbs.push(Box::new(NetworkRbb::with_speed(
-                        die,
-                        gbps,
-                        HostRbb::QUEUES,
-                    )));
+                    rbbs.push(Box::new(NetworkRbb::with_speed(die, gbps, HostRbb::QUEUES)));
                 }
                 _ => {}
             }
@@ -200,7 +196,9 @@ mod tests {
                 dev.name()
             );
             // A production shell is a significant but minority share.
-            let pct = shell.resources().percent_of(dev.capacity(), harmonia_hw::ResourceKind::Lut);
+            let pct = shell
+                .resources()
+                .percent_of(dev.capacity(), harmonia_hw::ResourceKind::Lut);
             assert!(pct > 5.0 && pct < 50.0, "{}: LUT {pct:.1}%", dev.name());
         }
     }

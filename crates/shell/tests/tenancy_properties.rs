@@ -28,7 +28,11 @@ fn region(slots: usize, total_queues: u16) -> MultiTenantRegion {
 
 /// A tenant small enough to fit any slot of a ≤4-way partition.
 fn tenant(name: &str, queues: u16) -> TenantRole {
-    TenantRole::new(name, ResourceUsage::new(50_000, 80_000, 100, 20, 100), queues)
+    TenantRole::new(
+        name,
+        ResourceUsage::new(50_000, 80_000, 100, 20, 100),
+        queues,
+    )
 }
 
 /// Canonical observable state of a region: occupancy, free queues,

@@ -200,7 +200,12 @@ mod tests {
     fn gray_adjacent_values_differ_in_one_bit() {
         for v in 0u64..1024 {
             let diff = bin_to_gray(v) ^ bin_to_gray(v + 1);
-            assert_eq!(diff.count_ones(), 1, "gray codes of {v} and {} differ in >1 bit", v + 1);
+            assert_eq!(
+                diff.count_ones(),
+                1,
+                "gray codes of {v} and {} differ in >1 bit",
+                v + 1
+            );
         }
     }
 

@@ -201,7 +201,7 @@ mod tests {
     fn edge_at_window_boundary_is_excluded_then_opens_next_window() {
         let mut mc = MultiClock::new();
         mc.add(ClockDomain::new(Freq::mhz(100))); // period 10_000 ps
-        // Half-open window: the edge at exactly 20_000 must not appear.
+                                                  // Half-open window: the edge at exactly 20_000 must not appear.
         let first: Vec<_> = mc.edges_until(20_000).map(|e| e.at_ps).collect();
         assert_eq!(first, vec![0, 10_000]);
         // The boundary edge is still pending and leads the next window,

@@ -321,9 +321,7 @@ impl FaultInjector {
         let mut s = inner.lock().expect("fault state poisoned");
         s.advance(now);
         let rate = s.rates.ecc;
-        let FaultState {
-            armed_ecc, rng, ..
-        } = &mut *s;
+        let FaultState { armed_ecc, rng, .. } = &mut *s;
         let hit = FaultState::consume(armed_ecc, rng, rate);
         if hit {
             s.injected.ecc_errors += 1;
@@ -381,9 +379,7 @@ impl FaultInjector {
         let mut s = inner.lock().expect("fault state poisoned");
         s.advance(now);
         let rate = s.rates.irq_lost;
-        let FaultState {
-            armed_irq, rng, ..
-        } = &mut *s;
+        let FaultState { armed_irq, rng, .. } = &mut *s;
         let hit = FaultState::consume(armed_irq, rng, rate);
         if hit {
             s.injected.irqs_lost += 1;
@@ -543,7 +539,13 @@ mod tests {
             irqs_lost: 7,
         }
         .to_string();
-        for needle in ["link-downs=1", "stall-beats=3", "ecc=4", "drops=5", "irq-lost=7"] {
+        for needle in [
+            "link-downs=1",
+            "stall-beats=3",
+            "ecc=4",
+            "drops=5",
+            "irq-lost=7",
+        ] {
             assert!(s.contains(needle), "{s}");
         }
     }

@@ -674,7 +674,10 @@ mod tests {
         h.record(100);
         h.record(100_000);
         let r = h.render();
-        assert_eq!(r.lines().count(), LogHistogram::bucket_of(100_000) - LogHistogram::bucket_of(100) + 1);
+        assert_eq!(
+            r.lines().count(),
+            LogHistogram::bucket_of(100_000) - LogHistogram::bucket_of(100) + 1
+        );
         assert!(r.contains('#'));
     }
 

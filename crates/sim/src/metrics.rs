@@ -167,7 +167,9 @@ impl MetricsRegistry {
             return;
         };
         let mut buf = inner.lock().expect("metrics registry poisoned");
-        *buf.counters.entry(MetricKey::new(name, labels)).or_insert(0) += delta;
+        *buf.counters
+            .entry(MetricKey::new(name, labels))
+            .or_insert(0) += delta;
     }
 
     /// Increments a counter by one.
@@ -737,7 +739,11 @@ impl SloReport {
             out.push_str(&format!(" (budget burn {}%)\n", r.budget_burn_pct));
         }
         let met = self.results.iter().filter(|r| r.pass).count();
-        out.push_str(&format!("slo: {}/{} objectives met\n", met, self.results.len()));
+        out.push_str(&format!(
+            "slo: {}/{} objectives met\n",
+            met,
+            self.results.len()
+        ));
         out
     }
 }
@@ -854,7 +860,10 @@ mod tests {
         let snap = m.snapshot();
         assert!(snap.is_empty());
         assert_eq!(snap.export_prometheus(), "");
-        assert_eq!(snap.export_json(), "{\"counters\":{},\"gauges\":{},\"histograms\":{}}\n");
+        assert_eq!(
+            snap.export_json(),
+            "{\"counters\":{},\"gauges\":{},\"histograms\":{}}\n"
+        );
     }
 
     #[test]

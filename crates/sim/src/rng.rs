@@ -77,10 +77,7 @@ mod tests {
 
     #[test]
     fn different_seeds_differ() {
-        assert_ne!(
-            SplitMix64::new(1).next_u64(),
-            SplitMix64::new(2).next_u64()
-        );
+        assert_ne!(SplitMix64::new(1).next_u64(), SplitMix64::new(2).next_u64());
     }
 
     #[test]

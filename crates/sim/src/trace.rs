@@ -230,14 +230,10 @@ impl TraceEventKind {
             | TraceEventKind::DramRowConflict { .. }
             | TraceEventKind::EccScrub => "mem",
             TraceEventKind::MacFrame { .. } => "net",
-            TraceEventKind::FaultInjected { .. } | TraceEventKind::ModuleDegraded { .. } => {
-                "fault"
-            }
+            TraceEventKind::FaultInjected { .. } | TraceEventKind::ModuleDegraded { .. } => "fault",
             TraceEventKind::BatchSubmit { .. } | TraceEventKind::BatchComplete { .. } => "cmd",
             TraceEventKind::BatchDrain { .. } => "kernel",
-            TraceEventKind::TenantSwitch { .. } | TraceEventKind::QuotaExhausted { .. } => {
-                "tenant"
-            }
+            TraceEventKind::TenantSwitch { .. } | TraceEventKind::QuotaExhausted { .. } => "tenant",
         }
     }
 
@@ -254,10 +250,9 @@ impl TraceEventKind {
                 ("rbb", rbb_id.to_string()),
                 ("inst", instance_id.to_string()),
             ],
-            TraceEventKind::CmdDelivery { bytes, lost } => vec![
-                ("bytes", bytes.to_string()),
-                ("lost", lost.to_string()),
-            ],
+            TraceEventKind::CmdDelivery { bytes, lost } => {
+                vec![("bytes", bytes.to_string()), ("lost", lost.to_string())]
+            }
             TraceEventKind::CmdNack { error_code } => {
                 vec![("error_code", error_code.to_string())]
             }
@@ -284,10 +279,9 @@ impl TraceEventKind {
             }
             TraceEventKind::DramRowConflict { bank } => vec![("bank", bank.to_string())],
             TraceEventKind::EccScrub => Vec::new(),
-            TraceEventKind::MacFrame { bytes, lost } => vec![
-                ("bytes", bytes.to_string()),
-                ("lost", lost.to_string()),
-            ],
+            TraceEventKind::MacFrame { bytes, lost } => {
+                vec![("bytes", bytes.to_string()), ("lost", lost.to_string())]
+            }
             TraceEventKind::FaultInjected { kind } => vec![("kind", kind.to_string())],
             TraceEventKind::ModuleDegraded {
                 rbb_id,
@@ -436,9 +430,7 @@ impl TraceCollector {
     /// counter) afterwards.
     pub fn take(&self) -> Trace {
         let events = match &self.inner {
-            Some(inner) => std::mem::take(
-                &mut inner.lock().expect("trace buffer poisoned").events,
-            ),
+            Some(inner) => std::mem::take(&mut inner.lock().expect("trace buffer poisoned").events),
             None => Vec::new(),
         };
         Trace::from_events(events)
@@ -467,9 +459,7 @@ pub struct Trace {
 
 impl Trace {
     fn from_events(mut events: Vec<TraceEvent>) -> Trace {
-        events.sort_by(|a, b| {
-            (a.at, a.lane, a.seq).cmp(&(b.at, b.lane, b.seq))
-        });
+        events.sort_by(|a, b| (a.at, a.lane, a.seq).cmp(&(b.at, b.lane, b.seq)));
         Trace { events }
     }
 
@@ -621,10 +611,20 @@ mod tests {
         let tc = TraceCollector::disabled();
         assert!(!tc.is_enabled());
         tc.instant(100, TraceEventKind::EccScrub);
-        tc.span(0, 50, TraceEventKind::KernelExec { code: 2, reg_ops: 4 });
+        tc.span(
+            0,
+            50,
+            TraceEventKind::KernelExec {
+                code: 2,
+                reg_ops: 4,
+            },
+        );
         assert!(tc.is_empty());
         assert!(tc.take().is_empty());
-        assert_eq!(tc.take().export_perfetto(), Trace::default().export_perfetto());
+        assert_eq!(
+            tc.take().export_perfetto(),
+            Trace::default().export_perfetto()
+        );
     }
 
     #[test]
@@ -661,7 +661,10 @@ mod tests {
         tc.span(
             1_234_567,
             240_000,
-            TraceEventKind::KernelExec { code: 2, reg_ops: 34 },
+            TraceEventKind::KernelExec {
+                code: 2,
+                reg_ops: 34,
+            },
         );
         tc.instant(2_000_000, TraceEventKind::CmdNack { error_code: 3 });
         let t = tc.take();
@@ -721,7 +724,11 @@ mod tests {
         assert_eq!(a, run().export_perfetto());
         assert!(a.contains("dram-row-conflict"));
         // Events sharing a timestamp come out by lane, then by sequence.
-        let keys: Vec<_> = trace.events().iter().map(|e| (e.at, e.lane, e.seq)).collect();
+        let keys: Vec<_> = trace
+            .events()
+            .iter()
+            .map(|e| (e.at, e.lane, e.seq))
+            .collect();
         assert_eq!(keys.len(), 32);
         assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
     }
@@ -737,24 +744,57 @@ mod tests {
     #[test]
     fn every_kind_renders() {
         let kinds = [
-            TraceEventKind::CmdIssue { code: 1, rbb_id: 0, instance_id: 0 },
-            TraceEventKind::CmdDelivery { bytes: 64, lost: true },
+            TraceEventKind::CmdIssue {
+                code: 1,
+                rbb_id: 0,
+                instance_id: 0,
+            },
+            TraceEventKind::CmdDelivery {
+                bytes: 64,
+                lost: true,
+            },
             TraceEventKind::CmdNack { error_code: 2 },
             TraceEventKind::CmdTimeout { code: 1 },
-            TraceEventKind::CmdRetry { code: 1, attempt: 1 },
-            TraceEventKind::CmdAck { code: 1, attempts: 2 },
-            TraceEventKind::CmdGiveUp { code: 1, attempts: 5 },
-            TraceEventKind::KernelExec { code: 1, reg_ops: 3 },
+            TraceEventKind::CmdRetry {
+                code: 1,
+                attempt: 1,
+            },
+            TraceEventKind::CmdAck {
+                code: 1,
+                attempts: 2,
+            },
+            TraceEventKind::CmdGiveUp {
+                code: 1,
+                attempts: 5,
+            },
+            TraceEventKind::KernelExec {
+                code: 1,
+                reg_ops: 3,
+            },
             TraceEventKind::KernelReplay { code: 1 },
             TraceEventKind::FifoStall { occupancy: 64 },
             TraceEventKind::DramRowConflict { bank: 2 },
             TraceEventKind::EccScrub,
-            TraceEventKind::MacFrame { bytes: 1500, lost: false },
-            TraceEventKind::FaultInjected { kind: FaultKind::LinkDown },
-            TraceEventKind::ModuleDegraded { rbb_id: 1, instance_id: 0 },
-            TraceEventKind::BatchSubmit { entries: 16, bytes: 256 },
+            TraceEventKind::MacFrame {
+                bytes: 1500,
+                lost: false,
+            },
+            TraceEventKind::FaultInjected {
+                kind: FaultKind::LinkDown,
+            },
+            TraceEventKind::ModuleDegraded {
+                rbb_id: 1,
+                instance_id: 0,
+            },
+            TraceEventKind::BatchSubmit {
+                entries: 16,
+                bytes: 256,
+            },
             TraceEventKind::BatchDrain { entries: 16 },
-            TraceEventKind::BatchComplete { entries: 16, interrupts: 1 },
+            TraceEventKind::BatchComplete {
+                entries: 16,
+                interrupts: 1,
+            },
         ];
         for k in kinds {
             assert!(!k.name().is_empty());

@@ -186,6 +186,12 @@ fn cdc_lossless_bandwidth_when_rates_match() {
             }
         }
     }
-    assert_eq!(wstalls, 0, "writer stalled {wstalls}/{wattempts} — CDC not lossless");
-    assert!(received >= next - 8, "reader fell behind: {received} of {next}");
+    assert_eq!(
+        wstalls, 0,
+        "writer stalled {wstalls}/{wattempts} — CDC not lossless"
+    );
+    assert!(
+        received >= next - 8,
+        "reader fell behind: {received} of {next}"
+    );
 }

@@ -217,7 +217,11 @@ impl BenchmarkGroup<'_> {
             } else {
                 self.sample_size
             },
-            warmup_nanos: if smoke { SMOKE_WARMUP_NANOS } else { WARMUP_NANOS },
+            warmup_nanos: if smoke {
+                SMOKE_WARMUP_NANOS
+            } else {
+                WARMUP_NANOS
+            },
             target_sample_nanos: if smoke {
                 SMOKE_TARGET_SAMPLE_NANOS
             } else {

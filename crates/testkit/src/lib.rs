@@ -45,6 +45,8 @@ pub use source::DataSource;
 /// ```
 pub mod prelude {
     pub use crate::strategy::arbitrary::{any, Arbitrary};
-    pub use crate::strategy::{collection, option, BoxedStrategy, Just, Strategy, StrategyExt, Union};
+    pub use crate::strategy::{
+        collection, option, BoxedStrategy, Just, Strategy, StrategyExt, Union,
+    };
     pub use crate::{forall, prop_assert, prop_assert_eq, prop_assert_ne, prop_oneof};
 }

@@ -78,7 +78,10 @@ impl DetRng {
         let total: f64 = weights
             .iter()
             .map(|&w| {
-                assert!(w.is_finite() && w >= 0.0, "weights must be finite and non-negative");
+                assert!(
+                    w.is_finite() && w >= 0.0,
+                    "weights must be finite and non-negative"
+                );
                 w
             })
             .sum();

@@ -269,7 +269,13 @@ pub fn parse_regressions(text: &str) -> Vec<Vec<u64>> {
 /// Renders one regression line.
 pub(crate) fn format_regression(tape: &[u64], error: &str) -> String {
     let draws: Vec<String> = tape.iter().map(u64::to_string).collect();
-    let note = error.lines().next().unwrap_or("").chars().take(120).collect::<String>();
+    let note = error
+        .lines()
+        .next()
+        .unwrap_or("")
+        .chars()
+        .take(120)
+        .collect::<String>();
     format!("tape {} # {}\n", draws.join(" "), note)
 }
 

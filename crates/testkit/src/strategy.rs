@@ -366,7 +366,11 @@ mod tests {
 
     #[test]
     fn union_picks_every_arm() {
-        let s = Union::new(vec![Just(1u8).boxed(), Just(2u8).boxed(), Just(3u8).boxed()]);
+        let s = Union::new(vec![
+            Just(1u8).boxed(),
+            Just(2u8).boxed(),
+            Just(3u8).boxed(),
+        ]);
         let mut src = DataSource::live(7);
         let mut seen = [false; 4];
         for _ in 0..200 {

@@ -31,7 +31,7 @@ impl TcpWorkload {
         TcpWorkload {
             link_gbps: 100,
             host_gbs: 13.0,
-            host_stack_ps: 8_000_000,  // 8 µs per host stack traversal
+            host_stack_ps: 8_000_000,   // 8 µs per host stack traversal
             fpga_forward_ps: 1_200_000, // 1.2 µs store-and-forward + pipeline
         }
     }

@@ -23,7 +23,11 @@ pub enum AccessMode {
 
 impl AccessMode {
     /// Reporting order used by the figure.
-    pub const ALL: [AccessMode; 3] = [AccessMode::Random, AccessMode::Fixed, AccessMode::Sequential];
+    pub const ALL: [AccessMode; 3] = [
+        AccessMode::Random,
+        AccessMode::Fixed,
+        AccessMode::Sequential,
+    ];
 }
 
 impl std::fmt::Display for AccessMode {

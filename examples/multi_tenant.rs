@@ -28,9 +28,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Three tenants arrive with different footprints and queue needs.
     let tenants = [
-        TenantRole::new("ml-inference", ResourceUsage::new(90_000, 140_000, 200, 40, 800), 256),
-        TenantRole::new("packet-capture", ResourceUsage::new(40_000, 60_000, 80, 0, 0), 64),
-        TenantRole::new("kv-cache", ResourceUsage::new(70_000, 100_000, 180, 40, 0), 128),
+        TenantRole::new(
+            "ml-inference",
+            ResourceUsage::new(90_000, 140_000, 200, 40, 800),
+            256,
+        ),
+        TenantRole::new(
+            "packet-capture",
+            ResourceUsage::new(40_000, 60_000, 80, 0, 0),
+            64,
+        ),
+        TenantRole::new(
+            "kv-cache",
+            ResourceUsage::new(70_000, 100_000, 180, 40, 0),
+            128,
+        ),
     ];
     for (slot, tenant) in tenants.into_iter().enumerate() {
         let name = tenant.name.clone();
@@ -51,7 +63,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // A tenant rolls a new version: live swap on slot 1 while the shell
     // and the other tenants keep running.
-    let v2 = TenantRole::new("packet-capture-v2", ResourceUsage::new(45_000, 66_000, 90, 0, 0), 64);
+    let v2 = TenantRole::new(
+        "packet-capture-v2",
+        ResourceUsage::new(45_000, 66_000, 90, 0, 0),
+        64,
+    );
     let (evicted, load) = region.swap(1, v2)?;
     println!(
         "swapped '{}' out of slot 1 in {:.2} ms (total PR time so far {:.2} ms)",

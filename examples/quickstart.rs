@@ -36,9 +36,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 4. Control the hardware through commands, not registers.
-    let health = deployment
-        .driver_mut()
-        .cmd_raw_resilient(0, 0, CommandCode::HealthRead, Vec::new())?;
+    let health =
+        deployment
+            .driver_mut()
+            .cmd_raw_resilient(0, 0, CommandCode::HealthRead, Vec::new())?;
     println!(
         "board health: fpga {}°C, board {}°C, vccint {} mV",
         health.data[0], health.data[1], health.data[2]

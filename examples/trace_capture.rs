@@ -79,7 +79,11 @@ fn main() {
     let perfetto = timeline.export_perfetto();
     let out = std::path::Path::new("target").join("trace_capture.json");
     if std::fs::write(&out, &perfetto).is_ok() {
-        println!("perfetto trace:     {} ({} bytes)", out.display(), perfetto.len());
+        println!(
+            "perfetto trace:     {} ({} bytes)",
+            out.display(),
+            perfetto.len()
+        );
     }
     println!("driver report:      {}", driver.report());
     println!("mac frames carried: {carried}/32");

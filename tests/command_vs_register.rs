@@ -96,7 +96,10 @@ fn migration_costs_diverge() {
         &RegisterDriver::full_init_script(&d, &shell_d),
     );
     let cmd_diff = lcs_diff(&command_script(&shell_c), &command_script(&shell_d));
-    assert!(reg_diff > 25 * cmd_diff.max(1), "reg {reg_diff} vs cmd {cmd_diff}");
+    assert!(
+        reg_diff > 25 * cmd_diff.max(1),
+        "reg {reg_diff} vs cmd {cmd_diff}"
+    );
 }
 
 /// Control-queue isolation keeps command latency flat under data load —

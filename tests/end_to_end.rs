@@ -8,9 +8,9 @@ use harmonia::hw::device::catalog;
 use harmonia::hw::{ChipFamily, FpgaDevice, Peripheral, Vendor};
 use harmonia::shell::rbb::network::RxDecision;
 use harmonia::shell::rbb::{NetworkRbb, RbbKind};
-use harmonia::workloads::PacketGen;
 use harmonia::shell::TailorError;
 use harmonia::sim::Freq;
+use harmonia::workloads::PacketGen;
 use harmonia::{DeployError, Harmonia, MemoryDemand, RoleSpec};
 
 const LOCAL_MAC: u64 = 0x02_00_00_00_00_77;
@@ -64,10 +64,7 @@ fn packet_pipeline_through_shell_and_role() {
     // Dataplane: network RBB + LB role against generated traffic.
     let mut network = NetworkRbb::with_speed(harmonia::hw::Vendor::Xilinx, 100, 64);
     network.add_local_mac(LOCAL_MAC);
-    let mut lb = Layer4Lb::new(
-        (0..4).map(|id| Backend { id, weight: 1 }).collect(),
-        10_000,
-    );
+    let mut lb = Layer4Lb::new((0..4).map(|id| Backend { id, weight: 1 }).collect(), 10_000);
     let pkts = PacketGen::new(3, LOCAL_MAC)
         .with_flows(500)
         .with_foreign_traffic(256, 20_000, 0.25);
@@ -124,7 +121,10 @@ fn unsupported_ddr_generation_is_an_error_not_a_panic() {
         .build();
     let err = Harmonia::deploy(&device, &ddr_role).unwrap_err();
     assert!(
-        matches!(err, DeployError::Tailor(TailorError::MemoryUnavailable { .. })),
+        matches!(
+            err,
+            DeployError::Tailor(TailorError::MemoryUnavailable { .. })
+        ),
         "unexpected error: {err}"
     );
     let net_role = RoleSpec::builder("no-memory").network_gbps(100).build();
@@ -135,10 +135,6 @@ fn unsupported_ddr_generation_is_an_error_not_a_panic() {
 fn board_test_app_validates_every_catalog_device() {
     for device in catalog::all() {
         let report = harmonia::apps::BoardTest::new(9).run(&device);
-        assert!(
-            report.all_passed(),
-            "{} failed:\n{report}",
-            device.name()
-        );
+        assert!(report.all_passed(), "{} failed:\n{report}", device.name());
     }
 }

@@ -45,7 +45,11 @@ fn claim_tailoring_savings() {
     for role in &roles {
         let t = TailoredShell::tailor(&unified, role).unwrap();
         let saving = 100.0 * t.overall_savings_vs(&unified);
-        assert!((2.0..=31.0).contains(&saving), "{}: {saving:.1}%", role.name());
+        assert!(
+            (2.0..=31.0).contains(&saving),
+            "{}: {saving:.1}%",
+            role.name()
+        );
     }
 }
 
