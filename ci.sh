@@ -113,6 +113,9 @@ if [ -n "$uncalled" ]; then
     exit 1
 fi
 
+echo "==> format gate: the tree is rustfmt-clean"
+cargo fmt --all --check
+
 echo "==> compiler gate: zero warnings on every target"
 # Items that nothing outside their crate uses are pub(crate), so rustc's
 # dead_code lint reports any that nothing inside it uses either.
@@ -162,22 +165,25 @@ if [ "$(printf '%s\n' "$per_table" | grep -c .)" -ne "$tables" ] \
     exit 1
 fi
 
-echo "==> components bench (smoke): wall-clock time of each fleet-tick phase"
+echo "==> components bench (smoke): wall-clock time of each fleet-tick phase and command-path campaign"
 # Wall-clock only, like BENCH_paper.json: the committed
 # BENCH_components.json holds a full run's timings, so the fresh file and
 # the committed one are checked for one entry per phase of the tick
-# (the PHASES list in crates/fleet/src/control.rs), never compared.
+# (the PHASES list in crates/fleet/src/control.rs) and one per
+# command-path campaign, never compared.
 TESTKIT_BENCH_SMOKE=1 cargo bench -q --offline --locked -p harmonia-bench --bench components
 phases=$(sed -n '/^const PHASES/,/^];/p' crates/fleet/src/control.rs | grep -oE '^ *\("[a-z_]+"' | tr -d ' ("')
 if [ -z "$phases" ]; then
     echo "ci.sh: found no fleet-tick phases in crates/fleet/src/control.rs" >&2
     exit 1
 fi
-for phase in $phases; do
+entries=$(for phase in $phases; do echo "fleet_tick_$phase"; done)
+entries="$entries cmd_batched_observed cmd_batched_unobserved cmd_serial_unobserved"
+for entry in $entries; do
     for file in target/testkit-bench/BENCH_components.json BENCH_components.json; do
-        entries=$(grep -c "\"name\": \"fleet_tick_$phase\"" "$file" || true)
-        if [ "$entries" != 1 ]; then
-            echo "ci.sh: $file must time the fleet-tick phase $phase once, as fleet_tick_$phase" >&2
+        found=$(grep -c "\"name\": \"$entry\"" "$file" || true)
+        if [ "$found" != 1 ]; then
+            echo "ci.sh: $file must have one $entry entry" >&2
             exit 1
         fi
     done

@@ -1,4 +1,5 @@
-//! Wall-clock breakdown of the fleet tick, phase by phase.
+//! Wall-clock breakdown of the fleet tick, phase by phase, and of the
+//! command path, observed against unobserved.
 //!
 //! Runs the benchmark's fleet day (256 devices at seed 7 under best-fit,
 //! the first assigned device killed at the peak-hour tick, a 16-device
@@ -9,16 +10,42 @@
 //! `fleet_tick_<phase>` for each phase and `fleet_day` for the whole
 //! `run_with`, timer calls included (two per phase per tick).
 //!
+//! The command path gets the same treatment, on the benchmark's command
+//! campaign (4096 health reads at seed 7 under 2 % drop, corrupt and
+//! irq-lost rates, depth 64, up to 8 retries). Each sample is one
+//! campaign, driver construction included:
+//!
+//! * `cmd_batched_observed` — 16 per doorbell, every observability
+//!   plane on (trace, metrics, flight recorder);
+//! * `cmd_batched_unobserved` — the same with every plane off, so the
+//!   difference is what observation costs;
+//! * `cmd_serial_unobserved` — one command per doorbell through
+//!   `cmd_raw_resilient`, every plane off.
+//!
 //! Every column is wall-clock, so `BENCH_components.json` moves from run
-//! to run: `ci.sh` checks that each phase has its entry and never `cmp`s
-//! the file. Refresh the committed copy with a full run (20 campaigns,
-//! about a second) and copy it from `target/testkit-bench/` by hand;
-//! `TESTKIT_BENCH_SMOKE=1` runs 3.
+//! to run: `ci.sh` checks that each phase and each command-path campaign
+//! has its entry and never `cmp`s the file. Refresh the committed copy
+//! with a full run (20 samples each, a few seconds) and copy it from
+//! `target/testkit-bench/` by hand; `TESTKIT_BENCH_SMOKE=1` runs 3.
 
+use harmonia::cmd::{CommandCode, UnifiedControlKernel};
 use harmonia::fleet::{FleetController, FleetSpec, PlacementPolicy};
+use harmonia::host::batch::CmdResult;
+use harmonia::host::{CommandDriver, DmaEngine, RetryPolicy};
+use harmonia::hw::device::catalog;
+use harmonia::hw::ip::PcieDmaIp;
+use harmonia::hw::Vendor;
+use harmonia::sim::{FaultPlan, FaultRates, Probe};
 use harmonia_bench::fleet::KILL_TICK;
 use harmonia_testkit::bench::{black_box, group_json, out_dir, smoke_mode, BenchStats};
 use std::time::Instant;
+
+/// Health reads per command-path campaign.
+const CMD_COUNT: usize = 4096;
+/// SQ/CQ ring and kernel buffer depth.
+const CMD_DEPTH: usize = 64;
+/// Commands per doorbell on the batched path.
+const CMD_BATCH: usize = 16;
 
 /// The benchmark's fleet day, ready to run.
 fn fleet_day() -> FleetController {
@@ -28,6 +55,93 @@ fn fleet_day() -> FleetController {
     fleet.kill_device(victim, KILL_TICK);
     fleet.schedule_upgrade(100, 2, 16);
     fleet
+}
+
+/// One command-path campaign: `batch` per doorbell (1 = the serial
+/// transport, one `cmd_raw_resilient` per read) with `probe` attached.
+fn cmd_campaign(batch: usize, probe: Probe) -> Vec<CmdResult> {
+    let (gen, lanes) = catalog::device_a().pcie().expect("device A has PCIe");
+    let engine = DmaEngine::new(PcieDmaIp::new(Vendor::Xilinx, gen, lanes));
+    let kernel = UnifiedControlKernel::new(CMD_DEPTH);
+    let mut drv = if batch == 1 {
+        CommandDriver::new(engine, kernel)
+    } else {
+        CommandDriver::with_depth(engine, kernel, batch, CMD_DEPTH)
+    };
+    drv.set_probe(probe);
+    drv.set_policy(RetryPolicy {
+        max_retries: 8,
+        ..RetryPolicy::default()
+    });
+    let rates = FaultRates {
+        cmd_drop: 0.02,
+        cmd_corrupt: 0.02,
+        irq_lost: 0.02,
+        ecc: 0.0,
+    };
+    drv.set_fault_injector(FaultPlan::new().with_rates(7, rates).injector());
+    let reads = (0..CMD_COUNT).map(|_| (0u8, 0u8, CommandCode::HealthRead, Vec::new()));
+    if batch == 1 {
+        reads
+            .map(|(rbb, inst, code, data)| drv.cmd_raw_resilient(rbb, inst, code, data))
+            .collect()
+    } else {
+        drv.submit(reads.collect())
+    }
+}
+
+/// One command-path entry: its name, commands per doorbell (1 = the
+/// serial transport) and the probe each campaign gets.
+struct CmdEntry {
+    name: &'static str,
+    batch: usize,
+    probe: fn() -> Probe,
+}
+
+const CMD_ENTRIES: [CmdEntry; 3] = [
+    CmdEntry {
+        name: "cmd_batched_observed",
+        batch: CMD_BATCH,
+        probe: Probe::enabled,
+    },
+    CmdEntry {
+        name: "cmd_batched_unobserved",
+        batch: CMD_BATCH,
+        probe: Probe::disabled,
+    },
+    CmdEntry {
+        name: "cmd_serial_unobserved",
+        batch: 1,
+        probe: Probe::disabled,
+    },
+];
+
+/// Times `samples` rounds of the command-path campaigns after one untimed
+/// warm-up each. A round runs every campaign once, so a change in host
+/// speed during the run lands on all three entries alike.
+fn time_cmd_campaigns(samples: usize) -> Vec<BenchStats> {
+    for e in &CMD_ENTRIES {
+        black_box(cmd_campaign(e.batch, (e.probe)()));
+    }
+    let mut ns = vec![Vec::with_capacity(samples); CMD_ENTRIES.len()];
+    for _ in 0..samples {
+        for (e, ns) in CMD_ENTRIES.iter().zip(&mut ns) {
+            let probe = (e.probe)();
+            let start = Instant::now();
+            let results = cmd_campaign(e.batch, probe);
+            ns.push(start.elapsed().as_nanos() as f64);
+            assert!(
+                results.iter().all(Result::is_ok),
+                "every read must be acked"
+            );
+            black_box(results);
+        }
+    }
+    CMD_ENTRIES
+        .iter()
+        .zip(ns)
+        .map(|(e, ns)| BenchStats::from_samples(e.name, ns, 1))
+        .collect()
 }
 
 fn main() {
@@ -66,6 +180,7 @@ fn main() {
         .map(|(name, samples)| BenchStats::from_samples(format!("fleet_tick_{name}"), samples, 1))
         .collect();
     results.push(BenchStats::from_samples("fleet_day", days, 1));
+    results.extend(time_cmd_campaigns(campaigns));
     for s in &results {
         println!(
             "components/{:<28} median {:>12.0} ns   min {:>12.0} ns",

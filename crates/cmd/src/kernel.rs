@@ -20,7 +20,7 @@ use crate::queue::{
 use harmonia_hw::regfile::{RegOp, RegisterFile};
 use harmonia_hw::resource::ResourceUsage;
 use harmonia_shell::rbb::{instances, Rbb};
-use harmonia_sim::{FaultInjector, Picos, Probe, SyncFifo, TraceEventKind};
+use harmonia_sim::{FaultInjector, MetricsRegistry, Picos, Probe, SyncFifo, TraceEventKind};
 use std::collections::{BTreeMap, VecDeque};
 use std::error::Error;
 use std::fmt;
@@ -132,6 +132,33 @@ pub struct DrainOutcome {
     /// [`CommandBudget`] ran out with work
     /// still queued (never set on the unbudgeted path).
     pub quota_exhausted: bool,
+}
+
+/// Per-command kernel metrics summed in plain locals over one public
+/// call and published once at its end: a doorbell's drain pays the
+/// registry once, not once per command.
+#[derive(Default)]
+struct ExecTally {
+    /// Commands executed (idempotent replays not included).
+    executed: u64,
+    /// Register operations those commands ran.
+    reg_ops: u64,
+    /// Highest buffer occupancy after an accepted submit, if any was.
+    buffer_high_water: Option<u64>,
+}
+
+impl ExecTally {
+    /// Publishes the sums, touching only the series a per-command
+    /// publication would have touched.
+    fn publish(&self, metrics: &MetricsRegistry) {
+        if let Some(depth) = self.buffer_high_water {
+            metrics.gauge_max("harmonia_kernel_buffer_high_water", &[], depth);
+        }
+        if self.executed > 0 {
+            metrics.counter_add("harmonia_kernel_cmds_executed_total", &[], self.executed);
+            metrics.counter_add("harmonia_kernel_reg_ops_total", &[], self.reg_ops);
+        }
+    }
 }
 
 /// The unified control kernel.
@@ -270,9 +297,29 @@ impl UnifiedControlKernel {
         bytes: &[u8],
         reply_to: SrcId,
     ) -> Result<Option<CommandPacket>, KernelError> {
+        self.published(|k, tally| k.ingest(bytes, reply_to, tally))
+    }
+
+    /// Runs `f` over a fresh [`ExecTally`] and publishes it: a public
+    /// call leaves the registry exact.
+    fn published<R>(&mut self, f: impl FnOnce(&mut Self, &mut ExecTally) -> R) -> R {
+        let mut tally = ExecTally::default();
+        let out = f(self, &mut tally);
+        tally.publish(&self.probe.metrics);
+        out
+    }
+
+    /// [`UnifiedControlKernel::submit_bytes_or_nack`], counting into
+    /// `tally`.
+    fn ingest(
+        &mut self,
+        bytes: &[u8],
+        reply_to: SrcId,
+        tally: &mut ExecTally,
+    ) -> Result<Option<CommandPacket>, KernelError> {
         match CommandPacket::decode(bytes) {
             Ok(packet) => {
-                self.submit(packet)?;
+                self.enqueue(packet, tally)?;
                 Ok(None)
             }
             Err(e) => {
@@ -307,6 +354,11 @@ impl UnifiedControlKernel {
     ///
     /// [`KernelError::BufferFull`] under backpressure.
     pub fn submit(&mut self, packet: CommandPacket) -> Result<(), KernelError> {
+        self.published(|k, tally| k.enqueue(packet, tally))
+    }
+
+    /// [`UnifiedControlKernel::submit`], counting into `tally`.
+    fn enqueue(&mut self, packet: CommandPacket, tally: &mut ExecTally) -> Result<(), KernelError> {
         // No fault injector here: the command buffer never draws ECC hits.
         self.buffer
             .push_at(
@@ -316,11 +368,7 @@ impl UnifiedControlKernel {
                 &self.probe,
             )
             .map_err(|_| KernelError::BufferFull)?;
-        self.probe.metrics.gauge_max(
-            "harmonia_kernel_buffer_high_water",
-            &[],
-            self.buffer.len() as u64,
-        );
+        tally.buffer_high_water = tally.buffer_high_water.max(Some(self.buffer.len() as u64));
         Ok(())
     }
 
@@ -336,6 +384,14 @@ impl UnifiedControlKernel {
     ///
     /// Execution errors; `Ok(None)` when the buffer is empty.
     pub fn step(&mut self) -> Result<Option<CommandPacket>, KernelError> {
+        self.published(Self::execute_next)
+    }
+
+    /// [`UnifiedControlKernel::step`], counting into `tally`.
+    fn execute_next(
+        &mut self,
+        tally: &mut ExecTally,
+    ) -> Result<Option<CommandPacket>, KernelError> {
         let Some(packet) = self.buffer.pop() else {
             return Ok(None);
         };
@@ -361,14 +417,8 @@ impl UnifiedControlKernel {
         let ops_before = self.reg_ops_executed;
         let data = self.execute(&packet)?;
         self.commands_executed += 1;
-        self.probe
-            .metrics
-            .counter_inc("harmonia_kernel_cmds_executed_total", &[]);
-        self.probe.metrics.counter_add(
-            "harmonia_kernel_reg_ops_total",
-            &[],
-            self.reg_ops_executed - ops_before,
-        );
+        tally.executed += 1;
+        tally.reg_ops += self.reg_ops_executed - ops_before;
         let exec_ps = Self::command_latency_ps(self.reg_ops_executed - ops_before);
         self.probe.trace.span(
             self.trace_clock_ps,
@@ -452,6 +502,7 @@ impl UnifiedControlKernel {
             errors: Vec::new(),
             quota_exhausted: false,
         };
+        let mut tally = ExecTally::default();
         for _ in 0..n {
             if cq.is_full() {
                 break;
@@ -462,13 +513,13 @@ impl UnifiedControlKernel {
             let Some(desc) = sq.pop() else { break };
             budget.charge();
             out.drained += 1;
-            let status = match self.submit_bytes_or_nack(&desc.bytes, reply_to) {
+            let status = match self.ingest(&desc.bytes, reply_to, &mut tally) {
                 Ok(Some(nack)) => CompletionStatus::Nack {
                     error_code: nack.data[0],
                 },
                 Ok(None) => {
                     let before = self.reg_ops_executed;
-                    match self.step() {
+                    match self.execute_next(&mut tally) {
                         Ok(Some(resp)) => {
                             out.exec_ps += Self::command_latency_ps(self.reg_ops_executed - before);
                             out.responses.push((desc.tag, resp));
@@ -495,6 +546,7 @@ impl UnifiedControlKernel {
             })
             .expect("cq fullness was checked before the pop");
         }
+        tally.publish(&self.probe.metrics);
         if out.drained > 0 {
             self.probe.metrics.counter_add(
                 "harmonia_kernel_sq_drained_total",

@@ -120,11 +120,11 @@ impl CommandPacket {
         [w0, w1, self.options]
     }
 
-    fn checksum_of(words: &[u32]) -> u32 {
+    fn checksum_of(words: impl IntoIterator<Item = u32>) -> u32 {
         // Ones'-complement style folding sum, like IP checksums but 32-bit.
         let mut sum: u64 = 0;
         for w in words {
-            sum += u64::from(*w);
+            sum += u64::from(w);
         }
         while sum >> 32 != 0 {
             sum = (sum & 0xFFFF_FFFF) + (sum >> 32);
@@ -132,15 +132,20 @@ impl CommandPacket {
         !(sum as u32)
     }
 
-    /// Encodes the packet to wire bytes (big-endian words).
+    /// Encodes the packet to wire bytes (big-endian words), allocating
+    /// only the output.
     pub fn encode(&self) -> Vec<u8> {
-        let mut words: Vec<u32> = self.header_words().to_vec();
-        words.extend_from_slice(&self.data);
-        words.push(Self::checksum_of(&words));
-        words.iter().flat_map(|w| w.to_be_bytes()).collect()
+        let header = self.header_words();
+        let words = header.iter().chain(&self.data).copied();
+        let checksum = Self::checksum_of(words.clone());
+        let mut out = Vec::with_capacity(self.wire_bytes());
+        for w in words.chain([checksum]) {
+            out.extend_from_slice(&w.to_be_bytes());
+        }
+        out
     }
 
-    /// Decodes one packet from wire bytes.
+    /// Decodes one packet from wire bytes, allocating only the payload.
     ///
     /// # Errors
     ///
@@ -149,14 +154,20 @@ impl CommandPacket {
         if !bytes.len().is_multiple_of(4) {
             return Err(DecodeError::Misaligned { len: bytes.len() });
         }
-        let words: Vec<u32> = bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_be_bytes([c[0], c[1], c[2], c[3]]))
-            .collect();
-        if words.len() < usize::from(HEADER_WORDS) + 1 {
-            return Err(DecodeError::TooShort { words: words.len() });
+        let words = || {
+            bytes
+                .chunks_exact(4)
+                .map(|c| u32::from_be_bytes([c[0], c[1], c[2], c[3]]))
+        };
+        let n_words = bytes.len() / 4;
+        if n_words < usize::from(HEADER_WORDS) + 1 {
+            return Err(DecodeError::TooShort { words: n_words });
         }
-        let w0 = words[0];
+        let word = |i: usize| {
+            let c = &bytes[4 * i..4 * i + 4];
+            u32::from_be_bytes([c[0], c[1], c[2], c[3]])
+        };
+        let w0 = word(0);
         let version = (w0 >> 28) as u8;
         if version != VERSION {
             return Err(DecodeError::BadVersion { version });
@@ -167,21 +178,21 @@ impl CommandPacket {
         }
         let payload_len = ((w0 >> 8) & 0xFFFF) as usize;
         let expected_words = usize::from(hd_len) + payload_len;
-        if words.len() != expected_words {
+        if n_words != expected_words {
             return Err(DecodeError::LengthMismatch {
                 declared: expected_words,
-                actual: words.len(),
+                actual: n_words,
             });
         }
         let src = SrcId::from_u8(((w0 >> 4) & 0xF) as u8).ok_or(DecodeError::BadSrcId {
             src: ((w0 >> 4) & 0xF) as u8,
         })?;
-        let declared = *words.last().expect("length checked");
-        let computed = Self::checksum_of(&words[..words.len() - 1]);
+        let declared = word(n_words - 1);
+        let computed = Self::checksum_of(words().take(n_words - 1));
         if declared != computed {
             return Err(DecodeError::ChecksumMismatch { declared, computed });
         }
-        let w1 = words[1];
+        let w1 = word(1);
         Ok(CommandPacket {
             version,
             src,
@@ -189,8 +200,11 @@ impl CommandPacket {
             rbb_id: (w1 >> 24) as u8,
             instance_id: ((w1 >> 16) & 0xFF) as u8,
             code: CommandCode::from_u16((w1 & 0xFFFF) as u16),
-            options: words[2],
-            data: words[3..words.len() - 1].to_vec(),
+            options: word(2),
+            data: words()
+                .skip(usize::from(HEADER_WORDS))
+                .take(n_words - usize::from(HEADER_WORDS) - 1)
+                .collect(),
         })
     }
 

@@ -41,7 +41,7 @@ use crate::resilience::DriverError;
 use crate::ring::{self, Outcome};
 use harmonia_cmd::queue::CommandBudget;
 use harmonia_cmd::{CommandCode, CommandPacket};
-use harmonia_sim::{Picos, TraceEventKind};
+use harmonia_sim::{LogHistogram, Picos, TraceEventKind};
 use std::collections::VecDeque;
 
 /// One command to submit: `(rbb_id, instance_id, code, data)`.
@@ -77,10 +77,21 @@ impl CommandDriver {
             .enumerate()
             .map(|(idx, spec)| self.issue(idx, spec))
             .collect();
+        // The per-command metrics are summed here and published once.
+        let issued = pending.len() as u64;
+        let mut acks = LogHistogram::new();
         while !pending.is_empty() {
-            self.ring_round(&mut pending, &mut results);
+            self.ring_round(&mut pending, &mut results, &mut acks);
         }
         self.irq.flush(self.clock_ps);
+        let metrics = &self.probe.metrics;
+        if issued > 0 {
+            metrics.counter_add("harmonia_cmd_issued_total", &[], issued);
+        }
+        if !acks.is_empty() {
+            metrics.counter_add("harmonia_cmd_acked_total", &[], acks.count());
+            metrics.observe_histogram("harmonia_cmd_latency_ps", &[], &acks);
+        }
         results
             .into_iter()
             .map(|r| r.expect("every entry converges to ack or give-up"))
@@ -89,7 +100,13 @@ impl CommandDriver {
 
     /// One doorbell round: take up to `batch` entries, ship them as one
     /// burst over the driver's ring, and re-queue whatever a fault took out.
-    fn ring_round(&mut self, pending: &mut VecDeque<Inflight>, results: &mut [Option<CmdResult>]) {
+    /// Ack latencies go into `acks` for the caller to publish.
+    fn ring_round(
+        &mut self,
+        pending: &mut VecDeque<Inflight>,
+        results: &mut [Option<CmdResult>],
+        acks: &mut LogHistogram,
+    ) {
         let take = self.batch.min(self.ring.free()).min(pending.len());
         let round_start = self.clock_ps;
         let mut round = Vec::with_capacity(take);
@@ -138,7 +155,11 @@ impl CommandDriver {
                     Outcome::Acked(resp) => {
                         let at = self.clock_ps + upload_seq;
                         upload_seq += 1;
-                        results[cmd.idx] = Some(self.ack(&cmd, at, resp));
+                        let acked = self.ack(&cmd, at).map(|latency| {
+                            acks.record(latency);
+                            resp
+                        });
+                        results[cmd.idx] = Some(acked);
                     }
                     Outcome::Nacked(error_code) => {
                         self.nack(error_code);

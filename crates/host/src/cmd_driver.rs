@@ -293,6 +293,9 @@ impl CommandDriver {
         data: Vec<u32>,
     ) -> Result<CommandPacket, DriverError> {
         let cmd = self.issue(0, (rbb_id, instance, code, data));
+        self.probe
+            .metrics
+            .counter_inc("harmonia_cmd_issued_total", &[]);
         let result = self.send(cmd);
         // A wider moderator may hold the completion; the call returns
         // with nothing pending.
@@ -360,7 +363,14 @@ impl CommandDriver {
                 continue;
             }
             self.irq.event(self.clock_ps);
-            return self.ack(&cmd, self.clock_ps, resp);
+            let latency = self.ack(&cmd, self.clock_ps)?;
+            self.probe
+                .metrics
+                .counter_inc("harmonia_cmd_acked_total", &[]);
+            self.probe
+                .metrics
+                .observe("harmonia_cmd_latency_ps", &[], latency);
+            return Ok(resp);
         }
     }
 
@@ -371,7 +381,8 @@ impl CommandDriver {
         Ok(())
     }
 
-    /// Tags and accounts a new resilient command for result slot `idx`.
+    /// Tags and accounts a new resilient command for result slot `idx`;
+    /// the caller publishes `harmonia_cmd_issued_total`.
     pub(crate) fn issue(
         &mut self,
         idx: usize,
@@ -380,9 +391,6 @@ impl CommandDriver {
         let tag = self.next_tag;
         self.next_tag += 1;
         self.report.issued += 1;
-        self.probe
-            .metrics
-            .counter_inc("harmonia_cmd_issued_total", &[]);
         self.issued.push(IssuedCommand {
             rbb_id,
             instance_id,
@@ -502,32 +510,22 @@ impl CommandDriver {
     }
 
     /// `cmd`'s response uploads at `upload_at` and the command converges
-    /// acked.
-    pub(crate) fn ack(
-        &mut self,
-        cmd: &Inflight,
-        upload_at: Picos,
-        resp: CommandPacket,
-    ) -> CmdResult {
+    /// acked: its issue→ack latency, which the caller publishes as
+    /// `harmonia_cmd_acked_total` and `harmonia_cmd_latency_ps`.
+    pub(crate) fn ack(&mut self, cmd: &Inflight, upload_at: Picos) -> Result<Picos, DriverError> {
         self.resp_pipe.push(upload_at, cmd.tag)?;
         let uploaded = self.resp_pipe.pop(upload_at);
         debug_assert_eq!(uploaded, Some(cmd.tag));
         self.acked_log.push(cmd.tag);
         self.report.acked += 1;
-        self.probe
-            .metrics
-            .counter_inc("harmonia_cmd_acked_total", &[]);
         let latency = self.clock_ps - cmd.issued_at;
-        self.probe
-            .metrics
-            .observe("harmonia_cmd_latency_ps", &[], latency);
         let ack = TraceEventKind::CmdAck {
             code: cmd.packet.code.to_u16(),
             attempts: cmd.attempt + 1,
         };
         self.probe.record(cmd.issued_at, latency, ack);
         self.latency_histo.record(latency);
-        Ok(resp)
+        Ok(latency)
     }
 
     /// Initializes every module of a shell — exactly one idempotency-tagged

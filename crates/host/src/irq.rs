@@ -91,9 +91,10 @@ impl IrqModerator {
         }
     }
 
-    /// Attaches an observability probe: events and fired interrupts bump
-    /// `harmonia_irq_events_total`/`harmonia_irq_interrupts_total` in its
-    /// registry. Disabled planes cost one branch per hook.
+    /// Attaches an observability probe: each fired interrupt bumps
+    /// `harmonia_irq_interrupts_total` and adds the events it covers to
+    /// `harmonia_irq_events_total` in its registry. Disabled planes cost
+    /// one branch per hook.
     pub fn set_probe(&mut self, probe: Probe) {
         self.probe = probe;
     }
@@ -104,6 +105,12 @@ impl IrqModerator {
         self.probe
             .metrics
             .counter_inc("harmonia_irq_interrupts_total", &[]);
+        // The events this interrupt covers are published with it: every
+        // driver call ends in a flush, so the registry is exact when the
+        // call returns.
+        self.probe
+            .metrics
+            .counter_add("harmonia_irq_events_total", &[], u64::from(self.pending));
         let delay = now_ps - self.oldest_ps;
         // All pending events waited at most `delay`; attribute the oldest's
         // wait (the worst case) to the max and the average of a uniform
@@ -124,9 +131,6 @@ impl IrqModerator {
         }
         self.pending += 1;
         self.events += 1;
-        self.probe
-            .metrics
-            .counter_inc("harmonia_irq_events_total", &[]);
         if self.pending >= self.policy.batch_threshold {
             self.fire(now_ps);
             return true;

@@ -17,14 +17,25 @@
 //! 4. **Observed campaign** — one faulty batched campaign with every
 //!    observability plane attached is pinned byte for byte: report,
 //!    clock, ack log, text trace, Prometheus export and flight dump.
+//! 5. **Exact registry** — the command path publishes its per-command
+//!    metrics once per doorbell or per call, so after every public call
+//!    each `harmonia_{cmd,kernel,irq,dma}_*` counter equals the count its
+//!    component keeps, and the latency series equals the driver's own
+//!    histogram.
+//! 6. **Lost interrupt inside a drain** — a scheduled `IrqLost` that falls
+//!    strictly inside a doorbell's execution window costs that doorbell's
+//!    first completion, because the CQ is polled when the drain ends.
 
 use harmonia_cmd::{CommandCode, UnifiedControlKernel};
+use harmonia_host::batch::CmdSpec;
 use harmonia_host::{CommandDriver, DmaEngine, DriverError};
 use harmonia_hw::device::catalog;
 use harmonia_hw::ip::PcieDmaIp;
 use harmonia_hw::Vendor;
+use harmonia_shell::rbb::RbbKind;
 use harmonia_shell::{MemoryDemand, RoleSpec, TailoredShell, UnifiedShell};
-use harmonia_sim::{FaultKind, FaultPlan, FaultRates, Probe};
+use harmonia_sim::{FaultKind, FaultPlan, FaultRates, Probe, TraceEventKind};
+use harmonia_testkit::prelude::*;
 
 fn parts() -> (DmaEngine, UnifiedControlKernel, TailoredShell) {
     let dev = catalog::device_a();
@@ -257,4 +268,172 @@ fn observed_batched_campaign_is_pinned() {
     assert_eq!(pin(&text), (429, 0x17ba_6e9d_4120_a996), "text trace");
     assert_eq!(pin(&prom), (43, 0x24d9_1531_46a0_ec76), "Prometheus export");
     assert_eq!(pin(&flight), (65, 0x8c42_7b4a_0da2_2bae), "flight dump");
+}
+
+/// One command of the registry campaigns: 0 = health read, 1 = network
+/// stats, 2 = network status, otherwise a host-module init (idempotent,
+/// so a lost completion replays it).
+fn spec(c: u8) -> CmdSpec {
+    match c {
+        0 => (0, 0, CommandCode::HealthRead, Vec::new()),
+        1 => (RbbKind::Network.id(), 0, CommandCode::StatsRead, Vec::new()),
+        2 => (
+            RbbKind::Network.id(),
+            0,
+            CommandCode::ModuleStatusRead,
+            Vec::new(),
+        ),
+        _ => (RbbKind::Host.id(), 0, CommandCode::ModuleInit, Vec::new()),
+    }
+}
+
+/// Counters the command path publishes with no component-side count to
+/// compare against: backoff time, ring drains, credit stalls and tenant
+/// quota hits.
+const UNCOUNTED: [&str; 5] = [
+    "harmonia_cmd_backoff_ps_total",
+    "harmonia_kernel_sq_drained_total",
+    "harmonia_kernel_quota_exhausted_total",
+    "harmonia_dma_credit_stalls_total",
+    "harmonia_dma_credit_stall_beats_total",
+];
+
+/// Checks the registry against the counts the driver, kernel, interrupt
+/// moderator and DMA engine keep themselves.
+fn registry_matches_components(drv: &CommandDriver, probe: &Probe) -> Result<(), String> {
+    let snap = probe.metrics.snapshot();
+    let report = drv.report();
+    let kernel = drv.kernel();
+    let irq = drv.irq_report();
+    let engine = drv.engine_ref();
+    let own = [
+        ("harmonia_cmd_issued_total", report.issued),
+        ("harmonia_cmd_acked_total", report.acked),
+        ("harmonia_cmd_retries_total", report.retries),
+        ("harmonia_cmd_timeouts_total", report.timeouts),
+        ("harmonia_cmd_nacks_total", report.nacks),
+        ("harmonia_cmd_gave_up_total", report.gave_up),
+        (
+            "harmonia_kernel_cmds_executed_total",
+            kernel.commands_executed(),
+        ),
+        ("harmonia_kernel_reg_ops_total", kernel.reg_ops_executed()),
+        ("harmonia_kernel_replays_total", kernel.replays()),
+        ("harmonia_kernel_nacks_total", kernel.decode_errors()),
+        ("harmonia_irq_events_total", irq.events),
+        ("harmonia_irq_interrupts_total", irq.interrupts),
+        ("harmonia_dma_cmds_total", engine.commands_sent()),
+        ("harmonia_dma_bursts_total", engine.doorbells()),
+    ];
+    for (name, count) in own {
+        if snap.counter(name) != count {
+            return Err(format!(
+                "{name}: registry {} != component {count}",
+                snap.counter(name)
+            ));
+        }
+    }
+    // Every command-path counter in the export is one of the above, or
+    // one that no component counts.
+    for line in snap.export_prometheus().lines() {
+        let Some(name) = line
+            .strip_prefix("# TYPE ")
+            .and_then(|l| l.strip_suffix(" counter"))
+        else {
+            continue;
+        };
+        let command_path = [
+            "harmonia_cmd_",
+            "harmonia_kernel_",
+            "harmonia_irq_",
+            "harmonia_dma_",
+        ]
+        .iter()
+        .any(|p| name.starts_with(p));
+        if command_path && !own.iter().any(|(n, _)| *n == name) && !UNCOUNTED.contains(&name) {
+            return Err(format!("{name} has no component count to check"));
+        }
+    }
+    if snap.histogram("harmonia_cmd_latency_ps") != *drv.latency_histogram() {
+        return Err("harmonia_cmd_latency_ps differs from latency_histogram()".into());
+    }
+    Ok(())
+}
+
+forall! {
+    /// (5) Over calls on both transports in a row, under 0–5 % background
+    /// drop/corrupt/irq-lost rates, the registry read after each call
+    /// matches every component's own count, and the latency series
+    /// matches the driver's histogram bucket for bucket.
+    #[test]
+    fn registry_matches_component_counts_after_every_call(
+        seed in any::<u64>(),
+        batch in prop_oneof![Just(1usize), Just(4usize), Just(16usize)],
+        (drop_pct, corrupt_pct, irq_pct) in (0u32..=5, 0u32..=5, 0u32..=5),
+        calls in collection::vec((any::<bool>(), collection::vec(0u8..4, 1..12)), 1..5),
+    ) {
+        let (engine, kernel, _shell) = parts();
+        let mut drv = CommandDriver::with_depth(engine, kernel, batch, 64);
+        let probe = Probe::enabled();
+        drv.set_probe(probe.clone());
+        let rates = FaultRates {
+            cmd_drop: f64::from(drop_pct) / 100.0,
+            cmd_corrupt: f64::from(corrupt_pct) / 100.0,
+            irq_lost: f64::from(irq_pct) / 100.0,
+            ecc: 0.0,
+        };
+        drv.set_fault_injector(FaultPlan::new().with_rates(seed, rates).injector());
+        for (batched, cmds) in calls {
+            if batched {
+                drv.submit(cmds.into_iter().map(spec).collect());
+                if let Err(e) = registry_matches_components(&drv, &probe) {
+                    prop_assert!(false, "after submit: {e}");
+                }
+            } else {
+                for c in cmds {
+                    let (rbb, inst, code, data) = spec(c);
+                    let _ = drv.cmd_raw_resilient(rbb, inst, code, data);
+                    if let Err(e) = registry_matches_components(&drv, &probe) {
+                        prop_assert!(false, "after cmd_raw_resilient: {e}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// (6) An `IrqLost` scheduled strictly inside the first doorbell's
+/// execution window — after the drain starts, before it ends — is drawn
+/// when the CQ is polled at the end of that drain. So the first round's
+/// first entry (tag 0) times out, its retry rides the front of the second
+/// round and replays, and the ack log reads 1, 2, 3, then 0 and the
+/// second round.
+#[test]
+fn irq_lost_inside_a_drain_costs_that_doorbells_first_completion() {
+    let cmds = || (0..8).map(|_| spec(0)).collect::<Vec<_>>();
+    // The fault-free run's first drain span is the window: faults that
+    // have not fired yet move no timing.
+    let (engine, kernel, _shell) = parts();
+    let mut clean = CommandDriver::with_depth(engine, kernel, 4, 64);
+    clean.set_probe(Probe::enabled());
+    clean.submit(cmds());
+    let trace = clean.probe().trace.take();
+    let drain = trace
+        .events()
+        .iter()
+        .find(|e| matches!(e.kind, TraceEventKind::BatchDrain { .. }))
+        .expect("the first round drains");
+    assert!(drain.dur > 1, "the drain has an inside: {drain:?}");
+    let inside = drain.at + drain.dur / 2;
+    assert!(drain.at < inside && inside < drain.at + drain.dur);
+
+    let (engine, kernel, _shell) = parts();
+    let mut drv = CommandDriver::with_depth(engine, kernel, 4, 64);
+    drv.set_fault_injector(FaultPlan::new().at(inside, FaultKind::IrqLost).injector());
+    let results = drv.submit(cmds());
+    assert!(results.iter().all(|r| r.is_ok()));
+    assert_eq!(drv.report().timeouts, 1, "{}", drv.report());
+    assert_eq!(drv.kernel().replays(), 1, "the retry replays tag 0");
+    assert_eq!(drv.kernel().commands_executed(), 8);
+    assert_eq!(drv.acked_log(), [1, 2, 3, 0, 4, 5, 6, 7]);
 }

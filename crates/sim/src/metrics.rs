@@ -137,6 +137,12 @@ struct RegistryBuf {
 /// The cheap cloneable handle hot paths bump metrics into. Clones share
 /// the underlying store, so one scenario's kernel, driver, DMA engine and
 /// IRQ moderator all feed a single registry.
+///
+/// Every call takes a lock and looks up its series, so a hot loop counts
+/// in plain locals and publishes once per doorbell or per public call,
+/// touching only the series a per-event call would have touched. The
+/// registry is then exact at every public-call boundary, which is where
+/// the scraper, the exporters and the SLO evaluator read it.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
     inner: Option<Arc<Mutex<RegistryBuf>>>,

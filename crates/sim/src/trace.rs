@@ -459,7 +459,7 @@ pub struct Trace {
 
 impl Trace {
     fn from_events(mut events: Vec<TraceEvent>) -> Trace {
-        events.sort_by(|a, b| (a.at, a.lane, a.seq).cmp(&(b.at, b.lane, b.seq)));
+        events.sort_by_key(|e| (e.at, e.lane, e.seq));
         Trace { events }
     }
 
