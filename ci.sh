@@ -85,31 +85,47 @@ if grep -rnE 'HARMONIA_[T]RACE|HARMONIA_[M]ETRICS|HARMONIA_[T]ENANT_|push_[t]rac
     exit 1
 fi
 
-echo "==> every component feeds an output: no BMC, control tool or test-only role logic under crates/, examples/, tests/"
-# The BMC, the control tool, the ACL, LZ codec and megaflow role logic and
-# the Network RBB's exact-match flow table fed no figure, binary, example or
-# benchmark, so they were deleted; every host driver sends as
-# SrcId::Application (see DESIGN.md).
-if grep -rnE 'B[m]cController|C[o]ntrolTool|H[e]althSnapshot|M[e]gaflowCache|A[c]lRule|C[o]decError|f[l]ow_table|w[i]th_src' crates examples tests; then
+echo "==> every component feeds an output: no BMC, control tool, project packager or test-only logic under crates/, examples/, tests/"
+# The BMC, the control tool, the ACL, LZ codec and megaflow role logic, the
+# Network RBB's exact-match flow table, the project packager, the fleet
+# summary, the fault tally, the LB's idle sweeper and the scraper's rate
+# fed no figure, binary, example or benchmark, so they were deleted; every
+# host driver sends as SrcId::Application (see DESIGN.md).
+if grep -rnE 'B[m]cController|C[o]ntrolTool|H[e]althSnapshot|M[e]gaflowCache|A[c]lRule|C[o]decError|f[l]ow_table|w[i]th_src|P[r]ojectBundle|b[u]ild_project|F[l]eetSummary|F[a]ultReport|s[w]eep_idle|r[a]te_per_sec' crates examples tests; then
     echo "ci.sh: these components were deleted because no output reads them; wire a new one into an output (see DESIGN.md)" >&2
     exit 1
 fi
 
-echo "==> every pub fn has a caller: none under crates/*/src is named only at its definition"
+echo "==> every pub fn has a caller outside unit tests: none under crates/*/src is named only at its definition"
+# The count below cuts each src file at its `mod tests` line, so it relies
+# on the unit-test module being the file's last item.
+late=$(find crates -path 'crates/*/src/*' -name '*.rs' -exec awk '
+    FNR == 1 { state = 0 }
+    state == 2 && NF { print FILENAME; state = 3 }
+    state == 1 && /^}/ { state = 2 }
+    state == 0 && /^mod tests \{/ { state = 1 }' {} +)
+if [ -n "$late" ]; then
+    printf '%s\n' "$late"
+    echo "ci.sh: the files above have code after their unit-test module; move it above" >&2
+    exit 1
+fi
 # One counting pass over every identifier in crates/, examples/, tests/
-# and benchmark/src: a `pub fn` whose name occurs once occurs only where it
-# is defined, so nothing calls it (see DESIGN.md).
+# and benchmark/src, with each src file's trailing `#[cfg(test)] mod tests`
+# block cut off: a `pub fn` whose name occurs once occurs only where it is
+# defined, so nothing but its own unit tests calls it (see DESIGN.md).
 uncalled=$(
     { grep -rhoE 'pub (const |unsafe )?fn [A-Za-z_][A-Za-z0-9_]*' crates/*/src \
         | sed -E 's/^.* /def /'
-      grep -rhoE --include='*.rs' '[A-Za-z_][A-Za-z0-9_]*' crates examples tests benchmark/src \
-        | sort | uniq -c
+      { find crates -path 'crates/*/src/*' -name '*.rs' \
+            -exec awk 'FNR == 1 { cut = 0 } /^mod tests \{/ { cut = 1 } !cut' {} +
+        cat $(find crates/*/tests crates/*/benches examples tests benchmark/src -name '*.rs')
+      } | grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort | uniq -c
     } | awk '$1 == "def" { def[$2] = 1; next } { n[$2] = $1 } END { for (f in def) if (n[f] == 1) print f }' \
       | sort
 )
 if [ -n "$uncalled" ]; then
     printf '%s\n' "$uncalled"
-    echo "ci.sh: delete the pub fns above or give them a caller (see DESIGN.md)" >&2
+    echo "ci.sh: delete the pub fns above or give them a caller outside unit tests (see DESIGN.md)" >&2
     exit 1
 fi
 

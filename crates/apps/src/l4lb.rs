@@ -10,7 +10,7 @@ use harmonia_hw::ip::MacIp;
 use harmonia_hw::Vendor;
 use harmonia_shell::rbb::network::{FlowKey, PacketMeta};
 use harmonia_shell::{MemoryDemand, RoleSpec};
-use harmonia_sim::{Freq, Picos};
+use harmonia_sim::Freq;
 use std::collections::HashMap;
 
 /// A real-server backend.
@@ -31,8 +31,6 @@ pub struct LbStats {
     pub new_connections: u64,
     /// Packets dropped because the connection table was full.
     pub table_full_drops: u64,
-    /// Connections evicted by the idle-timeout sweeper.
-    pub aged_out: u64,
 }
 
 /// The stateful layer-4 load balancer.
@@ -40,17 +38,10 @@ pub struct LbStats {
 pub struct Layer4Lb {
     ring: Vec<u16>,
     backends: Vec<Backend>,
-    connections: HashMap<FlowKey, ConnEntry>,
+    /// Established connections and the backend each is pinned to.
+    connections: HashMap<FlowKey, u16>,
     capacity: usize,
-    idle_timeout_ps: Picos,
-    now_ps: Picos,
     stats: LbStats,
-}
-
-#[derive(Copy, Clone, Debug)]
-struct ConnEntry {
-    backend: u16,
-    last_seen_ps: Picos,
 }
 
 impl Layer4Lb {
@@ -70,8 +61,6 @@ impl Layer4Lb {
             backends,
             connections: HashMap::new(),
             capacity,
-            idle_timeout_ps: 60_000_000_000_000, // 60 s default
-            now_ps: 0,
             stats: LbStats::default(),
         };
         lb.rebuild_ring();
@@ -100,48 +89,17 @@ impl Layer4Lb {
     pub fn remove_backend(&mut self, id: u16) {
         self.backends.retain(|b| b.id != id);
         assert!(!self.backends.is_empty(), "removed the last backend");
-        self.connections.retain(|_, e| e.backend != id);
+        self.connections.retain(|_, backend| *backend != id);
         self.rebuild_ring();
-    }
-
-    /// Sets the idle timeout for connection aging.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `timeout_ps` is zero.
-    pub fn set_idle_timeout_ps(&mut self, timeout_ps: Picos) {
-        assert!(timeout_ps > 0, "idle timeout must be positive");
-        self.idle_timeout_ps = timeout_ps;
-    }
-
-    /// Advances the LB's clock (packet timestamps come from the shell's
-    /// monotonic time counter).
-    pub fn advance_time(&mut self, delta_ps: Picos) {
-        self.now_ps += delta_ps;
-    }
-
-    /// Evicts connections idle longer than the timeout; returns how many
-    /// were aged out. Production runs this as a background sweeper so the
-    /// table does not fill with dead flows.
-    pub fn sweep_idle(&mut self) -> usize {
-        let deadline = self.now_ps.saturating_sub(self.idle_timeout_ps);
-        let before = self.connections.len();
-        self.connections
-            .retain(|_, e| e.last_seen_ps >= deadline || e.last_seen_ps == 0 && deadline == 0);
-        let evicted = before - self.connections.len();
-        self.stats.aged_out += evicted as u64;
-        evicted
     }
 
     /// Picks the backend for a packet, creating connection state for new
     /// flows. Returns `None` when the table is full and the flow is new.
     pub fn dispatch(&mut self, pkt: &PacketMeta) -> Option<u16> {
         let key = pkt.flow_key();
-        let now = self.now_ps;
-        if let Some(entry) = self.connections.get_mut(&key) {
-            entry.last_seen_ps = now;
+        if let Some(&backend) = self.connections.get(&key) {
             self.stats.established_hits += 1;
-            return Some(entry.backend);
+            return Some(backend);
         }
         if self.connections.len() >= self.capacity {
             self.stats.table_full_drops += 1;
@@ -149,20 +107,9 @@ impl Layer4Lb {
         }
         let slot = (key.hash() % self.ring.len() as u64) as usize;
         let backend = self.ring[slot];
-        self.connections.insert(
-            key,
-            ConnEntry {
-                backend,
-                last_seen_ps: now,
-            },
-        );
+        self.connections.insert(key, backend);
         self.stats.new_connections += 1;
         Some(backend)
-    }
-
-    /// Ends a connection, freeing its table entry.
-    pub fn close(&mut self, key: &FlowKey) -> bool {
-        self.connections.remove(key).is_some()
     }
 
     /// Live connection count.
@@ -303,54 +250,12 @@ mod tests {
         assert_eq!(lb.stats().table_full_drops, 1);
         // Established flows still flow.
         assert_eq!(lb.dispatch(&pkt(5)), Some(0));
-        // Closing frees a slot.
-        assert!(lb.close(&pkt(5).flow_key()));
-        assert!(lb.dispatch(&pkt(99)).is_some());
     }
 
     #[test]
     #[should_panic(expected = "at least one backend")]
     fn empty_backend_set_rejected() {
         let _ = Layer4Lb::new(Vec::new(), 10);
-    }
-
-    #[test]
-    fn idle_connections_age_out_active_ones_survive() {
-        let mut lb = lb();
-        lb.set_idle_timeout_ps(1_000_000); // 1 µs for the test
-        let idle = lb.dispatch(&pkt(1)).unwrap();
-        lb.advance_time(600_000);
-        let active = lb.dispatch(&pkt(2)).unwrap(); // refreshed at t=0.6 µs
-        lb.advance_time(600_000); // now 1.2 µs: pkt(1) idle 1.2, pkt(2) idle 0.6
-        assert_eq!(lb.sweep_idle(), 1);
-        assert_eq!(lb.stats().aged_out, 1);
-        // The active flow kept its backend; the idle one re-establishes.
-        assert_eq!(lb.dispatch(&pkt(2)), Some(active));
-        assert_eq!(lb.stats().established_hits, 1);
-        let _ = idle;
-        lb.dispatch(&pkt(1)).unwrap(); // re-admitted as a *new* connection
-        assert_eq!(lb.connection_count(), 2);
-        assert_eq!(lb.stats().new_connections, 3);
-    }
-
-    #[test]
-    fn sweeping_frees_capacity_for_new_flows() {
-        let mut lb = Layer4Lb::new(vec![Backend { id: 0, weight: 1 }], 4);
-        lb.set_idle_timeout_ps(1_000);
-        for port in 0..4 {
-            lb.dispatch(&pkt(port)).unwrap();
-        }
-        assert_eq!(lb.dispatch(&pkt(99)), None); // full
-        lb.advance_time(10_000);
-        assert_eq!(lb.sweep_idle(), 4);
-        assert!(lb.dispatch(&pkt(99)).is_some());
-    }
-
-    #[test]
-    #[should_panic(expected = "idle timeout")]
-    fn zero_timeout_rejected() {
-        let mut lb = lb();
-        lb.set_idle_timeout_ps(0);
     }
 
     #[test]

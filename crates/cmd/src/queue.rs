@@ -268,7 +268,8 @@ impl CommandBudget {
     }
 
     /// Commands still chargeable.
-    pub fn remaining(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn remaining(&self) -> u64 {
         self.granted.saturating_sub(self.used)
     }
 

@@ -12,7 +12,9 @@ use harmonia_hw::device::FpgaDevice;
 use harmonia_hw::ip::PcieDmaIp;
 use harmonia_hw::resource::ResourceUsage;
 use harmonia_platform::adapter::vendor::Version;
-use harmonia_platform::{CompatError, DeviceAdapter, InterfaceWrapper, ModuleDeps, VendorAdapter};
+use harmonia_platform::{
+    CompatError, DeviceAdapter, InterfaceWrapper, MappingError, ModuleDeps, VendorAdapter,
+};
 use harmonia_shell::{RoleSpec, TailorError, TailoredShell, UnifiedShell};
 use std::error::Error;
 use std::fmt;
@@ -24,6 +26,8 @@ pub enum DeployError {
     Compat(Vec<CompatError>),
     /// Shell tailoring failed (missing capability, capacity, …).
     Tailor(TailorError),
+    /// The generated pin or clock mapping does not fit the device.
+    Mapping(Vec<MappingError>),
     /// Module initialization over the command interface failed.
     Init(DriverError),
 }
@@ -39,6 +43,13 @@ impl fmt::Display for DeployError {
                 Ok(())
             }
             DeployError::Tailor(e) => write!(f, "tailoring failed: {e}"),
+            DeployError::Mapping(errs) => {
+                write!(f, "pin/clock mapping failed: ")?;
+                for e in errs {
+                    write!(f, "[{e}] ")?;
+                }
+                Ok(())
+            }
             DeployError::Init(e) => write!(f, "initialization failed: {e}"),
         }
     }
@@ -67,8 +78,8 @@ impl Harmonia {
     ///
     /// # Errors
     ///
-    /// Any stage can fail: vendor-dependency conflicts, tailoring
-    /// (capability/capacity) or module initialization.
+    /// Any stage can fail: tailoring (capability/capacity), the pin and
+    /// clock mapping, vendor-dependency conflicts or module initialization.
     pub fn deploy(device: &FpgaDevice, role: &RoleSpec) -> Result<Deployment, DeployError> {
         // Stage 2a: platform adapters for the new device (§3.2).
         let mut device_adapter = DeviceAdapter::generate(device);
@@ -94,10 +105,7 @@ impl Harmonia {
                 dyn_map.map_clock(name, 0);
             }
         }
-        debug_assert!(
-            device_adapter.validate().is_ok(),
-            "generated dynamic mapping must validate"
-        );
+        device_adapter.validate().map_err(DeployError::Mapping)?;
 
         // Project implementation: dependency inspection before compilation
         // (§4) — every retained instance declares its toolchain needs.
@@ -136,8 +144,6 @@ impl Harmonia {
 
         Ok(Deployment {
             device: device.clone(),
-            device_adapter,
-            vendor_adapter,
             shell,
             driver,
             wrapper_resources,
@@ -165,8 +171,6 @@ fn catalog_major(vendor: harmonia_hw::Vendor) -> u32 {
 #[derive(Debug)]
 pub struct Deployment {
     device: FpgaDevice,
-    device_adapter: DeviceAdapter,
-    vendor_adapter: VendorAdapter,
     shell: TailoredShell,
     driver: CommandDriver,
     wrapper_resources: ResourceUsage,
@@ -177,16 +181,6 @@ impl Deployment {
     /// The target device.
     pub(crate) fn device(&self) -> &FpgaDevice {
         &self.device
-    }
-
-    /// The generated device adapter.
-    pub fn device_adapter(&self) -> &DeviceAdapter {
-        &self.device_adapter
-    }
-
-    /// The generated vendor adapter.
-    pub fn vendor_adapter(&self) -> &VendorAdapter {
-        &self.vendor_adapter
     }
 
     /// The role-specific shell.
@@ -278,12 +272,5 @@ mod tests {
             .cmd_raw_resilient(0, 0, harmonia_cmd::CommandCode::HealthRead, Vec::new())
             .unwrap();
         assert_eq!(health.data.len(), 4);
-    }
-
-    #[test]
-    fn adapters_reflect_device() {
-        let d = Harmonia::deploy(&catalog::device_d(), &role()).unwrap();
-        assert_eq!(d.device_adapter().device_name(), "Device D");
-        assert!(d.vendor_adapter().environment().contains_key("quartus"));
     }
 }

@@ -62,7 +62,6 @@
 //! `trace` and `metrics` binaries, and the byte-equivalence test suites.
 
 pub mod framework;
-pub mod project;
 pub mod validation;
 
 /// The five production applications.
@@ -90,5 +89,4 @@ pub use harmonia_workloads as workloads;
 
 pub use framework::{DeployError, Deployment, Harmonia};
 pub use harmonia_shell::{MemoryDemand, RoleSpec, TailoredShell, UnifiedShell};
-pub use project::{build_project, ProjectBundle, ProjectError};
 pub use validation::{validate, ValidationReport};

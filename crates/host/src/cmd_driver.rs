@@ -877,7 +877,7 @@ mod tests {
         let initialized = drv.init_shell_resilient(&mut shell).unwrap();
         assert_eq!(initialized, 2);
         assert_eq!(shell.health().degraded_count(), 1);
-        assert_eq!(shell.serving_rbbs(), 2);
+        assert_eq!(shell.rbbs().len() - shell.health().degraded_count(), 2);
         assert!(shell.to_string().contains("(1 degraded)"));
         // The transition is visible through the normal stats path: the
         // degraded module is skipped, the rest still report.

@@ -243,12 +243,14 @@ impl TenantHostDriver {
 
     /// One granted slice: rounds of top-up → burst delivery → budgeted
     /// doorbell → CQ poll, until the tenant drains, the budget dies, or
-    /// the slice's wall clock runs out.
+    /// the slice's wall clock runs out. The slice's ack latencies reach
+    /// the tenant's histogram and the metrics registry once, at its end.
     fn run_slice(&mut self, grant: &SliceGrant) {
         let t = grant.tenant;
         let tenant = [("tenant", self.sched.tenant_name(t))];
         let mut budget = CommandBudget::new(t as u32, grant.budget_cmds);
         let deadline = self.clock_ps + grant.slice_ps;
+        let mut acked = LogHistogram::new();
         while self.lanes[t].runnable() && !budget.exhausted() && self.clock_ps < deadline {
             // Stage fresh descriptors into the free ring space.
             let lane = &mut self.lanes[t];
@@ -297,13 +299,8 @@ impl TenantHostDriver {
                         let start = p.submitted_at.max(lane.last_done_ps);
                         let latency = done.at_ps.saturating_sub(start);
                         lane.last_done_ps = done.at_ps;
-                        lane.latency.record(latency);
+                        acked.record(latency);
                         lane.stats.completed += 1;
-                        self.probe.metrics.observe(
-                            "harmonia_tenant_cmd_latency_ps",
-                            &tenant,
-                            latency,
-                        );
                     }
                     Some(Outcome::Nacked(_)) => {
                         lane.stats.nacks += 1;
@@ -320,6 +317,12 @@ impl TenantHostDriver {
                     .counter_inc("harmonia_tenant_quota_exhausted_total", &tenant);
                 break;
             }
+        }
+        if !acked.is_empty() {
+            self.lanes[t].latency.merge(&acked);
+            self.probe
+                .metrics
+                .observe_histogram("harmonia_tenant_cmd_latency_ps", &tenant, &acked);
         }
     }
 }

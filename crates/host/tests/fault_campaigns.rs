@@ -253,8 +253,7 @@ fn seeded_multi_fault_campaign_completes() {
                 ecc: 0.0,
             },
         );
-    let inj = plan.injector();
-    drv.set_fault_injector(inj.clone());
+    drv.set_fault_injector(plan.injector());
     drv.init_shell_resilient(&mut shell).unwrap();
     for _ in 0..40 {
         match drv.cmd_raw_resilient(0, 0, CommandCode::HealthRead, Vec::new()) {
@@ -270,5 +269,4 @@ fn seeded_multi_fault_campaign_completes() {
         r.retries + r.timeouts + r.nacks > 0,
         "the campaign injected nothing observable: {r}"
     );
-    assert!(inj.report().total() > 0, "{}", inj.report());
 }

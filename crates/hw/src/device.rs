@@ -483,7 +483,6 @@ mod tests {
     fn legacy_device_is_an_older_generation() {
         let e = catalog::device_e_legacy();
         assert_eq!(e.family(), ChipFamily::Stratix10);
-        assert_eq!(e.family().process_nm(), 14);
         assert_eq!(e.network_gbps(), 50);
         assert_eq!(e.pcie(), Some((3, 8)));
         assert!(e

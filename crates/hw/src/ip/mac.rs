@@ -49,11 +49,6 @@ impl MacIp {
             / f64::from(frame_bytes + WIRE_OVERHEAD_BYTES)
     }
 
-    /// Packets per second at line rate for a frame size.
-    pub fn pps(&self, frame_bytes: u32) -> f64 {
-        f64::from(self.speed_gbps) * 1e9 / (f64::from(frame_bytes + WIRE_OVERHEAD_BYTES) * 8.0)
-    }
-
     /// Fixed datapath latency through the MAC (pipeline + gearbox), ps.
     pub(crate) fn pipeline_latency_ps(&self) -> Picos {
         // Hard-IP MACs sit near 80–120 ns; wider cores pay a little more
@@ -336,12 +331,6 @@ mod tests {
         assert!(mac.throughput_gbps(1500) > 98.0);
         // Monotone in frame size.
         assert!(mac.throughput_gbps(256) > mac.throughput_gbps(128));
-    }
-
-    #[test]
-    fn pps_at_64b_is_148_8_mpps_for_100g() {
-        let mac = MacIp::new(Vendor::Intel, 100);
-        assert!((mac.pps(64) / 1e6 - 148.8).abs() < 0.1);
     }
 
     #[test]

@@ -85,19 +85,6 @@ impl ChipFamily {
             ChipFamily::Agilex | ChipFamily::Stratix10 | ChipFamily::Arria10 => Vendor::Intel,
         }
     }
-
-    /// Process node in nanometres (the finer of the published pair for
-    /// dual-node families).
-    pub fn process_nm(self) -> u8 {
-        match self {
-            ChipFamily::VirtexUltraScalePlus => 14,
-            ChipFamily::VirtexUltraScale => 20,
-            ChipFamily::Zynq7000 => 28,
-            ChipFamily::Agilex => 10,
-            ChipFamily::Stratix10 => 14,
-            ChipFamily::Arria10 => 20,
-        }
-    }
 }
 
 impl fmt::Display for ChipFamily {
@@ -123,14 +110,6 @@ mod tests {
         assert_eq!(ChipFamily::VirtexUltraScalePlus.vendor(), Vendor::Xilinx);
         assert_eq!(ChipFamily::Agilex.vendor(), Vendor::Intel);
         assert_eq!(ChipFamily::Zynq7000.vendor(), Vendor::Xilinx);
-    }
-
-    #[test]
-    fn process_nodes_match_paper() {
-        assert_eq!(ChipFamily::Agilex.process_nm(), 10);
-        assert_eq!(ChipFamily::Stratix10.process_nm(), 14);
-        assert_eq!(ChipFamily::Arria10.process_nm(), 20);
-        assert_eq!(ChipFamily::Zynq7000.process_nm(), 28);
     }
 
     #[test]

@@ -94,7 +94,7 @@ impl FleetModel {
 
     /// One simulated year. Pure in `year`, so years can be computed in
     /// any order — or concurrently.
-    pub(crate) fn year(&self, year: u32) -> FleetYear {
+    fn year(&self, year: u32) -> FleetYear {
         let new_models = self.introductions.iter().filter(|i| i.year == year).count() as u32;
         let deployed_in = |y: u32| -> u64 {
             self.introductions
@@ -144,98 +144,6 @@ impl FleetModel {
         (self.start_year..=end_year)
             .map(|year| self.year(year))
             .collect()
-    }
-
-    /// Fleet-wide aggregation over the simulated window: a fold of the
-    /// per-year summaries with [`FleetSummary::merge`].
-    pub fn summarize(&self, end_year: u32) -> FleetSummary {
-        (self.start_year..=end_year)
-            .map(|year| FleetSummary::of(&self.year(year)))
-            .reduce(FleetSummary::merge)
-            .unwrap_or_default()
-    }
-
-    /// Publishes the window aggregate into a metrics registry as
-    /// `harmonia_fleet_*` gauges, plus one `harmonia_fleet_total_units`
-    /// gauge per simulated year (labelled by `year`), and returns the
-    /// summary it published.
-    ///
-    /// The published aggregate is the one `FleetModel::summarize`
-    /// returns.
-    pub fn publish_metrics(
-        &self,
-        end_year: u32,
-        metrics: &harmonia_sim::MetricsRegistry,
-    ) -> FleetSummary {
-        let s = self.summarize(end_year);
-        metrics.gauge_set("harmonia_fleet_peak_units", &[], s.peak_units);
-        metrics.gauge_set("harmonia_fleet_peak_year", &[], u64::from(s.peak_year));
-        metrics.gauge_set("harmonia_fleet_unit_years", &[], s.unit_years);
-        metrics.gauge_set("harmonia_fleet_units_deployed", &[], s.units_deployed);
-        metrics.gauge_set(
-            "harmonia_fleet_max_live_models",
-            &[],
-            u64::from(s.max_live_models),
-        );
-        for y in self.run(end_year) {
-            metrics.gauge_set(
-                "harmonia_fleet_total_units",
-                &[("year", &y.year.to_string())],
-                y.total_units,
-            );
-        }
-        s
-    }
-}
-
-/// Fleet-wide aggregate of a simulated window (Figure 3c's headline
-/// numbers: how big the fleet peaks and how heterogeneous it gets).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct FleetSummary {
-    /// Years aggregated.
-    pub years: u32,
-    /// Largest year-end fleet across the window.
-    pub peak_units: u64,
-    /// Year of `peak_units` (earliest on ties).
-    pub peak_year: u32,
-    /// Sum of year-end unit counts (unit-years of operation).
-    pub unit_years: u64,
-    /// Total units deployed across the window.
-    pub units_deployed: u64,
-    /// Most device models live at once.
-    pub max_live_models: u32,
-}
-
-impl FleetSummary {
-    /// The single-year summary `FleetModel::summarize` reduces over.
-    pub(crate) fn of(y: &FleetYear) -> Self {
-        FleetSummary {
-            years: 1,
-            peak_units: y.total_units,
-            peak_year: y.year,
-            unit_years: y.total_units,
-            units_deployed: y.new_units,
-            max_live_models: y.live_models,
-        }
-    }
-
-    /// Merges two summaries. Commutative and associative (peak ties
-    /// resolve to the earlier year), so a parallel reduce yields the
-    /// same result in any merge order.
-    pub fn merge(a: Self, b: Self) -> Self {
-        let (peak_units, peak_year) = match (a.peak_units, b.peak_units) {
-            (x, y) if x > y => (a.peak_units, a.peak_year),
-            (x, y) if y > x => (b.peak_units, b.peak_year),
-            _ => (a.peak_units, a.peak_year.min(b.peak_year)),
-        };
-        FleetSummary {
-            years: a.years + b.years,
-            peak_units,
-            peak_year,
-            unit_years: a.unit_years + b.unit_years,
-            units_deployed: a.units_deployed + b.units_deployed,
-            max_live_models: a.max_live_models.max(b.max_live_models),
-        }
     }
 }
 
@@ -314,91 +222,5 @@ mod tests {
     fn display_nonempty() {
         let y = FleetModel::douyin_like().run(2020).pop().unwrap();
         assert!(y.to_string().contains("2020"));
-    }
-
-    #[test]
-    fn summary_matches_serial_fold() {
-        let m = FleetModel::douyin_like();
-        let years = m.run(2024);
-        let serial = years
-            .iter()
-            .map(FleetSummary::of)
-            .fold(FleetSummary::default(), FleetSummary::merge);
-        assert_eq!(m.summarize(2024), serial);
-        assert_eq!(serial.years, years.len() as u32);
-        assert!(serial.peak_units > 10_000);
-        assert_eq!(serial.peak_year, 2024);
-    }
-
-    #[test]
-    fn summary_merge_is_order_independent() {
-        let m = FleetModel::douyin_like();
-        let per_year: Vec<_> = m.run(2024).iter().map(FleetSummary::of).collect();
-        let forward = per_year
-            .iter()
-            .copied()
-            .fold(FleetSummary::default(), FleetSummary::merge);
-        let backward = per_year
-            .iter()
-            .rev()
-            .copied()
-            .fold(FleetSummary::default(), FleetSummary::merge);
-        // Pairwise tree reduce, as a parallel reduce would produce.
-        let mut tree = per_year.clone();
-        while tree.len() > 1 {
-            tree = tree
-                .chunks(2)
-                .map(|c| {
-                    if c.len() == 2 {
-                        FleetSummary::merge(c[0], c[1])
-                    } else {
-                        c[0]
-                    }
-                })
-                .collect();
-        }
-        assert_eq!(forward, backward);
-        assert_eq!(forward, tree[0]);
-    }
-
-    #[test]
-    fn publish_metrics_mirrors_the_summary() {
-        let m = FleetModel::douyin_like();
-        let reg = harmonia_sim::MetricsRegistry::enabled();
-        let s = m.publish_metrics(2024, &reg);
-        assert_eq!(s, m.summarize(2024));
-        let snap = reg.snapshot();
-        assert_eq!(snap.gauge("harmonia_fleet_peak_units"), s.peak_units);
-        assert_eq!(snap.gauge("harmonia_fleet_peak_year"), 2024);
-        // One labelled total-units gauge per simulated year.
-        let prom = snap.export_prometheus();
-        assert!(prom.contains("harmonia_fleet_total_units{year=\"2018\"}"));
-        assert!(prom.contains("harmonia_fleet_total_units{year=\"2024\"}"));
-    }
-
-    #[test]
-    fn publish_metrics_to_disabled_registry_is_a_no_op() {
-        let reg = harmonia_sim::MetricsRegistry::disabled();
-        let s = FleetModel::douyin_like().publish_metrics(2024, &reg);
-        assert!(s.peak_units > 10_000);
-        assert!(reg.snapshot().is_empty());
-    }
-
-    #[test]
-    fn summary_peak_tie_takes_earlier_year() {
-        let a = FleetSummary {
-            years: 1,
-            peak_units: 500,
-            peak_year: 2021,
-            unit_years: 500,
-            units_deployed: 0,
-            max_live_models: 2,
-        };
-        let b = FleetSummary {
-            peak_year: 2019,
-            ..a
-        };
-        assert_eq!(FleetSummary::merge(a, b).peak_year, 2019);
-        assert_eq!(FleetSummary::merge(b, a).peak_year, 2019);
     }
 }

@@ -31,6 +31,6 @@ pub mod workload;
 
 pub use config::{ConfigClass, ConfigInventory};
 pub use diff::lcs_diff;
-pub use fleet::{FleetModel, FleetSummary, FleetYear};
+pub use fleet::{FleetModel, FleetYear};
 pub use report::Table;
 pub use workload::{CodeComponent, ModuleWorkload, Origin};

@@ -149,7 +149,6 @@ impl DynamicMapping {
 /// user-supplied dynamic group, with rigid validation.
 #[derive(Clone, Debug)]
 pub struct DeviceAdapter {
-    device_name: String,
     static_cfg: StaticResourceConfig,
     dynamic: DynamicMapping,
 }
@@ -158,15 +157,9 @@ impl DeviceAdapter {
     /// Generates an adapter for a device with an empty dynamic group.
     pub fn generate(device: &FpgaDevice) -> Self {
         DeviceAdapter {
-            device_name: device.name().to_string(),
             static_cfg: StaticResourceConfig::generate(device),
             dynamic: DynamicMapping::new(),
         }
-    }
-
-    /// The adapted device's name.
-    pub fn device_name(&self) -> &str {
-        &self.device_name
     }
 
     /// The static resource group.

@@ -21,6 +21,6 @@ pub mod unified;
 pub mod wrapper;
 
 pub use adapter::device::{DeviceAdapter, DynamicMapping, MappingError, StaticResourceConfig};
-pub use adapter::vendor::{CompatError, DependencyEnv, ModuleDeps, VendorAdapter, Version};
+pub use adapter::vendor::{CompatError, ModuleDeps, VendorAdapter, Version};
 pub use unified::{UnifiedPort, UnifiedPortKind};
 pub use wrapper::{InterfaceWrapper, WidthConverter};

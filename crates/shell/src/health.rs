@@ -96,11 +96,6 @@ impl HealthLedger {
         }
     }
 
-    /// Returns a module to service (e.g. after a successful re-init).
-    pub fn restore(&mut self, rbb_id: u8, instance_id: u8) {
-        self.entries.remove(&(rbb_id, instance_id));
-    }
-
     /// Health of one module; modules never marked are healthy.
     pub(crate) fn health_of(&self, rbb_id: u8, instance_id: u8) -> RbbHealth {
         self.entries
@@ -180,16 +175,5 @@ mod tests {
                 instance_id: 0
             }
         );
-    }
-
-    #[test]
-    fn restore_returns_to_service() {
-        let mut l = HealthLedger::new();
-        l.mark_degraded(1, 1, 10);
-        l.mark_degraded(3, 0, 20);
-        assert_eq!(l.degraded_count(), 2);
-        l.restore(1, 1);
-        assert!(!l.is_degraded(1, 1));
-        assert_eq!(l.degraded().collect::<Vec<_>>(), vec![((3, 0), 20)]);
     }
 }

@@ -228,33 +228,6 @@ impl HostRbb {
         Ok(())
     }
 
-    /// Deactivates a queue (tenant detach); buffered entries are dropped.
-    ///
-    /// # Errors
-    ///
-    /// [`HostQueueError::OutOfRange`].
-    pub fn deactivate(&mut self, queue: u16) -> Result<(), HostQueueError> {
-        let idx = Self::check_range(queue)?;
-        let Some(q) = self.queues.get_mut(idx) else {
-            return Ok(()); // never touched, so never active
-        };
-        if q.active {
-            q.active = false;
-            q.stats.dropped += q.buf.len() as u64;
-            q.buf.drain();
-            self.active_ring.retain(|&idx| idx != queue);
-            if self.ring_pos >= self.active_ring.len() {
-                self.ring_pos = 0;
-            }
-        }
-        Ok(())
-    }
-
-    /// Number of active queues.
-    pub fn active_count(&self) -> usize {
-        self.active_ring.len()
-    }
-
     /// Enqueues one entry of `bytes` to a tenant queue.
     ///
     /// # Errors
@@ -544,28 +517,11 @@ mod tests {
     }
 
     #[test]
-    fn deactivate_drops_buffered_and_leaves_ring() {
-        let mut h = rbb();
-        h.activate(4).unwrap();
-        h.enqueue(4, 64).unwrap();
-        h.deactivate(4).unwrap();
-        assert_eq!(h.active_count(), 0);
-        assert_eq!(h.queue_depth(4), 0);
-        assert_eq!(h.queue_stats(4).dropped, 1);
-        assert_eq!(h.schedule(), None);
-        // Re-activation starts clean.
-        h.activate(4).unwrap();
-        h.enqueue(4, 10).unwrap();
-        assert_eq!(h.schedule(), Some((4, 10)));
-    }
-
-    #[test]
     fn untouched_queues_read_idle_and_still_cost_a_naive_visit() {
         let mut h = rbb();
         let last = HostRbb::QUEUES - 1;
         assert_eq!(h.queue_stats(last), QueueStats::default());
         assert_eq!(h.queue_depth(last), 0);
-        assert_eq!(h.deactivate(last), Ok(()));
         assert_eq!(h.schedule_naive(), None);
         assert_eq!(h.sched_visits(), u64::from(HostRbb::QUEUES));
         // An entry offered to an untouched, inactive queue is a drop.

@@ -280,11 +280,6 @@ impl TailoredShell {
         &mut self.health
     }
 
-    /// RBBs still in service (total minus degraded modules).
-    pub fn serving_rbbs(&self) -> usize {
-        self.rbbs.len().saturating_sub(self.health.degraded_count())
-    }
-
     /// Total shell resources after tailoring.
     pub fn resources(&self) -> ResourceUsage {
         let rbb: ResourceUsage = self.rbbs.iter().map(|r| r.resources()).sum();
@@ -571,17 +566,14 @@ mod tests {
     fn degraded_module_leaves_the_rest_serving() {
         let u = unified_a();
         let mut t = TailoredShell::tailor(&u, &netrole()).unwrap();
-        let total = t.rbbs().len();
-        assert_eq!(t.serving_rbbs(), total);
+        assert_eq!(t.health().degraded_count(), 0);
+        assert!(!t.to_string().contains("degraded"));
         assert!(t
             .health_mut()
             .mark_degraded(RbbKind::Network.id(), 1, 7_000));
-        assert_eq!(t.serving_rbbs(), total - 1);
+        assert_eq!(t.health().degraded_count(), 1);
         assert!(t.health().is_degraded(RbbKind::Network.id(), 1));
         assert!(!t.health().is_degraded(RbbKind::Network.id(), 0));
         assert!(t.to_string().contains("(1 degraded)"));
-        t.health_mut().restore(RbbKind::Network.id(), 1);
-        assert_eq!(t.serving_rbbs(), total);
-        assert!(!t.to_string().contains("degraded"));
     }
 }

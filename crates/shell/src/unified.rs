@@ -127,11 +127,6 @@ impl UnifiedShell {
             .map(|r| r.as_ref())
     }
 
-    /// The shell-management component inventory.
-    pub fn management(&self) -> &[LogicComponent] {
-        &self.mgmt
-    }
-
     /// Total shell resources: every RBB plus management logic.
     pub fn resources(&self) -> ResourceUsage {
         let rbb: ResourceUsage = self.rbbs.iter().map(|r| r.resources()).sum();
@@ -222,13 +217,5 @@ mod tests {
         // 2 network + 1 memory + 1 host RBB, each with ≥20 items.
         assert!(inv.total() > 80, "only {} items", inv.total());
         assert!(inv.role_oriented() >= 12);
-    }
-
-    #[test]
-    fn management_always_present() {
-        for dev in catalog::all() {
-            let shell = UnifiedShell::for_device(&dev);
-            assert_eq!(shell.management().len(), 4);
-        }
     }
 }

@@ -41,7 +41,7 @@ pub mod trace;
 
 pub use async_fifo::AsyncFifo;
 pub use edges::{ClockEdge, MultiClock};
-pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultRates, FaultReport};
+pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultRates};
 pub use fifo::{BeatFate, FifoFullError, SyncFifo};
 pub use histo::LogHistogram;
 pub use metrics::{

@@ -452,9 +452,8 @@ pub struct MetricsSample {
     pub snapshot: MetricsSnapshot,
 }
 
-/// Samples a registry every `period_ps` of *simulated* time into an
-/// append-only series, so rates (cmds/sec, doorbells/sec) come from
-/// simulated time, never the wall clock. Drive it with
+/// Samples a registry every `period_ps` of *simulated* time (never the
+/// wall clock) into an append-only series. Drive it with
 /// [`MetricsScraper::tick`] from the loop that owns the simulation clock.
 ///
 /// ```
@@ -467,8 +466,9 @@ pub struct MetricsSample {
 ///     scraper.tick(&m, step * 1_000_000);
 /// }
 /// assert_eq!(scraper.samples().len(), 5);
-/// // 1000 cmds over 4 µs of simulated time between first and last sample.
-/// assert_eq!(scraper.rate_per_sec("cmds_total").round() as u64, 200_000_000);
+/// let last = scraper.samples().last().unwrap();
+/// assert_eq!(last.at_ps, 5_000_000);
+/// assert_eq!(last.snapshot.counter("cmds_total"), 1_000);
 /// ```
 #[derive(Clone, Debug)]
 pub struct MetricsScraper {
@@ -517,20 +517,6 @@ impl MetricsScraper {
     /// The series so far, in strictly increasing `at_ps` order.
     pub fn samples(&self) -> &[MetricsSample] {
         &self.samples
-    }
-
-    /// Rate of a counter in events per second of *simulated* time,
-    /// computed between the first and last sample (0.0 with fewer than
-    /// two samples or no elapsed time).
-    pub fn rate_per_sec(&self, counter: &str) -> f64 {
-        let (Some(first), Some(last)) = (self.samples.first(), self.samples.last()) else {
-            return 0.0;
-        };
-        if last.at_ps <= first.at_ps {
-            return 0.0;
-        }
-        let delta = last.snapshot.counter(counter) - first.snapshot.counter(counter);
-        delta as f64 / ((last.at_ps - first.at_ps) as f64 * 1e-12)
     }
 }
 
@@ -990,17 +976,6 @@ mod tests {
         assert_eq!(at, vec![1_000, 4_000]);
         assert_eq!(s.samples()[0].snapshot.counter("c_total"), 1);
         assert_eq!(s.samples()[1].snapshot.counter("c_total"), 10);
-        // 9 events over 3 ns of simulated time = 3e9/sec.
-        assert_eq!(s.rate_per_sec("c_total").round() as u64, 3_000_000_000);
-    }
-
-    #[test]
-    fn scraper_rate_is_zero_without_two_samples() {
-        let m = MetricsRegistry::enabled();
-        let mut s = MetricsScraper::new(1_000);
-        assert_eq!(s.rate_per_sec("c_total"), 0.0);
-        s.tick(&m, 1_000);
-        assert_eq!(s.rate_per_sec("c_total"), 0.0);
     }
 
     #[test]

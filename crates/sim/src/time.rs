@@ -72,15 +72,13 @@ impl fmt::Display for Freq {
     }
 }
 
-/// A clock domain: a frequency plus conversion helpers between cycle counts
-/// and wall-clock picoseconds.
+/// A clock domain: a frequency and its period in picoseconds.
 ///
 /// ```
 /// use harmonia_sim::{ClockDomain, Freq};
 /// let clk = ClockDomain::new(Freq::mhz(100));
-/// assert_eq!(clk.ps_at_cycle(5), 50_000);
-/// assert_eq!(clk.cycle_at(50_000), 5);
-/// assert_eq!(clk.cycles_in(1_000_000), 100);
+/// assert_eq!(clk.freq(), Freq::mhz(100));
+/// assert_eq!(clk.period_ps(), 10_000);
 /// ```
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct ClockDomain {
@@ -101,26 +99,6 @@ impl ClockDomain {
     /// The clock period in picoseconds.
     pub fn period_ps(&self) -> Picos {
         self.freq.period_ps()
-    }
-
-    /// Time of the `n`-th rising edge (edge 0 is at time 0).
-    pub fn ps_at_cycle(&self, cycle: u64) -> Picos {
-        cycle * self.period_ps()
-    }
-
-    /// Number of complete cycles elapsed at time `ps`.
-    pub fn cycle_at(&self, ps: Picos) -> u64 {
-        ps / self.period_ps()
-    }
-
-    /// Number of rising edges within a window of `window_ps` picoseconds.
-    pub fn cycles_in(&self, window_ps: Picos) -> u64 {
-        window_ps / self.period_ps()
-    }
-
-    /// Converts a number of cycles in this domain to nanoseconds.
-    pub fn cycles_to_ns(&self, cycles: u64) -> f64 {
-        (cycles * self.period_ps()) as f64 / 1_000.0
     }
 }
 
@@ -155,21 +133,6 @@ mod tests {
     }
 
     #[test]
-    fn cycle_time_round_trip() {
-        let clk = ClockDomain::new(Freq::mhz(322));
-        for c in [0u64, 1, 7, 1000, 123_456] {
-            assert_eq!(clk.cycle_at(clk.ps_at_cycle(c)), c);
-        }
-    }
-
-    #[test]
-    fn cycles_in_window() {
-        let clk = ClockDomain::new(Freq::mhz(100)); // 10 ns period
-        assert_eq!(clk.cycles_in(95_000), 9);
-        assert_eq!(clk.cycles_in(100_000), 10);
-    }
-
-    #[test]
     fn display_formats() {
         assert_eq!(Freq::mhz(250).to_string(), "250 MHz");
         assert_eq!(Freq::khz(390_625).to_string(), "390.625 MHz");
@@ -177,11 +140,5 @@ mod tests {
             ClockDomain::new(Freq::mhz(100)).to_string(),
             "clock@100 MHz"
         );
-    }
-
-    #[test]
-    fn cycles_to_ns() {
-        let clk = ClockDomain::new(Freq::mhz(250));
-        assert!((clk.cycles_to_ns(3) - 12.0).abs() < 1e-9);
     }
 }

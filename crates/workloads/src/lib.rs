@@ -3,7 +3,7 @@
 //! Deterministic (seeded) generators for every traffic type the paper's
 //! benchmarks exercise:
 //!
-//! * [`packet`] — network packet streams (fixed-size sweeps, IMIX, flow
+//! * [`packet`] — network packet streams (fixed-size sweeps, foreign-MAC
 //!   mixes) for the BITW applications and MAC micro-benchmarks;
 //! * [`memtrace`] — memory traces (sequential / fixed / random, read /
 //!   write) for the DDR/HBM micro-benchmarks;

@@ -5,8 +5,7 @@
 //! calculations per second." On the FPGA this maps to a DSP systolic
 //! pipeline whose throughput scales with the unroll/parallelism factor;
 //! the model computes matrices/second from MAC counts, DSP parallelism and
-//! clock, and the reference implementation actually performs the multiply
-//! so functional tests have ground truth.
+//! clock.
 
 use harmonia_sim::Freq;
 
@@ -36,17 +35,6 @@ impl MatMulWorkload {
         MatMulWorkload { n, iterations }
     }
 
-    /// Matrix dimension.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Iteration count.
-    #[cfg(test)]
-    fn iterations(&self) -> u64 {
-        self.iterations
-    }
-
     /// Multiply-accumulate operations per matrix product.
     pub(crate) fn macs_per_matrix(&self) -> u64 {
         (self.n * self.n * self.n) as u64
@@ -66,28 +54,6 @@ impl MatMulWorkload {
         let efficiency = 0.93 - 0.005 * f64::from(parallelism.ilog2());
         macs_per_sec * efficiency / self.macs_per_matrix() as f64
     }
-
-    /// Reference software implementation: `a × b` for `n × n` row-major
-    /// matrices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the inputs are not `n × n`.
-    pub fn multiply(&self, a: &[f32], b: &[f32]) -> Vec<f32> {
-        let n = self.n;
-        assert_eq!(a.len(), n * n, "lhs must be n*n");
-        assert_eq!(b.len(), n * n, "rhs must be n*n");
-        let mut c = vec![0.0f32; n * n];
-        for i in 0..n {
-            for k in 0..n {
-                let aik = a[i * n + k];
-                for j in 0..n {
-                    c[i * n + j] += aik * b[k * n + j];
-                }
-            }
-        }
-        c
-    }
 }
 
 #[cfg(test)]
@@ -97,8 +63,8 @@ mod tests {
     #[test]
     fn paper_configuration() {
         let w = MatMulWorkload::paper();
-        assert_eq!(w.n(), 64);
-        assert_eq!(w.iterations(), 1024);
+        assert_eq!(w.n, 64);
+        assert_eq!(w.iterations, 1024);
         assert_eq!(w.macs_per_matrix(), 262_144);
     }
 
@@ -113,33 +79,6 @@ mod tests {
         assert!(x16 > 1.9 * x8 && x16 < 2.0 * x8);
         // Order of magnitude sanity: x16 @300 MHz ≈ 16k matrices/s.
         assert!((15_000.0..20_000.0).contains(&x16), "x16 = {x16:.0}");
-    }
-
-    #[test]
-    fn multiply_identity() {
-        let w = MatMulWorkload::new(4, 1);
-        let mut ident = vec![0.0f32; 16];
-        for i in 0..4 {
-            ident[i * 4 + i] = 1.0;
-        }
-        let a: Vec<f32> = (0..16).map(|v| v as f32).collect();
-        assert_eq!(w.multiply(&a, &ident), a);
-        assert_eq!(w.multiply(&ident, &a), a);
-    }
-
-    #[test]
-    fn multiply_known_product() {
-        let w = MatMulWorkload::new(2, 1);
-        let a = vec![1.0, 2.0, 3.0, 4.0];
-        let b = vec![5.0, 6.0, 7.0, 8.0];
-        assert_eq!(w.multiply(&a, &b), vec![19.0, 22.0, 43.0, 50.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "n*n")]
-    fn shape_validated() {
-        let w = MatMulWorkload::new(4, 1);
-        let _ = w.multiply(&[0.0; 15], &[0.0; 16]);
     }
 
     #[test]

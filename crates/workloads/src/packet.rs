@@ -76,23 +76,6 @@ impl PacketGen {
         (0..count).map(|_| self.packet(bytes)).collect()
     }
 
-    /// Generates an IMIX-like mix (7:4:1 of 64/576/1500 B).
-    pub fn imix(&mut self, count: usize) -> Vec<WorkloadPacket> {
-        (0..count)
-            .map(|_| {
-                let r = self.rng.gen_range(0u32..12);
-                let bytes = if r < 7 {
-                    64
-                } else if r < 11 {
-                    576
-                } else {
-                    1500
-                };
-                self.packet(bytes)
-            })
-            .collect()
-    }
-
     /// Generates packets where a fraction `foreign` carry a non-local
     /// destination MAC (exercising the packet filter).
     pub fn with_foreign_traffic(
@@ -111,62 +94,6 @@ impl PacketGen {
             })
             .collect()
     }
-
-    /// Generates packets whose flows follow a Zipf(s) popularity law —
-    /// the skewed distribution real load balancers face (a few elephant
-    /// flows, a long mice tail).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is not positive.
-    pub fn zipf(&mut self, s: f64, bytes: u32, count: usize) -> Vec<WorkloadPacket> {
-        assert!(s > 0.0, "zipf exponent must be positive");
-        // Precompute the CDF over the flow universe.
-        let n = self.flows as usize;
-        let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for rank in 1..=n {
-            acc += 1.0 / (rank as f64).powf(s);
-            cdf.push(acc);
-        }
-        let total = acc;
-        (0..count)
-            .map(|_| {
-                let u = self.rng.gen_range(0.0..total);
-                let flow = cdf.partition_point(|&c| c < u) as u32;
-                let mut p = self.packet(bytes);
-                p.src_ip = 0x0A00_0000 | flow;
-                p.src_port = 1024 + (flow % 60_000) as u16;
-                p
-            })
-            .collect()
-    }
-
-    /// Generates on/off bursty traffic: bursts of `burst_len` back-to-back
-    /// packets separated by idle gaps, returned as `(gap_slots, packet)`
-    /// pairs where `gap_slots` is the idle time preceding the packet in
-    /// transmission-slot units.
-    pub fn bursty(
-        &mut self,
-        bytes: u32,
-        burst_len: usize,
-        mean_gap_slots: u32,
-        count: usize,
-    ) -> Vec<(u32, WorkloadPacket)> {
-        assert!(burst_len > 0, "bursts must contain packets");
-        let mut out = Vec::with_capacity(count);
-        let mut in_burst = 0usize;
-        for _ in 0..count {
-            let gap = if in_burst == 0 && mean_gap_slots > 0 {
-                self.rng.gen_range(0..=2 * mean_gap_slots)
-            } else {
-                0
-            };
-            out.push((gap, self.packet(bytes)));
-            in_burst = (in_burst + 1) % burst_len;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -180,15 +107,6 @@ mod tests {
         assert_eq!(a, b);
         let c = PacketGen::new(2, 1).fixed_size(64, 50);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn imix_mixes_sizes() {
-        let pkts = PacketGen::new(3, 1).imix(1200);
-        let small = pkts.iter().filter(|p| p.bytes == 64).count();
-        let large = pkts.iter().filter(|p| p.bytes == 1500).count();
-        assert!(small > large);
-        assert!(large > 0);
     }
 
     #[test]
@@ -212,51 +130,5 @@ mod tests {
     #[should_panic(expected = "at least one flow")]
     fn zero_flows_rejected() {
         let _ = PacketGen::new(0, 1).with_flows(0);
-    }
-
-    #[test]
-    fn zipf_concentrates_on_head_flows() {
-        let mut g = PacketGen::new(11, 1).with_flows(1000);
-        let pkts = g.zipf(1.1, 64, 20_000);
-        // Count traffic of the single most popular flow.
-        let mut counts = std::collections::HashMap::new();
-        for p in &pkts {
-            *counts.entry(p.src_ip).or_insert(0u32) += 1;
-        }
-        let max = counts.values().copied().max().unwrap();
-        let uniform_share = 20_000 / 1000;
-        assert!(
-            max > 20 * uniform_share,
-            "head flow got {max}, uniform would be {uniform_share}"
-        );
-        // But the tail still exists.
-        assert!(counts.len() > 300, "only {} flows seen", counts.len());
-    }
-
-    #[test]
-    fn zipf_is_deterministic() {
-        let a = PacketGen::new(5, 1).with_flows(100).zipf(1.0, 64, 500);
-        let b = PacketGen::new(5, 1).with_flows(100).zipf(1.0, 64, 500);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "zipf exponent")]
-    fn zipf_rejects_nonpositive_exponent() {
-        let _ = PacketGen::new(1, 1).zipf(0.0, 64, 10);
-    }
-
-    #[test]
-    fn bursts_have_gaps_only_at_boundaries() {
-        let mut g = PacketGen::new(6, 1);
-        let stream = g.bursty(64, 8, 50, 80);
-        for (i, (gap, _)) in stream.iter().enumerate() {
-            if i % 8 != 0 {
-                assert_eq!(*gap, 0, "gap inside a burst at {i}");
-            }
-        }
-        // At least some inter-burst gaps are non-zero.
-        let gaps: u32 = stream.iter().map(|(g, _)| *g).sum();
-        assert!(gaps > 0);
     }
 }

@@ -88,7 +88,6 @@ fn main() {
     println!("driver report:      {}", driver.report());
     println!("mac frames carried: {carried}/32");
     println!("stats words read:   {}", stats.len());
-    println!("fault plane:        {}", injector.report());
     println!();
     println!("timeline head:");
     for line in timeline.export_text().lines().take(12) {

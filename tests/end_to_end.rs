@@ -6,6 +6,7 @@ use harmonia::apps::Layer4Lb;
 use harmonia::cmd::CommandCode;
 use harmonia::hw::device::catalog;
 use harmonia::hw::{ChipFamily, FpgaDevice, Peripheral, Vendor};
+use harmonia::platform::MappingError;
 use harmonia::shell::rbb::network::RxDecision;
 use harmonia::shell::rbb::{NetworkRbb, RbbKind};
 use harmonia::shell::TailorError;
@@ -129,6 +130,64 @@ fn unsupported_ddr_generation_is_an_error_not_a_panic() {
     );
     let net_role = RoleSpec::builder("no-memory").network_gbps(100).build();
     assert!(Harmonia::deploy(&device, &net_role).is_ok());
+}
+
+/// A one-QSFP board; the builder leaves out the clocks unless asked.
+fn one_port_board(pins: u32, clocked: bool) -> FpgaDevice {
+    let mut builder = FpgaDevice::builder("one-port board")
+        .vendor(Vendor::Xilinx)
+        .family(ChipFamily::VirtexUltraScalePlus)
+        .capacity(*catalog::device_b().capacity())
+        .peripheral(Peripheral::Qsfp { gbps: 100 })
+        .peripheral(Peripheral::Pcie { gen: 3, lanes: 16 })
+        .io_pins(pins);
+    if clocked {
+        builder = builder.clock_source(Freq::mhz(100));
+    }
+    builder.build()
+}
+
+#[test]
+fn board_without_clocks_is_a_mapping_error_not_a_panic() {
+    let role = RoleSpec::builder("one-port")
+        .network_gbps(100)
+        .network_ports(1)
+        .build();
+    assert!(Harmonia::deploy(&one_port_board(200, true), &role).is_ok());
+    let err = Harmonia::deploy(&one_port_board(200, false), &role).unwrap_err();
+    let DeployError::Mapping(errs) = &err else {
+        panic!("unexpected error: {err}");
+    };
+    assert!(
+        errs.iter().all(|e| matches!(
+            e,
+            MappingError::ClockOutOfRange {
+                index: 0,
+                available: 0,
+                ..
+            }
+        )),
+        "{err}"
+    );
+    assert!(err.to_string().contains("mapping"), "{err}");
+}
+
+#[test]
+fn board_short_of_pins_is_a_mapping_error_not_a_panic() {
+    let role = RoleSpec::builder("one-port")
+        .network_gbps(100)
+        .network_ports(1)
+        .build();
+    let err = Harmonia::deploy(&one_port_board(2, true), &role).unwrap_err();
+    let DeployError::Mapping(errs) = &err else {
+        panic!("unexpected error: {err}");
+    };
+    assert!(!errs.is_empty());
+    assert!(
+        errs.iter()
+            .all(|e| matches!(e, MappingError::PinOutOfRange { available: 2, .. })),
+        "{err}"
+    );
 }
 
 #[test]
