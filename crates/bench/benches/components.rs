@@ -37,7 +37,7 @@ use harmonia::hw::ip::PcieDmaIp;
 use harmonia::hw::Vendor;
 use harmonia::sim::{FaultPlan, FaultRates, Probe};
 use harmonia_bench::fleet::KILL_TICK;
-use harmonia_testkit::bench::{black_box, group_json, out_dir, smoke_mode, BenchStats};
+use harmonia_testkit::bench::{black_box, group_json, smoke_mode, write_artifact, BenchStats};
 use std::time::Instant;
 
 /// Health reads per command-path campaign.
@@ -187,14 +187,8 @@ fn main() {
             s.name, s.median_ns, s.min_ns
         );
     }
-    let dir = out_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("[components] cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join("BENCH_components.json");
-    match std::fs::write(&path, group_json("components", &results)) {
-        Ok(()) => println!("\n[components] JSON artifact at {}", path.display()),
-        Err(e) => eprintln!("[components] cannot write {}: {e}", path.display()),
+    match write_artifact("BENCH_components.json", &group_json("components", &results)) {
+        Ok(path) => println!("\n[components] JSON artifact at {}", path.display()),
+        Err(e) => eprintln!("[components] cannot write BENCH_components.json: {e}"),
     }
 }

@@ -11,46 +11,49 @@
 //! the per-table breakdown that picks the next optimisation is committed
 //! too. `TESTKIT_BENCH_SMOKE=1` trims sampling for CI.
 
-use harmonia_testkit::bench::{black_box, Criterion};
-use harmonia_testkit::{bench_group, bench_main};
+use harmonia_testkit::bench::{black_box, group_json, measure, write_artifact, BenchStats};
 
-/// One untimed sweep before sampling: the first sweep pays thread
+/// Timed batches per entry: enough that one scheduling hiccup cannot own
+/// the p99.
+const SAMPLES: usize = 20;
+
+/// Times `sweep` after one untimed run: the first sweep pays thread
 /// spin-up and cold caches, which used to land in the timed window and
 /// skew the committed p99 (a lone ~80 ms outlier against a ~58 ms
 /// median).
-fn warmed(b: &mut harmonia_testkit::bench::Bencher, sweep: impl Fn() -> usize) {
+fn warmed(name: String, sweep: impl Fn() -> usize) -> BenchStats {
     black_box(sweep());
-    b.iter(|| black_box(sweep()))
+    let s = measure(name, SAMPLES, || black_box(sweep()));
+    println!(
+        "paper/{:<28} median {:>12.0} ns   p99 {:>12.0} ns   ({} × {} iters)",
+        s.name, s.median_ns, s.p99_ns, s.samples, s.iters_per_sample
+    );
+    s
 }
 
-fn bench_paper(c: &mut Criterion) {
-    let mut g = c.benchmark_group("paper");
-    // Enough samples that one scheduling hiccup cannot own the p99.
-    g.sample_size(20);
-    g.bench_function("full_sweep_serial", |b| {
-        warmed(b, || {
+fn main() {
+    let mut results = vec![
+        warmed("full_sweep_serial".into(), || {
             harmonia_bench::generators()
                 .iter()
                 .flat_map(|(_, tables)| tables.iter())
                 .map(|table| table().len())
                 .sum()
-        })
-    });
-    g.bench_function("full_sweep_parallel", |b| {
-        warmed(b, || harmonia_bench::all_tables().len())
-    });
+        }),
+        warmed("full_sweep_parallel".into(), || {
+            harmonia_bench::all_tables().len()
+        }),
+    ];
     for (name, tables) in harmonia_bench::generators() {
-        g.bench_function(format!("{name}_serial"), |b| {
-            warmed(b, || tables.iter().map(|table| table().len()).sum())
-        });
+        results.push(warmed(format!("{name}_serial"), || {
+            tables.iter().map(|table| table().len()).sum()
+        }));
         for (index, table) in tables.iter().enumerate() {
-            g.bench_function(format!("{name}_{index}_serial"), |b| {
-                warmed(b, || table().len())
-            });
+            results.push(warmed(format!("{name}_{index}_serial"), || table().len()));
         }
     }
-    g.finish();
+    match write_artifact("BENCH_paper.json", &group_json("paper", &results)) {
+        Ok(path) => println!("\n[paper] JSON artifact at {}", path.display()),
+        Err(e) => eprintln!("[paper] cannot write BENCH_paper.json: {e}"),
+    }
 }
-
-bench_group!(benches, bench_paper);
-bench_main!(benches);

@@ -1,7 +1,7 @@
 //! `trace` — export a deterministic observability capture.
 //!
 //! Runs the seeded fault-campaign fleet from
-//! [`harmonia_bench::trace_run`] and prints the merged timeline:
+//! [`harmonia_bench::metrics_run`] and prints the merged timeline:
 //!
 //! ```sh
 //! cargo run --bin trace > trace.json   # Chrome/Perfetto trace-event JSON
@@ -14,7 +14,7 @@
 
 fn main() {
     let text = std::env::args().any(|a| a == "--text");
-    let run = harmonia_bench::trace_run::capture(4);
+    let run = harmonia_bench::metrics_run::capture(4);
     if text {
         for line in &run.reports {
             println!("{line}");

@@ -1,12 +1,13 @@
-//! The batched-command-path sweep behind `cargo bench --bench cmdpath`.
+//! The batched-command-path sweep behind the committed `BENCH_cmdpath.json`.
 //!
 //! Sweeps doorbell batch size × submission-queue depth over a fixed
 //! stream of device health polls and reports *simulated* throughput:
 //! commands per second of modeled time, derived from the driver clock.
 //! Simulated metrics are deterministic — the committed
 //! `BENCH_cmdpath.json` is byte-stable across machines, unlike the
-//! wall-clock artifacts of the other bench groups — which is what lets
-//! the `cmdpath_scaling` test pin the batch=16 ≥ 2× batch=1 speedup.
+//! wall-clock artifacts of the benches — which is what lets the
+//! `cmdpath_scaling` test pin the batch=16 ≥ 2× batch=1 speedup and
+//! check the committed file byte for byte.
 
 use harmonia::cmd::{CommandCode, UnifiedControlKernel};
 use harmonia::host::{CommandDriver, DmaEngine};

@@ -1,4 +1,4 @@
-//! The cluster-scale fleet sweep behind `cargo bench --bench fleet`.
+//! The cluster-scale fleet sweep behind the committed `BENCH_fleet.json`.
 //!
 //! Policy × fleet-size campaigns over the heterogeneous catalog: each
 //! point runs a full simulated day of diurnal traffic with one
@@ -11,7 +11,8 @@
 //! replica counts against the fastest model in the fleet and then
 //! lands them on whatever it draws. All numbers are simulated and
 //! deterministic — the committed `BENCH_fleet.json` is byte-stable
-//! across machines.
+//! across machines, and the `fleet_scaling` test checks it byte for
+//! byte.
 
 use harmonia::fleet::{FleetController, FleetSpec, PlacementPolicy, TICK_PS};
 

@@ -3,8 +3,9 @@
 //! Every table and figure of the paper's evaluation section has a
 //! generator here returning [`Table`](harmonia::metrics::Table)s with the
 //! same rows/series the paper reports. The `fig*`/`table*` binaries print
-//! them; `paper` prints everything; the testkit benches under `benches/`
-//! time the underlying simulations.
+//! them; `paper` prints everything; the `paper` and `components` benches
+//! under `benches/` time the tables and the fleet and command-path
+//! campaigns.
 
 pub mod ablation;
 pub mod cmdpath;
@@ -22,7 +23,6 @@ pub mod fleet;
 pub mod metrics_run;
 pub mod tables;
 pub mod tenancy;
-pub mod trace_run;
 
 /// One table of the evaluation.
 pub type TableFn = fn() -> harmonia::metrics::Table;

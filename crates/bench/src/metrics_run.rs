@@ -1,15 +1,16 @@
-//! Shared capture harness for the metrics plane (`metrics` binary,
-//! equivalence tests, the committed `SLO_report.txt`).
+//! The observed fault campaign behind the `trace` and `metrics` binaries,
+//! their equivalence tests and the committed `SLO_report.txt`.
 //!
-//! Runs the same seeded fault-campaign fleet as [`crate::trace_run`] —
-//! resilient shell bring-up plus health polls and a monitoring sweep
-//! under a scheduled link flap, a credit stall and background
-//! drop/corrupt/irq-lost rates — but wired into the metrics plane:
-//! every campaign fills its own [`MetricsRegistry`] through
-//! [`meter_lanes`], a [`MetricsScraper`] samples each campaign on the
-//! simulated timeline, and the merged snapshot feeds the SLO evaluator.
-//! Everything is simulated and merge order is pinned, so the exports are
-//! byte-identical on every run.
+//! Runs a fleet of seeded fault campaigns — resilient shell bring-up plus
+//! health polls and a monitoring sweep under a scheduled link flap, a
+//! credit stall and background drop/corrupt/irq-lost rates — once each,
+//! with one [`Probe`] that carries both observability planes: a
+//! [`TraceCollector`] on the campaign's own lane and its own
+//! [`MetricsRegistry`], which a [`MetricsScraper`] samples on the
+//! simulated timeline. The lanes' traces and registries merge in seed
+//! order, and the merged snapshot feeds the SLO evaluator. Everything is
+//! simulated and merge order is pinned, so every export is byte-identical
+//! on every run.
 
 use harmonia::cmd::{CommandCode, UnifiedControlKernel};
 use harmonia::host::{CommandDriver, DmaEngine, DriverError};
@@ -19,18 +20,24 @@ use harmonia::hw::Vendor;
 use harmonia::shell::{MemoryDemand, RoleSpec, TailoredShell, UnifiedShell};
 use harmonia::sim::metrics::DEFAULT_METRICS_PERIOD_PS;
 use harmonia::sim::{
-    evaluate_slos, meter_lanes, FaultKind, FaultPlan, FaultRates, MetricsRegistry, MetricsScraper,
-    MetricsSnapshot, Probe, Slo, SloObjective, SloReport,
+    evaluate_slos, FaultKind, FaultPlan, FaultRates, LogHistogram, MetricsRegistry, MetricsScraper,
+    MetricsSnapshot, Probe, Slo, SloObjective, SloReport, Trace, TraceCollector,
 };
 
-/// Everything one capture produces: the merged registry snapshot, one
-/// report line per scenario, and both SLO evaluations.
+/// Everything one capture produces: the merged timeline, histogram and
+/// registry snapshot, one report per scenario, and both SLO evaluations.
 #[derive(Clone, Debug)]
-pub struct MetricsRun {
+pub struct CampaignRun {
+    /// Merged, deterministically ordered timeline across all scenarios.
+    pub trace: Trace,
+    /// Command-latency histogram summed over every scenario's driver.
+    pub histogram: LogHistogram,
     /// Counters/gauges/histograms merged across every scenario's lane.
     pub snapshot: MetricsSnapshot,
-    /// `seed=N <driver report> samples=K` transcript lines, in seed order.
+    /// `seed=N <driver report>` transcript lines, in seed order.
     pub reports: Vec<String>,
+    /// Scraper samples each scenario took, in seed order.
+    pub samples: Vec<usize>,
     /// The production objectives (`slos`) — sized to pass under the
     /// fault campaign.
     pub slo: SloReport,
@@ -93,18 +100,39 @@ pub(crate) fn strict_slos() -> Vec<Slo> {
     ]
 }
 
-/// Captures `scenarios` seeded fault campaigns into one merged snapshot.
+/// Captures `scenarios` seeded fault campaigns onto one merged timeline
+/// and into one merged snapshot.
 ///
-/// Each seed drives an independent campaign on its own registry lane,
-/// and the lanes merge in seed order.
-pub fn capture(scenarios: u64) -> MetricsRun {
-    let seeds: Vec<u64> = (0..scenarios).collect();
-    let (reports, snapshot) = meter_lanes(seeds, |&seed, reg| scenario(seed, reg));
+/// Each seed drives an independent campaign on its own trace lane and
+/// registry, and the lanes merge in seed order.
+pub fn capture(scenarios: u64) -> CampaignRun {
+    let mut traces = Vec::new();
+    let mut snapshots = Vec::new();
+    let mut histogram = LogHistogram::new();
+    let mut reports = Vec::new();
+    let mut samples = Vec::new();
+    for seed in 0..scenarios {
+        let probe = Probe {
+            trace: TraceCollector::with_lane(seed as u32),
+            metrics: MetricsRegistry::enabled(),
+            ..Probe::disabled()
+        };
+        let (histo, report, sampled) = scenario(seed, &probe);
+        traces.push(probe.trace.take());
+        snapshots.push(probe.metrics.snapshot());
+        histogram.merge(&histo);
+        reports.push(report);
+        samples.push(sampled);
+    }
+    let snapshot = MetricsSnapshot::merge(snapshots);
     let slo = evaluate_slos(&snapshot, &slos());
     let strict_slo = evaluate_slos(&snapshot, &strict_slos());
-    MetricsRun {
+    CampaignRun {
+        trace: Trace::merge(traces),
+        histogram,
         snapshot,
         reports,
+        samples,
         slo,
         strict_slo,
     }
@@ -112,11 +140,10 @@ pub fn capture(scenarios: u64) -> MetricsRun {
 
 /// Renders the committed `SLO_report.txt` body: the per-seed transcript,
 /// then the production (pass) and aspirational (fail) evaluations.
-pub fn render_slo_artifact(run: &MetricsRun) -> String {
+pub fn render_slo_artifact(run: &CampaignRun) -> String {
     let mut out = String::from("harmonia SLO report — seeded fault-campaign fleet\n\n");
-    for line in &run.reports {
-        out.push_str(line);
-        out.push('\n');
+    for (report, samples) in run.reports.iter().zip(&run.samples) {
+        out.push_str(&format!("{report} samples={samples}\n"));
     }
     out.push_str("\nproduction objectives:\n");
     out.push_str(&run.slo.render());
@@ -127,12 +154,13 @@ pub fn render_slo_artifact(run: &MetricsRun) -> String {
 
 /// One seeded campaign: bring up a tailored shell resiliently under the
 /// fault plan, then poke health and sweep all module statistics, with a
-/// scraper sampling the registry along the simulated timeline. Returns
-/// the one-line report.
-fn scenario(seed: u64, reg: &MetricsRegistry) -> String {
+/// scraper sampling the probe's registry along the simulated timeline.
+/// Returns the driver's latency histogram, its `seed=N <driver report>`
+/// line and the scraper's sample count.
+fn scenario(seed: u64, probe: &Probe) -> (LogHistogram, String, usize) {
     let dev = catalog::device_a();
     let unified = UnifiedShell::for_device(&dev);
-    let role = RoleSpec::builder("metrics-campaign")
+    let role = RoleSpec::builder("observed-campaign")
         .network_gbps(100)
         .network_ports(1)
         .memory(MemoryDemand::Ddr { channels: 1 })
@@ -145,10 +173,7 @@ fn scenario(seed: u64, reg: &MetricsRegistry) -> String {
         DmaEngine::new(PcieDmaIp::new(Vendor::Xilinx, gen, lanes)),
         kernel,
     );
-    drv.set_probe(Probe {
-        metrics: reg.clone(),
-        ..Probe::disabled()
-    });
+    drv.set_probe(probe.clone());
     drv.set_fault_injector(
         FaultPlan::new()
             .at(0, FaultKind::LinkDown)
@@ -165,6 +190,7 @@ fn scenario(seed: u64, reg: &MetricsRegistry) -> String {
             )
             .injector(),
     );
+    let reg = &probe.metrics;
     let mut scraper = MetricsScraper::new(DEFAULT_METRICS_PERIOD_PS);
     drv.init_shell_resilient(&mut shell)
         .expect("bring-up converges under the plan");
@@ -180,10 +206,10 @@ fn scenario(seed: u64, reg: &MetricsRegistry) -> String {
         .read_all_stats_resilient(&shell)
         .expect("monitoring sweep succeeds");
     scraper.tick(reg, drv.clock_ps());
-    format!(
-        "seed={seed} {} samples={}",
-        drv.report(),
-        scraper.samples().len()
+    (
+        drv.latency_histogram().clone(),
+        format!("seed={seed} {}", drv.report()),
+        scraper.samples().len(),
     )
 }
 
@@ -231,6 +257,25 @@ mod tests {
         let artifact = render_slo_artifact(&run);
         assert!(artifact.contains("PASS cmd-latency-p99"));
         assert!(artifact.contains("FAIL "));
+    }
+
+    #[test]
+    fn capture_merges_lanes_and_histograms() {
+        let run = capture(3);
+        assert_eq!(run.reports.len(), 3);
+        assert!(!run.trace.is_empty());
+        assert!(run.histogram.count() > 0);
+        // All three lanes contribute events.
+        for lane in 0..3 {
+            assert!(
+                run.trace.events().iter().any(|e| e.lane == lane),
+                "lane {lane} recorded nothing"
+            );
+        }
+        // The fault plan leaves its signature on the timeline.
+        let text = run.trace.export_text();
+        assert!(text.contains("cmd-retry"), "link flap must force retries");
+        assert!(text.contains("cmd-ack"));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The noisy-neighbor tenancy sweep behind `cargo bench --bench tenancy`.
+//! The noisy-neighbor tenancy sweep behind the committed `BENCH_tenancy.json`.
 //!
 //! One weighted victim (weight 4, a fixed closed-loop command stream)
 //! shares a single PR slot with `tenants − 1` flooding aggressors
@@ -10,7 +10,8 @@
 //! the p99 rank) **while round-robin does not** (the victim waits out
 //! every aggressor's full slice, ms-scale gaps landing squarely in its
 //! tail). All numbers are simulated and deterministic — the committed
-//! `BENCH_tenancy.json` is byte-stable across machines.
+//! `BENCH_tenancy.json` is byte-stable across machines, and the
+//! `tenancy_scaling` test checks it byte for byte.
 
 use harmonia::cmd::{CommandCode, UnifiedControlKernel};
 use harmonia::host::{DmaEngine, TenantHostDriver};

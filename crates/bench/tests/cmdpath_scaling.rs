@@ -7,6 +7,7 @@
 //!    the artifact was not regenerated after a command-path change.
 
 use harmonia_bench::cmdpath;
+use harmonia_testkit::bench::assert_committed;
 
 #[test]
 fn batch_16_doubles_simulated_throughput_live() {
@@ -50,6 +51,11 @@ fn committed_bench_shows_batch_16_at_least_twice_batch_1() {
         env!("CARGO_MANIFEST_DIR"),
         "/../../BENCH_cmdpath.json"
     ));
+    // The committed numbers are simulated, so a fresh sweep must
+    // reproduce them exactly. Checked first: drift means the artifact is
+    // stale, and the fresh rendering is left in target/testkit-bench/.
+    let fresh = cmdpath::sweep_json(&cmdpath::sweep());
+    assert_committed("BENCH_cmdpath.json", committed, &fresh);
     let serial = cmdpath::rate_from_json(committed, "batch=1/depth=64")
         .expect("committed artifact carries batch=1/depth=64");
     let batched = cmdpath::rate_from_json(committed, "batch=16/depth=64")
@@ -57,14 +63,5 @@ fn committed_bench_shows_batch_16_at_least_twice_batch_1() {
     assert!(
         batched >= 2.0 * serial,
         "committed artifact shows only {batched:.1} vs {serial:.1} cmds/s"
-    );
-    // The committed numbers are simulated, so a fresh sweep must
-    // reproduce them exactly; drift means the artifact is stale.
-    let fresh = cmdpath::sweep();
-    let rendered = cmdpath::sweep_json(&fresh);
-    assert_eq!(
-        rendered, committed,
-        "BENCH_cmdpath.json is stale; regenerate with:\n\
-         cargo bench --bench cmdpath && cp target/testkit-bench/BENCH_cmdpath.json ."
     );
 }

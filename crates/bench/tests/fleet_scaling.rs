@@ -10,6 +10,7 @@
 
 use harmonia::fleet::TICK_PS;
 use harmonia_bench::fleet;
+use harmonia_testkit::bench::assert_committed;
 
 #[test]
 fn best_fit_beats_random_at_every_fleet_size_live() {
@@ -54,6 +55,11 @@ fn committed_bench_shows_the_same_placement_split() {
         env!("CARGO_MANIFEST_DIR"),
         "/../../BENCH_fleet.json"
     ));
+    // The committed numbers are simulated, so a fresh sweep must
+    // reproduce them exactly. Checked first: drift means the artifact is
+    // stale, and the fresh rendering is left in target/testkit-bench/.
+    let fresh = fleet::sweep_json(&fleet::sweep());
+    assert_committed("BENCH_fleet.json", committed, &fresh);
     for &devices in &fleet::DEVICES {
         let best =
             fleet::field_from_json(committed, &format!("bestfit/devices={devices}"), "p99_ps")
@@ -70,13 +76,4 @@ fn committed_bench_shows_the_same_placement_split() {
             "committed random/devices={devices} p99 {random} shows no blow-up over {best}"
         );
     }
-    // The committed numbers are simulated, so a fresh sweep must
-    // reproduce them exactly; drift means the artifact is stale.
-    let fresh = fleet::sweep();
-    let rendered = fleet::sweep_json(&fresh);
-    assert_eq!(
-        rendered, committed,
-        "BENCH_fleet.json is stale; regenerate with:\n\
-         cargo bench --bench fleet && cp target/testkit-bench/BENCH_fleet.json ."
-    );
 }

@@ -10,6 +10,7 @@
 
 use harmonia::shell::sched::TenantPolicy;
 use harmonia_bench::tenancy;
+use harmonia_testkit::bench::assert_committed;
 
 #[test]
 fn wfq_bounds_victim_p99_where_round_robin_does_not_live() {
@@ -48,6 +49,11 @@ fn committed_bench_shows_the_same_isolation_split() {
         env!("CARGO_MANIFEST_DIR"),
         "/../../BENCH_tenancy.json"
     ));
+    // The committed numbers are simulated, so a fresh sweep must
+    // reproduce them exactly. Checked first: drift means the artifact is
+    // stale, and the fresh rendering is left in target/testkit-bench/.
+    let fresh = tenancy::sweep_json(&tenancy::sweep());
+    assert_committed("BENCH_tenancy.json", committed, &fresh);
     for &tenants in &tenancy::TENANTS {
         let wfq = tenancy::ratio_from_json(committed, &format!("wfq/tenants={tenants}"))
             .expect("committed artifact carries the wfq point");
@@ -62,13 +68,4 @@ fn committed_bench_shows_the_same_isolation_split() {
             "committed rr/tenants={tenants} ratio {rr:.2} shows no interference"
         );
     }
-    // The committed numbers are simulated, so a fresh sweep must
-    // reproduce them exactly; drift means the artifact is stale.
-    let fresh = tenancy::sweep();
-    let rendered = tenancy::sweep_json(&fresh);
-    assert_eq!(
-        rendered, committed,
-        "BENCH_tenancy.json is stale; regenerate with:\n\
-         cargo bench --bench tenancy && cp target/testkit-bench/BENCH_tenancy.json ."
-    );
 }

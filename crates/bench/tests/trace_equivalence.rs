@@ -11,7 +11,7 @@
 #[test]
 fn trace_exports_are_reproducible() {
     let capture = || {
-        let run = harmonia_bench::trace_run::capture(4);
+        let run = harmonia_bench::metrics_run::capture(4);
         (
             run.trace.export_perfetto(),
             run.trace.export_text(),
@@ -50,7 +50,7 @@ fn enabling_trace_env_never_changes_paper_tables() {
         ]
     };
     let untraced = render();
-    let run = harmonia_bench::trace_run::capture(2);
+    let run = harmonia_bench::metrics_run::capture(2);
     assert!(!run.trace.is_empty(), "the capture collected nothing");
     let traced = render();
     assert_eq!(untraced, traced);

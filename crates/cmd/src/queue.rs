@@ -53,10 +53,11 @@ pub struct CompletionRecord {
     pub at_ps: Picos,
 }
 
-/// The shared ring mechanics: fixed power-of-two slot array indexed by
-/// free-running head/tail counters.
+/// A fixed-depth ring: a power-of-two slot array indexed by free-running
+/// head/tail counters. [`SubmissionQueue`] and [`CompletionQueue`] are
+/// its two uses.
 #[derive(Debug)]
-struct Ring<T> {
+pub struct Ring<T> {
     slots: Vec<Option<T>>,
     /// Consumer index (free-running; never wraps in practice).
     head: u64,
@@ -65,8 +66,16 @@ struct Ring<T> {
     mask: u64,
 }
 
+/// Fixed-depth submission ring of encoded command descriptors.
+pub type SubmissionQueue = Ring<SqDescriptor>;
+
+/// Fixed-depth completion ring of compact completion records.
+pub type CompletionQueue = Ring<CompletionRecord>;
+
 impl<T> Ring<T> {
-    fn new(depth: usize) -> Self {
+    /// Creates a ring of the given depth, rounded up to a power of two
+    /// (minimum 1).
+    pub fn new(depth: usize) -> Self {
         let depth = depth.max(1).next_power_of_two();
         Ring {
             slots: (0..depth).map(|_| None).collect(),
@@ -76,23 +85,42 @@ impl<T> Ring<T> {
         }
     }
 
-    fn capacity(&self) -> usize {
+    /// Slot count (always a power of two).
+    pub fn capacity(&self) -> usize {
         self.slots.len()
     }
 
-    fn len(&self) -> usize {
+    /// Entries currently queued.
+    pub fn len(&self) -> usize {
         (self.tail - self.head) as usize
     }
 
-    fn is_empty(&self) -> bool {
+    /// Whether the ring holds no entries.
+    pub fn is_empty(&self) -> bool {
         self.head == self.tail
     }
 
-    fn is_full(&self) -> bool {
+    /// Whether every slot is occupied (the producer must back off).
+    pub fn is_full(&self) -> bool {
         self.len() == self.capacity()
     }
 
-    fn push(&mut self, item: T) -> Result<(), T> {
+    /// Free-running consumer index (wrap-around is `index & (depth-1)`).
+    pub fn head(&self) -> u64 {
+        self.head
+    }
+
+    /// Free-running producer index.
+    pub fn tail(&self) -> u64 {
+        self.tail
+    }
+
+    /// Enqueues an entry.
+    ///
+    /// # Errors
+    ///
+    /// Returns the entry back when the ring is full.
+    pub fn push(&mut self, item: T) -> Result<(), T> {
         if self.is_full() {
             return Err(item);
         }
@@ -103,7 +131,8 @@ impl<T> Ring<T> {
         Ok(())
     }
 
-    fn pop(&mut self) -> Option<T> {
+    /// Dequeues the oldest entry, or `None` when empty.
+    pub fn pop(&mut self) -> Option<T> {
         if self.is_empty() {
             return None;
         }
@@ -112,126 +141,6 @@ impl<T> Ring<T> {
         debug_assert!(item.is_some(), "full/empty accounting broke");
         self.head += 1;
         item
-    }
-}
-
-/// Fixed-depth submission ring of encoded command descriptors.
-#[derive(Debug)]
-pub struct SubmissionQueue {
-    ring: Ring<SqDescriptor>,
-}
-
-impl SubmissionQueue {
-    /// Creates a ring of the given depth, rounded up to a power of two
-    /// (minimum 1).
-    pub fn new(depth: usize) -> Self {
-        SubmissionQueue {
-            ring: Ring::new(depth),
-        }
-    }
-
-    /// Slot count (always a power of two).
-    pub fn capacity(&self) -> usize {
-        self.ring.capacity()
-    }
-
-    /// Descriptors currently queued.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether the ring has no descriptors.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// Whether every slot is occupied (producer must back off).
-    pub fn is_full(&self) -> bool {
-        self.ring.is_full()
-    }
-
-    /// Free-running consumer index (wrap-around is `index & (depth-1)`).
-    pub fn head(&self) -> u64 {
-        self.ring.head
-    }
-
-    /// Free-running producer index.
-    pub fn tail(&self) -> u64 {
-        self.ring.tail
-    }
-
-    /// Enqueues a descriptor.
-    ///
-    /// # Errors
-    ///
-    /// Returns the descriptor back when the ring is full.
-    pub fn push(&mut self, desc: SqDescriptor) -> Result<(), SqDescriptor> {
-        self.ring.push(desc)
-    }
-
-    /// Dequeues the oldest descriptor, or `None` when empty.
-    pub fn pop(&mut self) -> Option<SqDescriptor> {
-        self.ring.pop()
-    }
-}
-
-/// Fixed-depth completion ring of compact completion records.
-#[derive(Debug)]
-pub struct CompletionQueue {
-    ring: Ring<CompletionRecord>,
-}
-
-impl CompletionQueue {
-    /// Creates a ring of the given depth, rounded up to a power of two
-    /// (minimum 1).
-    pub fn new(depth: usize) -> Self {
-        CompletionQueue {
-            ring: Ring::new(depth),
-        }
-    }
-
-    /// Slot count (always a power of two).
-    pub fn capacity(&self) -> usize {
-        self.ring.capacity()
-    }
-
-    /// Records currently posted and unread.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether the ring has no records.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// Whether every slot is occupied (the kernel must stop draining).
-    pub fn is_full(&self) -> bool {
-        self.ring.is_full()
-    }
-
-    /// Free-running consumer index.
-    pub fn head(&self) -> u64 {
-        self.ring.head
-    }
-
-    /// Free-running producer index.
-    pub fn tail(&self) -> u64 {
-        self.ring.tail
-    }
-
-    /// Posts a completion record.
-    ///
-    /// # Errors
-    ///
-    /// Returns the record back when the ring is full.
-    pub fn push(&mut self, rec: CompletionRecord) -> Result<(), CompletionRecord> {
-        self.ring.push(rec)
-    }
-
-    /// Pops the oldest completion record, or `None` when empty.
-    pub fn pop(&mut self) -> Option<CompletionRecord> {
-        self.ring.pop()
     }
 }
 

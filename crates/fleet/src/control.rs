@@ -3,9 +3,9 @@
 //!
 //! A *campaign* runs a fleet for a simulated day (plus a drain phase):
 //! each 5-minute tick routes the diurnal load across role replicas in
-//! proportion to their real service capacity, consults each device's
-//! PR 4 fault injector (`FaultKind::LinkDown` is the kill switch for a
-//! card or a whole rack), drains and reschedules the work of dead or
+//! proportion to their real service capacity, applies the link events
+//! scheduled for that tick (a link-down is the kill switch for a card or
+//! a whole rack), drains and reschedules the work of dead or
 //! upgrading devices through the migration cost matrix, and executes
 //! queued commands against per-device service rates, recording every
 //! command's latency.
@@ -24,7 +24,7 @@ use crate::traffic::{DiurnalTraffic, TickLoad};
 use crate::KnobError;
 use harmonia_hw::device::DeviceId;
 use harmonia_sim::metrics::{MetricsRegistry, Slo, SloObjective};
-use harmonia_sim::{FaultInjector, FaultKind, FaultPlan, LogHistogram, Picos};
+use harmonia_sim::{LogHistogram, Picos};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -394,7 +394,7 @@ pub fn fleet_slos() -> Vec<Slo> {
     ]
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct UpgradePlan {
     start_tick: u32,
     target_version: u32,
@@ -433,8 +433,9 @@ pub struct FleetController {
     #[cfg(test)]
     shadow: Vec<BTreeMap<usize, LogHistogram>>,
     schedule: Vec<TickLoad>,
-    fault_events: BTreeMap<u32, Vec<(Picos, FaultKind)>>,
-    injectors: Vec<FaultInjector>,
+    /// Scheduled link events: tick → device → whether its link is up
+    /// after that tick's last event for it.
+    link_events: BTreeMap<u32, BTreeMap<u32, bool>>,
     upgrade: Option<UpgradePlan>,
     orphaned: Vec<(usize, u32, u64)>,
     acc: Accounting,
@@ -479,7 +480,6 @@ impl FleetController {
                 })
             })
             .collect();
-        let injectors = vec![FaultInjector::none(); spec.devices];
         Ok(FleetController {
             latency: vec![LogHistogram::new(); roles.len()],
             groups: vec![Vec::new(); roles.len()],
@@ -496,8 +496,7 @@ impl FleetController {
             shares: Vec::new(),
             rema: Vec::new(),
             schedule,
-            fault_events: BTreeMap::new(),
-            injectors,
+            link_events: BTreeMap::new(),
             upgrade: None,
             orphaned: Vec::new(),
             acc: Accounting::default(),
@@ -513,10 +512,9 @@ impl FleetController {
         &self.assignments
     }
 
-    /// Schedules a link-down kill of one device at `tick` — the PR 4
-    /// fault plane's `LinkDown` wired to this device's injector.
+    /// Schedules a link-down kill of one device at `tick`.
     pub fn kill_device(&mut self, device: u32, tick: u32) {
-        self.push_fault(device, tick, FaultKind::LinkDown);
+        self.push_link_event(device, tick, false);
         self.kills += 1;
         self.first_fault_tick = Some(self.first_fault_tick.map_or(tick, |t| t.min(tick)));
     }
@@ -524,7 +522,7 @@ impl FleetController {
     /// Schedules a link restore of one device at `tick`.
     #[cfg(test)]
     fn restore_device(&mut self, device: u32, tick: u32) {
-        self.push_fault(device, tick, FaultKind::LinkUp);
+        self.push_link_event(device, tick, true);
     }
 
     /// Kills every device in a rack at `tick` — a whole failure domain
@@ -556,11 +554,10 @@ impl FleetController {
         });
     }
 
-    fn push_fault(&mut self, device: u32, tick: u32, kind: FaultKind) {
-        self.fault_events
-            .entry(device)
-            .or_default()
-            .push((Picos::from(tick) * crate::TICK_PS, kind));
+    /// Schedules a link state change; of one device's events at one
+    /// tick, the last scheduled wins.
+    fn push_link_event(&mut self, device: u32, tick: u32, up: bool) {
+        self.link_events.entry(tick).or_default().insert(device, up);
     }
 
     /// Runs the campaign: the traffic ticks, then a drain phase until
@@ -577,16 +574,6 @@ impl FleetController {
         &mut self,
         mut wrap: impl FnMut(&'static str, &mut dyn FnMut()),
     ) -> CampaignReport {
-        // Arm the per-device injectors from the scheduled fault events.
-        for (&device, events) in &self.fault_events {
-            let mut sorted = events.clone();
-            sorted.sort_by_key(|&(at, _)| at);
-            let mut plan = FaultPlan::new();
-            for (at, kind) in sorted {
-                plan = plan.at(at, kind);
-            }
-            self.injectors[device as usize] = plan.injector();
-        }
         let mut t: u32 = 0;
         loop {
             let draining = t >= self.spec.ticks;
@@ -666,15 +653,15 @@ impl FleetController {
         }
     }
 
-    /// Consults every armed injector: link-down drains and reschedules
-    /// the device's work; link-up brings it back (with a redeploy stall).
+    /// Applies the link events scheduled for tick `t`, device by device
+    /// in ascending index: link-down drains and reschedules the device's
+    /// work; link-up brings it back (with a redeploy stall).
     fn consult_faults(&mut self, t: u32) {
-        let now = Picos::from(t) * crate::TICK_PS + 1;
-        for i in 0..self.inventory.devices.len() {
-            if !self.injectors[i].is_active() {
-                continue;
-            }
-            let up = self.injectors[i].link_up(now);
+        let Some(events) = self.link_events.get(&t).cloned() else {
+            return;
+        };
+        for (device, up) in events {
+            let i = device as usize;
             let state = self.inventory.devices[i].state;
             if !up && state != DeviceState::Down {
                 self.drain_and_reschedule(i, t, true);
@@ -688,12 +675,13 @@ impl FleetController {
 
     /// Launches the next upgrade wave when none is in flight.
     fn upgrade_wave(&mut self, t: u32) {
-        let Some(plan) = self.upgrade.clone() else {
+        let Some(plan) = &self.upgrade else {
             return;
         };
         if plan.completed_tick.is_some() || t < plan.start_tick {
             return;
         }
+        let (target_version, wave_size) = (plan.target_version, plan.wave_size);
         let in_flight = self
             .inventory
             .devices
@@ -706,9 +694,9 @@ impl FleetController {
             .inventory
             .devices
             .iter()
-            .filter(|d| d.shell_version < plan.target_version && d.state == DeviceState::Live)
+            .filter(|d| d.shell_version < target_version && d.state == DeviceState::Live)
             .map(|d| d.index as usize)
-            .take(plan.wave_size)
+            .take(wave_size)
             .collect();
         if wave.is_empty() {
             if let Some(u) = &mut self.upgrade {

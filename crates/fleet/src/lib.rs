@@ -18,8 +18,8 @@
 //!   spec-blind random baseline ([`PlacementPolicy`]), with fit and
 //!   migration cost read from one per-process table of tailored shells;
 //! * [`control`] — the [`FleetController`] campaign loop: per-tick load
-//!   dispatch, failure domains wired to the PR 4 fault plane
-//!   (`FaultKind::LinkDown` per device), drain + reschedule with exact
+//!   dispatch, failure domains as link-down events keyed by tick (one
+//!   per device), drain + reschedule with exact
 //!   command accounting, rolling shell upgrades through the
 //!   `migration.rs` cost model, and `harmonia_fleet_*` metrics.
 //!

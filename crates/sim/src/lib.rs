@@ -45,8 +45,8 @@ pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultRates};
 pub use fifo::{BeatFate, FifoFullError, SyncFifo};
 pub use histo::LogHistogram;
 pub use metrics::{
-    evaluate_slos, meter_lanes, FlightRecorder, MetricsRegistry, MetricsSample, MetricsScraper,
-    MetricsSnapshot, Slo, SloObjective, SloReport, SloResult,
+    evaluate_slos, FlightRecorder, MetricsRegistry, MetricsSample, MetricsScraper, MetricsSnapshot,
+    Slo, SloObjective, SloReport, SloResult,
 };
 pub use pipeline::{Pipeline, PushError};
 pub use probe::Probe;
@@ -54,4 +54,4 @@ pub use rng::SplitMix64;
 pub use stats::{LatencyStats, Throughput};
 pub use stream::StreamBeat;
 pub use time::{ClockDomain, Freq, Picos, PS_PER_SEC};
-pub use trace::{trace_lanes, Trace, TraceCollector, TraceEvent, TraceEventKind};
+pub use trace::{Trace, TraceCollector, TraceEvent, TraceEventKind};

@@ -25,9 +25,8 @@
 //! 3. **Merged snapshots are deterministic.** Each lane owns a
 //!    registry; [`MetricsSnapshot::merge`] folds counters by sum, gauges
 //!    by max (high-water semantics) and histograms by
-//!    [`LogHistogram::merge`] — all order-independent — and
-//!    [`meter_lanes`] merges in lane order, the same discipline as
-//!    [`crate::trace::trace_lanes`].
+//!    [`LogHistogram::merge`] — all order-independent — and callers
+//!    merge in lane order, as they do for [`crate::Trace::merge`].
 //!
 //! # Example: record → snapshot → export → grade
 //!
@@ -266,8 +265,8 @@ impl MetricsSnapshot {
     /// gauges take the maximum (high-water semantics survive the merge),
     /// histograms fold with [`LogHistogram::merge`]. Every fold is
     /// commutative and associative, so the result is independent of merge
-    /// order — [`meter_lanes`] still merges in lane order, the same
-    /// discipline as [`crate::trace::trace_lanes`].
+    /// order; callers still merge in lane order, as for
+    /// [`crate::Trace::merge`].
     ///
     /// ```
     /// use harmonia_sim::metrics::{MetricsRegistry, MetricsSnapshot};
@@ -810,34 +809,6 @@ pub fn evaluate_slos(snapshot: &MetricsSnapshot, slos: &[Slo]) -> SloReport {
     SloReport { results }
 }
 
-/// Runs `f` over `items` in order, giving each item its own
-/// [`MetricsRegistry`], and merges the per-item snapshots in item order —
-/// the same discipline as [`crate::trace::trace_lanes`].
-///
-/// ```
-/// use harmonia_sim::metrics::meter_lanes;
-///
-/// let (sums, snap) = meter_lanes(vec![10u64, 20, 30], |&v, m| {
-///     m.counter_add("work_total", &[], v);
-///     v * 2
-/// });
-/// assert_eq!(sums, vec![20, 40, 60]);
-/// assert_eq!(snap.counter("work_total"), 60);
-/// ```
-pub fn meter_lanes<T, R, F>(items: Vec<T>, f: F) -> (Vec<R>, MetricsSnapshot)
-where
-    F: Fn(&T, &MetricsRegistry) -> R,
-{
-    let mut out = Vec::with_capacity(items.len());
-    let mut snapshots = Vec::with_capacity(items.len());
-    for item in &items {
-        let m = MetricsRegistry::enabled();
-        out.push(f(item, &m));
-        snapshots.push(m.snapshot());
-    }
-    (out, MetricsSnapshot::merge(snapshots))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1060,11 +1031,13 @@ mod tests {
     #[test]
     fn meter_lanes_merge_is_reproducible() {
         let run = || {
-            let (_, snap) = meter_lanes((0..16u64).collect(), |&i, m| {
+            let snap = MetricsSnapshot::merge((0..16u64).map(|i| {
+                let m = MetricsRegistry::enabled();
                 m.counter_add("c_total", &[], i);
                 m.gauge_max("hw", &[], i);
                 m.observe("lat_ps", &[], i * 10 + 1);
-            });
+                m.snapshot()
+            }));
             (snap.export_prometheus(), snap.export_json())
         };
         let a = run();

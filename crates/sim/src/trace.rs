@@ -22,8 +22,8 @@
 //!    can be exported afterwards.
 //! 3. **Merged traces are deterministic.** Each scenario owns a
 //!    collector with a stable `lane`; [`Trace::merge`] orders events by
-//!    `(Picos, lane, seq)`, so the exports of a [`trace_lanes`] capture
-//!    depend only on its inputs.
+//!    `(Picos, lane, seq)`, so the exports of a merged capture depend
+//!    only on its inputs.
 //!
 //! # Example: capture → export → assert ordering
 //!
@@ -572,36 +572,6 @@ fn fmt_us(ps: Picos) -> String {
     format!("{}.{:06}", ps / 1_000_000, ps % 1_000_000)
 }
 
-/// Runs `f` over `items` in order, giving each item its own
-/// lane-indexed [`TraceCollector`] (lane = item index), and merges the
-/// per-item traces by `(Picos, lane, seq)`.
-///
-/// ```
-/// use harmonia_sim::trace::{trace_lanes, TraceEventKind};
-///
-/// let (sums, trace) = trace_lanes(vec![10u64, 20, 30], |&ms, tc| {
-///     tc.instant(ms, TraceEventKind::EccScrub);
-///     ms * 2
-/// });
-/// assert_eq!(sums, vec![20, 40, 60]);
-/// assert_eq!(trace.len(), 3);
-/// let lanes: Vec<u32> = trace.events().iter().map(|e| e.lane).collect();
-/// assert_eq!(lanes, vec![0, 1, 2]); // ordered by time, which tracks lane here
-/// ```
-pub fn trace_lanes<T, R, F>(items: Vec<T>, f: F) -> (Vec<R>, Trace)
-where
-    F: Fn(&T, &TraceCollector) -> R,
-{
-    let mut out = Vec::with_capacity(items.len());
-    let mut traces = Vec::with_capacity(items.len());
-    for (lane, item) in items.iter().enumerate() {
-        let tc = TraceCollector::with_lane(lane as u32);
-        out.push(f(item, &tc));
-        traces.push(tc.take());
-    }
-    (out, Trace::merge(traces))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -712,12 +682,13 @@ mod tests {
     #[test]
     fn trace_lanes_merge_is_reproducible_and_lane_ordered() {
         let run = || {
-            trace_lanes((0..16u64).collect(), |&i, tc| {
+            Trace::merge((0..16u64).map(|i| {
+                let tc = TraceCollector::with_lane(i as u32);
                 // Deliberately colliding timestamps across lanes.
                 tc.instant(i % 4, TraceEventKind::DramRowConflict { bank: i as u32 });
                 tc.span(i % 4, 10, TraceEventKind::EccScrub);
-            })
-            .1
+                tc.take()
+            }))
         };
         let trace = run();
         let a = trace.export_perfetto();

@@ -2,7 +2,7 @@
 //!
 //! The hermetic, first-party test substrate for the Harmonia workspace.
 //! Everything the repo needs to verify itself — property-based testing,
-//! deterministic random distributions, and micro-benchmarking — lives
+//! deterministic random distributions, and benchmark timing — lives
 //! here, with **zero external dependencies**, so
 //! `cargo build --release && cargo test -q` and `cargo bench` run with
 //! an empty crates.io registry.
@@ -18,12 +18,15 @@
 //! - **Deterministic RNG** ([`rng::DetRng`]): uniform/range/choice/
 //!   shuffle/weighted distributions on [`harmonia_sim::SplitMix64`],
 //!   replacing the `rand` crate in the workload generators.
-//! - **Micro-benchmarks** ([`mod@bench`]): warmup + calibrated timed batches
-//!   with median/p99, `BENCH_<group>.json` artifacts, and
-//!   [`bench_group!`]/[`bench_main!`] for `harness = false` targets.
+//! - **Timing** ([`mod@bench`]): one warmup + calibrated-batch sampling
+//!   loop ([`bench::measure`]) with median/p99, the `BENCH_<group>.json`
+//!   rendering the `harness = false` bench targets write, and the check
+//!   ([`bench::assert_committed`]) that a committed simulated
+//!   `BENCH_*.json` still matches a fresh run.
 //!
 //! Environment knobs: `TESTKIT_CASES`, `TESTKIT_SEED`,
-//! `TESTKIT_SHRINK_BUDGET`, `TESTKIT_PERSIST`, `TESTKIT_BENCH_DIR`.
+//! `TESTKIT_SHRINK_BUDGET`, `TESTKIT_PERSIST`, `TESTKIT_BENCH_DIR`,
+//! `TESTKIT_BENCH_SMOKE`.
 
 #![warn(missing_docs)]
 

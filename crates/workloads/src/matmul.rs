@@ -13,26 +13,14 @@ use harmonia_sim::Freq;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MatMulWorkload {
     n: usize,
-    iterations: u64,
 }
 
 impl MatMulWorkload {
-    /// The paper's configuration: 64 × 64, 1024 iterations.
+    /// The paper's configuration: 64 × 64 matrices. The paper's 1024
+    /// iterations set how long a measurement runs, not the rate, so the
+    /// model does not carry them.
     pub fn paper() -> Self {
-        MatMulWorkload {
-            n: 64,
-            iterations: 1024,
-        }
-    }
-
-    /// Creates a workload of `n × n` matrices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` or `iterations` is zero.
-    pub fn new(n: usize, iterations: u64) -> Self {
-        assert!(n > 0 && iterations > 0, "degenerate matmul workload");
-        MatMulWorkload { n, iterations }
+        MatMulWorkload { n: 64 }
     }
 
     /// Multiply-accumulate operations per matrix product.
@@ -64,7 +52,6 @@ mod tests {
     fn paper_configuration() {
         let w = MatMulWorkload::paper();
         assert_eq!(w.n, 64);
-        assert_eq!(w.iterations, 1024);
         assert_eq!(w.macs_per_matrix(), 262_144);
     }
 
@@ -79,11 +66,5 @@ mod tests {
         assert!(x16 > 1.9 * x8 && x16 < 2.0 * x8);
         // Order of magnitude sanity: x16 @300 MHz ≈ 16k matrices/s.
         assert!((15_000.0..20_000.0).contains(&x16), "x16 = {x16:.0}");
-    }
-
-    #[test]
-    #[should_panic(expected = "degenerate")]
-    fn zero_dimension_rejected() {
-        let _ = MatMulWorkload::new(0, 1);
     }
 }
