@@ -13,7 +13,7 @@
 //! device D changes the kernel's program tables, not the host software.
 
 use crate::codes::{CommandCode, SrcId};
-use crate::packet::{CommandPacket, DecodeError, VERSION};
+use crate::packet::{CommandPacket, DecodeError, IDEMPOTENCY_FLAG, VERSION};
 use crate::queue::{
     CommandBudget, CompletionQueue, CompletionRecord, CompletionStatus, SubmissionQueue,
 };
@@ -21,7 +21,7 @@ use harmonia_hw::regfile::{RegOp, RegisterFile};
 use harmonia_hw::resource::ResourceUsage;
 use harmonia_shell::rbb::{instances, Rbb};
 use harmonia_sim::{FaultInjector, MetricsRegistry, Picos, Probe, SyncFifo, TraceEventKind};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
@@ -88,6 +88,17 @@ pub enum KernelError {
         /// The register-file error text.
         detail: String,
     },
+    /// An idempotency tag `window` or more tags behind the newest tag
+    /// that ran on its ring: its slot may hold a newer response, so the
+    /// kernel can neither replay it nor safely run it again.
+    StaleTag {
+        /// The refused tag.
+        tag: u32,
+        /// The newest tag that ran on the ring.
+        newest: u32,
+        /// The ring's window, in tags.
+        window: u32,
+    },
 }
 
 impl fmt::Display for KernelError {
@@ -102,6 +113,15 @@ impl fmt::Display for KernelError {
             KernelError::Unsupported { code } => write!(f, "unsupported command {code:#06x}"),
             KernelError::BadPayload { expected } => write!(f, "bad payload: expected {expected}"),
             KernelError::RegFault { detail } => write!(f, "register fault: {detail}"),
+            KernelError::StaleTag {
+                tag,
+                newest,
+                window,
+            } => write!(
+                f,
+                "idempotency tag {tag} is behind newest tag {newest} by the \
+                 {window}-tag replay window or more"
+            ),
         }
     }
 }
@@ -161,6 +181,82 @@ impl ExecTally {
     }
 }
 
+/// The ring the serial path (`submit*`/`step`) and the unbudgeted
+/// doorbell share: [`CommandBudget::unlimited`]'s tenant.
+const SHARED_RING: u32 = u32::MAX;
+
+/// A cached response and the `(src, key)` it answers.
+#[derive(Debug)]
+struct Cached {
+    src: u8,
+    key: u32,
+    response: CommandPacket,
+}
+
+/// One ring's idempotent responses: a power-of-two array of slots
+/// indexed by tag modulo its length. A slot holding another `(src, key)`
+/// is a miss, so lookup and insert are O(1) and nothing is ever evicted
+/// early: a slot is overwritten only by a tag one whole window newer.
+#[derive(Debug)]
+struct ReplayWindow {
+    ring: u32,
+    slots: Vec<Option<Cached>>,
+    /// The newest tag that ran on the ring (0 before any did).
+    newest: u32,
+}
+
+impl ReplayWindow {
+    fn new(ring: u32, depth: usize) -> ReplayWindow {
+        ReplayWindow {
+            ring,
+            slots: (0..depth).map(|_| None).collect(),
+            newest: 0,
+        }
+    }
+
+    fn slot(&self, key: u32) -> usize {
+        key as usize & (self.slots.len() - 1)
+    }
+
+    /// Grows the window to `depth` slots; live entries keep their
+    /// responses, as distinct tags modulo the old length stay distinct
+    /// modulo a multiple of it.
+    fn grow(&mut self, depth: usize) {
+        if depth <= self.slots.len() {
+            return;
+        }
+        let old = std::mem::replace(&mut self.slots, (0..depth).map(|_| None).collect());
+        for cached in old.into_iter().flatten() {
+            let i = self.slot(cached.key);
+            self.slots[i] = Some(cached);
+        }
+    }
+
+    /// The cached response to `(src, key)`, `None` for a tag that has not
+    /// run, or [`KernelError::StaleTag`] when the tag is a whole window or
+    /// more behind the newest tag that ran here.
+    fn lookup(&self, src: u8, key: u32) -> Result<Option<&CommandPacket>, KernelError> {
+        let (tag, window) = (key & !IDEMPOTENCY_FLAG, self.slots.len() as u32);
+        if tag <= self.newest && self.newest - tag >= window {
+            return Err(KernelError::StaleTag {
+                tag,
+                newest: self.newest,
+                window,
+            });
+        }
+        Ok(match &self.slots[self.slot(key)] {
+            Some(c) if c.src == src && c.key == key => Some(&c.response),
+            _ => None,
+        })
+    }
+
+    fn insert(&mut self, src: u8, key: u32, response: CommandPacket) {
+        self.newest = self.newest.max(key & !IDEMPOTENCY_FLAG);
+        let i = self.slot(key);
+        self.slots[i] = Some(Cached { src, key, response });
+    }
+}
+
 /// The unified control kernel.
 pub struct UnifiedControlKernel {
     buffer: SyncFifo<CommandPacket>,
@@ -168,8 +264,9 @@ pub struct UnifiedControlKernel {
     health: RegisterFile,
     commands_executed: u64,
     reg_ops_executed: u64,
-    idem_cache: BTreeMap<(u8, u32), CommandPacket>,
-    idem_order: VecDeque<(u8, u32)>,
+    /// One replay window per ring, looked up once per drain: a handful
+    /// of rings (the shared one plus one per tenant).
+    windows: Vec<ReplayWindow>,
     decode_errors: u64,
     replays: u64,
     /// Observability planes (disabled by default — zero cost). Purely
@@ -193,7 +290,12 @@ impl fmt::Debug for UnifiedControlKernel {
 impl UnifiedControlKernel {
     /// Soft-core clock: commands execute at Nios-class speed.
     pub const CORE_CLOCK_MHZ: u64 = 250;
-    /// Bound on cached idempotent responses (oldest evicted first).
+    /// Smallest replay window, in tags. Each ring — every tenant's, plus
+    /// one the serial path and the unbudgeted doorbell share — gets its
+    /// own window of the next power of two at or above the larger of
+    /// this and twice its SQ depth. A retry replays as long as its ring's
+    /// tags are dense and it is less than a window behind the newest tag
+    /// that ran there; an older tag gets [`KernelError::StaleTag`].
     pub const IDEM_CACHE_DEPTH: usize = 256;
     /// Fixed per-command overhead in core cycles (parse + dispatch +
     /// encapsulate).
@@ -217,8 +319,7 @@ impl UnifiedControlKernel {
             health,
             commands_executed: 0,
             reg_ops_executed: 0,
-            idem_cache: BTreeMap::new(),
-            idem_order: VecDeque::new(),
+            windows: Vec::new(),
             decode_errors: 0,
             replays: 0,
             probe: Probe::disabled(),
@@ -384,12 +485,33 @@ impl UnifiedControlKernel {
     ///
     /// Execution errors; `Ok(None)` when the buffer is empty.
     pub fn step(&mut self) -> Result<Option<CommandPacket>, KernelError> {
-        self.published(Self::execute_next)
+        let window = self.window(SHARED_RING, 0);
+        self.published(|k, tally| k.execute_next(window, tally))
     }
 
-    /// [`UnifiedControlKernel::step`], counting into `tally`.
+    /// The index of `ring`'s replay window, sized for an SQ of
+    /// `sq_capacity` slots (made or grown on first need).
+    fn window(&mut self, ring: u32, sq_capacity: usize) -> usize {
+        let depth = (2 * sq_capacity)
+            .max(Self::IDEM_CACHE_DEPTH)
+            .next_power_of_two();
+        match self.windows.iter().position(|w| w.ring == ring) {
+            Some(i) => {
+                self.windows[i].grow(depth);
+                i
+            }
+            None => {
+                self.windows.push(ReplayWindow::new(ring, depth));
+                self.windows.len() - 1
+            }
+        }
+    }
+
+    /// [`UnifiedControlKernel::step`] against replay window `window`,
+    /// counting into `tally`.
     fn execute_next(
         &mut self,
+        window: usize,
         tally: &mut ExecTally,
     ) -> Result<Option<CommandPacket>, KernelError> {
         let Some(packet) = self.buffer.pop() else {
@@ -398,9 +520,10 @@ impl UnifiedControlKernel {
         // Idempotency-tagged commands replay their cached response: a
         // retried `ModuleInit` whose completion interrupt was lost must
         // not run the vendor init program twice.
-        let idem_key = packet.idempotency_key().map(|k| (packet.src.to_u8(), k));
+        let src = packet.src.to_u8();
+        let idem_key = packet.idempotency_key();
         if let Some(key) = idem_key {
-            if let Some(cached) = self.idem_cache.get(&key) {
+            if let Some(cached) = self.windows[window].lookup(src, key)? {
                 self.replays += 1;
                 self.probe
                     .metrics
@@ -431,13 +554,7 @@ impl UnifiedControlKernel {
         self.trace_clock_ps += exec_ps;
         let response = packet.response(data);
         if let Some(key) = idem_key {
-            if self.idem_order.len() == Self::IDEM_CACHE_DEPTH {
-                if let Some(old) = self.idem_order.pop_front() {
-                    self.idem_cache.remove(&old);
-                }
-            }
-            self.idem_cache.insert(key, response.clone());
-            self.idem_order.push_back(key);
+            self.windows[window].insert(src, key, response.clone());
         }
         Ok(Some(response))
     }
@@ -502,6 +619,7 @@ impl UnifiedControlKernel {
             errors: Vec::new(),
             quota_exhausted: false,
         };
+        let window = self.window(budget.tenant, sq.capacity());
         let mut tally = ExecTally::default();
         for _ in 0..n {
             if cq.is_full() {
@@ -519,7 +637,7 @@ impl UnifiedControlKernel {
                 },
                 Ok(None) => {
                     let before = self.reg_ops_executed;
-                    match self.execute_next(&mut tally) {
+                    match self.execute_next(window, &mut tally) {
                         Ok(Some(resp)) => {
                             out.exec_ps += Self::command_latency_ps(self.reg_ops_executed - before);
                             out.responses.push((desc.tag, resp));
@@ -814,7 +932,10 @@ impl UnifiedControlKernel {
         self.decode_errors
     }
 
-    /// Idempotent retries served from the response cache (no re-execution).
+    /// Idempotent retries served from their ring's replay window (no
+    /// re-execution). A retry a whole window or more behind its ring's
+    /// newest tag is refused with [`KernelError::StaleTag`] instead, and
+    /// is not counted here.
     pub fn replays(&self) -> u64 {
         self.replays
     }
@@ -1060,19 +1181,85 @@ mod tests {
 
     #[test]
     fn idempotency_cache_is_bounded() {
+        // The serial path's window holds one response per tag modulo its
+        // depth: after tags 0..W+8, tag 8 (W-1 behind the newest) still
+        // replays, and tag 7 (a whole window behind) is refused.
         let mut k = kernel_on_device_a();
-        for tag in 0..(UnifiedControlKernel::IDEM_CACHE_DEPTH as u32 + 8) {
+        let depth = UnifiedControlKernel::IDEM_CACHE_DEPTH as u32;
+        for tag in 0..depth + 8 {
             k.submit(net_cmd(CommandCode::ModuleStatusRead).with_idempotency_tag(tag))
                 .unwrap();
             k.step().unwrap().unwrap();
         }
-        // Tag 0 was evicted, so re-submitting it executes again.
         let execs = k.commands_executed();
-        k.submit(net_cmd(CommandCode::ModuleStatusRead).with_idempotency_tag(0))
+        k.submit(net_cmd(CommandCode::ModuleStatusRead).with_idempotency_tag(8))
             .unwrap();
         k.step().unwrap().unwrap();
-        assert_eq!(k.commands_executed(), execs + 1);
-        assert_eq!(k.replays(), 0);
+        assert_eq!((k.commands_executed(), k.replays()), (execs, 1));
+        k.submit(net_cmd(CommandCode::ModuleStatusRead).with_idempotency_tag(7))
+            .unwrap();
+        assert_eq!(
+            k.step(),
+            Err(KernelError::StaleTag {
+                tag: 7,
+                newest: depth + 7,
+                window: depth,
+            })
+        );
+        assert_eq!((k.commands_executed(), k.replays()), (execs, 1));
+    }
+
+    #[test]
+    fn stale_tag_on_a_ring_is_an_error_record_not_a_second_run() {
+        let mut k = kernel_on_device_a();
+        let mut sq = SubmissionQueue::new(128);
+        let mut cq = CompletionQueue::new(128);
+        let mut budget = CommandBudget::new(2, u64::MAX);
+        // A 128-slot SQ gets a 256-tag window.
+        for tag in [0, 255, 256] {
+            sq.push(health_desc(tag)).unwrap();
+        }
+        k.ring_doorbell_budgeted(&mut sq, &mut cq, 8, SrcId::Application, &mut budget);
+        while cq.pop().is_some() {}
+        let execs = k.commands_executed();
+        sq.push(health_desc(0)).unwrap();
+        let out = k.ring_doorbell_budgeted(&mut sq, &mut cq, 8, SrcId::Application, &mut budget);
+        assert_eq!(cq.pop().map(|r| r.status), Some(CompletionStatus::Error));
+        let stale = KernelError::StaleTag {
+            tag: 0,
+            newest: 256,
+            window: 256,
+        };
+        assert_eq!(out.errors, vec![(0, stale.clone())]);
+        assert_eq!(k.commands_executed(), execs, "a stale tag never runs again");
+        assert!(
+            stale.to_string().contains("256-tag replay window"),
+            "{stale}"
+        );
+    }
+
+    #[test]
+    fn each_ring_has_its_own_window() {
+        // Tenants number their tags from 0: the same tag on two rings is
+        // two commands, and a retry replays only on its own ring.
+        let mut k = kernel_on_device_a();
+        let mut sq = SubmissionQueue::new(8);
+        let mut cq = CompletionQueue::new(8);
+        for ring in [0, 1, 0] {
+            sq.push(health_desc(5)).unwrap();
+            let mut budget = CommandBudget::new(ring, 8);
+            k.ring_doorbell_budgeted(&mut sq, &mut cq, 8, SrcId::Application, &mut budget);
+            assert_eq!(cq.pop().map(|r| r.status), Some(CompletionStatus::Ok));
+        }
+        assert_eq!((k.commands_executed(), k.replays()), (2, 1));
+        // The serial path's window is a third one.
+        k.submit(
+            CommandPacket::new(SrcId::Application, 0, 0, CommandCode::HealthRead)
+                .with_idempotency_tag(5),
+        )
+        .unwrap();
+        k.step().unwrap().unwrap();
+        assert_eq!((k.commands_executed(), k.replays()), (3, 1));
     }
 
     #[test]

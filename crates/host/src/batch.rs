@@ -18,7 +18,10 @@
 //! transport:
 //!
 //! * every entry carries its own idempotency tag, so a retried entry is
-//!   replayed by the kernel, never re-executed;
+//!   replayed from the kernel's replay window for this driver's ring,
+//!   never re-executed. The window holds at least twice the ring depth,
+//!   and the driver's tags are dense, so a retry stays inside it; a tag a
+//!   whole window behind the newest would get `KernelError::StaleTag`;
 //! * a burst lost on the wire (link down) times out every entry in it; a
 //!   per-descriptor `CmdDrop`/`IrqLost` fault times out only that entry,
 //!   and only the lost entries ride the next doorbell — replay recovers

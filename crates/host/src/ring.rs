@@ -1,7 +1,7 @@
 //! The SQ/CQ ring round both ring drivers run.
 //!
-//! A [`Ring`] is an SQ/CQ pair plus the entries in flight on it, keyed by
-//! idempotency tag: [`Ring::submit`] delivers a burst and applies the
+//! A [`Ring`] is an SQ/CQ pair plus the entries in flight on it, in SQ
+//! order: [`Ring::submit`] delivers a burst and applies the
 //! per-descriptor faults, [`Ring::doorbell`] drains the SQ and polls the
 //! CQ. What a fault costs and when an entry goes out again is each
 //! driver's policy, in `batch` and `tenant`.
@@ -11,7 +11,7 @@ use harmonia_cmd::queue::{CommandBudget, CompletionStatus, SqDescriptor};
 use harmonia_cmd::UnifiedControlKernel;
 use harmonia_cmd::{CommandPacket, CompletionQueue, KernelError, SrcId, SubmissionQueue};
 use harmonia_sim::{FaultInjector, Picos};
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 /// What [`Ring::submit`] made of a burst: its wire bytes, the delivery's
 /// latency, whether it arrived (false: the link was down), and the
@@ -53,7 +53,10 @@ pub(crate) struct Completion<T> {
 pub(crate) struct Ring<T> {
     sq: SubmissionQueue,
     cq: CompletionQueue,
-    inflight: BTreeMap<u32, T>,
+    /// Tagged entries in SQ push order. The kernel pops the SQ in order
+    /// and posts one CQ record per descriptor, and a budgeted drain
+    /// leaves the rest queued in order, so entries complete front first.
+    inflight: VecDeque<(u32, T)>,
 }
 
 impl<T> Ring<T> {
@@ -62,7 +65,7 @@ impl<T> Ring<T> {
         Ring {
             sq: SubmissionQueue::new(depth),
             cq: CompletionQueue::new(depth),
-            inflight: BTreeMap::new(),
+            inflight: VecDeque::new(),
         }
     }
 
@@ -100,7 +103,7 @@ impl<T> Ring<T> {
                 continue;
             }
             faults.corrupt_command(now, &mut desc.bytes);
-            self.inflight.insert(desc.tag, entry);
+            self.inflight.push_back((desc.tag, entry));
             self.sq
                 .push(desc)
                 .expect("a burst is capped at the free ring space");
@@ -139,10 +142,11 @@ impl<T> Ring<T> {
         let mut errors = out.errors.into_iter();
         let mut completions = Vec::with_capacity(self.cq.len());
         while let Some(rec) = self.cq.pop() {
-            let entry = self
+            let (tag, entry) = self
                 .inflight
-                .remove(&rec.tag)
+                .pop_front()
                 .expect("CQ record for an entry in flight");
+            assert_eq!(tag, rec.tag, "CQ records complete in SQ order");
             let outcome = match rec.status {
                 CompletionStatus::Ok => {
                     let (tag, resp) = responses.next().expect("Ok record has a response");
@@ -163,5 +167,58 @@ impl<T> Ring<T> {
             });
         }
         (out.exec_ps, completions)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use harmonia_cmd::{CommandCode, IDEMPOTENCY_FLAG};
+    use harmonia_hw::ip::PcieDmaIp;
+    use harmonia_hw::Vendor;
+
+    fn health(tag: u32) -> SqDescriptor {
+        let packet = CommandPacket::new(SrcId::Application, 0, 0, CommandCode::HealthRead)
+            .with_idempotency_tag(tag);
+        descriptor(tag, &packet)
+    }
+
+    /// Every completion's entry, checked against the tag its response
+    /// echoes.
+    fn entries(completions: Vec<Completion<u32>>) -> Vec<u32> {
+        completions
+            .into_iter()
+            .map(|c| match c.outcome {
+                Some(Outcome::Acked(resp)) => {
+                    assert_eq!(resp.options, IDEMPOTENCY_FLAG | c.entry);
+                    c.entry
+                }
+                _ => panic!("entry {} did not ack", c.entry),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_budgeted_partial_drain_keeps_entries_paired_across_doorbells() {
+        let mut kernel = UnifiedControlKernel::new(64);
+        let mut engine = DmaEngine::new(PcieDmaIp::new(Vendor::Xilinx, 4, 8));
+        let faults = FaultInjector::none();
+        let mut ring: Ring<u32> = Ring::new(16);
+        let burst = |tags: std::ops::Range<u32>| tags.map(|t| (health(t), t)).collect();
+        assert!(ring.submit(&mut engine, &faults, burst(0..10), 0).delivered);
+        let mut slice = CommandBudget::new(0, 4);
+        let (_, first) = ring.doorbell(&mut kernel, &faults, 0, &mut slice);
+        assert_eq!(entries(first), vec![0, 1, 2, 3]);
+        assert!(!ring.is_idle(), "the budget left six descriptors queued");
+        // A later burst queues behind what the budget left.
+        assert!(
+            ring.submit(&mut engine, &faults, burst(10..13), 0)
+                .delivered
+        );
+        let mut next = CommandBudget::new(0, 64);
+        let (_, second) = ring.doorbell(&mut kernel, &faults, 0, &mut next);
+        assert_eq!(entries(second), (4..13).collect::<Vec<_>>());
+        assert!(ring.is_idle());
+        assert_eq!(kernel.commands_executed(), 13);
     }
 }

@@ -21,13 +21,18 @@
 //! quantifies.
 //!
 //! Retry policy: a dropped or nacked descriptor re-queues at the
-//! *front* of its tenant's backlog under its original idempotency tag
-//! (the kernel replays, never re-executes), a lost completion interrupt
-//! retries the same way, without a bound, and a burst lost to a down
-//! link burns the remainder of the slice (the wire is dead; spinning
-//! would starve the other tenants' grants). Everything is
-//! deterministic: no RNG outside the seeded fault plane, ties broken by
-//! tenant index, byte-identical on every run.
+//! *front* of its tenant's backlog under its original idempotency tag,
+//! a lost completion interrupt retries the same way, without a bound,
+//! and a burst lost to a down link burns the remainder of the slice
+//! (the wire is dead; spinning would starve the other tenants' grants).
+//! Tags are numbered per lane, and the kernel keeps one replay window
+//! per tenant ring, of at least twice the ring depth: a retry re-queued
+//! at the front stays inside it however many other tenants' commands
+//! run in between, so the kernel replays it and never re-executes. A
+//! tag a whole window behind its ring's newest would get
+//! `KernelError::StaleTag` instead. Everything is deterministic: no RNG
+//! outside the seeded fault plane, ties broken by tenant index,
+//! byte-identical on every run.
 
 use crate::batch::CmdSpec;
 use crate::dma::DmaEngine;
@@ -48,8 +53,9 @@ pub const DEFAULT_TENANT_RING_DEPTH: usize = 128;
 /// A command waiting in (or re-queued to) a tenant's backlog.
 #[derive(Clone, Debug)]
 struct PendingCmd {
-    /// Idempotency tag — globally unique across tenants so kernel
-    /// replay can never cross an isolation boundary.
+    /// Idempotency tag, numbered per lane. The kernel keeps one replay
+    /// window per tenant ring, so tenants' equal tags never meet, and
+    /// dense tags keep a retry inside its ring's window.
     tag: u32,
     packet: CommandPacket,
     /// Clock at first enqueue (closed-loop latency origin).
@@ -62,6 +68,8 @@ struct PendingCmd {
 struct TenantLane {
     ring: Ring<PendingCmd>,
     backlog: VecDeque<PendingCmd>,
+    /// The tag the lane's next enqueued command gets.
+    next_tag: u32,
     latency: LogHistogram,
     /// Completion time of the tenant's latest acked command.
     last_done_ps: Picos,
@@ -74,6 +82,7 @@ impl TenantLane {
         TenantLane {
             ring: Ring::new(DEFAULT_TENANT_RING_DEPTH),
             backlog: VecDeque::new(),
+            next_tag: 0,
             latency: LogHistogram::new(),
             last_done_ps: 0,
             stats: TenantStats {
@@ -116,7 +125,6 @@ pub struct TenantHostDriver {
     faults: FaultInjector,
     probe: Probe,
     clock_ps: Picos,
-    next_tag: u32,
     slices_run: u64,
     quota_hits: u64,
 }
@@ -141,7 +149,6 @@ impl TenantHostDriver {
             faults: FaultInjector::none(),
             probe: Probe::disabled(),
             clock_ps: 0,
-            next_tag: 0,
             slices_run: 0,
             quota_hits: 0,
         }
@@ -168,18 +175,24 @@ impl TenantHostDriver {
 
     /// Queues commands on a tenant's backlog (closed-loop source).
     pub fn enqueue(&mut self, tenant: usize, cmds: Vec<CmdSpec>) {
+        let lane = &mut self.lanes[tenant];
         for (rbb_id, instance_id, code, data) in cmds {
-            let tag = self.next_tag;
-            self.next_tag += 1;
+            let tag = lane.next_tag;
+            lane.next_tag += 1;
             let packet = CommandPacket::new(SrcId::Application, rbb_id, instance_id, code)
                 .with_data(data)
                 .with_idempotency_tag(tag);
-            self.lanes[tenant].backlog.push_back(PendingCmd {
+            lane.backlog.push_back(PendingCmd {
                 tag,
                 packet,
                 submitted_at: self.clock_ps,
             });
         }
+    }
+
+    /// The shared control kernel (commands executed, replays).
+    pub fn kernel(&self) -> &UnifiedControlKernel {
+        &self.kernel
     }
 
     /// The scheduler (policy, slices granted, region accounting).
@@ -289,8 +302,8 @@ impl TenantHostDriver {
             for done in completions {
                 let p = done.entry;
                 match done.outcome {
-                    // Executed but unheard-of: the replay cache makes the
-                    // retry safe.
+                    // Executed but unheard-of: the ring's replay window
+                    // makes the retry safe.
                     None => {
                         lane.stats.timeouts += 1;
                         lane.backlog.push_front(p);

@@ -13,7 +13,11 @@
 //!    every tenant's work converges to completed with exact accounting,
 //!    and each seed's full observable state is reproducible run-to-run
 //!    and pinned to recorded FNV-1a hashes.
-//! 4. **Observed campaign** — one campaign with every observability
+//! 4. **Exactly once** — under lost completion interrupts, with four
+//!    round-robin or eight weighted-fair tenants sharing the kernel, every
+//!    enqueued `ModuleInit` runs exactly once: each retry replays from its
+//!    ring's window, however many other tenants' commands ran between.
+//! 5. **Observed campaign** — one campaign with every observability
 //!    plane attached ends in the same state as without them, and its
 //!    text trace and Prometheus export are pinned byte for byte; after
 //!    every `run`, each tenant's latency series in the registry matches
@@ -27,6 +31,7 @@ use harmonia_hw::ip::PcieDmaIp;
 use harmonia_hw::resource::ResourceUsage;
 use harmonia_hw::Vendor;
 use harmonia_shell::pr::{MultiTenantRegion, TenantRole};
+use harmonia_shell::rbb::RbbKind;
 use harmonia_shell::sched::{TenantPolicy, TenantScheduler, DEFAULT_TENANT_SLICE_PS};
 use harmonia_shell::{MemoryDemand, RoleSpec, TailoredShell, UnifiedShell};
 use harmonia_sim::histo::LogHistogram;
@@ -244,6 +249,63 @@ fn eight_seed_campaigns_converge_with_exact_accounting() {
             any_background_fault,
             "{policy:?}: eight seeds of 5% rates never fired a background fault"
         );
+    }
+}
+
+/// `ModuleInit`s run the vendor init program, so a retry that ran again
+/// instead of replaying would show in `commands_executed`.
+fn module_inits(n: usize) -> Vec<CmdSpec> {
+    (0..n)
+        .map(|_| {
+            (
+                RbbKind::Network.id(),
+                0u8,
+                CommandCode::ModuleInit,
+                Vec::new(),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn every_tenant_command_runs_exactly_once_under_lost_interrupts() {
+    const PER_TENANT: usize = 400;
+    let irq_lost = FaultRates {
+        cmd_drop: 0.0,
+        cmd_corrupt: 0.0,
+        irq_lost: 0.05,
+        ecc: 0.0,
+    };
+    for (policy, tenants) in [
+        (TenantPolicy::RoundRobin, 4),
+        (TenantPolicy::WeightedFair, 8),
+    ] {
+        let weights: Vec<u64> = (1..=tenants).collect();
+        for seed in 0..4 {
+            let mut d = driver(policy, &weights);
+            d.set_fault_injector(FaultPlan::new().with_rates(seed, irq_lost).injector());
+            for t in 0..weights.len() {
+                d.enqueue(t, module_inits(PER_TENANT));
+            }
+            d.run(u64::MAX);
+            assert!(d.idle(), "{policy:?} seed {seed}: work must converge");
+            let timeouts: u64 = (0..weights.len()).map(|t| d.stats(t).timeouts).sum();
+            for t in 0..weights.len() {
+                let s = d.stats(t);
+                assert_eq!(
+                    (s.completed, s.errors),
+                    (PER_TENANT as u64, 0),
+                    "{policy:?} seed {seed} t{t}"
+                );
+            }
+            let enqueued = (PER_TENANT * weights.len()) as u64;
+            assert_eq!(
+                d.kernel().commands_executed(),
+                enqueued,
+                "{policy:?} seed {seed}: a retried command ran twice"
+            );
+            assert_eq!(d.kernel().replays(), timeouts, "{policy:?} seed {seed}");
+        }
     }
 }
 

@@ -177,12 +177,6 @@ impl RoleSpecBuilder {
         self
     }
 
-    /// Sets the role logic's resource footprint.
-    pub fn role_resources(mut self, res: ResourceUsage) -> Self {
-        self.spec.role_resources = res;
-        self
-    }
-
     /// Finalizes the spec.
     ///
     /// # Panics

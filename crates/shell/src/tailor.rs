@@ -456,13 +456,21 @@ mod tests {
 
     #[test]
     fn oversized_role_rejected() {
-        let u = unified_a();
-        let role = RoleSpec::builder("huge")
-            .network_gbps(100)
-            .role_resources(ResourceUsage::new(10_000_000, 1, 0, 0, 0))
+        // Device A's peripherals around a fabric no larger than the role's
+        // own logic: the shell on top cannot fit.
+        let small = harmonia_hw::FpgaDevice::builder("small")
+            .vendor(harmonia_hw::Vendor::Xilinx)
+            .family(harmonia_hw::ChipFamily::VirtexUltraScalePlus)
+            .capacity(*netrole().role_resources())
+            .peripheral(Peripheral::Qsfp { gbps: 100 })
+            .peripheral(Peripheral::Qsfp { gbps: 100 })
+            .peripheral(Peripheral::Pcie { gen: 4, lanes: 8 })
+            .clock_source(Freq::mhz(100))
+            .clock_source(Freq::khz(322_265))
             .build();
+        let u = UnifiedShell::for_device(&small);
         assert!(matches!(
-            TailoredShell::tailor(&u, &role).unwrap_err(),
+            TailoredShell::tailor(&u, &netrole()).unwrap_err(),
             TailorError::DoesNotFit { .. }
         ));
     }

@@ -110,7 +110,7 @@ pub enum TraceEventKind {
         /// Register operations performed on software's behalf.
         reg_ops: u64,
     },
-    /// An idempotent retry was served from the replay cache.
+    /// An idempotent retry was served from its ring's replay window.
     KernelReplay {
         /// Command code.
         code: u16,
@@ -343,11 +343,35 @@ pub struct TraceEvent {
     pub kind: TraceEventKind,
 }
 
+/// Events per [`TraceBuf`] chunk: a long recording grows by whole
+/// chunks and never copies what it already holds.
+const CHUNK_EVENTS: usize = 2048;
+
 #[derive(Debug, Default)]
 struct TraceBuf {
     lane: u32,
     seq: u64,
-    events: Vec<TraceEvent>,
+    /// Events in record order, in chunks of [`CHUNK_EVENTS`].
+    chunks: Vec<Vec<TraceEvent>>,
+}
+
+impl TraceBuf {
+    fn push(&mut self, event: TraceEvent) {
+        match self.chunks.last_mut() {
+            Some(chunk) if chunk.len() < CHUNK_EVENTS => chunk.push(event),
+            _ => {
+                let mut chunk = Vec::with_capacity(CHUNK_EVENTS);
+                chunk.push(event);
+                self.chunks.push(chunk);
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.chunks.last().map_or(0, |last| {
+            (self.chunks.len() - 1) * CHUNK_EVENTS + last.len()
+        })
+    }
 }
 
 /// The cheap cloneable handle hot paths record into. Clones share the
@@ -377,7 +401,7 @@ impl TraceCollector {
             inner: Some(Arc::new(Mutex::new(TraceBuf {
                 lane,
                 seq: 0,
-                events: Vec::new(),
+                chunks: Vec::new(),
             }))),
         }
     }
@@ -403,7 +427,7 @@ impl TraceCollector {
         let seq = buf.seq;
         buf.seq += 1;
         let lane = buf.lane;
-        buf.events.push(TraceEvent {
+        buf.push(TraceEvent {
             at,
             dur,
             lane,
@@ -415,7 +439,7 @@ impl TraceCollector {
     /// Number of events recorded so far (0 when disabled).
     pub fn len(&self) -> usize {
         match &self.inner {
-            Some(inner) => inner.lock().expect("trace buffer poisoned").events.len(),
+            Some(inner) => inner.lock().expect("trace buffer poisoned").len(),
             None => 0,
         }
     }
@@ -430,7 +454,9 @@ impl TraceCollector {
     /// counter) afterwards.
     pub fn take(&self) -> Trace {
         let events = match &self.inner {
-            Some(inner) => std::mem::take(&mut inner.lock().expect("trace buffer poisoned").events),
+            Some(inner) => {
+                std::mem::take(&mut inner.lock().expect("trace buffer poisoned").chunks).concat()
+            }
             None => Vec::new(),
         };
         Trace::from_events(events)
@@ -440,7 +466,7 @@ impl TraceCollector {
     /// draining them.
     pub fn snapshot(&self) -> Trace {
         let events = match &self.inner {
-            Some(inner) => inner.lock().expect("trace buffer poisoned").events.clone(),
+            Some(inner) => inner.lock().expect("trace buffer poisoned").chunks.concat(),
             None => Vec::new(),
         };
         Trace::from_events(events)
@@ -677,6 +703,24 @@ mod tests {
         assert_eq!(tc.len(), 1, "snapshot must not drain");
         assert_eq!(tc.take().len(), 1);
         assert_eq!(tc.len(), 0);
+    }
+
+    #[test]
+    fn events_across_chunks_keep_record_order() {
+        let tc = TraceCollector::enabled();
+        let n = 2 * CHUNK_EVENTS + 5;
+        for i in 0..n as u64 {
+            tc.instant(i / 3, TraceEventKind::EccScrub);
+        }
+        assert_eq!(tc.len(), n);
+        let snap = tc.snapshot();
+        let taken = tc.take();
+        assert_eq!(snap, taken);
+        let seqs: Vec<u64> = taken.events().iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, (0..n as u64).collect::<Vec<_>>());
+        assert_eq!(tc.len(), 0);
+        tc.instant(0, TraceEventKind::EccScrub);
+        assert_eq!(tc.take().events()[0].seq, n as u64);
     }
 
     #[test]

@@ -26,9 +26,9 @@ pub struct WorkloadPacket {
 /// ```
 /// use harmonia_workloads::PacketGen;
 /// let mut g = PacketGen::new(7, 0x02_00_00_00_00_01);
-/// let pkts = g.fixed_size(64, 10);
+/// let pkts = g.with_foreign_traffic(64, 10, 0.0);
 /// assert_eq!(pkts.len(), 10);
-/// assert!(pkts.iter().all(|p| p.bytes == 64));
+/// assert!(pkts.iter().all(|p| p.bytes == 64 && p.dst_mac == 0x02_00_00_00_00_01));
 /// ```
 #[derive(Debug)]
 pub struct PacketGen {
@@ -71,11 +71,6 @@ impl PacketGen {
         }
     }
 
-    /// Generates `count` packets of one frame size.
-    pub fn fixed_size(&mut self, bytes: u32, count: usize) -> Vec<WorkloadPacket> {
-        (0..count).map(|_| self.packet(bytes)).collect()
-    }
-
     /// Generates packets where a fraction `foreign` carry a non-local
     /// destination MAC (exercising the packet filter).
     pub fn with_foreign_traffic(
@@ -102,10 +97,10 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let a = PacketGen::new(1, 1).fixed_size(64, 50);
-        let b = PacketGen::new(1, 1).fixed_size(64, 50);
+        let a = PacketGen::new(1, 1).with_foreign_traffic(64, 50, 0.1);
+        let b = PacketGen::new(1, 1).with_foreign_traffic(64, 50, 0.1);
         assert_eq!(a, b);
-        let c = PacketGen::new(2, 1).fixed_size(64, 50);
+        let c = PacketGen::new(2, 1).with_foreign_traffic(64, 50, 0.1);
         assert_ne!(a, c);
     }
 
@@ -119,7 +114,9 @@ mod tests {
 
     #[test]
     fn flow_count_bounds_sources() {
-        let pkts = PacketGen::new(5, 1).with_flows(4).fixed_size(64, 500);
+        let pkts = PacketGen::new(5, 1)
+            .with_flows(4)
+            .with_foreign_traffic(64, 500, 0.0);
         let mut ips: Vec<u32> = pkts.iter().map(|p| p.src_ip).collect();
         ips.sort_unstable();
         ips.dedup();
