@@ -89,9 +89,11 @@ echo "==> every component feeds an output: no BMC, control tool, project package
 # The BMC, the control tool, the ACL, LZ codec and megaflow role logic, the
 # Network RBB's exact-match flow table, the project packager, the fleet
 # summary, the fault tally, the LB's idle sweeper and the scraper's rate
-# fed no figure, binary, example or benchmark, so they were deleted; every
-# host driver sends as SrcId::Application (see DESIGN.md).
-if grep -rnE 'B[m]cController|C[o]ntrolTool|H[e]althSnapshot|M[e]gaflowCache|A[c]lRule|C[o]decError|f[l]ow_table|w[i]th_src|P[r]ojectBundle|b[u]ild_project|F[l]eetSummary|F[a]ultReport|s[w]eep_idle|r[a]te_per_sec' crates examples tests; then
+# fed no figure, binary, example or benchmark, nor did the mechanisms that
+# only their own tests reached (second pattern), so they were deleted;
+# every host driver sends as SrcId::Application (see DESIGN.md).
+if grep -rnE 'B[m]cController|C[o]ntrolTool|H[e]althSnapshot|M[e]gaflowCache|A[c]lRule|C[o]decError|f[l]ow_table|w[i]th_src|P[r]ojectBundle|b[u]ild_project|F[l]eetSummary|F[a]ultReport|s[w]eep_idle|r[a]te_per_sec' crates examples tests \
+    || grep -rnE 'd[r]ain_data|d[a]ta_backlog\b|d[a]ta_latency_ps|d[a]ta_throughput_gbs|s[e]t_filter_enabled|s[c]ript_diff|r[u]n_uniform|k[i]ll_rack|w[e]ighted_index|r[e]move_backend' crates examples tests; then
     echo "ci.sh: these components were deleted because no output reads them; wire a new one into an output (see DESIGN.md)" >&2
     exit 1
 fi
@@ -106,36 +108,24 @@ if grep -rnE 'Crit[e]rion|bench_[m]ain|bench_[g]roup|Benchmark[I]d|\b(trace|mete
     exit 1
 fi
 
-echo "==> every pub fn has a caller outside unit tests: none under crates/*/src is named only at its definition"
-# The count below cuts each src file at its `mod tests` line, so it relies
-# on the unit-test module being the file's last item.
-late=$(find crates -path 'crates/*/src/*' -name '*.rs' -exec awk '
-    FNR == 1 { state = 0 }
-    state == 2 && NF { print FILENAME; state = 3 }
-    state == 1 && /^}/ { state = 2 }
-    state == 0 && /^mod tests \{/ { state = 1 }' {} +)
-if [ -n "$late" ]; then
-    printf '%s\n' "$late"
-    echo "ci.sh: the files above have code after their unit-test module; move it above" >&2
-    exit 1
-fi
-# One counting pass over every identifier in crates/, examples/, tests/
-# and benchmark/src, with each src file's trailing `#[cfg(test)] mod tests`
-# block cut off: a `pub fn` whose name occurs once occurs only where it is
-# defined, so nothing but its own unit tests calls it (see DESIGN.md).
-uncalled=$(
-    { grep -rhoE 'pub (const |unsafe )?fn [A-Za-z_][A-Za-z0-9_]*' crates/*/src \
-        | sed -E 's/^.* /def /'
-      { find crates -path 'crates/*/src/*' -name '*.rs' \
-            -exec awk 'FNR == 1 { cut = 0 } /^mod tests \{/ { cut = 1 } !cut' {} +
-        cat $(find crates/*/tests crates/*/benches examples tests benchmark/src -name '*.rs')
-      } | grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort | uniq -c
-    } | awk '$1 == "def" { def[$2] = 1; next } { n[$2] = $1 } END { for (f in def) if (n[f] == 1) print f }' \
-      | sort
-)
+echo "==> every pub item has a caller outside its library: none under crates/*/src is named only in that src tree"
+# rustc cannot see the uses of a pub item in other crates, so a pub fn,
+# const or static must be named outside its library's src tree (its own
+# src/bin and #[macro_export] bodies count); anything else is pub(crate),
+# which the compiler gate below checks for uses (see DESIGN.md).
+uncalled=$(for src in crates/*/src; do
+    defs=$(find "$src" -path "$src/bin" -prune -o -name '*.rs' -print \
+        | xargs grep -hoE 'pub (const |unsafe )*(fn|const|static) [A-Za-z_][A-Za-z0-9_]*' \
+        | sed 's/.* //' | sort -u)
+    [ -n "$defs" ] || continue
+    used=$({ find crates examples tests benchmark/src -name '*.rs' ! \( -path "$src/*" ! -path "$src/bin/*" \) | xargs cat
+             find "$src" -name '*.rs' | xargs awk '/^#\[macro_export\]/ { m = 1 } m; m && /^}/ { m = 0 }'
+           } | grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort -u)
+    printf '%s\n' "$defs" | grep -vxF "$used" | sed "s|^|$src: |"
+done)
 if [ -n "$uncalled" ]; then
     printf '%s\n' "$uncalled"
-    echo "ci.sh: delete the pub fns above or give them a caller outside unit tests (see DESIGN.md)" >&2
+    echo "ci.sh: make the items above pub(crate), or delete them if nothing in their library calls them (see DESIGN.md)" >&2
     exit 1
 fi
 
@@ -143,8 +133,9 @@ echo "==> format gate: the tree is rustfmt-clean"
 cargo fmt --all --check
 
 echo "==> compiler gate: zero warnings on every target"
-# Items that nothing outside their crate uses are pub(crate), so rustc's
-# dead_code lint reports any that nothing inside it uses either.
+# Items that nothing outside their library names are pub(crate), so rustc's
+# dead_code lint reports any that the library build, which leaves
+# #[cfg(test)] code out, never uses.
 RUSTFLAGS="-D warnings" cargo check --workspace --all-targets --offline --locked
 
 echo "==> lint gate: zero clippy warnings on every target"

@@ -2,8 +2,7 @@
 //!
 //! The FPGA works as a SmartNIC distributing incoming flows to real
 //! servers (§5.1): new flows pick a backend from a consistent-hash ring;
-//! established flows stick to their backend through a connection table, so
-//! backend membership changes never break existing connections.
+//! established flows stick to their backend through a connection table.
 
 use crate::common::{App, BitwPath};
 use harmonia_hw::ip::MacIp;
@@ -37,7 +36,6 @@ pub struct LbStats {
 #[derive(Clone, Debug)]
 pub struct Layer4Lb {
     ring: Vec<u16>,
-    backends: Vec<Backend>,
     /// Established connections and the backend each is pinned to.
     connections: HashMap<FlowKey, u16>,
     capacity: usize,
@@ -56,22 +54,19 @@ impl Layer4Lb {
     pub fn new(backends: Vec<Backend>, capacity: usize) -> Self {
         assert!(!backends.is_empty(), "need at least one backend");
         assert!(capacity > 0, "connection table must have capacity");
-        let mut lb = Layer4Lb {
-            ring: Vec::new(),
-            backends,
+        Layer4Lb {
+            ring: Self::ring(&backends),
             connections: HashMap::new(),
             capacity,
             stats: LbStats::default(),
-        };
-        lb.rebuild_ring();
-        lb
+        }
     }
 
-    fn rebuild_ring(&mut self) {
+    fn ring(backends: &[Backend]) -> Vec<u16> {
         // Weighted rendezvous-style ring: slots interleaved deterministically
         // by hashing (backend, slot).
         let mut slots: Vec<(u64, u16)> = Vec::new();
-        for b in &self.backends {
+        for b in backends {
             for s in 0..usize::from(b.weight) * Self::SLOTS_PER_WEIGHT {
                 let mut h = (u64::from(b.id) << 32) | s as u64;
                 h ^= h >> 33;
@@ -81,16 +76,7 @@ impl Layer4Lb {
             }
         }
         slots.sort_unstable();
-        self.ring = slots.into_iter().map(|(_, id)| id).collect();
-    }
-
-    /// Removes a backend. Established connections to it are flushed (the
-    /// servers are gone); other connections are untouched.
-    pub fn remove_backend(&mut self, id: u16) {
-        self.backends.retain(|b| b.id != id);
-        assert!(!self.backends.is_empty(), "removed the last backend");
-        self.connections.retain(|_, backend| *backend != id);
-        self.rebuild_ring();
+        slots.into_iter().map(|(_, id)| id).collect()
     }
 
     /// Picks the backend for a packet, creating connection state for new
@@ -110,12 +96,6 @@ impl Layer4Lb {
         self.connections.insert(key, backend);
         self.stats.new_connections += 1;
         Some(backend)
-    }
-
-    /// Live connection count.
-    #[cfg(test)]
-    fn connection_count(&self) -> usize {
-        self.connections.len()
     }
 
     /// Statistics.
@@ -208,36 +188,6 @@ mod tests {
         }
         let share = f64::from(heavy) / 8_000.0;
         assert!((0.68..0.82).contains(&share), "weighted share {share:.2}");
-    }
-
-    #[test]
-    fn established_connections_survive_membership_changes() {
-        let mut lb = lb();
-        let backend = lb.dispatch(&pkt(42)).unwrap();
-        if backend != 3 {
-            lb.remove_backend(3);
-        } else {
-            lb.remove_backend(4);
-        }
-        assert_eq!(
-            lb.dispatch(&pkt(42)),
-            Some(backend),
-            "stateful pinning broke"
-        );
-    }
-
-    #[test]
-    fn removing_a_backend_flushes_only_its_connections() {
-        let mut lb = lb();
-        let mut victims = 0;
-        for port in 0..1_000 {
-            if lb.dispatch(&pkt(port)) == Some(2) {
-                victims += 1;
-            }
-        }
-        let before = lb.connection_count();
-        lb.remove_backend(2);
-        assert_eq!(lb.connection_count(), before - victims);
     }
 
     #[test]

@@ -135,10 +135,10 @@ impl RetrievalEngine {
     }
 
     /// Items one FPGA shard holds; larger corpora scale out horizontally.
-    pub const SHARD_ITEMS: u64 = 1_000_000;
+    pub(crate) const SHARD_ITEMS: u64 = 1_000_000;
 
     /// Per-query performance with corpus sharding: each FPGA scans at most
-    /// [`SHARD_ITEMS`](Self::SHARD_ITEMS); beyond that QPS and latency
+    /// `SHARD_ITEMS`; beyond that QPS and latency
     /// plateau (the fleet grows instead).
     pub fn sharded_perf(&self, parallel_lanes: u32, clock: Freq, with_harmonia: bool) -> AppPerf {
         let shard = RetrievalEngine::capacity_only(self.items.min(Self::SHARD_ITEMS), self.dim);

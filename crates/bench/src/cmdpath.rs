@@ -24,7 +24,7 @@ pub const BATCHES: [usize; 4] = [1, 4, 16, 64];
 pub const DEPTHS: [usize; 3] = [16, 64, 256];
 
 /// Health polls issued per sweep point.
-pub const COMMANDS: usize = 256;
+pub(crate) const COMMANDS: usize = 256;
 
 /// One measured (batch, depth) point of the sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,7 +59,7 @@ impl CmdpathPoint {
 }
 
 /// Runs one sweep point: `COMMANDS` health polls through a fresh driver.
-pub fn run_point(batch: usize, depth: usize) -> CmdpathPoint {
+pub(crate) fn run_point(batch: usize, depth: usize) -> CmdpathPoint {
     let dev = catalog::device_a();
     let (gen, lanes) = dev.pcie().unwrap();
     let engine = DmaEngine::new(PcieDmaIp::new(Vendor::Xilinx, gen, lanes));
@@ -138,19 +138,6 @@ pub fn sweep_json(points: &[CmdpathPoint]) -> String {
     out
 }
 
-/// Pulls `sim_cmds_per_sec` for one named point out of a rendered (or
-/// committed) `BENCH_cmdpath.json`. Used by the scaling regression test
-/// against the repo-root artifact.
-pub fn rate_from_json(json: &str, name: &str) -> Option<f64> {
-    let needle = format!("\"name\": \"{name}\"");
-    let line = json.lines().find(|l| l.contains(&needle))?;
-    let field = "\"sim_cmds_per_sec\": ";
-    let start = line.find(field)? + field.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}'])?;
-    rest[..end].trim().parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,10 +147,13 @@ mod tests {
         let points = vec![run_point(1, 16), run_point(16, 16)];
         let json = sweep_json(&points);
         for p in &points {
-            let got = rate_from_json(&json, &p.name()).unwrap();
+            let got = crate::json_field::<f64>(&json, &p.name(), "sim_cmds_per_sec").unwrap();
             assert!((got - p.sim_cmds_per_sec).abs() < 0.1, "{got} vs {p:?}");
         }
-        assert_eq!(rate_from_json(&json, "batch=9/depth=9"), None);
+        assert_eq!(
+            crate::json_field::<f64>(&json, "batch=9/depth=9", "sim_cmds_per_sec"),
+            None
+        );
     }
 
     #[test]

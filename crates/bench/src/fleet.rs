@@ -20,7 +20,7 @@ use harmonia::fleet::{FleetController, FleetSpec, PlacementPolicy, TICK_PS};
 pub const DEVICES: [usize; 2] = [128, 512];
 
 /// Sweep seed (inventory shuffle, traffic jitter, random placement).
-pub const SEED: u64 = 7;
+pub(crate) const SEED: u64 = 7;
 
 /// Tick the kill lands on: 21:00, the diurnal peak — the worst moment
 /// to lose a serving card.
@@ -61,7 +61,7 @@ impl FleetPoint {
 /// Runs one sweep point. `policy` is explicit — the sweep never
 /// consults `HARMONIA_FLEET_POLICY` or `HARMONIA_FLEET_DEVICES`, so
 /// bench numbers cannot drift with the caller's environment.
-pub fn run_point(policy: PlacementPolicy, devices: usize) -> FleetPoint {
+pub(crate) fn run_point(policy: PlacementPolicy, devices: usize) -> FleetPoint {
     let mut fleet =
         FleetController::new(FleetSpec::new(devices, SEED, policy)).expect("placement feasible");
     let victim = fleet.assignments()[0].device;
@@ -127,18 +127,6 @@ pub fn sweep_json(points: &[FleetPoint]) -> String {
     out
 }
 
-/// Pulls an integer field for one named point out of a rendered (or
-/// committed) `BENCH_fleet.json`.
-pub fn field_from_json(json: &str, name: &str, field: &str) -> Option<u64> {
-    let needle = format!("\"name\": \"{name}\"");
-    let line = json.lines().find(|l| l.contains(&needle))?;
-    let key = format!("\"{field}\": ");
-    let start = line.find(&key)? + key.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}'])?;
-    rest[..end].trim().parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,12 +136,18 @@ mod tests {
         let points = vec![run_point(PlacementPolicy::BestFit, 96)];
         let json = sweep_json(&points);
         let p = &points[0];
-        assert_eq!(field_from_json(&json, &p.name(), "p99_ps"), Some(p.p99_ps));
         assert_eq!(
-            field_from_json(&json, &p.name(), "injected"),
+            crate::json_field(&json, &p.name(), "p99_ps"),
+            Some(p.p99_ps)
+        );
+        assert_eq!(
+            crate::json_field(&json, &p.name(), "injected"),
             Some(p.injected)
         );
-        assert_eq!(field_from_json(&json, "bestfit/devices=9", "p99_ps"), None);
+        assert_eq!(
+            crate::json_field::<u64>(&json, "bestfit/devices=9", "p99_ps"),
+            None
+        );
     }
 
     #[test]

@@ -67,6 +67,19 @@ pub fn print_all(tables: &[harmonia::metrics::Table]) {
     }
 }
 
+/// Pulls `field` for the point named `name` out of a rendered (or
+/// committed) simulated `BENCH_*.json`: each point is one line, so the
+/// value sits between `"<field>": ` and the next `,` or `}` on it.
+pub fn json_field<T: std::str::FromStr>(json: &str, name: &str, field: &str) -> Option<T> {
+    let needle = format!("\"name\": \"{name}\"");
+    let line = json.lines().find(|l| l.contains(&needle))?;
+    let key = format!("\"{field}\": ");
+    let start = line.find(&key)? + key.len();
+    let rest = &line[start..];
+    let end = rest.find([',', '}'])?;
+    rest[..end].trim().parse().ok()
+}
+
 /// The five evaluation applications with their per-device role specs.
 pub mod roles {
     use harmonia::apps::{App, BoardTest, HostNetwork, Layer4Lb, RetrievalEngine, SecGateway};

@@ -27,15 +27,15 @@ use harmonia::{MemoryDemand, RoleSpec, TailoredShell, UnifiedShell};
 pub const TENANTS: [usize; 3] = [2, 4, 8];
 
 /// Closed-loop commands the victim issues per point.
-pub const VICTIM_CMDS: usize = 2000;
+pub(crate) const VICTIM_CMDS: usize = 2000;
 
 /// Commands each aggressor floods (enough to outlast the victim's
 /// drain at every point).
-pub const AGGRESSOR_CMDS: usize = 4000;
+pub(crate) const AGGRESSOR_CMDS: usize = 4000;
 
 /// The victim's weight: buys a 4× per-slice command budget under
 /// weighted-fair, nothing under round-robin.
-pub const VICTIM_WEIGHT: u64 = 4;
+pub(crate) const VICTIM_WEIGHT: u64 = 4;
 
 /// One measured (policy, tenants) point of the sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -123,7 +123,7 @@ fn run_victim(d: &mut TenantHostDriver) -> (u64, u64, u64, u64, u64) {
 }
 
 /// Runs one sweep point under `policy`.
-pub fn run_point(policy: TenantPolicy, tenants: usize) -> TenancyPoint {
+pub(crate) fn run_point(policy: TenantPolicy, tenants: usize) -> TenancyPoint {
     assert!(tenants >= 2, "a noisy-neighbor point needs an aggressor");
     // Solo baseline: same victim workload, empty machine, same policy.
     let mut solo = driver(policy, &[VICTIM_WEIGHT]);
@@ -190,18 +190,6 @@ pub fn sweep_json(points: &[TenancyPoint]) -> String {
     out
 }
 
-/// Pulls `p99_ratio` for one named point out of a rendered (or
-/// committed) `BENCH_tenancy.json`.
-pub fn ratio_from_json(json: &str, name: &str) -> Option<f64> {
-    let needle = format!("\"name\": \"{name}\"");
-    let line = json.lines().find(|l| l.contains(&needle))?;
-    let field = "\"p99_ratio\": ";
-    let start = line.find(field)? + field.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}'])?;
-    rest[..end].trim().parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,10 +202,13 @@ mod tests {
         ];
         let json = sweep_json(&points);
         for p in &points {
-            let got = ratio_from_json(&json, &p.name()).unwrap();
+            let got = crate::json_field::<f64>(&json, &p.name(), "p99_ratio").unwrap();
             assert!((got - p.p99_ratio).abs() < 0.01, "{got} vs {p:?}");
         }
-        assert_eq!(ratio_from_json(&json, "rr/tenants=9"), None);
+        assert_eq!(
+            crate::json_field::<f64>(&json, "rr/tenants=9", "p99_ratio"),
+            None
+        );
     }
 
     #[test]

@@ -15,6 +15,7 @@
 use std::sync::OnceLock;
 
 use harmonia_bench::cmdpath::{self, CmdpathPoint};
+use harmonia_bench::json_field;
 use harmonia_testkit::bench::assert_committed;
 
 fn sweep() -> &'static [CmdpathPoint] {
@@ -79,9 +80,9 @@ fn committed_bench_shows_batch_16_at_least_twice_batch_1() {
         committed,
         &cmdpath::sweep_json(sweep()),
     );
-    let serial = cmdpath::rate_from_json(committed, "batch=1/depth=64")
+    let serial = json_field::<f64>(committed, "batch=1/depth=64", "sim_cmds_per_sec")
         .expect("committed artifact carries batch=1/depth=64");
-    let batched = cmdpath::rate_from_json(committed, "batch=16/depth=64")
+    let batched = json_field::<f64>(committed, "batch=16/depth=64", "sim_cmds_per_sec")
         .expect("committed artifact carries batch=16/depth=64");
     assert!(
         batched >= 2.0 * serial,

@@ -16,6 +16,7 @@ use std::sync::OnceLock;
 
 use harmonia::fleet::TICK_PS;
 use harmonia_bench::fleet::{self, FleetPoint};
+use harmonia_bench::json_field;
 use harmonia_testkit::bench::assert_committed;
 
 fn sweep() -> &'static [FleetPoint] {
@@ -77,12 +78,10 @@ fn committed_bench_shows_the_same_placement_split() {
     // stale, and the fresh rendering is left in target/testkit-bench/.
     assert_committed("BENCH_fleet.json", committed, &fleet::sweep_json(sweep()));
     for &devices in &fleet::DEVICES {
-        let best =
-            fleet::field_from_json(committed, &format!("bestfit/devices={devices}"), "p99_ps")
-                .expect("committed artifact carries the bestfit point");
-        let random =
-            fleet::field_from_json(committed, &format!("random/devices={devices}"), "p99_ps")
-                .expect("committed artifact carries the random point");
+        let best = json_field::<u64>(committed, &format!("bestfit/devices={devices}"), "p99_ps")
+            .expect("committed artifact carries the bestfit point");
+        let random = json_field::<u64>(committed, &format!("random/devices={devices}"), "p99_ps")
+            .expect("committed artifact carries the random point");
         assert!(
             best <= TICK_PS,
             "committed bestfit/devices={devices} p99 {best} breaks the tick bound"

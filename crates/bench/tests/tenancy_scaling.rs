@@ -14,6 +14,7 @@
 
 use std::sync::OnceLock;
 
+use harmonia_bench::json_field;
 use harmonia_bench::tenancy::{self, TenancyPoint};
 use harmonia_testkit::bench::assert_committed;
 
@@ -75,9 +76,9 @@ fn committed_bench_shows_the_same_isolation_split() {
         &tenancy::sweep_json(sweep()),
     );
     for &tenants in &tenancy::TENANTS {
-        let wfq = tenancy::ratio_from_json(committed, &format!("wfq/tenants={tenants}"))
+        let wfq = json_field::<f64>(committed, &format!("wfq/tenants={tenants}"), "p99_ratio")
             .expect("committed artifact carries the wfq point");
-        let rr = tenancy::ratio_from_json(committed, &format!("rr/tenants={tenants}"))
+        let rr = json_field::<f64>(committed, &format!("rr/tenants={tenants}"), "p99_ratio")
             .expect("committed artifact carries the rr point");
         assert!(
             wfq <= 2.0,

@@ -289,19 +289,19 @@ impl fmt::Debug for UnifiedControlKernel {
 
 impl UnifiedControlKernel {
     /// Soft-core clock: commands execute at Nios-class speed.
-    pub const CORE_CLOCK_MHZ: u64 = 250;
+    pub(crate) const CORE_CLOCK_MHZ: u64 = 250;
     /// Smallest replay window, in tags. Each ring — every tenant's, plus
     /// one the serial path and the unbudgeted doorbell share — gets its
     /// own window of the next power of two at or above the larger of
     /// this and twice its SQ depth. A retry replays as long as its ring's
     /// tags are dense and it is less than a window behind the newest tag
     /// that ran there; an older tag gets [`KernelError::StaleTag`].
-    pub const IDEM_CACHE_DEPTH: usize = 256;
+    pub(crate) const IDEM_CACHE_DEPTH: usize = 256;
     /// Fixed per-command overhead in core cycles (parse + dispatch +
     /// encapsulate).
-    pub const CYCLES_PER_COMMAND: u64 = 60;
+    pub(crate) const CYCLES_PER_COMMAND: u64 = 60;
     /// Core cycles per register operation executed.
-    pub const CYCLES_PER_REG_OP: u64 = 4;
+    pub(crate) const CYCLES_PER_REG_OP: u64 = 4;
 
     /// Creates a kernel with the given command-buffer depth.
     pub fn new(buffer_depth: usize) -> Self {

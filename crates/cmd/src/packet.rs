@@ -20,7 +20,7 @@ use std::error::Error;
 use std::fmt;
 
 /// Protocol version this implementation speaks.
-pub const VERSION: u8 = 1;
+pub(crate) const VERSION: u8 = 1;
 /// Options-word flag marking a command as idempotency-tagged: the
 /// remaining options bits carry a driver-chosen tag, and the kernel
 /// caches the response under `(src, options)` so a *retried* command
@@ -28,9 +28,9 @@ pub const VERSION: u8 = 1;
 /// cached response instead of executing twice.
 pub const IDEMPOTENCY_FLAG: u32 = 0x8000_0000;
 /// Header length in 32-bit words.
-pub const HEADER_WORDS: u8 = 3;
+pub(crate) const HEADER_WORDS: u8 = 3;
 /// Maximum data words per packet (bounded by the 16-bit PayloadLen).
-pub const MAX_DATA_WORDS: usize = 1024;
+pub(crate) const MAX_DATA_WORDS: usize = 1024;
 
 /// A command packet.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -73,7 +73,7 @@ impl CommandPacket {
     ///
     /// # Panics
     ///
-    /// Panics if the payload exceeds [`MAX_DATA_WORDS`].
+    /// Panics if the payload exceeds `MAX_DATA_WORDS`.
     pub fn with_data(mut self, data: Vec<u32>) -> Self {
         assert!(
             data.len() <= MAX_DATA_WORDS,
@@ -81,12 +81,6 @@ impl CommandPacket {
             data.len()
         );
         self.data = data;
-        self
-    }
-
-    /// Builder-style options assignment.
-    pub fn with_options(mut self, options: u32) -> Self {
-        self.options = options;
         self
     }
 
@@ -324,9 +318,10 @@ mod tests {
     use super::*;
 
     fn sample() -> CommandPacket {
-        CommandPacket::new(SrcId::Application, 1, 0, CommandCode::TableWrite)
-            .with_data(vec![0xAABB, 0xCCDD, 0x1234])
-            .with_options(0x5)
+        let mut p = CommandPacket::new(SrcId::Application, 1, 0, CommandCode::TableWrite)
+            .with_data(vec![0xAABB, 0xCCDD, 0x1234]);
+        p.options = 0x5;
+        p
     }
 
     #[test]

@@ -24,9 +24,10 @@ fn arb_packet() -> impl Strategy<Value = CommandPacket> {
         collection::vec(any::<u32>(), 0..32),
     )
         .prop_map(|(src, rbb, inst, code, options, data)| {
-            CommandPacket::new(src, rbb, inst, CommandCode::from_u16(code))
-                .with_options(options)
-                .with_data(data)
+            let mut p =
+                CommandPacket::new(src, rbb, inst, CommandCode::from_u16(code)).with_data(data);
+            p.options = options;
+            p
         })
 }
 

@@ -53,14 +53,14 @@ type Cohort = (u64, u64, u64, u64);
 const GROUP_WINDOW: usize = 8;
 
 /// Ticks a replacement spare spends deploying before it serves.
-pub const DEPLOY_TICKS: u32 = 2;
+pub(crate) const DEPLOY_TICKS: u32 = 2;
 
 /// Ticks one rolling-upgrade wave keeps its devices out of service.
-pub const UPGRADE_TICKS: u32 = 2;
+pub(crate) const UPGRADE_TICKS: u32 = 2;
 
 /// Upper bound on post-traffic drain ticks before the campaign gives
 /// up and reports the residual backlog as `pending`.
-pub const MAX_DRAIN_TICKS: u32 = 2_000;
+pub(crate) const MAX_DRAIN_TICKS: u32 = 2_000;
 
 /// Campaign parameters: the fleet is a pure function of this value
 /// plus the scheduled kill/upgrade events.
@@ -525,24 +525,9 @@ impl FleetController {
         self.push_link_event(device, tick, true);
     }
 
-    /// Kills every device in a rack at `tick` — a whole failure domain
-    /// going dark at once.
-    pub fn kill_rack(&mut self, rack: u32, tick: u32) {
-        let victims: Vec<u32> = self
-            .inventory
-            .devices
-            .iter()
-            .filter(|d| d.rack == rack)
-            .map(|d| d.index)
-            .collect();
-        for v in victims {
-            self.kill_device(v, tick);
-        }
-    }
-
     /// Schedules a rolling shell upgrade: from `start_tick`, waves of
     /// `wave_size` devices drain their work, go dark for
-    /// [`UPGRADE_TICKS`], and come back on `target_version`.
+    /// `UPGRADE_TICKS`, and come back on `target_version`.
     pub fn schedule_upgrade(&mut self, start_tick: u32, target_version: u32, wave_size: usize) {
         self.upgrade = Some(UpgradePlan {
             start_tick,
@@ -561,7 +546,7 @@ impl FleetController {
     }
 
     /// Runs the campaign: the traffic ticks, then a drain phase until
-    /// every queue is empty (bounded by [`MAX_DRAIN_TICKS`]).
+    /// every queue is empty (bounded by `MAX_DRAIN_TICKS`).
     pub fn run(&mut self) -> CampaignReport {
         self.run_with(|_, phase| phase())
     }
@@ -1093,6 +1078,21 @@ mod tests {
         FleetController::new(FleetSpec::new(96, 7, policy)).expect("placement")
     }
 
+    /// Kills every device in `rack` at `tick` — a whole failure domain
+    /// going dark at once.
+    fn kill_whole_rack(fleet: &mut FleetController, rack: u32, tick: u32) {
+        let victims: Vec<u32> = fleet
+            .inventory
+            .devices
+            .iter()
+            .filter(|d| d.rack == rack)
+            .map(|d| d.index)
+            .collect();
+        for v in victims {
+            fleet.kill_device(v, tick);
+        }
+    }
+
     #[test]
     fn quiet_campaign_converges_exactly() {
         let mut fleet = small(PlacementPolicy::BestFit);
@@ -1133,7 +1133,7 @@ mod tests {
     #[test]
     fn rack_kill_drains_a_whole_failure_domain() {
         let mut fleet = small(PlacementPolicy::BestFit);
-        fleet.kill_rack(0, 100);
+        kill_whole_rack(&mut fleet, 0, 100);
         let report = fleet.run();
         assert!(report.accounting.exact());
         assert_eq!(report.accounting.pending, 0);
@@ -1324,7 +1324,10 @@ mod tests {
                     prop_assert!(victim.is_some(), "no spare fits any placed role");
                     fleet.kill_device(victim.expect("checked").device, tick);
                 }
-                1 => fleet.kill_rack(seed as u32 % fleet.inventory.racks, tick),
+                1 => {
+                    let rack = seed as u32 % fleet.inventory.racks;
+                    kill_whole_rack(&mut fleet, rack, tick);
+                }
                 2 => {
                     fleet.kill_device(first, tick);
                     fleet.restore_device(first, tick + 5);

@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 use std::sync::OnceLock;
 
 /// Model mix weights (A, B, C, D) out of [`MIX_TOTAL`].
-pub const MODEL_MIX: [(DeviceId, usize); 4] = [
+pub(crate) const MODEL_MIX: [(DeviceId, usize); 4] = [
     (DeviceId::A, 3),
     (DeviceId::B, 3),
     (DeviceId::C, 2),
@@ -22,7 +22,7 @@ pub const MODEL_MIX: [(DeviceId, usize); 4] = [
 ];
 
 /// Sum of [`MODEL_MIX`] weights.
-pub const MIX_TOTAL: usize = 10;
+pub(crate) const MIX_TOTAL: usize = 10;
 
 /// Speed of a catalog model in abstract speed-units: line rate plus
 /// host-link bandwidth (`network_gbps + 4 × pcie_gen × pcie_lanes`).
@@ -102,7 +102,7 @@ pub struct Inventory {
 impl Inventory {
     /// Builds an inventory of `n` devices with the exact-proportion
     /// model mix, positions shuffled by `seed`, racks of
-    /// [`crate::RACK_SIZE`].
+    /// `RACK_SIZE`.
     ///
     /// # Panics
     ///

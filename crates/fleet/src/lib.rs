@@ -99,7 +99,7 @@ pub const TICK_PS: harmonia_sim::Picos = 300 * harmonia_sim::PS_PER_SEC;
 pub const TICKS_PER_DAY: u32 = 288;
 
 /// Devices per rack — the failure-domain granularity.
-pub const RACK_SIZE: usize = 32;
+pub(crate) const RACK_SIZE: usize = 32;
 
 /// Simulated users per fleet device (the default
 /// [`FleetSpec`] derives `users = devices × 1000`, so the 2048-device

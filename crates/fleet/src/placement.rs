@@ -226,9 +226,9 @@ fn place_random(
 
 /// Migration/redeploy stall cost: a fixed deploy base plus a per-command
 /// modification charge from the real `migration.rs` diff.
-pub const DEPLOY_BASE_PS: Picos = 50_000_000_000; // 50 ms
+pub(crate) const DEPLOY_BASE_PS: Picos = 50_000_000_000; // 50 ms
 /// Per-`cmd_modification` stall charge.
-pub const CMD_MOD_PS: Picos = 10_000_000_000; // 10 ms
+pub(crate) const CMD_MOD_PS: Picos = 10_000_000_000; // 10 ms
 
 /// The per-catalog deployment table over `(model, role)` pairs: whether
 /// each role tailors onto each catalog model, and the migration stall

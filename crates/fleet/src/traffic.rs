@@ -12,7 +12,7 @@ use harmonia_sim::SplitMix64;
 
 /// Hourly demand curve in per-mille of peak: trough of 300 ‰ around
 /// 04:00, peak of 1000 ‰ at 21:00 (the classic consumer diurnal).
-pub const DIURNAL_PER_MILLE: [u64; 24] = [
+pub(crate) const DIURNAL_PER_MILLE: [u64; 24] = [
     550, 450, 380, 320, 300, 320, 380, 480, 580, 650, 700, 730, //
     750, 740, 720, 700, 720, 760, 820, 900, 970, 1000, 880, 700,
 ];

@@ -4,7 +4,8 @@
 
 use harmonia_fleet::control::fleet_slos;
 use harmonia_fleet::{
-    FleetController, FleetSpec, PlacementPolicy, FLEET_DEVICES_ENV, FLEET_POLICY_ENV, TICK_PS,
+    FleetController, FleetSpec, Inventory, PlacementPolicy, FLEET_DEVICES_ENV, FLEET_POLICY_ENV,
+    TICK_PS,
 };
 use harmonia_sim::metrics::{evaluate_slos, MetricsRegistry};
 
@@ -48,7 +49,14 @@ fn kill_device_mid_traffic_converges_with_exact_accounting() {
 #[test]
 fn rack_kill_reschedules_a_whole_failure_domain() {
     let mut f = fleet(192, PlacementPolicy::BestFit);
-    f.kill_rack(1, 120);
+    // The controller samples its inventory from the same size and seed.
+    for d in Inventory::sample(192, 7)
+        .devices
+        .iter()
+        .filter(|d| d.rack == 1)
+    {
+        f.kill_device(d.index, 120);
+    }
     let report = f.run();
     assert!(report.accounting.exact());
     assert_eq!(report.accounting.pending, 0);

@@ -38,7 +38,7 @@ use harmonia_sim::{
 
 /// Status-register value published for a module the driver took out of
 /// service (visible through `ModuleStatusRead`/stats afterwards).
-pub const DEGRADED_STATUS: u32 = 0xDEAD;
+pub(crate) const DEGRADED_STATUS: u32 = 0xDEAD;
 
 /// An abstract command issued by the driver — the unit Figure 13 counts
 /// when diffing software across platforms.
@@ -532,7 +532,7 @@ impl CommandDriver {
     /// `ModuleInit` per module, platform details handled by the kernel —
     /// with graceful degradation. A module whose retry budget runs out is marked
     /// [`harmonia_shell::RbbHealth::Degraded`] in the shell's health
-    /// ledger and its status register is set to [`DEGRADED_STATUS`]; the
+    /// ledger and its status register is set to `DEGRADED_STATUS`; the
     /// remaining modules are still initialized — one dead MAC must not
     /// take the whole shell down.
     ///

@@ -7,7 +7,7 @@
 //! share the data queues, where they wait behind buffered data.
 
 use harmonia_hw::ip::PcieDmaIp;
-use harmonia_sim::{FaultInjector, FaultKind, Picos, Probe, Throughput, TraceEventKind};
+use harmonia_sim::{FaultInjector, FaultKind, Picos, Probe, TraceEventKind};
 
 /// Outcome of shipping one command packet through the control queue.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -32,7 +32,6 @@ pub struct DmaEngine {
     ctrl_isolated: bool,
     /// Data bytes currently queued ahead of any shared-queue command.
     data_backlog_bytes: u64,
-    data_sent: Throughput,
     commands_sent: u64,
     doorbells: u64,
     faults: FaultInjector,
@@ -47,7 +46,6 @@ impl DmaEngine {
             dma,
             ctrl_isolated: true,
             data_backlog_bytes: 0,
-            data_sent: Throughput::new(),
             commands_sent: 0,
             doorbells: 0,
             faults: FaultInjector::none(),
@@ -85,27 +83,6 @@ impl DmaEngine {
     /// Queues `bytes` of data-path traffic (builds backlog).
     pub fn enqueue_data(&mut self, bytes: u64) {
         self.data_backlog_bytes += bytes;
-        self.data_sent.record(bytes, 1);
-    }
-
-    /// Drains `bytes` of backlog (the device consumed them).
-    pub fn drain_data(&mut self, bytes: u64) {
-        self.data_backlog_bytes = self.data_backlog_bytes.saturating_sub(bytes);
-    }
-
-    /// Current data backlog in bytes.
-    pub fn data_backlog(&self) -> u64 {
-        self.data_backlog_bytes
-    }
-
-    /// Latency for a DMA data transfer of `bytes`.
-    pub fn data_latency_ps(&self, bytes: u32) -> Picos {
-        self.dma.read_latency_ps(bytes)
-    }
-
-    /// Data throughput for a given request size, GB/s.
-    pub fn data_throughput_gbs(&self, request_bytes: u32) -> f64 {
-        self.dma.throughput_gbs(request_bytes)
     }
 
     /// Delivery latency for a command packet of `cmd_bytes`.
@@ -258,23 +235,6 @@ mod tests {
             busy > quiet * 100,
             "shared-queue latency {busy} ps barely above quiet {quiet} ps"
         );
-    }
-
-    #[test]
-    fn backlog_drains() {
-        let mut e = engine();
-        e.enqueue_data(1000);
-        e.drain_data(400);
-        assert_eq!(e.data_backlog(), 600);
-        e.drain_data(10_000);
-        assert_eq!(e.data_backlog(), 0);
-    }
-
-    #[test]
-    fn data_path_uses_link_model() {
-        let e = engine();
-        assert!(e.data_throughput_gbs(16384) > 10.0);
-        assert!(e.data_latency_ps(16384) > e.data_latency_ps(1024));
     }
 
     #[test]

@@ -30,7 +30,8 @@ impl IrqModeration {
     }
 
     /// No moderation: every event interrupts immediately.
-    pub fn immediate() -> Self {
+    #[cfg(test)]
+    fn immediate() -> Self {
         IrqModeration {
             max_wait_ps: 0,
             batch_threshold: 1,
@@ -166,9 +167,15 @@ impl IrqModerator {
     fn timer_deadline_ps(&self) -> Option<Picos> {
         (self.pending > 0).then(|| self.oldest_ps + self.policy.max_wait_ps)
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use harmonia_testkit::prelude::*;
 
     /// Runs a uniform event stream: `count` events `gap_ps` apart.
-    pub fn run_uniform(policy: IrqModeration, gap_ps: Picos, count: u64) -> IrqReport {
+    fn uniform_stream(policy: IrqModeration, gap_ps: Picos, count: u64) -> IrqReport {
         let mut m = IrqModerator::new(policy);
         for i in 0..count {
             m.event(i * gap_ps);
@@ -176,11 +183,13 @@ impl IrqModerator {
         m.flush(count * gap_ps);
         m.report()
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    fn arb_policy() -> impl Strategy<Value = IrqModeration> {
+        (0u64..100_000_000, 1u32..256).prop_map(|(max_wait_ps, batch_threshold)| IrqModeration {
+            max_wait_ps,
+            batch_threshold,
+        })
+    }
 
     #[test]
     fn timer_deadline_is_the_oldest_pending_event_plus_max_wait() {
@@ -212,7 +221,7 @@ mod tests {
 
     #[test]
     fn immediate_policy_interrupts_every_event() {
-        let r = IrqModerator::run_uniform(IrqModeration::immediate(), 1_000, 1_000);
+        let r = uniform_stream(IrqModeration::immediate(), 1_000, 1_000);
         assert_eq!(r.interrupts, 1_000);
         assert_eq!(r.coalescing(), 1.0);
         assert_eq!(r.max_delay_ps, 0);
@@ -221,7 +230,7 @@ mod tests {
     #[test]
     fn batching_cuts_interrupt_rate_by_the_threshold() {
         // Events every 1 ns: the 64-batch fills long before 50 µs.
-        let r = IrqModerator::run_uniform(IrqModeration::nic_default(), 1_000, 64_000);
+        let r = uniform_stream(IrqModeration::nic_default(), 1_000, 64_000);
         assert_eq!(r.interrupts, 1_000);
         assert_eq!(r.coalescing(), 64.0);
         // Worst wait = 63 ns (first event of each batch).
@@ -231,7 +240,7 @@ mod tests {
     #[test]
     fn timer_bounds_latency_for_sparse_events() {
         // One event per 200 µs: batches never fill; the 50 µs timer fires.
-        let r = IrqModerator::run_uniform(IrqModeration::nic_default(), 200_000_000, 100);
+        let r = uniform_stream(IrqModeration::nic_default(), 200_000_000, 100);
         assert_eq!(r.interrupts, 100);
         assert_eq!(r.max_delay_ps, 50_000_000);
     }
@@ -239,7 +248,7 @@ mod tests {
     #[test]
     fn moderation_tradeoff_is_monotone() {
         // Stronger batching → fewer interrupts, more delay.
-        let weak = IrqModerator::run_uniform(
+        let weak = uniform_stream(
             IrqModeration {
                 max_wait_ps: 10_000_000,
                 batch_threshold: 8,
@@ -247,7 +256,7 @@ mod tests {
             100_000,
             10_000,
         );
-        let strong = IrqModerator::run_uniform(
+        let strong = uniform_stream(
             IrqModeration {
                 max_wait_ps: 10_000_000,
                 batch_threshold: 128,
@@ -269,5 +278,61 @@ mod tests {
         let r = m.report();
         assert_eq!(r.interrupts, 1);
         assert_eq!(r.events, 2);
+    }
+
+    forall! {
+        /// Moderation invariants for any policy and uniform stream: every
+        /// event is counted, at most one interrupt per event, no batch grows
+        /// past the threshold, and no event waits past the coalescing timer.
+        #[test]
+        fn irq_moderation_bounds(
+            policy in arb_policy(),
+            gap_ps in 0u64..10_000_000,
+            count in 1u64..2_000,
+        ) {
+            let r = uniform_stream(policy, gap_ps, count);
+            prop_assert_eq!(r.events, count);
+            prop_assert!(r.interrupts >= 1, "flushed stream must interrupt");
+            prop_assert!(r.interrupts <= r.events);
+            prop_assert!(
+                r.coalescing() <= f64::from(policy.batch_threshold),
+                "coalescing {} exceeds batch threshold {}",
+                r.coalescing(), policy.batch_threshold
+            );
+            prop_assert!(
+                r.max_delay_ps <= policy.max_wait_ps,
+                "event waited {} ps past the {} ps timer",
+                r.max_delay_ps, policy.max_wait_ps
+            );
+            prop_assert!(r.mean_delay_ps <= r.max_delay_ps as f64);
+        }
+
+        /// The no-moderation policy degenerates to one interrupt per event
+        /// with zero delay, for any stream.
+        #[test]
+        fn irq_immediate_policy_is_transparent(gap_ps in 0u64..10_000_000, count in 1u64..2_000) {
+            let r = uniform_stream(IrqModeration::immediate(), gap_ps, count);
+            prop_assert_eq!(r.interrupts, count);
+            prop_assert_eq!(r.max_delay_ps, 0);
+            prop_assert_eq!(r.mean_delay_ps, 0.0);
+        }
+
+        /// Raising the batch threshold (same timer) never raises the
+        /// interrupt count — the Figure-style moderation trade-off direction.
+        #[test]
+        fn irq_batching_monotone_in_threshold(
+            max_wait_ps in 1u64..100_000_000,
+            small in 1u32..64,
+            extra in 1u32..192,
+            gap_ps in 1u64..1_000_000,
+            count in 1u64..2_000,
+        ) {
+            let weak = uniform_stream(
+                IrqModeration { max_wait_ps, batch_threshold: small }, gap_ps, count);
+            let strong = uniform_stream(
+                IrqModeration { max_wait_ps, batch_threshold: small + extra }, gap_ps, count);
+            prop_assert!(strong.interrupts <= weak.interrupts,
+                "threshold {} raised interrupts over threshold {}", small + extra, small);
+        }
     }
 }

@@ -40,10 +40,10 @@ mod ring;
 pub mod tenant;
 
 pub use batch::BatchedCommandDriver;
-pub use cmd_driver::{CommandDriver, DEGRADED_STATUS};
+pub use cmd_driver::CommandDriver;
 pub use dma::{CommandDelivery, DmaEngine};
 pub use irq::{IrqModeration, IrqModerator};
 pub use migration::{migration_report, MigrationReport};
 pub use reg_driver::RegisterDriver;
 pub use resilience::{DriverError, DriverReport, RetryPolicy};
-pub use tenant::{TenantHostDriver, TenantStats, DEFAULT_TENANT_RING_DEPTH};
+pub use tenant::{TenantHostDriver, TenantStats};

@@ -14,11 +14,11 @@ use harmonia_shell::rbb::{Rbb, RbbKind};
 use harmonia_shell::TailoredShell;
 
 /// Number of packet-filter table entries a typical application loads.
-pub const FILTER_TABLE_LOADS: u32 = 24;
+pub(crate) const FILTER_TABLE_LOADS: u32 = 24;
 /// Queue contexts programmed per 64 advertised queues.
-pub const QUEUE_SETUPS_PER_64: u32 = 1;
+pub(crate) const QUEUE_SETUPS_PER_64: u32 = 1;
 /// Maximum queue contexts the driver programs directly.
-pub const MAX_QUEUE_SETUPS: u32 = 8;
+pub(crate) const MAX_QUEUE_SETUPS: u32 = 8;
 
 /// Stateless script generator for the register interface.
 #[derive(Debug, Clone, Copy, Default)]
@@ -29,7 +29,7 @@ impl RegisterDriver {
     /// mapping. Module bases depend on composition order, so adding or
     /// removing one module rebases everything after it — a major source of
     /// cross-platform modifications.
-    pub const MODULE_STRIDE: u32 = 0x1_0000;
+    pub(crate) const MODULE_STRIDE: u32 = 0x1_0000;
 
     fn rebase(ops: impl IntoIterator<Item = RegOp>, base: u32) -> Vec<RegOp> {
         ops.into_iter()

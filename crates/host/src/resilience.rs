@@ -24,7 +24,7 @@ pub struct RetryPolicy {
     /// five transmissions before the driver gives up.
     pub max_retries: u32,
     /// First backoff interval; attempt `n` waits `base << n`, capped at
-    /// [`RetryPolicy::BACKOFF_CAP_PS`].
+    /// `RetryPolicy::BACKOFF_CAP_PS`.
     pub backoff_base_ps: Picos,
 }
 
@@ -40,7 +40,7 @@ impl Default for RetryPolicy {
 
 impl RetryPolicy {
     /// Upper bound on any single backoff interval (1 ms).
-    pub const BACKOFF_CAP_PS: Picos = 1_000_000_000;
+    pub(crate) const BACKOFF_CAP_PS: Picos = 1_000_000_000;
 
     /// Deterministic exponential backoff before retry `attempt`
     /// (0-based): `base << attempt`, capped. No jitter — reproducibility

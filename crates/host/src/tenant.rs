@@ -48,7 +48,7 @@ use std::collections::VecDeque;
 /// [`BASE_SLICE_CMDS`](harmonia_shell::sched::BASE_SLICE_CMDS) so
 /// kernel-side quota enforcement is observable — a flooding tenant
 /// overfills its ring and the budgeted drain stops mid-ring.
-pub const DEFAULT_TENANT_RING_DEPTH: usize = 128;
+pub(crate) const DEFAULT_TENANT_RING_DEPTH: usize = 128;
 
 /// A command waiting in (or re-queued to) a tenant's backlog.
 #[derive(Clone, Debug)]
@@ -131,7 +131,7 @@ pub struct TenantHostDriver {
 
 impl TenantHostDriver {
     /// Builds the driver over a pre-registered scheduler. One SQ/CQ
-    /// pair of [`DEFAULT_TENANT_RING_DEPTH`] is carved per registered
+    /// pair of `DEFAULT_TENANT_RING_DEPTH` is carved per registered
     /// tenant.
     pub fn new(
         sched: TenantScheduler,

@@ -21,7 +21,7 @@ pub struct HbmIp {
 
 impl HbmIp {
     /// Number of pseudo-channels per stack.
-    pub const CHANNELS: u32 = 32;
+    pub(crate) const CHANNELS: u32 = 32;
 
     /// Creates an HBM controller model.
     pub fn new(vendor: Vendor) -> Self {

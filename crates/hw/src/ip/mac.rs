@@ -13,7 +13,7 @@ use crate::vendor::Vendor;
 use harmonia_sim::{FaultInjector, FaultKind, Freq, Picos, Probe, TraceEventKind};
 
 /// Ethernet wire overhead per frame: 7 B preamble + 1 B SFD + 12 B IFG.
-pub const WIRE_OVERHEAD_BYTES: u32 = 20;
+pub(crate) const WIRE_OVERHEAD_BYTES: u32 = 20;
 
 /// An Ethernet MAC instance.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -467,14 +467,6 @@ mod tests {
     }
 
     #[test]
-    fn vendor_init_sequences_differ_substantially() {
-        let x = PcieDmaIp::new(Vendor::Xilinx, 4, 16).init_sequence();
-        let i = PcieDmaIp::new(Vendor::Intel, 4, 16).init_sequence();
-        let d = crate::regfile::script_diff(&x, &i);
-        assert!(d > 30, "expected large migration diff, got {d}");
-    }
-
-    #[test]
     #[should_panic(expected = "unsupported PCIe generation")]
     fn bad_generation_rejected() {
         let _ = PcieDmaIp::new(Vendor::Xilinx, 6, 16);

@@ -5,8 +5,9 @@
 //! software control paths are sequences of [`RegOp`]s. The paper's Figure 3d
 //! shows why these sequences are the portability hazard: one shell requires
 //! polling a status register before initialization writes, another performs
-//! the handshake in hardware — so [`script_diff`] measures how many
-//! operations change between platforms (the Figure 13 metric).
+//! the handshake in hardware — so `harmonia_metrics::lcs_diff` over two
+//! scripts counts the operations that change between platforms (the
+//! Figure 13 metric).
 
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -278,29 +279,6 @@ impl fmt::Display for RegOp {
     }
 }
 
-/// Counts how many operations must change to turn script `a` into script
-/// `b`: insertions plus deletions under a longest-common-subsequence
-/// alignment. This is the "number of software modifications" metric of
-/// Figure 13 — each differing line of a register script is one ad-hoc edit
-/// the software developer must make when migrating platforms.
-pub fn script_diff(a: &[RegOp], b: &[RegOp]) -> usize {
-    let n = a.len();
-    let m = b.len();
-    // LCS dynamic program, O(n·m); scripts are at most a few hundred ops.
-    let mut dp = vec![vec![0usize; m + 1]; n + 1];
-    for i in 1..=n {
-        for j in 1..=m {
-            dp[i][j] = if a[i - 1] == b[j - 1] {
-                dp[i - 1][j - 1] + 1
-            } else {
-                dp[i - 1][j].max(dp[i][j - 1])
-            };
-        }
-    }
-    let lcs = dp[n][m];
-    (n - lcs) + (m - lcs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,41 +356,6 @@ mod tests {
             expect: 0b01,
         });
         assert!(matches!(err, Err(RegError::WaitTimeout { .. })));
-    }
-
-    #[test]
-    fn script_diff_identical_is_zero() {
-        let s = vec![RegOp::Write { addr: 0, value: 1 }, RegOp::Read { addr: 4 }];
-        assert_eq!(script_diff(&s, &s), 0);
-    }
-
-    #[test]
-    fn script_diff_counts_insert_delete_replace() {
-        let a = vec![
-            RegOp::Write { addr: 0, value: 1 },
-            RegOp::Write { addr: 4, value: 2 },
-            RegOp::Read { addr: 8 },
-        ];
-        let b = vec![
-            RegOp::Write { addr: 0, value: 1 },
-            RegOp::WaitStatus {
-                addr: 4,
-                mask: 1,
-                expect: 1,
-            },
-            RegOp::Write { addr: 4, value: 2 },
-        ];
-        // LCS = [write0, write4] → (3-2)+(3-2) = 2
-        assert_eq!(script_diff(&a, &b), 2);
-        // Diff is symmetric.
-        assert_eq!(script_diff(&b, &a), 2);
-    }
-
-    #[test]
-    fn script_diff_disjoint_is_sum_of_lengths() {
-        let a = vec![RegOp::Read { addr: 0 }; 3];
-        let b = vec![RegOp::Read { addr: 4 }; 5];
-        assert_eq!(script_diff(&a, &b), 8);
     }
 
     #[test]

@@ -1,48 +1,10 @@
 //! Property-based tests for the hardware substrate.
 
 use harmonia_hw::ip::dram::{DramModel, DramTiming, MemOp};
-use harmonia_hw::regfile::{script_diff, RegOp};
 use harmonia_hw::resource::ResourceUsage;
 use harmonia_testkit::prelude::*;
 
-fn arb_regop() -> impl Strategy<Value = RegOp> {
-    prop_oneof![
-        (0u32..64).prop_map(|a| RegOp::Read { addr: a * 4 }),
-        (0u32..64, any::<u32>()).prop_map(|(a, value)| RegOp::Write { addr: a * 4, value }),
-        (0u32..64, 1u32..16, 0u32..16).prop_map(|(a, mask, expect)| RegOp::WaitStatus {
-            addr: a * 4,
-            mask,
-            expect: expect & mask,
-        }),
-    ]
-}
-
 forall! {
-    /// script_diff is a metric-like distance: identity, symmetry, and
-    /// bounded by the sum of lengths.
-    #[test]
-    fn script_diff_is_distance_like(
-        a in collection::vec(arb_regop(), 0..40),
-        b in collection::vec(arb_regop(), 0..40),
-    ) {
-        prop_assert_eq!(script_diff(&a, &a), 0);
-        prop_assert_eq!(script_diff(&a, &b), script_diff(&b, &a));
-        prop_assert!(script_diff(&a, &b) <= a.len() + b.len());
-        // Parity: LCS diff always has the same parity as len(a)+len(b).
-        prop_assert_eq!((script_diff(&a, &b) + a.len() + b.len()) % 2, 0);
-    }
-
-    /// Appending one op to a script changes the diff by exactly one.
-    #[test]
-    fn script_diff_single_insertion(
-        a in collection::vec(arb_regop(), 0..40),
-        op in arb_regop(),
-    ) {
-        let mut b = a.clone();
-        b.push(op);
-        prop_assert_eq!(script_diff(&a, &b), 1);
-    }
-
     /// Resource arithmetic: addition is commutative/associative, and
     /// percentages stay within [0, 100] when usage fits capacity.
     #[test]

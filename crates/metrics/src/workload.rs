@@ -109,15 +109,6 @@ impl ModuleWorkload {
         }
     }
 
-    /// Fraction that must be redeveloped (1 − reuse).
-    pub fn redev_fraction(&self) -> f64 {
-        if self.countable_loc() == 0 {
-            0.0
-        } else {
-            1.0 - self.reuse_fraction()
-        }
-    }
-
     /// Merges another inventory into this one (e.g. summing a shell's
     /// modules).
     pub fn merge(&mut self, other: &ModuleWorkload) {
@@ -177,7 +168,6 @@ mod tests {
         let m = sample();
         assert_eq!(m.countable_loc(), 4000);
         assert!((m.reuse_fraction() - 0.75).abs() < 1e-9);
-        assert!((m.redev_fraction() - 0.25).abs() < 1e-9);
         assert_eq!(m.generated_loc(), 5000);
     }
 
@@ -185,7 +175,6 @@ mod tests {
     fn empty_inventory_is_zero_not_nan() {
         let m = ModuleWorkload::new("empty");
         assert_eq!(m.reuse_fraction(), 0.0);
-        assert_eq!(m.redev_fraction(), 0.0);
     }
 
     #[test]

@@ -68,7 +68,8 @@ fn arb_workload() -> impl Strategy<Value = ModuleWorkload> {
 
 forall! {
     /// `lcs_diff` is a metric on scripts: zero exactly on identical
-    /// inputs, symmetric, and within the trivial bounds.
+    /// inputs, symmetric, within the trivial bounds, and one for a single
+    /// appended op.
     #[test]
     fn lcs_diff_is_a_metric(a in arb_script(), b in arb_script()) {
         prop_assert_eq!(lcs_diff(&a, &a), 0);
@@ -80,6 +81,12 @@ forall! {
         // Insertions + deletions always flip parity together with the
         // length difference.
         prop_assert_eq!(d % 2, la.abs_diff(lb) % 2);
+        // Appending one op to a script changes the diff by exactly one.
+        if let Some(&op) = b.first() {
+            let mut longer = a.clone();
+            longer.push(op);
+            prop_assert_eq!(lcs_diff(&a, &longer), 1);
+        }
     }
 
     /// The triangle inequality holds: migrating A→C never beats A→B→C.
@@ -142,21 +149,20 @@ forall! {
     }
 
     /// Workload accounting: the three origins partition the total, the
-    /// paper's countable basis excludes generated code, and the reuse /
-    /// redevelopment fractions are complementary.
+    /// paper's countable basis excludes generated code, and the reuse
+    /// fraction is the reused share of that basis.
     #[test]
     fn workload_accounting_partitions(w in arb_workload()) {
         let by_origin = w.handcraft_loc() + w.reused_loc() + w.generated_loc();
         let total: u64 = w.components().iter().map(|c| c.loc).sum();
         prop_assert_eq!(by_origin, total);
         prop_assert_eq!(w.countable_loc(), w.handcraft_loc() + w.reused_loc());
-        let (reuse, redev) = (w.reuse_fraction(), w.redev_fraction());
+        let reuse = w.reuse_fraction();
         prop_assert!((0.0..=1.0).contains(&reuse));
         if w.countable_loc() == 0 {
             prop_assert_eq!(reuse, 0.0);
-            prop_assert_eq!(redev, 0.0);
         } else {
-            prop_assert!((reuse + redev - 1.0).abs() < 1e-9);
+            prop_assert!((reuse * w.countable_loc() as f64 - w.reused_loc() as f64).abs() < 1e-6);
         }
     }
 

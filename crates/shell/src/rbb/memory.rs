@@ -176,9 +176,9 @@ pub struct MemoryRbb {
 
 impl MemoryRbb {
     /// Default cache geometry: 256 lines × 4 KiB = 1 MiB of on-chip RAM.
-    pub const CACHE_LINES: usize = 256;
+    pub(crate) const CACHE_LINES: usize = 256;
     /// Cache line size in bytes.
-    pub const CACHE_LINE_BYTES: u64 = 4096;
+    pub(crate) const CACHE_LINE_BYTES: u64 = 4096;
     /// Ops a channel collects in `run_trace` before it replays them.
     const REPLAY_CHUNK: usize = 64;
 

@@ -121,7 +121,6 @@ pub struct NetworkRbb {
     // Packet-filter state.
     local_macs: BTreeSet<u64>,
     accept_multicast: bool,
-    filter_enabled: bool,
     // Flow-director state: it steers by flow hash.
     queue_count: u16,
     stats: TrafficStats,
@@ -141,7 +140,6 @@ impl NetworkRbb {
             components: Self::component_inventory(),
             local_macs: BTreeSet::new(),
             accept_multicast: false,
-            filter_enabled: true,
             queue_count,
             stats: TrafficStats::default(),
         }
@@ -218,20 +216,13 @@ impl NetworkRbb {
         self.accept_multicast = accept;
     }
 
-    /// Enables or disables the packet filter entirely.
-    pub fn set_filter_enabled(&mut self, enabled: bool) {
-        self.filter_enabled = enabled;
-    }
-
     /// Processes one received packet through filter → director.
     pub fn process_rx(&mut self, pkt: &PacketMeta) -> RxDecision {
-        if self.filter_enabled {
-            let local = self.local_macs.contains(&(pkt.dst_mac & 0xFFFF_FFFF_FFFF));
-            let multicast_ok = self.accept_multicast && pkt.is_multicast();
-            if !local && !multicast_ok {
-                self.stats.filtered += 1;
-                return RxDecision::Filtered;
-            }
+        let local = self.local_macs.contains(&(pkt.dst_mac & 0xFFFF_FFFF_FFFF));
+        let multicast_ok = self.accept_multicast && pkt.is_multicast();
+        if !local && !multicast_ok {
+            self.stats.filtered += 1;
+            return RxDecision::Filtered;
         }
         let queue = (pkt.flow_key().hash() % u64::from(self.queue_count)) as u16;
         self.stats.rx_packets += 1;
@@ -397,16 +388,6 @@ mod tests {
         assert_eq!(n.process_rx(&mcast), RxDecision::Filtered);
         n.set_accept_multicast(true);
         assert!(matches!(n.process_rx(&mcast), RxDecision::Deliver { .. }));
-    }
-
-    #[test]
-    fn filter_bypass_when_disabled() {
-        let mut n = rbb();
-        n.set_filter_enabled(false);
-        assert!(matches!(
-            n.process_rx(&pkt(0x02_99_99_99_99_99, 1)),
-            RxDecision::Deliver { .. }
-        ));
     }
 
     #[test]

@@ -103,7 +103,7 @@ impl RoleSpec {
     }
 
     /// The role logic's own resource footprint.
-    pub fn role_resources(&self) -> &ResourceUsage {
+    pub(crate) fn role_resources(&self) -> &ResourceUsage {
         &self.role_resources
     }
 }

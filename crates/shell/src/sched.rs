@@ -46,7 +46,7 @@ pub const BASE_SLICE_CMDS: u64 = 64;
 /// admissible weight and the virtual clock never accumulates rounding.
 const VSCALE: u128 = 720_720;
 /// Largest admissible tenant weight (keeps `VSCALE` divisions exact).
-pub const MAX_TENANT_WEIGHT: u64 = 16;
+pub(crate) const MAX_TENANT_WEIGHT: u64 = 16;
 
 /// Scheduling policy for the time-shared slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -195,7 +195,7 @@ impl TenantScheduler {
     ///
     /// # Panics
     ///
-    /// Panics when `weight` is outside `1..=`[`MAX_TENANT_WEIGHT`].
+    /// Panics when `weight` is outside `1..=MAX_TENANT_WEIGHT`.
     ///
     /// # Errors
     ///

@@ -33,21 +33,23 @@ fn arb_packet() -> impl Strategy<Value = PacketMeta> {
 
 forall! {
     /// The flow director is deterministic and always lands in range; with
-    /// the filter disabled every packet is delivered.
+    /// every packet's MAC registered as local every packet is delivered.
     #[test]
     fn director_deterministic_in_range(
         pkts in collection::vec(arb_packet(), 1..100),
         queues in 1u16..512,
     ) {
         let mut rbb = NetworkRbb::with_speed(Vendor::Xilinx, 100, queues);
-        rbb.set_filter_enabled(false);
+        for p in &pkts {
+            rbb.add_local_mac(p.dst_mac);
+        }
         for p in &pkts {
             let d1 = rbb.process_rx(p);
             let d2 = rbb.process_rx(p);
             prop_assert_eq!(d1, d2, "director not deterministic");
             match d1 {
                 RxDecision::Deliver { queue } => prop_assert!(queue < queues),
-                RxDecision::Filtered => prop_assert!(false, "filter disabled"),
+                RxDecision::Filtered => prop_assert!(false, "local MAC filtered"),
             }
         }
     }
@@ -56,10 +58,11 @@ forall! {
     #[test]
     fn director_keyed_on_flow_only(p in arb_packet(), other_mac in any::<u64>(), other_len in 64u32..9000) {
         let mut rbb = NetworkRbb::with_speed(Vendor::Intel, 100, 64);
-        rbb.set_filter_enabled(false);
         let mut q = p;
         q.dst_mac = other_mac & 0xFFFF_FFFF_FFFF;
         q.bytes = other_len;
+        rbb.add_local_mac(p.dst_mac);
+        rbb.add_local_mac(q.dst_mac);
         prop_assert_eq!(rbb.process_rx(&p), rbb.process_rx(&q));
     }
 

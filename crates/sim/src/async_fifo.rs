@@ -73,7 +73,6 @@ pub struct AsyncFifo<T> {
     rptr_gray_sync: [u64; 2],
     pushed_this_edge: bool,
     popped_this_edge: bool,
-    max_occupancy: usize,
 }
 
 impl<T> AsyncFifo<T> {
@@ -97,7 +96,6 @@ impl<T> AsyncFifo<T> {
             rptr_gray_sync: [0; 2],
             pushed_this_edge: false,
             popped_this_edge: false,
-            max_occupancy: 0,
         }
     }
 
@@ -146,8 +144,6 @@ impl<T> AsyncFifo<T> {
         self.storage[slot] = Some(item);
         self.wptr += 1;
         self.pushed_this_edge = true;
-        let occ = (self.wptr - self.rptr) as usize;
-        self.max_occupancy = self.max_occupancy.max(occ);
         Ok(())
     }
 
@@ -177,11 +173,6 @@ impl<T> AsyncFifo<T> {
     /// Whether the FIFO holds no items (omniscient view).
     pub fn is_empty(&self) -> bool {
         self.wptr == self.rptr
-    }
-
-    /// High-water mark of true occupancy.
-    pub fn max_occupancy(&self) -> usize {
-        self.max_occupancy
     }
 }
 

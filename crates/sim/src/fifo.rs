@@ -45,13 +45,11 @@ pub enum BeatFate {
 /// f.push(2).unwrap();
 /// assert!(f.push(3).is_err());
 /// assert_eq!(f.pop(), Some(1));
-/// assert_eq!(f.max_occupancy(), 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SyncFifo<T> {
     buf: VecDeque<T>,
     capacity: usize,
-    max_occupancy: usize,
     rejected: u64,
 }
 
@@ -69,7 +67,6 @@ impl<T> SyncFifo<T> {
         SyncFifo {
             buf: VecDeque::new(),
             capacity,
-            max_occupancy: 0,
             rejected: 0,
         }
     }
@@ -85,7 +82,6 @@ impl<T> SyncFifo<T> {
             return Err(FifoFullError(item));
         }
         self.buf.push_back(item);
-        self.max_occupancy = self.max_occupancy.max(self.buf.len());
         Ok(())
     }
 
@@ -152,12 +148,6 @@ impl<T> SyncFifo<T> {
         self.capacity
     }
 
-    /// High-water mark of occupancy since construction (the paper's Network
-    /// RBB monitors queue usage; this is that statistic).
-    pub fn max_occupancy(&self) -> usize {
-        self.max_occupancy
-    }
-
     /// Number of pushes rejected due to a full FIFO (drop/backpressure count).
     pub fn rejected(&self) -> u64 {
         self.rejected
@@ -218,7 +208,6 @@ mod tests {
         }
         assert_eq!(f.pop(), Some(0));
         f.push(9).unwrap();
-        assert_eq!(f.max_occupancy(), 3);
         assert_eq!(f.len(), 3);
     }
 
@@ -289,16 +278,16 @@ mod tests {
         assert_eq!(f.capacity(), 256);
         for i in 0..256u32 {
             f.push(i).unwrap();
-            assert_eq!(f.max_occupancy(), i as usize + 1);
+            assert_eq!(f.len(), i as usize + 1);
         }
         assert!(f.is_full());
         assert_eq!(f.push(256), Err(FifoFullError(256)));
         assert_eq!(f.rejected(), 1);
-        assert_eq!((f.len(), f.max_occupancy()), (256, 256));
+        assert_eq!(f.len(), 256);
         // The bound still holds after a drain and a refill.
         assert_eq!(f.drain(), (0..256).collect::<Vec<_>>());
         f.extend(0..300);
-        assert_eq!((f.len(), f.max_occupancy(), f.rejected()), (256, 256, 45));
+        assert_eq!((f.len(), f.rejected()), (256, 45));
     }
 
     #[test]

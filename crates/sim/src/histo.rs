@@ -85,17 +85,18 @@ impl LogHistogram {
     }
 
     /// Records `n` samples of value `v` in O(1) — the bulk entry point
-    /// for aggregate models.
+    /// for aggregate models, and what a zero-step
+    /// [`record_progression`](Self::record_progression) records.
     ///
     /// ```
     /// use harmonia_sim::histo::LogHistogram;
     /// let mut a = LogHistogram::new();
     /// let mut b = LogHistogram::new();
-    /// a.record_n(500, 1_000);
+    /// a.record_progression(500, 0, 0, 999, 1);
     /// for _ in 0..1_000 { b.record(500); }
     /// assert_eq!(a, b);
     /// ```
-    pub fn record_n(&mut self, v: u64, n: u64) {
+    pub(crate) fn record_n(&mut self, v: u64, n: u64) {
         if n == 0 {
             return;
         }

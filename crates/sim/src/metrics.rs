@@ -63,7 +63,7 @@ use std::sync::{Arc, Mutex};
 pub const DEFAULT_METRICS_PERIOD_PS: Picos = 10_000_000;
 
 /// Default [`FlightRecorder`] ring capacity (events retained per lane).
-pub const DEFAULT_FLIGHT_DEPTH: usize = 64;
+pub(crate) const DEFAULT_FLIGHT_DEPTH: usize = 64;
 
 /// A metric's identity: a static name plus structured labels, rendered
 /// `name{key="value",...}` in the Prometheus export. Ordering (name
@@ -556,7 +556,7 @@ impl FlightRecorder {
         FlightRecorder { inner: None }
     }
 
-    /// An enabled recorder on lane 0 with [`DEFAULT_FLIGHT_DEPTH`]
+    /// An enabled recorder on lane 0 with `DEFAULT_FLIGHT_DEPTH`
     /// capacity.
     pub fn enabled() -> FlightRecorder {
         Self::with_capacity(DEFAULT_FLIGHT_DEPTH)

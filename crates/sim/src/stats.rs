@@ -12,7 +12,7 @@ use std::fmt;
 /// t.record(1500, 1);
 /// t.close(1_000_000); // 1 µs window
 /// assert!((t.gbps() - 24.0).abs() < 1e-9);
-/// assert!((t.mops() - 2.0).abs() < 1e-9);
+/// assert!((t.ops() - 2e6).abs() < 1e-3);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Throughput {
@@ -59,7 +59,7 @@ impl Throughput {
     }
 
     /// Million items (operations, packets, vectors, …) per second.
-    pub fn mops(&self) -> f64 {
+    pub(crate) fn mops(&self) -> f64 {
         assert!(self.window_ps > 0, "throughput window not closed");
         self.items as f64 / (self.window_ps as f64 / PS_PER_SEC as f64) / 1e6
     }

@@ -102,8 +102,6 @@ forall! {
             }
             prop_assert!(fifo.len() <= cap);
         }
-        // Writer-only configuration also must saturate at capacity.
-        prop_assert!(fifo.max_occupancy() <= cap);
     }
 
     /// Pipelines preserve order and exact latency under random gaps.

@@ -1,7 +1,7 @@
 //! Wall-clock timing for the workspace's `cargo bench` targets: one
 //! calibrated sampling loop ([`measure`]), its summary ([`BenchStats`]),
 //! the `BENCH_<group>.json` rendering ([`group_json`]) and the directory
-//! those files land in ([`out_dir`]). The committed simulated
+//! those files land in (`out_dir`). The committed simulated
 //! `BENCH_*.json` files are checked by their tests through
 //! [`assert_committed`], which leaves a stale file's fresh rendering in
 //! the same directory.
@@ -116,7 +116,7 @@ pub fn measure<R>(name: impl Into<String>, samples: usize, mut f: impl FnMut() -
 /// the running crate's manifest dir (cargo sets the bench binary's CWD
 /// to the *package* dir, so a bare relative path would scatter stray
 /// `target/` dirs across member crates).
-pub fn out_dir() -> PathBuf {
+pub(crate) fn out_dir() -> PathBuf {
     if let Ok(dir) = std::env::var("TESTKIT_BENCH_DIR") {
         return PathBuf::from(dir);
     }
@@ -133,7 +133,7 @@ pub fn out_dir() -> PathBuf {
     root.join("target").join("testkit-bench")
 }
 
-/// Writes `contents` to `file` under [`out_dir`], creating the
+/// Writes `contents` to `file` under `out_dir`, creating the
 /// directory, and returns the path written.
 ///
 /// # Errors
@@ -149,7 +149,7 @@ pub fn write_artifact(file: &str, contents: &str) -> std::io::Result<PathBuf> {
 
 /// Checks that a committed simulated artifact (`committed`, the
 /// repo-root `file`) equals its `fresh` rendering. When it does not, the
-/// fresh rendering is written to [`out_dir`] and the panic names the
+/// fresh rendering is written to `out_dir` and the panic names the
 /// `cp` that commits it.
 ///
 /// # Panics

@@ -66,37 +66,6 @@ impl DetRng {
             items.swap(i, j);
         }
     }
-
-    /// Index drawn with probability proportional to `weights[i]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights` is empty, contains a negative or non-finite
-    /// weight, or sums to zero.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        assert!(!weights.is_empty(), "need at least one weight");
-        let total: f64 = weights
-            .iter()
-            .map(|&w| {
-                assert!(
-                    w.is_finite() && w >= 0.0,
-                    "weights must be finite and non-negative"
-                );
-                w
-            })
-            .sum();
-        assert!(total > 0.0, "weights must not all be zero");
-        let mut u = self.next_f64() * total;
-        for (i, &w) in weights.iter().enumerate() {
-            if u < w {
-                return i;
-            }
-            u -= w;
-        }
-        // Float accumulation can leave u at a hair above the final
-        // boundary; the last positive weight owns that sliver.
-        weights.iter().rposition(|&w| w > 0.0).unwrap()
-    }
 }
 
 /// Ranges [`DetRng::gen_range`] can sample from.
@@ -238,15 +207,6 @@ mod tests {
         for _ in 0..100 {
             assert!(!r.gen_bool(0.0));
             assert!(r.gen_bool(1.0));
-        }
-    }
-
-    #[test]
-    fn weighted_skips_zero_weights() {
-        let mut r = DetRng::new(5);
-        for _ in 0..500 {
-            let i = r.weighted_index(&[0.0, 2.0, 0.0, 1.0]);
-            assert!(i == 1 || i == 3);
         }
     }
 }

@@ -14,7 +14,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
 /// Default cases per property (`TESTKIT_CASES` overrides).
-pub const DEFAULT_CASES: u32 = 64;
+pub(crate) const DEFAULT_CASES: u32 = 64;
 
 /// Default base seed (`TESTKIT_SEED` overrides). Spells "HARMONIA".
 pub const DEFAULT_SEED: u64 = 0x4841_524D_4F4E_4941;

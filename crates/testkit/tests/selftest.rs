@@ -262,24 +262,6 @@ forall! {
         prop_assert_eq!(a, b);
     }
 
-    /// `weighted_index` lands in range and never selects a zero weight.
-    #[test]
-    fn detrng_weighted_respects_zeros(
-        seed in any::<u64>(),
-        weights in collection::vec(prop_oneof![Just(0u32), 1u32..100], 1..20),
-    ) {
-        if weights.iter().all(|&w| w == 0) {
-            return Ok(()); // all-zero weights are rejected by contract
-        }
-        let wf: Vec<f64> = weights.iter().map(|&w| f64::from(w)).collect();
-        let mut rng = DetRng::new(seed);
-        for _ in 0..50 {
-            let i = rng.weighted_index(&wf);
-            prop_assert!(i < wf.len());
-            prop_assert!(wf[i] > 0.0, "picked zero-weight index {i}");
-        }
-    }
-
     /// `shuffle` with distinct seeds reorders at least sometimes — the
     /// generator is not degenerate.
     #[test]

@@ -10,7 +10,7 @@ use harmonia_sim::Picos;
 
 /// TCP/IP/Ethernet header bytes per segment (Eth 14 + IP 20 + TCP 20 +
 /// FCS 4).
-pub const HEADER_BYTES: u32 = 58;
+pub(crate) const HEADER_BYTES: u32 = 58;
 
 /// End-to-end TCP benchmark between two FPGA-equipped servers.
 #[derive(Copy, Clone, Debug, PartialEq)]

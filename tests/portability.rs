@@ -5,6 +5,9 @@
 use harmonia::cmd::CommandCode;
 use harmonia::frameworks::Framework;
 use harmonia::hw::device::catalog;
+use harmonia::hw::ip::{PcieDmaIp, VendorIp};
+use harmonia::hw::Vendor;
+use harmonia::metrics::lcs_diff;
 use harmonia::shell::rbb::RbbKind;
 use harmonia::{Harmonia, RoleSpec};
 
@@ -140,4 +143,12 @@ fn adapters_validate_against_their_devices() {
         adapter.dynamic_mut().map_pin("oops", 1_000_000);
         assert!(adapter.validate().is_err());
     }
+}
+
+#[test]
+fn vendor_init_sequences_differ_substantially() {
+    let x = PcieDmaIp::new(Vendor::Xilinx, 4, 16).init_sequence();
+    let i = PcieDmaIp::new(Vendor::Intel, 4, 16).init_sequence();
+    let d = lcs_diff(&x, &i);
+    assert!(d > 30, "expected large migration diff, got {d}");
 }
