@@ -31,6 +31,41 @@ fn trace_exports_are_reproducible() {
     assert_eq!(first.3.lines().count(), 4, "one report per scenario");
 }
 
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The exports themselves are pinned, not only compared run to run: a
+/// change that reorders every run's events the same way shows here.
+#[test]
+fn trace_exports_are_pinned() {
+    let run = harmonia_bench::metrics_run::capture(4);
+    let pin = |s: &str| (s.lines().count(), fnv1a(s));
+    assert_eq!(
+        pin(&run.trace.export_perfetto()),
+        (326, 0x5aac_a02f_fc74_3bd2),
+        "Perfetto export"
+    );
+    assert_eq!(
+        pin(&run.trace.export_text()),
+        (324, 0x949b_641b_3251_a899),
+        "text timeline"
+    );
+}
+
+/// The serial transport's give-up post-mortem is pinned byte for byte.
+#[test]
+fn post_mortem_dump_is_pinned() {
+    let (_, dump) = harmonia_bench::metrics_run::post_mortem_campaign();
+    assert_eq!(
+        (dump.lines().count(), fnv1a(&dump)),
+        (17, 0xaa61_2c60_eee2_9d8a),
+        "post-mortem:\n{dump}"
+    );
+}
+
 /// Enabling collection must not move a single digit in the paper
 /// artifacts. No env knob arms a collector any more, so "enabling" here
 /// means running a traced capture in the same process, between two

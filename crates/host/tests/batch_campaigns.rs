@@ -202,6 +202,13 @@ fn batched_give_up_leaves_a_post_mortem() {
         .expect("a give-up with the recorder on");
     assert!(dump.starts_with("post-mortem: gave up on cmd 0x"), "{dump}");
     assert!(dump.contains("cmd-retry"), "{dump}");
+    // The whole post-mortem, not just its shape: the order in which the
+    // ring round records into the flight recorder is pinned.
+    assert_eq!(
+        (dump.lines().count(), fnv1a(dump)),
+        (66, 0x4f38_f541_a48e_51e2),
+        "post-mortem:\n{dump}"
+    );
 }
 
 /// (3) Fault-free differential: the batched path returns the same
