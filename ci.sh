@@ -62,6 +62,16 @@ if grep -rn 'ring_[d]oorbell' crates/host/src | grep -v '^crates/host/src/ring\.
     exit 1
 fi
 
+echo "==> one fault draw per instant in the ring round: no per-call consult in crates/host/src/ring.rs"
+# Ring::submit draws a burst's descriptors, and Ring::doorbell a poll's Ok
+# records, through one FaultInjector::draws guard per instant, which locks
+# the fault plan once for all of them (see DESIGN.md). A per-call consult
+# takes its instant as its first argument; a guard's draw does not.
+if grep -nE '(drop_comman[d]|irq_los[t])\(($|[^)])|corrupt_comman[d]\(($|[^,)]*,)' crates/host/src/ring.rs; then
+    echo "ci.sh: draw the ring round's faults through one FaultInjector::draws guard per instant (see DESIGN.md)" >&2
+    exit 1
+fi
+
 echo "==> LogHistogram owns its bucket geometry: no cohort recorder outside it under crates/, examples/, tests/"
 # LogHistogram::record_progression is the only code that maps a latency
 # progression onto buckets, so a change of bucket layout lands in one
@@ -99,7 +109,8 @@ if grep -rnE 'B[m]cController|C[o]ntrolTool|H[e]althSnapshot|M[e]gaflowCache|A[c
 fi
 
 echo "==> one timing loop: no Criterion-shaped bench layer or per-plane lane runner under crates/, examples/, tests/"
-# harmonia_testkit::bench::measure is the only sampling loop; each
+# harmonia_testkit::bench::measure (and its whole-run mode,
+# measure_runs) is the only sampling loop; each
 # committed simulated BENCH_*.json is checked once, by its tier-1 test;
 # the observed fault campaign attaches one Probe carrying both planes
 # (see DESIGN.md).

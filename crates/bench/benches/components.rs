@@ -6,14 +6,16 @@
 //! rolling upgrade to shell 2 from tick 100) through
 //! `FleetController::run_with`, timing every phase of every tick with a
 //! wall clock of this bench's own; the control plane reads none. Each
-//! sample is one whole campaign, so an entry is nanoseconds per day:
+//! sample is one whole campaign (`harmonia_testkit::bench::measure_runs`),
+//! so an entry is nanoseconds per day:
 //! `fleet_tick_<phase>` for each phase and `fleet_day` for the whole
 //! `run_with`, timer calls included (two per phase per tick).
 //!
 //! The command path gets the same treatment, on the benchmark's command
 //! campaign (4096 health reads at seed 7 under 2 % drop, corrupt and
-//! irq-lost rates, depth 64, up to 8 retries). Each sample is one
-//! campaign, driver construction included:
+//! irq-lost rates, depth 64, up to 8 retries). Each sample runs each
+//! campaign below once, driver construction included, so a change in
+//! host speed during the run lands on all three alike:
 //!
 //! * `cmd_batched_observed` — 16 per doorbell, every observability
 //!   plane on (trace, metrics, flight recorder);
@@ -37,9 +39,11 @@ use harmonia::hw::ip::PcieDmaIp;
 use harmonia::hw::Vendor;
 use harmonia::sim::{FaultPlan, FaultRates, Probe};
 use harmonia_bench::fleet::KILL_TICK;
-use harmonia_testkit::bench::{black_box, group_json, smoke_mode, write_artifact, BenchStats};
-use std::time::Instant;
+use harmonia_testkit::bench::{black_box, group_json, measure_runs, write_artifact};
+use std::time::{Duration, Instant};
 
+/// Samples per entry in a full run.
+const CAMPAIGNS: usize = 20;
 /// Health reads per command-path campaign.
 const CMD_COUNT: usize = 4096;
 /// SQ/CQ ring and kernel buffer depth.
@@ -116,71 +120,55 @@ const CMD_ENTRIES: [CmdEntry; 3] = [
     },
 ];
 
-/// Times `samples` rounds of the command-path campaigns after one untimed
-/// warm-up each. A round runs every campaign once, so a change in host
-/// speed during the run lands on all three entries alike.
-fn time_cmd_campaigns(samples: usize) -> Vec<BenchStats> {
-    for e in &CMD_ENTRIES {
-        black_box(cmd_campaign(e.batch, (e.probe)()));
-    }
-    let mut ns = vec![Vec::with_capacity(samples); CMD_ENTRIES.len()];
-    for _ in 0..samples {
-        for (e, ns) in CMD_ENTRIES.iter().zip(&mut ns) {
+/// One fleet day, timed phase by phase: `fleet_tick_<phase>` summed over
+/// the day's ticks, then `fleet_day` for the whole `run_with`.
+fn fleet_run() -> Vec<(String, Duration)> {
+    let mut fleet = fleet_day();
+    let mut phases: Vec<(&'static str, Duration)> = Vec::new();
+    let start = Instant::now();
+    let report = fleet.run_with(|name, phase| {
+        let t0 = Instant::now();
+        phase();
+        let spent = t0.elapsed();
+        match phases.iter_mut().find(|(n, _)| *n == name) {
+            Some((_, total)) => *total += spent,
+            None => phases.push((name, spent)),
+        }
+    });
+    let day = start.elapsed();
+    assert!(report.accounting.exact(), "books must balance");
+    black_box(report);
+    phases
+        .into_iter()
+        .map(|(name, spent)| (format!("fleet_tick_{name}"), spent))
+        .chain([("fleet_day".to_string(), day)])
+        .collect()
+}
+
+/// Every command-path campaign once, each timed on its own.
+fn cmd_round() -> Vec<(String, Duration)> {
+    CMD_ENTRIES
+        .iter()
+        .map(|e| {
             let probe = (e.probe)();
             let start = Instant::now();
             let results = cmd_campaign(e.batch, probe);
-            ns.push(start.elapsed().as_nanos() as f64);
+            let spent = start.elapsed();
             assert!(
                 results.iter().all(Result::is_ok),
                 "every read must be acked"
             );
             black_box(results);
-        }
-    }
-    CMD_ENTRIES
-        .iter()
-        .zip(ns)
-        .map(|(e, ns)| BenchStats::from_samples(e.name, ns, 1))
+            (e.name.to_string(), spent)
+        })
         .collect()
 }
 
 fn main() {
-    let campaigns = if smoke_mode() { 3 } else { 20 };
-    // One untimed day first: it builds the process-wide migration matrix
+    // The untimed warm-up day builds the process-wide migration matrix
     // and warms the caches.
-    black_box(fleet_day().run());
-    // Phase names in tick order, each with its per-campaign samples.
-    let mut phases: Vec<(&'static str, Vec<f64>)> = Vec::new();
-    let mut days = Vec::with_capacity(campaigns);
-    for _ in 0..campaigns {
-        let mut fleet = fleet_day();
-        let mut ns: Vec<(&'static str, u128)> = Vec::new();
-        let start = Instant::now();
-        let report = fleet.run_with(|name, phase| {
-            let t0 = Instant::now();
-            phase();
-            let spent = t0.elapsed().as_nanos();
-            match ns.iter_mut().find(|(n, _)| *n == name) {
-                Some((_, total)) => *total += spent,
-                None => ns.push((name, spent)),
-            }
-        });
-        days.push(start.elapsed().as_nanos() as f64);
-        assert!(report.accounting.exact(), "books must balance");
-        black_box(report);
-        for (name, total) in ns {
-            match phases.iter_mut().find(|(n, _)| *n == name) {
-                Some((_, samples)) => samples.push(total as f64),
-                None => phases.push((name, vec![total as f64])),
-            }
-        }
-    }
-    let mut results: Vec<BenchStats> = phases
-        .into_iter()
-        .map(|(name, samples)| BenchStats::from_samples(format!("fleet_tick_{name}"), samples, 1))
-        .collect();
-    results.push(BenchStats::from_samples("fleet_day", days, 1));
-    results.extend(time_cmd_campaigns(campaigns));
+    let mut results = measure_runs(CAMPAIGNS, fleet_run);
+    results.extend(measure_runs(CAMPAIGNS, cmd_round));
     for s in &results {
         println!(
             "components/{:<28} median {:>12.0} ns   min {:>12.0} ns",

@@ -20,7 +20,9 @@ use crate::queue::{
 use harmonia_hw::regfile::{RegOp, RegisterFile};
 use harmonia_hw::resource::ResourceUsage;
 use harmonia_shell::rbb::{instances, Rbb};
-use harmonia_sim::{FaultInjector, MetricsRegistry, Picos, Probe, SyncFifo, TraceEventKind};
+use harmonia_sim::{
+    FaultInjector, MetricsRegistry, Picos, Probe, ProbeStage, SyncFifo, TraceEventKind,
+};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -185,12 +187,49 @@ impl ExecTally {
 /// doorbell share: [`CommandBudget::unlimited`]'s tenant.
 const SHARED_RING: u32 = u32::MAX;
 
-/// A cached response and the `(src, key)` it answers.
+/// Data words a cached response keeps inline, next to its header: a
+/// `HealthRead` response's four.
+const INLINE_WORDS: usize = 4;
+
+/// A cached response and the `(src, key)` it answers. A response of at
+/// most [`INLINE_WORDS`] data words keeps them inline, so caching it
+/// allocates nothing and only a replay builds the packet again.
 #[derive(Debug)]
 struct Cached {
     src: u8,
     key: u32,
-    response: CommandPacket,
+    /// The response, with its data moved to `inline` when it fits there.
+    packet: CommandPacket,
+    /// The data words and their count, when they fit inline.
+    inline: Option<(u8, [u32; INLINE_WORDS])>,
+}
+
+impl Cached {
+    fn new(src: u8, key: u32, response: &CommandPacket) -> Cached {
+        let words = &response.data;
+        let (data, inline) = if words.len() <= INLINE_WORDS {
+            let mut kept = [0; INLINE_WORDS];
+            kept[..words.len()].copy_from_slice(words);
+            (Vec::new(), Some((words.len() as u8, kept)))
+        } else {
+            (words.clone(), None)
+        };
+        Cached {
+            src,
+            key,
+            packet: CommandPacket { data, ..*response },
+            inline,
+        }
+    }
+
+    /// The cached response, rebuilt.
+    fn response(&self) -> CommandPacket {
+        let mut packet = self.packet.clone();
+        if let Some((len, words)) = &self.inline {
+            packet.data = words[..usize::from(*len)].to_vec();
+        }
+        packet
+    }
 }
 
 /// One ring's idempotent responses: a power-of-two array of slots
@@ -235,7 +274,7 @@ impl ReplayWindow {
     /// The cached response to `(src, key)`, `None` for a tag that has not
     /// run, or [`KernelError::StaleTag`] when the tag is a whole window or
     /// more behind the newest tag that ran here.
-    fn lookup(&self, src: u8, key: u32) -> Result<Option<&CommandPacket>, KernelError> {
+    fn lookup(&self, src: u8, key: u32) -> Result<Option<&Cached>, KernelError> {
         let (tag, window) = (key & !IDEMPOTENCY_FLAG, self.slots.len() as u32);
         if tag <= self.newest && self.newest - tag >= window {
             return Err(KernelError::StaleTag {
@@ -245,15 +284,15 @@ impl ReplayWindow {
             });
         }
         Ok(match &self.slots[self.slot(key)] {
-            Some(c) if c.src == src && c.key == key => Some(&c.response),
+            Some(c) if c.src == src && c.key == key => Some(c),
             _ => None,
         })
     }
 
-    fn insert(&mut self, src: u8, key: u32, response: CommandPacket) {
+    fn insert(&mut self, src: u8, key: u32, response: &CommandPacket) {
         self.newest = self.newest.max(key & !IDEMPOTENCY_FLAG);
         let i = self.slot(key);
-        self.slots[i] = Some(Cached { src, key, response });
+        self.slots[i] = Some(Cached::new(src, key, response));
     }
 }
 
@@ -272,6 +311,10 @@ pub struct UnifiedControlKernel {
     /// Observability planes (disabled by default — zero cost). Purely
     /// observational: recording never feeds back into execution.
     probe: Probe,
+    /// Timeline events staged since the last commit: every public call
+    /// commits before it returns, and a doorbell's drain before its
+    /// `BatchDrain` span.
+    stage: ProbeStage,
     /// Trace-only clock: advanced by executed-command latencies and
     /// synced forward by the driver. Never consulted by execution logic.
     trace_clock_ps: Picos,
@@ -323,6 +366,7 @@ impl UnifiedControlKernel {
             decode_errors: 0,
             replays: 0,
             probe: Probe::disabled(),
+            stage: ProbeStage::default(),
             trace_clock_ps: 0,
         }
     }
@@ -401,12 +445,13 @@ impl UnifiedControlKernel {
         self.published(|k, tally| k.ingest(bytes, reply_to, tally))
     }
 
-    /// Runs `f` over a fresh [`ExecTally`] and publishes it: a public
-    /// call leaves the registry exact.
+    /// Runs `f` over a fresh [`ExecTally`], publishes it and commits the
+    /// staged events: a public call leaves every plane exact.
     fn published<R>(&mut self, f: impl FnOnce(&mut Self, &mut ExecTally) -> R) -> R {
         let mut tally = ExecTally::default();
         let out = f(self, &mut tally);
         tally.publish(&self.probe.metrics);
+        self.probe.commit(&mut self.stage);
         out
     }
 
@@ -428,12 +473,11 @@ impl UnifiedControlKernel {
                 self.probe
                     .metrics
                     .counter_inc("harmonia_kernel_nacks_total", &[]);
-                self.probe.trace.instant(
-                    self.trace_clock_ps,
-                    TraceEventKind::CmdNack {
-                        error_code: e.code(),
-                    },
-                );
+                let nack = TraceEventKind::CmdNack {
+                    error_code: e.code(),
+                };
+                self.probe
+                    .stage_trace(&mut self.stage, self.trace_clock_ps, 0, nack);
                 let nack = CommandPacket {
                     version: VERSION,
                     src: reply_to,
@@ -467,6 +511,7 @@ impl UnifiedControlKernel {
                 self.trace_clock_ps,
                 &FaultInjector::none(),
                 &self.probe,
+                &mut self.stage,
             )
             .map_err(|_| KernelError::BufferFull)?;
         tally.buffer_high_water = tally.buffer_high_water.max(Some(self.buffer.len() as u64));
@@ -528,13 +573,12 @@ impl UnifiedControlKernel {
                 self.probe
                     .metrics
                     .counter_inc("harmonia_kernel_replays_total", &[]);
-                self.probe.trace.instant(
-                    self.trace_clock_ps,
-                    TraceEventKind::KernelReplay {
-                        code: packet.code.to_u16(),
-                    },
-                );
-                return Ok(Some(cached.clone()));
+                let replay = TraceEventKind::KernelReplay {
+                    code: packet.code.to_u16(),
+                };
+                self.probe
+                    .stage_trace(&mut self.stage, self.trace_clock_ps, 0, replay);
+                return Ok(Some(cached.response()));
             }
         }
         let ops_before = self.reg_ops_executed;
@@ -543,18 +587,16 @@ impl UnifiedControlKernel {
         tally.executed += 1;
         tally.reg_ops += self.reg_ops_executed - ops_before;
         let exec_ps = Self::command_latency_ps(self.reg_ops_executed - ops_before);
-        self.probe.trace.span(
-            self.trace_clock_ps,
-            exec_ps,
-            TraceEventKind::KernelExec {
-                code: packet.code.to_u16(),
-                reg_ops: self.reg_ops_executed - ops_before,
-            },
-        );
+        let exec = TraceEventKind::KernelExec {
+            code: packet.code.to_u16(),
+            reg_ops: self.reg_ops_executed - ops_before,
+        };
+        self.probe
+            .stage_trace(&mut self.stage, self.trace_clock_ps, exec_ps, exec);
         self.trace_clock_ps += exec_ps;
         let response = packet.response(data);
         if let Some(key) = idem_key {
-            self.windows[window].insert(src, key, response.clone());
+            self.windows[window].insert(src, key, &response);
         }
         Ok(Some(response))
     }
@@ -615,7 +657,7 @@ impl UnifiedControlKernel {
         let mut out = DrainOutcome {
             drained: 0,
             exec_ps: 0,
-            responses: Vec::new(),
+            responses: Vec::with_capacity(n.min(sq.len())),
             errors: Vec::new(),
             quota_exhausted: false,
         };
@@ -665,6 +707,7 @@ impl UnifiedControlKernel {
             .expect("cq fullness was checked before the pop");
         }
         tally.publish(&self.probe.metrics);
+        self.probe.commit(&mut self.stage);
         if out.drained > 0 {
             self.probe.metrics.counter_add(
                 "harmonia_kernel_sq_drained_total",
@@ -1177,6 +1220,28 @@ mod tests {
             .unwrap();
         k.step().unwrap().unwrap();
         assert_eq!(k.commands_executed(), execs + 1);
+    }
+
+    #[test]
+    fn replays_rebuild_inline_and_heap_responses_exactly() {
+        let mut k = kernel_on_device_a();
+        let health = CommandPacket::new(SrcId::Application, 0, 0, CommandCode::HealthRead);
+        let cmds = [
+            health,
+            net_cmd(CommandCode::StatsRead),
+            net_cmd(CommandCode::ModuleInit),
+        ];
+        for (tag, cmd) in cmds.into_iter().enumerate() {
+            let cmd = cmd.with_idempotency_tag(tag as u32);
+            k.submit(cmd.clone()).unwrap();
+            let first = k.step().unwrap().unwrap();
+            k.submit(cmd).unwrap();
+            assert_eq!(k.step().unwrap().unwrap(), first);
+        }
+        assert_eq!(k.replays(), 3);
+        // Four words fit inline, the network stats do not.
+        assert_eq!(k.windows[0].slots[0].as_ref().unwrap().inline.unwrap().0, 4);
+        assert!(k.windows[0].slots[1].as_ref().unwrap().inline.is_none());
     }
 
     #[test]

@@ -75,17 +75,18 @@ impl CommandDriver {
                 .collect();
         }
         let mut results: Vec<Option<CmdResult>> = (0..cmds.len()).map(|_| None).collect();
-        let mut pending: VecDeque<Inflight> = cmds
-            .into_iter()
-            .enumerate()
-            .map(|(idx, spec)| self.issue(idx, spec))
-            .collect();
         // The per-command metrics are summed here and published once.
-        let issued = pending.len() as u64;
+        let issued = cmds.len() as u64;
+        // Commands are issued as the ring takes them, behind the retries:
+        // issuing reads no clock, so the tags and the issue log come out
+        // as if every command were issued up front.
+        let mut fresh = cmds.into_iter().enumerate();
+        let mut retried: VecDeque<Inflight> = VecDeque::new();
         let mut acks = LogHistogram::new();
-        while !pending.is_empty() {
-            self.ring_round(&mut pending, &mut results, &mut acks);
+        while !retried.is_empty() || fresh.len() > 0 {
+            self.ring_round(&mut retried, &mut fresh, &mut results, &mut acks);
         }
+        self.probe.commit(&mut self.stage);
         self.irq.flush(self.clock_ps);
         let metrics = &self.probe.metrics;
         if issued > 0 {
@@ -101,30 +102,44 @@ impl CommandDriver {
             .collect()
     }
 
-    /// One doorbell round: take up to `batch` entries, ship them as one
-    /// burst over the driver's ring, and re-queue whatever a fault took out.
-    /// Ack latencies go into `acks` for the caller to publish.
+    /// One doorbell round: take up to `batch` entries, retried ones
+    /// first, then `fresh` commands, ship them as one burst over the
+    /// driver's ring, and re-queue whatever a fault took out. Ack
+    /// latencies go into `acks` for the caller to publish.
     fn ring_round(
         &mut self,
-        pending: &mut VecDeque<Inflight>,
+        retried: &mut VecDeque<Inflight>,
+        fresh: &mut impl ExactSizeIterator<Item = (usize, CmdSpec)>,
         results: &mut [Option<CmdResult>],
         acks: &mut LogHistogram,
     ) {
-        let take = self.batch.min(self.ring.free()).min(pending.len());
+        let take = self
+            .batch
+            .min(self.ring.free())
+            .min(retried.len() + fresh.len());
         let round_start = self.clock_ps;
-        let mut round = Vec::with_capacity(take);
-        for mut cmd in pending.drain(..take) {
+        for _ in 0..take {
+            let mut cmd = match retried.pop_front() {
+                Some(cmd) => cmd,
+                None => {
+                    let (idx, spec) = fresh.next().expect("take is capped at what is left");
+                    self.issue(idx, spec)
+                }
+            };
             self.transmit(&mut cmd, round_start);
-            round.push((ring::descriptor(cmd.tag, &cmd.packet), cmd));
+            self.ring.stage(ring::descriptor(cmd.tag, &cmd.packet), cmd);
         }
+        // The DMA engine records the delivery into the same probe.
+        self.probe.commit(&mut self.stage);
         let burst = self
             .ring
-            .submit(&mut self.engine, &self.faults, round, round_start);
+            .submit(&mut self.engine, &self.faults, round_start);
         let submit = TraceEventKind::BatchSubmit {
             entries: take as u32,
             bytes: burst.bytes,
         };
-        self.probe.trace.span(round_start, burst.latency_ps, submit);
+        self.probe
+            .stage_trace(&mut self.stage, round_start, burst.latency_ps, submit);
         self.clock_ps += burst.latency_ps;
         // What the wire lost — the whole burst on a down link, else the
         // descriptors dropped on it — waits out the shared deadline.
@@ -133,11 +148,15 @@ impl CommandDriver {
         let mut nacked: Vec<Inflight> = Vec::new();
         if burst.delivered {
             self.total_latency_ps += burst.latency_ps;
-            let (exec_ps, completions) = self.ring.doorbell(
+            // So does the kernel's drain.
+            self.probe.commit(&mut self.stage);
+            let mut completions = std::mem::take(&mut self.completions);
+            let exec_ps = self.ring.doorbell(
                 &mut self.kernel,
                 &self.faults,
                 self.clock_ps,
                 &mut CommandBudget::unlimited(),
+                &mut completions,
             );
             debug_assert!(self.ring.is_idle(), "CQ is sized to the SQ");
             self.clock_ps += exec_ps;
@@ -145,7 +164,7 @@ impl CommandDriver {
             let polled = completions.len() as u32;
             let mut interrupts = 0u32;
             let mut upload_seq = 0u64;
-            for done in completions {
+            for done in completions.drain(..) {
                 let Some(outcome) = done.outcome else {
                     lost.push(done.entry);
                     continue;
@@ -175,14 +194,17 @@ impl CommandDriver {
                 entries: polled,
                 interrupts,
             };
-            self.probe.trace.instant(self.clock_ps, complete);
+            self.probe
+                .stage_trace(&mut self.stage, self.clock_ps, 0, complete);
+            self.probe.commit(&mut self.stage);
+            self.completions = completions;
         }
         if !lost.is_empty() {
             self.time_out(&lost, round_start);
         }
         lost.append(&mut nacked);
         if !lost.is_empty() {
-            self.requeue(lost, pending, results);
+            self.requeue(lost, retried, results);
         }
     }
 
@@ -199,21 +221,21 @@ impl CommandDriver {
     ) {
         failed.sort_by_key(|cmd| cmd.idx);
         let mut backoff: Picos = 0;
-        let mut retried: Vec<Inflight> = Vec::with_capacity(failed.len());
-        for mut cmd in failed {
-            match self.retry_or_give_up(&mut cmd) {
-                Ok(wait) => {
-                    backoff = backoff.max(wait);
-                    retried.push(cmd);
-                }
-                Err(gave_up) => results[cmd.idx] = Some(Err(gave_up)),
+        failed.retain_mut(|cmd| match self.retry_or_give_up(cmd) {
+            Ok(wait) => {
+                backoff = backoff.max(wait);
+                true
             }
-        }
-        if retried.is_empty() {
+            Err(gave_up) => {
+                results[cmd.idx] = Some(Err(gave_up));
+                false
+            }
+        });
+        if failed.is_empty() {
             return;
         }
-        self.back_off(backoff, &retried);
-        for cmd in retried.into_iter().rev() {
+        self.back_off(backoff, &failed);
+        for cmd in failed.into_iter().rev() {
             pending.push_front(cmd);
         }
     }

@@ -27,13 +27,13 @@ use crate::batch::{CmdResult, CmdSpec};
 use crate::dma::{CommandDelivery, DmaEngine};
 use crate::irq::{IrqModeration, IrqModerator, IrqReport};
 use crate::resilience::{DriverError, DriverReport, RetryPolicy};
-use crate::ring::Ring;
+use crate::ring::{Completion, Ring};
 use harmonia_cmd::{CommandCode, CommandPacket, SrcId, UnifiedControlKernel};
 use harmonia_shell::rbb::RbbKind;
 use harmonia_shell::TailoredShell;
 use harmonia_sim::{
     FaultInjector, FlightRecorder, LogHistogram, MetricsRegistry, Picos, Pipeline, Probe,
-    TraceCollector, TraceEventKind,
+    ProbeStage, TraceCollector, TraceEventKind,
 };
 
 /// Status-register value published for a module the driver took out of
@@ -91,6 +91,11 @@ pub struct CommandDriver {
     /// moderator (disabled unless attached). Its flight recorder is
     /// dumped as a post-mortem on [`DriverError::GaveUp`].
     pub(crate) probe: Probe,
+    /// The driver's trace and flight events since the last commit. It is
+    /// committed before control passes to the DMA engine or the kernel,
+    /// which record into the same probe, before the flight recorder is
+    /// dumped, and at the end of every public call.
+    pub(crate) stage: ProbeStage,
     /// The post-mortem composed by the most recent give-up (None until a
     /// give-up happens with the flight recorder enabled).
     pub(crate) last_post_mortem: Option<String>,
@@ -98,6 +103,8 @@ pub struct CommandDriver {
     pub(crate) batch: usize,
     /// The ring transport's SQ/CQ pair.
     pub(crate) ring: Ring<Inflight>,
+    /// A doorbell's completions, kept across rounds to reuse storage.
+    pub(crate) completions: Vec<Completion<Inflight>>,
     /// Completion-interrupt moderation (`batch_threshold` = `batch`).
     pub(crate) irq: IrqModerator,
 }
@@ -137,9 +144,11 @@ impl CommandDriver {
             clock_ps: 0,
             latency_histo: LogHistogram::new(),
             probe: Probe::disabled(),
+            stage: ProbeStage::default(),
             last_post_mortem: None,
             batch,
             ring: Ring::new(depth),
+            completions: Vec::new(),
             irq: IrqModerator::new(IrqModeration {
                 max_wait_ps: 50_000_000,
                 batch_threshold: batch.min(u32::MAX as usize) as u32,
@@ -297,6 +306,7 @@ impl CommandDriver {
             .metrics
             .counter_inc("harmonia_cmd_issued_total", &[]);
         let result = self.send(cmd);
+        self.probe.commit(&mut self.stage);
         // A wider moderator may hold the completion; the call returns
         // with nothing pending.
         self.irq.flush(self.clock_ps);
@@ -309,6 +319,7 @@ impl CommandDriver {
         loop {
             let attempt_start = self.clock_ps;
             self.transmit(&mut cmd, attempt_start);
+            self.probe.commit(&mut self.stage);
             let mut bytes = cmd.packet.encode();
             match self
                 .engine
@@ -418,7 +429,7 @@ impl CommandDriver {
             rbb_id: cmd.packet.rbb_id,
             instance_id: cmd.packet.instance_id,
         };
-        self.probe.record(at, 0, issue);
+        self.probe.stage(&mut self.stage, at, 0, issue);
     }
 
     /// The kernel NACKed an attempt (its bytes failed to decode).
@@ -427,9 +438,9 @@ impl CommandDriver {
         self.probe
             .metrics
             .counter_inc("harmonia_cmd_nacks_total", &[]);
+        let nack = TraceEventKind::CmdNack { error_code };
         self.probe
-            .flight
-            .record(self.clock_ps, 0, TraceEventKind::CmdNack { error_code });
+            .stage_flight(&mut self.stage, self.clock_ps, 0, nack);
     }
 
     /// No response will arrive for `lost`: one shared wait until the
@@ -444,7 +455,7 @@ impl CommandDriver {
             let timeout = TraceEventKind::CmdTimeout {
                 code: cmd.packet.code.to_u16(),
             };
-            self.probe.record(self.clock_ps, 0, timeout);
+            self.probe.stage(&mut self.stage, self.clock_ps, 0, timeout);
         }
     }
 
@@ -464,8 +475,9 @@ impl CommandDriver {
                 code: packet.code.to_u16(),
                 attempts: cmd.attempt + 1,
             };
-            self.probe.record(self.clock_ps, 0, give_up);
+            self.probe.stage(&mut self.stage, self.clock_ps, 0, give_up);
             if self.probe.flight.is_enabled() {
+                self.probe.commit(&mut self.stage);
                 self.last_post_mortem = Some(format!(
                     "post-mortem: gave up on cmd {:#06x} (rbb {} inst {}) after {} attempt(s), \
                      deadline {} ps\n{}",
@@ -505,7 +517,7 @@ impl CommandDriver {
                 code: cmd.packet.code.to_u16(),
                 attempt: cmd.attempt,
             };
-            self.probe.record(self.clock_ps, 0, retry);
+            self.probe.stage(&mut self.stage, self.clock_ps, 0, retry);
         }
     }
 
@@ -523,7 +535,8 @@ impl CommandDriver {
             code: cmd.packet.code.to_u16(),
             attempts: cmd.attempt + 1,
         };
-        self.probe.record(cmd.issued_at, latency, ack);
+        self.probe
+            .stage(&mut self.stage, cmd.issued_at, latency, ack);
         self.latency_histo.record(latency);
         Ok(latency)
     }

@@ -170,7 +170,9 @@ impl DmaEngine {
         let mut latency_ps = self.queue_latency_ps(bytes);
         let mut lost = false;
         if self.faults.is_active() {
-            let stall = self.faults.take_stall_beats(now);
+            // The stall, link and drop consults share one instant.
+            let mut draws = self.faults.draws(now);
+            let stall = draws.take_stall_beats();
             if stall > 0 {
                 latency_ps += stall * self.credit_beat_ps();
                 self.probe
@@ -186,7 +188,7 @@ impl DmaEngine {
                     },
                 );
             }
-            lost = !self.faults.link_up(now) || (drop_check && self.faults.drop_command(now));
+            lost = !draws.link_up() || (drop_check && draws.drop_command());
         }
         self.probe
             .trace

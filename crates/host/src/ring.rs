@@ -1,10 +1,11 @@
 //! The SQ/CQ ring round both ring drivers run.
 //!
 //! A [`Ring`] is an SQ/CQ pair plus the entries in flight on it, in SQ
-//! order: [`Ring::submit`] delivers a burst and applies the
-//! per-descriptor faults, [`Ring::doorbell`] drains the SQ and polls the
-//! CQ. What a fault costs and when an entry goes out again is each
-//! driver's policy, in `batch` and `tenant`.
+//! order: [`Ring::stage`] adds a descriptor to the next burst,
+//! [`Ring::submit`] delivers the burst and applies the per-descriptor
+//! faults, [`Ring::doorbell`] drains the SQ and polls the CQ. What a
+//! fault costs and when an entry goes out again is each driver's policy,
+//! in `batch` and `tenant`.
 
 use crate::dma::{CommandDelivery, DmaEngine};
 use harmonia_cmd::queue::{CommandBudget, CompletionStatus, SqDescriptor};
@@ -33,6 +34,7 @@ pub(crate) fn descriptor(tag: u32, packet: &CommandPacket) -> SqDescriptor {
 }
 
 /// How the host hears a polled command complete.
+#[derive(Debug)]
 pub(crate) enum Outcome {
     Acked(CommandPacket),
     /// The descriptor failed to decode: the stable decode-error code.
@@ -42,6 +44,7 @@ pub(crate) enum Outcome {
 
 /// One CQ record matched to its entry. `outcome` is `None` when the
 /// completion interrupt was lost: the command ran, and its retry replays.
+#[derive(Debug)]
 pub(crate) struct Completion<T> {
     pub(crate) entry: T,
     pub(crate) at_ps: Picos,
@@ -57,6 +60,8 @@ pub(crate) struct Ring<T> {
     /// and posts one CQ record per descriptor, and a budgeted drain
     /// leaves the rest queued in order, so entries complete front first.
     inflight: VecDeque<(u32, T)>,
+    /// The next burst, kept across rounds so staging reuses its storage.
+    burst: Vec<(SqDescriptor, T)>,
 }
 
 impl<T> Ring<T> {
@@ -66,6 +71,7 @@ impl<T> Ring<T> {
             sq: SubmissionQueue::new(depth),
             cq: CompletionQueue::new(depth),
             inflight: VecDeque::new(),
+            burst: Vec::new(),
         }
     }
 
@@ -80,29 +86,36 @@ impl<T> Ring<T> {
         self.inflight.is_empty()
     }
 
-    /// Ships `burst` — at most [`Ring::free`] descriptors, each with its
-    /// entry — as one DMA delivery starting at `at`; what arrives is
-    /// checked for a drop, then a corruption, at the post-delivery clock.
+    /// Adds `desc` and its entry to the next burst, which holds at most
+    /// [`Ring::free`] descriptors.
+    pub(crate) fn stage(&mut self, desc: SqDescriptor, entry: T) {
+        debug_assert!(self.burst.len() < self.free(), "a burst fits the ring");
+        self.burst.push((desc, entry));
+    }
+
+    /// Ships the staged burst as one DMA delivery starting at `at`; what
+    /// arrives is checked for a drop, then a corruption, at the
+    /// post-delivery clock.
     pub(crate) fn submit(
         &mut self,
         engine: &mut DmaEngine,
         faults: &FaultInjector,
-        burst: Vec<(SqDescriptor, T)>,
         at: Picos,
     ) -> Burst<T> {
-        let bytes = burst.iter().map(|(d, _)| d.bytes.len() as u32).sum();
-        let delivery = engine.batch_delivery(bytes, burst.len() as u32, at);
+        let bytes = self.burst.iter().map(|(d, _)| d.bytes.len() as u32).sum();
+        let delivery = engine.batch_delivery(bytes, self.burst.len() as u32, at);
         let (CommandDelivery::Delivered { latency_ps } | CommandDelivery::Lost { latency_ps }) =
             delivery;
         let delivered = matches!(delivery, CommandDelivery::Delivered { .. });
-        let now = at + latency_ps;
+        // Every descriptor is drawn at the one post-delivery instant.
+        let mut draws = faults.draws(at + latency_ps);
         let mut lost = Vec::new();
-        for (mut desc, entry) in burst {
-            if !delivered || faults.is_active() && faults.drop_command(now) {
+        for (mut desc, entry) in self.burst.drain(..) {
+            if !delivered || draws.drop_command() {
                 lost.push(entry);
                 continue;
             }
-            faults.corrupt_command(now, &mut desc.bytes);
+            draws.corrupt_command(&mut desc.bytes);
             self.inflight.push_back((desc.tag, entry));
             self.sq
                 .push(desc)
@@ -118,15 +131,16 @@ impl<T> Ring<T> {
 
     /// Drains the SQ through the kernel at `now` against `budget` (what it
     /// stops stays queued), then polls the CQ, drawing a lost interrupt
-    /// for each executed command: the drain's execution time and every
-    /// record, in completion order.
+    /// for each executed command: appends every record to `completions`,
+    /// in completion order, and returns the drain's execution time.
     pub(crate) fn doorbell(
         &mut self,
         kernel: &mut UnifiedControlKernel,
         faults: &FaultInjector,
         now: Picos,
         budget: &mut CommandBudget,
-    ) -> (Picos, Vec<Completion<T>>) {
+        completions: &mut Vec<Completion<T>>,
+    ) -> Picos {
         kernel.sync_clock(now);
         let n = self.sq.len();
         let out = kernel.ring_doorbell_budgeted(
@@ -140,7 +154,7 @@ impl<T> Ring<T> {
         // Responses and errors come in drain order, as the CQ records do.
         let mut responses = out.responses.into_iter();
         let mut errors = out.errors.into_iter();
-        let mut completions = Vec::with_capacity(self.cq.len());
+        let mut draws = faults.draws(polled_at);
         while let Some(rec) = self.cq.pop() {
             let (tag, entry) = self
                 .inflight
@@ -151,7 +165,7 @@ impl<T> Ring<T> {
                 CompletionStatus::Ok => {
                     let (tag, resp) = responses.next().expect("Ok record has a response");
                     debug_assert_eq!(tag, rec.tag);
-                    (!faults.irq_lost(polled_at)).then_some(Outcome::Acked(resp))
+                    (!draws.irq_lost()).then_some(Outcome::Acked(resp))
                 }
                 CompletionStatus::Nack { error_code } => Some(Outcome::Nacked(error_code)),
                 CompletionStatus::Error => {
@@ -166,7 +180,7 @@ impl<T> Ring<T> {
                 outcome,
             });
         }
-        (out.exec_ps, completions)
+        out.exec_ps
     }
 }
 
@@ -204,19 +218,23 @@ mod tests {
         let mut engine = DmaEngine::new(PcieDmaIp::new(Vendor::Xilinx, 4, 8));
         let faults = FaultInjector::none();
         let mut ring: Ring<u32> = Ring::new(16);
-        let burst = |tags: std::ops::Range<u32>| tags.map(|t| (health(t), t)).collect();
-        assert!(ring.submit(&mut engine, &faults, burst(0..10), 0).delivered);
+        let mut submit = |ring: &mut Ring<u32>, tags: std::ops::Range<u32>| {
+            for t in tags {
+                ring.stage(health(t), t);
+            }
+            ring.submit(&mut engine, &faults, 0).delivered
+        };
+        assert!(submit(&mut ring, 0..10));
         let mut slice = CommandBudget::new(0, 4);
-        let (_, first) = ring.doorbell(&mut kernel, &faults, 0, &mut slice);
+        let mut first = Vec::new();
+        ring.doorbell(&mut kernel, &faults, 0, &mut slice, &mut first);
         assert_eq!(entries(first), vec![0, 1, 2, 3]);
         assert!(!ring.is_idle(), "the budget left six descriptors queued");
         // A later burst queues behind what the budget left.
-        assert!(
-            ring.submit(&mut engine, &faults, burst(10..13), 0)
-                .delivered
-        );
+        assert!(submit(&mut ring, 10..13));
         let mut next = CommandBudget::new(0, 64);
-        let (_, second) = ring.doorbell(&mut kernel, &faults, 0, &mut next);
+        let mut second = Vec::new();
+        ring.doorbell(&mut kernel, &faults, 0, &mut next, &mut second);
         assert_eq!(entries(second), (4..13).collect::<Vec<_>>());
         assert!(ring.is_idle());
         assert_eq!(kernel.commands_executed(), 13);

@@ -36,7 +36,7 @@
 
 use crate::batch::CmdSpec;
 use crate::dma::DmaEngine;
-use crate::ring::{self, Outcome, Ring};
+use crate::ring::{self, Completion, Outcome, Ring};
 use harmonia_cmd::queue::CommandBudget;
 use harmonia_cmd::{CommandPacket, SrcId, UnifiedControlKernel};
 use harmonia_shell::sched::{SliceGrant, TenantScheduler};
@@ -67,6 +67,8 @@ struct PendingCmd {
 #[derive(Debug)]
 struct TenantLane {
     ring: Ring<PendingCmd>,
+    /// A doorbell's completions, kept across rounds to reuse storage.
+    completions: Vec<Completion<PendingCmd>>,
     backlog: VecDeque<PendingCmd>,
     /// The tag the lane's next enqueued command gets.
     next_tag: u32,
@@ -81,6 +83,7 @@ impl TenantLane {
     fn new() -> TenantLane {
         TenantLane {
             ring: Ring::new(DEFAULT_TENANT_RING_DEPTH),
+            completions: Vec::new(),
             backlog: VecDeque::new(),
             next_tag: 0,
             latency: LogHistogram::new(),
@@ -269,14 +272,12 @@ impl TenantHostDriver {
             let lane = &mut self.lanes[t];
             let take = lane.ring.free().min(lane.backlog.len());
             if take > 0 {
-                let staged = lane
-                    .backlog
-                    .drain(..take)
-                    .map(|p| (ring::descriptor(p.tag, &p.packet), p))
-                    .collect();
+                for p in lane.backlog.drain(..take) {
+                    lane.ring.stage(ring::descriptor(p.tag, &p.packet), p);
+                }
                 let burst = lane
                     .ring
-                    .submit(&mut self.engine, &self.faults, staged, self.clock_ps);
+                    .submit(&mut self.engine, &self.faults, self.clock_ps);
                 lane.stats.timeouts += burst.lost.len() as u64;
                 for p in burst.lost.into_iter().rev() {
                     lane.backlog.push_front(p);
@@ -295,11 +296,15 @@ impl TenantHostDriver {
                 // clock already advanced, so loop for the retry.
                 continue;
             }
-            let (exec_ps, completions) =
-                lane.ring
-                    .doorbell(&mut self.kernel, &self.faults, self.clock_ps, &mut budget);
+            let exec_ps = lane.ring.doorbell(
+                &mut self.kernel,
+                &self.faults,
+                self.clock_ps,
+                &mut budget,
+                &mut lane.completions,
+            );
             self.clock_ps += exec_ps;
-            for done in completions {
+            for done in lane.completions.drain(..) {
                 let p = done.entry;
                 match done.outcome {
                     // Executed but unheard-of: the ring's replay window

@@ -9,7 +9,7 @@
 //! hardware models (`DmaEngine`, MAC/DDR/HBM IPs, `SyncFifo`) consult on
 //! each beat.
 //!
-//! Two contracts every consumer can rely on:
+//! Three contracts every consumer can rely on:
 //!
 //! 1. **`FaultPlan::none()` is a zero-cost no-op.** The injector holds no
 //!    state, no RNG is ever advanced, and every query collapses to one
@@ -19,11 +19,21 @@
 //!    from one seeded [`SplitMix64`] behind the handle; a scenario that
 //!    consults in a fixed order reproduces exactly, at any host thread
 //!    count (each scenario owns its own injector).
+//! 3. **One instant, one lock.** A consult at instant `now` first fires
+//!    every scheduled event due by `now`, then draws. [`FaultInjector::draws`]
+//!    opens a [`FaultDraws`] guard for one instant, so a ring round that
+//!    checks a whole burst, or a whole poll, at one instant locks the
+//!    plan once for all of it. The guard locks, and fires the schedule,
+//!    on its first draw: a guard that draws nothing (an undelivered
+//!    burst, a poll with no Ok record) leaves the plan exactly as it was,
+//!    so no event fires earlier than a per-call consult would fire it.
+//!    The per-call consults are one guard each, so both forms give the
+//!    same draws in the same order.
 
 use crate::rng::SplitMix64;
 use crate::time::Picos;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The fault taxonomy. Scheduled kinds arm state the next matching
 /// consult observes; `LinkDown`/`LinkUp` toggle a persistent link state.
@@ -237,83 +247,134 @@ impl FaultInjector {
 
     /// Link state at `now`.
     pub fn link_up(&self, now: Picos) -> bool {
-        let Some(inner) = &self.inner else {
-            return true;
-        };
-        let mut s = inner.lock().expect("fault state poisoned");
-        s.advance(now);
-        s.link_up
+        self.draws(now).link_up()
     }
 
     /// Takes (and clears) any pending credit-stall beats due at `now`.
     pub fn take_stall_beats(&self, now: Picos) -> u64 {
-        let Some(inner) = &self.inner else {
-            return 0;
-        };
-        let mut s = inner.lock().expect("fault state poisoned");
-        s.advance(now);
-        std::mem::take(&mut s.stall_beats)
+        self.draws(now).take_stall_beats()
+    }
+
+    /// Opens the draws of one consult instant `now`: every draw through
+    /// the guard sees the plan as of `now` and takes the plan's lock once
+    /// for all of them. The lock is taken, and the schedule advanced to
+    /// `now`, on the first draw, so a guard that draws nothing leaves the
+    /// plan untouched.
+    #[inline]
+    pub fn draws(&self, now: Picos) -> FaultDraws<'_> {
+        FaultDraws {
+            inner: self.inner.as_deref(),
+            now,
+            state: None,
+        }
     }
 
     /// Whether the memory beat consulted at `now` takes an ECC hit.
     pub(crate) fn ecc_error(&self, now: Picos) -> bool {
-        let Some(inner) = &self.inner else {
-            return false;
-        };
-        let mut s = inner.lock().expect("fault state poisoned");
-        s.advance(now);
-        let rate = s.rates.ecc;
-        let FaultState { armed_ecc, rng, .. } = &mut *s;
-        FaultState::consume(armed_ecc, rng, rate)
+        self.draws(now).ecc_error()
     }
 
     /// Whether the command consulted at `now` is dropped in flight.
     pub fn drop_command(&self, now: Picos) -> bool {
-        let Some(inner) = &self.inner else {
-            return false;
-        };
-        let mut s = inner.lock().expect("fault state poisoned");
-        s.advance(now);
-        let rate = s.rates.cmd_drop;
-        let FaultState {
-            armed_drop, rng, ..
-        } = &mut *s;
-        FaultState::consume(armed_drop, rng, rate)
+        self.draws(now).drop_command()
     }
 
     /// Possibly corrupts the in-flight command bytes at `now`, flipping
     /// one deterministically chosen bit. Returns whether it fired.
     pub fn corrupt_command(&self, now: Picos, bytes: &mut [u8]) -> bool {
-        let Some(inner) = &self.inner else {
-            return false;
-        };
-        if bytes.is_empty() {
-            return false;
-        }
-        let mut s = inner.lock().expect("fault state poisoned");
-        s.advance(now);
-        let rate = s.rates.cmd_corrupt;
-        let FaultState {
-            armed_corrupt, rng, ..
-        } = &mut *s;
-        if !FaultState::consume(armed_corrupt, rng, rate) {
-            return false;
-        }
-        let bit = s.rng.next_below(bytes.len() as u64 * 8);
-        bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
-        true
+        self.draws(now).corrupt_command(bytes)
     }
 
     /// Whether the completion interrupt consulted at `now` is lost.
     pub fn irq_lost(&self, now: Picos) -> bool {
-        let Some(inner) = &self.inner else {
+        self.draws(now).irq_lost()
+    }
+}
+
+/// The draws of one consult instant, from [`FaultInjector::draws`]. A
+/// sequence of draws through one guard gives the same outcomes, and
+/// leaves the plan in the same state, as the same sequence of per-call
+/// consults at the guard's instant: both advance the schedule to that
+/// instant once and then draw in order from the one RNG stream.
+#[derive(Debug)]
+pub struct FaultDraws<'a> {
+    inner: Option<&'a Mutex<FaultState>>,
+    now: Picos,
+    /// The plan, locked and advanced to `now` by the first draw.
+    state: Option<MutexGuard<'a, FaultState>>,
+}
+
+impl FaultDraws<'_> {
+    /// The plan as of `now`; `None` for the no-op injector.
+    #[inline]
+    fn state(&mut self) -> Option<&mut FaultState> {
+        let inner = self.inner?;
+        let now = self.now;
+        Some(self.state.get_or_insert_with(|| {
+            let mut s = inner.lock().expect("fault state poisoned");
+            s.advance(now);
+            s
+        }))
+    }
+
+    /// Link state at the guard's instant.
+    #[inline]
+    pub fn link_up(&mut self) -> bool {
+        self.state().is_none_or(|s| s.link_up)
+    }
+
+    /// Takes (and clears) the credit-stall beats pending at the guard's
+    /// instant.
+    #[inline]
+    pub fn take_stall_beats(&mut self) -> u64 {
+        self.state()
+            .map_or(0, |s| std::mem::take(&mut s.stall_beats))
+    }
+
+    /// Whether the next memory beat takes an ECC hit.
+    #[inline]
+    pub(crate) fn ecc_error(&mut self) -> bool {
+        self.state().is_some_and(|s| {
+            let rate = s.rates.ecc;
+            FaultState::consume(&mut s.armed_ecc, &mut s.rng, rate)
+        })
+    }
+
+    /// Whether the next command is dropped in flight.
+    #[inline]
+    pub fn drop_command(&mut self) -> bool {
+        self.state().is_some_and(|s| {
+            let rate = s.rates.cmd_drop;
+            FaultState::consume(&mut s.armed_drop, &mut s.rng, rate)
+        })
+    }
+
+    /// Possibly corrupts the next command's in-flight bytes, flipping one
+    /// deterministically chosen bit. Returns whether it fired; empty
+    /// bytes draw nothing.
+    #[inline]
+    pub fn corrupt_command(&mut self, bytes: &mut [u8]) -> bool {
+        if bytes.is_empty() {
             return false;
-        };
-        let mut s = inner.lock().expect("fault state poisoned");
-        s.advance(now);
-        let rate = s.rates.irq_lost;
-        let FaultState { armed_irq, rng, .. } = &mut *s;
-        FaultState::consume(armed_irq, rng, rate)
+        }
+        self.state().is_some_and(|s| {
+            let rate = s.rates.cmd_corrupt;
+            if !FaultState::consume(&mut s.armed_corrupt, &mut s.rng, rate) {
+                return false;
+            }
+            let bit = s.rng.next_below(bytes.len() as u64 * 8);
+            bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
+            true
+        })
+    }
+
+    /// Whether the next completion interrupt is lost.
+    #[inline]
+    pub fn irq_lost(&mut self) -> bool {
+        self.state().is_some_and(|s| {
+            let rate = s.rates.irq_lost;
+            FaultState::consume(&mut s.armed_irq, &mut s.rng, rate)
+        })
     }
 }
 
@@ -424,6 +485,17 @@ mod tests {
         assert!(a.iter().any(|f| f.1), "a 25 % ECC rate must fire");
         assert!(a.iter().any(|f| f.2), "a 10 % irq-loss rate must fire");
         assert!(a.iter().any(|f| f.3), "a 20 % corruption rate must fire");
+    }
+
+    #[test]
+    fn a_guard_that_draws_nothing_advances_nothing() {
+        let inj = FaultPlan::new().at(100, FaultKind::LinkDown).injector();
+        drop(inj.draws(200));
+        assert!(inj.link_up(50), "the unused guard fired the link-down");
+        let mut draws = inj.draws(200);
+        assert!(!draws.drop_command());
+        drop(draws);
+        assert!(!inj.link_up(50), "the guard's draw advanced to its instant");
     }
 
     #[test]

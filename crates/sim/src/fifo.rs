@@ -5,7 +5,7 @@
 //! buffers of the Host RBB.
 
 use crate::fault::FaultInjector;
-use crate::probe::Probe;
+use crate::probe::{Probe, ProbeStage};
 use crate::time::Picos;
 use crate::trace::TraceEventKind;
 use std::collections::VecDeque;
@@ -89,9 +89,10 @@ impl<T> SyncFifo<T> {
     /// and the observability plane. An [`FaultInjector`] ECC hit on the
     /// FIFO memory discards the beat (tallied in [`SyncFifo::rejected`])
     /// instead of storing a corrupt word; a rejection for a full FIFO
-    /// records a [`TraceEventKind::FifoStall`] instant on `probe`, so
-    /// backpressure shows up on the timeline. With the no-op injector
-    /// this is exactly [`SyncFifo::push`], whatever the probe.
+    /// stages a [`TraceEventKind::FifoStall`] instant for `probe`'s
+    /// timeline in `stage`, so backpressure shows up there once the
+    /// caller commits it. With the no-op injector this is exactly
+    /// [`SyncFifo::push`], whatever the probe.
     ///
     /// # Errors
     ///
@@ -103,14 +104,13 @@ impl<T> SyncFifo<T> {
         now: Picos,
         faults: &FaultInjector,
         probe: &Probe,
+        stage: &mut ProbeStage,
     ) -> Result<BeatFate, FifoFullError<T>> {
         if self.buf.len() == self.capacity {
-            probe.trace.instant(
-                now,
-                TraceEventKind::FifoStall {
-                    occupancy: self.buf.len() as u32,
-                },
-            );
+            let stall = TraceEventKind::FifoStall {
+                occupancy: self.buf.len() as u32,
+            };
+            probe.stage_trace(stage, now, 0, stall);
         } else if faults.ecc_error(now) {
             self.rejected += 1;
             return Ok(BeatFate::Discarded);
@@ -232,10 +232,20 @@ mod tests {
         use crate::fault::FaultPlan;
         let inj = FaultPlan::none().injector();
         let off = Probe::disabled();
+        let mut stage = ProbeStage::default();
         let mut f = SyncFifo::new(2);
-        assert_eq!(f.push_at(1, 0, &inj, &off), Ok(BeatFate::Stored));
-        assert_eq!(f.push_at(2, 10, &inj, &off), Ok(BeatFate::Stored));
-        assert_eq!(f.push_at(3, 20, &inj, &off), Err(FifoFullError(3)));
+        assert_eq!(
+            f.push_at(1, 0, &inj, &off, &mut stage),
+            Ok(BeatFate::Stored)
+        );
+        assert_eq!(
+            f.push_at(2, 10, &inj, &off, &mut stage),
+            Ok(BeatFate::Stored)
+        );
+        assert_eq!(
+            f.push_at(3, 20, &inj, &off, &mut stage),
+            Err(FifoFullError(3))
+        );
         assert_eq!(f.drain(), vec![1, 2]);
     }
 
@@ -244,10 +254,21 @@ mod tests {
         use crate::fault::{FaultKind, FaultPlan};
         let inj = FaultPlan::new().at(5, FaultKind::EccError).injector();
         let probe = Probe::enabled();
+        let mut stage = ProbeStage::default();
         let mut f = SyncFifo::new(4);
-        assert_eq!(f.push_at(1, 0, &inj, &probe), Ok(BeatFate::Stored));
-        assert_eq!(f.push_at(2, 5, &inj, &probe), Ok(BeatFate::Discarded));
-        assert_eq!(f.push_at(3, 6, &inj, &probe), Ok(BeatFate::Stored));
+        assert_eq!(
+            f.push_at(1, 0, &inj, &probe, &mut stage),
+            Ok(BeatFate::Stored)
+        );
+        assert_eq!(
+            f.push_at(2, 5, &inj, &probe, &mut stage),
+            Ok(BeatFate::Discarded)
+        );
+        assert_eq!(
+            f.push_at(3, 6, &inj, &probe, &mut stage),
+            Ok(BeatFate::Stored)
+        );
+        probe.commit(&mut stage);
         assert!(probe.trace.is_empty(), "an ECC discard is not a stall");
         assert_eq!(f.rejected(), 1);
         assert_eq!(f.drain(), vec![1, 3]);
@@ -258,10 +279,13 @@ mod tests {
         use crate::fault::FaultInjector;
         let probe = Probe::enabled();
         let none = FaultInjector::none();
+        let mut stage = ProbeStage::default();
         let mut f = SyncFifo::new(1);
-        f.push_at(1, 100, &none, &probe).unwrap();
+        f.push_at(1, 100, &none, &probe, &mut stage).unwrap();
+        probe.commit(&mut stage);
         assert!(probe.trace.is_empty(), "accepted beats emit nothing");
-        assert!(f.push_at(2, 200, &none, &probe).is_err());
+        assert!(f.push_at(2, 200, &none, &probe, &mut stage).is_err());
+        probe.commit(&mut stage);
         assert_eq!(f.rejected(), 1);
         let trace = probe.trace.take();
         assert_eq!(trace.len(), 1);

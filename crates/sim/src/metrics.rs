@@ -589,23 +589,31 @@ impl FlightRecorder {
     /// Records one event (span when `dur > 0`, instant otherwise),
     /// evicting the oldest once the ring is full.
     pub fn record(&self, at: Picos, dur: Picos, kind: TraceEventKind) {
+        self.extend([(at, dur, kind)]);
+    }
+
+    /// Records `(at, dur, kind)` events in order under one lock: the same
+    /// ring and `seq` numbers as one [`FlightRecorder::record`] each.
+    pub(crate) fn extend<I: IntoIterator<Item = (Picos, Picos, TraceEventKind)>>(&self, events: I) {
         let Some(inner) = &self.inner else {
             return;
         };
         let mut buf = inner.lock().expect("flight recorder poisoned");
-        if buf.ring.len() == buf.capacity {
-            buf.ring.pop_front();
+        for (at, dur, kind) in events {
+            if buf.ring.len() == buf.capacity {
+                buf.ring.pop_front();
+            }
+            let seq = buf.seq;
+            buf.seq += 1;
+            let lane = buf.lane;
+            buf.ring.push_back(TraceEvent {
+                at,
+                dur,
+                lane,
+                seq,
+                kind,
+            });
         }
-        let seq = buf.seq;
-        buf.seq += 1;
-        let lane = buf.lane;
-        buf.ring.push_back(TraceEvent {
-            at,
-            dur,
-            lane,
-            seq,
-            kind,
-        });
     }
 
     /// Events currently retained (0 when disabled).
@@ -812,6 +820,7 @@ pub fn evaluate_slos(snapshot: &MetricsSnapshot, slos: &[Slo]) -> SloReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use harmonia_testkit::prelude::*;
 
     #[test]
     fn disabled_registry_is_inert() {
@@ -961,6 +970,34 @@ mod tests {
         assert!(dump.contains("ecc-scrub"));
         assert!(dump.contains(&format!("[{:>17} ps]", 900)), "{dump}");
         assert!(!dump.contains(&format!("[{:>17} ps]", 0)), "oldest evicted");
+    }
+
+    forall! {
+        /// A bulk commit of n events leaves the ring, and the `seq` the
+        /// next event gets, that n `record`s leave, for n below, at and
+        /// above the capacity and on top of any history.
+        #[test]
+        fn extend_equals_one_record_per_event(
+            capacity in 1usize..8,
+            history in crate::trace::arb_events(12),
+            events in crate::trace::arb_events(24),
+        ) {
+            let bulk = FlightRecorder::with_capacity(capacity);
+            let single = FlightRecorder::with_capacity(capacity);
+            for fr in [&bulk, &single] {
+                for &(at, dur, kind) in &history {
+                    fr.record(at, dur, kind);
+                }
+            }
+            bulk.extend(events.iter().copied());
+            for &(at, dur, kind) in &events {
+                single.record(at, dur, kind);
+            }
+            let seq = |fr: &FlightRecorder| fr.inner.as_ref().map(|i| i.lock().unwrap().seq);
+            prop_assert_eq!(bulk.dump(), single.dump());
+            prop_assert_eq!(seq(&bulk), seq(&single));
+            prop_assert_eq!(seq(&bulk), Some((history.len() + events.len()) as u64));
+        }
     }
 
     #[test]

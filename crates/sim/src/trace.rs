@@ -25,6 +25,15 @@
 //!    `(Picos, lane, seq)`, so the exports of a merged capture depend
 //!    only on its inputs.
 //!
+//! `seq` is the record order within a lane. A hot path that emits many
+//! events per round stages them and commits them with one lock per plane
+//! ([`crate::Probe::commit`]), which numbers them exactly as one
+//! [`TraceCollector::span`] each would; the staging emitters commit at
+//! the points [`crate::probe`] lists, so every `seq` stays where
+//! per-event recording put it. Contract 1 holds for the bulk path too:
+//! a disabled collector stages nothing, and a commit with nothing staged
+//! is one branch.
+//!
 //! # Example: capture → export → assert ordering
 //!
 //! ```
@@ -420,20 +429,28 @@ impl TraceCollector {
 
     /// Records a span starting at `at` lasting `dur` picoseconds.
     pub fn span(&self, at: Picos, dur: Picos, kind: TraceEventKind) {
+        self.extend([(at, dur, kind)]);
+    }
+
+    /// Records `(at, dur, kind)` events in order under one lock: the same
+    /// events and `seq` numbers as one [`TraceCollector::span`] each.
+    pub(crate) fn extend<I: IntoIterator<Item = (Picos, Picos, TraceEventKind)>>(&self, events: I) {
         let Some(inner) = &self.inner else {
             return;
         };
         let mut buf = inner.lock().expect("trace buffer poisoned");
-        let seq = buf.seq;
-        buf.seq += 1;
-        let lane = buf.lane;
-        buf.push(TraceEvent {
-            at,
-            dur,
-            lane,
-            seq,
-            kind,
-        });
+        for (at, dur, kind) in events {
+            let seq = buf.seq;
+            buf.seq += 1;
+            let lane = buf.lane;
+            buf.push(TraceEvent {
+                at,
+                dur,
+                lane,
+                seq,
+                kind,
+            });
+        }
     }
 
     /// Number of events recorded so far (0 when disabled).
@@ -598,9 +615,57 @@ fn fmt_us(ps: Picos) -> String {
     format!("{}.{:06}", ps / 1_000_000, ps % 1_000_000)
 }
 
+/// Up to `max` random `(at, dur, kind)` events, for the properties of
+/// the bulk appends.
+#[cfg(test)]
+pub(crate) fn arb_events(
+    max: usize,
+) -> impl harmonia_testkit::prelude::Strategy<Value = Vec<(Picos, Picos, TraceEventKind)>> {
+    use harmonia_testkit::prelude::*;
+    let event = (0u64..10_000, 0u64..100, 0u8..3, any::<u32>()).prop_map(|(at, dur, k, x)| {
+        let kind = match k {
+            0 => TraceEventKind::EccScrub,
+            1 => TraceEventKind::CmdNack { error_code: x },
+            _ => TraceEventKind::KernelExec {
+                code: x as u16,
+                reg_ops: u64::from(x >> 16),
+            },
+        };
+        (at, dur, kind)
+    });
+    collection::vec(event, 0..max)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use harmonia_testkit::prelude::*;
+
+    forall! {
+        /// A bulk append records what one `span` per event records, on
+        /// top of any history (chunk boundaries included), and numbers
+        /// the next event where the spans would have.
+        #[test]
+        fn extend_equals_one_span_per_event(
+            history in 0usize..CHUNK_EVENTS + 64,
+            events in arb_events(64),
+        ) {
+            let (bulk, single) = (TraceCollector::enabled(), TraceCollector::enabled());
+            for tc in [&bulk, &single] {
+                for i in 0..history as u64 {
+                    tc.instant(i, TraceEventKind::EccScrub);
+                }
+            }
+            bulk.extend(events.iter().copied());
+            for &(at, dur, kind) in &events {
+                single.span(at, dur, kind);
+            }
+            for tc in [&bulk, &single] {
+                tc.instant(0, TraceEventKind::EccScrub);
+            }
+            prop_assert_eq!(bulk.take(), single.take());
+        }
+    }
 
     #[test]
     fn disabled_collector_is_inert() {

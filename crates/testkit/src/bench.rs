@@ -1,5 +1,6 @@
 //! Wall-clock timing for the workspace's `cargo bench` targets: one
-//! calibrated sampling loop ([`measure`]), its summary ([`BenchStats`]),
+//! calibrated sampling loop ([`measure`]) and its whole-run mode
+//! ([`measure_runs`]), their summary ([`BenchStats`]),
 //! the `BENCH_<group>.json` rendering ([`group_json`]) and the directory
 //! those files land in (`out_dir`). The committed simulated
 //! `BENCH_*.json` files are checked by their tests through
@@ -10,9 +11,11 @@
 //! estimated and a batch size is chosen so one sample spans enough wall
 //! time to dwarf timer overhead; the batches are then timed
 //! individually and summarized as min/mean/median/p99 per iteration.
+//! A campaign that is long enough on its own, and times its own parts,
+//! is sampled whole instead: one sample is one campaign.
 
 use std::path::PathBuf;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
 
@@ -24,10 +27,12 @@ const TARGET_SAMPLE_NANOS: u128 = 2_000_000; // 2 ms
 const SMOKE_SAMPLE_SIZE: usize = 5;
 const SMOKE_WARMUP_NANOS: u128 = 2_000_000; // 2 ms
 const SMOKE_TARGET_SAMPLE_NANOS: u128 = 500_000; // 0.5 ms
+/// Whole runs sampled per call of [`measure_runs`] in smoke mode.
+const SMOKE_RUNS: usize = 3;
 
 /// Whether `TESTKIT_BENCH_SMOKE` asks for a smoke run: set, non-empty
 /// and not `0`.
-pub fn smoke_mode() -> bool {
+pub(crate) fn smoke_mode() -> bool {
     std::env::var("TESTKIT_BENCH_SMOKE")
         .map(|v| v.trim() != "0" && !v.trim().is_empty())
         .unwrap_or(false)
@@ -55,7 +60,7 @@ pub struct BenchStats {
 impl BenchStats {
     /// Summarizes timed samples, each already divided down to
     /// nanoseconds per iteration. `samples_ns` must not be empty.
-    pub fn from_samples(
+    pub(crate) fn from_samples(
         name: impl Into<String>,
         mut samples_ns: Vec<f64>,
         iters_per_sample: u64,
@@ -76,7 +81,7 @@ impl BenchStats {
 
 /// Times `f` as the benchmark `name`: warmup, batch-size calibration,
 /// then `samples` timed batches (at most 5, with shorter warmup and
-/// batches, in [`smoke_mode`]). `samples` must not be zero.
+/// batches, in smoke mode). `samples` must not be zero.
 pub fn measure<R>(name: impl Into<String>, samples: usize, mut f: impl FnMut() -> R) -> BenchStats {
     let (samples, warmup_nanos, target_sample_nanos) = if smoke_mode() {
         (
@@ -109,6 +114,38 @@ pub fn measure<R>(name: impl Into<String>, samples: usize, mut f: impl FnMut() -
         samples_ns.push(start.elapsed().as_nanos() as f64 / iters_per_sample as f64);
     }
     BenchStats::from_samples(name, samples_ns, iters_per_sample)
+}
+
+/// The whole-run mode of [`measure`]: one sample is one call of `run`, a
+/// campaign that times its own parts and returns them as named
+/// durations. One untimed call warms up first; then `samples` calls (at
+/// most 3 in smoke mode) are summarized per name, in the order the
+/// names first appear, as nanoseconds per campaign. `samples` must not be
+/// zero, and every call must return every name.
+pub fn measure_runs(
+    samples: usize,
+    mut run: impl FnMut() -> Vec<(String, Duration)>,
+) -> Vec<BenchStats> {
+    let samples = if smoke_mode() {
+        samples.min(SMOKE_RUNS)
+    } else {
+        samples
+    };
+    black_box(run());
+    let mut named: Vec<(String, Vec<f64>)> = Vec::new();
+    for _ in 0..samples {
+        for (name, spent) in run() {
+            let ns = spent.as_nanos() as f64;
+            match named.iter_mut().find(|(n, _)| *n == name) {
+                Some((_, all)) => all.push(ns),
+                None => named.push((name, vec![ns])),
+            }
+        }
+    }
+    named
+        .into_iter()
+        .map(|(name, ns)| BenchStats::from_samples(name, ns, 1))
+        .collect()
 }
 
 /// Where `BENCH_*.json` artifacts land: `TESTKIT_BENCH_DIR` if set, else
@@ -208,6 +245,26 @@ fn escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn whole_runs_summarize_per_name_in_first_seen_order() {
+        let mut calls = 0u64;
+        let stats = measure_runs(4, || {
+            calls += 1;
+            vec![
+                ("b".to_string(), Duration::from_nanos(calls * 10)),
+                ("a".to_string(), Duration::from_nanos(7)),
+            ]
+        });
+        let expect = if smoke_mode() { 3 } else { 4 };
+        assert_eq!(calls, expect + 1, "one warm-up call, then the samples");
+        let names: Vec<&str> = stats.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["b", "a"]);
+        assert_eq!(stats[0].samples, expect as usize);
+        assert_eq!(stats[0].min_ns, 20.0, "the warm-up call is not a sample");
+        assert_eq!((stats[1].min_ns, stats[1].p99_ns), (7.0, 7.0));
+        assert_eq!(stats[1].iters_per_sample, 1);
+    }
 
     #[test]
     fn json_shape_contains_required_fields() {
