@@ -142,7 +142,7 @@ const TRACE: u8 = 1;
 const FLIGHT: u8 = 2;
 
 /// One staged event and the planes it is bound for.
-#[derive(Copy, Clone, Debug)]
+#[derive(Debug)]
 struct Staged {
     at: Picos,
     dur: Picos,
@@ -153,7 +153,7 @@ struct Staged {
 /// Events a component has staged since its last [`Probe::commit`]. A
 /// component keeps one across rounds, so staging reuses its storage; an
 /// event bound for no enabled plane is never staged.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct ProbeStage {
     events: Vec<Staged>,
 }
