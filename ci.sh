@@ -64,11 +64,11 @@ fi
 
 echo "==> one fault draw per instant in the ring round: no per-call consult in crates/host/src/ring.rs"
 # Ring::submit draws a burst's descriptors, and Ring::doorbell a poll's Ok
-# records, through one FaultInjector::draws guard per instant, which locks
+# records, through one FaultInjector::with_draws guard per instant, which locks
 # the fault plan once for all of them (see DESIGN.md). A per-call consult
 # takes its instant as its first argument; a guard's draw does not.
 if grep -nE '(drop_comman[d]|irq_los[t])\(($|[^)])|corrupt_comman[d]\(($|[^,)]*,)' crates/host/src/ring.rs; then
-    echo "ci.sh: draw the ring round's faults through one FaultInjector::draws guard per instant (see DESIGN.md)" >&2
+    echo "ci.sh: draw the ring round's faults through one FaultInjector::with_draws guard per instant (see DESIGN.md)" >&2
     exit 1
 fi
 

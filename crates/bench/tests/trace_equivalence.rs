@@ -5,6 +5,8 @@
 //! by the `Probe`-invariance property in
 //! `crates/host/tests/fault_campaigns.rs`.
 
+use harmonia_testkit::fnv1a;
+
 /// Perfetto and text exports are byte-identical on every run: lanes are
 /// assigned by submission order and the merge sorts on
 /// `(time, lane, seq)`.
@@ -29,12 +31,6 @@ fn trace_exports_are_reproducible() {
     assert!(first.1.contains("cmd-retry"));
     assert!(first.0.starts_with('{') && first.0.trim_end().ends_with('}'));
     assert_eq!(first.3.lines().count(), 4, "one report per scenario");
-}
-
-fn fnv1a(s: &str) -> u64 {
-    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
 }
 
 /// The exports themselves are pinned, not only compared run to run: a

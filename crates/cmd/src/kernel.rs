@@ -187,49 +187,12 @@ impl ExecTally {
 /// doorbell share: [`CommandBudget::unlimited`]'s tenant.
 const SHARED_RING: u32 = u32::MAX;
 
-/// Data words a cached response keeps inline, next to its header: a
-/// `HealthRead` response's four.
-const INLINE_WORDS: usize = 4;
-
-/// A cached response and the `(src, key)` it answers. A response of at
-/// most [`INLINE_WORDS`] data words keeps them inline, so caching it
-/// allocates nothing and only a replay builds the packet again.
+/// A cached response and the `(src, key)` it answers.
 #[derive(Debug)]
 struct Cached {
     src: u8,
     key: u32,
-    /// The response, with its data moved to `inline` when it fits there.
-    packet: CommandPacket,
-    /// The data words and their count, when they fit inline.
-    inline: Option<(u8, [u32; INLINE_WORDS])>,
-}
-
-impl Cached {
-    fn new(src: u8, key: u32, response: &CommandPacket) -> Cached {
-        let words = &response.data;
-        let (data, inline) = if words.len() <= INLINE_WORDS {
-            let mut kept = [0; INLINE_WORDS];
-            kept[..words.len()].copy_from_slice(words);
-            (Vec::new(), Some((words.len() as u8, kept)))
-        } else {
-            (words.clone(), None)
-        };
-        Cached {
-            src,
-            key,
-            packet: CommandPacket { data, ..*response },
-            inline,
-        }
-    }
-
-    /// The cached response, rebuilt.
-    fn response(&self) -> CommandPacket {
-        let mut packet = self.packet.clone();
-        if let Some((len, words)) = &self.inline {
-            packet.data = words[..usize::from(*len)].to_vec();
-        }
-        packet
-    }
+    response: CommandPacket,
 }
 
 /// One ring's idempotent responses: a power-of-two array of slots
@@ -274,7 +237,7 @@ impl ReplayWindow {
     /// The cached response to `(src, key)`, `None` for a tag that has not
     /// run, or [`KernelError::StaleTag`] when the tag is a whole window or
     /// more behind the newest tag that ran here.
-    fn lookup(&self, src: u8, key: u32) -> Result<Option<&Cached>, KernelError> {
+    fn lookup(&self, src: u8, key: u32) -> Result<Option<&CommandPacket>, KernelError> {
         let (tag, window) = (key & !IDEMPOTENCY_FLAG, self.slots.len() as u32);
         if tag <= self.newest && self.newest - tag >= window {
             return Err(KernelError::StaleTag {
@@ -284,15 +247,15 @@ impl ReplayWindow {
             });
         }
         Ok(match &self.slots[self.slot(key)] {
-            Some(c) if c.src == src && c.key == key => Some(c),
+            Some(c) if c.src == src && c.key == key => Some(&c.response),
             _ => None,
         })
     }
 
-    fn insert(&mut self, src: u8, key: u32, response: &CommandPacket) {
+    fn insert(&mut self, src: u8, key: u32, response: CommandPacket) {
         self.newest = self.newest.max(key & !IDEMPOTENCY_FLAG);
         let i = self.slot(key);
-        self.slots[i] = Some(Cached::new(src, key, response));
+        self.slots[i] = Some(Cached { src, key, response });
     }
 }
 
@@ -312,7 +275,7 @@ pub struct UnifiedControlKernel {
     /// observational: recording never feeds back into execution.
     probe: Probe,
     /// Timeline events staged since the last commit: every public call
-    /// commits before it returns, and a doorbell's drain before its
+    /// commits before it returns, a doorbell once, after its
     /// `BatchDrain` span.
     stage: ProbeStage,
     /// Trace-only clock: advanced by executed-command latencies and
@@ -578,7 +541,7 @@ impl UnifiedControlKernel {
                 };
                 self.probe
                     .stage_trace(&mut self.stage, self.trace_clock_ps, 0, replay);
-                return Ok(Some(cached.response()));
+                return Ok(Some(cached.clone()));
             }
         }
         let ops_before = self.reg_ops_executed;
@@ -596,7 +559,7 @@ impl UnifiedControlKernel {
         self.trace_clock_ps += exec_ps;
         let response = packet.response(data);
         if let Some(key) = idem_key {
-            self.windows[window].insert(src, key, &response);
+            self.windows[window].insert(src, key, response.clone());
         }
         Ok(Some(response))
     }
@@ -707,34 +670,31 @@ impl UnifiedControlKernel {
             .expect("cq fullness was checked before the pop");
         }
         tally.publish(&self.probe.metrics);
-        self.probe.commit(&mut self.stage);
         if out.drained > 0 {
             self.probe.metrics.counter_add(
                 "harmonia_kernel_sq_drained_total",
                 &[],
                 out.drained as u64,
             );
-            self.probe.trace.span(
-                drain_start,
-                out.exec_ps,
-                TraceEventKind::BatchDrain {
-                    entries: out.drained as u32,
-                },
-            );
+            let drain = TraceEventKind::BatchDrain {
+                entries: out.drained as u32,
+            };
+            self.probe
+                .stage_trace(&mut self.stage, drain_start, out.exec_ps, drain);
         }
         if budget.exhausted() && !sq.is_empty() {
             out.quota_exhausted = true;
-            self.probe.trace.instant(
-                self.trace_clock_ps,
-                TraceEventKind::QuotaExhausted {
-                    tenant: budget.tenant,
-                    granted: budget.granted,
-                },
-            );
+            let quota = TraceEventKind::QuotaExhausted {
+                tenant: budget.tenant,
+                granted: budget.granted,
+            };
+            self.probe
+                .stage_trace(&mut self.stage, self.trace_clock_ps, 0, quota);
             self.probe
                 .metrics
                 .counter_inc("harmonia_kernel_quota_exhausted_total", &[]);
         }
+        self.probe.commit(&mut self.stage);
         out
     }
 
@@ -1220,28 +1180,6 @@ mod tests {
             .unwrap();
         k.step().unwrap().unwrap();
         assert_eq!(k.commands_executed(), execs + 1);
-    }
-
-    #[test]
-    fn replays_rebuild_inline_and_heap_responses_exactly() {
-        let mut k = kernel_on_device_a();
-        let health = CommandPacket::new(SrcId::Application, 0, 0, CommandCode::HealthRead);
-        let cmds = [
-            health,
-            net_cmd(CommandCode::StatsRead),
-            net_cmd(CommandCode::ModuleInit),
-        ];
-        for (tag, cmd) in cmds.into_iter().enumerate() {
-            let cmd = cmd.with_idempotency_tag(tag as u32);
-            k.submit(cmd.clone()).unwrap();
-            let first = k.step().unwrap().unwrap();
-            k.submit(cmd).unwrap();
-            assert_eq!(k.step().unwrap().unwrap(), first);
-        }
-        assert_eq!(k.replays(), 3);
-        // Four words fit inline, the network stats do not.
-        assert_eq!(k.windows[0].slots[0].as_ref().unwrap().inline.unwrap().0, 4);
-        assert!(k.windows[0].slots[1].as_ref().unwrap().inline.is_none());
     }
 
     #[test]

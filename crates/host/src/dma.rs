@@ -171,24 +171,27 @@ impl DmaEngine {
         let mut lost = false;
         if self.faults.is_active() {
             // The stall, link and drop consults share one instant.
-            let mut draws = self.faults.draws(now);
-            let stall = draws.take_stall_beats();
-            if stall > 0 {
-                latency_ps += stall * self.credit_beat_ps();
-                self.probe
-                    .metrics
-                    .counter_inc("harmonia_dma_credit_stalls_total", &[]);
-                self.probe
-                    .metrics
-                    .counter_add("harmonia_dma_credit_stall_beats_total", &[], stall);
-                self.probe.trace.instant(
-                    now,
-                    TraceEventKind::FaultInjected {
-                        kind: FaultKind::PcieCreditStall { beats: stall },
-                    },
-                );
-            }
-            lost = !draws.link_up() || (drop_check && draws.drop_command());
+            lost = self.faults.with_draws(now, |draws| {
+                let stall = draws.take_stall_beats();
+                if stall > 0 {
+                    latency_ps += stall * self.credit_beat_ps();
+                    self.probe
+                        .metrics
+                        .counter_inc("harmonia_dma_credit_stalls_total", &[]);
+                    self.probe.metrics.counter_add(
+                        "harmonia_dma_credit_stall_beats_total",
+                        &[],
+                        stall,
+                    );
+                    self.probe.trace.instant(
+                        now,
+                        TraceEventKind::FaultInjected {
+                            kind: FaultKind::PcieCreditStall { beats: stall },
+                        },
+                    );
+                }
+                !draws.link_up() || (drop_check && draws.drop_command())
+            });
         }
         self.probe
             .trace

@@ -36,7 +36,7 @@
 
 use crate::batch::CmdSpec;
 use crate::dma::DmaEngine;
-use crate::ring::{self, Completion, Outcome, Ring};
+use crate::ring::{self, Outcome, Ring};
 use harmonia_cmd::queue::CommandBudget;
 use harmonia_cmd::{CommandPacket, SrcId, UnifiedControlKernel};
 use harmonia_shell::sched::{SliceGrant, TenantScheduler};
@@ -67,8 +67,6 @@ struct PendingCmd {
 #[derive(Debug)]
 struct TenantLane {
     ring: Ring<PendingCmd>,
-    /// A doorbell's completions, kept across rounds to reuse storage.
-    completions: Vec<Completion<PendingCmd>>,
     backlog: VecDeque<PendingCmd>,
     /// The tag the lane's next enqueued command gets.
     next_tag: u32,
@@ -83,7 +81,6 @@ impl TenantLane {
     fn new() -> TenantLane {
         TenantLane {
             ring: Ring::new(DEFAULT_TENANT_RING_DEPTH),
-            completions: Vec::new(),
             backlog: VecDeque::new(),
             next_tag: 0,
             latency: LogHistogram::new(),
@@ -296,15 +293,16 @@ impl TenantHostDriver {
                 // clock already advanced, so loop for the retry.
                 continue;
             }
+            let mut completions = Vec::new();
             let exec_ps = lane.ring.doorbell(
                 &mut self.kernel,
                 &self.faults,
                 self.clock_ps,
                 &mut budget,
-                &mut lane.completions,
+                &mut completions,
             );
             self.clock_ps += exec_ps;
-            for done in lane.completions.drain(..) {
+            for done in completions {
                 let p = done.entry;
                 match done.outcome {
                     // Executed but unheard-of: the ring's replay window

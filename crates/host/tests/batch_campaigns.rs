@@ -35,6 +35,7 @@ use harmonia_hw::Vendor;
 use harmonia_shell::rbb::RbbKind;
 use harmonia_shell::{MemoryDemand, RoleSpec, TailoredShell, UnifiedShell};
 use harmonia_sim::{FaultKind, FaultPlan, FaultRates, Probe, TraceEventKind};
+use harmonia_testkit::fnv1a;
 use harmonia_testkit::prelude::*;
 
 fn parts() -> (DmaEngine, UnifiedControlKernel, TailoredShell) {
@@ -99,13 +100,6 @@ fn render(
         drv.total_latency_ps(),
         results,
     )
-}
-
-/// FNV-1a, 64-bit: a compact pin for a long rendering.
-fn fnv1a(s: &str) -> u64 {
-    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
 }
 
 fn squash(r: Result<harmonia_cmd::CommandPacket, DriverError>) -> Result<Vec<u32>, String> {

@@ -36,6 +36,7 @@ use harmonia_shell::sched::{TenantPolicy, TenantScheduler, DEFAULT_TENANT_SLICE_
 use harmonia_shell::{MemoryDemand, RoleSpec, TailoredShell, UnifiedShell};
 use harmonia_sim::histo::LogHistogram;
 use harmonia_sim::{FaultKind, FaultPlan, FaultRates, Probe};
+use harmonia_testkit::fnv1a;
 
 fn shell_parts() -> (TailoredShell, DmaEngine, UnifiedControlKernel) {
     let dev = catalog::device_a();
@@ -93,13 +94,6 @@ fn campaign_plan(seed: u64) -> FaultPlan {
                 ecc: 0.0,
             },
         )
-}
-
-/// FNV-1a, 64-bit: a compact pin for a long rendering.
-fn fnv1a(s: &str) -> u64 {
-    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
 }
 
 /// Everything observable about a finished run, as one comparable string.

@@ -20,13 +20,18 @@
 //!    consults in a fixed order reproduces exactly, at any host thread
 //!    count (each scenario owns its own injector).
 //! 3. **One instant, one lock.** A consult at instant `now` first fires
-//!    every scheduled event due by `now`, then draws. [`FaultInjector::draws`]
-//!    opens a [`FaultDraws`] guard for one instant, so a ring round that
-//!    checks a whole burst, or a whole poll, at one instant locks the
-//!    plan once for all of it. The guard locks, and fires the schedule,
-//!    on its first draw: a guard that draws nothing (an undelivered
-//!    burst, a poll with no Ok record) leaves the plan exactly as it was,
-//!    so no event fires earlier than a per-call consult would fire it.
+//!    every scheduled event due by `now`, then draws.
+//!    [`FaultInjector::with_draws`] runs a closure over a [`FaultDraws`]
+//!    guard for one instant, so a ring round that checks a whole burst,
+//!    or a whole poll, at one instant locks the plan once for all of it.
+//!    The guard locks, and fires the schedule, on its first draw: a
+//!    closure that draws nothing (an undelivered burst, a poll with no Ok
+//!    record) leaves the plan exactly as it was, so no event fires
+//!    earlier than a per-call consult would fire it. The lock is released
+//!    when the closure returns, and the closure must not consult the same
+//!    plan any other way meanwhile — not through the injector, nor
+//!    through a clone such as the one a `DmaEngine` holds: the plan's
+//!    `Mutex` is not reentrant, so that consult would deadlock or panic.
 //!    The per-call consults are one guard each, so both forms give the
 //!    same draws in the same order.
 
@@ -247,51 +252,55 @@ impl FaultInjector {
 
     /// Link state at `now`.
     pub fn link_up(&self, now: Picos) -> bool {
-        self.draws(now).link_up()
+        self.with_draws(now, |d| d.link_up())
     }
 
     /// Takes (and clears) any pending credit-stall beats due at `now`.
     pub fn take_stall_beats(&self, now: Picos) -> u64 {
-        self.draws(now).take_stall_beats()
+        self.with_draws(now, |d| d.take_stall_beats())
     }
 
-    /// Opens the draws of one consult instant `now`: every draw through
-    /// the guard sees the plan as of `now` and takes the plan's lock once
-    /// for all of them. The lock is taken, and the schedule advanced to
-    /// `now`, on the first draw, so a guard that draws nothing leaves the
-    /// plan untouched.
+    /// Runs `f` over the draws of one consult instant `now`: every draw
+    /// through the guard sees the plan as of `now`, and all of them take
+    /// the plan's lock once. The lock is taken, and the schedule advanced
+    /// to `now`, on the first draw, so an `f` that draws nothing leaves
+    /// the plan untouched; it is released when `f` returns. `f` must not
+    /// consult this plan any other way, through this injector or a clone
+    /// of it: the lock is not reentrant, so such a consult deadlocks or
+    /// panics.
     #[inline]
-    pub fn draws(&self, now: Picos) -> FaultDraws<'_> {
-        FaultDraws {
+    pub fn with_draws<R>(&self, now: Picos, f: impl FnOnce(&mut FaultDraws<'_>) -> R) -> R {
+        f(&mut FaultDraws {
             inner: self.inner.as_deref(),
             now,
             state: None,
-        }
+        })
     }
 
     /// Whether the memory beat consulted at `now` takes an ECC hit.
     pub(crate) fn ecc_error(&self, now: Picos) -> bool {
-        self.draws(now).ecc_error()
+        self.with_draws(now, |d| d.ecc_error())
     }
 
     /// Whether the command consulted at `now` is dropped in flight.
     pub fn drop_command(&self, now: Picos) -> bool {
-        self.draws(now).drop_command()
+        self.with_draws(now, |d| d.drop_command())
     }
 
     /// Possibly corrupts the in-flight command bytes at `now`, flipping
     /// one deterministically chosen bit. Returns whether it fired.
     pub fn corrupt_command(&self, now: Picos, bytes: &mut [u8]) -> bool {
-        self.draws(now).corrupt_command(bytes)
+        self.with_draws(now, |d| d.corrupt_command(bytes))
     }
 
     /// Whether the completion interrupt consulted at `now` is lost.
     pub fn irq_lost(&self, now: Picos) -> bool {
-        self.draws(now).irq_lost()
+        self.with_draws(now, |d| d.irq_lost())
     }
 }
 
-/// The draws of one consult instant, from [`FaultInjector::draws`]. A
+/// The draws of one consult instant, lent by [`FaultInjector::with_draws`]
+/// to its closure, so the plan's lock it takes cannot outlive the call. A
 /// sequence of draws through one guard gives the same outcomes, and
 /// leaves the plan in the same state, as the same sequence of per-call
 /// consults at the guard's instant: both advance the schedule to that
@@ -490,11 +499,10 @@ mod tests {
     #[test]
     fn a_guard_that_draws_nothing_advances_nothing() {
         let inj = FaultPlan::new().at(100, FaultKind::LinkDown).injector();
-        drop(inj.draws(200));
+        inj.with_draws(200, |_| ());
         assert!(inj.link_up(50), "the unused guard fired the link-down");
-        let mut draws = inj.draws(200);
-        assert!(!draws.drop_command());
-        drop(draws);
+        assert!(!inj.with_draws(200, |d| d.drop_command()));
+        // The guard let go of the plan when its closure returned.
         assert!(!inj.link_up(50), "the guard's draw advanced to its instant");
     }
 

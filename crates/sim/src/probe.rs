@@ -26,9 +26,9 @@
 //! command driver commits after a round's transmit loop (the DMA engine
 //! records the delivery next), before the kernel doorbell, after the
 //! completion loop and its `BatchComplete`, before a give-up's dump, and
-//! when `submit` or a serial call returns; the kernel commits a drain's
-//! events before its `BatchDrain` span and at the end of each public
-//! call.
+//! when `submit` or a serial call returns; the kernel commits once at
+//! the end of each public call, so a doorbell's drain, its `BatchDrain`
+//! span and any `QuotaExhausted` go in one commit.
 //!
 //! The [`crate::fault::FaultInjector`] stays out of the bundle on
 //! purpose: fault draws change results and share plan state, so an

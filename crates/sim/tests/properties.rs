@@ -47,40 +47,47 @@ fn arb_plan() -> impl Strategy<Value = FaultPlan> {
 /// of a delivered burst is checked for a drop and, if kept, a corruption;
 /// at `polled_at`, each of `oks` Ok records for a lost interrupt. With
 /// `guard` set every instant's draws go through one
-/// [`FaultInjector::draws`] guard, else through the per-call consults.
-/// Returns every outcome, corrupted bytes included.
+/// [`FaultInjector::with_draws`] guard, else through the per-call
+/// consults. Returns every outcome, corrupted bytes included.
 fn ring_round(
     faults: &FaultInjector,
     guard: bool,
     (at, burst, delivered, polled_at, oks): (u64, usize, bool, u64, usize),
 ) -> Vec<(bool, bool, Vec<u8>)> {
-    let mut out = Vec::new();
-    let mut draws = guard.then(|| faults.draws(at));
-    for i in 0..burst {
-        let mut bytes = vec![i as u8; 8];
-        if !delivered {
-            out.push((true, false, bytes));
-            continue;
-        }
-        let dropped = match &mut draws {
-            Some(d) => d.drop_command(),
-            None => faults.drop_command(at),
-        };
-        let corrupted = !dropped
-            && match &mut draws {
-                Some(d) => d.corrupt_command(&mut bytes),
-                None => faults.corrupt_command(at, &mut bytes),
-            };
-        out.push((dropped, corrupted, bytes));
-    }
-    drop(draws);
-    let mut draws = guard.then(|| faults.draws(polled_at));
-    for _ in 0..oks {
-        let lost = match &mut draws {
-            Some(d) => d.irq_lost(),
-            None => faults.irq_lost(polled_at),
-        };
-        out.push((lost, false, Vec::new()));
+    // `draw` answers one delivered descriptor: (dropped, corrupted).
+    let submit = |draw: &mut dyn FnMut(&mut [u8]) -> (bool, bool)| {
+        (0..burst)
+            .map(|i| {
+                let mut bytes = vec![i as u8; 8];
+                let (dropped, corrupted) = if delivered {
+                    draw(&mut bytes)
+                } else {
+                    (true, false)
+                };
+                (dropped, corrupted, bytes)
+            })
+            .collect::<Vec<_>>()
+    };
+    let poll = |lost: &mut dyn FnMut() -> bool| {
+        (0..oks)
+            .map(|_| (lost(), false, Vec::new()))
+            .collect::<Vec<_>>()
+    };
+    let mut out;
+    if guard {
+        out = faults.with_draws(at, |d| {
+            submit(&mut |bytes| {
+                let dropped = d.drop_command();
+                (dropped, !dropped && d.corrupt_command(bytes))
+            })
+        });
+        out.extend(faults.with_draws(polled_at, |d| poll(&mut || d.irq_lost())));
+    } else {
+        out = submit(&mut |bytes| {
+            let dropped = faults.drop_command(at);
+            (dropped, !dropped && faults.corrupt_command(at, bytes))
+        });
+        out.extend(poll(&mut || faults.irq_lost(polled_at)));
     }
     out
 }

@@ -24,6 +24,9 @@
 //!   ([`bench::assert_committed`]) that a committed simulated
 //!   `BENCH_*.json` still matches a fresh run.
 //!
+//! Pin tests that hold a long rendering to recorded bytes compare its
+//! [`fnv1a`] hash.
+//!
 //! Environment knobs: `TESTKIT_CASES`, `TESTKIT_SEED`,
 //! `TESTKIT_SHRINK_BUDGET`, `TESTKIT_PERSIST`, `TESTKIT_BENCH_DIR`,
 //! `TESTKIT_BENCH_SMOKE`.
@@ -40,6 +43,17 @@ pub mod strategy;
 
 pub use rng::DetRng;
 pub use source::DataSource;
+
+/// FNV-1a, 64-bit: a compact pin for a long rendering.
+///
+/// ```
+/// assert_eq!(harmonia_testkit::fnv1a(""), 0xcbf2_9ce4_8422_2325);
+/// ```
+pub fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
 
 /// One-stop imports for property-test files.
 ///
