@@ -62,13 +62,14 @@ if grep -rn 'ring_[d]oorbell' crates/host/src | grep -v '^crates/host/src/ring\.
     exit 1
 fi
 
-echo "==> one fault draw per instant in the ring round: no per-call consult in crates/host/src/ring.rs"
-# Ring::submit draws a burst's descriptors, and Ring::doorbell a poll's Ok
-# records, through one FaultInjector::with_draws guard per instant, which locks
-# the fault plan once for all of them (see DESIGN.md). A per-call consult
-# takes its instant as its first argument; a guard's draw does not.
-if grep -nE '(drop_comman[d]|irq_los[t])\(($|[^)])|corrupt_comman[d]\(($|[^,)]*,)' crates/host/src/ring.rs; then
-    echo "ci.sh: draw the ring round's faults through one FaultInjector::with_draws guard per instant (see DESIGN.md)" >&2
+echo "==> one thread per plane: no staging layer, draw guard or lock in the trace, metrics, flight and fault planes"
+# Each plane is an Rc<RefCell<...>> used by the one thread that runs a
+# scenario's command stream, so every hook records or draws directly;
+# the per-round staging and the per-instant fault-draw guard that took
+# a lock less often were deleted with the lock (see DESIGN.md).
+if grep -rnE 'Probe[S]tage|Fault[D]raws|with_[d]raws|stage_[t]race|stage_[f]light' crates examples tests \
+    || grep -nwE 'Mutex|Arc' crates/sim/src/trace.rs crates/sim/src/metrics.rs crates/sim/src/fault.rs; then
+    echo "ci.sh: record into a plane and consult the fault plan directly; the planes are single-threaded Rc<RefCell<...>> (see DESIGN.md)" >&2
     exit 1
 fi
 
@@ -100,10 +101,13 @@ echo "==> every component feeds an output: no BMC, control tool, project package
 # Network RBB's exact-match flow table, the project packager, the fleet
 # summary, the fault tally, the LB's idle sweeper and the scraper's rate
 # fed no figure, binary, example or benchmark, nor did the mechanisms that
-# only their own tests reached (second pattern), so they were deleted;
+# only their own tests reached (second and third patterns; the third names
+# the FIFO's and width converter's peek/drain, DetRng's choice/shuffle and
+# Throughput::ops), so they were deleted;
 # every host driver sends as SrcId::Application (see DESIGN.md).
 if grep -rnE 'B[m]cController|C[o]ntrolTool|H[e]althSnapshot|M[e]gaflowCache|A[c]lRule|C[o]decError|f[l]ow_table|w[i]th_src|P[r]ojectBundle|b[u]ild_project|F[l]eetSummary|F[a]ultReport|s[w]eep_idle|r[a]te_per_sec' crates examples tests \
-    || grep -rnE 'd[r]ain_data|d[a]ta_backlog\b|d[a]ta_latency_ps|d[a]ta_throughput_gbs|s[e]t_filter_enabled|s[c]ript_diff|r[u]n_uniform|k[i]ll_rack|w[e]ighted_index|r[e]move_backend' crates examples tests; then
+    || grep -rnE 'd[r]ain_data|d[a]ta_backlog\b|d[a]ta_latency_ps|d[a]ta_throughput_gbs|s[e]t_filter_enabled|s[c]ript_diff|r[u]n_uniform|k[i]ll_rack|w[e]ighted_index|r[e]move_backend' crates examples tests \
+    || grep -rnE 'pub fn (p[e]ek|d[r]ain|c[h]oice|s[h]uffle|o[p]s)\b|\.d[r]ain\(\)|\.c[h]oice\(|\.s[h]uffle\(|\.o[p]s\(\)' crates examples tests; then
     echo "ci.sh: these components were deleted because no output reads them; wire a new one into an output (see DESIGN.md)" >&2
     exit 1
 fi

@@ -20,9 +20,7 @@ use crate::queue::{
 use harmonia_hw::regfile::{RegOp, RegisterFile};
 use harmonia_hw::resource::ResourceUsage;
 use harmonia_shell::rbb::{instances, Rbb};
-use harmonia_sim::{
-    FaultInjector, MetricsRegistry, Picos, Probe, ProbeStage, SyncFifo, TraceEventKind,
-};
+use harmonia_sim::{FaultInjector, MetricsRegistry, Picos, Probe, SyncFifo, TraceEventKind};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -274,10 +272,6 @@ pub struct UnifiedControlKernel {
     /// Observability planes (disabled by default — zero cost). Purely
     /// observational: recording never feeds back into execution.
     probe: Probe,
-    /// Timeline events staged since the last commit: every public call
-    /// commits before it returns, a doorbell once, after its
-    /// `BatchDrain` span.
-    stage: ProbeStage,
     /// Trace-only clock: advanced by executed-command latencies and
     /// synced forward by the driver. Never consulted by execution logic.
     trace_clock_ps: Picos,
@@ -329,7 +323,6 @@ impl UnifiedControlKernel {
             decode_errors: 0,
             replays: 0,
             probe: Probe::disabled(),
-            stage: ProbeStage::default(),
             trace_clock_ps: 0,
         }
     }
@@ -408,13 +401,12 @@ impl UnifiedControlKernel {
         self.published(|k, tally| k.ingest(bytes, reply_to, tally))
     }
 
-    /// Runs `f` over a fresh [`ExecTally`], publishes it and commits the
-    /// staged events: a public call leaves every plane exact.
+    /// Runs `f` over a fresh [`ExecTally`] and publishes it: a public
+    /// call leaves the registry exact.
     fn published<R>(&mut self, f: impl FnOnce(&mut Self, &mut ExecTally) -> R) -> R {
         let mut tally = ExecTally::default();
         let out = f(self, &mut tally);
         tally.publish(&self.probe.metrics);
-        self.probe.commit(&mut self.stage);
         out
     }
 
@@ -436,11 +428,12 @@ impl UnifiedControlKernel {
                 self.probe
                     .metrics
                     .counter_inc("harmonia_kernel_nacks_total", &[]);
-                let nack = TraceEventKind::CmdNack {
-                    error_code: e.code(),
-                };
-                self.probe
-                    .stage_trace(&mut self.stage, self.trace_clock_ps, 0, nack);
+                self.probe.trace.instant(
+                    self.trace_clock_ps,
+                    TraceEventKind::CmdNack {
+                        error_code: e.code(),
+                    },
+                );
                 let nack = CommandPacket {
                     version: VERSION,
                     src: reply_to,
@@ -474,7 +467,6 @@ impl UnifiedControlKernel {
                 self.trace_clock_ps,
                 &FaultInjector::none(),
                 &self.probe,
-                &mut self.stage,
             )
             .map_err(|_| KernelError::BufferFull)?;
         tally.buffer_high_water = tally.buffer_high_water.max(Some(self.buffer.len() as u64));
@@ -536,11 +528,12 @@ impl UnifiedControlKernel {
                 self.probe
                     .metrics
                     .counter_inc("harmonia_kernel_replays_total", &[]);
-                let replay = TraceEventKind::KernelReplay {
-                    code: packet.code.to_u16(),
-                };
-                self.probe
-                    .stage_trace(&mut self.stage, self.trace_clock_ps, 0, replay);
+                self.probe.trace.instant(
+                    self.trace_clock_ps,
+                    TraceEventKind::KernelReplay {
+                        code: packet.code.to_u16(),
+                    },
+                );
                 return Ok(Some(cached.clone()));
             }
         }
@@ -550,12 +543,14 @@ impl UnifiedControlKernel {
         tally.executed += 1;
         tally.reg_ops += self.reg_ops_executed - ops_before;
         let exec_ps = Self::command_latency_ps(self.reg_ops_executed - ops_before);
-        let exec = TraceEventKind::KernelExec {
-            code: packet.code.to_u16(),
-            reg_ops: self.reg_ops_executed - ops_before,
-        };
-        self.probe
-            .stage_trace(&mut self.stage, self.trace_clock_ps, exec_ps, exec);
+        self.probe.trace.span(
+            self.trace_clock_ps,
+            exec_ps,
+            TraceEventKind::KernelExec {
+                code: packet.code.to_u16(),
+                reg_ops: self.reg_ops_executed - ops_before,
+            },
+        );
         self.trace_clock_ps += exec_ps;
         let response = packet.response(data);
         if let Some(key) = idem_key {
@@ -676,25 +671,27 @@ impl UnifiedControlKernel {
                 &[],
                 out.drained as u64,
             );
-            let drain = TraceEventKind::BatchDrain {
-                entries: out.drained as u32,
-            };
-            self.probe
-                .stage_trace(&mut self.stage, drain_start, out.exec_ps, drain);
+            self.probe.trace.span(
+                drain_start,
+                out.exec_ps,
+                TraceEventKind::BatchDrain {
+                    entries: out.drained as u32,
+                },
+            );
         }
         if budget.exhausted() && !sq.is_empty() {
             out.quota_exhausted = true;
-            let quota = TraceEventKind::QuotaExhausted {
-                tenant: budget.tenant,
-                granted: budget.granted,
-            };
-            self.probe
-                .stage_trace(&mut self.stage, self.trace_clock_ps, 0, quota);
+            self.probe.trace.instant(
+                self.trace_clock_ps,
+                TraceEventKind::QuotaExhausted {
+                    tenant: budget.tenant,
+                    granted: budget.granted,
+                },
+            );
             self.probe
                 .metrics
                 .counter_inc("harmonia_kernel_quota_exhausted_total", &[]);
         }
-        self.probe.commit(&mut self.stage);
         out
     }
 

@@ -86,7 +86,6 @@ impl CommandDriver {
         while !retried.is_empty() || fresh.len() > 0 {
             self.ring_round(&mut retried, &mut fresh, &mut results, &mut acks);
         }
-        self.probe.commit(&mut self.stage);
         self.irq.flush(self.clock_ps);
         let metrics = &self.probe.metrics;
         if issued > 0 {
@@ -129,8 +128,6 @@ impl CommandDriver {
             self.transmit(&mut cmd, round_start);
             self.ring.stage(ring::descriptor(cmd.tag, &cmd.packet), cmd);
         }
-        // The DMA engine records the delivery into the same probe.
-        self.probe.commit(&mut self.stage);
         let burst = self
             .ring
             .submit(&mut self.engine, &self.faults, round_start);
@@ -138,8 +135,7 @@ impl CommandDriver {
             entries: take as u32,
             bytes: burst.bytes,
         };
-        self.probe
-            .stage_trace(&mut self.stage, round_start, burst.latency_ps, submit);
+        self.probe.trace.span(round_start, burst.latency_ps, submit);
         self.clock_ps += burst.latency_ps;
         // What the wire lost — the whole burst on a down link, else the
         // descriptors dropped on it — waits out the shared deadline.
@@ -148,8 +144,6 @@ impl CommandDriver {
         let mut nacked: Vec<Inflight> = Vec::new();
         if burst.delivered {
             self.total_latency_ps += burst.latency_ps;
-            // So does the kernel's drain.
-            self.probe.commit(&mut self.stage);
             let mut completions = std::mem::take(&mut self.completions);
             let exec_ps = self.ring.doorbell(
                 &mut self.kernel,
@@ -194,9 +188,7 @@ impl CommandDriver {
                 entries: polled,
                 interrupts,
             };
-            self.probe
-                .stage_trace(&mut self.stage, self.clock_ps, 0, complete);
-            self.probe.commit(&mut self.stage);
+            self.probe.trace.instant(self.clock_ps, complete);
             self.completions = completions;
         }
         if !lost.is_empty() {

@@ -33,7 +33,7 @@ use harmonia_shell::rbb::RbbKind;
 use harmonia_shell::TailoredShell;
 use harmonia_sim::{
     FaultInjector, FlightRecorder, LogHistogram, MetricsRegistry, Picos, Pipeline, Probe,
-    ProbeStage, TraceCollector, TraceEventKind,
+    TraceCollector, TraceEventKind,
 };
 
 /// Status-register value published for a module the driver took out of
@@ -91,11 +91,6 @@ pub struct CommandDriver {
     /// moderator (disabled unless attached). Its flight recorder is
     /// dumped as a post-mortem on [`DriverError::GaveUp`].
     pub(crate) probe: Probe,
-    /// The driver's trace and flight events since the last commit. It is
-    /// committed before control passes to the DMA engine or the kernel,
-    /// which record into the same probe, before the flight recorder is
-    /// dumped, and at the end of every public call.
-    pub(crate) stage: ProbeStage,
     /// The post-mortem composed by the most recent give-up (None until a
     /// give-up happens with the flight recorder enabled).
     pub(crate) last_post_mortem: Option<String>,
@@ -144,7 +139,6 @@ impl CommandDriver {
             clock_ps: 0,
             latency_histo: LogHistogram::new(),
             probe: Probe::disabled(),
-            stage: ProbeStage::default(),
             last_post_mortem: None,
             batch,
             ring: Ring::new(depth),
@@ -306,7 +300,6 @@ impl CommandDriver {
             .metrics
             .counter_inc("harmonia_cmd_issued_total", &[]);
         let result = self.send(cmd);
-        self.probe.commit(&mut self.stage);
         // A wider moderator may hold the completion; the call returns
         // with nothing pending.
         self.irq.flush(self.clock_ps);
@@ -319,7 +312,6 @@ impl CommandDriver {
         loop {
             let attempt_start = self.clock_ps;
             self.transmit(&mut cmd, attempt_start);
-            self.probe.commit(&mut self.stage);
             let mut bytes = cmd.packet.encode();
             match self
                 .engine
@@ -429,7 +421,7 @@ impl CommandDriver {
             rbb_id: cmd.packet.rbb_id,
             instance_id: cmd.packet.instance_id,
         };
-        self.probe.stage(&mut self.stage, at, 0, issue);
+        self.probe.record(at, 0, issue);
     }
 
     /// The kernel NACKed an attempt (its bytes failed to decode).
@@ -438,9 +430,9 @@ impl CommandDriver {
         self.probe
             .metrics
             .counter_inc("harmonia_cmd_nacks_total", &[]);
-        let nack = TraceEventKind::CmdNack { error_code };
         self.probe
-            .stage_flight(&mut self.stage, self.clock_ps, 0, nack);
+            .flight
+            .record(self.clock_ps, 0, TraceEventKind::CmdNack { error_code });
     }
 
     /// No response will arrive for `lost`: one shared wait until the
@@ -455,7 +447,7 @@ impl CommandDriver {
             let timeout = TraceEventKind::CmdTimeout {
                 code: cmd.packet.code.to_u16(),
             };
-            self.probe.stage(&mut self.stage, self.clock_ps, 0, timeout);
+            self.probe.record(self.clock_ps, 0, timeout);
         }
     }
 
@@ -475,9 +467,8 @@ impl CommandDriver {
                 code: packet.code.to_u16(),
                 attempts: cmd.attempt + 1,
             };
-            self.probe.stage(&mut self.stage, self.clock_ps, 0, give_up);
+            self.probe.record(self.clock_ps, 0, give_up);
             if self.probe.flight.is_enabled() {
-                self.probe.commit(&mut self.stage);
                 self.last_post_mortem = Some(format!(
                     "post-mortem: gave up on cmd {:#06x} (rbb {} inst {}) after {} attempt(s), \
                      deadline {} ps\n{}",
@@ -517,7 +508,7 @@ impl CommandDriver {
                 code: cmd.packet.code.to_u16(),
                 attempt: cmd.attempt,
             };
-            self.probe.stage(&mut self.stage, self.clock_ps, 0, retry);
+            self.probe.record(self.clock_ps, 0, retry);
         }
     }
 
@@ -535,8 +526,7 @@ impl CommandDriver {
             code: cmd.packet.code.to_u16(),
             attempts: cmd.attempt + 1,
         };
-        self.probe
-            .stage(&mut self.stage, cmd.issued_at, latency, ack);
+        self.probe.record(cmd.issued_at, latency, ack);
         self.latency_histo.record(latency);
         Ok(latency)
     }

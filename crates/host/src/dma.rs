@@ -170,28 +170,23 @@ impl DmaEngine {
         let mut latency_ps = self.queue_latency_ps(bytes);
         let mut lost = false;
         if self.faults.is_active() {
-            // The stall, link and drop consults share one instant.
-            lost = self.faults.with_draws(now, |draws| {
-                let stall = draws.take_stall_beats();
-                if stall > 0 {
-                    latency_ps += stall * self.credit_beat_ps();
-                    self.probe
-                        .metrics
-                        .counter_inc("harmonia_dma_credit_stalls_total", &[]);
-                    self.probe.metrics.counter_add(
-                        "harmonia_dma_credit_stall_beats_total",
-                        &[],
-                        stall,
-                    );
-                    self.probe.trace.instant(
-                        now,
-                        TraceEventKind::FaultInjected {
-                            kind: FaultKind::PcieCreditStall { beats: stall },
-                        },
-                    );
-                }
-                !draws.link_up() || (drop_check && draws.drop_command())
-            });
+            let stall = self.faults.take_stall_beats(now);
+            if stall > 0 {
+                latency_ps += stall * self.credit_beat_ps();
+                self.probe
+                    .metrics
+                    .counter_inc("harmonia_dma_credit_stalls_total", &[]);
+                self.probe
+                    .metrics
+                    .counter_add("harmonia_dma_credit_stall_beats_total", &[], stall);
+                self.probe.trace.instant(
+                    now,
+                    TraceEventKind::FaultInjected {
+                        kind: FaultKind::PcieCreditStall { beats: stall },
+                    },
+                );
+            }
+            lost = !self.faults.link_up(now) || (drop_check && self.faults.drop_command(now));
         }
         self.probe
             .trace

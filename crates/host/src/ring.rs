@@ -107,21 +107,19 @@ impl<T> Ring<T> {
         let (CommandDelivery::Delivered { latency_ps } | CommandDelivery::Lost { latency_ps }) =
             delivery;
         let delivered = matches!(delivery, CommandDelivery::Delivered { .. });
-        // Every descriptor is drawn at the one post-delivery instant.
+        let now = at + latency_ps;
         let mut lost = Vec::new();
-        faults.with_draws(at + latency_ps, |draws| {
-            for (mut desc, entry) in self.burst.drain(..) {
-                if !delivered || draws.drop_command() {
-                    lost.push(entry);
-                    continue;
-                }
-                draws.corrupt_command(&mut desc.bytes);
-                self.inflight.push_back((desc.tag, entry));
-                self.sq
-                    .push(desc)
-                    .expect("a burst is capped at the free ring space");
+        for (mut desc, entry) in self.burst.drain(..) {
+            if !delivered || faults.drop_command(now) {
+                lost.push(entry);
+                continue;
             }
-        });
+            faults.corrupt_command(now, &mut desc.bytes);
+            self.inflight.push_back((desc.tag, entry));
+            self.sq
+                .push(desc)
+                .expect("a burst is capped at the free ring space");
+        }
         Burst {
             bytes,
             latency_ps,
@@ -155,33 +153,31 @@ impl<T> Ring<T> {
         // Responses and errors come in drain order, as the CQ records do.
         let mut responses = out.responses.into_iter();
         let mut errors = out.errors.into_iter();
-        faults.with_draws(polled_at, |draws| {
-            while let Some(rec) = self.cq.pop() {
-                let (tag, entry) = self
-                    .inflight
-                    .pop_front()
-                    .expect("CQ record for an entry in flight");
-                assert_eq!(tag, rec.tag, "CQ records complete in SQ order");
-                let outcome = match rec.status {
-                    CompletionStatus::Ok => {
-                        let (tag, resp) = responses.next().expect("Ok record has a response");
-                        debug_assert_eq!(tag, rec.tag);
-                        (!draws.irq_lost()).then_some(Outcome::Acked(resp))
-                    }
-                    CompletionStatus::Nack { error_code } => Some(Outcome::Nacked(error_code)),
-                    CompletionStatus::Error => {
-                        let (tag, err) = errors.next().expect("Error record has a kernel error");
-                        debug_assert_eq!(tag, rec.tag);
-                        Some(Outcome::Failed(err))
-                    }
-                };
-                completions.push(Completion {
-                    entry,
-                    at_ps: rec.at_ps,
-                    outcome,
-                });
-            }
-        });
+        while let Some(rec) = self.cq.pop() {
+            let (tag, entry) = self
+                .inflight
+                .pop_front()
+                .expect("CQ record for an entry in flight");
+            assert_eq!(tag, rec.tag, "CQ records complete in SQ order");
+            let outcome = match rec.status {
+                CompletionStatus::Ok => {
+                    let (tag, resp) = responses.next().expect("Ok record has a response");
+                    debug_assert_eq!(tag, rec.tag);
+                    (!faults.irq_lost(polled_at)).then_some(Outcome::Acked(resp))
+                }
+                CompletionStatus::Nack { error_code } => Some(Outcome::Nacked(error_code)),
+                CompletionStatus::Error => {
+                    let (tag, err) = errors.next().expect("Error record has a kernel error");
+                    debug_assert_eq!(tag, rec.tag);
+                    Some(Outcome::Failed(err))
+                }
+            };
+            completions.push(Completion {
+                entry,
+                at_ps: rec.at_ps,
+                outcome,
+            });
+        }
         out.exec_ps
     }
 }

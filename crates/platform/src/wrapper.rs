@@ -30,7 +30,7 @@ use std::collections::VecDeque;
 /// let mut out = Vec::new();
 /// for beat in packet_to_beats(100, 512) {
 ///     conv.push(beat);
-///     out.extend(conv.drain());
+///     out.extend(std::iter::from_fn(|| conv.pop()));
 /// }
 /// let bytes: u32 = out.iter().map(|b| u32::from(b.valid_bytes)).sum();
 /// assert_eq!(bytes, 100);
@@ -105,11 +105,6 @@ impl WidthConverter {
         }
         self.acc_bytes -= bytes;
         self.ready.push_back(out);
-    }
-
-    /// Takes all output beats produced so far.
-    pub fn drain(&mut self) -> Vec<StreamBeat> {
-        self.ready.drain(..).collect()
     }
 
     /// Pops one output beat.
@@ -255,6 +250,11 @@ mod tests {
     use harmonia_sim::stream::packet_to_beats;
     use harmonia_sim::Pipeline;
 
+    /// Every output beat the converter holds, in order.
+    fn popped(conv: &mut WidthConverter) -> Vec<StreamBeat> {
+        std::iter::from_fn(|| conv.pop()).collect()
+    }
+
     #[test]
     fn width_converter_preserves_bytes() {
         for (inw, outw) in [(512, 128), (128, 512), (512, 512), (2048, 512)] {
@@ -264,7 +264,7 @@ mod tests {
                     conv.push(beat);
                 }
             }
-            let out = conv.drain();
+            let out = popped(&mut conv);
             let bytes: u64 = out.iter().map(|b| u64::from(b.valid_bytes)).sum();
             assert_eq!(bytes, 64 + 65 + 100 + 1500 + 9000);
         }
@@ -276,7 +276,7 @@ mod tests {
         for beat in packet_to_beats(200, 512) {
             conv.push(beat);
         }
-        let out = conv.drain();
+        let out = popped(&mut conv);
         // 200 B at 16 B/beat = 13 beats, last partial (8 B).
         assert_eq!(out.len(), 13);
         assert!(out[0].sop);
@@ -292,10 +292,10 @@ mod tests {
         for beat in packet_to_beats(1000, 512) {
             down.push(beat);
         }
-        for beat in down.drain() {
+        for beat in popped(&mut down) {
             up.push(beat);
         }
-        let out = up.drain();
+        let out = popped(&mut up);
         let bytes: u64 = out.iter().map(|b| u64::from(b.valid_bytes)).sum();
         assert_eq!(bytes, 1000);
         assert!(out.last().unwrap().eop);
@@ -309,7 +309,7 @@ mod tests {
         let mut out_beats = 0u64;
         for _ in 0..1000 {
             conv.push(StreamBeat::body(64)); // full mid-packet beats
-            out_beats += conv.drain().len() as u64;
+            out_beats += popped(&mut conv).len() as u64;
         }
         assert_eq!(out_beats, 4 * 1000);
     }

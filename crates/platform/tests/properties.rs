@@ -31,7 +31,7 @@ forall! {
             for beat in packet_to_beats(p, inw) {
                 conv.push(beat);
             }
-            out.extend(conv.drain());
+            out.extend(std::iter::from_fn(|| conv.pop()));
         }
         // Byte conservation.
         let total: u64 = out.iter().map(|b| u64::from(b.valid_bytes)).sum();
@@ -68,7 +68,7 @@ forall! {
         for beat in packet_to_beats(pkt, 2048) {
             conv.push(beat);
         }
-        let out = conv.drain();
+        let out: Vec<_> = std::iter::from_fn(|| conv.pop()).collect();
         prop_assert_eq!(out.len() as u32, pkt.div_ceil(outw / 8));
     }
 

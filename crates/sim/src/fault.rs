@@ -19,26 +19,21 @@
 //!    from one seeded [`SplitMix64`] behind the handle; a scenario that
 //!    consults in a fixed order reproduces exactly, at any host thread
 //!    count (each scenario owns its own injector).
-//! 3. **One instant, one lock.** A consult at instant `now` first fires
-//!    every scheduled event due by `now`, then draws.
-//!    [`FaultInjector::with_draws`] runs a closure over a [`FaultDraws`]
-//!    guard for one instant, so a ring round that checks a whole burst,
-//!    or a whole poll, at one instant locks the plan once for all of it.
-//!    The guard locks, and fires the schedule, on its first draw: a
-//!    closure that draws nothing (an undelivered burst, a poll with no Ok
-//!    record) leaves the plan exactly as it was, so no event fires
-//!    earlier than a per-call consult would fire it. The lock is released
-//!    when the closure returns, and the closure must not consult the same
-//!    plan any other way meanwhile — not through the injector, nor
-//!    through a clone such as the one a `DmaEngine` holds: the plan's
-//!    `Mutex` is not reentrant, so that consult would deadlock or panic.
-//!    The per-call consults are one guard each, so both forms give the
-//!    same draws in the same order.
+//! 3. **A consult sees the plan as of its instant.** Each consult at
+//!    `now` first fires every scheduled event due by `now`, then draws,
+//!    so a ring round that checks a whole burst at one instant draws in
+//!    descriptor order, and a check that is never made (an undelivered
+//!    burst, a poll with no Ok record) advances nothing. The plan lives
+//!    in an `Rc<RefCell<…>>`: a scenario's command stream runs on one
+//!    thread, the compiler keeps the injector there (it is not `Send`),
+//!    and no consult holds the plan past its return, so consults never
+//!    nest.
 
 use crate::rng::SplitMix64;
 use crate::time::Picos;
+use std::cell::{RefCell, RefMut};
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::rc::Rc;
 
 /// The fault taxonomy. Scheduled kinds arm state the next matching
 /// consult observes; `LinkDown`/`LinkUp` toggle a persistent link state.
@@ -172,7 +167,7 @@ impl FaultPlan {
         // Stable by time: equal-time events fire in insertion order.
         events.sort_by_key(|e| e.at);
         FaultInjector {
-            inner: Some(Arc::new(Mutex::new(FaultState {
+            inner: Some(Rc::new(RefCell::new(FaultState {
                 schedule: events,
                 next: 0,
                 link_up: true,
@@ -204,6 +199,7 @@ struct FaultState {
 
 impl FaultState {
     /// Fires every scheduled event due at or before `now`.
+    #[inline]
     fn advance(&mut self, now: Picos) {
         while let Some(ev) = self.schedule.get(self.next) {
             if ev.at > now {
@@ -222,6 +218,7 @@ impl FaultState {
         }
     }
 
+    #[inline]
     fn consume(armed: &mut u64, rng: &mut SplitMix64, rate: f64) -> bool {
         if *armed > 0 {
             *armed -= 1;
@@ -234,9 +231,20 @@ impl FaultState {
 /// The handle models consult. Cloning shares the underlying plan state,
 /// so one scenario's DMA engine, IPs and FIFOs all draw from the same
 /// schedule and RNG stream.
+///
+/// The plan needs no lock because it cannot leave its thread: an
+/// injector is not `Send`, so moving one into another thread does not
+/// compile.
+///
+/// ```compile_fail
+/// use harmonia_sim::{FaultKind, FaultPlan};
+///
+/// let faults = FaultPlan::new().at(0, FaultKind::CmdDrop).injector();
+/// std::thread::spawn(move || faults.drop_command(0));
+/// ```
 #[derive(Clone, Debug, Default)]
 pub struct FaultInjector {
-    inner: Option<Arc<Mutex<FaultState>>>,
+    inner: Option<Rc<RefCell<FaultState>>>,
 }
 
 impl FaultInjector {
@@ -250,125 +258,57 @@ impl FaultInjector {
         self.inner.is_some()
     }
 
+    /// The plan advanced to `now`, for one consult; `None` for the
+    /// no-op injector.
+    #[inline]
+    fn plan_at(&self, now: Picos) -> Option<RefMut<'_, FaultState>> {
+        let mut s = self.inner.as_ref()?.borrow_mut();
+        s.advance(now);
+        Some(s)
+    }
+
     /// Link state at `now`.
+    #[inline]
     pub fn link_up(&self, now: Picos) -> bool {
-        self.with_draws(now, |d| d.link_up())
+        self.plan_at(now).is_none_or(|s| s.link_up)
     }
 
     /// Takes (and clears) any pending credit-stall beats due at `now`.
-    pub fn take_stall_beats(&self, now: Picos) -> u64 {
-        self.with_draws(now, |d| d.take_stall_beats())
-    }
-
-    /// Runs `f` over the draws of one consult instant `now`: every draw
-    /// through the guard sees the plan as of `now`, and all of them take
-    /// the plan's lock once. The lock is taken, and the schedule advanced
-    /// to `now`, on the first draw, so an `f` that draws nothing leaves
-    /// the plan untouched; it is released when `f` returns. `f` must not
-    /// consult this plan any other way, through this injector or a clone
-    /// of it: the lock is not reentrant, so such a consult deadlocks or
-    /// panics.
     #[inline]
-    pub fn with_draws<R>(&self, now: Picos, f: impl FnOnce(&mut FaultDraws<'_>) -> R) -> R {
-        f(&mut FaultDraws {
-            inner: self.inner.as_deref(),
-            now,
-            state: None,
-        })
+    pub fn take_stall_beats(&self, now: Picos) -> u64 {
+        self.plan_at(now)
+            .map_or(0, |mut s| std::mem::take(&mut s.stall_beats))
     }
 
     /// Whether the memory beat consulted at `now` takes an ECC hit.
+    #[inline]
     pub(crate) fn ecc_error(&self, now: Picos) -> bool {
-        self.with_draws(now, |d| d.ecc_error())
+        self.plan_at(now).is_some_and(|mut s| {
+            let s = &mut *s;
+            FaultState::consume(&mut s.armed_ecc, &mut s.rng, s.rates.ecc)
+        })
     }
 
     /// Whether the command consulted at `now` is dropped in flight.
+    #[inline]
     pub fn drop_command(&self, now: Picos) -> bool {
-        self.with_draws(now, |d| d.drop_command())
+        self.plan_at(now).is_some_and(|mut s| {
+            let s = &mut *s;
+            FaultState::consume(&mut s.armed_drop, &mut s.rng, s.rates.cmd_drop)
+        })
     }
 
     /// Possibly corrupts the in-flight command bytes at `now`, flipping
-    /// one deterministically chosen bit. Returns whether it fired.
-    pub fn corrupt_command(&self, now: Picos, bytes: &mut [u8]) -> bool {
-        self.with_draws(now, |d| d.corrupt_command(bytes))
-    }
-
-    /// Whether the completion interrupt consulted at `now` is lost.
-    pub fn irq_lost(&self, now: Picos) -> bool {
-        self.with_draws(now, |d| d.irq_lost())
-    }
-}
-
-/// The draws of one consult instant, lent by [`FaultInjector::with_draws`]
-/// to its closure, so the plan's lock it takes cannot outlive the call. A
-/// sequence of draws through one guard gives the same outcomes, and
-/// leaves the plan in the same state, as the same sequence of per-call
-/// consults at the guard's instant: both advance the schedule to that
-/// instant once and then draw in order from the one RNG stream.
-#[derive(Debug)]
-pub struct FaultDraws<'a> {
-    inner: Option<&'a Mutex<FaultState>>,
-    now: Picos,
-    /// The plan, locked and advanced to `now` by the first draw.
-    state: Option<MutexGuard<'a, FaultState>>,
-}
-
-impl FaultDraws<'_> {
-    /// The plan as of `now`; `None` for the no-op injector.
-    #[inline]
-    fn state(&mut self) -> Option<&mut FaultState> {
-        let inner = self.inner?;
-        let now = self.now;
-        Some(self.state.get_or_insert_with(|| {
-            let mut s = inner.lock().expect("fault state poisoned");
-            s.advance(now);
-            s
-        }))
-    }
-
-    /// Link state at the guard's instant.
-    #[inline]
-    pub fn link_up(&mut self) -> bool {
-        self.state().is_none_or(|s| s.link_up)
-    }
-
-    /// Takes (and clears) the credit-stall beats pending at the guard's
-    /// instant.
-    #[inline]
-    pub fn take_stall_beats(&mut self) -> u64 {
-        self.state()
-            .map_or(0, |s| std::mem::take(&mut s.stall_beats))
-    }
-
-    /// Whether the next memory beat takes an ECC hit.
-    #[inline]
-    pub(crate) fn ecc_error(&mut self) -> bool {
-        self.state().is_some_and(|s| {
-            let rate = s.rates.ecc;
-            FaultState::consume(&mut s.armed_ecc, &mut s.rng, rate)
-        })
-    }
-
-    /// Whether the next command is dropped in flight.
-    #[inline]
-    pub fn drop_command(&mut self) -> bool {
-        self.state().is_some_and(|s| {
-            let rate = s.rates.cmd_drop;
-            FaultState::consume(&mut s.armed_drop, &mut s.rng, rate)
-        })
-    }
-
-    /// Possibly corrupts the next command's in-flight bytes, flipping one
-    /// deterministically chosen bit. Returns whether it fired; empty
+    /// one deterministically chosen bit. Returns whether it fired; empty
     /// bytes draw nothing.
     #[inline]
-    pub fn corrupt_command(&mut self, bytes: &mut [u8]) -> bool {
+    pub fn corrupt_command(&self, now: Picos, bytes: &mut [u8]) -> bool {
         if bytes.is_empty() {
             return false;
         }
-        self.state().is_some_and(|s| {
-            let rate = s.rates.cmd_corrupt;
-            if !FaultState::consume(&mut s.armed_corrupt, &mut s.rng, rate) {
+        self.plan_at(now).is_some_and(|mut s| {
+            let s = &mut *s;
+            if !FaultState::consume(&mut s.armed_corrupt, &mut s.rng, s.rates.cmd_corrupt) {
                 return false;
             }
             let bit = s.rng.next_below(bytes.len() as u64 * 8);
@@ -377,12 +317,12 @@ impl FaultDraws<'_> {
         })
     }
 
-    /// Whether the next completion interrupt is lost.
+    /// Whether the completion interrupt consulted at `now` is lost.
     #[inline]
-    pub fn irq_lost(&mut self) -> bool {
-        self.state().is_some_and(|s| {
-            let rate = s.rates.irq_lost;
-            FaultState::consume(&mut s.armed_irq, &mut s.rng, rate)
+    pub fn irq_lost(&self, now: Picos) -> bool {
+        self.plan_at(now).is_some_and(|mut s| {
+            let s = &mut *s;
+            FaultState::consume(&mut s.armed_irq, &mut s.rng, s.rates.irq_lost)
         })
     }
 }
@@ -494,16 +434,6 @@ mod tests {
         assert!(a.iter().any(|f| f.1), "a 25 % ECC rate must fire");
         assert!(a.iter().any(|f| f.2), "a 10 % irq-loss rate must fire");
         assert!(a.iter().any(|f| f.3), "a 20 % corruption rate must fire");
-    }
-
-    #[test]
-    fn a_guard_that_draws_nothing_advances_nothing() {
-        let inj = FaultPlan::new().at(100, FaultKind::LinkDown).injector();
-        inj.with_draws(200, |_| ());
-        assert!(inj.link_up(50), "the unused guard fired the link-down");
-        assert!(!inj.with_draws(200, |d| d.drop_command()));
-        // The guard let go of the plan when its closure returned.
-        assert!(!inj.link_up(50), "the guard's draw advanced to its instant");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! buffers of the Host RBB.
 
 use crate::fault::FaultInjector;
-use crate::probe::{Probe, ProbeStage};
+use crate::probe::Probe;
 use crate::time::Picos;
 use crate::trace::TraceEventKind;
 use std::collections::VecDeque;
@@ -89,10 +89,9 @@ impl<T> SyncFifo<T> {
     /// and the observability plane. An [`FaultInjector`] ECC hit on the
     /// FIFO memory discards the beat (tallied in [`SyncFifo::rejected`])
     /// instead of storing a corrupt word; a rejection for a full FIFO
-    /// stages a [`TraceEventKind::FifoStall`] instant for `probe`'s
-    /// timeline in `stage`, so backpressure shows up there once the
-    /// caller commits it. With the no-op injector this is exactly
-    /// [`SyncFifo::push`], whatever the probe.
+    /// records a [`TraceEventKind::FifoStall`] instant on `probe`, so
+    /// backpressure shows up on the timeline. With the no-op injector
+    /// this is exactly [`SyncFifo::push`], whatever the probe.
     ///
     /// # Errors
     ///
@@ -104,13 +103,14 @@ impl<T> SyncFifo<T> {
         now: Picos,
         faults: &FaultInjector,
         probe: &Probe,
-        stage: &mut ProbeStage,
     ) -> Result<BeatFate, FifoFullError<T>> {
         if self.buf.len() == self.capacity {
-            let stall = TraceEventKind::FifoStall {
-                occupancy: self.buf.len() as u32,
-            };
-            probe.stage_trace(stage, now, 0, stall);
+            probe.trace.instant(
+                now,
+                TraceEventKind::FifoStall {
+                    occupancy: self.buf.len() as u32,
+                },
+            );
         } else if faults.ecc_error(now) {
             self.rejected += 1;
             return Ok(BeatFate::Discarded);
@@ -121,11 +121,6 @@ impl<T> SyncFifo<T> {
     /// Dequeues the oldest item, if any.
     pub fn pop(&mut self) -> Option<T> {
         self.buf.pop_front()
-    }
-
-    /// Peeks at the oldest item without removing it.
-    pub fn peek(&self) -> Option<&T> {
-        self.buf.front()
     }
 
     /// Current number of buffered items.
@@ -152,11 +147,6 @@ impl<T> SyncFifo<T> {
     pub fn rejected(&self) -> u64 {
         self.rejected
     }
-
-    /// Removes all items and returns them, preserving order.
-    pub fn drain(&mut self) -> Vec<T> {
-        self.buf.drain(..).collect()
-    }
 }
 
 impl<T> Extend<T> for SyncFifo<T> {
@@ -172,6 +162,11 @@ impl<T> Extend<T> for SyncFifo<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Pops until empty: the items in FIFO order.
+    fn popped<T>(f: &mut SyncFifo<T>) -> Vec<T> {
+        std::iter::from_fn(|| f.pop()).collect()
+    }
 
     #[test]
     fn fifo_order_preserved() {
@@ -212,41 +207,15 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_consume() {
-        let mut f = SyncFifo::new(2);
-        f.push(7).unwrap();
-        assert_eq!(f.peek(), Some(&7));
-        assert_eq!(f.len(), 1);
-    }
-
-    #[test]
-    fn drain_empties_in_order() {
-        let mut f = SyncFifo::new(4);
-        f.extend([1, 2, 3]);
-        assert_eq!(f.drain(), vec![1, 2, 3]);
-        assert!(f.is_empty());
-    }
-
-    #[test]
     fn faulty_push_matches_plain_push_with_no_plan() {
         use crate::fault::FaultPlan;
         let inj = FaultPlan::none().injector();
         let off = Probe::disabled();
-        let mut stage = ProbeStage::default();
         let mut f = SyncFifo::new(2);
-        assert_eq!(
-            f.push_at(1, 0, &inj, &off, &mut stage),
-            Ok(BeatFate::Stored)
-        );
-        assert_eq!(
-            f.push_at(2, 10, &inj, &off, &mut stage),
-            Ok(BeatFate::Stored)
-        );
-        assert_eq!(
-            f.push_at(3, 20, &inj, &off, &mut stage),
-            Err(FifoFullError(3))
-        );
-        assert_eq!(f.drain(), vec![1, 2]);
+        assert_eq!(f.push_at(1, 0, &inj, &off), Ok(BeatFate::Stored));
+        assert_eq!(f.push_at(2, 10, &inj, &off), Ok(BeatFate::Stored));
+        assert_eq!(f.push_at(3, 20, &inj, &off), Err(FifoFullError(3)));
+        assert_eq!(popped(&mut f), vec![1, 2]);
     }
 
     #[test]
@@ -254,24 +223,13 @@ mod tests {
         use crate::fault::{FaultKind, FaultPlan};
         let inj = FaultPlan::new().at(5, FaultKind::EccError).injector();
         let probe = Probe::enabled();
-        let mut stage = ProbeStage::default();
         let mut f = SyncFifo::new(4);
-        assert_eq!(
-            f.push_at(1, 0, &inj, &probe, &mut stage),
-            Ok(BeatFate::Stored)
-        );
-        assert_eq!(
-            f.push_at(2, 5, &inj, &probe, &mut stage),
-            Ok(BeatFate::Discarded)
-        );
-        assert_eq!(
-            f.push_at(3, 6, &inj, &probe, &mut stage),
-            Ok(BeatFate::Stored)
-        );
-        probe.commit(&mut stage);
+        assert_eq!(f.push_at(1, 0, &inj, &probe), Ok(BeatFate::Stored));
+        assert_eq!(f.push_at(2, 5, &inj, &probe), Ok(BeatFate::Discarded));
+        assert_eq!(f.push_at(3, 6, &inj, &probe), Ok(BeatFate::Stored));
         assert!(probe.trace.is_empty(), "an ECC discard is not a stall");
         assert_eq!(f.rejected(), 1);
-        assert_eq!(f.drain(), vec![1, 3]);
+        assert_eq!(popped(&mut f), vec![1, 3]);
     }
 
     #[test]
@@ -279,13 +237,10 @@ mod tests {
         use crate::fault::FaultInjector;
         let probe = Probe::enabled();
         let none = FaultInjector::none();
-        let mut stage = ProbeStage::default();
         let mut f = SyncFifo::new(1);
-        f.push_at(1, 100, &none, &probe, &mut stage).unwrap();
-        probe.commit(&mut stage);
+        f.push_at(1, 100, &none, &probe).unwrap();
         assert!(probe.trace.is_empty(), "accepted beats emit nothing");
-        assert!(f.push_at(2, 200, &none, &probe, &mut stage).is_err());
-        probe.commit(&mut stage);
+        assert!(f.push_at(2, 200, &none, &probe).is_err());
         assert_eq!(f.rejected(), 1);
         let trace = probe.trace.take();
         assert_eq!(trace.len(), 1);
@@ -308,8 +263,8 @@ mod tests {
         assert_eq!(f.push(256), Err(FifoFullError(256)));
         assert_eq!(f.rejected(), 1);
         assert_eq!(f.len(), 256);
-        // The bound still holds after a drain and a refill.
-        assert_eq!(f.drain(), (0..256).collect::<Vec<_>>());
+        // The bound still holds after emptying and refilling.
+        assert_eq!(popped(&mut f), (0..256).collect::<Vec<_>>());
         f.extend(0..300);
         assert_eq!((f.len(), f.rejected()), (256, 45));
     }

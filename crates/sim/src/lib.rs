@@ -41,7 +41,7 @@ pub mod trace;
 
 pub use async_fifo::AsyncFifo;
 pub use edges::{ClockEdge, MultiClock};
-pub use fault::{FaultDraws, FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultRates};
+pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultRates};
 pub use fifo::{BeatFate, FifoFullError, SyncFifo};
 pub use histo::LogHistogram;
 pub use metrics::{
@@ -49,7 +49,7 @@ pub use metrics::{
     Slo, SloObjective, SloReport, SloResult,
 };
 pub use pipeline::{Pipeline, PushError};
-pub use probe::{Probe, ProbeStage};
+pub use probe::Probe;
 pub use rng::SplitMix64;
 pub use stats::{LatencyStats, Throughput};
 pub use stream::StreamBeat;

@@ -55,9 +55,10 @@
 use crate::histo::LogHistogram;
 use crate::time::Picos;
 use crate::trace::{TraceEvent, TraceEventKind};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 /// Default scrape period: 10 µs of simulated time.
 pub const DEFAULT_METRICS_PERIOD_PS: Picos = 10_000_000;
@@ -137,14 +138,15 @@ struct RegistryBuf {
 /// the underlying store, so one scenario's kernel, driver, DMA engine and
 /// IRQ moderator all feed a single registry.
 ///
-/// Every call takes a lock and looks up its series, so a hot loop counts
-/// in plain locals and publishes once per doorbell or per public call,
-/// touching only the series a per-event call would have touched. The
-/// registry is then exact at every public-call boundary, which is where
-/// the scraper, the exporters and the SLO evaluator read it.
+/// Every call builds its series key and walks a `BTreeMap` for it, so a
+/// hot loop counts in plain locals and publishes once per doorbell or
+/// per public call, touching only the series a per-event call would have
+/// touched. The registry is then exact at every public-call boundary,
+/// which is where the scraper, the exporters and the SLO evaluator read
+/// it.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
-    inner: Option<Arc<Mutex<RegistryBuf>>>,
+    inner: Option<Rc<RefCell<RegistryBuf>>>,
 }
 
 impl MetricsRegistry {
@@ -157,7 +159,7 @@ impl MetricsRegistry {
     /// An enabled, empty registry.
     pub fn enabled() -> MetricsRegistry {
         MetricsRegistry {
-            inner: Some(Arc::new(Mutex::new(RegistryBuf::default()))),
+            inner: Some(Rc::new(RefCell::new(RegistryBuf::default()))),
         }
     }
 
@@ -167,47 +169,52 @@ impl MetricsRegistry {
     }
 
     /// Adds `delta` to a counter (created at zero on first touch).
+    #[inline]
     pub fn counter_add(&self, name: &'static str, labels: &[(&'static str, &str)], delta: u64) {
         let Some(inner) = &self.inner else {
             return;
         };
-        let mut buf = inner.lock().expect("metrics registry poisoned");
+        let mut buf = inner.borrow_mut();
         *buf.counters
             .entry(MetricKey::new(name, labels))
             .or_insert(0) += delta;
     }
 
     /// Increments a counter by one.
+    #[inline]
     pub fn counter_inc(&self, name: &'static str, labels: &[(&'static str, &str)]) {
         self.counter_add(name, labels, 1);
     }
 
     /// Sets a gauge to `value`.
+    #[inline]
     pub fn gauge_set(&self, name: &'static str, labels: &[(&'static str, &str)], value: u64) {
         let Some(inner) = &self.inner else {
             return;
         };
-        let mut buf = inner.lock().expect("metrics registry poisoned");
+        let mut buf = inner.borrow_mut();
         buf.gauges.insert(MetricKey::new(name, labels), value);
     }
 
     /// Raises a gauge to `value` if it is below it (high-water tracking:
     /// ring occupancy, buffer depth).
+    #[inline]
     pub fn gauge_max(&self, name: &'static str, labels: &[(&'static str, &str)], value: u64) {
         let Some(inner) = &self.inner else {
             return;
         };
-        let mut buf = inner.lock().expect("metrics registry poisoned");
+        let mut buf = inner.borrow_mut();
         let g = buf.gauges.entry(MetricKey::new(name, labels)).or_insert(0);
         *g = (*g).max(value);
     }
 
     /// Records one sample into a [`LogHistogram`]-backed metric.
+    #[inline]
     pub fn observe(&self, name: &'static str, labels: &[(&'static str, &str)], sample: u64) {
         let Some(inner) = &self.inner else {
             return;
         };
-        let mut buf = inner.lock().expect("metrics registry poisoned");
+        let mut buf = inner.borrow_mut();
         buf.histograms
             .entry(MetricKey::new(name, labels))
             .or_default()
@@ -215,9 +222,10 @@ impl MetricsRegistry {
     }
 
     /// Folds a pre-built [`LogHistogram`] into a histogram-backed metric
-    /// in one lock acquisition. Aggregate planes (the fleet controller's
+    /// in one lookup. Aggregate planes (the fleet controller's
     /// per-device latency histograms) publish through this instead of
     /// replaying millions of `observe` calls.
+    #[inline]
     pub fn observe_histogram(
         &self,
         name: &'static str,
@@ -227,7 +235,7 @@ impl MetricsRegistry {
         let Some(inner) = &self.inner else {
             return;
         };
-        let mut buf = inner.lock().expect("metrics registry poisoned");
+        let mut buf = inner.borrow_mut();
         buf.histograms
             .entry(MetricKey::new(name, labels))
             .or_default()
@@ -239,7 +247,7 @@ impl MetricsRegistry {
     pub fn snapshot(&self) -> MetricsSnapshot {
         match &self.inner {
             Some(inner) => {
-                let buf = inner.lock().expect("metrics registry poisoned");
+                let buf = inner.borrow();
                 MetricsSnapshot {
                     counters: buf.counters.clone(),
                     gauges: buf.gauges.clone(),
@@ -547,7 +555,7 @@ struct FlightBuf {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct FlightRecorder {
-    inner: Option<Arc<Mutex<FlightBuf>>>,
+    inner: Option<Rc<RefCell<FlightBuf>>>,
 }
 
 impl FlightRecorder {
@@ -572,7 +580,7 @@ impl FlightRecorder {
     pub(crate) fn with_lane_capacity(lane: u32, capacity: usize) -> FlightRecorder {
         let capacity = capacity.max(1);
         FlightRecorder {
-            inner: Some(Arc::new(Mutex::new(FlightBuf {
+            inner: Some(Rc::new(RefCell::new(FlightBuf {
                 lane,
                 seq: 0,
                 capacity,
@@ -588,38 +596,31 @@ impl FlightRecorder {
 
     /// Records one event (span when `dur > 0`, instant otherwise),
     /// evicting the oldest once the ring is full.
+    #[inline]
     pub fn record(&self, at: Picos, dur: Picos, kind: TraceEventKind) {
-        self.extend([(at, dur, kind)]);
-    }
-
-    /// Records `(at, dur, kind)` events in order under one lock: the same
-    /// ring and `seq` numbers as one [`FlightRecorder::record`] each.
-    pub(crate) fn extend<I: IntoIterator<Item = (Picos, Picos, TraceEventKind)>>(&self, events: I) {
         let Some(inner) = &self.inner else {
             return;
         };
-        let mut buf = inner.lock().expect("flight recorder poisoned");
-        for (at, dur, kind) in events {
-            if buf.ring.len() == buf.capacity {
-                buf.ring.pop_front();
-            }
-            let seq = buf.seq;
-            buf.seq += 1;
-            let lane = buf.lane;
-            buf.ring.push_back(TraceEvent {
-                at,
-                dur,
-                lane,
-                seq,
-                kind,
-            });
+        let mut buf = inner.borrow_mut();
+        if buf.ring.len() == buf.capacity {
+            buf.ring.pop_front();
         }
+        let seq = buf.seq;
+        buf.seq += 1;
+        let lane = buf.lane;
+        buf.ring.push_back(TraceEvent {
+            at,
+            dur,
+            lane,
+            seq,
+            kind,
+        });
     }
 
     /// Events currently retained (0 when disabled).
     pub fn len(&self) -> usize {
         match &self.inner {
-            Some(inner) => inner.lock().expect("flight recorder poisoned").ring.len(),
+            Some(inner) => inner.borrow().ring.len(),
             None => 0,
         }
     }
@@ -636,7 +637,7 @@ impl FlightRecorder {
         let Some(inner) = &self.inner else {
             return String::from("(flight recorder disabled — attach an enabled FlightRecorder)\n");
         };
-        let buf = inner.lock().expect("flight recorder poisoned");
+        let buf = inner.borrow();
         let mut out = format!(
             "flight recorder: last {} event(s) of lane {} (capacity {}):\n",
             buf.ring.len(),
@@ -820,7 +821,6 @@ pub fn evaluate_slos(snapshot: &MetricsSnapshot, slos: &[Slo]) -> SloReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use harmonia_testkit::prelude::*;
 
     #[test]
     fn disabled_registry_is_inert() {
@@ -970,34 +970,6 @@ mod tests {
         assert!(dump.contains("ecc-scrub"));
         assert!(dump.contains(&format!("[{:>17} ps]", 900)), "{dump}");
         assert!(!dump.contains(&format!("[{:>17} ps]", 0)), "oldest evicted");
-    }
-
-    forall! {
-        /// A bulk commit of n events leaves the ring, and the `seq` the
-        /// next event gets, that n `record`s leave, for n below, at and
-        /// above the capacity and on top of any history.
-        #[test]
-        fn extend_equals_one_record_per_event(
-            capacity in 1usize..8,
-            history in crate::trace::arb_events(12),
-            events in crate::trace::arb_events(24),
-        ) {
-            let bulk = FlightRecorder::with_capacity(capacity);
-            let single = FlightRecorder::with_capacity(capacity);
-            for fr in [&bulk, &single] {
-                for &(at, dur, kind) in &history {
-                    fr.record(at, dur, kind);
-                }
-            }
-            bulk.extend(events.iter().copied());
-            for &(at, dur, kind) in &events {
-                single.record(at, dur, kind);
-            }
-            let seq = |fr: &FlightRecorder| fr.inner.as_ref().map(|i| i.lock().unwrap().seq);
-            prop_assert_eq!(bulk.dump(), single.dump());
-            prop_assert_eq!(seq(&bulk), seq(&single));
-            prop_assert_eq!(seq(&bulk), Some((history.len() + events.len()) as u64));
-        }
     }
 
     #[test]

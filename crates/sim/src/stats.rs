@@ -12,7 +12,6 @@ use std::fmt;
 /// t.record(1500, 1);
 /// t.close(1_000_000); // 1 µs window
 /// assert!((t.gbps() - 24.0).abs() < 1e-9);
-/// assert!((t.ops() - 2e6).abs() < 1e-3);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Throughput {
@@ -62,11 +61,6 @@ impl Throughput {
     pub(crate) fn mops(&self) -> f64 {
         assert!(self.window_ps > 0, "throughput window not closed");
         self.items as f64 / (self.window_ps as f64 / PS_PER_SEC as f64) / 1e6
-    }
-
-    /// Items per second.
-    pub fn ops(&self) -> f64 {
-        self.mops() * 1e6
     }
 }
 
@@ -232,7 +226,6 @@ mod tests {
         t.record(0, 5_000_000);
         t.close(PS_PER_SEC);
         assert!((t.mops() - 5.0).abs() < 1e-9);
-        assert!((t.ops() - 5e6).abs() < 1e-3);
     }
 
     #[test]

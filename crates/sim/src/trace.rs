@@ -25,14 +25,12 @@
 //!    `(Picos, lane, seq)`, so the exports of a merged capture depend
 //!    only on its inputs.
 //!
-//! `seq` is the record order within a lane. A hot path that emits many
-//! events per round stages them and commits them with one lock per plane
-//! ([`crate::Probe::commit`]), which numbers them exactly as one
-//! [`TraceCollector::span`] each would; the staging emitters commit at
-//! the points [`crate::probe`] lists, so every `seq` stays where
-//! per-event recording put it. Contract 1 holds for the bulk path too:
-//! a disabled collector stages nothing, and a commit with nothing staged
-//! is one branch.
+//! `seq` is the record order within a lane: every hook appends one event
+//! at the moment it is called, so the numbering is the call order. A
+//! collector is single-threaded by construction (`Rc<RefCell<…>>`, so
+//! `!Send`): one scenario's command stream runs on one thread, and a
+//! fan-out gives each scenario its own collector and merges the frozen
+//! traces.
 //!
 //! # Example: capture → export → assert ordering
 //!
@@ -58,8 +56,9 @@
 
 use crate::fault::FaultKind;
 use crate::time::Picos;
+use std::cell::RefCell;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 /// The typed event taxonomy — one variant per hot-path phenomenon worth
 /// seeing on a timeline.
@@ -365,6 +364,7 @@ struct TraceBuf {
 }
 
 impl TraceBuf {
+    #[inline]
     fn push(&mut self, event: TraceEvent) {
         match self.chunks.last_mut() {
             Some(chunk) if chunk.len() < CHUNK_EVENTS => chunk.push(event),
@@ -388,7 +388,7 @@ impl TraceBuf {
 /// append to the same lane.
 #[derive(Clone, Debug, Default)]
 pub struct TraceCollector {
-    inner: Option<Arc<Mutex<TraceBuf>>>,
+    inner: Option<Rc<RefCell<TraceBuf>>>,
 }
 
 impl TraceCollector {
@@ -407,7 +407,7 @@ impl TraceCollector {
     /// index when fanning out, so merges are thread-count independent).
     pub fn with_lane(lane: u32) -> TraceCollector {
         TraceCollector {
-            inner: Some(Arc::new(Mutex::new(TraceBuf {
+            inner: Some(Rc::new(RefCell::new(TraceBuf {
                 lane,
                 seq: 0,
                 chunks: Vec::new(),
@@ -423,40 +423,34 @@ impl TraceCollector {
     }
 
     /// Records an instant event at `at`.
+    #[inline]
     pub fn instant(&self, at: Picos, kind: TraceEventKind) {
         self.span(at, 0, kind);
     }
 
     /// Records a span starting at `at` lasting `dur` picoseconds.
+    #[inline]
     pub fn span(&self, at: Picos, dur: Picos, kind: TraceEventKind) {
-        self.extend([(at, dur, kind)]);
-    }
-
-    /// Records `(at, dur, kind)` events in order under one lock: the same
-    /// events and `seq` numbers as one [`TraceCollector::span`] each.
-    pub(crate) fn extend<I: IntoIterator<Item = (Picos, Picos, TraceEventKind)>>(&self, events: I) {
         let Some(inner) = &self.inner else {
             return;
         };
-        let mut buf = inner.lock().expect("trace buffer poisoned");
-        for (at, dur, kind) in events {
-            let seq = buf.seq;
-            buf.seq += 1;
-            let lane = buf.lane;
-            buf.push(TraceEvent {
-                at,
-                dur,
-                lane,
-                seq,
-                kind,
-            });
-        }
+        let mut buf = inner.borrow_mut();
+        let seq = buf.seq;
+        buf.seq += 1;
+        let lane = buf.lane;
+        buf.push(TraceEvent {
+            at,
+            dur,
+            lane,
+            seq,
+            kind,
+        });
     }
 
     /// Number of events recorded so far (0 when disabled).
     pub fn len(&self) -> usize {
         match &self.inner {
-            Some(inner) => inner.lock().expect("trace buffer poisoned").len(),
+            Some(inner) => inner.borrow().len(),
             None => 0,
         }
     }
@@ -471,9 +465,7 @@ impl TraceCollector {
     /// counter) afterwards.
     pub fn take(&self) -> Trace {
         let events = match &self.inner {
-            Some(inner) => {
-                std::mem::take(&mut inner.lock().expect("trace buffer poisoned").chunks).concat()
-            }
+            Some(inner) => std::mem::take(&mut inner.borrow_mut().chunks).concat(),
             None => Vec::new(),
         };
         Trace::from_events(events)
@@ -483,7 +475,7 @@ impl TraceCollector {
     /// draining them.
     pub fn snapshot(&self) -> Trace {
         let events = match &self.inner {
-            Some(inner) => inner.lock().expect("trace buffer poisoned").chunks.concat(),
+            Some(inner) => inner.borrow().chunks.concat(),
             None => Vec::new(),
         };
         Trace::from_events(events)
@@ -615,57 +607,9 @@ fn fmt_us(ps: Picos) -> String {
     format!("{}.{:06}", ps / 1_000_000, ps % 1_000_000)
 }
 
-/// Up to `max` random `(at, dur, kind)` events, for the properties of
-/// the bulk appends.
-#[cfg(test)]
-pub(crate) fn arb_events(
-    max: usize,
-) -> impl harmonia_testkit::prelude::Strategy<Value = Vec<(Picos, Picos, TraceEventKind)>> {
-    use harmonia_testkit::prelude::*;
-    let event = (0u64..10_000, 0u64..100, 0u8..3, any::<u32>()).prop_map(|(at, dur, k, x)| {
-        let kind = match k {
-            0 => TraceEventKind::EccScrub,
-            1 => TraceEventKind::CmdNack { error_code: x },
-            _ => TraceEventKind::KernelExec {
-                code: x as u16,
-                reg_ops: u64::from(x >> 16),
-            },
-        };
-        (at, dur, kind)
-    });
-    collection::vec(event, 0..max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use harmonia_testkit::prelude::*;
-
-    forall! {
-        /// A bulk append records what one `span` per event records, on
-        /// top of any history (chunk boundaries included), and numbers
-        /// the next event where the spans would have.
-        #[test]
-        fn extend_equals_one_span_per_event(
-            history in 0usize..CHUNK_EVENTS + 64,
-            events in arb_events(64),
-        ) {
-            let (bulk, single) = (TraceCollector::enabled(), TraceCollector::enabled());
-            for tc in [&bulk, &single] {
-                for i in 0..history as u64 {
-                    tc.instant(i, TraceEventKind::EccScrub);
-                }
-            }
-            bulk.extend(events.iter().copied());
-            for &(at, dur, kind) in &events {
-                single.span(at, dur, kind);
-            }
-            for tc in [&bulk, &single] {
-                tc.instant(0, TraceEventKind::EccScrub);
-            }
-            prop_assert_eq!(bulk.take(), single.take());
-        }
-    }
 
     #[test]
     fn disabled_collector_is_inert() {

@@ -1,145 +1,10 @@
 //! Property-based tests for the simulation kernel invariants.
 
 use harmonia_sim::async_fifo::{bin_to_gray, gray_to_bin};
-use harmonia_sim::{
-    AsyncFifo, ClockDomain, FaultInjector, FaultKind, FaultPlan, FaultRates, Freq, MultiClock,
-    Pipeline, SyncFifo,
-};
+use harmonia_sim::{AsyncFifo, ClockDomain, Freq, MultiClock, Pipeline, SyncFifo};
 use harmonia_testkit::prelude::*;
 
-fn arb_fault_kind() -> impl Strategy<Value = FaultKind> {
-    prop_oneof![
-        Just(FaultKind::LinkDown),
-        Just(FaultKind::LinkUp),
-        (1u64..64).prop_map(|beats| FaultKind::PcieCreditStall { beats }),
-        Just(FaultKind::EccError),
-        Just(FaultKind::CmdDrop),
-        Just(FaultKind::CmdCorrupt),
-        Just(FaultKind::IrqLost),
-    ]
-}
-
-/// Scheduled events and seeded rates over the first 1000 ps.
-fn arb_plan() -> impl Strategy<Value = FaultPlan> {
-    (
-        collection::vec((0u64..1_000, arb_fault_kind()), 0..12),
-        any::<u64>(),
-        (0u32..60, 0u32..60, 0u32..60),
-    )
-        .prop_map(|(events, seed, (drop_pct, corrupt_pct, irq_pct))| {
-            let mut plan = FaultPlan::new();
-            for (at, kind) in events {
-                plan = plan.at(at, kind);
-            }
-            plan.with_rates(
-                seed,
-                FaultRates {
-                    cmd_drop: f64::from(drop_pct) / 100.0,
-                    cmd_corrupt: f64::from(corrupt_pct) / 100.0,
-                    irq_lost: f64::from(irq_pct) / 100.0,
-                    ecc: 0.0,
-                },
-            )
-        })
-}
-
-/// One ring round as `Ring` draws it: at `at`, each of `burst` descriptors
-/// of a delivered burst is checked for a drop and, if kept, a corruption;
-/// at `polled_at`, each of `oks` Ok records for a lost interrupt. With
-/// `guard` set every instant's draws go through one
-/// [`FaultInjector::with_draws`] guard, else through the per-call
-/// consults. Returns every outcome, corrupted bytes included.
-fn ring_round(
-    faults: &FaultInjector,
-    guard: bool,
-    (at, burst, delivered, polled_at, oks): (u64, usize, bool, u64, usize),
-) -> Vec<(bool, bool, Vec<u8>)> {
-    // `draw` answers one delivered descriptor: (dropped, corrupted).
-    let submit = |draw: &mut dyn FnMut(&mut [u8]) -> (bool, bool)| {
-        (0..burst)
-            .map(|i| {
-                let mut bytes = vec![i as u8; 8];
-                let (dropped, corrupted) = if delivered {
-                    draw(&mut bytes)
-                } else {
-                    (true, false)
-                };
-                (dropped, corrupted, bytes)
-            })
-            .collect::<Vec<_>>()
-    };
-    let poll = |lost: &mut dyn FnMut() -> bool| {
-        (0..oks)
-            .map(|_| (lost(), false, Vec::new()))
-            .collect::<Vec<_>>()
-    };
-    let mut out;
-    if guard {
-        out = faults.with_draws(at, |d| {
-            submit(&mut |bytes| {
-                let dropped = d.drop_command();
-                (dropped, !dropped && d.corrupt_command(bytes))
-            })
-        });
-        out.extend(faults.with_draws(polled_at, |d| poll(&mut || d.irq_lost())));
-    } else {
-        out = submit(&mut |bytes| {
-            let dropped = faults.drop_command(at);
-            (dropped, !dropped && faults.corrupt_command(at, bytes))
-        });
-        out.extend(poll(&mut || faults.irq_lost(polled_at)));
-    }
-    out
-}
-
-/// Per-call consults at `probes`' instants: what a later reader sees of
-/// the plan's state.
-fn later_state(faults: &FaultInjector, probes: &[u64]) -> Vec<(bool, u64, bool, bool, Vec<u8>)> {
-    probes
-        .iter()
-        .map(|&t| {
-            let mut bytes = vec![0x5A; 8];
-            let corrupted = faults.corrupt_command(t, &mut bytes);
-            (
-                faults.link_up(t),
-                faults.take_stall_beats(t),
-                faults.drop_command(t),
-                faults.irq_lost(t) || corrupted,
-                bytes,
-            )
-        })
-        .collect()
-}
-
 forall! {
-    /// A ring round drawn through one guard per instant gives the same
-    /// drops, corruptions and lost interrupts as the per-call consults,
-    /// and leaves the plan in the same state for later consults. Rounds
-    /// that draw nothing (an undelivered or empty burst, a poll with no
-    /// Ok record) leave the schedule unadvanced: instants are random, so
-    /// a later consult may come earlier than a round that drew nothing.
-    #[test]
-    fn one_guard_per_instant_draws_like_per_call_consults(
-        plan in arb_plan(),
-        rounds in collection::vec(
-            (
-                (0u64..1_200, 0usize..6, any::<bool>(), 0u64..1_200, 0usize..6),
-                collection::vec(0u64..1_200, 0..3),
-            ),
-            0..8,
-        ),
-    ) {
-        let guarded = plan.clone().injector();
-        let per_call = plan.injector();
-        for (round, probes) in &rounds {
-            prop_assert_eq!(
-                ring_round(&guarded, true, *round),
-                ring_round(&per_call, false, *round)
-            );
-            prop_assert_eq!(later_state(&guarded, probes), later_state(&per_call, probes));
-        }
-    }
-
     /// Gray coding is a bijection on u64.
     #[test]
     fn gray_bijection(v in any::<u64>()) {
@@ -171,7 +36,7 @@ forall! {
                 received.push(v);
             }
         }
-        received.extend(f.drain());
+        received.extend(std::iter::from_fn(|| f.pop()));
         prop_assert_eq!(received, accepted);
     }
 

@@ -15,9 +15,9 @@
 //!   failure shrinks the *tape*, not the value, so `prop_map` and
 //!   `prop_oneof!` shrink for free. Minimal counterexamples persist to
 //!   `tests/regressions/<property>.tape` and replay before fresh cases.
-//! - **Deterministic RNG** ([`rng::DetRng`]): uniform/range/choice/
-//!   shuffle/weighted distributions on [`harmonia_sim::SplitMix64`],
-//!   replacing the `rand` crate in the workload generators.
+//! - **Deterministic RNG** ([`rng::DetRng`]): uniform range and
+//!   Bernoulli draws on [`harmonia_sim::SplitMix64`], replacing the
+//!   `rand` crate in the workload generators.
 //! - **Timing** ([`mod@bench`]): one warmup + calibrated-batch sampling
 //!   loop ([`bench::measure`]) with median/p99, the `BENCH_<group>.json`
 //!   rendering the `harness = false` bench targets write, and the check

@@ -48,24 +48,6 @@ impl DetRng {
         assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
         self.next_f64() < p
     }
-
-    /// Uniformly chosen element.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `items` is empty.
-    pub fn choice<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        assert!(!items.is_empty(), "cannot choose from an empty slice");
-        &items[self.0.next_below(items.len() as u64) as usize]
-    }
-
-    /// In-place Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.0.next_below(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
-    }
 }
 
 /// Ranges [`DetRng::gen_range`] can sample from.

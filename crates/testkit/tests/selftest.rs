@@ -240,37 +240,14 @@ forall! {
         }
     }
 
-    /// `choice` only ever returns members of the slice.
-    #[test]
-    fn detrng_choice_is_a_member(seed in any::<u64>(), items in collection::vec(any::<u32>(), 1..40)) {
-        let mut rng = DetRng::new(seed);
-        for _ in 0..50 {
-            let c = *rng.choice(&items);
-            prop_assert!(items.contains(&c));
-        }
-    }
-
-    /// `shuffle` is a permutation: multiset unchanged.
-    #[test]
-    fn detrng_shuffle_is_permutation(seed in any::<u64>(), items in collection::vec(any::<u16>(), 0..60)) {
-        let mut shuffled = items.clone();
-        DetRng::new(seed).shuffle(&mut shuffled);
-        let mut a = items;
-        let mut b = shuffled;
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b);
-    }
-
-    /// `shuffle` with distinct seeds reorders at least sometimes — the
-    /// generator is not degenerate.
+    /// Adjacent seeds give different streams — the generator is not
+    /// degenerate.
     #[test]
     fn detrng_distinct_seeds_decorrelate(seed in 0u64..10_000) {
-        let items: Vec<u32> = (0..32).collect();
-        let mut a = items.clone();
-        let mut b = items;
-        DetRng::new(seed).shuffle(&mut a);
-        DetRng::new(seed.wrapping_add(1)).shuffle(&mut b);
-        prop_assert_ne!(a, b);
+        let stream = |seed: u64| {
+            let mut rng = DetRng::new(seed);
+            (0..32).map(|_| rng.gen_range(0u32..32)).collect::<Vec<_>>()
+        };
+        prop_assert_ne!(stream(seed), stream(seed.wrapping_add(1)));
     }
 }
