@@ -201,8 +201,8 @@ echo "==> components bench (smoke): wall-clock time of each fleet-tick phase and
 # Wall-clock only, like BENCH_paper.json: the committed
 # BENCH_components.json holds a full run's timings, so the fresh file and
 # the committed one are checked for one entry per phase of the tick
-# (the PHASES list in crates/fleet/src/control.rs) and one per
-# command-path campaign, never compared.
+# (the PHASES list in crates/fleet/src/control.rs), one for the whole
+# fleet day and one per command-path campaign, never compared.
 TESTKIT_BENCH_SMOKE=1 cargo bench -q --offline --locked -p harmonia-bench --bench components
 phases=$(sed -n '/^const PHASES/,/^];/p' crates/fleet/src/control.rs | grep -oE '^ *\("[a-z_]+"' | tr -d ' ("')
 if [ -z "$phases" ]; then
@@ -210,7 +210,7 @@ if [ -z "$phases" ]; then
     exit 1
 fi
 entries=$(for phase in $phases; do echo "fleet_tick_$phase"; done)
-entries="$entries cmd_batched_observed cmd_batched_unobserved cmd_serial_unobserved"
+entries="$entries fleet_day cmd_batched_observed cmd_batched_unobserved cmd_serial_unobserved"
 for entry in $entries; do
     for file in target/testkit-bench/BENCH_components.json BENCH_components.json; do
         found=$(grep -c "\"name\": \"$entry\"" "$file" || true)

@@ -25,7 +25,7 @@ use crate::KnobError;
 use harmonia_hw::device::DeviceId;
 use harmonia_sim::metrics::{MetricsRegistry, Slo, SloObjective};
 use harmonia_sim::{LogHistogram, Picos};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// One phase of a control tick, run at tick `t`.
@@ -427,6 +427,16 @@ pub struct FleetController {
     eligible: Vec<(u32, u64)>,
     shares: Vec<u64>,
     rema: Vec<(u64, usize)>,
+    /// The devices that are `Deploying` or `Upgrading`, the only ones
+    /// `promote` can bring back: a spare joins in `drain_and_reschedule`,
+    /// a wave's devices in `upgrade_wave`, and a device leaves when it
+    /// is promoted or killed.
+    waking: Vec<u32>,
+    /// What `execute`'s pass over every device leaves for `settle`: the
+    /// commands still queued on the devices, and whether any device's
+    /// front cohort arrived before this tick.
+    queued_after_execute: u64,
+    aged_after_execute: bool,
     /// Every cohort each device executed, recorded with one plain call
     /// per cohort and keyed by the role it was recorded under: the
     /// oracle for the grouped per-role histograms.
@@ -495,6 +505,9 @@ impl FleetController {
             eligible: Vec::new(),
             shares: Vec::new(),
             rema: Vec::new(),
+            waking: Vec::new(),
+            queued_after_execute: 0,
+            aged_after_execute: false,
             schedule,
             link_events: BTreeMap::new(),
             upgrade: None,
@@ -581,30 +594,25 @@ impl FleetController {
         self.report(t)
     }
 
-    /// Promotes devices whose deploy/upgrade completes at `t`.
+    /// Promotes the devices whose deploy/upgrade completes at `t`. Only a
+    /// device on the `waking` list can, so no other device is visited.
     fn promote(&mut self, t: u32) {
-        let mut completed_upgrades = 0u32;
-        for d in &mut self.inventory.devices {
+        self.waking.retain(|&i| {
+            let d = &mut self.inventory.devices[i as usize];
             match d.state {
-                DeviceState::Deploying { ready_tick } if ready_tick <= t => {
-                    d.state = DeviceState::Live;
-                }
+                DeviceState::Deploying { ready_tick } if ready_tick <= t => {}
                 DeviceState::Upgrading { done_tick } if done_tick <= t => {
-                    if let Some(u) = &self.upgrade {
+                    if let Some(u) = &mut self.upgrade {
                         d.shell_version = u.target_version;
+                        u.upgraded += 1;
                     }
-                    d.state = DeviceState::Live;
                     d.stall_ps += crate::placement::DEPLOY_BASE_PS;
-                    completed_upgrades += 1;
                 }
-                _ => {}
+                _ => return true,
             }
-        }
-        if completed_upgrades > 0 {
-            if let Some(u) = &mut self.upgrade {
-                u.upgraded += completed_upgrades;
-            }
-        }
+            d.state = DeviceState::Live;
+            false
+        });
     }
 
     /// Routes this tick's load across role replicas in proportion to
@@ -649,8 +657,9 @@ impl FleetController {
             let i = device as usize;
             let state = self.inventory.devices[i].state;
             if !up && state != DeviceState::Down {
-                self.drain_and_reschedule(i, t, true);
+                self.waking.retain(|&w| w != device);
                 self.inventory.devices[i].state = DeviceState::Down;
+                self.drain_and_reschedule(i, t, true);
             } else if up && state == DeviceState::Down {
                 self.inventory.devices[i].state = DeviceState::Live;
                 self.inventory.devices[i].stall_ps += crate::placement::DEPLOY_BASE_PS;
@@ -658,7 +667,9 @@ impl FleetController {
         }
     }
 
-    /// Launches the next upgrade wave when none is in flight.
+    /// Launches the next upgrade wave when none is in flight. A wave in
+    /// flight is an `Upgrading` device on the `waking` list, so the check
+    /// reads that list; only the launch of a wave scans the fleet.
     fn upgrade_wave(&mut self, t: u32) {
         let Some(plan) = &self.upgrade else {
             return;
@@ -667,11 +678,12 @@ impl FleetController {
             return;
         }
         let (target_version, wave_size) = (plan.target_version, plan.wave_size);
-        let in_flight = self
-            .inventory
-            .devices
-            .iter()
-            .any(|d| matches!(d.state, DeviceState::Upgrading { .. }));
+        let in_flight = self.waking.iter().any(|&i| {
+            matches!(
+                self.inventory.devices[i as usize].state,
+                DeviceState::Upgrading { .. }
+            )
+        });
         if in_flight {
             return;
         }
@@ -690,10 +702,11 @@ impl FleetController {
             return;
         }
         for i in wave {
-            self.drain_and_reschedule(i, t, false);
             self.inventory.devices[i].state = DeviceState::Upgrading {
                 done_tick: t + UPGRADE_TICKS,
             };
+            self.drain_and_reschedule(i, t, false);
+            self.waking.push(i as u32);
         }
         if let Some(u) = &mut self.upgrade {
             u.waves += 1;
@@ -701,25 +714,22 @@ impl FleetController {
     }
 
     /// Moves a device's queued work off it: to a freshly-deployed spare
-    /// (kills, when one fits) or spread onto the surviving replicas of
-    /// the same role. Orphans the cohorts when nobody can take them —
+    /// (kills, when one fits) or onto the least-loaded surviving replica
+    /// of the same role. Orphans the cohorts when nobody can take them —
     /// they re-dispatch the moment a replica is eligible again, so the
-    /// accounting never loses a command.
+    /// accounting never loses a command. The caller has already taken
+    /// the victim out of service (`Down` or `Upgrading`), so it is never
+    /// its own survivor.
     fn drain_and_reschedule(&mut self, victim: usize, t: u32, deploy_spare: bool) {
-        let (role_idx, victim_model) = {
-            let d = &mut self.inventory.devices[victim];
-            let role = d.role;
-            let model = d.model;
-            (role, model)
-        };
-        let mut cohorts: Vec<(u32, u64)> =
-            self.inventory.devices[victim].backlog.drain(..).collect();
-        let incoming = std::mem::take(&mut self.inventory.devices[victim].incoming);
+        let d = &mut self.inventory.devices[victim];
+        let (role, victim_model) = (d.role, d.model);
+        let mut cohorts: Vec<(u32, u64)> = d.backlog.drain(..).collect();
+        let incoming = std::mem::take(&mut d.incoming);
         if incoming > 0 {
             cohorts.push((t, incoming));
         }
         let moved: u64 = cohorts.iter().map(|&(_, n)| n).sum();
-        let Some(r) = role_idx else { return };
+        let Some(r) = role else { return };
         if moved == 0 && !deploy_spare {
             return;
         }
@@ -727,26 +737,18 @@ impl FleetController {
         // joins the role after a deploy delay and a migration stall from
         // the real migration cost matrix.
         let spare = if deploy_spare {
-            let mut spares: Vec<u32> = self
-                .inventory
+            self.inventory
                 .devices
                 .iter()
                 .filter(|d| {
                     d.role.is_none() && d.state == DeviceState::Live && self.table.fits(d.model, r)
                 })
+                .min_by_key(|d| (std::cmp::Reverse(device_speed(d.model)), d.index))
                 .map(|d| d.index)
-                .collect();
-            spares.sort_by_key(|&i| {
-                (
-                    std::cmp::Reverse(device_speed(self.inventory.devices[i as usize].model)),
-                    i,
-                )
-            });
-            spares.first().copied()
         } else {
             None
         };
-        if let Some(s) = spare {
+        let target = if let Some(s) = spare {
             let cost = self
                 .table
                 .cost(victim_model, r, self.inventory.devices[s as usize].model, r)
@@ -757,44 +759,39 @@ impl FleetController {
                 ready_tick: t + DEPLOY_TICKS,
             };
             d.stall_ps += cost;
-            for &(at, n) in &cohorts {
-                push_cohort(&mut d.backlog, at, n);
-            }
+            self.waking.push(s);
             self.role_members[r].push(s);
             self.role_members[r].sort_unstable();
-            self.acc.migrated += moved;
-            return;
-        }
-        // No spare (or a planned upgrade): spread onto the surviving
-        // replicas, least-loaded first.
-        let survivors: Vec<u32> = self.role_members[r]
-            .iter()
-            .filter(|&&i| {
-                i as usize != victim
-                    && !matches!(
-                        self.inventory.devices[i as usize].state,
-                        DeviceState::Down | DeviceState::Upgrading { .. }
-                    )
-            })
-            .copied()
-            .collect();
-        if survivors.is_empty() {
+            s
+        } else if let Some(i) = self.least_loaded(r) {
+            i
+        } else {
+            // Parked, not lost: still part of `pending` until re-dispatch.
             for (at, n) in cohorts {
                 self.orphaned.push((r, at, n));
             }
-            // Parked, not lost: still part of `pending` until re-dispatch.
             return;
-        }
-        let target = survivors
-            .iter()
-            .min_by_key(|&&i| (self.inventory.devices[i as usize].queued(), i))
-            .copied()
-            .expect("nonempty survivors");
+        };
         let d = &mut self.inventory.devices[target as usize];
-        for &(at, n) in &cohorts {
+        for (at, n) in cohorts {
             push_cohort(&mut d.backlog, at, n);
         }
         self.acc.migrated += moved;
+    }
+
+    /// The replica of role `r` that takes work (neither `Down` nor
+    /// `Upgrading`) with the least queued, ties to the lower index.
+    fn least_loaded(&self, r: usize) -> Option<u32> {
+        self.role_members[r]
+            .iter()
+            .copied()
+            .filter(|&i| {
+                !matches!(
+                    self.inventory.devices[i as usize].state,
+                    DeviceState::Down | DeviceState::Upgrading { .. }
+                )
+            })
+            .min_by_key(|&i| (self.inventory.devices[i as usize].queued(), i))
     }
 
     /// Re-dispatches orphaned cohorts once their role has an eligible
@@ -805,17 +802,7 @@ impl FleetController {
         }
         let orphaned = std::mem::take(&mut self.orphaned);
         for (r, at, n) in orphaned {
-            let target = self.role_members[r]
-                .iter()
-                .filter(|&&i| {
-                    !matches!(
-                        self.inventory.devices[i as usize].state,
-                        DeviceState::Down | DeviceState::Upgrading { .. }
-                    )
-                })
-                .min_by_key(|&&i| (self.inventory.devices[i as usize].queued(), i))
-                .copied();
-            match target {
+            match self.least_loaded(r) {
                 Some(i) => {
                     push_cohort(&mut self.inventory.devices[i as usize].backlog, at, n);
                     self.acc.migrated += n;
@@ -832,56 +819,66 @@ impl FleetController {
     /// identical cohorts, so each distinct cohort of the tick is recorded
     /// into its role's histogram once, with the number of replicas that
     /// served it as the copy count. A cohort is compared with its role's
-    /// [`GROUP_WINDOW`] newest groups only; one equal to an older group
-    /// is recorded on its own, which leaves the same histogram.
+    /// [`GROUP_WINDOW`] newest groups only, newest first; one equal to an
+    /// older group is recorded on its own, which leaves the same
+    /// histogram. The groups inside one window are pairwise distinct (a
+    /// cohort that matches one is never pushed), so the search order
+    /// does not change which group a cohort joins.
+    ///
+    /// The pass visits every device, so right after serving one it also
+    /// adds up the device's queue and checks its front cohort's age for
+    /// `settle`.
     fn execute(&mut self, t: u32) {
+        let (mut queued, mut aged) = (0u64, false);
         for d in &mut self.inventory.devices {
             let incoming = std::mem::take(&mut d.incoming);
             if incoming > 0 {
                 push_cohort(&mut d.backlog, t, incoming);
             }
-            let Some(r) = d.role else { continue };
-            if d.state != DeviceState::Live {
-                continue;
-            }
-            let (service, per_tick) = self.rates[r][d.model as usize];
-            let stall = d.stall_ps.min(crate::TICK_PS);
-            d.stall_ps -= stall;
-            let mut capacity = if stall == 0 {
-                per_tick
-            } else {
-                (crate::TICK_PS - stall) / service
-            };
-            let mut pos = 0u64;
-            while capacity > 0 {
-                let Some(&(at, n)) = d.backlog.front() else {
-                    break;
-                };
-                let k = n.min(capacity);
-                let age = Picos::from(t - at) * crate::TICK_PS;
-                let cohort = (age + stall + service, service, pos, pos + k - 1);
-                let groups = &mut self.groups[r];
-                let newest = groups.len().saturating_sub(GROUP_WINDOW);
-                match groups[newest..].iter_mut().find(|g| g.0 == cohort) {
-                    Some(group) => group.1 += 1,
-                    None => groups.push((cohort, 1)),
-                }
-                #[cfg(test)]
-                self.shadow[d.index as usize]
-                    .entry(r)
-                    .or_default()
-                    .record_progression(cohort.0, cohort.1, cohort.2, cohort.3, 1);
-                d.executed += k;
-                self.acc.executed += k;
-                pos += k;
-                capacity -= k;
-                if k == n {
-                    d.backlog.pop_front();
+            if let Some(r) = d.role.filter(|_| d.state == DeviceState::Live) {
+                let (service, per_tick) = self.rates[r][d.model as usize];
+                let stall = d.stall_ps.min(crate::TICK_PS);
+                d.stall_ps -= stall;
+                let mut capacity = if stall == 0 {
+                    per_tick
                 } else {
-                    d.backlog.front_mut().expect("checked").1 -= k;
+                    (crate::TICK_PS - stall) / service
+                };
+                let mut pos = 0u64;
+                while capacity > 0 {
+                    let Some(&(at, n)) = d.backlog.front() else {
+                        break;
+                    };
+                    let k = n.min(capacity);
+                    let age = Picos::from(t - at) * crate::TICK_PS;
+                    let cohort = (age + stall + service, service, pos, pos + k - 1);
+                    let groups = &mut self.groups[r];
+                    let newest = groups.len().saturating_sub(GROUP_WINDOW);
+                    match groups[newest..].iter_mut().rev().find(|g| g.0 == cohort) {
+                        Some(group) => group.1 += 1,
+                        None => groups.push((cohort, 1)),
+                    }
+                    #[cfg(test)]
+                    self.shadow[d.index as usize]
+                        .entry(r)
+                        .or_default()
+                        .record_progression(cohort.0, cohort.1, cohort.2, cohort.3, 1);
+                    d.executed += k;
+                    self.acc.executed += k;
+                    pos += k;
+                    capacity -= k;
+                    if k == n {
+                        d.backlog.pop_front();
+                    } else {
+                        d.backlog.front_mut().expect("checked").1 -= k;
+                    }
                 }
             }
+            queued += d.queued();
+            aged |= d.backlog.front().is_some_and(|&(at, _)| at < t);
         }
+        self.queued_after_execute = queued;
+        self.aged_after_execute = aged;
         for (latency, groups) in self.latency.iter_mut().zip(&mut self.groups) {
             for ((offset, step, lo, hi), copies) in groups.drain(..) {
                 latency.record_progression(offset, step, lo, hi, copies);
@@ -889,17 +886,13 @@ impl FleetController {
         }
     }
 
-    /// End-of-tick bookkeeping: recompute pending from the actual
-    /// queues, assert exact conservation, track congestion.
+    /// End-of-tick bookkeeping: pending is the sum of the actual queues
+    /// (`execute`'s pass adds up every device's; the orphans are added
+    /// here), exact conservation is asserted, and congestion is tracked
+    /// from `execute`'s aged flag and the orphans' ages.
     fn settle(&mut self, t: u32) {
-        let queued: u64 = self
-            .inventory
-            .devices
-            .iter()
-            .map(|d| d.queued() + d.incoming)
-            .sum();
         let orphaned: u64 = self.orphaned.iter().map(|&(_, _, n)| n).sum();
-        self.acc.pending = queued + orphaned;
+        self.acc.pending = self.queued_after_execute + orphaned;
         assert!(
             self.acc.exact(),
             "conservation violated at tick {t}: injected={} executed={} pending={}",
@@ -907,18 +900,46 @@ impl FleetController {
             self.acc.executed,
             self.acc.pending,
         );
-        let aged = self
-            .inventory
-            .devices
-            .iter()
-            .any(|d| d.backlog.front().is_some_and(|&(at, _)| at < t))
-            || self.orphaned.iter().any(|&(_, at, _)| at < t);
+        let aged = self.aged_after_execute || self.orphaned.iter().any(|&(_, at, _)| at < t);
+        #[cfg(test)]
+        self.assert_matches_rescan(t, aged);
         if aged {
             self.congested_ticks += 1;
             if self.first_fault_tick.is_some_and(|f| t >= f) {
                 self.rebalance_ticks += 1;
             }
         }
+    }
+
+    /// The incremental bookkeeping against a full rescan of the fleet:
+    /// `waking` holds exactly the deploying and upgrading devices, once
+    /// each; `pending` is every device's queue plus the orphans; and
+    /// `aged` is whether any queued or orphaned cohort arrived before
+    /// `t`.
+    #[cfg(test)]
+    fn assert_matches_rescan(&self, t: u32, aged: bool) {
+        let devices = &self.inventory.devices;
+        let mut waking = self.waking.clone();
+        waking.sort_unstable();
+        let want: Vec<u32> = devices
+            .iter()
+            .filter(|d| {
+                matches!(
+                    d.state,
+                    DeviceState::Deploying { .. } | DeviceState::Upgrading { .. }
+                )
+            })
+            .map(|d| d.index)
+            .collect();
+        assert_eq!(waking, want, "waking list at tick {t}");
+        let queued: u64 = devices.iter().map(|d| d.queued() + d.incoming).sum();
+        let orphaned: u64 = self.orphaned.iter().map(|&(_, _, n)| n).sum();
+        assert_eq!(self.acc.pending, queued + orphaned, "pending at tick {t}");
+        let rescanned = devices
+            .iter()
+            .any(|d| d.backlog.front().is_some_and(|&(at, _)| at < t))
+            || self.orphaned.iter().any(|&(_, at, _)| at < t);
+        assert_eq!(aged, rescanned, "aged flag at tick {t}");
     }
 
     fn report(&self, total_ticks: u32) -> CampaignReport {
@@ -1035,33 +1056,27 @@ fn split_by_capacity(
 }
 
 /// Appends a cohort keeping the backlog sorted by arrival tick (FIFO),
-/// coalescing with an existing same-tick cohort.
-fn push_cohort(backlog: &mut std::collections::VecDeque<(u32, u64)>, at: u32, n: u64) {
+/// coalescing with an existing same-tick cohort. Arrivals come in tick
+/// order, so the append is inlined into the tick's loops; only a migrated
+/// cohort older than the resident queue takes the cold insert.
+#[inline]
+fn push_cohort(backlog: &mut VecDeque<(u32, u64)>, at: u32, n: u64) {
     if n == 0 {
         return;
     }
-    // Common case: appending in arrival order.
     match backlog.back_mut() {
-        Some(last) if last.0 == at => {
-            last.1 += n;
-            return;
-        }
-        Some(last) if last.0 < at => {
-            backlog.push_back((at, n));
-            return;
-        }
-        None => {
-            backlog.push_back((at, n));
-            return;
-        }
-        _ => {}
+        Some(last) if last.0 == at => last.1 += n,
+        Some(last) if last.0 > at => insert_cohort(backlog, at, n),
+        _ => backlog.push_back((at, n)),
     }
-    // Out-of-order insert (migrated cohorts older than the resident
-    // queue): keep FIFO by arrival tick.
-    let pos = backlog
-        .iter()
-        .position(|&(a, _)| a > at)
-        .unwrap_or(backlog.len());
+}
+
+/// [`push_cohort`]'s out-of-order case: inserts a cohort older than the
+/// backlog's newest at its arrival tick's place, or merges it into the
+/// cohort already there.
+#[cold]
+fn insert_cohort(backlog: &mut VecDeque<(u32, u64)>, at: u32, n: u64) {
+    let pos = backlog.partition_point(|&(a, _)| a <= at);
     if pos > 0 && backlog[pos - 1].0 == at {
         backlog[pos - 1].1 += n;
     } else {
@@ -1257,6 +1272,68 @@ mod tests {
         push_cohort(&mut q, 6, 1);
         let v: Vec<_> = q.into_iter().collect();
         assert_eq!(v, vec![(5, 12), (6, 1), (7, 3)]);
+    }
+
+    forall! {
+        /// Any sequence of pushes leaves the backlog that a map from
+        /// arrival tick to summed count holds: FIFO by tick, one cohort
+        /// per tick, no empty cohort — whether a push appends, merges
+        /// into the newest cohort or takes the out-of-order insert.
+        #[test]
+        fn push_cohort_matches_a_tick_map(
+            pushes in collection::vec((0u32..16, prop_oneof![Just(0u64), 1u64..1_000]), 0..40),
+        ) {
+            let mut backlog = VecDeque::new();
+            let mut oracle = BTreeMap::<u32, u64>::new();
+            for (at, n) in pushes {
+                push_cohort(&mut backlog, at, n);
+                if n > 0 {
+                    *oracle.entry(at).or_default() += n;
+                }
+                prop_assert!(
+                    backlog.iter().zip(backlog.iter().skip(1)).all(|(a, b)| a.0 < b.0),
+                    "not FIFO by tick: {:?}",
+                    backlog
+                );
+                prop_assert!(backlog.iter().all(|&(_, n)| n > 0), "empty cohort: {:?}", backlog);
+                prop_assert_eq!(
+                    backlog.iter().copied().collect::<Vec<_>>(),
+                    oracle.iter().map(|(&at, &n)| (at, n)).collect::<Vec<_>>()
+                );
+            }
+        }
+    }
+
+    forall! {
+        /// The incremental tick bookkeeping matches a full rescan of the
+        /// fleet after every tick (`settle` checks it in test builds):
+        /// the `waking` list, and the queued sum and aged flag of
+        /// `execute`'s pass. Random kills, some restored later, and an
+        /// optional rolling upgrade drive spares into `Deploying`, waves
+        /// into `Upgrading`, and both of them `Down`.
+        #[test]
+        fn incremental_bookkeeping_matches_a_full_rescan(
+            random in any::<bool>(),
+            kills in collection::vec(
+                (0u32..96, 0u32..288, option::of(1u32..40)),
+                0..5,
+            ),
+            upgrade in option::of((0u32..288, 1usize..24)),
+        ) {
+            let policy = if random { PlacementPolicy::Random } else { PlacementPolicy::BestFit };
+            let mut fleet = small(policy);
+            for (device, tick, restore_after) in kills {
+                fleet.kill_device(device, tick);
+                if let Some(after) = restore_after {
+                    fleet.restore_device(device, tick + after);
+                }
+            }
+            if let Some((tick, wave_size)) = upgrade {
+                fleet.schedule_upgrade(tick, 2, wave_size);
+            }
+            let report = fleet.run();
+            prop_assert!(report.accounting.exact());
+        }
     }
 
     #[test]
