@@ -171,14 +171,12 @@ benchmark/run.sh smoke
 echo "==> docs: rustdoc builds with zero warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline --locked
 
-echo "==> docs: doctests"
-cargo test -q --doc --workspace --offline --locked
-
 echo "==> benches compile"
 cargo bench --no-run --workspace --offline --locked
 
 echo "==> fault campaigns (smoke): deep randomized fault plans"
-TESTKIT_CASES=128 cargo test -q --offline --locked -p harmonia-host --test fault_campaigns
+# The five fault_campaigns properties of the host test binary, at 128 cases.
+TESTKIT_CASES=128 cargo test -q --offline --locked -p harmonia-host --test all fault_campaigns::
 
 echo "==> metrics smoke: Prometheus export from a paper-bench campaign"
 cargo run -q --offline --locked -p harmonia-bench --bin metrics > metrics_export.prom

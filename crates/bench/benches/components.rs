@@ -30,69 +30,16 @@
 //! with a full run (20 samples each, a few seconds) and copy it from
 //! `target/testkit-bench/` by hand; `TESTKIT_BENCH_SMOKE=1` runs 3.
 
-use harmonia::cmd::{CommandCode, UnifiedControlKernel};
-use harmonia::fleet::{FleetController, FleetSpec, PlacementPolicy};
-use harmonia::host::batch::CmdResult;
-use harmonia::host::{CommandDriver, DmaEngine, RetryPolicy};
-use harmonia::hw::device::catalog;
-use harmonia::hw::ip::PcieDmaIp;
-use harmonia::hw::Vendor;
-use harmonia::sim::{FaultPlan, FaultRates, Probe};
-use harmonia_bench::fleet::KILL_TICK;
+use harmonia::sim::Probe;
+use harmonia_bench::cmdpath::{cmd_campaign, CMD_BATCH};
+use harmonia_bench::fleet::fleet_day;
 use harmonia_testkit::bench::{black_box, group_json, measure_runs, write_artifact};
 use std::time::{Duration, Instant};
 
 /// Samples per entry in a full run.
 const CAMPAIGNS: usize = 20;
-/// Health reads per command-path campaign.
-const CMD_COUNT: usize = 4096;
-/// SQ/CQ ring and kernel buffer depth.
-const CMD_DEPTH: usize = 64;
-/// Commands per doorbell on the batched path.
-const CMD_BATCH: usize = 16;
-
-/// The benchmark's fleet day, ready to run.
-fn fleet_day() -> FleetController {
-    let mut fleet = FleetController::new(FleetSpec::new(256, 7, PlacementPolicy::BestFit))
-        .expect("placement feasible");
-    let victim = fleet.assignments()[0].device;
-    fleet.kill_device(victim, KILL_TICK);
-    fleet.schedule_upgrade(100, 2, 16);
-    fleet
-}
-
-/// One command-path campaign: `batch` per doorbell (1 = the serial
-/// transport, one `cmd_raw_resilient` per read) with `probe` attached.
-fn cmd_campaign(batch: usize, probe: Probe) -> Vec<CmdResult> {
-    let (gen, lanes) = catalog::device_a().pcie().expect("device A has PCIe");
-    let engine = DmaEngine::new(PcieDmaIp::new(Vendor::Xilinx, gen, lanes));
-    let kernel = UnifiedControlKernel::new(CMD_DEPTH);
-    let mut drv = if batch == 1 {
-        CommandDriver::new(engine, kernel)
-    } else {
-        CommandDriver::with_depth(engine, kernel, batch, CMD_DEPTH)
-    };
-    drv.set_probe(probe);
-    drv.set_policy(RetryPolicy {
-        max_retries: 8,
-        ..RetryPolicy::default()
-    });
-    let rates = FaultRates {
-        cmd_drop: 0.02,
-        cmd_corrupt: 0.02,
-        irq_lost: 0.02,
-        ecc: 0.0,
-    };
-    drv.set_fault_injector(FaultPlan::new().with_rates(7, rates).injector());
-    let reads = (0..CMD_COUNT).map(|_| (0u8, 0u8, CommandCode::HealthRead, Vec::new()));
-    if batch == 1 {
-        reads
-            .map(|(rbb, inst, code, data)| drv.cmd_raw_resilient(rbb, inst, code, data))
-            .collect()
-    } else {
-        drv.submit(reads.collect())
-    }
-}
+/// The benchmark's seed, for the fleet day and the command campaigns.
+const SEED: u64 = 7;
 
 /// One command-path entry: its name, commands per doorbell (1 = the
 /// serial transport) and the probe each campaign gets.
@@ -123,7 +70,7 @@ const CMD_ENTRIES: [CmdEntry; 3] = [
 /// One fleet day, timed phase by phase: `fleet_tick_<phase>` summed over
 /// the day's ticks, then `fleet_day` for the whole `run_with`.
 fn fleet_run() -> Vec<(String, Duration)> {
-    let mut fleet = fleet_day();
+    let mut fleet = fleet_day(SEED);
     let mut phases: Vec<(&'static str, Duration)> = Vec::new();
     let start = Instant::now();
     let report = fleet.run_with(|name, phase| {
@@ -152,7 +99,7 @@ fn cmd_round() -> Vec<(String, Duration)> {
         .map(|e| {
             let probe = (e.probe)();
             let start = Instant::now();
-            let results = cmd_campaign(e.batch, probe);
+            let (_, results) = cmd_campaign(SEED, 0, e.batch, probe);
             let spent = start.elapsed();
             assert!(
                 results.iter().all(Result::is_ok),

@@ -8,13 +8,18 @@
 //! wall-clock artifacts of the benches — which is what lets the
 //! `cmdpath_scaling` test pin the batch=16 ≥ 2× batch=1 speedup and
 //! check the committed file byte for byte.
+//!
+//! [`cmd_campaign`] builds the benchmark's faulty command campaign, which
+//! the components bench times and a tier-1 test fingerprints against
+//! `benchmark/reference/`.
 
 use harmonia::cmd::{CommandCode, UnifiedControlKernel};
-use harmonia::host::{CommandDriver, DmaEngine};
+use harmonia::host::batch::CmdResult;
+use harmonia::host::{CommandDriver, DmaEngine, RetryPolicy};
 use harmonia::hw::device::catalog;
 use harmonia::hw::ip::PcieDmaIp;
 use harmonia::hw::Vendor;
-use harmonia::sim::{MetricsRegistry, Probe};
+use harmonia::sim::{FaultPlan, FaultRates, MetricsRegistry, Probe};
 
 /// Doorbell batch sizes the sweep covers (1 = the serial transport).
 pub const BATCHES: [usize; 4] = [1, 4, 16, 64];
@@ -58,13 +63,16 @@ impl CmdpathPoint {
     }
 }
 
+/// Device A's PCIe DMA engine, which every command stream here runs on.
+fn device_a_dma() -> DmaEngine {
+    let (gen, lanes) = catalog::device_a().pcie().expect("device A has PCIe");
+    DmaEngine::new(PcieDmaIp::new(Vendor::Xilinx, gen, lanes))
+}
+
 /// Runs one sweep point: `COMMANDS` health polls through a fresh driver.
 pub(crate) fn run_point(batch: usize, depth: usize) -> CmdpathPoint {
-    let dev = catalog::device_a();
-    let (gen, lanes) = dev.pcie().unwrap();
-    let engine = DmaEngine::new(PcieDmaIp::new(Vendor::Xilinx, gen, lanes));
     let kernel = UnifiedControlKernel::new(64);
-    let mut drv = CommandDriver::with_depth(engine, kernel, batch, depth);
+    let mut drv = CommandDriver::with_depth(device_a_dma(), kernel, batch, depth);
     let reg = MetricsRegistry::enabled();
     drv.set_probe(Probe {
         metrics: reg.clone(),
@@ -106,6 +114,60 @@ pub fn sweep() -> Vec<CmdpathPoint> {
         .iter()
         .flat_map(|&b| DEPTHS.iter().map(move |&d| run_point(b, d)))
         .collect()
+}
+
+/// Health reads per benchmark command campaign.
+pub const CMD_COUNT: usize = 4096;
+
+/// SQ/CQ ring and kernel buffer depth of the benchmark command campaign.
+const CMD_DEPTH: usize = 64;
+
+/// Commands per doorbell on the benchmark command campaign's batched path.
+pub const CMD_BATCH: usize = 16;
+
+/// The benchmark's command campaign: [`CMD_COUNT`] device-level health
+/// reads under 2 % drop, corrupt and irq-lost rates drawn from fault seed
+/// `seed + variant`, up to 8 retries, depth 64, `batch` per
+/// doorbell (1 = the serial transport, one `cmd_raw_resilient` per read)
+/// and `probe` attached. Returns the driver, for its report, clock and
+/// ack log, and each read's result.
+pub fn cmd_campaign(
+    seed: u64,
+    variant: usize,
+    batch: usize,
+    probe: Probe,
+) -> (CommandDriver, Vec<CmdResult>) {
+    let engine = device_a_dma();
+    let kernel = UnifiedControlKernel::new(CMD_DEPTH);
+    let mut drv = if batch == 1 {
+        CommandDriver::new(engine, kernel)
+    } else {
+        CommandDriver::with_depth(engine, kernel, batch, CMD_DEPTH)
+    };
+    drv.set_probe(probe);
+    // An attempt fails about 6 % of the time, so the default four retries
+    // would give up on about one read in a million.
+    drv.set_policy(RetryPolicy {
+        max_retries: 8,
+        ..RetryPolicy::default()
+    });
+    let rates = FaultRates {
+        cmd_drop: 0.02,
+        cmd_corrupt: 0.02,
+        irq_lost: 0.02,
+        ecc: 0.0,
+    };
+    let fault_seed = seed.wrapping_add(variant as u64);
+    drv.set_fault_injector(FaultPlan::new().with_rates(fault_seed, rates).injector());
+    let reads = (0..CMD_COUNT).map(|_| (0u8, 0u8, CommandCode::HealthRead, Vec::new()));
+    let results = if batch == 1 {
+        reads
+            .map(|(rbb, inst, code, data)| drv.cmd_raw_resilient(rbb, inst, code, data))
+            .collect()
+    } else {
+        drv.submit(reads.collect())
+    };
+    (drv, results)
 }
 
 /// Renders the sweep as the `BENCH_cmdpath.json` artifact body.

@@ -26,6 +26,18 @@ pub(crate) const SEED: u64 = 7;
 /// to lose a serving card.
 pub const KILL_TICK: u32 = 252;
 
+/// The benchmark's fleet day, ready to run: 256 devices at `seed` under
+/// best-fit, the first assigned device killed at [`KILL_TICK`] and a
+/// 16-device rolling upgrade to shell 2 from tick 100.
+pub fn fleet_day(seed: u64) -> FleetController {
+    let spec = FleetSpec::new(256, seed, PlacementPolicy::BestFit);
+    let mut fleet = FleetController::new(spec).expect("placement feasible");
+    let victim = fleet.assignments()[0].device;
+    fleet.kill_device(victim, KILL_TICK);
+    fleet.schedule_upgrade(100, 2, 16);
+    fleet
+}
+
 /// One measured (policy, devices) point of the sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetPoint {

@@ -11,7 +11,7 @@
 //!
 //! That attaching metrics never moves a driver's own results is pinned
 //! by the `Probe`-invariance property in
-//! `crates/host/tests/fault_campaigns.rs`.
+//! `crates/host/tests/all/fault_campaigns.rs`.
 
 use harmonia::host::DriverError;
 use harmonia_bench::metrics_run;

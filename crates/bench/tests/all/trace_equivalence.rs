@@ -3,7 +3,7 @@
 //! perturbs the paper artifacts that `paper_snapshot` pins. That
 //! an attached collector never perturbs a driver's own results is pinned
 //! by the `Probe`-invariance property in
-//! `crates/host/tests/fault_campaigns.rs`.
+//! `crates/host/tests/all/fault_campaigns.rs`.
 
 use harmonia_testkit::fnv1a;
 
@@ -69,7 +69,7 @@ fn post_mortem_dump_is_pinned() {
 /// model, and the untraced tables stay byte-exact with the committed
 /// snapshot.
 #[test]
-fn enabling_trace_env_never_changes_paper_tables() {
+fn a_traced_capture_never_changes_paper_tables() {
     let committed = include_str!(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../paper_output.txt"

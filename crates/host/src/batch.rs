@@ -157,7 +157,6 @@ impl CommandDriver {
             self.total_latency_ps += exec_ps;
             let polled = completions.len() as u32;
             let mut interrupts = 0u32;
-            let mut upload_seq = 0u64;
             for done in completions.drain(..) {
                 let Some(outcome) = done.outcome else {
                     lost.push(done.entry);
@@ -169,13 +168,8 @@ impl CommandDriver {
                 }
                 match outcome {
                     Outcome::Acked(resp) => {
-                        let at = self.clock_ps + upload_seq;
-                        upload_seq += 1;
-                        let acked = self.ack(&cmd, at).map(|latency| {
-                            acks.record(latency);
-                            resp
-                        });
-                        results[cmd.idx] = Some(acked);
+                        acks.record(self.ack(&cmd));
+                        results[cmd.idx] = Some(Ok(resp));
                     }
                     Outcome::Nacked(error_code) => {
                         self.nack(error_code);

@@ -32,8 +32,8 @@ use harmonia_cmd::{CommandCode, CommandPacket, SrcId, UnifiedControlKernel};
 use harmonia_shell::rbb::RbbKind;
 use harmonia_shell::TailoredShell;
 use harmonia_sim::{
-    FaultInjector, FlightRecorder, LogHistogram, MetricsRegistry, Picos, Pipeline, Probe,
-    TraceCollector, TraceEventKind,
+    FaultInjector, FlightRecorder, LogHistogram, MetricsRegistry, Picos, Probe, TraceCollector,
+    TraceEventKind,
 };
 
 /// Status-register value published for a module the driver took out of
@@ -78,9 +78,6 @@ pub struct CommandDriver {
     pub(crate) report: DriverReport,
     pub(crate) faults: FaultInjector,
     pub(crate) next_tag: u32,
-    /// Response-upload path: a zero-bubble pipeline whose scheduling
-    /// errors surface as [`DriverError::ResponsePath`], never a panic.
-    pub(crate) resp_pipe: Pipeline<u32>,
     /// Tags in completion order, per driver — retries must never reorder
     /// responses within one `SrcId`.
     pub(crate) acked_log: Vec<u32>,
@@ -134,7 +131,6 @@ impl CommandDriver {
             report: DriverReport::default(),
             faults: FaultInjector::none(),
             next_tag: 0,
-            resp_pipe: Pipeline::new(0),
             acked_log: Vec::new(),
             clock_ps: 0,
             latency_histo: LogHistogram::new(),
@@ -270,8 +266,7 @@ impl CommandDriver {
     /// # Errors
     ///
     /// [`DriverError::Kernel`] for non-transient execution errors,
-    /// [`DriverError::GaveUp`] when the retry budget runs out,
-    /// [`DriverError::ResponsePath`] if the upload pipeline rejects a beat.
+    /// [`DriverError::GaveUp`] when the retry budget runs out.
     pub fn cmd_resilient(
         &mut self,
         rbb: RbbKind,
@@ -366,7 +361,7 @@ impl CommandDriver {
                 continue;
             }
             self.irq.event(self.clock_ps);
-            let latency = self.ack(&cmd, self.clock_ps)?;
+            let latency = self.ack(&cmd);
             self.probe
                 .metrics
                 .counter_inc("harmonia_cmd_acked_total", &[]);
@@ -512,13 +507,10 @@ impl CommandDriver {
         }
     }
 
-    /// `cmd`'s response uploads at `upload_at` and the command converges
-    /// acked: its issue→ack latency, which the caller publishes as
-    /// `harmonia_cmd_acked_total` and `harmonia_cmd_latency_ps`.
-    pub(crate) fn ack(&mut self, cmd: &Inflight, upload_at: Picos) -> Result<Picos, DriverError> {
-        self.resp_pipe.push(upload_at, cmd.tag)?;
-        let uploaded = self.resp_pipe.pop(upload_at);
-        debug_assert_eq!(uploaded, Some(cmd.tag));
+    /// `cmd` converges acked at the current clock: its issue→ack
+    /// latency, which the caller publishes as `harmonia_cmd_acked_total`
+    /// and `harmonia_cmd_latency_ps`.
+    pub(crate) fn ack(&mut self, cmd: &Inflight) -> Picos {
         self.acked_log.push(cmd.tag);
         self.report.acked += 1;
         let latency = self.clock_ps - cmd.issued_at;
@@ -528,7 +520,7 @@ impl CommandDriver {
         };
         self.probe.record(cmd.issued_at, latency, ack);
         self.latency_histo.record(latency);
-        Ok(latency)
+        latency
     }
 
     /// Initializes every module of a shell — exactly one idempotency-tagged
@@ -543,8 +535,8 @@ impl CommandDriver {
     ///
     /// # Errors
     ///
-    /// Only non-transient failures ([`DriverError::Kernel`],
-    /// [`DriverError::ResponsePath`]) propagate; give-ups degrade.
+    /// Only non-transient failures ([`DriverError::Kernel`]) propagate;
+    /// give-ups degrade.
     pub fn init_shell_resilient(
         &mut self,
         shell: &mut TailoredShell,

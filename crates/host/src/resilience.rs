@@ -10,7 +10,7 @@
 //! kernel replay instead of re-execute).
 
 use harmonia_cmd::KernelError;
-use harmonia_sim::{Picos, PushError};
+use harmonia_sim::Picos;
 use std::error::Error;
 use std::fmt;
 
@@ -115,9 +115,6 @@ pub enum DriverError {
         /// The per-attempt deadline that kept expiring.
         deadline_ps: Picos,
     },
-    /// The response-upload pipeline refused a beat — a modeling-level
-    /// scheduling collision, surfaced as data instead of a panic.
-    ResponsePath(PushError<u32>),
 }
 
 impl fmt::Display for DriverError {
@@ -135,7 +132,6 @@ impl fmt::Display for DriverError {
                 "gave up on command {code:#06x} to rbb {rbb_id}#{instance_id} \
                  after {attempts} attempts ({deadline_ps} ps deadline each)"
             ),
-            DriverError::ResponsePath(e) => write!(f, "response path: {e}"),
         }
     }
 }
@@ -145,12 +141,6 @@ impl Error for DriverError {}
 impl From<KernelError> for DriverError {
     fn from(e: KernelError) -> Self {
         DriverError::Kernel(e)
-    }
-}
-
-impl From<PushError<u32>> for DriverError {
-    fn from(e: PushError<u32>) -> Self {
-        DriverError::ResponsePath(e)
     }
 }
 

@@ -26,33 +26,12 @@
 //!    strictly inside a doorbell's execution window costs that doorbell's
 //!    first completion, because the CQ is polled when the drain ends.
 
-use harmonia_cmd::{CommandCode, UnifiedControlKernel};
-use harmonia_host::batch::CmdSpec;
-use harmonia_host::{CommandDriver, DmaEngine, DriverError};
-use harmonia_hw::device::catalog;
-use harmonia_hw::ip::PcieDmaIp;
-use harmonia_hw::Vendor;
-use harmonia_shell::rbb::RbbKind;
-use harmonia_shell::{MemoryDemand, RoleSpec, TailoredShell, UnifiedShell};
+use crate::common::{parts, spec};
+use harmonia_cmd::CommandCode;
+use harmonia_host::{CommandDriver, DriverError};
 use harmonia_sim::{FaultKind, FaultPlan, FaultRates, Probe, TraceEventKind};
 use harmonia_testkit::fnv1a;
 use harmonia_testkit::prelude::*;
-
-fn parts() -> (DmaEngine, UnifiedControlKernel, TailoredShell) {
-    let dev = catalog::device_a();
-    let unified = UnifiedShell::for_device(&dev);
-    let role = RoleSpec::builder("batch-campaign")
-        .network_gbps(100)
-        .network_ports(1)
-        .memory(MemoryDemand::Ddr { channels: 1 })
-        .build();
-    let shell = TailoredShell::tailor(&unified, &role).unwrap();
-    let mut kernel = UnifiedControlKernel::new(64);
-    kernel.attach_shell(shell.rbbs().iter().map(|r| r.as_ref()));
-    let (gen, lanes) = dev.pcie().unwrap();
-    let engine = DmaEngine::new(PcieDmaIp::new(Vendor::Xilinx, gen, lanes));
-    (engine, kernel, shell)
-}
 
 /// The parallel-equivalence campaign plan: a link flap, a credit stall,
 /// and 5% background drop/corrupt/irq-lost rates from `seed`.
@@ -269,23 +248,6 @@ fn observed_batched_campaign_is_pinned() {
     assert_eq!(pin(&text), (429, 0x17ba_6e9d_4120_a996), "text trace");
     assert_eq!(pin(&prom), (43, 0x24d9_1531_46a0_ec76), "Prometheus export");
     assert_eq!(pin(&flight), (65, 0x8c42_7b4a_0da2_2bae), "flight dump");
-}
-
-/// One command of the registry campaigns: 0 = health read, 1 = network
-/// stats, 2 = network status, otherwise a host-module init (idempotent,
-/// so a lost completion replays it).
-fn spec(c: u8) -> CmdSpec {
-    match c {
-        0 => (0, 0, CommandCode::HealthRead, Vec::new()),
-        1 => (RbbKind::Network.id(), 0, CommandCode::StatsRead, Vec::new()),
-        2 => (
-            RbbKind::Network.id(),
-            0,
-            CommandCode::ModuleStatusRead,
-            Vec::new(),
-        ),
-        _ => (RbbKind::Host.id(), 0, CommandCode::ModuleInit, Vec::new()),
-    }
 }
 
 /// Counters the command path publishes with no component-side count to

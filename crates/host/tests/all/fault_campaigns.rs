@@ -13,14 +13,11 @@
 //!    flight recorder) never moves a simulated result on either
 //!    transport.
 
+use crate::common::{parts, spec};
 use harmonia_cmd::{CommandCode, UnifiedControlKernel};
-use harmonia_host::batch::CmdSpec;
 use harmonia_host::{CommandDriver, DmaEngine, DriverError};
-use harmonia_hw::device::catalog;
-use harmonia_hw::ip::PcieDmaIp;
-use harmonia_hw::Vendor;
 use harmonia_shell::rbb::RbbKind;
-use harmonia_shell::{MemoryDemand, RoleSpec, TailoredShell, UnifiedShell};
+use harmonia_shell::TailoredShell;
 use harmonia_sim::{FaultKind, FaultPlan, FaultRates, Probe};
 use harmonia_testkit::prelude::*;
 
@@ -31,35 +28,8 @@ fn driver() -> (CommandDriver, TailoredShell) {
 fn driver_with(
     build: impl FnOnce(DmaEngine, UnifiedControlKernel) -> CommandDriver,
 ) -> (CommandDriver, TailoredShell) {
-    let dev = catalog::device_a();
-    let unified = UnifiedShell::for_device(&dev);
-    let role = RoleSpec::builder("campaign")
-        .network_gbps(100)
-        .network_ports(1)
-        .memory(MemoryDemand::Ddr { channels: 1 })
-        .build();
-    let shell = TailoredShell::tailor(&unified, &role).unwrap();
-    let mut kernel = UnifiedControlKernel::new(64);
-    kernel.attach_shell(shell.rbbs().iter().map(|r| r.as_ref()));
-    let (gen, lanes) = dev.pcie().unwrap();
-    let engine = DmaEngine::new(PcieDmaIp::new(Vendor::Xilinx, gen, lanes));
+    let (engine, kernel, shell) = parts();
     (build(engine, kernel), shell)
-}
-
-/// The command mix of the campaigns: 0 = health read, 1 = network
-/// stats, 2 = network status, otherwise a host-module init.
-fn spec(c: u8) -> CmdSpec {
-    match c {
-        0 => (0, 0, CommandCode::HealthRead, Vec::new()),
-        1 => (RbbKind::Network.id(), 0, CommandCode::StatsRead, Vec::new()),
-        2 => (
-            RbbKind::Network.id(),
-            0,
-            CommandCode::ModuleStatusRead,
-            Vec::new(),
-        ),
-        _ => (RbbKind::Host.id(), 0, CommandCode::ModuleInit, Vec::new()),
-    }
 }
 
 fn arb_fault_kind() -> impl Strategy<Value = FaultKind> {
@@ -159,7 +129,6 @@ forall! {
                     gave_ups += 1;
                 }
                 Err(DriverError::Kernel(_)) => kernel_errors += 1,
-                Err(other) => prop_assert!(false, "non-converging error: {other}"),
             }
         }
         let r = drv.report();

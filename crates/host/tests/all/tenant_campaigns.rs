@@ -23,36 +23,19 @@
 //!    every `run`, each tenant's latency series in the registry matches
 //!    the driver's own histogram for that tenant.
 
-use harmonia_cmd::{CommandCode, UnifiedControlKernel};
+use crate::common::parts;
+use harmonia_cmd::CommandCode;
 use harmonia_host::batch::CmdSpec;
-use harmonia_host::{DmaEngine, TenantHostDriver};
+use harmonia_host::TenantHostDriver;
 use harmonia_hw::device::catalog;
-use harmonia_hw::ip::PcieDmaIp;
 use harmonia_hw::resource::ResourceUsage;
-use harmonia_hw::Vendor;
 use harmonia_shell::pr::{MultiTenantRegion, TenantRole};
 use harmonia_shell::rbb::RbbKind;
 use harmonia_shell::sched::{TenantPolicy, TenantScheduler, DEFAULT_TENANT_SLICE_PS};
-use harmonia_shell::{MemoryDemand, RoleSpec, TailoredShell, UnifiedShell};
+use harmonia_shell::TailoredShell;
 use harmonia_sim::histo::LogHistogram;
 use harmonia_sim::{FaultKind, FaultPlan, FaultRates, Probe};
 use harmonia_testkit::fnv1a;
-
-fn shell_parts() -> (TailoredShell, DmaEngine, UnifiedControlKernel) {
-    let dev = catalog::device_a();
-    let unified = UnifiedShell::for_device(&dev);
-    let role = RoleSpec::builder("tenant-campaign")
-        .network_gbps(100)
-        .network_ports(1)
-        .memory(MemoryDemand::Ddr { channels: 1 })
-        .build();
-    let shell = TailoredShell::tailor(&unified, &role).unwrap();
-    let mut kernel = UnifiedControlKernel::new(64);
-    kernel.attach_shell(shell.rbbs().iter().map(|r| r.as_ref()));
-    let (gen, lanes) = dev.pcie().unwrap();
-    let engine = DmaEngine::new(PcieDmaIp::new(Vendor::Xilinx, gen, lanes));
-    (shell, engine, kernel)
-}
 
 fn scheduler(policy: TenantPolicy, weights: &[u64], shell: &TailoredShell) -> TenantScheduler {
     let region = MultiTenantRegion::partition(shell, catalog::device_a().capacity(), 1, 1024);
@@ -67,7 +50,7 @@ fn scheduler(policy: TenantPolicy, weights: &[u64], shell: &TailoredShell) -> Te
 }
 
 fn driver(policy: TenantPolicy, weights: &[u64]) -> TenantHostDriver {
-    let (shell, engine, kernel) = shell_parts();
+    let (engine, kernel, shell) = parts();
     TenantHostDriver::new(scheduler(policy, weights, &shell), engine, kernel)
 }
 

@@ -19,12 +19,6 @@
 use crate::fifo::FifoFullError;
 
 /// Converts a binary value to its gray code.
-///
-/// ```
-/// use harmonia_sim::async_fifo::{bin_to_gray, gray_to_bin};
-/// assert_eq!(bin_to_gray(0b1000), 0b1100);
-/// assert_eq!(gray_to_bin(bin_to_gray(12345)), 12345);
-/// ```
 pub fn bin_to_gray(b: u64) -> u64 {
     b ^ (b >> 1)
 }
@@ -271,5 +265,11 @@ mod tests {
             }
         }
         assert_eq!(received, (0..next).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn bin_to_gray_flips_below_each_set_bit() {
+        assert_eq!(bin_to_gray(0b1000), 0b1100);
+        assert_eq!(gray_to_bin(bin_to_gray(12345)), 12345);
     }
 }

@@ -108,18 +108,6 @@ impl MultiClock {
     /// pending: a subsequent call picks it up as its first edge, so
     /// consecutive windows `[0, w)`, `[w, 2w)`, … visit every edge exactly
     /// once with no duplicates at the seams.
-    ///
-    /// ```
-    /// use harmonia_sim::{ClockDomain, Freq, MultiClock};
-    /// let mut mc = MultiClock::new();
-    /// mc.add(ClockDomain::new(Freq::mhz(100))); // edges at 0, 10_000, 20_000, …
-    /// // The edge at exactly until_ps = 10_000 is NOT included…
-    /// let first: Vec<_> = mc.edges_until(10_000).map(|e| e.at_ps).collect();
-    /// assert_eq!(first, vec![0]);
-    /// // …it opens the next window instead.
-    /// let second: Vec<_> = mc.edges_until(20_000).map(|e| e.at_ps).collect();
-    /// assert_eq!(second, vec![10_000]);
-    /// ```
     pub fn edges_until(&mut self, until_ps: Picos) -> EdgesUntil<'_> {
         EdgesUntil { mc: self, until_ps }
     }
@@ -228,5 +216,17 @@ mod tests {
         }
         assert_eq!(cycles[0], vec![0, 1, 2, 3, 4, 5]);
         assert_eq!(cycles[1], vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn edges_until_leaves_its_bound_to_the_next_window() {
+        let mut mc = MultiClock::new();
+        mc.add(ClockDomain::new(Freq::mhz(100))); // edges at 0, 10_000, 20_000, …
+                                                  // The edge at exactly until_ps = 10_000 is NOT included…
+        let first: Vec<_> = mc.edges_until(10_000).map(|e| e.at_ps).collect();
+        assert_eq!(first, vec![0]);
+        // …it opens the next window instead.
+        let second: Vec<_> = mc.edges_until(20_000).map(|e| e.at_ps).collect();
+        assert_eq!(second, vec![10_000]);
     }
 }

@@ -87,15 +87,6 @@ impl LogHistogram {
     /// Records `n` samples of value `v` in O(1) — the bulk entry point
     /// for aggregate models, and what a zero-step
     /// [`record_progression`](Self::record_progression) records.
-    ///
-    /// ```
-    /// use harmonia_sim::histo::LogHistogram;
-    /// let mut a = LogHistogram::new();
-    /// let mut b = LogHistogram::new();
-    /// a.record_progression(500, 0, 0, 999, 1);
-    /// for _ in 0..1_000 { b.record(500); }
-    /// assert_eq!(a, b);
-    /// ```
     pub(crate) fn record_n(&mut self, v: u64, n: u64) {
         if n == 0 {
             return;
@@ -125,15 +116,6 @@ impl LogHistogram {
     /// `copies × (hi − lo + 1)` samples of `offset`. `offset + hi × step`
     /// and the sample count `copies × (hi − lo + 1)` must each fit in a
     /// `u64` (checked in debug builds).
-    ///
-    /// ```
-    /// use harmonia_sim::histo::LogHistogram;
-    /// let mut h = LogHistogram::new();
-    /// h.record_progression(1_000, 700, 1, 500, 2);
-    /// assert_eq!(h.count(), 1_000);
-    /// assert_eq!(h.min(), 1_700);
-    /// assert_eq!(h.max(), 351_000);
-    /// ```
     pub fn record_progression(&mut self, offset: u64, step: u64, lo: u64, hi: u64, copies: u64) {
         if lo > hi || copies == 0 {
             return;
@@ -191,17 +173,6 @@ impl LogHistogram {
 
     /// Folds another histogram into this one (workers merge into a fleet
     /// view). Merge order does not affect any reported statistic.
-    ///
-    /// ```
-    /// use harmonia_sim::histo::LogHistogram;
-    /// let mut a = LogHistogram::new();
-    /// let mut b = LogHistogram::new();
-    /// a.record(10);
-    /// b.record(1_000);
-    /// a.merge(&b);
-    /// assert_eq!(a.count(), 2);
-    /// assert_eq!(a.max(), 1_000);
-    /// ```
     pub fn merge(&mut self, other: &LogHistogram) {
         for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *mine += theirs;
@@ -689,5 +660,36 @@ mod tests {
         let s = h.to_string();
         assert!(s.starts_with("histo[n=1"), "{s}");
         assert!(s.contains("max=1000"), "{s}");
+    }
+
+    #[test]
+    fn zero_step_progression_equals_repeated_records() {
+        let mut a = LogHistogram::new();
+        let mut b = LogHistogram::new();
+        a.record_progression(500, 0, 0, 999, 1);
+        for _ in 0..1_000 {
+            b.record(500);
+        }
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn record_progression_counts_every_copy() {
+        let mut h = LogHistogram::new();
+        h.record_progression(1_000, 700, 1, 500, 2);
+        assert_eq!(h.count(), 1_000);
+        assert_eq!(h.min(), 1_700);
+        assert_eq!(h.max(), 351_000);
+    }
+
+    #[test]
+    fn merge_adds_counts_and_keeps_the_max() {
+        let mut a = LogHistogram::new();
+        let mut b = LogHistogram::new();
+        a.record(10);
+        b.record(1_000);
+        a.merge(&b);
+        assert_eq!(a.count(), 2);
+        assert_eq!(a.max(), 1_000);
     }
 }

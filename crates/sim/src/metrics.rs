@@ -275,16 +275,6 @@ impl MetricsSnapshot {
     /// commutative and associative, so the result is independent of merge
     /// order; callers still merge in lane order, as for
     /// [`crate::Trace::merge`].
-    ///
-    /// ```
-    /// use harmonia_sim::metrics::{MetricsRegistry, MetricsSnapshot};
-    /// let a = MetricsRegistry::enabled();
-    /// let b = MetricsRegistry::enabled();
-    /// a.counter_add("x_total", &[], 2);
-    /// b.counter_add("x_total", &[], 3);
-    /// let merged = MetricsSnapshot::merge([a.snapshot(), b.snapshot()]);
-    /// assert_eq!(merged.counter("x_total"), 5);
-    /// ```
     pub fn merge<I: IntoIterator<Item = MetricsSnapshot>>(snapshots: I) -> MetricsSnapshot {
         let mut out = MetricsSnapshot::default();
         for s in snapshots {
@@ -462,21 +452,6 @@ pub struct MetricsSample {
 /// Samples a registry every `period_ps` of *simulated* time (never the
 /// wall clock) into an append-only series. Drive it with
 /// [`MetricsScraper::tick`] from the loop that owns the simulation clock.
-///
-/// ```
-/// use harmonia_sim::metrics::{MetricsRegistry, MetricsScraper};
-///
-/// let m = MetricsRegistry::enabled();
-/// let mut scraper = MetricsScraper::new(1_000_000); // 1 µs period
-/// for step in 1..=5u64 {
-///     m.counter_add("cmds_total", &[], 200);
-///     scraper.tick(&m, step * 1_000_000);
-/// }
-/// assert_eq!(scraper.samples().len(), 5);
-/// let last = scraper.samples().last().unwrap();
-/// assert_eq!(last.at_ps, 5_000_000);
-/// assert_eq!(last.snapshot.counter("cmds_total"), 1_000);
-/// ```
 #[derive(Clone, Debug)]
 pub struct MetricsScraper {
     period_ps: Picos,
@@ -540,19 +515,6 @@ struct FlightBuf {
 /// (`DriverError::GaveUp`), or that anyone holding it dumps on demand. Unlike
 /// the unbounded [`crate::trace::TraceCollector`], memory stays constant
 /// no matter how long the run: old events fall off the front.
-///
-/// ```
-/// use harmonia_sim::metrics::FlightRecorder;
-/// use harmonia_sim::trace::TraceEventKind;
-///
-/// let fr = FlightRecorder::with_capacity(2);
-/// fr.record(100, 0, TraceEventKind::EccScrub);
-/// fr.record(200, 0, TraceEventKind::EccScrub);
-/// fr.record(300, 0, TraceEventKind::EccScrub);
-/// let dump = fr.dump();
-/// assert!(!dump.contains(&format!("[{:>17} ps]", 100)), "oldest evicted");
-/// assert!(dump.contains(&format!("[{:>17} ps]", 300)));
-/// ```
 #[derive(Clone, Debug, Default)]
 pub struct FlightRecorder {
     inner: Option<Rc<RefCell<FlightBuf>>>,
@@ -1054,5 +1016,43 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.0.contains("c_total 120"));
         assert!(a.0.contains("hw 15"));
+    }
+
+    #[test]
+    fn snapshot_merge_sums_counters() {
+        let a = MetricsRegistry::enabled();
+        let b = MetricsRegistry::enabled();
+        a.counter_add("x_total", &[], 2);
+        b.counter_add("x_total", &[], 3);
+        let merged = MetricsSnapshot::merge([a.snapshot(), b.snapshot()]);
+        assert_eq!(merged.counter("x_total"), 5);
+    }
+
+    #[test]
+    fn scraper_keeps_one_sample_per_period() {
+        let m = MetricsRegistry::enabled();
+        let mut scraper = MetricsScraper::new(1_000_000); // 1 µs period
+        for step in 1..=5u64 {
+            m.counter_add("cmds_total", &[], 200);
+            scraper.tick(&m, step * 1_000_000);
+        }
+        assert_eq!(scraper.samples().len(), 5);
+        let last = scraper.samples().last().unwrap();
+        assert_eq!(last.at_ps, 5_000_000);
+        assert_eq!(last.snapshot.counter("cmds_total"), 1_000);
+    }
+
+    #[test]
+    fn flight_recorder_evicts_the_oldest_event() {
+        let fr = FlightRecorder::with_capacity(2);
+        fr.record(100, 0, TraceEventKind::EccScrub);
+        fr.record(200, 0, TraceEventKind::EccScrub);
+        fr.record(300, 0, TraceEventKind::EccScrub);
+        let dump = fr.dump();
+        assert!(
+            !dump.contains(&format!("[{:>17} ps]", 100)),
+            "oldest evicted"
+        );
+        assert!(dump.contains(&format!("[{:>17} ps]", 300)));
     }
 }

@@ -76,15 +76,6 @@ impl fmt::Display for Throughput {
 
 /// Collects latency samples (picoseconds) and reports distribution summary
 /// statistics.
-///
-/// ```
-/// use harmonia_sim::LatencyStats;
-/// let mut l = LatencyStats::new();
-/// for v in [100, 200, 300] { l.record(v); }
-/// assert_eq!(l.min(), Some(100));
-/// assert_eq!(l.max(), Some(300));
-/// assert!((l.mean_ns() - 0.2).abs() < 1e-9);
-/// ```
 #[derive(Debug, Clone, Default)]
 pub struct LatencyStats {
     samples: Vec<Picos>,
@@ -257,5 +248,16 @@ mod tests {
     fn display_is_nonempty() {
         assert!(!Throughput::new().to_string().is_empty());
         assert!(!LatencyStats::new().to_string().is_empty());
+    }
+
+    #[test]
+    fn latency_stats_summarize_their_samples() {
+        let mut l = LatencyStats::new();
+        for v in [100, 200, 300] {
+            l.record(v);
+        }
+        assert_eq!(l.min(), Some(100));
+        assert_eq!(l.max(), Some(300));
+        assert!((l.mean_ns() - 0.2).abs() < 1e-9);
     }
 }

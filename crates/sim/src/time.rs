@@ -73,13 +73,6 @@ impl fmt::Display for Freq {
 }
 
 /// A clock domain: a frequency and its period in picoseconds.
-///
-/// ```
-/// use harmonia_sim::{ClockDomain, Freq};
-/// let clk = ClockDomain::new(Freq::mhz(100));
-/// assert_eq!(clk.freq(), Freq::mhz(100));
-/// assert_eq!(clk.period_ps(), 10_000);
-/// ```
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct ClockDomain {
     freq: Freq,
@@ -140,5 +133,12 @@ mod tests {
             ClockDomain::new(Freq::mhz(100)).to_string(),
             "clock@100 MHz"
         );
+    }
+
+    #[test]
+    fn clock_domain_period_follows_its_freq() {
+        let clk = ClockDomain::new(Freq::mhz(100));
+        assert_eq!(clk.freq(), Freq::mhz(100));
+        assert_eq!(clk.period_ps(), 10_000);
     }
 }

@@ -499,18 +499,6 @@ impl Trace {
     }
 
     /// Merges traces from many lanes into one totally ordered trace.
-    ///
-    /// ```
-    /// use harmonia_sim::trace::{Trace, TraceCollector, TraceEventKind};
-    ///
-    /// let a = TraceCollector::with_lane(0);
-    /// let b = TraceCollector::with_lane(1);
-    /// a.instant(500, TraceEventKind::EccScrub);
-    /// b.instant(100, TraceEventKind::EccScrub);
-    /// let merged = Trace::merge([a.take(), b.take()]);
-    /// let order: Vec<(u64, u32)> = merged.events().iter().map(|e| (e.at, e.lane)).collect();
-    /// assert_eq!(order, vec![(100, 1), (500, 0)]);
-    /// ```
     pub fn merge<I: IntoIterator<Item = Trace>>(traces: I) -> Trace {
         let mut events = Vec::new();
         for t in traces {
@@ -826,5 +814,16 @@ mod tests {
             let shown = k.to_string();
             assert!(shown.starts_with(k.name()), "{shown}");
         }
+    }
+
+    #[test]
+    fn merge_orders_lanes_by_time() {
+        let a = TraceCollector::with_lane(0);
+        let b = TraceCollector::with_lane(1);
+        a.instant(500, TraceEventKind::EccScrub);
+        b.instant(100, TraceEventKind::EccScrub);
+        let merged = Trace::merge([a.take(), b.take()]);
+        let order: Vec<(u64, u32)> = merged.events().iter().map(|e| (e.at, e.lane)).collect();
+        assert_eq!(order, vec![(100, 1), (500, 0)]);
     }
 }

@@ -123,8 +123,8 @@ forall! {
     }
 
     /// A same-or-earlier-cycle push always fails, returning the offending
-    /// item and both cycles — the data the host driver surfaces as
-    /// `DriverError::ResponsePath` instead of panicking.
+    /// item and both cycles, so a datapath stage can report the collision
+    /// instead of panicking.
     #[test]
     fn pipeline_push_error_reports_both_cycles(
         lat in 0u64..16,

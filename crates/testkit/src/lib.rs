@@ -49,8 +49,8 @@ pub use source::DataSource;
 /// ```
 /// assert_eq!(harmonia_testkit::fnv1a(""), 0xcbf2_9ce4_8422_2325);
 /// ```
-pub fn fnv1a(s: &str) -> u64 {
-    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+pub fn fnv1a(bytes: impl AsRef<[u8]>) -> u64 {
+    bytes.as_ref().iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
 }
