@@ -179,7 +179,7 @@ echo "==> fault campaigns (smoke): deep randomized fault plans"
 TESTKIT_CASES=128 cargo test -q --offline --locked -p harmonia-host --test all fault_campaigns::
 
 echo "==> metrics smoke: Prometheus export from a paper-bench campaign"
-cargo run -q --offline --locked -p harmonia-bench --bin metrics > metrics_export.prom
+cargo run -q --offline --locked -p harmonia-bench -- metrics > metrics_export.prom
 grep -q "^harmonia_cmd_acked_total " metrics_export.prom
 rm -f metrics_export.prom
 
@@ -187,7 +187,7 @@ echo "==> paper bench (smoke): fanned-out vs serial sweep, each generator and ea
 # The smoke run's wall-clock timings stay under target/; the committed
 # BENCH_paper.json holds a full run's.
 TESTKIT_BENCH_SMOKE=1 cargo bench -q --offline --locked -p harmonia-bench --bench paper
-tables=$(cargo run -q --offline --locked -p harmonia-bench --bin paper | grep -c '^== .* ==$')
+tables=$(cargo run -q --offline --locked -p harmonia-bench -- paper | grep -c '^== .* ==$')
 per_table=$(grep -oE '"name": "[a-z0-9]+_[0-9]+_serial"' target/testkit-bench/BENCH_paper.json | sort)
 if [ "$(printf '%s\n' "$per_table" | grep -c .)" -ne "$tables" ] \
     || [ -n "$(printf '%s\n' "$per_table" | uniq -d)" ]; then
@@ -220,11 +220,29 @@ for entry in $entries; do
 done
 
 echo "==> fleet metrics smoke: Prometheus export from a fleet campaign"
-HARMONIA_FLEET_DEVICES=128 cargo run -q --offline --locked -p harmonia-bench --bin fleet > fleet_export.prom
+HARMONIA_FLEET_DEVICES=128 cargo run -q --offline --locked -p harmonia-bench -- fleet > fleet_export.prom
 grep -q "^harmonia_fleet_cmds_executed " fleet_export.prom
 rm -f fleet_export.prom
-if HARMONIA_FLEET_POLICY=mystery cargo run -q --offline --locked -p harmonia-bench --bin fleet > /dev/null 2>&1; then
-    echo "ci.sh: --bin fleet accepted HARMONIA_FLEET_POLICY=mystery" >&2
+if HARMONIA_FLEET_POLICY=mystery cargo run -q --offline --locked -p harmonia-bench -- fleet > /dev/null 2>&1; then
+    echo "ci.sh: harmonia fleet accepted HARMONIA_FLEET_POLICY=mystery" >&2
+    exit 1
+fi
+status=0
+HARMONIA_FLEET_DEVICES=1 cargo run -q --offline --locked -p harmonia-bench -- fleet > /dev/null 2>&1 || status=$?
+if [ "$status" != 2 ]; then
+    echo "ci.sh: harmonia fleet on an infeasible fleet must exit 2, not $status" >&2
+    exit 1
+fi
+
+echo "==> one command line: crates/bench/src/bin/ holds only harmonia.rs, which rejects an unknown subcommand"
+# paper, trace, metrics and fleet are subcommands of one binary with one
+# argument parser; a new entry point is a subcommand, not a binary.
+if [ "$(ls crates/bench/src/bin)" != harmonia.rs ]; then
+    echo "ci.sh: crates/bench/src/bin/ must hold only harmonia.rs; add a subcommand instead" >&2
+    exit 1
+fi
+if cargo run -q --offline --locked -p harmonia-bench -- mystery > /dev/null 2>&1; then
+    echo "ci.sh: harmonia accepted the unknown subcommand mystery" >&2
     exit 1
 fi
 

@@ -139,11 +139,7 @@ pub fn cmd_campaign(
 ) -> (CommandDriver, Vec<CmdResult>) {
     let engine = device_a_dma();
     let kernel = UnifiedControlKernel::new(CMD_DEPTH);
-    let mut drv = if batch == 1 {
-        CommandDriver::new(engine, kernel)
-    } else {
-        CommandDriver::with_depth(engine, kernel, batch, CMD_DEPTH)
-    };
+    let mut drv = CommandDriver::with_depth(engine, kernel, batch, CMD_DEPTH);
     drv.set_probe(probe);
     // An attempt fails about 6 % of the time, so the default four retries
     // would give up on about one read in a million.
@@ -159,14 +155,10 @@ pub fn cmd_campaign(
     };
     let fault_seed = seed.wrapping_add(variant as u64);
     drv.set_fault_injector(FaultPlan::new().with_rates(fault_seed, rates).injector());
-    let reads = (0..CMD_COUNT).map(|_| (0u8, 0u8, CommandCode::HealthRead, Vec::new()));
-    let results = if batch == 1 {
-        reads
-            .map(|(rbb, inst, code, data)| drv.cmd_raw_resilient(rbb, inst, code, data))
-            .collect()
-    } else {
-        drv.submit(reads.collect())
-    };
+    let reads = (0..CMD_COUNT)
+        .map(|_| (0u8, 0u8, CommandCode::HealthRead, Vec::new()))
+        .collect();
+    let results = drv.submit(reads);
     (drv, results)
 }
 

@@ -2,10 +2,12 @@
 //!
 //! Every table and figure of the paper's evaluation section has a
 //! generator here returning [`Table`](harmonia::metrics::Table)s with the
-//! same rows/series the paper reports. The `fig*`/`table*` binaries print
-//! them; `paper` prints everything; the `paper` and `components` benches
-//! under `benches/` time the tables and the fleet and command-path
-//! campaigns.
+//! same rows/series the paper reports. The crate's one binary, `harmonia`,
+//! prints them: `paper` prints everything, `paper <generator>` one entry
+//! of [`generators`]; its `trace`, `metrics` and `fleet` subcommands
+//! export the observability captures and a fleet campaign. The `paper`
+//! and `components` benches under `benches/` time the tables and the
+//! fleet and command-path campaigns.
 
 pub mod ablation;
 pub mod cmdpath;

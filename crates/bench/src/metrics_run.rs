@@ -1,4 +1,4 @@
-//! The observed fault campaign behind the `trace` and `metrics` binaries,
+//! The observed fault campaign behind `harmonia trace` and `harmonia metrics`,
 //! their equivalence tests and the committed `SLO_report.txt`.
 //!
 //! Runs a fleet of seeded fault campaigns — resilient shell bring-up plus

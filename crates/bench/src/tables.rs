@@ -8,7 +8,7 @@ use harmonia::shell::rbb::RbbKind;
 use harmonia::shell::{MemoryDemand, RoleSpec, TailoredShell, UnifiedShell};
 
 /// Table 1 — framework capability comparison.
-pub fn table1() -> Table {
+pub(crate) fn table1() -> Table {
     let mut t = Table::new(
         "Table 1 — framework capabilities",
         &[
@@ -33,7 +33,7 @@ pub fn table1() -> Table {
 }
 
 /// Table 3 — devices supported by each framework.
-pub fn table3() -> Table {
+pub(crate) fn table3() -> Table {
     let mut t = Table::new(
         "Table 3 — device support",
         &["device class", "Vitis", "oneAPI", "Coyote", "Harmonia"],
@@ -68,7 +68,7 @@ fn table4_shell() -> TailoredShell {
 }
 
 /// Table 4 — register operations vs commands per host-interaction class.
-pub fn table4() -> Table {
+pub(crate) fn table4() -> Table {
     let shell = table4_shell();
     let mut t = Table::new(
         "Table 4 — host software configuration surface",

@@ -69,6 +69,6 @@ fn committed_slo_report_is_fresh() {
     assert_eq!(
         fresh, committed,
         "SLO_report.txt is stale; regenerate with:\n\
-         cargo run --bin metrics -- --slo > SLO_report.txt"
+         cargo run -p harmonia-bench -- metrics --slo > SLO_report.txt"
     );
 }

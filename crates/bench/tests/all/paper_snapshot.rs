@@ -4,7 +4,7 @@
 //! change to models, benchmarks or the fault plane that shifts a single
 //! byte of the evaluation output fails here. In particular the no-op
 //! fault plan (`FaultPlan::none()`) must keep every artifact bit-exact —
-//! the paper binary takes the faultless paths throughout.
+//! `harmonia paper` takes the faultless paths throughout.
 //!
 //! `all_tables` fans the tables out across threads (the workspace's only
 //! parallel loop); the serial loop over `generators()` must render the
@@ -27,7 +27,7 @@ fn assert_matches_snapshot(tables: &[Table]) {
         panic!(
             "paper output drifted from the committed snapshot \
              (first diff at line {:?}); if intentional, regenerate with:\n\
-             cargo run -p harmonia-bench --bin paper > paper_output.txt",
+             cargo run -p harmonia-bench -- paper > paper_output.txt",
             drift.map(|(i, (a, b))| format!("{}: {a:?} != {b:?}", i + 1))
         );
     }

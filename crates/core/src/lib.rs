@@ -58,8 +58,9 @@
 //!
 //! Beside the stack (not re-exported): `harmonia-testkit` — the hermetic
 //! property-testing/bench substrate used by every crate's tests — and
-//! `harmonia-bench` — one generator per paper figure/table, the `paper`,
-//! `trace` and `metrics` binaries, and the byte-equivalence test suites.
+//! `harmonia-bench` — one generator per paper figure/table, the
+//! `harmonia` binary (`paper`, `trace`, `metrics` and `fleet`
+//! subcommands), and the byte-equivalence test suites.
 
 pub mod framework;
 pub mod validation;

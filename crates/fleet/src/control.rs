@@ -96,7 +96,7 @@ impl FleetSpec {
     /// [`crate::FLEET_DEVICES_ENV`] (default
     /// [`crate::DEFAULT_FLEET_DEVICES`]), policy from
     /// [`crate::FLEET_POLICY_ENV`] (`bestfit`/`random`, case-insensitive,
-    /// default best-fit), seed 42. `--bin fleet` passes the process
+    /// default best-fit), seed 42. `harmonia fleet` passes the process
     /// environment; nothing in the library reads it.
     ///
     /// # Errors

@@ -62,7 +62,7 @@ pub use traffic::{DiurnalTraffic, TickLoad};
 pub struct KnobError {
     /// The environment variable.
     pub knob: &'static str,
-    /// The rejected value (`--bin fleet` decodes non-UTF-8 lossily).
+    /// The rejected value (`harmonia fleet` decodes non-UTF-8 lossily).
     pub value: String,
     /// What the knob accepts.
     pub expected: &'static str,

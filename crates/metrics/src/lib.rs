@@ -9,8 +9,8 @@
 //! * [`diff`] — generic LCS-based modification counting between operation
 //!   sequences (Figure 13);
 //! * [`fleet`] — the cloud fleet evolution model behind Figure 3c;
-//! * [`report`] — plain-text table rendering shared by the `fig*`/`table*`
-//!   bench binaries.
+//! * [`report`] — plain-text table rendering shared by every evaluation
+//!   table the bench harness prints.
 //!
 //! # Example
 //!

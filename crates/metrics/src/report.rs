@@ -1,7 +1,7 @@
-//! Plain-text table rendering for the bench binaries.
+//! Plain-text table rendering for the bench harness.
 //!
-//! Every `fig*`/`table*` binary prints the rows/series the paper reports;
-//! this module keeps the formatting consistent and aligned.
+//! Every evaluation table prints the rows/series the paper reports; this
+//! module keeps the formatting consistent and aligned.
 
 use std::fmt;
 

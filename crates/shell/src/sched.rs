@@ -22,7 +22,7 @@
 //! * **weighted-fair** — WF²Q+-style virtual-clock scheduling with
 //!   integer arithmetic only. Tenant `i` with weight `w_i` receives
 //!   `w_i / Σw` of the slices (within one slice of exact, see
-//!   `shell/tests/tenancy_properties.rs`) *and* a per-slice command
+//!   `shell/tests/all/tenancy_properties.rs`) *and* a per-slice command
 //!   budget scaled by `w_i`, so a weighted victim keeps its tail
 //!   latency while an aggressor floods its own queues.
 //!

@@ -257,7 +257,7 @@ impl LogHistogram {
     }
 
     /// Multi-line ASCII rendering of the occupied buckets, with `#` bars
-    /// scaled to the fullest bucket — the `trace` binary and the
+    /// scaled to the fullest bucket — `harmonia trace --text` and the
     /// `trace_capture` example print this.
     pub fn render(&self) -> String {
         if self.count == 0 {
