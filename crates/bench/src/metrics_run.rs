@@ -6,8 +6,8 @@
 //! credit stall and background drop/corrupt/irq-lost rates — once each,
 //! with one [`Probe`] that carries both observability planes: a
 //! [`TraceCollector`] on the campaign's own lane and its own
-//! [`MetricsRegistry`], which a [`MetricsScraper`] samples on the
-//! simulated timeline. The lanes' traces and registries merge in seed
+//! [`MetricsRegistry`], while a [`MetricsScraper`] marks the scrape
+//! boundaries the campaign crosses on the simulated timeline. The lanes' traces and registries merge in seed
 //! order, and the merged snapshot feeds the SLO evaluator. Everything is
 //! simulated and merge order is pinned, so every export is byte-identical
 //! on every run.
@@ -36,7 +36,7 @@ pub struct CampaignRun {
     pub snapshot: MetricsSnapshot,
     /// `seed=N <driver report>` transcript lines, in seed order.
     pub reports: Vec<String>,
-    /// Scraper samples each scenario took, in seed order.
+    /// Scrape boundaries each scenario crossed, in seed order.
     pub samples: Vec<usize>,
     /// The production objectives (`slos`) — sized to pass under the
     /// fault campaign.
@@ -154,9 +154,9 @@ pub fn render_slo_artifact(run: &CampaignRun) -> String {
 
 /// One seeded campaign: bring up a tailored shell resiliently under the
 /// fault plan, then poke health and sweep all module statistics, with a
-/// scraper sampling the probe's registry along the simulated timeline.
+/// scraper marking scrape boundaries along the simulated timeline.
 /// Returns the driver's latency histogram, its `seed=N <driver report>`
-/// line and the scraper's sample count.
+/// line and the number of boundaries the scraper marked.
 fn scenario(seed: u64, probe: &Probe) -> (LogHistogram, String, usize) {
     let dev = catalog::device_a();
     let unified = UnifiedShell::for_device(&dev);
@@ -190,26 +190,25 @@ fn scenario(seed: u64, probe: &Probe) -> (LogHistogram, String, usize) {
             )
             .injector(),
     );
-    let reg = &probe.metrics;
     let mut scraper = MetricsScraper::new(DEFAULT_METRICS_PERIOD_PS);
     drv.init_shell_resilient(&mut shell)
         .expect("bring-up converges under the plan");
-    scraper.tick(reg, drv.clock_ps());
+    scraper.tick(drv.clock_ps());
     for _ in 0..8 {
         match drv.cmd_raw_resilient(0, 0, CommandCode::HealthRead, Vec::new()) {
             Ok(_) | Err(DriverError::GaveUp { .. }) => {}
             Err(e) => panic!("campaign must converge, got {e}"),
         }
-        scraper.tick(reg, drv.clock_ps());
+        scraper.tick(drv.clock_ps());
     }
     let _ = drv
         .read_all_stats_resilient(&shell)
         .expect("monitoring sweep succeeds");
-    scraper.tick(reg, drv.clock_ps());
+    scraper.tick(drv.clock_ps());
     (
         drv.latency_histogram().clone(),
         format!("seed={seed} {}", drv.report()),
-        scraper.samples().len(),
+        scraper.boundaries().len(),
     )
 }
 

@@ -148,10 +148,6 @@ pub struct DrainOutcome {
     pub responses: Vec<(u32, CommandPacket)>,
     /// Typed errors for `CompletionStatus::Error` records, keyed by tag.
     pub errors: Vec<(u32, KernelError)>,
-    /// Whether the drain stopped because the tenant's
-    /// [`CommandBudget`] ran out with work
-    /// still queued (never set on the unbudgeted path).
-    pub quota_exhausted: bool,
 }
 
 /// Per-command kernel metrics summed in plain locals over one public
@@ -594,11 +590,8 @@ impl UnifiedControlKernel {
     /// [`UnifiedControlKernel::ring_doorbell`] with a tenant
     /// [`CommandBudget`]: every drained descriptor is charged against
     /// the budget and the drain refuses to start a descriptor past
-    /// exhaustion. When the budget runs dry with descriptors still
-    /// queued, [`DrainOutcome::quota_exhausted`] is set and a
-    /// `QuotaExhausted` trace instant plus a
-    /// `harmonia_kernel_quota_exhausted_total` counter tick record the
-    /// preemption cause. With `CommandBudget::unlimited` this is
+    /// exhaustion; undrained descriptors stay queued for the next
+    /// slice's budget. With `CommandBudget::unlimited` this is
     /// byte-for-byte the unbudgeted path.
     pub fn ring_doorbell_budgeted(
         &mut self,
@@ -617,7 +610,6 @@ impl UnifiedControlKernel {
             exec_ps: 0,
             responses: Vec::with_capacity(n.min(sq.len())),
             errors: Vec::new(),
-            quota_exhausted: false,
         };
         let window = self.window(budget.tenant, sq.capacity());
         let mut tally = ExecTally::default();
@@ -678,19 +670,6 @@ impl UnifiedControlKernel {
                     entries: out.drained as u32,
                 },
             );
-        }
-        if budget.exhausted() && !sq.is_empty() {
-            out.quota_exhausted = true;
-            self.probe.trace.instant(
-                self.trace_clock_ps,
-                TraceEventKind::QuotaExhausted {
-                    tenant: budget.tenant,
-                    granted: budget.granted,
-                },
-            );
-            self.probe
-                .metrics
-                .counter_inc("harmonia_kernel_quota_exhausted_total", &[]);
         }
         out
     }
@@ -1365,7 +1344,6 @@ mod tests {
         let mut budget = CommandBudget::new(3, 5);
         let out = k.ring_doorbell_budgeted(&mut sq, &mut cq, 16, SrcId::Application, &mut budget);
         assert_eq!(out.drained, 5);
-        assert!(out.quota_exhausted, "work was still queued");
         assert!(budget.exhausted());
         assert_eq!(budget.remaining(), 0);
         assert_eq!(sq.len(), 3, "undrained descriptors stay queued");
@@ -1373,7 +1351,7 @@ mod tests {
         let mut next = CommandBudget::new(3, 5);
         let out = k.ring_doorbell_budgeted(&mut sq, &mut cq, 16, SrcId::Application, &mut next);
         assert_eq!(out.drained, 3);
-        assert!(!out.quota_exhausted, "queue emptied before the budget");
+        assert!(sq.is_empty(), "queue emptied before the budget");
         assert_eq!(next.remaining(), 2);
     }
 
@@ -1389,7 +1367,7 @@ mod tests {
         let out = k.ring_doorbell_budgeted(&mut sq, &mut cq, 8, SrcId::Application, &mut budget);
         assert_eq!(out.drained, 4);
         assert!(
-            !out.quota_exhausted,
+            budget.exhausted() && sq.is_empty(),
             "an empty SQ is a finished slice, not a preemption"
         );
     }
@@ -1422,37 +1400,8 @@ mod tests {
                 .iter()
                 .map(|e| format!("{e:?}"))
                 .collect();
-            (out.drained, out.exec_ps, out.quota_exhausted, recs, trace)
+            (out.drained, out.exec_ps, recs, trace)
         };
         assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn quota_exhaustion_emits_trace_and_metric() {
-        let mut k = kernel_on_device_a();
-        let probe = Probe::enabled();
-        k.set_probe(probe.clone());
-        let mut sq = SubmissionQueue::new(8);
-        let mut cq = CompletionQueue::new(8);
-        for tag in 0..6 {
-            sq.push(health_desc(tag)).unwrap();
-        }
-        let mut budget = CommandBudget::new(7, 2);
-        k.ring_doorbell_budgeted(&mut sq, &mut cq, 8, SrcId::Application, &mut budget);
-        let trace = probe.trace.take();
-        let quota: Vec<_> = trace
-            .events()
-            .iter()
-            .filter_map(|e| match e.kind {
-                TraceEventKind::QuotaExhausted { tenant, granted } => Some((tenant, granted)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(quota, vec![(7, 2)]);
-        let prom = probe.metrics.snapshot().export_prometheus();
-        assert!(
-            prom.contains("harmonia_kernel_quota_exhausted_total 1"),
-            "{prom}"
-        );
     }
 }

@@ -153,7 +153,7 @@ impl<T> Ring<T> {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CommandBudget {
     /// Tenant index the budget belongs to (scheduler registration
-    /// order); carried into `QuotaExhausted` trace events.
+    /// order); selects the tenant ring's replay window.
     pub tenant: u32,
     /// Commands the slice granted.
     pub granted: u64,

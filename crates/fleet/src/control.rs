@@ -1014,7 +1014,7 @@ fn take_role(d: &mut FleetDevice, role: usize) {
 /// `shares[k]` becomes `eligible[k]`'s share. `shares` and `rema` are the
 /// caller's buffers, so a split allocates nothing once they have grown
 /// to the largest role. `eligible` must not be empty.
-fn split_by_capacity(
+pub(crate) fn split_by_capacity(
     n: u64,
     eligible: &[(u32, u64)],
     shares: &mut Vec<u64>,

@@ -8,21 +8,20 @@
 //! varies with the seed. Feasibility of placement therefore never
 //! depends on sampling luck.
 
+use crate::control::split_by_capacity;
 use harmonia_hw::device::{catalog as hw_catalog, DeviceId};
 use harmonia_sim::{Picos, SplitMix64};
 use std::collections::VecDeque;
 use std::sync::OnceLock;
 
-/// Model mix weights (A, B, C, D) out of [`MIX_TOTAL`].
-pub(crate) const MODEL_MIX: [(DeviceId, usize); 4] = [
+/// Model mix weights (A, B, C, D); each model's share of a fleet is its
+/// weight over their sum.
+const MODEL_MIX: [(DeviceId, u64); 4] = [
     (DeviceId::A, 3),
     (DeviceId::B, 3),
     (DeviceId::C, 2),
     (DeviceId::D, 2),
 ];
-
-/// Sum of [`MODEL_MIX`] weights.
-pub(crate) const MIX_TOTAL: usize = 10;
 
 /// Speed of a catalog model in abstract speed-units: line rate plus
 /// host-link bandwidth (`network_gbps + 4 × pcie_gen × pcie_lanes`).
@@ -109,22 +108,15 @@ impl Inventory {
     /// Panics if `n` is zero.
     pub fn sample(n: usize, seed: u64) -> Inventory {
         assert!(n > 0, "a fleet needs at least one device");
-        // Largest-remainder apportionment: exact counts per model.
-        let mut counts: Vec<(DeviceId, usize, usize)> = MODEL_MIX
+        // Largest-remainder apportionment: exact counts per model, ties
+        // by catalog order.
+        let weights: Vec<(u32, u64)> = (0u32..).zip(MODEL_MIX.map(|(_, w)| w)).collect();
+        let mut counts = Vec::new();
+        split_by_capacity(n as u64, &weights, &mut counts, &mut Vec::new());
+        let mut models: Vec<DeviceId> = MODEL_MIX
             .iter()
-            .map(|&(m, w)| (m, n * w / MIX_TOTAL, (n * w) % MIX_TOTAL))
-            .collect();
-        let assigned: usize = counts.iter().map(|&(_, c, _)| c).sum();
-        // Hand the leftover units to the largest remainders (ties by
-        // catalog order).
-        let mut order: Vec<usize> = (0..counts.len()).collect();
-        order.sort_by_key(|&i| (std::cmp::Reverse(counts[i].2), i));
-        for &i in order.iter().take(n - assigned) {
-            counts[i].1 += 1;
-        }
-        let mut models: Vec<DeviceId> = counts
-            .iter()
-            .flat_map(|&(m, c, _)| std::iter::repeat_n(m, c))
+            .zip(counts)
+            .flat_map(|(&(m, _), c)| std::iter::repeat_n(m, c as usize))
             .collect();
         // Seeded Fisher–Yates: rack composition varies with the seed,
         // model counts do not.
@@ -174,6 +166,7 @@ mod tests {
 
     #[test]
     fn mix_is_exact_at_any_size() {
+        let mix_total: u64 = MODEL_MIX.iter().map(|&(_, w)| w).sum();
         for n in [1usize, 7, 48, 100, 2048] {
             let inv = Inventory::sample(n, 1);
             let counts = inv.model_counts();
@@ -181,7 +174,7 @@ mod tests {
             assert_eq!(total, n);
             for (m, c) in counts {
                 let w = MODEL_MIX.iter().find(|&&(mm, _)| mm == m).unwrap().1;
-                let lo = n * w / MIX_TOTAL;
+                let lo = n * w as usize / mix_total as usize;
                 assert!(
                     c == lo || c == lo + 1,
                     "{m:?}: {c} outside largest-remainder band [{lo}, {}] at n={n}",

@@ -41,7 +41,7 @@ use harmonia_cmd::queue::CommandBudget;
 use harmonia_cmd::{CommandPacket, SrcId, UnifiedControlKernel};
 use harmonia_shell::sched::{SliceGrant, TenantScheduler};
 use harmonia_sim::histo::LogHistogram;
-use harmonia_sim::{FaultInjector, Picos, Probe};
+use harmonia_sim::{FaultInjector, Picos};
 use std::collections::VecDeque;
 
 /// Default per-tenant ring depth: deliberately deeper than
@@ -123,7 +123,6 @@ pub struct TenantHostDriver {
     kernel: UnifiedControlKernel,
     lanes: Vec<TenantLane>,
     faults: FaultInjector,
-    probe: Probe,
     clock_ps: Picos,
     slices_run: u64,
     quota_hits: u64,
@@ -147,7 +146,6 @@ impl TenantHostDriver {
             kernel,
             lanes,
             faults: FaultInjector::none(),
-            probe: Probe::disabled(),
             clock_ps: 0,
             slices_run: 0,
             quota_hits: 0,
@@ -160,17 +158,6 @@ impl TenantHostDriver {
     pub fn set_fault_injector(&mut self, faults: FaultInjector) {
         self.engine.set_fault_injector(faults.clone());
         self.faults = faults;
-    }
-
-    /// Attaches one observability probe to the whole stack: scheduler
-    /// switches, DMA deliveries and kernel execution land on one
-    /// timeline, and the `harmonia_tenant_*`, `harmonia_pr_*`,
-    /// `harmonia_dma_*` and `harmonia_kernel_*` series in one registry.
-    pub fn set_probe(&mut self, probe: Probe) {
-        self.sched.set_probe(probe.clone());
-        self.engine.set_probe(probe.clone());
-        self.kernel.set_probe(probe.clone());
-        self.probe = probe;
     }
 
     /// Queues commands on a tenant's backlog (closed-loop source).
@@ -243,7 +230,7 @@ impl TenantHostDriver {
             let runnable: Vec<bool> = self.lanes.iter().map(TenantLane::runnable).collect();
             let grant = self
                 .sched
-                .next_slice(self.clock_ps, &runnable)
+                .next_slice(&runnable)
                 .expect("scheduler-reserved ranges cannot violate isolation");
             let Some(grant) = grant else { break };
             self.clock_ps += grant.switch_ps;
@@ -256,14 +243,11 @@ impl TenantHostDriver {
 
     /// One granted slice: rounds of top-up → burst delivery → budgeted
     /// doorbell → CQ poll, until the tenant drains, the budget dies, or
-    /// the slice's wall clock runs out. The slice's ack latencies reach
-    /// the tenant's histogram and the metrics registry once, at its end.
+    /// the slice's wall clock runs out.
     fn run_slice(&mut self, grant: &SliceGrant) {
         let t = grant.tenant;
-        let tenant = [("tenant", self.sched.tenant_name(t))];
         let mut budget = CommandBudget::new(t as u32, grant.budget_cmds);
         let deadline = self.clock_ps + grant.slice_ps;
-        let mut acked = LogHistogram::new();
         while self.lanes[t].runnable() && !budget.exhausted() && self.clock_ps < deadline {
             // Stage fresh descriptors into the free ring space.
             let lane = &mut self.lanes[t];
@@ -315,7 +299,7 @@ impl TenantHostDriver {
                         let start = p.submitted_at.max(lane.last_done_ps);
                         let latency = done.at_ps.saturating_sub(start);
                         lane.last_done_ps = done.at_ps;
-                        acked.record(latency);
+                        lane.latency.record(latency);
                         lane.stats.completed += 1;
                     }
                     Some(Outcome::Nacked(_)) => {
@@ -328,17 +312,8 @@ impl TenantHostDriver {
             // The kernel stopped at the budget with descriptors queued.
             if budget.exhausted() && !lane.ring.is_idle() {
                 self.quota_hits += 1;
-                self.probe
-                    .metrics
-                    .counter_inc("harmonia_tenant_quota_exhausted_total", &tenant);
                 break;
             }
-        }
-        if !acked.is_empty() {
-            self.lanes[t].latency.merge(&acked);
-            self.probe
-                .metrics
-                .observe_histogram("harmonia_tenant_cmd_latency_ps", &tenant, &acked);
         }
     }
 }

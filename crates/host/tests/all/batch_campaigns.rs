@@ -251,12 +251,10 @@ fn observed_batched_campaign_is_pinned() {
 }
 
 /// Counters the command path publishes with no component-side count to
-/// compare against: backoff time, ring drains, credit stalls and tenant
-/// quota hits.
-const UNCOUNTED: [&str; 5] = [
+/// compare against: backoff time, ring drains and credit stalls.
+const UNCOUNTED: [&str; 4] = [
     "harmonia_cmd_backoff_ps_total",
     "harmonia_kernel_sq_drained_total",
-    "harmonia_kernel_quota_exhausted_total",
     "harmonia_dma_credit_stalls_total",
     "harmonia_dma_credit_stall_beats_total",
 ];

@@ -17,11 +17,6 @@
 //!    round-robin or eight weighted-fair tenants sharing the kernel, every
 //!    enqueued `ModuleInit` runs exactly once: each retry replays from its
 //!    ring's window, however many other tenants' commands ran between.
-//! 5. **Observed campaign** — one campaign with every observability
-//!    plane attached ends in the same state as without them, and its
-//!    text trace and Prometheus export are pinned byte for byte; after
-//!    every `run`, each tenant's latency series in the registry matches
-//!    the driver's own histogram for that tenant.
 
 use crate::common::parts;
 use harmonia_cmd::CommandCode;
@@ -33,8 +28,7 @@ use harmonia_shell::pr::{MultiTenantRegion, TenantRole};
 use harmonia_shell::rbb::RbbKind;
 use harmonia_shell::sched::{TenantPolicy, TenantScheduler, DEFAULT_TENANT_SLICE_PS};
 use harmonia_shell::TailoredShell;
-use harmonia_sim::histo::LogHistogram;
-use harmonia_sim::{FaultKind, FaultPlan, FaultRates, Probe};
+use harmonia_sim::{FaultKind, FaultPlan, FaultRates};
 use harmonia_testkit::fnv1a;
 
 fn scheduler(policy: TenantPolicy, weights: &[u64], shell: &TailoredShell) -> TenantScheduler {
@@ -284,99 +278,4 @@ fn every_tenant_command_runs_exactly_once_under_lost_interrupts() {
             assert_eq!(d.kernel().replays(), timeouts, "{policy:?} seed {seed}");
         }
     }
-}
-
-/// One seed-0 weighted-fair campaign with every plane attached: the
-/// probe changes nothing the driver reports, and the timeline and the
-/// registry it fills are pinned.
-#[test]
-fn observed_campaign_pins_its_trace_and_metrics() {
-    let run = |probe: Probe| {
-        let mut d = driver(TenantPolicy::WeightedFair, &[4, 2, 1]);
-        d.set_probe(probe);
-        d.set_fault_injector(campaign_plan(0).injector());
-        for t in 0..3 {
-            d.enqueue(t, health_reads(60));
-        }
-        d.run(u64::MAX);
-        render("observed", &d, 3)
-    };
-    let probe = Probe::enabled();
-    let observed = run(probe.clone());
-    assert_eq!(
-        observed,
-        run(Probe::disabled()),
-        "the probe changed the run"
-    );
-    let text = probe.trace.take().export_text();
-    let prom = probe.metrics.snapshot().export_prometheus();
-    assert_eq!(
-        (text.lines().count(), fnv1a(&text)),
-        (216, 0x90cd_1ba3_2910_276b),
-        "text trace"
-    );
-    assert_eq!(
-        (prom.lines().count(), fnv1a(&prom)),
-        (55, 0xd780_7fe9_050c_a1b6),
-        "Prometheus export"
-    );
-}
-
-/// Each slice publishes its acks once, at its end: after every `run`,
-/// however few slices it covered, the registry's latency series of each
-/// tenant reads exactly like `TenantHostDriver::latency`, and a tenant
-/// with no ack yet has no series at all.
-#[test]
-fn registry_latency_matches_each_tenant_after_every_run() {
-    let probe = Probe::enabled();
-    let mut d = driver(TenantPolicy::WeightedFair, &[4, 2, 1]);
-    d.set_probe(probe.clone());
-    d.set_fault_injector(campaign_plan(3).injector());
-    for t in 0..3 {
-        d.enqueue(t, health_reads(100));
-    }
-    let (mut runs, mut silent) = (0, 0);
-    while !d.idle() {
-        assert_eq!(d.run(1), 1, "the scheduler stalled with work queued");
-        runs += 1;
-        let snapshot = probe.metrics.snapshot();
-        let mut all = LogHistogram::new();
-        for t in 0..3 {
-            all.merge(d.latency(t));
-        }
-        assert_eq!(
-            snapshot.histogram("harmonia_tenant_cmd_latency_ps"),
-            all,
-            "run {runs}"
-        );
-        let json = snapshot.export_json();
-        for t in 0..3 {
-            let h = d.latency(t);
-            let series = format!("\"harmonia_tenant_cmd_latency_ps{{tenant=t{t}}}\":");
-            if h.is_empty() {
-                assert!(
-                    !json.contains(&series),
-                    "run {runs}: t{t} has no acks\n{json}"
-                );
-                silent += 1;
-                continue;
-            }
-            let expected = format!(
-                "{series}{{\"count\":{},\"min\":{},\"mean\":{},\"p50\":{},\"p99\":{},\"max\":{}}}",
-                h.count(),
-                h.min(),
-                h.sum() / u128::from(h.count()),
-                h.p50(),
-                h.p99(),
-                h.max()
-            );
-            assert!(json.contains(&expected), "run {runs}: {expected}\n{json}");
-        }
-    }
-    assert!(
-        runs > 3,
-        "the campaign should take several runs, took {runs}"
-    );
-    assert!(silent > 0, "some run should leave a tenant without acks");
-    assert_eq!((0..3).map(|t| d.latency(t).count()).sum::<u64>(), 300);
 }

@@ -10,7 +10,7 @@
 //! results: sequential ≫ random throughput (Figs 10c, 18c) and the benefit
 //! of interleaving (ablation benches).
 
-use harmonia_sim::{Picos, Probe, TraceCollector, TraceEventKind};
+use harmonia_sim::Picos;
 
 /// One memory operation presented to the controller.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -304,16 +304,13 @@ impl ChannelRegs {
 
     /// Issues `op` with its command no earlier than `issue_ps`; returns the
     /// completion time. The one place a channel's timing is computed:
-    /// [`DramModel::access`] and [`DramModel::replay`] both run it. With
-    /// `TRACE` false, row conflicts never reach `trace`; a replay sets it
-    /// once per call from whether a probe is attached.
+    /// [`DramModel::access`] and [`DramModel::replay`] both run it.
     #[inline(always)]
-    fn step<M: DivMode, const TRACE: bool>(
+    fn step<M: DivMode>(
         &mut self,
         timing: &DramTiming,
         map: &Mapping,
         banks: &mut [Bank],
-        trace: &TraceCollector,
         issue_ps: Picos,
         op: MemOp,
     ) -> Picos {
@@ -328,14 +325,6 @@ impl ChannelRegs {
         } else {
             self.misses += 1;
             bank.open_row = Some(row);
-            if TRACE && trace.is_enabled() {
-                trace.instant(
-                    t,
-                    TraceEventKind::DramRowConflict {
-                        bank: bank_no as u32,
-                    },
-                );
-            }
             t = self.reserve_activate(t, timing.faw_ps) + timing.row_miss_extra_ps;
         }
 
@@ -373,7 +362,6 @@ pub struct DramModel {
     map: Mapping,
     banks: Vec<Bank>,
     regs: ChannelRegs,
-    probe: Probe,
 }
 
 impl DramModel {
@@ -384,14 +372,7 @@ impl DramModel {
             banks: vec![Bank::default(); timing.banks as usize],
             regs: ChannelRegs::IDLE,
             timing,
-            probe: Probe::disabled(),
         }
-    }
-
-    /// Attaches an observability probe: row-buffer conflicts emit
-    /// [`TraceEventKind::DramRowConflict`] instants on its timeline.
-    pub fn set_probe(&mut self, probe: Probe) {
-        self.probe = probe;
     }
 
     /// The channel's timing parameters.
@@ -418,39 +399,35 @@ impl DramModel {
             map,
             banks,
             regs,
-            probe,
         } = self;
-        regs.step::<M, true>(timing, map, banks, &probe.trace, issue_ps, op)
+        regs.step::<M>(timing, map, banks, issue_ps, op)
     }
 
     /// Issues `ops` in order on a saturated queue, as folding
     /// [`access`](Self::access)`(0, op)` over them would; returns the last
     /// completion, which is [`busy_until`](Self::busy_until) afterwards.
     ///
-    /// The mapping and whether a probe is attached are decided once for
-    /// the slice, and the channel's state is held in locals throughout and
-    /// written back once.
+    /// The mapping is decided once for the slice, and the channel's state
+    /// is held in locals throughout and written back once.
     pub fn replay(&mut self, ops: &[MemOp]) -> Picos {
-        match (self.map.shifts, self.probe.trace.is_enabled()) {
-            (true, false) => self.replay_in::<ShiftMask, false>(ops),
-            (true, true) => self.replay_in::<ShiftMask, true>(ops),
-            (false, false) => self.replay_in::<Division, false>(ops),
-            (false, true) => self.replay_in::<Division, true>(ops),
+        if self.map.shifts {
+            self.replay_in::<ShiftMask>(ops)
+        } else {
+            self.replay_in::<Division>(ops)
         }
     }
 
-    fn replay_in<M: DivMode, const TRACE: bool>(&mut self, ops: &[MemOp]) -> Picos {
+    fn replay_in<M: DivMode>(&mut self, ops: &[MemOp]) -> Picos {
         let DramModel {
             timing,
             map,
             banks,
             regs,
-            probe,
         } = self;
         let banks = banks.as_mut_slice();
         let mut r = *regs;
         for &op in ops {
-            r.step::<M, TRACE>(timing, map, banks, &probe.trace, 0, op);
+            r.step::<M>(timing, map, banks, 0, op);
         }
         *regs = r;
         r.bus_free_ps
@@ -602,10 +579,10 @@ mod tests {
         /// the division path). The ops, of random sizes and directions,
         /// are split into several `replay` calls mixed with single
         /// `access` calls at non-zero issue times; each call's completion,
-        /// the bus time, the row counts and, with a probe attached, the
-        /// row-conflict events must agree. For tFAW to bind, the addresses
-        /// may walk the banks, opening a new row each time, and the ops may
-        /// all be short enough (at most 128 bytes) to leave the bus room.
+        /// the bus time and the row counts must agree. For tFAW to bind,
+        /// the addresses may walk the banks, opening a new row each time,
+        /// and the ops may all be short enough (at most 128 bytes) to leave
+        /// the bus room.
         #[test]
         fn replay_matches_access_fold(
             which in 0usize..5,
@@ -619,15 +596,9 @@ mod tests {
             ),
             walk in any::<bool>(),
             short in any::<bool>(),
-            probed in any::<bool>(),
         ) {
             let t = mapping_geometries()[which];
             let (mut replayed, mut folded) = (DramModel::new(t), DramModel::new(t));
-            let probes = probed.then(|| (Probe::enabled(), Probe::enabled()));
-            if let Some((a, b)) = &probes {
-                replayed.set_probe(a.clone());
-                folded.set_probe(b.clone());
-            }
             // One burst plus one row of every bank: the next bank, a new row.
             let walk_stride = u64::from(t.burst_bytes) + u64::from(t.row_bytes) * u64::from(t.banks);
             for (i, (ops, single, issue_ps)) in calls.into_iter().enumerate() {
@@ -654,11 +625,6 @@ mod tests {
                 prop_assert_eq!(replayed.busy_until(), folded.busy_until(), "call {i}");
                 prop_assert_eq!(replayed.row_hits(), folded.row_hits(), "call {i}");
                 prop_assert_eq!(replayed.row_misses(), folded.row_misses(), "call {i}");
-            }
-            if let Some((a, b)) = probes {
-                let (a, b) = (a.trace.take(), b.trace.take());
-                prop_assert_eq!(a.len() as u64, replayed.row_misses());
-                prop_assert_eq!(a.events(), b.events());
             }
         }
     }

@@ -14,7 +14,7 @@
 
 use crate::tailor::TailoredShell;
 use harmonia_hw::resource::ResourceUsage;
-use harmonia_sim::{Picos, Probe};
+use harmonia_sim::Picos;
 use std::error::Error;
 use std::fmt;
 use std::ops::Range;
@@ -196,8 +196,6 @@ pub struct MultiTenantRegion {
     queue_ranges: Vec<Option<Range<u16>>>,
     /// Accumulated reconfiguration time.
     total_reconfig_ps: Picos,
-    /// Observability sink; disabled (and free) by default.
-    probe: Probe,
 }
 
 impl MultiTenantRegion {
@@ -244,15 +242,7 @@ impl MultiTenantRegion {
             next_queue: 0,
             queue_ranges: vec![None; slot_count],
             total_reconfig_ps: 0,
-            probe: Probe::disabled(),
         }
-    }
-
-    /// Attaches an observability probe; reconfiguration charges become
-    /// `harmonia_pr_reconfig_ps_total` / `harmonia_pr_reconfigs_total`
-    /// counters in its registry.
-    pub(crate) fn set_probe(&mut self, probe: Probe) {
-        self.probe = probe;
     }
 
     /// The PR slots.
@@ -335,12 +325,6 @@ impl MultiTenantRegion {
         s.reconfigurations += 1;
         let t = s.reconfig_time_ps();
         self.total_reconfig_ps += t;
-        self.probe
-            .metrics
-            .counter_add("harmonia_pr_reconfig_ps_total", &[], t);
-        self.probe
-            .metrics
-            .counter_inc("harmonia_pr_reconfigs_total", &[]);
         t
     }
 
@@ -420,8 +404,8 @@ impl MultiTenantRegion {
     /// Charges a context save against a slot: before an occupied slot is
     /// preempted, the tenant's live state is read back over the same
     /// configuration port the bitstream loads through, so it costs one
-    /// more [`PrSlot::reconfig_time_ps`]. Shows up in
-    /// `harmonia_pr_reconfig_ps_total` like any other charge.
+    /// more [`PrSlot::reconfig_time_ps`]. Counts in
+    /// [`total_reconfig_ps`](Self::total_reconfig_ps) like any other charge.
     ///
     /// # Errors
     ///
@@ -436,9 +420,6 @@ impl MultiTenantRegion {
         }
         let t = s.reconfig_time_ps();
         self.total_reconfig_ps += t;
-        self.probe
-            .metrics
-            .counter_add("harmonia_pr_reconfig_ps_total", &[], t);
         Ok(t)
     }
 
@@ -685,20 +666,5 @@ mod tests {
             r.charge_context_save(1),
             Err(TenancyError::SlotEmpty { slot: 1 })
         );
-    }
-
-    #[test]
-    fn reconfig_metrics_flow_to_registry() {
-        let mut r = region(1);
-        let probe = Probe::enabled();
-        r.set_probe(probe.clone());
-        let t = r.deploy(0, small_tenant("t", 8)).unwrap();
-        let s = r.charge_context_save(0).unwrap();
-        let text = probe.metrics.snapshot().export_prometheus();
-        assert!(
-            text.contains(&format!("harmonia_pr_reconfig_ps_total {}", t + s)),
-            "{text}"
-        );
-        assert!(text.contains("harmonia_pr_reconfigs_total 1"), "{text}");
     }
 }

@@ -32,7 +32,7 @@
 //! yields byte-identical schedules on every run.
 
 use crate::pr::{MultiTenantRegion, TenancyError, TenantRole};
-use harmonia_sim::{Picos, Probe, TraceEventKind};
+use harmonia_sim::Picos;
 use std::ops::Range;
 
 /// Default slice length: 2 ms — an order of magnitude above the
@@ -117,7 +117,7 @@ struct ScheduledTenant {
 /// let logic = ResourceUsage::new(50_000, 80_000, 100, 20, 100);
 /// let victim = sched.register(TenantRole::new("victim", logic, 8), 4).unwrap();
 /// let noisy = sched.register(TenantRole::new("noisy", logic, 8), 1).unwrap();
-/// let grant = sched.next_slice(0, &[true, true]).unwrap().unwrap();
+/// let grant = sched.next_slice(&[true, true]).unwrap().unwrap();
 /// assert_eq!(grant.tenant, victim);
 /// assert!(grant.switch_ps > 0, "first residency pays the PR load");
 /// assert_eq!(grant.budget_cmds, 64 * 4, "budget scales with weight");
@@ -137,7 +137,6 @@ pub struct TenantScheduler {
     /// WF²Q+ virtual clock, in `VSCALE` units.
     vclock: u128,
     switches: u64,
-    probe: Probe,
 }
 
 impl TenantScheduler {
@@ -176,17 +175,7 @@ impl TenantScheduler {
             rr_next: 0,
             vclock: 0,
             switches: 0,
-            probe: Probe::disabled(),
         })
-    }
-
-    /// Attaches an observability probe to the scheduler *and* its
-    /// region: switches emit [`TraceEventKind::TenantSwitch`] spans
-    /// covering the PR cost, and `harmonia_tenant_*` and `harmonia_pr_*`
-    /// series land in one registry.
-    pub fn set_probe(&mut self, probe: Probe) {
-        self.region.set_probe(probe.clone());
-        self.probe = probe;
     }
 
     /// Registers a tenant: reserves its persistent queue range and seeds
@@ -218,7 +207,6 @@ impl TenantScheduler {
             });
         }
         let queue_range = self.region.reserve_queues(role.queues)?;
-        let idx = self.tenants.len();
         self.tenants.push(ScheduledTenant {
             role,
             weight,
@@ -228,10 +216,7 @@ impl TenantScheduler {
             finish: VSCALE / weight as u128,
             prev_runnable: false,
         });
-        self.probe
-            .metrics
-            .gauge_max("harmonia_tenant_registered", &[], idx as u64 + 1);
-        Ok(idx)
+        Ok(self.tenants.len() - 1)
     }
 
     /// Registered tenant count.
@@ -242,11 +227,6 @@ impl TenantScheduler {
     /// A tenant's pinned queue range.
     pub fn queue_range(&self, tenant: usize) -> Range<u16> {
         self.tenants[tenant].queue_range.clone()
-    }
-
-    /// A tenant's name.
-    pub fn tenant_name(&self, tenant: usize) -> &str {
-        &self.tenants[tenant].role.name
     }
 
     /// Slices granted to a tenant so far.
@@ -288,11 +268,7 @@ impl TenantScheduler {
     /// Propagates [`TenancyError`] from the PR plane (cannot happen for
     /// ranges the scheduler itself reserved, but the region stays the
     /// single source of truth for isolation).
-    pub fn next_slice(
-        &mut self,
-        now: Picos,
-        runnable: &[bool],
-    ) -> Result<Option<SliceGrant>, TenancyError> {
+    pub fn next_slice(&mut self, runnable: &[bool]) -> Result<Option<SliceGrant>, TenancyError> {
         assert_eq!(
             runnable.len(),
             self.tenants.len(),
@@ -308,13 +284,11 @@ impl TenantScheduler {
 
         let mut switch_ps = 0;
         if self.resident != Some(pick) {
-            let from = self.resident;
-            if let Some(out) = from {
+            if self.resident.is_some() {
                 // Preempting a live tenant: read its context back before
                 // the slot is overwritten, then evict.
                 switch_ps += self.region.charge_context_save(self.slot)?;
                 self.region.undeploy(self.slot)?;
-                let _ = out;
             }
             switch_ps += self.region.deploy_with_range(
                 self.slot,
@@ -323,30 +297,8 @@ impl TenantScheduler {
             )?;
             self.resident = Some(pick);
             self.switches += 1;
-            self.probe.trace.span(
-                now,
-                switch_ps,
-                TraceEventKind::TenantSwitch {
-                    slot: self.slot as u32,
-                    from: from.map_or(u32::MAX, |i| i as u32),
-                    to: pick as u32,
-                },
-            );
-            self.probe
-                .metrics
-                .counter_inc("harmonia_tenant_switches_total", &[]);
-            self.probe
-                .metrics
-                .counter_add("harmonia_tenant_switch_ps_total", &[], switch_ps);
         }
         self.tenants[pick].slices += 1;
-        self.probe.metrics.counter_inc(
-            "harmonia_tenant_slices_total",
-            &[("tenant", &self.tenants[pick].role.name)],
-        );
-        self.probe
-            .metrics
-            .gauge_set("harmonia_tenant_resident", &[], pick as u64);
         Ok(Some(SliceGrant {
             tenant: pick,
             budget_cmds: self.budget_cmds(pick),
@@ -462,12 +414,7 @@ mod tests {
     fn run_slices(s: &mut TenantScheduler, n: usize) -> Vec<usize> {
         let runnable = vec![true; s.tenant_count()];
         (0..n)
-            .map(|i| {
-                s.next_slice(i as Picos * DEFAULT_TENANT_SLICE_PS, &runnable)
-                    .unwrap()
-                    .unwrap()
-                    .tenant
-            })
+            .map(|_| s.next_slice(&runnable).unwrap().unwrap().tenant)
             .collect()
     }
 
@@ -480,11 +427,11 @@ mod tests {
     #[test]
     fn round_robin_skips_idle_tenants() {
         let mut s = sched(TenantPolicy::RoundRobin, &[1, 1, 1]);
-        let g = s.next_slice(0, &[false, true, true]).unwrap().unwrap();
+        let g = s.next_slice(&[false, true, true]).unwrap().unwrap();
         assert_eq!(g.tenant, 1);
-        let g = s.next_slice(1, &[false, true, true]).unwrap().unwrap();
+        let g = s.next_slice(&[false, true, true]).unwrap().unwrap();
         assert_eq!(g.tenant, 2);
-        assert_eq!(s.next_slice(2, &[false, false, false]).unwrap(), None);
+        assert_eq!(s.next_slice(&[false, false, false]).unwrap(), None);
     }
 
     #[test]
@@ -516,7 +463,7 @@ mod tests {
         assert_eq!(rr.budget_cmds(0), BASE_SLICE_CMDS);
         assert_eq!(rr.budget_cmds(1), BASE_SLICE_CMDS);
         // Weighted grants carry the scaled budget.
-        let g = wfq.next_slice(0, &[true, true]).unwrap().unwrap();
+        let g = wfq.next_slice(&[true, true]).unwrap().unwrap();
         assert_eq!(
             g.budget_cmds,
             BASE_SLICE_CMDS * wfq.tenants[g.tenant].weight
@@ -527,14 +474,14 @@ mod tests {
     fn switch_pays_save_plus_load_and_same_tenant_is_free() {
         let mut s = sched(TenantPolicy::RoundRobin, &[1, 1]);
         let load = s.region().slots()[0].reconfig_time_ps();
-        let g0 = s.next_slice(0, &[true, true]).unwrap().unwrap();
+        let g0 = s.next_slice(&[true, true]).unwrap().unwrap();
         // First residency: no context to save, just the load.
         assert_eq!(g0.switch_ps, load);
-        let g1 = s.next_slice(1, &[true, true]).unwrap().unwrap();
+        let g1 = s.next_slice(&[true, true]).unwrap().unwrap();
         // Preemption: save the outgoing tenant, load the incoming one.
         assert_eq!(g1.switch_ps, 2 * load);
         // Only one tenant runnable → repeated grants stay resident.
-        let g2 = s.next_slice(2, &[false, true]).unwrap().unwrap();
+        let g2 = s.next_slice(&[false, true]).unwrap().unwrap();
         assert_eq!((g2.tenant, g2.switch_ps), (1, 0));
         assert_eq!(s.switches(), 2);
         assert_eq!(s.region().total_reconfig_ps(), 3 * load);
@@ -556,45 +503,16 @@ mod tests {
     }
 
     #[test]
-    fn switch_emits_span_and_metrics() {
-        let mut s = sched(TenantPolicy::RoundRobin, &[1, 1]);
-        let probe = Probe::enabled();
-        s.set_probe(probe.clone());
-        run_slices(&mut s, 4);
-        let trace = probe.trace.take();
-        let switches: Vec<_> = trace
-            .events()
-            .iter()
-            .filter(|e| matches!(e.kind, TraceEventKind::TenantSwitch { .. }))
-            .collect();
-        assert_eq!(switches.len(), 4);
-        assert!(switches.iter().all(|e| e.dur > 0));
-        match switches[0].kind {
-            TraceEventKind::TenantSwitch { slot, from, to } => {
-                assert_eq!((slot, from, to), (0, u32::MAX, 0));
-            }
-            _ => unreachable!(),
-        }
-        let prom = probe.metrics.snapshot().export_prometheus();
-        assert!(prom.contains("harmonia_tenant_switches_total 4"), "{prom}");
-        assert!(
-            prom.contains("harmonia_tenant_slices_total{tenant=\"t0\"} 2"),
-            "{prom}"
-        );
-        assert!(prom.contains("harmonia_pr_reconfig_ps_total"), "{prom}");
-    }
-
-    #[test]
     fn wfq_rising_edge_forfeits_idle_credit() {
         let mut s = sched(TenantPolicy::WeightedFair, &[1, 1]);
         // Tenant 1 idles while tenant 0 runs for a while...
-        for i in 0..10 {
-            let g = s.next_slice(i, &[true, false]).unwrap().unwrap();
+        for _ in 0..10 {
+            let g = s.next_slice(&[true, false]).unwrap().unwrap();
             assert_eq!(g.tenant, 0);
         }
         // ...then wakes: it must NOT monopolize the slot to "catch up".
-        let picks: Vec<_> = (10..20)
-            .map(|i| s.next_slice(i, &[true, true]).unwrap().unwrap().tenant)
+        let picks: Vec<_> = (0..10)
+            .map(|_| s.next_slice(&[true, true]).unwrap().unwrap().tenant)
             .collect();
         let ones = picks.iter().filter(|&&p| p == 1).count();
         assert!(

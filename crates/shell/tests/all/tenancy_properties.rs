@@ -268,7 +268,7 @@ forall! {
         let mut granted = vec![0u64; n];
         for (step, m) in masks.iter().enumerate() {
             let runnable: Vec<bool> = (0..n).map(|i| (m >> i) & 1 == 1).collect();
-            match s.next_slice(step as Picos * slice_ps, &runnable).unwrap() {
+            match s.next_slice(&runnable).unwrap() {
                 Some(g) => {
                     prop_assert!(runnable[g.tenant], "granted an idle tenant");
                     prop_assert_eq!(g.budget_cmds, s.budget_cmds(g.tenant));
@@ -310,8 +310,8 @@ forall! {
         let rounds = mult * total;
         let runnable = vec![true; weights.len()];
         let mut counts = vec![0u64; weights.len()];
-        for step in 0..rounds {
-            let g = s.next_slice(step * slice_ps, &runnable).unwrap().unwrap();
+        for _ in 0..rounds {
+            let g = s.next_slice(&runnable).unwrap().unwrap();
             counts[g.tenant] += 1;
         }
         for (i, &w) in weights.iter().enumerate() {

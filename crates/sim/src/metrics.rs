@@ -7,8 +7,8 @@
 //! SLO is burning. A [`MetricsRegistry`] is a cheap cloneable handle hot
 //! paths bump typed metrics into; a frozen [`MetricsSnapshot`] exports to
 //! the Prometheus text exposition format or a compact JSON document, a
-//! [`MetricsScraper`] samples a registry on the *simulated* clock so
-//! rates come from simulated time, a [`FlightRecorder`] keeps the last N
+//! [`MetricsScraper`] marks the scrape boundaries a run crosses on the
+//! *simulated* clock, a [`FlightRecorder`] keeps the last N
 //! trace events for post-mortems, and [`evaluate_slos`] grades a snapshot
 //! against declarative objectives.
 //!
@@ -440,23 +440,15 @@ impl fmt::Display for MetricsSnapshot {
     }
 }
 
-/// One time-series sample: a snapshot stamped on the simulated timeline.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MetricsSample {
-    /// Simulated time of the scrape boundary this sample belongs to.
-    pub at_ps: Picos,
-    /// The registry state when the boundary was crossed.
-    pub snapshot: MetricsSnapshot,
-}
-
-/// Samples a registry every `period_ps` of *simulated* time (never the
-/// wall clock) into an append-only series. Drive it with
-/// [`MetricsScraper::tick`] from the loop that owns the simulation clock.
+/// Marks every `period_ps` of *simulated* time (never the wall clock)
+/// that a run crosses, in an append-only series of boundary times. Drive
+/// it with [`MetricsScraper::tick`] from the loop that owns the
+/// simulation clock.
 #[derive(Clone, Debug)]
 pub struct MetricsScraper {
     period_ps: Picos,
     next_ps: Picos,
-    samples: Vec<MetricsSample>,
+    boundaries: Vec<Picos>,
 }
 
 impl MetricsScraper {
@@ -470,35 +462,26 @@ impl MetricsScraper {
         MetricsScraper {
             period_ps,
             next_ps: period_ps,
-            samples: Vec::new(),
+            boundaries: Vec::new(),
         }
     }
 
-    /// The configured sampling period.
-    pub fn period_ps(&self) -> Picos {
-        self.period_ps
-    }
-
     /// Advances the scraper to simulated time `now_ps`: if one or more
-    /// period boundaries were crossed since the last tick, appends one
-    /// sample stamped at the *latest* crossed boundary (intermediate
-    /// boundaries would carry the identical snapshot — the simulation
-    /// paused for them — so they are collapsed).
-    pub fn tick(&mut self, registry: &MetricsRegistry, now_ps: Picos) {
+    /// period boundaries were crossed since the last tick, appends the
+    /// *latest* crossed boundary (the simulation paused across the
+    /// others, so they are collapsed into it).
+    pub fn tick(&mut self, now_ps: Picos) {
         if now_ps < self.next_ps {
             return;
         }
         let boundary = now_ps - (now_ps % self.period_ps);
-        self.samples.push(MetricsSample {
-            at_ps: boundary,
-            snapshot: registry.snapshot(),
-        });
+        self.boundaries.push(boundary);
         self.next_ps = boundary + self.period_ps;
     }
 
-    /// The series so far, in strictly increasing `at_ps` order.
-    pub fn samples(&self) -> &[MetricsSample] {
-        &self.samples
+    /// The boundaries crossed so far, in strictly increasing order.
+    pub fn boundaries(&self) -> &[Picos] {
+        &self.boundaries
     }
 }
 
@@ -607,10 +590,7 @@ impl FlightRecorder {
             buf.capacity
         );
         for ev in &buf.ring {
-            out.push_str(&format!(
-                "[{:>17} ps] lane {:<3} +{:<9} {}\n",
-                ev.at, ev.lane, ev.dur, ev.kind
-            ));
+            out.push_str(&format!("{ev}\n"));
         }
         out
     }
@@ -905,31 +885,25 @@ mod tests {
 
     #[test]
     fn scraper_samples_on_simulated_boundaries() {
-        let m = MetricsRegistry::enabled();
         let mut s = MetricsScraper::new(1_000);
-        s.tick(&m, 500); // before the first boundary: nothing
-        assert!(s.samples().is_empty());
-        m.counter_add("c_total", &[], 1);
-        s.tick(&m, 1_200);
-        m.counter_add("c_total", &[], 9);
-        s.tick(&m, 1_900); // same window: nothing
-        s.tick(&m, 4_400); // crossed 2000/3000/4000: one collapsed sample
-        let at: Vec<Picos> = s.samples().iter().map(|x| x.at_ps).collect();
-        assert_eq!(at, vec![1_000, 4_000]);
-        assert_eq!(s.samples()[0].snapshot.counter("c_total"), 1);
-        assert_eq!(s.samples()[1].snapshot.counter("c_total"), 10);
+        s.tick(500); // before the first boundary: nothing
+        assert!(s.boundaries().is_empty());
+        s.tick(1_200);
+        s.tick(1_900); // same window: nothing
+        s.tick(4_400); // crossed 2000/3000/4000: one collapsed sample
+        assert_eq!(s.boundaries(), [1_000, 4_000]);
     }
 
     #[test]
     fn flight_recorder_bounds_memory_and_dumps_readably() {
         let fr = FlightRecorder::with_capacity(3);
         for i in 0..10u64 {
-            fr.record(i * 100, 0, TraceEventKind::EccScrub);
+            fr.record(i * 100, 0, TraceEventKind::KernelReplay { code: 0 });
         }
         assert_eq!(fr.len(), 3);
         let dump = fr.dump();
         assert!(dump.starts_with("flight recorder: last 3 event(s)"));
-        assert!(dump.contains("ecc-scrub"));
+        assert!(dump.contains("kernel-replay"));
         assert!(dump.contains(&format!("[{:>17} ps]", 900)), "{dump}");
         assert!(!dump.contains(&format!("[{:>17} ps]", 0)), "oldest evicted");
     }
@@ -937,7 +911,7 @@ mod tests {
     #[test]
     fn disabled_flight_recorder_is_inert() {
         let fr = FlightRecorder::disabled();
-        fr.record(1, 0, TraceEventKind::EccScrub);
+        fr.record(1, 0, TraceEventKind::KernelReplay { code: 0 });
         assert!(fr.is_empty());
         assert!(fr.dump().contains("disabled"));
     }
@@ -1030,24 +1004,20 @@ mod tests {
 
     #[test]
     fn scraper_keeps_one_sample_per_period() {
-        let m = MetricsRegistry::enabled();
         let mut scraper = MetricsScraper::new(1_000_000); // 1 µs period
         for step in 1..=5u64 {
-            m.counter_add("cmds_total", &[], 200);
-            scraper.tick(&m, step * 1_000_000);
+            scraper.tick(step * 1_000_000);
         }
-        assert_eq!(scraper.samples().len(), 5);
-        let last = scraper.samples().last().unwrap();
-        assert_eq!(last.at_ps, 5_000_000);
-        assert_eq!(last.snapshot.counter("cmds_total"), 1_000);
+        assert_eq!(scraper.boundaries().len(), 5);
+        assert_eq!(scraper.boundaries().last(), Some(&5_000_000));
     }
 
     #[test]
     fn flight_recorder_evicts_the_oldest_event() {
         let fr = FlightRecorder::with_capacity(2);
-        fr.record(100, 0, TraceEventKind::EccScrub);
-        fr.record(200, 0, TraceEventKind::EccScrub);
-        fr.record(300, 0, TraceEventKind::EccScrub);
+        fr.record(100, 0, TraceEventKind::KernelReplay { code: 0 });
+        fr.record(200, 0, TraceEventKind::KernelReplay { code: 0 });
+        fr.record(300, 0, TraceEventKind::KernelReplay { code: 0 });
         let dump = fr.dump();
         assert!(
             !dump.contains(&format!("[{:>17} ps]", 100)),

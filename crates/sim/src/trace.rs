@@ -4,7 +4,7 @@
 //! module makes failure (and fast-path) *timing* observable. A
 //! [`TraceCollector`] is a cheap cloneable handle the hot paths consult —
 //! the unified control kernel, the command driver, the DMA engine, the
-//! MAC/DRAM models — recording typed [`TraceEvent`]s at absolute
+//! MAC model — recording typed [`TraceEvent`]s at absolute
 //! [`Picos`] timestamps. A frozen [`Trace`] exports to the Chrome/Perfetto
 //! `trace.json` format ([`Trace::export_perfetto`]) or a plain-text
 //! timeline ([`Trace::export_text`]).
@@ -38,7 +38,7 @@
 //! use harmonia_sim::trace::{TraceCollector, TraceEventKind, Trace};
 //!
 //! let tc = TraceCollector::enabled();
-//! tc.instant(2_000, TraceEventKind::EccScrub);
+//! tc.instant(2_000, TraceEventKind::KernelReplay { code: 0 });
 //! tc.span(0, 1_500, TraceEventKind::MacFrame { bytes: 64, lost: false });
 //! let trace = tc.take();
 //!
@@ -128,13 +128,6 @@ pub enum TraceEventKind {
         /// Occupancy at the moment of rejection.
         occupancy: u32,
     },
-    /// A DRAM access missed the open row (precharge + activate charged).
-    DramRowConflict {
-        /// Bank that took the conflict.
-        bank: u32,
-    },
-    /// A corrected ECC hit paid the scrub-and-replay penalty (span).
-    EccScrub,
     /// A MAC frame crossed the datapath (span), or was lost on the wire.
     MacFrame {
         /// Frame size.
@@ -176,24 +169,6 @@ pub enum TraceEventKind {
         /// Coalesced interrupts this batch cost the host.
         interrupts: u32,
     },
-    /// The tenant scheduler preempted one tenant and activated another
-    /// through the PR plane (span: context save + bitstream restore).
-    TenantSwitch {
-        /// The PR slot being time-shared.
-        slot: u32,
-        /// Outgoing tenant index (`u32::MAX` when the slot was empty).
-        from: u32,
-        /// Incoming tenant index.
-        to: u32,
-    },
-    /// A tenant burned its per-slice command budget with work still
-    /// queued, forcing preemption at the next scheduling point.
-    QuotaExhausted {
-        /// Tenant index the budget belonged to.
-        tenant: u32,
-        /// Commands the slice granted.
-        granted: u64,
-    },
 }
 
 impl TraceEventKind {
@@ -210,16 +185,12 @@ impl TraceEventKind {
             TraceEventKind::KernelExec { .. } => "kernel-exec",
             TraceEventKind::KernelReplay { .. } => "kernel-replay",
             TraceEventKind::FifoStall { .. } => "fifo-stall",
-            TraceEventKind::DramRowConflict { .. } => "dram-row-conflict",
-            TraceEventKind::EccScrub => "ecc-scrub",
             TraceEventKind::MacFrame { .. } => "mac-frame",
             TraceEventKind::FaultInjected { .. } => "fault-injected",
             TraceEventKind::ModuleDegraded { .. } => "module-degraded",
             TraceEventKind::BatchSubmit { .. } => "batch-submit",
             TraceEventKind::BatchDrain { .. } => "batch-drain",
             TraceEventKind::BatchComplete { .. } => "batch-complete",
-            TraceEventKind::TenantSwitch { .. } => "tenant-switch",
-            TraceEventKind::QuotaExhausted { .. } => "quota-exhausted",
         }
     }
 
@@ -234,14 +205,11 @@ impl TraceEventKind {
             | TraceEventKind::CmdAck { .. }
             | TraceEventKind::CmdGiveUp { .. } => "cmd",
             TraceEventKind::KernelExec { .. } | TraceEventKind::KernelReplay { .. } => "kernel",
-            TraceEventKind::FifoStall { .. }
-            | TraceEventKind::DramRowConflict { .. }
-            | TraceEventKind::EccScrub => "mem",
+            TraceEventKind::FifoStall { .. } => "mem",
             TraceEventKind::MacFrame { .. } => "net",
             TraceEventKind::FaultInjected { .. } | TraceEventKind::ModuleDegraded { .. } => "fault",
             TraceEventKind::BatchSubmit { .. } | TraceEventKind::BatchComplete { .. } => "cmd",
             TraceEventKind::BatchDrain { .. } => "kernel",
-            TraceEventKind::TenantSwitch { .. } | TraceEventKind::QuotaExhausted { .. } => "tenant",
         }
     }
 
@@ -285,8 +253,6 @@ impl TraceEventKind {
             TraceEventKind::FifoStall { occupancy } => {
                 vec![("occupancy", occupancy.to_string())]
             }
-            TraceEventKind::DramRowConflict { bank } => vec![("bank", bank.to_string())],
-            TraceEventKind::EccScrub => Vec::new(),
             TraceEventKind::MacFrame { bytes, lost } => {
                 vec![("bytes", bytes.to_string()), ("lost", lost.to_string())]
             }
@@ -311,15 +277,6 @@ impl TraceEventKind {
             } => vec![
                 ("entries", entries.to_string()),
                 ("interrupts", interrupts.to_string()),
-            ],
-            TraceEventKind::TenantSwitch { slot, from, to } => vec![
-                ("slot", slot.to_string()),
-                ("from", from.to_string()),
-                ("to", to.to_string()),
-            ],
-            TraceEventKind::QuotaExhausted { tenant, granted } => vec![
-                ("tenant", tenant.to_string()),
-                ("granted", granted.to_string()),
             ],
         }
     }
@@ -349,6 +306,18 @@ pub struct TraceEvent {
     pub seq: u64,
     /// What happened.
     pub kind: TraceEventKind,
+}
+
+/// One line of the text timeline: the format of [`Trace::export_text`]
+/// and of [`crate::metrics::FlightRecorder::dump`].
+impl fmt::Display for TraceEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "[{:>17} ps] lane {:<3} +{:<9} {}",
+            self.at, self.lane, self.dur, self.kind
+        )
+    }
 }
 
 /// Events per [`TraceBuf`] chunk: a long recording grows by whole
@@ -574,10 +543,7 @@ impl Trace {
     pub fn export_text(&self) -> String {
         let mut out = String::new();
         for ev in &self.events {
-            out.push_str(&format!(
-                "[{:>17} ps] lane {:<3} +{:<9} {}\n",
-                ev.at, ev.lane, ev.dur, ev.kind
-            ));
+            out.push_str(&format!("{ev}\n"));
         }
         out
     }
@@ -603,7 +569,7 @@ mod tests {
     fn disabled_collector_is_inert() {
         let tc = TraceCollector::disabled();
         assert!(!tc.is_enabled());
-        tc.instant(100, TraceEventKind::EccScrub);
+        tc.instant(100, TraceEventKind::KernelReplay { code: 0 });
         tc.span(
             0,
             50,
@@ -624,8 +590,8 @@ mod tests {
     fn clones_share_one_lane_buffer() {
         let tc = TraceCollector::with_lane(7);
         let other = tc.clone();
-        tc.instant(10, TraceEventKind::EccScrub);
-        other.instant(20, TraceEventKind::EccScrub);
+        tc.instant(10, TraceEventKind::KernelReplay { code: 0 });
+        other.instant(20, TraceEventKind::KernelReplay { code: 0 });
         let trace = tc.take();
         assert_eq!(trace.len(), 2);
         assert!(trace.events().iter().all(|e| e.lane == 7));
@@ -638,10 +604,10 @@ mod tests {
     fn events_sort_by_time_then_lane_then_seq() {
         let a = TraceCollector::with_lane(1);
         let b = TraceCollector::with_lane(0);
-        a.instant(100, TraceEventKind::EccScrub);
-        a.instant(100, TraceEventKind::DramRowConflict { bank: 3 });
-        b.instant(100, TraceEventKind::EccScrub);
-        b.instant(50, TraceEventKind::EccScrub);
+        a.instant(100, TraceEventKind::KernelReplay { code: 0 });
+        a.instant(100, TraceEventKind::FifoStall { occupancy: 3 });
+        b.instant(100, TraceEventKind::KernelReplay { code: 0 });
+        b.instant(50, TraceEventKind::KernelReplay { code: 0 });
         let m = Trace::merge([a.take(), b.take()]);
         let key: Vec<(Picos, u32, u64)> =
             m.events().iter().map(|e| (e.at, e.lane, e.seq)).collect();
@@ -695,7 +661,7 @@ mod tests {
     #[test]
     fn snapshot_keeps_events() {
         let tc = TraceCollector::enabled();
-        tc.instant(1, TraceEventKind::EccScrub);
+        tc.instant(1, TraceEventKind::KernelReplay { code: 0 });
         assert_eq!(tc.snapshot().len(), 1);
         assert_eq!(tc.len(), 1, "snapshot must not drain");
         assert_eq!(tc.take().len(), 1);
@@ -707,7 +673,7 @@ mod tests {
         let tc = TraceCollector::enabled();
         let n = 2 * CHUNK_EVENTS + 5;
         for i in 0..n as u64 {
-            tc.instant(i / 3, TraceEventKind::EccScrub);
+            tc.instant(i / 3, TraceEventKind::KernelReplay { code: 0 });
         }
         assert_eq!(tc.len(), n);
         let snap = tc.snapshot();
@@ -716,7 +682,7 @@ mod tests {
         let seqs: Vec<u64> = taken.events().iter().map(|e| e.seq).collect();
         assert_eq!(seqs, (0..n as u64).collect::<Vec<_>>());
         assert_eq!(tc.len(), 0);
-        tc.instant(0, TraceEventKind::EccScrub);
+        tc.instant(0, TraceEventKind::KernelReplay { code: 0 });
         assert_eq!(tc.take().events()[0].seq, n as u64);
     }
 
@@ -726,15 +692,20 @@ mod tests {
             Trace::merge((0..16u64).map(|i| {
                 let tc = TraceCollector::with_lane(i as u32);
                 // Deliberately colliding timestamps across lanes.
-                tc.instant(i % 4, TraceEventKind::DramRowConflict { bank: i as u32 });
-                tc.span(i % 4, 10, TraceEventKind::EccScrub);
+                tc.instant(
+                    i % 4,
+                    TraceEventKind::FifoStall {
+                        occupancy: i as u32,
+                    },
+                );
+                tc.span(i % 4, 10, TraceEventKind::KernelReplay { code: 0 });
                 tc.take()
             }))
         };
         let trace = run();
         let a = trace.export_perfetto();
         assert_eq!(a, run().export_perfetto());
-        assert!(a.contains("dram-row-conflict"));
+        assert!(a.contains("fifo-stall"));
         // Events sharing a timestamp come out by lane, then by sequence.
         let keys: Vec<_> = trace
             .events()
@@ -785,8 +756,6 @@ mod tests {
             },
             TraceEventKind::KernelReplay { code: 1 },
             TraceEventKind::FifoStall { occupancy: 64 },
-            TraceEventKind::DramRowConflict { bank: 2 },
-            TraceEventKind::EccScrub,
             TraceEventKind::MacFrame {
                 bytes: 1500,
                 lost: false,
@@ -820,8 +789,8 @@ mod tests {
     fn merge_orders_lanes_by_time() {
         let a = TraceCollector::with_lane(0);
         let b = TraceCollector::with_lane(1);
-        a.instant(500, TraceEventKind::EccScrub);
-        b.instant(100, TraceEventKind::EccScrub);
+        a.instant(500, TraceEventKind::KernelReplay { code: 0 });
+        b.instant(100, TraceEventKind::KernelReplay { code: 0 });
         let merged = Trace::merge([a.take(), b.take()]);
         let order: Vec<(u64, u32)> = merged.events().iter().map(|e| (e.at, e.lane)).collect();
         assert_eq!(order, vec![(100, 1), (500, 0)]);

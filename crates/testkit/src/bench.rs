@@ -148,15 +148,12 @@ pub fn measure_runs(
         .collect()
 }
 
-/// Where `BENCH_*.json` artifacts land: `TESTKIT_BENCH_DIR` if set, else
+/// Where `BENCH_*.json` artifacts land:
 /// `<workspace root>/target/testkit-bench`, resolved by walking up from
 /// the running crate's manifest dir (cargo sets the bench binary's CWD
 /// to the *package* dir, so a bare relative path would scatter stray
 /// `target/` dirs across member crates).
 pub(crate) fn out_dir() -> PathBuf {
-    if let Ok(dir) = std::env::var("TESTKIT_BENCH_DIR") {
-        return PathBuf::from(dir);
-    }
     let start = std::env::var("CARGO_MANIFEST_DIR")
         .map(PathBuf::from)
         .or_else(|_| std::env::current_dir())

@@ -27,9 +27,8 @@
 //! Pin tests that hold a long rendering to recorded bytes compare its
 //! [`fnv1a`] hash.
 //!
-//! Environment knobs: `TESTKIT_CASES`, `TESTKIT_SEED`,
-//! `TESTKIT_SHRINK_BUDGET`, `TESTKIT_PERSIST`, `TESTKIT_BENCH_DIR`,
-//! `TESTKIT_BENCH_SMOKE`.
+//! Environment knobs: `TESTKIT_CASES`, `TESTKIT_SEED`, `TESTKIT_PERSIST`
+//! (a value that does not parse fails the run) and `TESTKIT_BENCH_SMOKE`.
 
 #![warn(missing_docs)]
 

@@ -4,7 +4,8 @@
 //! Determinism policy: the default base seed is **fixed** so that offline
 //! CI runs are reproducible bit-for-bit. Set `TESTKIT_SEED` to explore a
 //! different region of the input space and `TESTKIT_CASES` to change the
-//! number of cases per property.
+//! number of cases per property; a value that does not parse fails the
+//! run.
 
 use crate::shrink::shrink_tape;
 use crate::source::DataSource;
@@ -19,7 +20,7 @@ pub(crate) const DEFAULT_CASES: u32 = 64;
 /// Default base seed (`TESTKIT_SEED` overrides). Spells "HARMONIA".
 pub const DEFAULT_SEED: u64 = 0x4841_524D_4F4E_4941;
 
-/// Default shrink evaluation budget (`TESTKIT_SHRINK_BUDGET` overrides).
+/// Default shrink evaluation budget.
 pub const DEFAULT_SHRINK_BUDGET: usize = 4096;
 
 /// A failed test case: the message explaining why.
@@ -50,20 +51,54 @@ pub struct Config {
     pub persist: bool,
 }
 
-fn env_parse<T: std::str::FromStr>(key: &str) -> Option<T> {
-    std::env::var(key).ok()?.trim().parse().ok()
-}
-
 impl Config {
-    /// Reads `TESTKIT_CASES`, `TESTKIT_SEED`, `TESTKIT_SHRINK_BUDGET`,
-    /// and `TESTKIT_PERSIST` (0 disables), with hermetic defaults.
+    /// Reads `TESTKIT_CASES`, `TESTKIT_SEED` and `TESTKIT_PERSIST` from
+    /// the environment; see [`Config::from_knobs`].
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the variable and its value, when a knob is set to
+    /// something that does not parse, so a typo fails the run instead of
+    /// silently running the defaults.
     pub fn from_env() -> Self {
-        Config {
-            cases: env_parse("TESTKIT_CASES").unwrap_or(DEFAULT_CASES),
-            seed: env_parse("TESTKIT_SEED").unwrap_or(DEFAULT_SEED),
-            shrink_budget: env_parse("TESTKIT_SHRINK_BUDGET").unwrap_or(DEFAULT_SHRINK_BUDGET),
-            persist: env_parse::<u8>("TESTKIT_PERSIST").unwrap_or(1) != 0,
+        Self::from_knobs(|key| std::env::var(key).ok()).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The configuration the knobs `get` returns describe: each of
+    /// `TESTKIT_CASES`, `TESTKIT_SEED` and `TESTKIT_PERSIST` is an
+    /// integer, and `TESTKIT_PERSIST=0` turns persistence off; an unset
+    /// knob keeps its hermetic default.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the knob and its value when a set knob does not
+    /// parse.
+    pub fn from_knobs(get: impl Fn(&str) -> Option<String>) -> Result<Config, String> {
+        fn knob<T: std::str::FromStr>(
+            get: &impl Fn(&str) -> Option<String>,
+            key: &str,
+            default: T,
+            expected: &str,
+        ) -> Result<T, String> {
+            match get(key) {
+                None => Ok(default),
+                Some(v) => v
+                    .trim()
+                    .parse()
+                    .map_err(|_| format!("{key}={v:?}: expected {expected}")),
+            }
         }
+        Ok(Config {
+            cases: knob(&get, "TESTKIT_CASES", DEFAULT_CASES, "a case count")?,
+            seed: knob(
+                &get,
+                "TESTKIT_SEED",
+                DEFAULT_SEED,
+                "an unsigned 64-bit seed",
+            )?,
+            shrink_budget: DEFAULT_SHRINK_BUDGET,
+            persist: knob::<u8>(&get, "TESTKIT_PERSIST", 1, "0 (off) or 1 (on)")? != 0,
+        })
     }
 }
 

@@ -4,7 +4,7 @@
 //! bounds-correct.
 
 use harmonia_testkit::prelude::*;
-use harmonia_testkit::runner::{Config, Outcome, Runner};
+use harmonia_testkit::runner::{Config, Outcome, Runner, DEFAULT_SEED};
 use harmonia_testkit::source::DataSource;
 use harmonia_testkit::DetRng;
 
@@ -144,6 +144,41 @@ fn ported_shell_regression_tape_decodes_to_documented_values() {
     let strategy = (50u64..500, 3u32..9, 50u64..500, 3u32..9);
     let mut src = DataSource::replay(vec![223, 0, 0, 3]);
     assert_eq!(strategy.generate(&mut src), (273, 3, 50, 6));
+}
+
+/// The configuration the `(knob, value)` pairs describe.
+fn config_of(knobs: &[(&str, &str)]) -> Result<Config, String> {
+    Config::from_knobs(|key| {
+        knobs
+            .iter()
+            .find(|&&(k, _)| k == key)
+            .map(|&(_, v)| v.to_string())
+    })
+}
+
+#[test]
+fn garbled_knobs_are_errors_not_defaults() {
+    let c = config_of(&[]).unwrap();
+    assert_eq!((c.cases, c.seed, c.persist), (64, DEFAULT_SEED, true));
+    let c = config_of(&[
+        ("TESTKIT_CASES", "128"),
+        ("TESTKIT_SEED", " 7 "),
+        ("TESTKIT_PERSIST", "0"),
+    ])
+    .unwrap();
+    assert_eq!((c.cases, c.seed, c.persist), (128, 7, false));
+    for (key, value) in [
+        ("TESTKIT_SEED", "banana"),
+        ("TESTKIT_CASES", "-1"),
+        ("TESTKIT_PERSIST", "no"),
+        ("TESTKIT_SEED", ""),
+    ] {
+        let err = config_of(&[(key, value)]).unwrap_err();
+        assert!(
+            err.starts_with(&format!("{key}={value:?}")),
+            "{err} names neither {key} nor {value:?}"
+        );
+    }
 }
 
 #[test]
