@@ -210,12 +210,14 @@ if [ "$(printf '%s\n' "$per_table" | grep -c .)" -ne "$tables" ] \
     exit 1
 fi
 
-echo "==> components bench (smoke): wall-clock time of each fleet-tick phase and command-path campaign"
+echo "==> components bench (smoke): wall-clock time of each fleet-tick phase, command-path campaign and cycle-level kernel"
 # Wall-clock only, like BENCH_paper.json: the committed
 # BENCH_components.json holds a full run's timings, so the fresh file and
 # the committed one are checked for one entry per phase of the tick
 # (the PHASES list in crates/fleet/src/control.rs), one for the whole
-# fleet day and one per command-path campaign, never compared.
+# fleet day, one per command-path campaign and one per kernel entry (DRAM
+# replay and run_trace per pattern and channel count, the datapath run),
+# never compared.
 TESTKIT_BENCH_SMOKE=1 cargo bench -q --offline --locked -p harmonia-bench --bench components
 phases=$(sed -n '/^const PHASES/,/^];/p' crates/fleet/src/control.rs | grep -oE '^ *\("[a-z_]+"' | tr -d ' ("')
 if [ -z "$phases" ]; then
@@ -224,6 +226,12 @@ if [ -z "$phases" ]; then
 fi
 entries=$(for phase in $phases; do echo "fleet_tick_$phase"; done)
 entries="$entries fleet_day cmd_batched_observed cmd_batched_unobserved cmd_serial_unobserved"
+for kernel in dram_replay dram_run_trace; do
+    for trace in seq_1ch seq_2ch rand_1ch rand_2ch; do
+        entries="$entries ${kernel}_$trace"
+    done
+done
+entries="$entries datapath_run"
 for entry in $entries; do
     for file in target/testkit-bench/BENCH_components.json BENCH_components.json; do
         found=$(grep -c "\"name\": \"$entry\"" "$file" || true)

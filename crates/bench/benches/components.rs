@@ -24,13 +24,32 @@
 //! * `cmd_serial_unobserved` — one command per doorbell through
 //!   `cmd_raw_resilient`, every plane off.
 //!
+//! The paper sweep's two cycle-level kernels get their own entries, each
+//! one call per sample:
+//!
+//! * `dram_replay_<pattern>_<n>ch` — `DramModel::replay` alone on the
+//!   `ablation_memory` 40 000-op read trace of that pattern (`seq` or
+//!   `rand`, seed 11, 64 B ops), routed beforehand, untimed, to `n` DDR4
+//!   channels by the Memory RBB's 4 KiB interleave stripe: the floor;
+//! * `dram_run_trace_<pattern>_<n>ch` — `MemoryRbb::run_trace` on the
+//!   same trace, cache off, so every op is DRAM-bound: the floor plus the
+//!   cache and route stages;
+//! * `datapath_run` — `DatapathSim::run` of `ablation_datapath_sim`'s
+//!   1024 B row (1 500 packets, 80 820 edges).
+//!
 //! Every column is wall-clock, so `BENCH_components.json` moves from run
-//! to run: `ci.sh` checks that each phase and each command-path campaign
-//! has its entry and never `cmp`s the file. Refresh the committed copy
+//! to run: `ci.sh` checks that each phase, each command-path campaign and
+//! each kernel has its entry and never `cmp`s the file. Refresh the committed copy
 //! with a full run (20 samples each, a few seconds) and copy it from
 //! `target/testkit-bench/` by hand; `TESTKIT_BENCH_SMOKE=1` runs 3.
 
-use harmonia::sim::Probe;
+use harmonia::hw::ip::dram::MemOp;
+use harmonia::hw::ip::{DdrIp, MacIp};
+use harmonia::hw::Vendor;
+use harmonia::shell::rbb::MemoryRbb;
+use harmonia::shell::DatapathSim;
+use harmonia::sim::{Freq, Probe};
+use harmonia::workloads::{AccessPattern, MemTraceGen};
 use harmonia_bench::cmdpath::{cmd_campaign, CMD_BATCH};
 use harmonia_bench::fleet::fleet_day;
 use harmonia_testkit::bench::{black_box, group_json, measure_runs, write_artifact};
@@ -111,11 +130,63 @@ fn cmd_round() -> Vec<(String, Duration)> {
         .collect()
 }
 
+/// The `ablation_memory` traces the DRAM entries replay.
+fn dram_traces() -> [(&'static str, Vec<MemOp>); 2] {
+    [
+        ("seq", AccessPattern::Sequential),
+        ("rand", AccessPattern::Random),
+    ]
+    .map(|(label, pattern)| {
+        let ops = MemTraceGen::new(11)
+            .trace(pattern, false, 64, 40_000)
+            .expect("64 B ops fit the default footprint");
+        (label, ops)
+    })
+}
+
+/// Each DRAM entry once, replay and `run_trace` side by side, then the
+/// datapath run.
+fn kernel_round(traces: &[(&'static str, Vec<MemOp>)]) -> Vec<(String, Duration)> {
+    let mut spent = Vec::new();
+    for (label, ops) in traces {
+        for channels in [1u32, 2] {
+            let mut routed = vec![Vec::new(); channels as usize];
+            for &op in ops {
+                routed[(op.addr / 4096 % u64::from(channels)) as usize].push(op);
+            }
+            let mut models = vec![DdrIp::new(Vendor::Xilinx, 4).channel(); channels as usize];
+            let start = Instant::now();
+            for (model, ops) in models.iter_mut().zip(&routed) {
+                black_box(model.replay(ops.iter().copied()));
+            }
+            spent.push((format!("dram_replay_{label}_{channels}ch"), start.elapsed()));
+
+            let mut mem = MemoryRbb::ddr(Vendor::Xilinx, 4, channels);
+            mem.set_cache(false);
+            let start = Instant::now();
+            let r = black_box(mem.run_trace(ops.iter().copied()));
+            spent.push((
+                format!("dram_run_trace_{label}_{channels}ch"),
+                start.elapsed(),
+            ));
+            assert_eq!(r.dram_bytes, r.bytes, "the cache is off");
+        }
+    }
+    let sim = DatapathSim::new(MacIp::new(Vendor::Xilinx, 100), Freq::khz(322_265), 512);
+    let start = Instant::now();
+    let report = black_box(sim.run(1024, 1_500));
+    spent.push(("datapath_run".to_string(), start.elapsed()));
+    assert_eq!(report.packets_delivered, 1_500, "every packet delivered");
+    spent
+}
+
 fn main() {
     // The untimed warm-up day builds the process-wide migration matrix
     // and warms the caches.
     let mut results = measure_runs(CAMPAIGNS, fleet_run);
     results.extend(measure_runs(CAMPAIGNS, cmd_round));
+    let traces = dram_traces();
+    results.extend(measure_runs(CAMPAIGNS, || kernel_round(&traces)));
     for s in &results {
         println!(
             "components/{:<28} median {:>12.0} ns   min {:>12.0} ns",

@@ -92,12 +92,13 @@ pub(crate) fn fig10c() -> Table {
         ("SeqWrite", AccessPattern::Sequential, true),
     ];
     for (label, pattern, write) in cases {
-        let ops = MemTraceGen::new(7)
-            .trace(pattern, write, 64, 30_000)
-            .expect("64 B ops fit the default footprint");
         let mut mem = MemoryRbb::ddr(Vendor::Xilinx, 4, 1);
         mem.set_cache(false);
-        let native_bw = mem.run_trace(ops.iter().copied()).bandwidth_gbs();
+        let mut gen = MemTraceGen::new(7);
+        let ops = gen
+            .stream(pattern, write, 64, 30_000)
+            .expect("64 B ops fit the default footprint");
+        let native_bw = mem.run_trace(ops).bandwidth_gbs();
         // Single-access latency.
         let mut one = ip.channel();
         let native_lat = one.access(0, MemOp::read(0, 64));

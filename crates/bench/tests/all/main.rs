@@ -10,3 +10,4 @@ mod paper_snapshot;
 mod reproducibility;
 mod tenancy_scaling;
 mod trace_equivalence;
+mod trace_streams;

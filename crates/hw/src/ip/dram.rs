@@ -407,17 +407,21 @@ impl DramModel {
     /// [`access`](Self::access)`(0, op)` over them would; returns the last
     /// completion, which is [`busy_until`](Self::busy_until) afterwards.
     ///
-    /// The mapping is decided once for the slice, and the channel's state
-    /// is held in locals throughout and written back once.
-    pub fn replay(&mut self, ops: &[MemOp]) -> Picos {
+    /// The mapping is decided once for the call, and the channel's state
+    /// is held in locals throughout and written back once. Generic, so a
+    /// caller's iterator (a slice, a generator, a picked subset of a
+    /// block) is compiled into the replay loop itself.
+    #[inline]
+    pub fn replay<I: IntoIterator<Item = MemOp>>(&mut self, ops: I) -> Picos {
         if self.map.shifts {
-            self.replay_in::<ShiftMask>(ops)
+            self.replay_in::<ShiftMask>(ops.into_iter())
         } else {
-            self.replay_in::<Division>(ops)
+            self.replay_in::<Division>(ops.into_iter())
         }
     }
 
-    fn replay_in<M: DivMode>(&mut self, ops: &[MemOp]) -> Picos {
+    #[inline]
+    fn replay_in<M: DivMode>(&mut self, ops: impl Iterator<Item = MemOp>) -> Picos {
         let DramModel {
             timing,
             map,
@@ -426,7 +430,7 @@ impl DramModel {
         } = self;
         let banks = banks.as_mut_slice();
         let mut r = *regs;
-        for &op in ops {
+        for op in ops {
             r.step::<M>(timing, map, banks, 0, op);
         }
         *regs = r;
@@ -620,7 +624,7 @@ mod tests {
                 } else {
                     let start = folded.busy_until();
                     let want = ops.iter().fold(start, |_, &op| folded.access(0, op));
-                    prop_assert_eq!(replayed.replay(&ops), want, "call {i}");
+                    prop_assert_eq!(replayed.replay(ops.iter().copied()), want, "call {i}");
                 }
                 prop_assert_eq!(replayed.busy_until(), folded.busy_until(), "call {i}");
                 prop_assert_eq!(replayed.row_hits(), folded.row_hits(), "call {i}");

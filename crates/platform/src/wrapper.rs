@@ -75,6 +75,7 @@ impl WidthConverter {
     /// # Panics
     ///
     /// Panics if the beat claims more valid bytes than the input width.
+    #[inline]
     pub fn push(&mut self, beat: StreamBeat) {
         assert!(
             u32::from(beat.valid_bytes) <= self.in_bytes,
@@ -93,6 +94,7 @@ impl WidthConverter {
         }
     }
 
+    #[inline]
     fn emit(&mut self, bytes: u32, eop: bool) {
         let mut out = StreamBeat::body(bytes as u16);
         if self.next_is_sop {
@@ -108,6 +110,7 @@ impl WidthConverter {
     }
 
     /// Pops one output beat.
+    #[inline]
     pub fn pop(&mut self) -> Option<StreamBeat> {
         self.ready.pop_front()
     }

@@ -12,7 +12,12 @@
 //! per-edge body (`DatapathRun`) until the last packet is delivered. The
 //! edge body allocates nothing: every packet has the same beats, so the
 //! MAC's ingress is a cursor over one packet's beat list, and arrival
-//! times are a product, not a stored list.
+//! times are a product, not a stored list. Every call it makes across a
+//! crate (the edge iterator, the width converter, the statistics) is
+//! `#[inline]`, so an edge costs its own arithmetic: one scan picks the
+//! next clock, the FIFO decodes each synchronized gray pointer once per
+//! edge of the domain that reads it, and a push is tried, not checked and
+//! then tried.
 
 use crate::cdc::ParamCdc;
 use harmonia_hw::ip::MacIp;
@@ -85,6 +90,9 @@ impl DatapathSim {
     ///
     /// Panics if the CDC configuration would be lossy (`S×M > R×U`) — a
     /// mis-sized role domain is a design error the tailoring flow rejects.
+    /// Panics if `packet_bytes` is zero (an empty packet has no beats), and
+    /// if the run's deadline, four times the ideal wire time of `count`
+    /// packets, does not fit the simulated clock.
     pub fn run(&self, packet_bytes: u32, count: u64) -> DatapathReport {
         let mac_clock = self.mac.core_clock();
         let mac_width = self.mac.data_width_bits();
@@ -120,7 +128,12 @@ impl DatapathSim {
         );
 
         // Run until everything is delivered (bounded by 4× the ideal time).
-        let deadline = 4 * run.wire_ps_per_pkt * count + 10_000_000;
+        let deadline = (4 * run.wire_ps_per_pkt)
+            .checked_mul(count)
+            .and_then(|ps| ps.checked_add(10_000_000))
+            .unwrap_or_else(|| {
+                panic!("{count} packets of {packet_bytes} B overflow the simulated clock")
+            });
         let mut mc = MultiClock::new();
         let mac_clk = mc.add(ClockDomain::new(mac_clock));
         mc.add(ClockDomain::new(self.user_clock));
@@ -215,9 +228,8 @@ impl DatapathRun {
         }
         self.fifo.on_write_edge();
         if self.send_pkt < self.next_ready_pkt {
-            if self.fifo.can_push() {
-                let beat = (self.beats[self.send_beat], self.send_pkt);
-                self.fifo.try_push(beat).expect("can_push checked");
+            let beat = (self.beats[self.send_beat], self.send_pkt);
+            if self.fifo.try_push(beat).is_ok() {
                 self.send_beat += 1;
                 if self.send_beat == self.beats.len() {
                     self.send_beat = 0;
@@ -509,6 +521,21 @@ mod tests {
             }
         }
         assert_eq!(got, RECORDED);
+    }
+
+    /// A count whose deadline overflows `Picos` is refused: a wrapped
+    /// deadline would end the run early (here after 1 480 packets) with
+    /// no error.
+    #[test]
+    #[should_panic(expected = "overflow the simulated clock")]
+    fn deadline_overflow_rejected() {
+        let _ = sim().run(64, 686_262_800_361_219);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty packets are not representable")]
+    fn empty_packets_rejected() {
+        let _ = sim().run(0, 10);
     }
 
     #[test]

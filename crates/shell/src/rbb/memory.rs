@@ -7,6 +7,18 @@
 //! access is impossible". Data moves on a 512-bit mem-map interface;
 //! control uses a 32-bit reg interface. The channel count parameter follows
 //! the device: 2 channels for DDR, 32 for HBM.
+//!
+//! [`MemoryRbb::run_trace`] replays a trace in three stages: the hot cache
+//! sees every op in trace order, the route stage stages each DRAM-bound op
+//! in its channel's chunk of `REPLAY_CHUNK` (256), and a full chunk is
+//! replayed at once with [`DramModel::replay`]. The cache and route stages
+//! share one loop, which pulls ops straight from the caller's iterator (a
+//! slice or a streamed generator); the replay runs in a function of its
+//! own, because a channel's state alone fills the registers. The router is
+//! picked per call by channel count: one channel stages without routing;
+//! two share one chunk, channel 0 filling it from the front and channel 1
+//! from the back, so both cursors stay in registers; any other count
+//! indexes its chunk and cursor.
 
 use crate::rbb::{LogicComponent, LogicPart, Portability, Rbb, RbbKind};
 use harmonia_hw::ip::dram::{DivMode, Division, Divisor, DramModel, MemOp, ShiftMask};
@@ -73,24 +85,34 @@ impl HotCache {
     /// Looks up a read; fills the line on miss. Returns hit/miss.
     #[cfg(test)]
     fn lookup_fill(&mut self, addr: u64) -> bool {
-        if self.shifts() {
+        let hit = if self.shifts() {
             self.lookup_fill_in::<ShiftMask>(addr)
         } else {
             self.lookup_fill_in::<Division>(addr)
-        }
+        };
+        self.count(u64::from(hit), u64::from(!hit));
+        hit
     }
 
+    /// Looks up a read and fills the line on a miss, without counting it:
+    /// a caller that looks up many reads counts them in locals and calls
+    /// [`count`](Self::count) once, so no lookup waits on a counter in
+    /// memory.
     #[inline(always)]
     fn lookup_fill_in<M: DivMode>(&mut self, addr: u64) -> bool {
         let (slot, tag) = self.slot_and_tag::<M>(addr);
         if self.tags[slot] == Some(tag) {
-            self.hits += 1;
             true
         } else {
             self.tags[slot] = Some(tag);
-            self.misses += 1;
             false
         }
+    }
+
+    /// Adds read hits and misses to the counts.
+    fn count(&mut self, hits: u64, misses: u64) {
+        self.hits += hits;
+        self.misses += misses;
     }
 
     /// Invalidates the line containing `addr` (write-through policy).
@@ -180,7 +202,7 @@ impl MemoryRbb {
     /// Cache line size in bytes.
     pub(crate) const CACHE_LINE_BYTES: u64 = 4096;
     /// Ops a channel collects in `run_trace` before it replays them.
-    const REPLAY_CHUNK: usize = 64;
+    const REPLAY_CHUNK: usize = 256;
 
     /// Creates a DDR-backed Memory RBB with `channels` channels.
     ///
@@ -281,12 +303,11 @@ impl MemoryRbb {
     /// Runs a trace of memory operations; the queue is kept saturated
     /// (issue time 0) so the result reflects steady-state bandwidth.
     ///
-    /// A two-stage pipeline. Ops pass the hot cache in trace order, and
-    /// each DRAM-bound op is routed to its channel's chunk, in order. A
-    /// channel replays its chunk with [`DramModel::replay`] once it is
-    /// full, and at the end of the trace. This is exactly the per-op
-    /// replay: channels share no state, and the cache never reads DRAM
-    /// timing.
+    /// The hot cache sees every op in trace order and keeps the ones it
+    /// does not serve; each kept op is staged in its channel's chunk, and
+    /// a full chunk is replayed with [`DramModel::replay`] (see the module
+    /// docs). This is exactly the per-op replay: channels share no state,
+    /// and the cache never reads DRAM timing.
     pub fn run_trace<I: IntoIterator<Item = MemOp>>(&mut self, ops: I) -> MemTraceResult {
         let shifts = self.cache.shifts()
             && self.region().is_power_of_two()
@@ -309,6 +330,27 @@ impl MemoryRbb {
     }
 
     fn run_trace_in<M: DivMode>(&mut self, ops: impl Iterator<Item = MemOp>) -> MemTraceResult {
+        let chunk = &mut [Staged::EMPTY; CHUNK];
+        let count = self.channel_count;
+        match (self.cache_enabled, self.channels.len()) {
+            (true, 1) => self.run_staged::<M, true, _>(ops, OneChannel::new(chunk)),
+            (false, 1) => self.run_staged::<M, false, _>(ops, OneChannel::new(chunk)),
+            (true, 2) => self.run_staged::<M, true, _>(ops, TwoChannels::new(chunk)),
+            (false, 2) => self.run_staged::<M, false, _>(ops, TwoChannels::new(chunk)),
+            (true, n) => self.run_staged::<M, true, _>(ops, Channels::new(n, count)),
+            (false, n) => self.run_staged::<M, false, _>(ops, Channels::new(n, count)),
+        }
+    }
+
+    /// The cache and route stages in one loop, with the hot cache on when
+    /// `CACHE` is; `router` stages each DRAM-bound op and replays its
+    /// channel's chunk when it fills.
+    #[inline(always)]
+    fn run_staged<M: DivMode, const CACHE: bool, R: Router>(
+        &mut self,
+        ops: impl Iterator<Item = MemOp>,
+        mut router: R,
+    ) -> MemTraceResult {
         // Channels keep absolute time across calls; measure this trace
         // relative to where they already were.
         let t0: Picos = self
@@ -317,49 +359,34 @@ impl MemoryRbb {
             .map(DramModel::busy_until)
             .max()
             .unwrap_or(0);
-        let mut cache_port_busy: Picos = 0;
-        let mut dram_done: Picos = t0;
-        let mut bytes = 0u64;
-        let mut dram_bytes = 0u64;
-        let mut cache_hits = 0u64;
         let region = self.region();
-        let cache_enabled = self.cache_enabled;
-        // Channel `ch`'s chunk is `chunks[ch * CHUNK..][..lens[ch]]`.
-        const CHUNK: usize = MemoryRbb::REPLAY_CHUNK;
-        let mut chunks = vec![MemOp::read(0, 0); self.channels.len() * CHUNK];
-        let mut lens = vec![0usize; self.channels.len()];
+        let (cache, port_ps) = (&mut self.cache, self.cache_port_ps);
+        let channels = self.channels.as_mut_slice();
+        let (mut bytes, mut dram_bytes) = (0u64, 0u64);
+        let (mut cache_hits, mut cache_misses) = (0u64, 0u64);
+        let mut cache_port_busy: Picos = 0;
         for op in ops {
             bytes += u64::from(op.bytes);
-            if cache_enabled {
+            if CACHE {
                 if op.is_write {
-                    self.cache.invalidate_in::<M>(op.addr);
-                } else if self.cache.lookup_fill_in::<M>(op.addr) {
+                    cache.invalidate_in::<M>(op.addr);
+                } else if cache.lookup_fill_in::<M>(op.addr) {
                     cache_hits += 1;
-                    cache_port_busy += self.cache_port_ps * u64::from(op.bytes.div_ceil(64));
+                    cache_port_busy += port_ps * u64::from(op.bytes.div_ceil(64));
                     continue;
+                } else {
+                    cache_misses += 1;
                 }
+                dram_bytes += u64::from(op.bytes);
             }
-            dram_bytes += u64::from(op.bytes);
-            let ch = M::rem(M::div(op.addr, region), self.channel_count) as usize;
-            let chunk = &mut chunks[ch * CHUNK..][..CHUNK];
-            let len = &mut lens[ch];
-            chunk[*len] = op;
-            *len += 1;
-            if *len == CHUNK {
-                dram_done = dram_done.max(self.channels[ch].replay(chunk));
-                *len = 0;
-            }
+            router.push::<M>(channels, M::div(op.addr, region), op);
         }
-        for ((channel, chunk), &len) in self
-            .channels
-            .iter_mut()
-            .zip(chunks.chunks(CHUNK))
-            .zip(&lens)
-        {
-            if len > 0 {
-                dram_done = dram_done.max(channel.replay(&chunk[..len]));
-            }
+        if CACHE {
+            cache.count(cache_hits, cache_misses);
+        } else {
+            dram_bytes = bytes;
         }
+        let dram_done = router.finish(channels).max(t0);
         MemTraceResult {
             makespan_ps: (dram_done - t0).max(cache_port_busy),
             bytes,
@@ -391,6 +418,210 @@ impl MemoryRbb {
         set(rf, "mon_cache_2", u64::from(self.interleave_enabled))?;
         set(rf, "mon_cache_3", u64::from(self.cache_enabled))?;
         Ok(())
+    }
+}
+
+/// The route stage: stages each DRAM-bound op in its channel's chunk and
+/// replays a chunk with [`DramModel::replay`] once it is full, and at the
+/// end of the trace. Channels share no state, so only the order within a
+/// channel matters.
+///
+/// Staging and replay run as two loops, not one: the replay loop already
+/// needs every register for a channel's state, so a generator or the cache
+/// folded into it would spill on every op. A router borrows its chunks
+/// rather than owning them: a chunk's address escapes into the replay, and
+/// a cursor stored beside it would be kept in memory with it.
+trait Router {
+    /// Stages `op`, which lies in interleave region `region` (its address
+    /// over the stripe or span): its channel is `region` modulo the
+    /// channel count.
+    fn push<M: DivMode>(&mut self, channels: &mut [DramModel], region: u64, op: MemOp);
+    /// Replays what is left; returns the last completion (0 for none).
+    fn finish(self, channels: &mut [DramModel]) -> Picos;
+}
+
+const CHUNK: usize = MemoryRbb::REPLAY_CHUNK;
+
+/// A chunk of staged ops.
+type Chunk = [Staged; CHUNK];
+
+/// A DRAM-bound op as the route stage stages it: its size and direction
+/// share a word, so staging an op takes two 8-byte stores. (Copying a
+/// `MemOp` field by field, padding included, took five.)
+#[derive(Copy, Clone, Debug)]
+struct Staged {
+    addr: u64,
+    /// `bytes`, with `is_write` in bit 32.
+    meta: u64,
+}
+
+impl Staged {
+    const EMPTY: Staged = Staged { addr: 0, meta: 0 };
+
+    #[inline(always)]
+    fn new(op: MemOp) -> Self {
+        Staged {
+            addr: op.addr,
+            meta: u64::from(op.bytes) | u64::from(op.is_write) << 32,
+        }
+    }
+
+    #[inline(always)]
+    fn op(self) -> MemOp {
+        MemOp {
+            addr: self.addr,
+            bytes: self.meta as u32,
+            is_write: self.meta >> 32 != 0,
+        }
+    }
+}
+
+/// Replays `ops` on `channel`, if there are any; returns the later of
+/// `done` and its last completion. Never inlined, so each chunk shape has
+/// one copy of the replay loop, not one per call site.
+#[inline(never)]
+fn replay_chunk<'a, I>(done: Picos, channel: &mut DramModel, ops: I) -> Picos
+where
+    I: ExactSizeIterator<Item = &'a Staged>,
+{
+    if ops.len() == 0 {
+        done
+    } else {
+        done.max(channel.replay(ops.copied().map(Staged::op)))
+    }
+}
+
+/// One channel: nothing to route.
+struct OneChannel<'a> {
+    chunk: &'a mut Chunk,
+    len: usize,
+    done: Picos,
+}
+
+impl<'a> OneChannel<'a> {
+    fn new(chunk: &'a mut Chunk) -> Self {
+        OneChannel {
+            chunk,
+            len: 0,
+            done: 0,
+        }
+    }
+}
+
+impl Router for OneChannel<'_> {
+    #[inline(always)]
+    fn push<M: DivMode>(&mut self, channels: &mut [DramModel], _: u64, op: MemOp) {
+        // `len` is below `CHUNK` here; the mask only spares the bounds check.
+        self.chunk[self.len % CHUNK] = Staged::new(op);
+        self.len += 1;
+        if self.len == CHUNK {
+            self.done = replay_chunk(self.done, &mut channels[0], self.chunk.iter());
+            self.len = 0;
+        }
+    }
+
+    #[inline(always)]
+    fn finish(self, channels: &mut [DramModel]) -> Picos {
+        replay_chunk(self.done, &mut channels[0], self.chunk[..self.len].iter())
+    }
+}
+
+/// Two channels share one chunk: channel 0's ops fill it from the front,
+/// channel 1's from the back (latest first), and both replay when the two
+/// ends meet. An op's slot is a select between the two ends, not a
+/// branch, and one compare sees the chunk full.
+struct TwoChannels<'a> {
+    chunk: &'a mut Chunk,
+    /// Channel 0 holds `chunk[..front]`, channel 1 `chunk[back..]`, and
+    /// `front < back` between pushes.
+    front: usize,
+    back: usize,
+    done: Picos,
+}
+
+impl<'a> TwoChannels<'a> {
+    fn new(chunk: &'a mut Chunk) -> Self {
+        TwoChannels {
+            chunk,
+            front: 0,
+            back: CHUNK,
+            done: 0,
+        }
+    }
+
+    /// Replays both channels' ops and empties the chunk.
+    #[inline(always)]
+    fn flush(&mut self, channels: &mut [DramModel]) {
+        let zero = self.chunk[..self.front].iter();
+        let done = replay_chunk(self.done, &mut channels[0], zero);
+        let one = self.chunk[self.back..].iter().rev();
+        self.done = replay_chunk(done, &mut channels[1], one);
+        (self.front, self.back) = (0, CHUNK);
+    }
+}
+
+impl Router for TwoChannels<'_> {
+    #[inline(always)]
+    fn push<M: DivMode>(&mut self, channels: &mut [DramModel], region: u64, op: MemOp) {
+        let ch = (region & 1) as usize;
+        // The slot is free (`front < back`); the mask only spares the
+        // bounds check.
+        let slot = if ch == 0 { self.front } else { self.back - 1 };
+        self.chunk[slot % CHUNK] = Staged::new(op);
+        self.front += 1 - ch;
+        self.back -= ch;
+        if self.front == self.back {
+            self.flush(channels);
+        }
+    }
+
+    #[inline(always)]
+    fn finish(mut self, channels: &mut [DramModel]) -> Picos {
+        self.flush(channels);
+        self.done
+    }
+}
+
+/// Any channel count: each op to its own channel's chunk.
+struct Channels {
+    /// The channel count.
+    count: Divisor,
+    chunks: Vec<Chunk>,
+    lens: Vec<usize>,
+    done: Picos,
+}
+
+impl Channels {
+    fn new(channels: usize, count: Divisor) -> Self {
+        Channels {
+            count,
+            chunks: vec![[Staged::EMPTY; CHUNK]; channels],
+            lens: vec![0; channels],
+            done: 0,
+        }
+    }
+}
+
+impl Router for Channels {
+    #[inline(always)]
+    fn push<M: DivMode>(&mut self, channels: &mut [DramModel], region: u64, op: MemOp) {
+        let ch = M::rem(region, self.count) as usize;
+        self.chunks[ch][self.lens[ch]] = Staged::new(op);
+        self.lens[ch] += 1;
+        if self.lens[ch] == CHUNK {
+            let ops = self.chunks[ch].iter();
+            self.done = replay_chunk(self.done, &mut channels[ch], ops);
+            self.lens[ch] = 0;
+        }
+    }
+
+    #[inline(always)]
+    fn finish(self, channels: &mut [DramModel]) -> Picos {
+        let mut done = self.done;
+        for ((channel, chunk), &len) in channels.iter_mut().zip(&self.chunks).zip(&self.lens) {
+            done = replay_chunk(done, channel, chunk[..len].iter());
+        }
+        done
     }
 }
 
@@ -565,9 +796,11 @@ mod tests {
         }
 
         /// `run_trace` gives exactly what the per-op loop gives, for 1, 2
-        /// and 3 DDR channels and 32 HBM channels, cache and interleave
-        /// each on and off, on traces that span several chunks: the same
-        /// result, and every channel and the cache left in the same state.
+        /// and 3 DDR channels and 32 HBM channels (each of the route
+        /// stage's three shapes), cache and interleave each on and off, on
+        /// traces that span several chunks (the first at least two whole
+        /// chunks' worth of ops): the same result, and every channel and
+        /// the cache left in the same state.
         /// The second run checks that a makespan is measured from where the
         /// channels already were.
         #[test]
@@ -576,8 +809,8 @@ mod tests {
             gen in 3u8..=4,
             cache in any::<bool>(),
             interleave in any::<bool>(),
-            first in collection::vec((any::<u64>(), prop_oneof![0u32..=128, 0u32..=4096], any::<bool>(), any::<bool>()), 0..700),
-            second in collection::vec((any::<u64>(), prop_oneof![0u32..=128, 0u32..=4096], any::<bool>(), any::<bool>()), 0..700),
+            first in collection::vec((any::<u64>(), prop_oneof![0u32..=128, 0u32..=4096], any::<bool>(), any::<bool>()), 2 * MemoryRbb::REPLAY_CHUNK..2048),
+            second in collection::vec((any::<u64>(), prop_oneof![0u32..=128, 0u32..=4096], any::<bool>(), any::<bool>()), 0..2048),
         ) {
             let (mut rbb, mut channels) = match which {
                 3 => (MemoryRbb::hbm(Vendor::Xilinx), HbmIp::new(Vendor::Xilinx).channels()),

@@ -65,6 +65,11 @@ pub struct AsyncFifo<T> {
     /// Two-flop synchronizer carrying the gray read pointer into the write
     /// domain.
     rptr_gray_sync: [u64; 2],
+    /// The stable stages decoded back to binary, once per edge of the
+    /// domain that reads them: the read side's view of the write pointer
+    /// and the write side's view of the read pointer.
+    wptr_seen: u64,
+    rptr_seen: u64,
     pushed_this_edge: bool,
     popped_this_edge: bool,
 }
@@ -88,6 +93,8 @@ impl<T> AsyncFifo<T> {
             rptr: 0,
             wptr_gray_sync: [0; 2],
             rptr_gray_sync: [0; 2],
+            wptr_seen: 0,
+            rptr_seen: 0,
             pushed_this_edge: false,
             popped_this_edge: false,
         }
@@ -98,6 +105,7 @@ impl<T> AsyncFifo<T> {
     pub fn on_write_edge(&mut self) {
         self.rptr_gray_sync[1] = self.rptr_gray_sync[0];
         self.rptr_gray_sync[0] = bin_to_gray(self.rptr);
+        self.rptr_seen = gray_to_bin(self.rptr_gray_sync[1]);
         self.pushed_this_edge = false;
     }
 
@@ -105,12 +113,13 @@ impl<T> AsyncFifo<T> {
     pub fn on_read_edge(&mut self) {
         self.wptr_gray_sync[1] = self.wptr_gray_sync[0];
         self.wptr_gray_sync[0] = bin_to_gray(self.wptr);
+        self.wptr_seen = gray_to_bin(self.wptr_gray_sync[1]);
         self.popped_this_edge = false;
     }
 
     /// The write side's (conservative) view of occupancy.
     fn write_side_level(&self) -> u64 {
-        self.wptr - gray_to_bin(self.rptr_gray_sync[1])
+        self.wptr - self.rptr_seen
     }
 
     /// Whether a push would succeed at the current write edge.
@@ -120,7 +129,7 @@ impl<T> AsyncFifo<T> {
 
     /// Whether a pop would succeed at the current read edge.
     pub(crate) fn can_pop(&self) -> bool {
-        !self.popped_this_edge && self.rptr < gray_to_bin(self.wptr_gray_sync[1])
+        !self.popped_this_edge && self.rptr < self.wptr_seen
     }
 
     /// Pushes one item in the current write-clock cycle.

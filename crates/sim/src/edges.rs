@@ -84,13 +84,26 @@ impl MultiClock {
 
     /// Returns the next edge at or after the current position, advancing the
     /// corresponding clock. Returns `None` when no clocks are registered.
-    pub(crate) fn next_edge(&mut self) -> Option<ClockEdge> {
-        let idx = self
-            .clocks
+    #[cfg(test)]
+    fn next_edge(&mut self) -> Option<ClockEdge> {
+        let idx = self.next_clock()?;
+        Some(self.advance(idx))
+    }
+
+    /// The clock whose edge comes next: the earliest, ties to the first
+    /// registered.
+    #[inline]
+    fn next_clock(&self) -> Option<usize> {
+        self.clocks
             .iter()
             .enumerate()
-            .min_by_key(|(i, c)| (c.next_ps, *i))
-            .map(|(i, _)| i)?;
+            .min_by_key(|(_, c)| c.next_ps)
+            .map(|(i, _)| i)
+    }
+
+    /// Emits clock `idx`'s pending edge and moves it one period on.
+    #[inline]
+    fn advance(&mut self, idx: usize) -> ClockEdge {
         let state = &mut self.clocks[idx];
         let edge = ClockEdge {
             clock: idx,
@@ -99,7 +112,7 @@ impl MultiClock {
         };
         state.cycle += 1;
         state.next_ps += state.period_ps;
-        Some(edge)
+        edge
     }
 
     /// Iterates edges in the **half-open** window `[current, until_ps)`.
@@ -123,12 +136,13 @@ pub struct EdgesUntil<'a> {
 impl Iterator for EdgesUntil<'_> {
     type Item = ClockEdge;
 
+    #[inline]
     fn next(&mut self) -> Option<ClockEdge> {
-        let min_next = self.mc.clocks.iter().map(|c| c.next_ps).min()?;
-        if min_next >= self.until_ps {
+        let idx = self.mc.next_clock()?;
+        if self.mc.clocks[idx].next_ps >= self.until_ps {
             return None;
         }
-        self.mc.next_edge()
+        Some(self.mc.advance(idx))
     }
 }
 

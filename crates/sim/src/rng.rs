@@ -26,6 +26,7 @@ impl SplitMix64 {
     }
 
     /// Next 64-bit value.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
@@ -39,17 +40,20 @@ impl SplitMix64 {
     /// # Panics
     ///
     /// Panics if `bound` is zero.
+    #[inline]
     pub fn next_below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "bound must be non-zero");
         self.next_u64() % bound
     }
 
     /// Uniform f64 in `[0, 1)`.
+    #[inline]
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
     /// Bernoulli draw with probability `p`.
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p
     }

@@ -27,6 +27,7 @@ impl Throughput {
     }
 
     /// Records a completed transfer of `bytes` bytes / `items` items.
+    #[inline]
     pub fn record(&mut self, bytes: u64, items: u64) {
         self.bytes += bytes;
         self.items += items;
@@ -89,6 +90,7 @@ impl LatencyStats {
     }
 
     /// Records one latency sample in picoseconds.
+    #[inline]
     pub fn record(&mut self, latency_ps: Picos) {
         self.samples.push(latency_ps);
         self.sorted = false;

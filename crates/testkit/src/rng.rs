@@ -20,11 +20,13 @@ impl DetRng {
     }
 
     /// Next raw 64-bit value.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.0.next_u64()
     }
 
     /// Uniform `f64` in `[0, 1)`.
+    #[inline]
     pub fn next_f64(&mut self) -> f64 {
         self.0.next_f64()
     }
@@ -35,6 +37,7 @@ impl DetRng {
     /// # Panics
     ///
     /// Panics if the range is empty.
+    #[inline]
     pub fn gen_range<R: SampleRange>(&mut self, range: R) -> R::Output {
         range.sample(self)
     }
@@ -44,6 +47,7 @@ impl DetRng {
     /// # Panics
     ///
     /// Panics if `p` is not within `[0, 1]`.
+    #[inline]
     pub fn gen_bool(&mut self, p: f64) -> bool {
         assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
         self.next_f64() < p
@@ -76,6 +80,7 @@ macro_rules! int_sample_ranges {
     ($($t:ty),*) => {$(
         impl SampleRange for ::core::ops::Range<$t> {
             type Output = $t;
+            #[inline]
             fn sample(self, rng: &mut DetRng) -> $t {
                 assert!(self.start < self.end, "empty range");
                 let span = (self.end - self.start) as u64;
@@ -85,6 +90,7 @@ macro_rules! int_sample_ranges {
 
         impl SampleRange for ::core::ops::RangeInclusive<$t> {
             type Output = $t;
+            #[inline]
             fn sample(self, rng: &mut DetRng) -> $t {
                 assert!(self.start() <= self.end(), "empty range");
                 let draw = rng.next_u64();
@@ -102,6 +108,7 @@ int_sample_ranges!(u8, u16, u32, u64, usize);
 
 impl SampleRange for ::core::ops::Range<f64> {
     type Output = f64;
+    #[inline]
     fn sample(self, rng: &mut DetRng) -> f64 {
         assert!(self.start < self.end, "empty range");
         let v = self.start + rng.next_f64() * (self.end - self.start);

@@ -107,14 +107,12 @@ impl MemTraceGen {
         self
     }
 
-    /// Generates a trace of `count` operations of `op_bytes` each.
+    /// Generates a trace of `count` operations of `op_bytes` each: the
+    /// ops of [`stream`](Self::stream), collected.
     ///
     /// # Errors
     ///
-    /// The random pattern draws op-aligned addresses within the footprint,
-    /// so it fails with [`MemTraceError::ZeroOpBytes`] when `op_bytes` is
-    /// zero and [`MemTraceError::FootprintBelowOneOp`] when the footprint
-    /// is smaller than one op. The other patterns never fail.
+    /// As [`stream`](Self::stream).
     pub fn trace(
         &mut self,
         pattern: AccessPattern,
@@ -122,47 +120,65 @@ impl MemTraceGen {
         op_bytes: u32,
         count: usize,
     ) -> Result<Vec<MemOp>, MemTraceError> {
+        Ok(self.stream(pattern, write, op_bytes, count)?.collect())
+    }
+
+    /// Streams a trace of `count` operations of `op_bytes` each, one op
+    /// per draw, so a trace replayed once never needs a `Vec`.
+    ///
+    /// # Errors
+    ///
+    /// The random pattern draws op-aligned addresses within the footprint,
+    /// so it fails with [`MemTraceError::ZeroOpBytes`] when `op_bytes` is
+    /// zero and [`MemTraceError::FootprintBelowOneOp`] when the footprint
+    /// is smaller than one op. The other patterns never fail.
+    #[inline]
+    pub fn stream(
+        &mut self,
+        pattern: AccessPattern,
+        write: bool,
+        op_bytes: u32,
+        count: usize,
+    ) -> Result<impl Iterator<Item = MemOp> + '_, MemTraceError> {
         let step = u64::from(op_bytes);
-        let op = |addr| MemOp {
-            addr,
-            bytes: op_bytes,
-            is_write: write,
-        };
-        Ok(match pattern {
-            AccessPattern::Sequential => (0..count as u64).map(|i| op(i * step)).collect(),
-            AccessPattern::Fixed => {
-                // Op `i` sits at `(i * step) % region`, advanced by one
-                // stride per op.
-                let region = self.fixed_region_bytes;
-                let stride = step % region;
-                let mut offset = 0;
-                (0..count)
-                    .map(|_| {
-                        let addr = offset;
-                        offset += stride;
-                        if offset >= region {
-                            offset -= region;
-                        }
-                        op(addr)
-                    })
-                    .collect()
-            }
-            AccessPattern::Random => {
-                if op_bytes == 0 {
-                    return Err(MemTraceError::ZeroOpBytes);
-                }
-                let slots = self.footprint_bytes / step;
-                if slots == 0 {
+        let slots = match pattern {
+            AccessPattern::Random if op_bytes == 0 => return Err(MemTraceError::ZeroOpBytes),
+            AccessPattern::Random => match self.footprint_bytes / step {
+                0 => {
                     return Err(MemTraceError::FootprintBelowOneOp {
                         footprint_bytes: self.footprint_bytes,
                         op_bytes,
-                    });
+                    })
                 }
-                (0..count)
-                    .map(|_| op(self.rng.gen_range(0..slots) * step))
-                    .collect()
+                slots => slots,
+            },
+            _ => 0,
+        };
+        // The fixed pattern's op `i` sits at `(i * step) % region`,
+        // advanced by one stride per op.
+        let region = self.fixed_region_bytes;
+        let stride = step % region;
+        let mut offset = 0;
+        let rng = &mut self.rng;
+        Ok((0..count as u64).map(move |i| {
+            let addr = match pattern {
+                AccessPattern::Sequential => i * step,
+                AccessPattern::Fixed => {
+                    let addr = offset;
+                    offset += stride;
+                    if offset >= region {
+                        offset -= region;
+                    }
+                    addr
+                }
+                AccessPattern::Random => rng.gen_range(0..slots) * step,
+            };
+            MemOp {
+                addr,
+                bytes: op_bytes,
+                is_write: write,
             }
-        })
+        }))
     }
 }
 
