@@ -51,6 +51,27 @@ fn trace_exports_are_pinned() {
     );
 }
 
+/// The merged registry's exports are pinned byte for byte: a series that
+/// appears, vanishes or changes value shows here, where
+/// `SLO_report.txt` reads only three of them.
+#[test]
+fn metrics_exports_are_pinned() {
+    let run = harmonia_bench::metrics_run::capture(4);
+    let pin = |s: &str| (s.lines().count(), fnv1a(s));
+    assert_eq!(
+        pin(&run.snapshot.export_prometheus()),
+        (39, 0x6896_3300_a223_4481),
+        "Prometheus export:\n{}",
+        run.snapshot.export_prometheus()
+    );
+    assert_eq!(
+        pin(&run.snapshot.export_json()),
+        (1, 0x6416_e6cf_ff3f_82ff),
+        "JSON export:\n{}",
+        run.snapshot.export_json()
+    );
+}
+
 /// The serial transport's give-up post-mortem is pinned byte for byte.
 #[test]
 fn post_mortem_dump_is_pinned() {

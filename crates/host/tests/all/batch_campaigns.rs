@@ -25,11 +25,15 @@
 //! 6. **Lost interrupt inside a drain** — a scheduled `IrqLost` that falls
 //!    strictly inside a doorbell's execution window costs that doorbell's
 //!    first completion, because the CQ is polled when the drain ends.
+//! 7. **Pinned exports** — a table of driver cases (batch sizes, fault
+//!    rates, a zero backoff, a bring-up that degrades every module) pins
+//!    each registry's Prometheus export: which series exist, and their
+//!    values.
 
 use crate::common::{parts, spec};
 use harmonia_cmd::CommandCode;
-use harmonia_host::{CommandDriver, DriverError};
-use harmonia_sim::{FaultKind, FaultPlan, FaultRates, Probe, TraceEventKind};
+use harmonia_host::{CommandDriver, DriverError, RetryPolicy};
+use harmonia_sim::{FaultKind, FaultPlan, FaultRates, MetricsRegistry, Probe, TraceEventKind};
 use harmonia_testkit::fnv1a;
 use harmonia_testkit::prelude::*;
 
@@ -248,6 +252,117 @@ fn observed_batched_campaign_is_pinned() {
     assert_eq!(pin(&text), (429, 0x17ba_6e9d_4120_a996), "text trace");
     assert_eq!(pin(&prom), (43, 0x24d9_1531_46a0_ec76), "Prometheus export");
     assert_eq!(pin(&flight), (65, 0x8c42_7b4a_0da2_2bae), "flight dump");
+}
+
+/// One pinned driver case: what runs, and the (lines, FNV-1a) pin of the
+/// Prometheus export of the registry attached before it.
+struct MetricsCase {
+    name: &'static str,
+    run: fn(&MetricsRegistry),
+    pin: (usize, u64),
+}
+
+/// `cmds` through a driver at `batch` per doorbell under `plan` and
+/// `policy`, recording into `registry`.
+fn run_mix(
+    registry: &MetricsRegistry,
+    batch: usize,
+    plan: FaultPlan,
+    policy: RetryPolicy,
+) -> CommandDriver {
+    let (engine, kernel, _shell) = parts();
+    let mut drv = CommandDriver::with_depth(engine, kernel, batch, 64);
+    drv.set_metrics_registry(registry.clone());
+    drv.set_policy(policy);
+    drv.set_fault_injector(plan.injector());
+    drv.submit((0..3).flat_map(|_| mix()).collect());
+    drv
+}
+
+/// A zero backoff still retries: the backoff series exists, at 0.
+fn zero_backoff(registry: &MetricsRegistry, batch: usize) {
+    let policy = RetryPolicy {
+        backoff_base_ps: 0,
+        ..RetryPolicy::default()
+    };
+    let plan = FaultPlan::new().at(0, FaultKind::CmdDrop);
+    let drv = run_mix(registry, batch, plan, policy);
+    assert!(drv.report().retries > 0, "{}", drv.report());
+}
+
+const METRICS_CASES: [MetricsCase; 9] = [
+    MetricsCase {
+        name: "batch 1, no faults",
+        run: |r| drop(run_mix(r, 1, FaultPlan::new(), RetryPolicy::default())),
+        pin: (23, 0x6139_6c12_c810_6b00),
+    },
+    MetricsCase {
+        name: "batch 4, no faults",
+        run: |r| drop(run_mix(r, 4, FaultPlan::new(), RetryPolicy::default())),
+        pin: (27, 0x88e7_5588_3fd6_3b4c),
+    },
+    MetricsCase {
+        name: "batch 16, no faults",
+        run: |r| drop(run_mix(r, 16, FaultPlan::new(), RetryPolicy::default())),
+        pin: (27, 0xcf9e_301e_6359_fdea),
+    },
+    MetricsCase {
+        name: "batch 1, 5 % faults",
+        run: |r| drop(run_mix(r, 1, campaign_plan(3), RetryPolicy::default())),
+        pin: (39, 0xb31c_04e5_dfca_e49b),
+    },
+    MetricsCase {
+        name: "batch 4, 5 % faults",
+        run: |r| drop(run_mix(r, 4, campaign_plan(3), RetryPolicy::default())),
+        pin: (39, 0xa94b_616c_e01b_801d),
+    },
+    MetricsCase {
+        name: "batch 16, 5 % faults",
+        run: |r| drop(run_mix(r, 16, campaign_plan(3), RetryPolicy::default())),
+        pin: (39, 0x1e88_99f2_a439_8d6d),
+    },
+    MetricsCase {
+        name: "batch 1, zero backoff",
+        run: |r| zero_backoff(r, 1),
+        pin: (29, 0x3ba1_909e_13cc_2b3c),
+    },
+    MetricsCase {
+        name: "batch 4, zero backoff",
+        run: |r| zero_backoff(r, 4),
+        pin: (33, 0xbbfc_cc5e_ad7f_781c),
+    },
+    MetricsCase {
+        name: "bring-up on a link that never comes back",
+        run: |r| {
+            let (engine, kernel, mut shell) = parts();
+            let mut drv = CommandDriver::new(engine, kernel);
+            drv.set_metrics_registry(r.clone());
+            drv.set_fault_injector(FaultPlan::new().at(0, FaultKind::LinkDown).injector());
+            assert_eq!(drv.init_shell_resilient(&mut shell).unwrap(), 0);
+            assert_eq!(shell.health().degraded_count(), 3);
+        },
+        pin: (20, 0x21e4_4842_e2be_f90e),
+    },
+];
+
+/// Each driver case's Prometheus export is pinned byte for byte: which
+/// series exist after the run, and every value.
+#[test]
+fn driver_metrics_exports_are_pinned() {
+    let mut wrong = Vec::new();
+    for case in &METRICS_CASES {
+        let registry = MetricsRegistry::enabled();
+        (case.run)(&registry);
+        let prom = registry.snapshot().export_prometheus();
+        let got = (prom.lines().count(), fnv1a(&prom));
+        if got != case.pin {
+            wrong.push(format!(
+                "{}: {got:#x?} != {:#x?}\n{prom}",
+                case.name, case.pin
+            ));
+        }
+    }
+    assert!(wrong.is_empty(), "{}", wrong.join("\n"));
 }
 
 /// Counters the command path publishes with no component-side count to
