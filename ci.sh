@@ -105,25 +105,42 @@ echo "==> every component feeds an output: no BMC, control tool, project package
 # the FIFO's and width converter's peek/drain, DetRng's choice/shuffle and
 # Throughput::ops), nor the trace kinds, metric series and scraper
 # snapshots that only the DRAM channel's and the tenant plane's probes
-# produced (fourth pattern), so they were deleted;
+# produced (fourth pattern), so they were deleted, as were the kernel's
+# per-call metric tally, the scrape-boundary marker and the incremental
+# registry writers once the driver published the counts its components
+# keep (fifth pattern);
 # every host driver sends as SrcId::Application (see DESIGN.md).
 if grep -rnE 'B[m]cController|C[o]ntrolTool|H[e]althSnapshot|M[e]gaflowCache|A[c]lRule|C[o]decError|f[l]ow_table|w[i]th_src|P[r]ojectBundle|b[u]ild_project|F[l]eetSummary|F[a]ultReport|s[w]eep_idle|r[a]te_per_sec' crates examples tests \
     || grep -rnE 'd[r]ain_data|d[a]ta_backlog\b|d[a]ta_latency_ps|d[a]ta_throughput_gbs|s[e]t_filter_enabled|s[c]ript_diff|r[u]n_uniform|k[i]ll_rack|w[e]ighted_index|r[e]move_backend' crates examples tests \
     || grep -rnE 'pub fn (p[e]ek|d[r]ain|c[h]oice|s[h]uffle|o[p]s)\b|\.d[r]ain\(\)|\.c[h]oice\(|\.s[h]uffle\(|\.o[p]s\(\)' crates examples tests \
-    || grep -rnE 'D[r]amRowConflict|T[e]nantSwitch|Q[u]otaExhausted|E[c]cScrub|harmonia_t[e]nant_|harmonia_p[r]_|harmonia_kernel_q[u]ota_exhausted_total|M[e]tricsSample' crates examples tests; then
+    || grep -rnE 'D[r]amRowConflict|T[e]nantSwitch|Q[u]otaExhausted|E[c]cScrub|harmonia_t[e]nant_|harmonia_p[r]_|harmonia_kernel_q[u]ota_exhausted_total|M[e]tricsSample' crates examples tests \
+    || grep -rnE 'E[x]ecTally|M[e]tricsScraper|g[a]uge_max|c[o]unter_inc' crates examples tests; then
     echo "ci.sh: these components were deleted because no output reads them; wire a new one into an output (see DESIGN.md)" >&2
     exit 1
 fi
 
-echo "==> observability hooks only where an output turns them on: fn set_probe in five files"
+echo "==> observability hooks only where an output turns them on: fn set_probe in three files"
 # harmonia trace|metrics, the examples and the benchmark attach a Probe to
-# the CommandDriver, which forwards it to its DMA engine, kernel, interrupt
-# moderator and the shell's health ledger. The DRAM channel's and the tenant
-# plane's hooks, which only their own tests attached, were deleted; a new
-# set_probe lands with the output that attaches it (see DESIGN.md).
+# the CommandDriver, which forwards it to the DMA engine and kernel whose
+# trace hooks it needs. The interrupt moderator's and the health ledger's
+# probes only wrote metrics, which the driver now publishes itself, and the
+# DRAM channel's and the tenant plane's hooks, which only their own tests
+# attached, were deleted; a new set_probe lands with the output that
+# attaches it (see DESIGN.md).
 if grep -rlE 'fn set_[p]robe\b' crates examples tests benchmark/src \
-    | grep -vxE 'crates/host/src/(dma|irq|cmd_driver)\.rs|crates/cmd/src/kernel\.rs|crates/shell/src/health\.rs'; then
+    | grep -vxE 'crates/host/src/(dma|cmd_driver)\.rs|crates/cmd/src/kernel\.rs'; then
     echo "ci.sh: set_probe is defined only by components an output enables; wire the new hook into a harmonia subcommand, an example or the benchmark, and allow its file here (see DESIGN.md)" >&2
+    exit 1
+fi
+
+echo "==> metrics are pulled: registry setters only in the command driver, the fleet report and the registry"
+# Components keep their own counts; CommandDriver::publish_metrics and
+# CampaignReport::publish_metrics read them and write absolute totals, and
+# crates/sim/src/metrics.rs defines the setters and tests them. A write
+# anywhere else would be a hook on a hot path (see DESIGN.md).
+if grep -rnE '(counter|gauge|histogram)_[s]et\(' crates/*/src \
+    | grep -vE '^crates/(host/src/cmd_driver|fleet/src/control|sim/src/metrics)\.rs:'; then
+    echo "ci.sh: publish a component's own count from CommandDriver::publish_metrics instead of writing the registry here (see DESIGN.md)" >&2
     exit 1
 fi
 

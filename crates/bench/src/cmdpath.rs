@@ -19,7 +19,7 @@ use harmonia::host::{CommandDriver, DmaEngine, RetryPolicy};
 use harmonia::hw::device::catalog;
 use harmonia::hw::ip::PcieDmaIp;
 use harmonia::hw::Vendor;
-use harmonia::sim::{FaultPlan, FaultRates, MetricsRegistry, Probe};
+use harmonia::sim::{FaultPlan, FaultRates, Probe};
 
 /// Doorbell batch sizes the sweep covers (1 = the serial transport).
 pub const BATCHES: [usize; 4] = [1, 4, 16, 64];
@@ -45,14 +45,12 @@ pub struct CmdpathPoint {
     /// Commands per second of simulated time.
     pub sim_cmds_per_sec: f64,
     /// DMA doorbells rung (one per command on the batch=1 serial
-    /// transport), sourced from the `harmonia_dma_bursts_total` metrics
-    /// counter.
+    /// transport), as the DMA engine counts them.
     pub doorbells: u64,
-    /// Completion interrupts raised after coalescing, sourced from the
-    /// `harmonia_irq_interrupts_total` metrics counter.
+    /// Completion interrupts raised after coalescing, as the interrupt
+    /// moderator counts them.
     pub interrupts: u64,
-    /// Completion events per interrupt (`harmonia_irq_events_total` /
-    /// `harmonia_irq_interrupts_total`); 0 when nothing interrupted.
+    /// Completion events per interrupt; 0 when nothing interrupted.
     pub irq_coalescing: f64,
 }
 
@@ -73,11 +71,6 @@ fn device_a_dma() -> DmaEngine {
 pub(crate) fn run_point(batch: usize, depth: usize) -> CmdpathPoint {
     let kernel = UnifiedControlKernel::new(64);
     let mut drv = CommandDriver::with_depth(device_a_dma(), kernel, batch, depth);
-    let reg = MetricsRegistry::enabled();
-    drv.set_probe(Probe {
-        metrics: reg.clone(),
-        ..Probe::disabled()
-    });
     let cmds = (0..COMMANDS)
         .map(|_| (0u8, 0u8, CommandCode::HealthRead, Vec::new()))
         .collect();
@@ -87,24 +80,16 @@ pub(crate) fn run_point(batch: usize, depth: usize) -> CmdpathPoint {
         "faultless sweep must ack everything"
     );
     let sim_ps = drv.clock_ps();
-    let snap = reg.snapshot();
-    let doorbells = snap.counter("harmonia_dma_bursts_total");
-    debug_assert_eq!(doorbells, drv.engine_ref().doorbells());
-    let events = snap.counter("harmonia_irq_events_total");
-    let interrupts = snap.counter("harmonia_irq_interrupts_total");
+    let irq = drv.irq_report();
     CmdpathPoint {
         batch,
         depth,
         commands: COMMANDS,
         sim_ps,
         sim_cmds_per_sec: COMMANDS as f64 / (sim_ps as f64 * 1e-12),
-        doorbells,
-        interrupts,
-        irq_coalescing: if interrupts == 0 {
-            0.0
-        } else {
-            events as f64 / interrupts as f64
-        },
+        doorbells: drv.engine_ref().doorbells(),
+        interrupts: irq.interrupts,
+        irq_coalescing: irq.coalescing(),
     }
 }
 

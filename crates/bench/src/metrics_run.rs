@@ -6,11 +6,11 @@
 //! credit stall and background drop/corrupt/irq-lost rates — once each,
 //! with one [`Probe`] that carries both observability planes: a
 //! [`TraceCollector`] on the campaign's own lane and its own
-//! [`MetricsRegistry`], while a [`MetricsScraper`] marks the scrape
-//! boundaries the campaign crosses on the simulated timeline. The lanes' traces and registries merge in seed
-//! order, and the merged snapshot feeds the SLO evaluator. Everything is
-//! simulated and merge order is pinned, so every export is byte-identical
-//! on every run.
+//! [`MetricsRegistry`], while the scenario counts the scrapes a 10 µs
+//! period would take on the simulated timeline. The lanes' traces and
+//! registries merge in seed order, and the merged snapshot feeds the SLO
+//! evaluator. Everything is simulated and merge order is pinned, so
+//! every export is byte-identical on every run.
 
 use harmonia::cmd::{CommandCode, UnifiedControlKernel};
 use harmonia::host::{CommandDriver, DmaEngine, DriverError};
@@ -18,11 +18,13 @@ use harmonia::hw::device::catalog;
 use harmonia::hw::ip::PcieDmaIp;
 use harmonia::hw::Vendor;
 use harmonia::shell::{MemoryDemand, RoleSpec, TailoredShell, UnifiedShell};
-use harmonia::sim::metrics::DEFAULT_METRICS_PERIOD_PS;
 use harmonia::sim::{
-    evaluate_slos, FaultKind, FaultPlan, FaultRates, LogHistogram, MetricsRegistry, MetricsScraper,
-    MetricsSnapshot, Probe, Slo, SloObjective, SloReport, Trace, TraceCollector,
+    evaluate_slos, FaultKind, FaultPlan, FaultRates, LogHistogram, MetricsRegistry,
+    MetricsSnapshot, Picos, Probe, Slo, SloObjective, SloReport, Trace, TraceCollector,
 };
+
+/// Scrape period on the simulated clock: 10 µs.
+const DEFAULT_METRICS_PERIOD_PS: Picos = 10_000_000;
 
 /// Everything one capture produces: the merged timeline, histogram and
 /// registry snapshot, one report per scenario, and both SLO evaluations.
@@ -36,7 +38,7 @@ pub struct CampaignRun {
     pub snapshot: MetricsSnapshot,
     /// `seed=N <driver report>` transcript lines, in seed order.
     pub reports: Vec<String>,
-    /// Scrape boundaries each scenario crossed, in seed order.
+    /// Scrapes each scenario took, in seed order.
     pub samples: Vec<usize>,
     /// The production objectives (`slos`) — sized to pass under the
     /// fault campaign.
@@ -152,11 +154,26 @@ pub fn render_slo_artifact(run: &CampaignRun) -> String {
     out
 }
 
+/// Scrapes a run takes when its clock, read after each call, is
+/// `clocks`: one for each reading in a later `period_ps` window than the
+/// last scrape's. A call that crosses several boundaries scrapes once.
+fn scrapes(clocks: &[Picos], period_ps: Picos) -> usize {
+    let mut window = 0;
+    clocks
+        .iter()
+        .filter(|&&now| {
+            let crossed = now / period_ps > window;
+            window = window.max(now / period_ps);
+            crossed
+        })
+        .count()
+}
+
 /// One seeded campaign: bring up a tailored shell resiliently under the
-/// fault plan, then poke health and sweep all module statistics, with a
-/// scraper marking scrape boundaries along the simulated timeline.
+/// fault plan, then poke health and sweep all module statistics.
 /// Returns the driver's latency histogram, its `seed=N <driver report>`
-/// line and the number of boundaries the scraper marked.
+/// line and the number of scrapes a 10 µs period takes along the
+/// simulated timeline.
 fn scenario(seed: u64, probe: &Probe) -> (LogHistogram, String, usize) {
     let dev = catalog::device_a();
     let unified = UnifiedShell::for_device(&dev);
@@ -190,25 +207,24 @@ fn scenario(seed: u64, probe: &Probe) -> (LogHistogram, String, usize) {
             )
             .injector(),
     );
-    let mut scraper = MetricsScraper::new(DEFAULT_METRICS_PERIOD_PS);
     drv.init_shell_resilient(&mut shell)
         .expect("bring-up converges under the plan");
-    scraper.tick(drv.clock_ps());
+    let mut clocks = vec![drv.clock_ps()];
     for _ in 0..8 {
         match drv.cmd_raw_resilient(0, 0, CommandCode::HealthRead, Vec::new()) {
             Ok(_) | Err(DriverError::GaveUp { .. }) => {}
             Err(e) => panic!("campaign must converge, got {e}"),
         }
-        scraper.tick(drv.clock_ps());
+        clocks.push(drv.clock_ps());
     }
     let _ = drv
         .read_all_stats_resilient(&shell)
         .expect("monitoring sweep succeeds");
-    scraper.tick(drv.clock_ps());
+    clocks.push(drv.clock_ps());
     (
         drv.latency_histogram().clone(),
         format!("seed={seed} {}", drv.report()),
-        scraper.boundaries().len(),
+        scrapes(&clocks, DEFAULT_METRICS_PERIOD_PS),
     )
 }
 
@@ -239,6 +255,17 @@ pub fn post_mortem_campaign() -> (DriverError, String) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_call_that_crosses_several_boundaries_scrapes_once() {
+        // Before the first boundary: nothing. Two readings in one window:
+        // one scrape. A jump across three boundaries: one more.
+        assert_eq!(scrapes(&[500, 1_200, 1_900, 4_400], 1_000), 2);
+        // One reading per period scrapes every period.
+        let every: Vec<Picos> = (1..=5).map(|us| us * 1_000_000).collect();
+        assert_eq!(scrapes(&every, 1_000_000), 5);
+        assert_eq!(scrapes(&[], 1_000), 0);
+    }
 
     #[test]
     fn capture_merges_lanes_and_evaluates_slos() {

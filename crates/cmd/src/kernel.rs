@@ -20,7 +20,7 @@ use crate::queue::{
 use harmonia_hw::regfile::{RegOp, RegisterFile};
 use harmonia_hw::resource::ResourceUsage;
 use harmonia_shell::rbb::{instances, Rbb};
-use harmonia_sim::{FaultInjector, MetricsRegistry, Picos, Probe, SyncFifo, TraceEventKind};
+use harmonia_sim::{FaultInjector, Picos, Probe, SyncFifo, TraceEventKind};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -150,33 +150,6 @@ pub struct DrainOutcome {
     pub errors: Vec<(u32, KernelError)>,
 }
 
-/// Per-command kernel metrics summed in plain locals over one public
-/// call and published once at its end: a doorbell's drain pays the
-/// registry once, not once per command.
-#[derive(Default)]
-struct ExecTally {
-    /// Commands executed (idempotent replays not included).
-    executed: u64,
-    /// Register operations those commands ran.
-    reg_ops: u64,
-    /// Highest buffer occupancy after an accepted submit, if any was.
-    buffer_high_water: Option<u64>,
-}
-
-impl ExecTally {
-    /// Publishes the sums, touching only the series a per-command
-    /// publication would have touched.
-    fn publish(&self, metrics: &MetricsRegistry) {
-        if let Some(depth) = self.buffer_high_water {
-            metrics.gauge_max("harmonia_kernel_buffer_high_water", &[], depth);
-        }
-        if self.executed > 0 {
-            metrics.counter_add("harmonia_kernel_cmds_executed_total", &[], self.executed);
-            metrics.counter_add("harmonia_kernel_reg_ops_total", &[], self.reg_ops);
-        }
-    }
-}
-
 /// The ring the serial path (`submit*`/`step`) and the unbudgeted
 /// doorbell share: [`CommandBudget::unlimited`]'s tenant.
 const SHARED_RING: u32 = u32::MAX;
@@ -265,7 +238,13 @@ pub struct UnifiedControlKernel {
     windows: Vec<ReplayWindow>,
     decode_errors: u64,
     replays: u64,
-    /// Observability planes (disabled by default — zero cost). Purely
+    /// Descriptors consumed from submission rings.
+    sq_drained: u64,
+    /// Highest buffer occupancy after an accepted submit (None before one).
+    buffer_high_water: Option<u64>,
+    /// Highest SQ occupancy a doorbell found (None before any doorbell).
+    sq_high_water: Option<u64>,
+    /// Trace planes (disabled by default — zero cost). Purely
     /// observational: recording never feeds back into execution.
     probe: Probe,
     /// Trace-only clock: advanced by executed-command latencies and
@@ -318,16 +297,20 @@ impl UnifiedControlKernel {
             windows: Vec::new(),
             decode_errors: 0,
             replays: 0,
+            sq_drained: 0,
+            buffer_high_water: None,
+            sq_high_water: None,
             probe: Probe::disabled(),
             trace_clock_ps: 0,
         }
     }
 
     /// Attaches an observability probe: the kernel emits
-    /// [`TraceEventKind::KernelExec`] spans, replay/NACK instants and
-    /// buffer-stall events on its timeline, and bumps
-    /// `harmonia_kernel_*` counters (executed, replays, nacks, reg ops,
-    /// ring drains) and ring-occupancy high-water gauges in its registry.
+    /// [`TraceEventKind::KernelExec`] spans, replay/NACK instants,
+    /// ring-drain spans and buffer-stall events on its timeline. It
+    /// writes nothing to the probe's registry: the driver publishes the
+    /// kernel's own counts (executed, reg ops, replays, decode errors,
+    /// drained descriptors, high-water marks) as `harmonia_kernel_*`.
     /// Disabled planes cost one branch per hook.
     pub fn set_probe(&mut self, probe: Probe) {
         self.probe = probe;
@@ -394,36 +377,13 @@ impl UnifiedControlKernel {
         bytes: &[u8],
         reply_to: SrcId,
     ) -> Result<Option<CommandPacket>, KernelError> {
-        self.published(|k, tally| k.ingest(bytes, reply_to, tally))
-    }
-
-    /// Runs `f` over a fresh [`ExecTally`] and publishes it: a public
-    /// call leaves the registry exact.
-    fn published<R>(&mut self, f: impl FnOnce(&mut Self, &mut ExecTally) -> R) -> R {
-        let mut tally = ExecTally::default();
-        let out = f(self, &mut tally);
-        tally.publish(&self.probe.metrics);
-        out
-    }
-
-    /// [`UnifiedControlKernel::submit_bytes_or_nack`], counting into
-    /// `tally`.
-    fn ingest(
-        &mut self,
-        bytes: &[u8],
-        reply_to: SrcId,
-        tally: &mut ExecTally,
-    ) -> Result<Option<CommandPacket>, KernelError> {
         match CommandPacket::decode(bytes) {
             Ok(packet) => {
-                self.enqueue(packet, tally)?;
+                self.submit(packet)?;
                 Ok(None)
             }
             Err(e) => {
                 self.decode_errors += 1;
-                self.probe
-                    .metrics
-                    .counter_inc("harmonia_kernel_nacks_total", &[]);
                 self.probe.trace.instant(
                     self.trace_clock_ps,
                     TraceEventKind::CmdNack {
@@ -451,11 +411,6 @@ impl UnifiedControlKernel {
     ///
     /// [`KernelError::BufferFull`] under backpressure.
     pub fn submit(&mut self, packet: CommandPacket) -> Result<(), KernelError> {
-        self.published(|k, tally| k.enqueue(packet, tally))
-    }
-
-    /// [`UnifiedControlKernel::submit`], counting into `tally`.
-    fn enqueue(&mut self, packet: CommandPacket, tally: &mut ExecTally) -> Result<(), KernelError> {
         // No fault injector here: the command buffer never draws ECC hits.
         self.buffer
             .push_at(
@@ -465,7 +420,7 @@ impl UnifiedControlKernel {
                 &self.probe,
             )
             .map_err(|_| KernelError::BufferFull)?;
-        tally.buffer_high_water = tally.buffer_high_water.max(Some(self.buffer.len() as u64));
+        self.buffer_high_water = self.buffer_high_water.max(Some(self.buffer.len() as u64));
         Ok(())
     }
 
@@ -482,7 +437,7 @@ impl UnifiedControlKernel {
     /// Execution errors; `Ok(None)` when the buffer is empty.
     pub fn step(&mut self) -> Result<Option<CommandPacket>, KernelError> {
         let window = self.window(SHARED_RING, 0);
-        self.published(|k, tally| k.execute_next(window, tally))
+        self.execute_next(window)
     }
 
     /// The index of `ring`'s replay window, sized for an SQ of
@@ -503,13 +458,8 @@ impl UnifiedControlKernel {
         }
     }
 
-    /// [`UnifiedControlKernel::step`] against replay window `window`,
-    /// counting into `tally`.
-    fn execute_next(
-        &mut self,
-        window: usize,
-        tally: &mut ExecTally,
-    ) -> Result<Option<CommandPacket>, KernelError> {
+    /// [`UnifiedControlKernel::step`] against replay window `window`.
+    fn execute_next(&mut self, window: usize) -> Result<Option<CommandPacket>, KernelError> {
         let Some(packet) = self.buffer.pop() else {
             return Ok(None);
         };
@@ -521,9 +471,6 @@ impl UnifiedControlKernel {
         if let Some(key) = idem_key {
             if let Some(cached) = self.windows[window].lookup(src, key)? {
                 self.replays += 1;
-                self.probe
-                    .metrics
-                    .counter_inc("harmonia_kernel_replays_total", &[]);
                 self.probe.trace.instant(
                     self.trace_clock_ps,
                     TraceEventKind::KernelReplay {
@@ -536,8 +483,6 @@ impl UnifiedControlKernel {
         let ops_before = self.reg_ops_executed;
         let data = self.execute(&packet)?;
         self.commands_executed += 1;
-        tally.executed += 1;
-        tally.reg_ops += self.reg_ops_executed - ops_before;
         let exec_ps = Self::command_latency_ps(self.reg_ops_executed - ops_before);
         self.probe.trace.span(
             self.trace_clock_ps,
@@ -602,9 +547,7 @@ impl UnifiedControlKernel {
         budget: &mut CommandBudget,
     ) -> DrainOutcome {
         let drain_start = self.trace_clock_ps;
-        self.probe
-            .metrics
-            .gauge_max("harmonia_kernel_sq_high_water", &[], sq.len() as u64);
+        self.sq_high_water = self.sq_high_water.max(Some(sq.len() as u64));
         let mut out = DrainOutcome {
             drained: 0,
             exec_ps: 0,
@@ -612,7 +555,6 @@ impl UnifiedControlKernel {
             errors: Vec::new(),
         };
         let window = self.window(budget.tenant, sq.capacity());
-        let mut tally = ExecTally::default();
         for _ in 0..n {
             if cq.is_full() {
                 break;
@@ -623,13 +565,13 @@ impl UnifiedControlKernel {
             let Some(desc) = sq.pop() else { break };
             budget.charge();
             out.drained += 1;
-            let status = match self.ingest(&desc.bytes, reply_to, &mut tally) {
+            let status = match self.submit_bytes_or_nack(&desc.bytes, reply_to) {
                 Ok(Some(nack)) => CompletionStatus::Nack {
                     error_code: nack.data[0],
                 },
                 Ok(None) => {
                     let before = self.reg_ops_executed;
-                    match self.execute_next(window, &mut tally) {
+                    match self.execute_next(window) {
                         Ok(Some(resp)) => {
                             out.exec_ps += Self::command_latency_ps(self.reg_ops_executed - before);
                             out.responses.push((desc.tag, resp));
@@ -656,13 +598,8 @@ impl UnifiedControlKernel {
             })
             .expect("cq fullness was checked before the pop");
         }
-        tally.publish(&self.probe.metrics);
+        self.sq_drained += out.drained as u64;
         if out.drained > 0 {
-            self.probe.metrics.counter_add(
-                "harmonia_kernel_sq_drained_total",
-                &[],
-                out.drained as u64,
-            );
             self.probe.trace.span(
                 drain_start,
                 out.exec_ps,
@@ -917,6 +854,23 @@ impl UnifiedControlKernel {
     /// is not counted here.
     pub fn replays(&self) -> u64 {
         self.replays
+    }
+
+    /// Descriptors consumed from submission rings by doorbell drains.
+    pub fn sq_drained(&self) -> u64 {
+        self.sq_drained
+    }
+
+    /// Highest command-buffer occupancy right after an accepted submit;
+    /// `None` before the first one.
+    pub fn buffer_high_water(&self) -> Option<u64> {
+        self.buffer_high_water
+    }
+
+    /// Highest submission-ring occupancy a doorbell found on entry;
+    /// `None` before the first doorbell (an empty ring reads `Some(0)`).
+    pub fn sq_high_water(&self) -> Option<u64> {
+        self.sq_high_water
     }
 
     /// Execution latency of a command that performs `reg_ops` register

@@ -44,7 +44,7 @@
 //!
 //! | Alias | Paper layer | Contents |
 //! |---|---|---|
-//! | [`sim`] | substrate | picosecond timeline, clock domains, FIFOs/CDC, pipelines, the paper sweep's ordered fan-out ([`sim::exec`]), the fault plane ([`sim::fault`]), trace collection ([`sim::trace`]), latency histograms ([`sim::histo`]) and the metrics plane ([`sim::metrics`]: registry, scraper, flight recorder, SLO evaluation) |
+//! | [`sim`] | substrate | picosecond timeline, clock domains, FIFOs/CDC, pipelines, the paper sweep's ordered fan-out ([`sim::exec`]), the fault plane ([`sim::fault`]), trace collection ([`sim::trace`]), latency histograms ([`sim::histo`]) and the metrics plane ([`sim::metrics`]: registry, flight recorder, SLO evaluation) |
 //! | [`hw`] | substrate | Table 2 device catalog, resource model, AXI/Avalon interface specs, register files, vendor IP models (MAC, PCIe DMA, DDR, HBM) |
 //! | [`metrics`] | evaluation | workload/config/diff accounting, fleet model, report tables |
 //! | [`platform`] | platform-specific (§3.2) | device + vendor adapters, lightweight interface wrappers over the six unified types |

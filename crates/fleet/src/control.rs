@@ -311,30 +311,31 @@ impl CampaignReport {
     }
 
     /// Publishes the campaign into a metrics registry as
-    /// `harmonia_fleet_*` counters, gauges and histograms.
+    /// `harmonia_fleet_*` counters, gauges and histograms. Every write
+    /// sets the campaign's total, so publishing again changes nothing.
     pub fn publish_metrics(&self, registry: &MetricsRegistry) {
         registry.gauge_set("harmonia_fleet_devices", &[], self.devices as u64);
         registry.gauge_set("harmonia_fleet_racks", &[], u64::from(self.racks));
         registry.gauge_set("harmonia_fleet_users", &[], self.users);
         registry.gauge_set("harmonia_fleet_replicas", &[], self.replicas as u64);
         registry.gauge_set("harmonia_fleet_spares", &[], self.spares as u64);
-        registry.counter_add(
+        registry.counter_set(
             "harmonia_fleet_cmds_injected",
             &[],
             self.accounting.injected,
         );
-        registry.counter_add(
+        registry.counter_set(
             "harmonia_fleet_cmds_executed",
             &[],
             self.accounting.executed,
         );
-        registry.counter_add(
+        registry.counter_set(
             "harmonia_fleet_cmds_migrated",
             &[],
             self.accounting.migrated,
         );
         registry.gauge_set("harmonia_fleet_cmds_pending", &[], self.accounting.pending);
-        registry.counter_add("harmonia_fleet_kills", &[], u64::from(self.kills));
+        registry.counter_set("harmonia_fleet_kills", &[], u64::from(self.kills));
         registry.gauge_set(
             "harmonia_fleet_rebalance_ticks",
             &[],
@@ -345,22 +346,22 @@ impl CampaignReport {
             &[],
             u64::from(self.congested_ticks),
         );
-        registry.observe_histogram("harmonia_fleet_latency_ps", &[], &self.fleet_latency);
+        registry.histogram_set("harmonia_fleet_latency_ps", &[], &self.fleet_latency);
         for r in &self.roles {
             registry.gauge_set(
                 "harmonia_fleet_role_replicas",
                 &[("role", r.name)],
                 r.replicas as u64,
             );
-            registry.counter_add("harmonia_fleet_role_cmds", &[("role", r.name)], r.executed);
-            registry.observe_histogram(
+            registry.counter_set("harmonia_fleet_role_cmds", &[("role", r.name)], r.executed);
+            registry.histogram_set(
                 "harmonia_fleet_role_latency_ps",
                 &[("role", r.name)],
                 &r.latency,
             );
         }
         if let Some(u) = &self.upgrade {
-            registry.counter_add(
+            registry.counter_set(
                 "harmonia_fleet_upgraded_devices",
                 &[],
                 u64::from(u.devices_upgraded),

@@ -38,13 +38,17 @@
 //! `batch == 1` neither applies: [`CommandDriver::submit`] sends every
 //! command over the serial transport, exactly as
 //! [`CommandDriver::cmd_raw_resilient`] does.
+//!
+//! Nothing here writes metrics: the counts a round changes live in the
+//! driver's report, its latency histogram and its parts, and a ring
+//! `submit` publishes them once, when every entry has converged.
 
 use crate::cmd_driver::{CommandDriver, Inflight};
 use crate::resilience::DriverError;
 use crate::ring::{self, Outcome};
 use harmonia_cmd::queue::CommandBudget;
 use harmonia_cmd::{CommandCode, CommandPacket};
-use harmonia_sim::{LogHistogram, Picos, TraceEventKind};
+use harmonia_sim::{Picos, TraceEventKind};
 use std::collections::VecDeque;
 
 /// One command to submit: `(rbb_id, instance_id, code, data)`.
@@ -75,26 +79,16 @@ impl CommandDriver {
                 .collect();
         }
         let mut results: Vec<Option<CmdResult>> = (0..cmds.len()).map(|_| None).collect();
-        // The per-command metrics are summed here and published once.
-        let issued = cmds.len() as u64;
         // Commands are issued as the ring takes them, behind the retries:
         // issuing reads no clock, so the tags and the issue log come out
         // as if every command were issued up front.
         let mut fresh = cmds.into_iter().enumerate();
         let mut retried: VecDeque<Inflight> = VecDeque::new();
-        let mut acks = LogHistogram::new();
         while !retried.is_empty() || fresh.len() > 0 {
-            self.ring_round(&mut retried, &mut fresh, &mut results, &mut acks);
+            self.ring_round(&mut retried, &mut fresh, &mut results);
         }
         self.irq.flush(self.clock_ps);
-        let metrics = &self.probe.metrics;
-        if issued > 0 {
-            metrics.counter_add("harmonia_cmd_issued_total", &[], issued);
-        }
-        if !acks.is_empty() {
-            metrics.counter_add("harmonia_cmd_acked_total", &[], acks.count());
-            metrics.observe_histogram("harmonia_cmd_latency_ps", &[], &acks);
-        }
+        self.publish_metrics();
         results
             .into_iter()
             .map(|r| r.expect("every entry converges to ack or give-up"))
@@ -103,14 +97,12 @@ impl CommandDriver {
 
     /// One doorbell round: take up to `batch` entries, retried ones
     /// first, then `fresh` commands, ship them as one burst over the
-    /// driver's ring, and re-queue whatever a fault took out. Ack
-    /// latencies go into `acks` for the caller to publish.
+    /// driver's ring, and re-queue whatever a fault took out.
     fn ring_round(
         &mut self,
         retried: &mut VecDeque<Inflight>,
         fresh: &mut impl ExactSizeIterator<Item = (usize, CmdSpec)>,
         results: &mut [Option<CmdResult>],
-        acks: &mut LogHistogram,
     ) {
         let take = self
             .batch
@@ -168,7 +160,7 @@ impl CommandDriver {
                 }
                 match outcome {
                     Outcome::Acked(resp) => {
-                        acks.record(self.ack(&cmd));
+                        self.ack(&cmd);
                         results[cmd.idx] = Some(Ok(resp));
                     }
                     Outcome::Nacked(error_code) => {

@@ -22,6 +22,12 @@
 //! idempotent replay, [`DriverReport`] accounting and the give-up
 //! post-mortem — is written once. Completions of either transport feed
 //! one [`IrqModerator`] whose batch threshold is the batch size.
+//!
+//! Metrics are pulled, not pushed. The driver, its DMA engine, kernel
+//! and interrupt moderator each keep their own counts, and at the end of
+//! every public call the driver publishes them into its registry as
+//! absolute totals (the 21 `harmonia_{cmd,kernel,dma,irq}_*` series), so
+//! the registry is exact whenever a call returns.
 
 use crate::batch::{CmdResult, CmdSpec};
 use crate::dma::{CommandDelivery, DmaEngine};
@@ -84,9 +90,13 @@ pub struct CommandDriver {
     pub(crate) clock_ps: Picos,
     /// Issue→ack latency of every completed command, log-bucketed.
     pub(crate) latency_histo: LogHistogram,
-    /// Observability planes shared with the engine, kernel and interrupt
-    /// moderator (disabled unless attached). Its flight recorder is
-    /// dumped as a post-mortem on [`DriverError::GaveUp`].
+    /// Backoff waited out before retries, in total (not in the report,
+    /// whose rendering is pinned).
+    pub(crate) backoff_ps: Picos,
+    /// Observability planes shared with the engine and kernel (disabled
+    /// unless attached). Its flight recorder is dumped as a post-mortem
+    /// on [`DriverError::GaveUp`]; its registry is written only by
+    /// `publish_metrics`.
     pub(crate) probe: Probe,
     /// The post-mortem composed by the most recent give-up (None until a
     /// give-up happens with the flight recorder enabled).
@@ -134,6 +144,7 @@ impl CommandDriver {
             acked_log: Vec::new(),
             clock_ps: 0,
             latency_histo: LogHistogram::new(),
+            backoff_ps: 0,
             probe: Probe::disabled(),
             last_post_mortem: None,
             batch,
@@ -153,14 +164,17 @@ impl CommandDriver {
     }
 
     /// Attaches an observability probe to this driver *and* its DMA
-    /// engine, kernel and interrupt moderator (clones share every
-    /// plane's store, so the whole command path lands on one timeline,
-    /// in one registry and in one flight recorder).
+    /// engine and kernel (clones share every plane's store, so the whole
+    /// command path lands on one timeline and in one flight recorder).
+    /// The registry is written by this driver alone: this call and every
+    /// other public call end by publishing the command path's counts
+    /// into it, so a registry attached late holds the same totals as one
+    /// attached at construction.
     pub fn set_probe(&mut self, probe: Probe) {
         self.engine.set_probe(probe.clone());
         self.kernel.set_probe(probe.clone());
-        self.irq.set_probe(probe.clone());
         self.probe = probe;
+        self.publish_metrics();
     }
 
     /// The driver's observability planes (disabled unless attached).
@@ -207,6 +221,11 @@ impl CommandDriver {
     /// either transport).
     pub fn latency_histogram(&self) -> &LogHistogram {
         &self.latency_histo
+    }
+
+    /// Backoff waited out before retries so far, in total.
+    pub fn backoff_ps(&self) -> Picos {
+        self.backoff_ps
     }
 
     /// Attaches a fault injector to this driver *and* its DMA engine
@@ -291,14 +310,94 @@ impl CommandDriver {
         data: Vec<u32>,
     ) -> Result<CommandPacket, DriverError> {
         let cmd = self.issue(0, (rbb_id, instance, code, data));
-        self.probe
-            .metrics
-            .counter_inc("harmonia_cmd_issued_total", &[]);
         let result = self.send(cmd);
         // A wider moderator may hold the completion; the call returns
         // with nothing pending.
         self.irq.flush(self.clock_ps);
+        self.publish_metrics();
         result
+    }
+
+    /// Publishes the command path's counts into the registry as absolute
+    /// totals: this driver's report, backoff and latency histogram, and
+    /// the counts its DMA engine, kernel and interrupt moderator keep.
+    /// A series appears once the first event it counts has happened, so
+    /// a quiet path exports nothing. One branch when the registry is
+    /// disabled.
+    pub(crate) fn publish_metrics(&self) {
+        let metrics = &self.probe.metrics;
+        if !metrics.is_enabled() {
+            return;
+        }
+        let (r, kernel, engine) = (&self.report, &self.kernel, &self.engine);
+        let irq = self.irq.report();
+        let nonzero = |count: u64| (count > 0).then_some(count);
+        let counters = [
+            ("harmonia_cmd_issued_total", nonzero(r.issued)),
+            ("harmonia_cmd_acked_total", nonzero(r.acked)),
+            ("harmonia_cmd_retries_total", nonzero(r.retries)),
+            ("harmonia_cmd_timeouts_total", nonzero(r.timeouts)),
+            ("harmonia_cmd_nacks_total", nonzero(r.nacks)),
+            ("harmonia_cmd_gave_up_total", nonzero(r.gave_up)),
+            // Every retry backs off, if only for 0 ps.
+            (
+                "harmonia_cmd_backoff_ps_total",
+                (r.retries > 0).then_some(self.backoff_ps),
+            ),
+            (
+                "harmonia_kernel_cmds_executed_total",
+                nonzero(kernel.commands_executed()),
+            ),
+            (
+                "harmonia_kernel_reg_ops_total",
+                (kernel.commands_executed() > 0).then_some(kernel.reg_ops_executed()),
+            ),
+            ("harmonia_kernel_replays_total", nonzero(kernel.replays())),
+            (
+                "harmonia_kernel_nacks_total",
+                nonzero(kernel.decode_errors()),
+            ),
+            (
+                "harmonia_kernel_sq_drained_total",
+                nonzero(kernel.sq_drained()),
+            ),
+            ("harmonia_dma_cmds_total", nonzero(engine.commands_sent())),
+            ("harmonia_dma_bursts_total", nonzero(engine.doorbells())),
+            (
+                "harmonia_dma_credit_stalls_total",
+                nonzero(engine.credit_stalls()),
+            ),
+            (
+                "harmonia_dma_credit_stall_beats_total",
+                nonzero(engine.credit_stall_beats()),
+            ),
+            ("harmonia_irq_interrupts_total", nonzero(irq.interrupts)),
+            // Every call ends in a flush, so each event has interrupted.
+            (
+                "harmonia_irq_events_total",
+                (irq.interrupts > 0).then_some(irq.events),
+            ),
+        ];
+        for (name, total) in counters {
+            if let Some(total) = total {
+                metrics.counter_set(name, &[], total);
+            }
+        }
+        let gauges = [
+            (
+                "harmonia_kernel_buffer_high_water",
+                kernel.buffer_high_water(),
+            ),
+            ("harmonia_kernel_sq_high_water", kernel.sq_high_water()),
+        ];
+        for (name, depth) in gauges {
+            if let Some(depth) = depth {
+                metrics.gauge_set(name, &[], depth);
+            }
+        }
+        if !self.latency_histo.is_empty() {
+            metrics.histogram_set("harmonia_cmd_latency_ps", &[], &self.latency_histo);
+        }
     }
 
     /// The serial transport: one DMA send, one kernel step and one
@@ -361,13 +460,7 @@ impl CommandDriver {
                 continue;
             }
             self.irq.event(self.clock_ps);
-            let latency = self.ack(&cmd);
-            self.probe
-                .metrics
-                .counter_inc("harmonia_cmd_acked_total", &[]);
-            self.probe
-                .metrics
-                .observe("harmonia_cmd_latency_ps", &[], latency);
+            self.ack(&cmd);
             return Ok(resp);
         }
     }
@@ -379,8 +472,7 @@ impl CommandDriver {
         Ok(())
     }
 
-    /// Tags and accounts a new resilient command for result slot `idx`;
-    /// the caller publishes `harmonia_cmd_issued_total`.
+    /// Tags and accounts a new resilient command for result slot `idx`.
     pub(crate) fn issue(
         &mut self,
         idx: usize,
@@ -423,9 +515,6 @@ impl CommandDriver {
     pub(crate) fn nack(&mut self, error_code: u32) {
         self.report.nacks += 1;
         self.probe
-            .metrics
-            .counter_inc("harmonia_cmd_nacks_total", &[]);
-        self.probe
             .flight
             .record(self.clock_ps, 0, TraceEventKind::CmdNack { error_code });
     }
@@ -434,9 +523,6 @@ impl CommandDriver {
     /// deadline of the attempt that started at `since`, one timeout each.
     pub(crate) fn time_out(&mut self, lost: &[Inflight], since: Picos) {
         self.report.timeouts += lost.len() as u64;
-        self.probe
-            .metrics
-            .counter_add("harmonia_cmd_timeouts_total", &[], lost.len() as u64);
         self.clock_ps = self.clock_ps.max(since + self.policy.deadline_ps);
         for cmd in lost {
             let timeout = TraceEventKind::CmdTimeout {
@@ -455,9 +541,6 @@ impl CommandDriver {
         let packet = &cmd.packet;
         if cmd.attempt >= self.policy.max_retries {
             self.report.gave_up += 1;
-            self.probe
-                .metrics
-                .counter_inc("harmonia_cmd_gave_up_total", &[]);
             let give_up = TraceEventKind::CmdGiveUp {
                 code: packet.code.to_u16(),
                 attempts: cmd.attempt + 1,
@@ -486,18 +569,13 @@ impl CommandDriver {
         let backoff = self.policy.backoff_ps(cmd.attempt);
         cmd.attempt += 1;
         self.report.retries += 1;
-        self.probe
-            .metrics
-            .counter_inc("harmonia_cmd_retries_total", &[]);
         Ok(backoff)
     }
 
     /// Waits `backoff` before `retried` go out again.
     pub(crate) fn back_off(&mut self, backoff: Picos, retried: &[Inflight]) {
         self.clock_ps += backoff;
-        self.probe
-            .metrics
-            .counter_add("harmonia_cmd_backoff_ps_total", &[], backoff);
+        self.backoff_ps += backoff;
         for cmd in retried {
             let retry = TraceEventKind::CmdRetry {
                 code: cmd.packet.code.to_u16(),
@@ -507,10 +585,9 @@ impl CommandDriver {
         }
     }
 
-    /// `cmd` converges acked at the current clock: its issue→ack
-    /// latency, which the caller publishes as `harmonia_cmd_acked_total`
-    /// and `harmonia_cmd_latency_ps`.
-    pub(crate) fn ack(&mut self, cmd: &Inflight) -> Picos {
+    /// `cmd` converges acked at the current clock; its issue→ack latency
+    /// goes into the latency histogram.
+    pub(crate) fn ack(&mut self, cmd: &Inflight) {
         self.acked_log.push(cmd.tag);
         self.report.acked += 1;
         let latency = self.clock_ps - cmd.issued_at;
@@ -520,7 +597,6 @@ impl CommandDriver {
         };
         self.probe.record(cmd.issued_at, latency, ack);
         self.latency_histo.record(latency);
-        latency
     }
 
     /// Initializes every module of a shell — exactly one idempotency-tagged
@@ -541,16 +617,27 @@ impl CommandDriver {
         &mut self,
         shell: &mut TailoredShell,
     ) -> Result<usize, DriverError> {
-        // Degradations recorded by the ledger land on this driver's
-        // timeline and registry (disabled handles clone for free).
-        shell.health_mut().set_probe(self.probe.clone());
         let modules: Vec<(u8, u8)> = shell.modules().collect();
         let mut initialized = 0;
         for (id, inst) in modules {
             match self.cmd_raw_resilient(id, inst, CommandCode::ModuleInit, Vec::new()) {
                 Ok(_) => initialized += 1,
                 Err(DriverError::GaveUp { .. }) => {
-                    shell.health_mut().mark_degraded(id, inst, self.clock_ps);
+                    if shell.health_mut().mark_degraded(id, inst, self.clock_ps) {
+                        // The transition lands on this driver's timeline
+                        // and registry.
+                        let degraded = TraceEventKind::ModuleDegraded {
+                            rbb_id: id,
+                            instance_id: inst,
+                        };
+                        self.probe.trace.instant(self.clock_ps, degraded);
+                        let metrics = &self.probe.metrics;
+                        let (rbb, instance) = (id.to_string(), inst.to_string());
+                        let module = [("rbb", rbb.as_str()), ("inst", instance.as_str())];
+                        metrics.gauge_set("harmonia_shell_module_degraded", &module, 1);
+                        let count = shell.health().degraded_count() as u64;
+                        metrics.gauge_set("harmonia_shell_degraded_modules", &[], count);
+                    }
                     // Publish the transition where stats readers see it.
                     if let Ok(regs) = self.kernel.module_regs_mut(id, inst) {
                         if let Some(addr) = regs.addr_of("status") {
@@ -952,6 +1039,79 @@ mod tests {
         assert!(snap
             .export_prometheus()
             .contains("harmonia_cmd_acked_total 4"));
+    }
+
+    #[test]
+    fn degradation_emits_one_trace_event() {
+        use harmonia_sim::{FaultKind, FaultPlan};
+        let (mut drv, mut shell) = setup();
+        let probe = Probe::enabled();
+        drv.set_probe(probe.clone());
+        // Five drops in a row: the first module gives up and degrades.
+        let mut plan = FaultPlan::new();
+        for i in 0..5 {
+            plan = plan.at(i, FaultKind::CmdDrop);
+        }
+        drv.set_fault_injector(plan.injector());
+        assert_eq!(drv.init_shell_resilient(&mut shell).unwrap(), 2);
+        let net = RbbKind::Network.id();
+        let degraded: Vec<_> = probe
+            .trace
+            .take()
+            .events()
+            .iter()
+            .filter(|e| matches!(e.kind, TraceEventKind::ModuleDegraded { .. }))
+            .map(|e| (e.at, e.kind))
+            .collect();
+        let [(at, kind)] = degraded[..] else {
+            panic!("one degradation, one instant: {degraded:?}");
+        };
+        let module = TraceEventKind::ModuleDegraded {
+            rbb_id: net,
+            instance_id: 0,
+        };
+        assert_eq!(kind, module);
+        // At the clock the ledger keeps for the transition.
+        let ledger = shell.health().to_string();
+        assert!(ledger.contains(&format!("rbb{net}#0@{at}ps")), "{ledger}");
+        let snap = probe.metrics.snapshot();
+        assert_eq!(snap.gauge("harmonia_shell_degraded_modules"), 1);
+        assert!(snap
+            .export_prometheus()
+            .contains("harmonia_shell_module_degraded{rbb=\"1\",inst=\"0\"} 1\n"));
+    }
+
+    #[test]
+    fn reg_ops_series_appears_with_the_first_command_even_at_zero() {
+        use harmonia_hw::regfile::RegisterFile;
+        // A module whose init program is empty: its ModuleInit executes
+        // and runs no register operation.
+        let mut kernel = UnifiedControlKernel::new(4);
+        kernel.register_module(harmonia_cmd::ModuleHandle {
+            rbb_id: 1,
+            instance_id: 0,
+            name: "bare#0".into(),
+            rbb_regs: RegisterFile::new("bare"),
+            ip_regs: RegisterFile::new("bare-ip"),
+            ip_init: Vec::new(),
+        });
+        let engine = DmaEngine::new(PcieDmaIp::new(Vendor::Xilinx, 4, 8));
+        let mut drv = CommandDriver::new(engine, kernel);
+        let metrics = MetricsRegistry::enabled();
+        drv.set_metrics_registry(metrics.clone());
+        assert!(
+            metrics.snapshot().is_empty(),
+            "a quiet path exports nothing"
+        );
+        drv.cmd_raw_resilient(1, 0, CommandCode::ModuleInit, Vec::new())
+            .unwrap();
+        assert_eq!(drv.kernel().reg_ops_executed(), 0);
+        let prom = metrics.snapshot().export_prometheus();
+        assert!(
+            prom.contains("\nharmonia_kernel_reg_ops_total 0\n"),
+            "{prom}"
+        );
+        assert!(prom.contains("\nharmonia_kernel_cmds_executed_total 1\n"));
     }
 
     #[test]

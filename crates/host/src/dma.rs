@@ -5,6 +5,9 @@
 //! data transfers against the PCIe link model and lets commands either ride
 //! the isolated control queue (constant latency) or — for the ablation —
 //! share the data queues, where they wait behind buffered data.
+//!
+//! The engine counts its own sends, doorbells and credit stalls; the
+//! command driver reads those counts when it publishes `harmonia_dma_*`.
 
 use harmonia_hw::ip::PcieDmaIp;
 use harmonia_sim::{FaultInjector, FaultKind, Picos, Probe, TraceEventKind};
@@ -34,6 +37,10 @@ pub struct DmaEngine {
     data_backlog_bytes: u64,
     commands_sent: u64,
     doorbells: u64,
+    /// Deliveries an injected PCIe credit stall stretched.
+    credit_stalls: u64,
+    /// Credit beats those stalls waited out.
+    credit_stall_beats: u64,
     faults: FaultInjector,
     probe: Probe,
 }
@@ -48,17 +55,19 @@ impl DmaEngine {
             data_backlog_bytes: 0,
             commands_sent: 0,
             doorbells: 0,
+            credit_stalls: 0,
+            credit_stall_beats: 0,
             faults: FaultInjector::none(),
             probe: Probe::disabled(),
         }
     }
 
-    /// Attaches an observability probe: every
-    /// `DmaEngine::command_delivery` emits a
-    /// [`TraceEventKind::CmdDelivery`] span and bumps
-    /// `harmonia_dma_cmds_total`/`harmonia_dma_bursts_total`; injected
-    /// credit stalls emit [`TraceEventKind::FaultInjected`] instants and
-    /// bump the stall counters. Disabled planes cost one branch per hook.
+    /// Attaches an observability probe: every delivery emits a
+    /// [`TraceEventKind::CmdDelivery`] span and every injected credit
+    /// stall a [`TraceEventKind::FaultInjected`] instant. The engine
+    /// writes nothing to the probe's registry: the driver publishes its
+    /// send, doorbell and stall counts as `harmonia_dma_*`. Disabled
+    /// planes cost one branch per hook.
     pub fn set_probe(&mut self, probe: Probe) {
         self.probe = probe;
     }
@@ -92,9 +101,6 @@ impl DmaEngine {
     /// drain through the shared queue.
     pub fn command_latency_ps(&mut self, cmd_bytes: u32) -> Picos {
         self.commands_sent += 1;
-        self.probe
-            .metrics
-            .counter_inc("harmonia_dma_cmds_total", &[]);
         self.queue_latency_ps(cmd_bytes)
     }
 
@@ -119,6 +125,16 @@ impl DmaEngine {
     /// and one per `DmaEngine::batch_delivery` burst.
     pub fn doorbells(&self) -> u64 {
         self.doorbells
+    }
+
+    /// Deliveries an injected PCIe credit stall stretched so far.
+    pub fn credit_stalls(&self) -> u64 {
+        self.credit_stalls
+    }
+
+    /// Credit beats those stalls waited out so far.
+    pub fn credit_stall_beats(&self) -> u64 {
+        self.credit_stall_beats
     }
 
     /// Ships one command through the fault plane at simulation time
@@ -161,24 +177,14 @@ impl DmaEngine {
     ) -> CommandDelivery {
         self.doorbells += 1;
         self.commands_sent += u64::from(descriptors);
-        self.probe
-            .metrics
-            .counter_inc("harmonia_dma_bursts_total", &[]);
-        self.probe
-            .metrics
-            .counter_add("harmonia_dma_cmds_total", &[], u64::from(descriptors));
         let mut latency_ps = self.queue_latency_ps(bytes);
         let mut lost = false;
         if self.faults.is_active() {
             let stall = self.faults.take_stall_beats(now);
             if stall > 0 {
                 latency_ps += stall * self.credit_beat_ps();
-                self.probe
-                    .metrics
-                    .counter_inc("harmonia_dma_credit_stalls_total", &[]);
-                self.probe
-                    .metrics
-                    .counter_add("harmonia_dma_credit_stall_beats_total", &[], stall);
+                self.credit_stalls += 1;
+                self.credit_stall_beats += stall;
                 self.probe.trace.instant(
                     now,
                     TraceEventKind::FaultInjected {

@@ -7,8 +7,11 @@
 //! coalesce events and fire at most one interrupt per window (or
 //! immediately once a batch threshold is reached). This module models that
 //! policy and quantifies the interrupt-rate / latency trade-off.
+//!
+//! The moderator keeps its counts in its [`IrqReport`]; the command
+//! driver reads them when it publishes `harmonia_irq_*`.
 
-use harmonia_sim::{Picos, Probe};
+use harmonia_sim::Picos;
 
 /// Interrupt moderation policy.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -74,7 +77,6 @@ pub struct IrqModerator {
     interrupts: u64,
     delay_sum: f64,
     delay_max: Picos,
-    probe: Probe,
 }
 
 impl IrqModerator {
@@ -88,30 +90,12 @@ impl IrqModerator {
             interrupts: 0,
             delay_sum: 0.0,
             delay_max: 0,
-            probe: Probe::disabled(),
         }
-    }
-
-    /// Attaches an observability probe: each fired interrupt bumps
-    /// `harmonia_irq_interrupts_total` and adds the events it covers to
-    /// `harmonia_irq_events_total` in its registry. Disabled planes cost
-    /// one branch per hook.
-    pub fn set_probe(&mut self, probe: Probe) {
-        self.probe = probe;
     }
 
     fn fire(&mut self, now_ps: Picos) {
         debug_assert!(self.pending > 0);
         self.interrupts += 1;
-        self.probe
-            .metrics
-            .counter_inc("harmonia_irq_interrupts_total", &[]);
-        // The events this interrupt covers are published with it: every
-        // driver call ends in a flush, so the registry is exact when the
-        // call returns.
-        self.probe
-            .metrics
-            .counter_add("harmonia_irq_events_total", &[], u64::from(self.pending));
         let delay = now_ps - self.oldest_ps;
         // All pending events waited at most `delay`; attribute the oldest's
         // wait (the worst case) to the max and the average of a uniform

@@ -17,11 +17,12 @@
 //! 4. **Observed campaign** — one faulty batched campaign with every
 //!    observability plane attached is pinned byte for byte: report,
 //!    clock, ack log, text trace, Prometheus export and flight dump.
-//! 5. **Exact registry** — the command path publishes its per-command
-//!    metrics once per doorbell or per call, so after every public call
-//!    each `harmonia_{cmd,kernel,irq,dma}_*` counter equals the count its
-//!    component keeps, and the latency series equals the driver's own
-//!    histogram.
+//! 5. **Exact registry** — the driver publishes the counts its
+//!    components keep at the end of every public call, so after every
+//!    call each `harmonia_{cmd,kernel,irq,dma}_*` series equals the count
+//!    its component keeps, the latency series equals the driver's own
+//!    histogram, and a registry attached late reads the same totals as
+//!    one attached first.
 //! 6. **Lost interrupt inside a drain** — a scheduled `IrqLost` that falls
 //!    strictly inside a doorbell's execution window costs that doorbell's
 //!    first completion, because the CQ is polled when the drain ends.
@@ -365,15 +366,6 @@ fn driver_metrics_exports_are_pinned() {
     assert!(wrong.is_empty(), "{}", wrong.join("\n"));
 }
 
-/// Counters the command path publishes with no component-side count to
-/// compare against: backoff time, ring drains and credit stalls.
-const UNCOUNTED: [&str; 4] = [
-    "harmonia_cmd_backoff_ps_total",
-    "harmonia_kernel_sq_drained_total",
-    "harmonia_dma_credit_stalls_total",
-    "harmonia_dma_credit_stall_beats_total",
-];
-
 /// Checks the registry against the counts the driver, kernel, interrupt
 /// moderator and DMA engine keep themselves.
 fn registry_matches_components(drv: &CommandDriver, probe: &Probe) -> Result<(), String> {
@@ -382,13 +374,14 @@ fn registry_matches_components(drv: &CommandDriver, probe: &Probe) -> Result<(),
     let kernel = drv.kernel();
     let irq = drv.irq_report();
     let engine = drv.engine_ref();
-    let own = [
+    let counters = [
         ("harmonia_cmd_issued_total", report.issued),
         ("harmonia_cmd_acked_total", report.acked),
         ("harmonia_cmd_retries_total", report.retries),
         ("harmonia_cmd_timeouts_total", report.timeouts),
         ("harmonia_cmd_nacks_total", report.nacks),
         ("harmonia_cmd_gave_up_total", report.gave_up),
+        ("harmonia_cmd_backoff_ps_total", drv.backoff_ps()),
         (
             "harmonia_kernel_cmds_executed_total",
             kernel.commands_executed(),
@@ -396,12 +389,28 @@ fn registry_matches_components(drv: &CommandDriver, probe: &Probe) -> Result<(),
         ("harmonia_kernel_reg_ops_total", kernel.reg_ops_executed()),
         ("harmonia_kernel_replays_total", kernel.replays()),
         ("harmonia_kernel_nacks_total", kernel.decode_errors()),
+        ("harmonia_kernel_sq_drained_total", kernel.sq_drained()),
         ("harmonia_irq_events_total", irq.events),
         ("harmonia_irq_interrupts_total", irq.interrupts),
         ("harmonia_dma_cmds_total", engine.commands_sent()),
         ("harmonia_dma_bursts_total", engine.doorbells()),
+        ("harmonia_dma_credit_stalls_total", engine.credit_stalls()),
+        (
+            "harmonia_dma_credit_stall_beats_total",
+            engine.credit_stall_beats(),
+        ),
     ];
-    for (name, count) in own {
+    let gauges = [
+        (
+            "harmonia_kernel_buffer_high_water",
+            kernel.buffer_high_water().unwrap_or(0),
+        ),
+        (
+            "harmonia_kernel_sq_high_water",
+            kernel.sq_high_water().unwrap_or(0),
+        ),
+    ];
+    for (name, count) in counters {
         if snap.counter(name) != count {
             return Err(format!(
                 "{name}: registry {} != component {count}",
@@ -409,12 +418,20 @@ fn registry_matches_components(drv: &CommandDriver, probe: &Probe) -> Result<(),
             ));
         }
     }
-    // Every command-path counter in the export is one of the above, or
-    // one that no component counts.
+    for (name, depth) in gauges {
+        if snap.gauge(name) != depth {
+            return Err(format!(
+                "{name}: registry {} != component {depth}",
+                snap.gauge(name)
+            ));
+        }
+    }
+    // Every command-path counter and gauge in the export is one of the
+    // above.
     for line in snap.export_prometheus().lines() {
         let Some(name) = line
             .strip_prefix("# TYPE ")
-            .and_then(|l| l.strip_suffix(" counter"))
+            .and_then(|l| l.strip_suffix(" counter").or(l.strip_suffix(" gauge")))
         else {
             continue;
         };
@@ -426,7 +443,8 @@ fn registry_matches_components(drv: &CommandDriver, probe: &Probe) -> Result<(),
         ]
         .iter()
         .any(|p| name.starts_with(p));
-        if command_path && !own.iter().any(|(n, _)| *n == name) && !UNCOUNTED.contains(&name) {
+        let checked = counters.iter().chain(&gauges).any(|(n, _)| *n == name);
+        if command_path && !checked {
             return Err(format!("{name} has no component count to check"));
         }
     }
@@ -434,6 +452,49 @@ fn registry_matches_components(drv: &CommandDriver, probe: &Probe) -> Result<(),
         return Err("harmonia_cmd_latency_ps differs from latency_histogram()".into());
     }
     Ok(())
+}
+
+/// The background fault rates of the registry properties, in percent.
+fn rates((drop_pct, corrupt_pct, irq_pct): (u32, u32, u32)) -> FaultRates {
+    FaultRates {
+        cmd_drop: f64::from(drop_pct) / 100.0,
+        cmd_corrupt: f64::from(corrupt_pct) / 100.0,
+        irq_lost: f64::from(irq_pct) / 100.0,
+        ecc: 0.0,
+    }
+}
+
+/// Runs `calls` (a `submit` of the batch, or one `cmd_raw_resilient` per
+/// command) through a fresh driver, attaching `registry` before call
+/// `attach_at` (after the last call when `attach_at` is the call count),
+/// and returns the driver.
+fn run_calls(
+    batch: usize,
+    plan: FaultPlan,
+    calls: &[(bool, Vec<u8>)],
+    attach_at: usize,
+    registry: &MetricsRegistry,
+) -> CommandDriver {
+    let (engine, kernel, _shell) = parts();
+    let mut drv = CommandDriver::with_depth(engine, kernel, batch, 64);
+    drv.set_fault_injector(plan.injector());
+    for (i, (batched, cmds)) in calls.iter().enumerate() {
+        if i == attach_at {
+            drv.set_metrics_registry(registry.clone());
+        }
+        if *batched {
+            drv.submit(cmds.iter().copied().map(spec).collect());
+        } else {
+            for &c in cmds {
+                let (rbb, inst, code, data) = spec(c);
+                let _ = drv.cmd_raw_resilient(rbb, inst, code, data);
+            }
+        }
+    }
+    if attach_at == calls.len() {
+        drv.set_metrics_registry(registry.clone());
+    }
+    drv
 }
 
 forall! {
@@ -445,20 +506,14 @@ forall! {
     fn registry_matches_component_counts_after_every_call(
         seed in any::<u64>(),
         batch in prop_oneof![Just(1usize), Just(4usize), Just(16usize)],
-        (drop_pct, corrupt_pct, irq_pct) in (0u32..=5, 0u32..=5, 0u32..=5),
+        pcts in (0u32..=5, 0u32..=5, 0u32..=5),
         calls in collection::vec((any::<bool>(), collection::vec(0u8..4, 1..12)), 1..5),
     ) {
         let (engine, kernel, _shell) = parts();
         let mut drv = CommandDriver::with_depth(engine, kernel, batch, 64);
         let probe = Probe::enabled();
         drv.set_probe(probe.clone());
-        let rates = FaultRates {
-            cmd_drop: f64::from(drop_pct) / 100.0,
-            cmd_corrupt: f64::from(corrupt_pct) / 100.0,
-            irq_lost: f64::from(irq_pct) / 100.0,
-            ecc: 0.0,
-        };
-        drv.set_fault_injector(FaultPlan::new().with_rates(seed, rates).injector());
+        drv.set_fault_injector(FaultPlan::new().with_rates(seed, rates(pcts)).injector());
         for (batched, cmds) in calls {
             if batched {
                 drv.submit(cmds.into_iter().map(spec).collect());
@@ -475,6 +530,31 @@ forall! {
                 }
             }
         }
+    }
+
+    /// (5) A registry attached after call k reads, after the last call,
+    /// exactly what a registry attached before call 0 reads: every
+    /// series, every value. Publishes are absolute totals of the counts
+    /// the components keep, so nothing before the attachment is lost.
+    #[test]
+    fn a_late_registry_reads_the_same_totals(
+        seed in any::<u64>(),
+        batch in prop_oneof![Just(1usize), Just(4usize), Just(16usize)],
+        pcts in (0u32..=5, 0u32..=5, 0u32..=5),
+        calls in collection::vec((any::<bool>(), collection::vec(0u8..4, 1..12)), 1..5),
+        late in any::<usize>(),
+    ) {
+        let k = 1 + late % calls.len();
+        let plan = || FaultPlan::new().with_rates(seed, rates(pcts));
+        let early = MetricsRegistry::enabled();
+        run_calls(batch, plan(), &calls, 0, &early);
+        let late = MetricsRegistry::enabled();
+        run_calls(batch, plan(), &calls, k, &late);
+        prop_assert_eq!(
+            late.snapshot().export_prometheus(),
+            early.snapshot().export_prometheus(),
+            "registry attached after call {}", k
+        );
     }
 }
 

@@ -6,8 +6,12 @@
 //! the failure (deadline exceeded, retries exhausted) and marks the RBB
 //! *degraded* here; the shell continues operating the healthy modules and
 //! the transition stays visible through the normal stats path.
+//!
+//! The ledger only keeps state. The driver that marks a module degraded
+//! records the transition on its own trace and publishes the
+//! `harmonia_shell_*` gauges.
 
-use harmonia_sim::{Picos, Probe, TraceEventKind};
+use harmonia_sim::Picos;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -46,23 +50,12 @@ impl fmt::Display for RbbHealth {
 #[derive(Clone, Debug, Default)]
 pub struct HealthLedger {
     entries: BTreeMap<(u8, u8), RbbHealth>,
-    probe: Probe,
 }
 
 impl HealthLedger {
     /// Creates an empty ledger (every module implicitly healthy).
     pub fn new() -> Self {
         HealthLedger::default()
-    }
-
-    /// Attaches an observability probe (the driver attaches its own
-    /// during resilient bring-up): new degradations emit a
-    /// [`TraceEventKind::ModuleDegraded`] instant, the degraded-module
-    /// count is published as the `harmonia_shell_degraded_modules` gauge,
-    /// and each degradation sets a per-module
-    /// `harmonia_shell_module_degraded{rbb,inst}` gauge to 1.
-    pub fn set_probe(&mut self, probe: Probe) {
-        self.probe = probe;
     }
 
     /// Marks a module degraded. Returns `false` if it already was (the
@@ -72,25 +65,6 @@ impl HealthLedger {
             std::collections::btree_map::Entry::Occupied(_) => false,
             std::collections::btree_map::Entry::Vacant(v) => {
                 v.insert(RbbHealth::Degraded { since_ps: now });
-                self.probe.trace.instant(
-                    now,
-                    TraceEventKind::ModuleDegraded {
-                        rbb_id,
-                        instance_id,
-                    },
-                );
-                self.probe.metrics.gauge_set(
-                    "harmonia_shell_module_degraded",
-                    &[
-                        ("rbb", &rbb_id.to_string()),
-                        ("inst", &instance_id.to_string()),
-                    ],
-                    1,
-                );
-                let degraded = self.entries.values().filter(|h| h.is_degraded()).count() as u64;
-                self.probe
-                    .metrics
-                    .gauge_set("harmonia_shell_degraded_modules", &[], degraded);
                 true
             }
         }
@@ -156,24 +130,5 @@ mod tests {
         assert!(!l.mark_degraded(2, 0, 900));
         assert_eq!(l.health_of(2, 0), RbbHealth::Degraded { since_ps: 500 });
         assert!(l.to_string().contains("rbb2#0@500ps"));
-    }
-
-    #[test]
-    fn degradation_emits_one_trace_event() {
-        let probe = Probe::enabled();
-        let mut l = HealthLedger::new();
-        l.set_probe(probe.clone());
-        assert!(l.mark_degraded(1, 0, 750));
-        assert!(!l.mark_degraded(1, 0, 900), "re-marking is silent");
-        let trace = probe.trace.take();
-        assert_eq!(trace.len(), 1);
-        assert_eq!(trace.events()[0].at, 750);
-        assert_eq!(
-            trace.events()[0].kind,
-            TraceEventKind::ModuleDegraded {
-                rbb_id: 1,
-                instance_id: 0
-            }
-        );
     }
 }

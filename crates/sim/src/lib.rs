@@ -45,8 +45,8 @@ pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultRates};
 pub use fifo::{BeatFate, FifoFullError, SyncFifo};
 pub use histo::LogHistogram;
 pub use metrics::{
-    evaluate_slos, FlightRecorder, MetricsRegistry, MetricsScraper, MetricsSnapshot, Slo,
-    SloObjective, SloReport, SloResult,
+    evaluate_slos, FlightRecorder, MetricsRegistry, MetricsSnapshot, Slo, SloObjective, SloReport,
+    SloResult,
 };
 pub use pipeline::{Pipeline, PushError};
 pub use probe::Probe;

@@ -4,18 +4,25 @@
 //! The trace plane ([`crate::trace`]) answers "what happened at
 //! picosecond X"; this module answers the operator questions — how many
 //! commands retried, how full the SQ rings ran, whether the p99 latency
-//! SLO is burning. A [`MetricsRegistry`] is a cheap cloneable handle hot
-//! paths bump typed metrics into; a frozen [`MetricsSnapshot`] exports to
-//! the Prometheus text exposition format or a compact JSON document, a
-//! [`MetricsScraper`] marks the scrape boundaries a run crosses on the
-//! *simulated* clock, a [`FlightRecorder`] keeps the last N
+//! SLO is burning. A [`MetricsRegistry`] is a cheap cloneable handle a
+//! publisher writes its components' counts into; a frozen
+//! [`MetricsSnapshot`] exports to the Prometheus text exposition format
+//! or a compact JSON document, a [`FlightRecorder`] keeps the last N
 //! trace events for post-mortems, and [`evaluate_slos`] grades a snapshot
 //! against declarative objectives.
+//!
+//! Components keep their own counts, as the paper's RBBs keep their
+//! monitoring counters; nothing on a hot path writes here. A publisher
+//! reads those counts and writes absolute totals through three setters
+//! ([`MetricsRegistry::counter_set`], [`MetricsRegistry::gauge_set`],
+//! [`MetricsRegistry::histogram_set`]), so publishing twice changes
+//! nothing. The command driver publishes at the end of every public
+//! call; a fleet campaign report publishes once.
 //!
 //! The plane inherits every contract of the trace plane:
 //!
 //! 1. **Disabled metrics are zero-cost.** [`MetricsRegistry::disabled`]
-//!    holds no state; every hook collapses to one branch on an `Option`.
+//!    holds no state; a publish collapses to one branch on an `Option`.
 //!    The disabled path is the pinned one (paper snapshot, trace exports
 //!    and committed bench medians are bit-identical).
 //! 2. **Metrics are observational.** Recording never changes simulated
@@ -28,15 +35,18 @@
 //!    [`LogHistogram::merge`] — all order-independent — and callers
 //!    merge in lane order, as they do for [`crate::Trace::merge`].
 //!
-//! # Example: record → snapshot → export → grade
+//! # Example: publish → snapshot → export → grade
 //!
 //! ```
 //! use harmonia_sim::metrics::{evaluate_slos, MetricsRegistry, Slo, SloObjective};
+//! use harmonia_sim::LogHistogram;
 //!
+//! let mut latency = LogHistogram::new();
+//! latency.record(1_500);
 //! let m = MetricsRegistry::enabled();
-//! m.counter_add("demo_cmds_total", &[], 100);
-//! m.counter_add("demo_retries_total", &[], 3);
-//! m.observe("demo_latency_ps", &[], 1_500);
+//! m.counter_set("demo_cmds_total", &[], 100);
+//! m.counter_set("demo_retries_total", &[], 3);
+//! m.histogram_set("demo_latency_ps", &[], &latency);
 //!
 //! let snap = m.snapshot();
 //! assert!(snap.export_prometheus().contains("demo_cmds_total 100"));
@@ -59,9 +69,6 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::rc::Rc;
-
-/// Default scrape period: 10 µs of simulated time.
-pub const DEFAULT_METRICS_PERIOD_PS: Picos = 10_000_000;
 
 /// Default [`FlightRecorder`] ring capacity (events retained per lane).
 pub(crate) const DEFAULT_FLIGHT_DEPTH: usize = 64;
@@ -134,23 +141,22 @@ struct RegistryBuf {
     histograms: BTreeMap<MetricKey, LogHistogram>,
 }
 
-/// The cheap cloneable handle hot paths bump metrics into. Clones share
-/// the underlying store, so one scenario's kernel, driver, DMA engine and
-/// IRQ moderator all feed a single registry.
+/// The cheap cloneable handle a publisher writes totals into. Clones
+/// share the underlying store, so the clone a `CommandDriver` holds and
+/// the one its caller snapshots are one registry.
 ///
-/// Every call builds its series key and walks a `BTreeMap` for it, so a
-/// hot loop counts in plain locals and publishes once per doorbell or
-/// per public call, touching only the series a per-event call would have
-/// touched. The registry is then exact at every public-call boundary,
-/// which is where the scraper, the exporters and the SLO evaluator read
-/// it.
+/// Every write is an absolute set, so a registry holds one publisher's
+/// view: two drivers attached to one registry would overwrite each
+/// other's series. Give each driver its own registry and merge the
+/// snapshots with [`MetricsSnapshot::merge`], as the observed fault
+/// campaign does per scenario.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
     inner: Option<Rc<RefCell<RegistryBuf>>>,
 }
 
 impl MetricsRegistry {
-    /// The no-op registry (what `Default` also gives): every hook is one
+    /// The no-op registry (what `Default` also gives): every write is one
     /// branch, nothing is ever allocated or recorded.
     pub fn disabled() -> MetricsRegistry {
         MetricsRegistry { inner: None }
@@ -168,22 +174,16 @@ impl MetricsRegistry {
         self.inner.is_some()
     }
 
-    /// Adds `delta` to a counter (created at zero on first touch).
+    /// Sets a counter to `total` (created on first write). A publisher
+    /// writes its component's running total, so writing again with the
+    /// same count changes nothing.
     #[inline]
-    pub fn counter_add(&self, name: &'static str, labels: &[(&'static str, &str)], delta: u64) {
+    pub fn counter_set(&self, name: &'static str, labels: &[(&'static str, &str)], total: u64) {
         let Some(inner) = &self.inner else {
             return;
         };
         let mut buf = inner.borrow_mut();
-        *buf.counters
-            .entry(MetricKey::new(name, labels))
-            .or_insert(0) += delta;
-    }
-
-    /// Increments a counter by one.
-    #[inline]
-    pub fn counter_inc(&self, name: &'static str, labels: &[(&'static str, &str)]) {
-        self.counter_add(name, labels, 1);
+        buf.counters.insert(MetricKey::new(name, labels), total);
     }
 
     /// Sets a gauge to `value`.
@@ -196,37 +196,10 @@ impl MetricsRegistry {
         buf.gauges.insert(MetricKey::new(name, labels), value);
     }
 
-    /// Raises a gauge to `value` if it is below it (high-water tracking:
-    /// ring occupancy, buffer depth).
+    /// Sets a histogram-backed metric to a copy of `histogram`, the
+    /// [`LogHistogram`] its component keeps.
     #[inline]
-    pub fn gauge_max(&self, name: &'static str, labels: &[(&'static str, &str)], value: u64) {
-        let Some(inner) = &self.inner else {
-            return;
-        };
-        let mut buf = inner.borrow_mut();
-        let g = buf.gauges.entry(MetricKey::new(name, labels)).or_insert(0);
-        *g = (*g).max(value);
-    }
-
-    /// Records one sample into a [`LogHistogram`]-backed metric.
-    #[inline]
-    pub fn observe(&self, name: &'static str, labels: &[(&'static str, &str)], sample: u64) {
-        let Some(inner) = &self.inner else {
-            return;
-        };
-        let mut buf = inner.borrow_mut();
-        buf.histograms
-            .entry(MetricKey::new(name, labels))
-            .or_default()
-            .record(sample);
-    }
-
-    /// Folds a pre-built [`LogHistogram`] into a histogram-backed metric
-    /// in one lookup. Aggregate planes (the fleet controller's
-    /// per-device latency histograms) publish through this instead of
-    /// replaying millions of `observe` calls.
-    #[inline]
-    pub fn observe_histogram(
+    pub fn histogram_set(
         &self,
         name: &'static str,
         labels: &[(&'static str, &str)],
@@ -239,7 +212,7 @@ impl MetricsRegistry {
         buf.histograms
             .entry(MetricKey::new(name, labels))
             .or_default()
-            .merge(histogram);
+            .clone_from(histogram);
     }
 
     /// Clones the current state into a frozen [`MetricsSnapshot`]
@@ -259,8 +232,8 @@ impl MetricsRegistry {
     }
 }
 
-/// A frozen, totally ordered view of a registry: what the exporters, the
-/// scraper and the SLO evaluator consume.
+/// A frozen, totally ordered view of a registry: what the exporters and
+/// the SLO evaluator consume.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     counters: BTreeMap<MetricKey, u64>,
@@ -437,51 +410,6 @@ impl MetricsSnapshot {
 impl fmt::Display for MetricsSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.export_prometheus())
-    }
-}
-
-/// Marks every `period_ps` of *simulated* time (never the wall clock)
-/// that a run crosses, in an append-only series of boundary times. Drive
-/// it with [`MetricsScraper::tick`] from the loop that owns the
-/// simulation clock.
-#[derive(Clone, Debug)]
-pub struct MetricsScraper {
-    period_ps: Picos,
-    next_ps: Picos,
-    boundaries: Vec<Picos>,
-}
-
-impl MetricsScraper {
-    /// Creates a scraper with the given period.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period_ps` is zero.
-    pub fn new(period_ps: Picos) -> MetricsScraper {
-        assert!(period_ps > 0, "scrape period must be positive");
-        MetricsScraper {
-            period_ps,
-            next_ps: period_ps,
-            boundaries: Vec::new(),
-        }
-    }
-
-    /// Advances the scraper to simulated time `now_ps`: if one or more
-    /// period boundaries were crossed since the last tick, appends the
-    /// *latest* crossed boundary (the simulation paused across the
-    /// others, so they are collapsed into it).
-    pub fn tick(&mut self, now_ps: Picos) {
-        if now_ps < self.next_ps {
-            return;
-        }
-        let boundary = now_ps - (now_ps % self.period_ps);
-        self.boundaries.push(boundary);
-        self.next_ps = boundary + self.period_ps;
-    }
-
-    /// The boundaries crossed so far, in strictly increasing order.
-    pub fn boundaries(&self) -> &[Picos] {
-        &self.boundaries
     }
 }
 
@@ -764,13 +692,22 @@ pub fn evaluate_slos(snapshot: &MetricsSnapshot, slos: &[Slo]) -> SloReport {
 mod tests {
     use super::*;
 
+    /// A histogram holding `samples`.
+    fn histo(samples: &[u64]) -> LogHistogram {
+        let mut h = LogHistogram::new();
+        for &v in samples {
+            h.record(v);
+        }
+        h
+    }
+
     #[test]
     fn disabled_registry_is_inert() {
         let m = MetricsRegistry::disabled();
         assert!(!m.is_enabled());
-        m.counter_inc("x_total", &[]);
+        m.counter_set("x_total", &[], 1);
         m.gauge_set("g", &[], 7);
-        m.observe("h_ps", &[], 100);
+        m.histogram_set("h_ps", &[], &histo(&[100]));
         let snap = m.snapshot();
         assert!(snap.is_empty());
         assert_eq!(snap.export_prometheus(), "");
@@ -784,16 +721,15 @@ mod tests {
     fn clones_share_one_store() {
         let m = MetricsRegistry::enabled();
         let other = m.clone();
-        m.counter_inc("x_total", &[]);
-        other.counter_inc("x_total", &[]);
+        other.counter_set("x_total", &[], 2);
         assert_eq!(m.snapshot().counter("x_total"), 2);
     }
 
     #[test]
     fn labels_split_series_and_counter_sums_across_them() {
         let m = MetricsRegistry::enabled();
-        m.counter_add("cmds_total", &[("rbb", "1")], 3);
-        m.counter_add("cmds_total", &[("rbb", "2")], 4);
+        m.counter_set("cmds_total", &[("rbb", "1")], 3);
+        m.counter_set("cmds_total", &[("rbb", "2")], 4);
         let snap = m.snapshot();
         assert_eq!(snap.counter("cmds_total"), 7);
         let prom = snap.export_prometheus();
@@ -804,42 +740,31 @@ mod tests {
     }
 
     #[test]
-    fn observe_histogram_merges_like_individual_observes() {
-        let mut pre = LogHistogram::new();
-        pre.record_n(1_000, 5);
-        pre.record(64_000);
-        let bulk = MetricsRegistry::enabled();
-        bulk.observe("lat_ps", &[], 10); // pre-existing content survives
-        bulk.observe_histogram("lat_ps", &[], &pre);
-        let looped = MetricsRegistry::enabled();
-        looped.observe("lat_ps", &[], 10);
-        for _ in 0..5 {
-            looped.observe("lat_ps", &[], 1_000);
-        }
-        looped.observe("lat_ps", &[], 64_000);
-        assert_eq!(bulk.snapshot(), looped.snapshot());
-        // Disabled registries stay inert.
-        let off = MetricsRegistry::disabled();
-        off.observe_histogram("lat_ps", &[], &pre);
-        assert!(off.snapshot().is_empty());
-    }
-
-    #[test]
-    fn gauge_max_is_a_high_water_mark() {
+    fn setters_write_totals_so_publishing_twice_changes_nothing() {
         let m = MetricsRegistry::enabled();
-        m.gauge_max("occupancy", &[], 5);
-        m.gauge_max("occupancy", &[], 3);
-        m.gauge_max("occupancy", &[], 9);
-        assert_eq!(m.snapshot().gauge("occupancy"), 9);
+        let publish = |count: u64, depth: u64, lat: &[u64]| {
+            m.counter_set("cmds_total", &[], count);
+            m.gauge_set("depth", &[], depth);
+            m.histogram_set("lat_ps", &[], &histo(lat));
+        };
+        publish(3, 9, &[10, 1_000]);
+        let once = m.snapshot();
+        publish(3, 9, &[10, 1_000]);
+        assert_eq!(m.snapshot(), once, "a repeated publish is a no-op");
+        // Later totals replace earlier ones rather than adding to them.
+        publish(5, 4, &[64_000]);
+        let snap = m.snapshot();
+        assert_eq!(snap.counter("cmds_total"), 5);
+        assert_eq!(snap.gauge("depth"), 4);
+        assert_eq!(snap.histogram("lat_ps"), histo(&[64_000]));
     }
 
     #[test]
     fn prometheus_export_shape() {
         let m = MetricsRegistry::enabled();
-        m.counter_add("a_total", &[], 1);
+        m.counter_set("a_total", &[], 1);
         m.gauge_set("b", &[], 2);
-        m.observe("c_ps", &[], 1000);
-        m.observe("c_ps", &[], 3000);
+        m.histogram_set("c_ps", &[], &histo(&[1000, 3000]));
         let prom = m.snapshot().export_prometheus();
         assert!(prom.contains("# TYPE a_total counter\na_total 1\n"));
         assert!(prom.contains("# TYPE b gauge\nb 2\n"));
@@ -853,9 +778,9 @@ mod tests {
     #[test]
     fn json_export_is_well_formed_and_deterministic() {
         let m = MetricsRegistry::enabled();
-        m.counter_add("a_total", &[("k", "v")], 1);
+        m.counter_set("a_total", &[("k", "v")], 1);
         m.gauge_set("b", &[], 2);
-        m.observe("c_ps", &[], 512);
+        m.histogram_set("c_ps", &[], &histo(&[512]));
         let snap = m.snapshot();
         let json = snap.export_json();
         assert_eq!(json, snap.export_json());
@@ -869,29 +794,18 @@ mod tests {
     fn merge_sums_counters_maxes_gauges_folds_histograms() {
         let a = MetricsRegistry::enabled();
         let b = MetricsRegistry::enabled();
-        a.counter_add("c_total", &[], 2);
-        b.counter_add("c_total", &[], 5);
-        a.gauge_max("hw", &[], 10);
-        b.gauge_max("hw", &[], 4);
-        a.observe("lat_ps", &[], 100);
-        b.observe("lat_ps", &[], 200);
+        a.counter_set("c_total", &[], 2);
+        b.counter_set("c_total", &[], 5);
+        a.gauge_set("hw", &[], 10);
+        b.gauge_set("hw", &[], 4);
+        a.histogram_set("lat_ps", &[], &histo(&[100]));
+        b.histogram_set("lat_ps", &[], &histo(&[200]));
         let ab = MetricsSnapshot::merge([a.snapshot(), b.snapshot()]);
         let ba = MetricsSnapshot::merge([b.snapshot(), a.snapshot()]);
         assert_eq!(ab, ba, "merge is order-independent");
         assert_eq!(ab.counter("c_total"), 7);
         assert_eq!(ab.gauge("hw"), 10);
         assert_eq!(ab.histogram("lat_ps").count(), 2);
-    }
-
-    #[test]
-    fn scraper_samples_on_simulated_boundaries() {
-        let mut s = MetricsScraper::new(1_000);
-        s.tick(500); // before the first boundary: nothing
-        assert!(s.boundaries().is_empty());
-        s.tick(1_200);
-        s.tick(1_900); // same window: nothing
-        s.tick(4_400); // crossed 2000/3000/4000: one collapsed sample
-        assert_eq!(s.boundaries(), [1_000, 4_000]);
     }
 
     #[test]
@@ -919,12 +833,11 @@ mod tests {
     #[test]
     fn slo_report_pass_and_fail_render_is_pinned() {
         let m = MetricsRegistry::enabled();
-        m.counter_add("harmonia_cmd_issued_total", &[], 1_000);
-        m.counter_add("harmonia_kernel_replays_total", &[], 500);
-        for _ in 0..99 {
-            m.observe("harmonia_cmd_latency_ps", &[], 1_000);
-        }
-        m.observe("harmonia_cmd_latency_ps", &[], 100_000);
+        m.counter_set("harmonia_cmd_issued_total", &[], 1_000);
+        m.counter_set("harmonia_kernel_replays_total", &[], 500);
+        let mut latency = histo(&[100_000]);
+        latency.record_n(1_000, 99);
+        m.histogram_set("harmonia_cmd_latency_ps", &[], &latency);
         let report = evaluate_slos(
             &m.snapshot(),
             &[
@@ -969,7 +882,7 @@ mod tests {
         }];
         assert!(evaluate_slos(&quiet, &slo).pass());
         let noisy = MetricsRegistry::enabled();
-        noisy.counter_inc("n_total", &[]);
+        noisy.counter_set("n_total", &[], 1);
         assert!(!evaluate_slos(&noisy.snapshot(), &slo).pass());
     }
 
@@ -978,9 +891,9 @@ mod tests {
         let run = || {
             let snap = MetricsSnapshot::merge((0..16u64).map(|i| {
                 let m = MetricsRegistry::enabled();
-                m.counter_add("c_total", &[], i);
-                m.gauge_max("hw", &[], i);
-                m.observe("lat_ps", &[], i * 10 + 1);
+                m.counter_set("c_total", &[], i);
+                m.gauge_set("hw", &[], i);
+                m.histogram_set("lat_ps", &[], &histo(&[i * 10 + 1]));
                 m.snapshot()
             }));
             (snap.export_prometheus(), snap.export_json())
@@ -996,20 +909,10 @@ mod tests {
     fn snapshot_merge_sums_counters() {
         let a = MetricsRegistry::enabled();
         let b = MetricsRegistry::enabled();
-        a.counter_add("x_total", &[], 2);
-        b.counter_add("x_total", &[], 3);
+        a.counter_set("x_total", &[], 2);
+        b.counter_set("x_total", &[], 3);
         let merged = MetricsSnapshot::merge([a.snapshot(), b.snapshot()]);
         assert_eq!(merged.counter("x_total"), 5);
-    }
-
-    #[test]
-    fn scraper_keeps_one_sample_per_period() {
-        let mut scraper = MetricsScraper::new(1_000_000); // 1 µs period
-        for step in 1..=5u64 {
-            scraper.tick(step * 1_000_000);
-        }
-        assert_eq!(scraper.boundaries().len(), 5);
-        assert_eq!(scraper.boundaries().last(), Some(&5_000_000));
     }
 
     #[test]

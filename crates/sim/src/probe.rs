@@ -4,15 +4,18 @@
 //! [`TraceCollector`], the [`MetricsRegistry`] and the
 //! [`FlightRecorder`] — so an instrumented component holds one `probe`
 //! field and exposes one `set_probe`, and a composite forwards one value
-//! to its parts in one place. Each plane keeps its own contracts (see
-//! [`crate::trace`] and [`crate::metrics`]); the bundle pins one more:
-//! **attaching a probe never moves a simulated result.**
+//! to its parts in one place. The parts record trace and flight events
+//! through their hooks; the registry is written only by the composite,
+//! which publishes the counts its parts keep (see [`crate::metrics`]).
+//! Each plane keeps its own contracts (see [`crate::trace`] and
+//! [`crate::metrics`]); the bundle pins one more: **attaching a probe
+//! never moves a simulated result.**
 //!
 //! # One thread, no locks
 //!
 //! Every plane is an `Rc<RefCell<…>>`: a scenario's command stream —
 //! driver, DMA engine, kernel — runs on one thread, so each hook borrows
-//! its plane, appends one event or bumps one series, and returns. A
+//! its plane, appends one event or sets one series, and returns. A
 //! probe is not `Send`, so the compiler proves no plane is shared across
 //! threads; the parallel paper sweep attaches none. A reentrant use of a
 //! plane panics on the `RefCell` borrow instead of deadlocking.
@@ -23,7 +26,7 @@
 //! forwarding a probe can never start a fault draw.
 //!
 //! ```
-//! use harmonia_sim::Probe;
+//! use harmonia_sim::{Probe, TraceEventKind};
 //!
 //! let off = Probe::disabled();
 //! assert!(!off.trace.is_enabled() && !off.metrics.is_enabled() && !off.flight.is_enabled());
@@ -31,8 +34,8 @@
 //! // Clones share every plane's store, so one probe forwarded to a
 //! // driver's parts lands in one timeline and one registry.
 //! let on = Probe::enabled();
-//! on.clone().metrics.counter_inc("demo_total", &[]);
-//! assert_eq!(on.metrics.snapshot().counter("demo_total"), 1);
+//! on.clone().record(5, 0, TraceEventKind::KernelReplay { code: 0 });
+//! assert_eq!((on.trace.len(), on.flight.len()), (1, 1));
 //! ```
 
 use crate::metrics::{FlightRecorder, MetricsRegistry};
@@ -49,7 +52,7 @@ use crate::trace::{TraceCollector, TraceEventKind};
 /// use harmonia_sim::Probe;
 ///
 /// let probe = Probe::enabled();
-/// std::thread::spawn(move || probe.metrics.counter_inc("demo_total", &[]));
+/// std::thread::spawn(move || probe.metrics.is_enabled());
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Probe {
