@@ -18,6 +18,7 @@ use harmonia::hw::device::catalog;
 use harmonia::hw::ip::PcieDmaIp;
 use harmonia::hw::Vendor;
 use harmonia::shell::{MemoryDemand, RoleSpec, TailoredShell, UnifiedShell};
+use harmonia::sim::metrics::scrapes;
 use harmonia::sim::{
     evaluate_slos, FaultKind, FaultPlan, FaultRates, LogHistogram, MetricsRegistry,
     MetricsSnapshot, Picos, Probe, Slo, SloObjective, SloReport, Trace, TraceCollector,
@@ -154,21 +155,6 @@ pub fn render_slo_artifact(run: &CampaignRun) -> String {
     out
 }
 
-/// Scrapes a run takes when its clock, read after each call, is
-/// `clocks`: one for each reading in a later `period_ps` window than the
-/// last scrape's. A call that crosses several boundaries scrapes once.
-fn scrapes(clocks: &[Picos], period_ps: Picos) -> usize {
-    let mut window = 0;
-    clocks
-        .iter()
-        .filter(|&&now| {
-            let crossed = now / period_ps > window;
-            window = window.max(now / period_ps);
-            crossed
-        })
-        .count()
-}
-
 /// One seeded campaign: bring up a tailored shell resiliently under the
 /// fault plan, then poke health and sweep all module statistics.
 /// Returns the driver's latency histogram, its `seed=N <driver report>`
@@ -255,17 +241,6 @@ pub fn post_mortem_campaign() -> (DriverError, String) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn a_call_that_crosses_several_boundaries_scrapes_once() {
-        // Before the first boundary: nothing. Two readings in one window:
-        // one scrape. A jump across three boundaries: one more.
-        assert_eq!(scrapes(&[500, 1_200, 1_900, 4_400], 1_000), 2);
-        // One reading per period scrapes every period.
-        let every: Vec<Picos> = (1..=5).map(|us| us * 1_000_000).collect();
-        assert_eq!(scrapes(&every, 1_000_000), 5);
-        assert_eq!(scrapes(&[], 1_000), 0);
-    }
 
     #[test]
     fn capture_merges_lanes_and_evaluates_slos() {

@@ -413,6 +413,22 @@ impl fmt::Display for MetricsSnapshot {
     }
 }
 
+/// Scrapes a run takes when its clock, read after each public call, is
+/// `clocks`: one for each reading in a later `period_ps` window than the
+/// last scrape's. A call that crosses several boundaries scrapes once.
+/// Nothing keeps the boundary times; `SLO_report.txt` prints the count.
+pub fn scrapes(clocks: &[Picos], period_ps: Picos) -> usize {
+    let mut window = 0;
+    clocks
+        .iter()
+        .filter(|&&now| {
+            let crossed = now / period_ps > window;
+            window = window.max(now / period_ps);
+            crossed
+        })
+        .count()
+}
+
 #[derive(Debug)]
 struct FlightBuf {
     lane: u32,
@@ -760,6 +776,55 @@ mod tests {
     }
 
     #[test]
+    fn observe_histogram_merges_like_individual_observes() {
+        let mut pre = LogHistogram::new();
+        pre.record_n(1_000, 5);
+        pre.record(64_000);
+        // A bulk-recorded histogram, set once and merged after a lane that
+        // already holds a sample, equals every sample recorded one by one.
+        let bulk = MetricsRegistry::enabled();
+        bulk.histogram_set("lat_ps", &[], &pre);
+        let earlier = MetricsRegistry::enabled();
+        earlier.histogram_set("lat_ps", &[], &histo(&[10]));
+        let looped = MetricsRegistry::enabled();
+        looped.histogram_set(
+            "lat_ps",
+            &[],
+            &histo(&[10, 1_000, 1_000, 1_000, 1_000, 1_000, 64_000]),
+        );
+        assert_eq!(
+            MetricsSnapshot::merge([earlier.snapshot(), bulk.snapshot()]),
+            looped.snapshot()
+        );
+        // Disabled registries stay inert.
+        let off = MetricsRegistry::disabled();
+        off.histogram_set("lat_ps", &[], &pre);
+        assert!(off.snapshot().is_empty());
+    }
+
+    #[test]
+    fn gauge_max_is_a_high_water_mark() {
+        // A gauge published at 5, 3 and 9: merging the three snapshots, in
+        // any order, keeps the high-water mark, not the last value.
+        let m = MetricsRegistry::enabled();
+        let readings: Vec<MetricsSnapshot> = [5, 3, 9]
+            .into_iter()
+            .map(|v| {
+                m.gauge_set("occupancy", &[], v);
+                m.snapshot()
+            })
+            .collect();
+        assert_eq!(
+            MetricsSnapshot::merge(readings.clone()).gauge("occupancy"),
+            9
+        );
+        assert_eq!(
+            MetricsSnapshot::merge(readings.into_iter().rev()).gauge("occupancy"),
+            9
+        );
+    }
+
+    #[test]
     fn prometheus_export_shape() {
         let m = MetricsRegistry::enabled();
         m.counter_set("a_total", &[], 1);
@@ -806,6 +871,16 @@ mod tests {
         assert_eq!(ab.counter("c_total"), 7);
         assert_eq!(ab.gauge("hw"), 10);
         assert_eq!(ab.histogram("lat_ps").count(), 2);
+    }
+
+    #[test]
+    fn scraper_samples_on_simulated_boundaries() {
+        // Before the first boundary: nothing. Two readings in one window:
+        // one scrape. A jump across 2000/3000/4000: one collapsed scrape.
+        assert_eq!(scrapes(&[500], 1_000), 0);
+        assert_eq!(scrapes(&[500, 1_200, 1_900], 1_000), 1);
+        assert_eq!(scrapes(&[500, 1_200, 1_900, 4_400], 1_000), 2);
+        assert_eq!(scrapes(&[], 1_000), 0);
     }
 
     #[test]
@@ -913,6 +988,14 @@ mod tests {
         b.counter_set("x_total", &[], 3);
         let merged = MetricsSnapshot::merge([a.snapshot(), b.snapshot()]);
         assert_eq!(merged.counter("x_total"), 5);
+    }
+
+    #[test]
+    fn scraper_keeps_one_sample_per_period() {
+        // One reading per 1 µs period scrapes every period.
+        let every: Vec<Picos> = (1..=5).map(|us| us * 1_000_000).collect();
+        assert_eq!(scrapes(&every, 1_000_000), 5);
+        assert_eq!(scrapes(&every[..4], 1_000_000), 4);
     }
 
     #[test]
